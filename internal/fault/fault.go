@@ -91,13 +91,11 @@ type Stats struct {
 	Staled  uint64 // version samples perturbed
 }
 
-// Injector is an otable.Table (and HandleTable, and BlockSlotted) that
-// forwards to an underlying table, injecting the faults its Config selects.
-// It is safe for concurrent use; all injector state is atomic.
+// Injector is an otable.Table that forwards to an underlying table,
+// injecting the faults its Config selects. It is safe for concurrent use;
+// all injector state is atomic.
 type Injector struct {
 	tab otable.Table
-	ht  otable.HandleTable  // non-nil iff tab implements it
-	vt  otable.VersionTable // non-nil iff tab implements it
 	cfg Config
 
 	// denyBar, delayBar, and staleBar are cfg rates pre-scaled to uint64
@@ -113,18 +111,7 @@ type Injector struct {
 	staled  atomic.Uint64
 }
 
-// The injector must be a drop-in table for every STM fast path.
-var (
-	_ otable.Table        = (*Injector)(nil)
-	_ otable.HandleTable  = (*Injector)(nil)
-	_ otable.BlockSlotted = (*Injector)(nil)
-	_ otable.VersionTable = (*Injector)(nil)
-)
-
-// New wraps tab in an Injector. If tab implements otable.HandleTable the
-// injector does too, delegating handles through; otherwise its HandleTable
-// methods emulate the contract with NoHandle and the walking path, so the
-// STM can always be configured with either API against an injected table.
+// New wraps tab in an Injector.
 func New(tab otable.Table, cfg Config) *Injector {
 	if cfg.StallTx != 0 && cfg.StallYields == 0 {
 		cfg.StallYields = 64
@@ -132,11 +119,8 @@ func New(tab otable.Table, cfg Config) *Injector {
 	if cfg.DelayReleaseRate > 0 && cfg.DelayYields == 0 {
 		cfg.DelayYields = 16
 	}
-	inj := &Injector{tab: tab, cfg: cfg, denyBar: rateBar(cfg.DenyRate),
+	return &Injector{tab: tab, cfg: cfg, denyBar: rateBar(cfg.DenyRate),
 		delayBar: rateBar(cfg.DelayReleaseRate), staleBar: rateBar(cfg.StaleVersionRate)}
-	inj.ht, _ = tab.(otable.HandleTable)
-	inj.vt, _ = tab.(otable.VersionTable)
-	return inj
 }
 
 // rateBar converts a probability in [0, 1] to a threshold on a uniform
@@ -219,8 +203,6 @@ func (inj *Injector) delay(h uint64) {
 	}
 }
 
-// --- otable.Table ---
-
 // Kind names the wrapped table's kind with a fault prefix.
 func (inj *Injector) Kind() string { return "fault+" + inj.tab.Kind() }
 
@@ -230,44 +212,8 @@ func (inj *Injector) N() uint64 { return inj.tab.N() }
 // SlotOf forwards to the wrapped table.
 func (inj *Injector) SlotOf(b addr.Block) uint64 { return inj.tab.SlotOf(b) }
 
-// AcquireRead injects stalls and spurious denials around the table's own
-// read acquire.
-func (inj *Injector) AcquireRead(tx otable.TxID, b addr.Block) (otable.Outcome, otable.ConflictInfo) {
-	inj.stall(tx)
-	op, h := inj.step()
-	if out, ci, hit := inj.deny(op, h, false, 0); hit {
-		return out, ci
-	}
-	return inj.tab.AcquireRead(tx, b)
-}
-
-// AcquireWrite injects stalls and spurious denials around the table's own
-// write acquire.
-func (inj *Injector) AcquireWrite(tx otable.TxID, b addr.Block, heldReads uint32) (otable.Outcome, otable.ConflictInfo) {
-	inj.stall(tx)
-	op, h := inj.step()
-	if out, ci, hit := inj.deny(op, h, true, heldReads); hit {
-		return out, ci
-	}
-	return inj.tab.AcquireWrite(tx, b, heldReads)
-}
-
-// ReleaseRead injects stalls and delays, then releases. The release always
-// reaches the table: faults defer ownership return, never lose it.
-func (inj *Injector) ReleaseRead(tx otable.TxID, b addr.Block) {
-	inj.stall(tx)
-	_, h := inj.step()
-	inj.delay(h)
-	inj.tab.ReleaseRead(tx, b)
-}
-
-// ReleaseWrite injects stalls and delays, then releases.
-func (inj *Injector) ReleaseWrite(tx otable.TxID, b addr.Block) {
-	inj.stall(tx)
-	_, h := inj.step()
-	inj.delay(h)
-	inj.tab.ReleaseWrite(tx, b)
-}
+// SlotsAreBlocks forwards the wrapped table's slotting claim.
+func (inj *Injector) SlotsAreBlocks() bool { return inj.tab.SlotsAreBlocks() }
 
 // Occupied forwards to the wrapped table.
 func (inj *Injector) Occupied() uint64 { return inj.tab.Occupied() }
@@ -283,71 +229,55 @@ func (inj *Injector) Reset() {
 	inj.staled.Store(0)
 }
 
-// --- otable.BlockSlotted ---
-
-// SlotsAreBlocks forwards the wrapped table's slotting claim (false when
-// the table does not make one).
-func (inj *Injector) SlotsAreBlocks() bool {
-	bs, ok := inj.tab.(otable.BlockSlotted)
-	return ok && bs.SlotsAreBlocks()
-}
-
-// --- otable.HandleTable ---
-
-// AcquireReadH is AcquireRead through the handle API, delegating handles
-// when the wrapped table issues them and emulating with NoHandle when not.
+// AcquireReadH injects stalls and spurious denials around the table's own
+// read acquire.
 func (inj *Injector) AcquireReadH(tx otable.TxID, b addr.Block) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
 	inj.stall(tx)
 	op, h := inj.step()
 	if out, ci, hit := inj.deny(op, h, false, 0); hit {
 		return out, ci, otable.NoHandle
 	}
-	if inj.ht != nil {
-		return inj.ht.AcquireReadH(tx, b)
-	}
-	out, ci := inj.tab.AcquireRead(tx, b)
-	return out, ci, otable.NoHandle
+	return inj.tab.AcquireReadH(tx, b)
 }
 
-// AcquireWriteH is AcquireWrite through the handle API.
+// AcquireWriteH injects stalls and spurious denials around the table's own
+// write acquire.
 func (inj *Injector) AcquireWriteH(tx otable.TxID, b addr.Block, heldReads uint32, hnd otable.Handle) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
 	inj.stall(tx)
 	op, h := inj.step()
 	if out, ci, hit := inj.deny(op, h, true, heldReads); hit {
 		return out, ci, otable.NoHandle
 	}
-	if inj.ht != nil {
-		return inj.ht.AcquireWriteH(tx, b, heldReads, hnd)
-	}
-	out, ci := inj.tab.AcquireWrite(tx, b, heldReads)
-	return out, ci, otable.NoHandle
+	return inj.tab.AcquireWriteH(tx, b, heldReads, hnd)
 }
 
-// ReleaseReadH is ReleaseRead through the handle API.
+// beforeRelease injects the stall and delay every release passes through.
+// The release itself always reaches the table: faults defer ownership
+// return, never lose it.
+func (inj *Injector) beforeRelease(tx otable.TxID) {
+	inj.stall(tx)
+	_, h := inj.step()
+	inj.delay(h)
+}
+
+// ReleaseReadH injects stalls and delays, then releases.
 func (inj *Injector) ReleaseReadH(tx otable.TxID, b addr.Block, hnd otable.Handle) {
-	inj.stall(tx)
-	_, h := inj.step()
-	inj.delay(h)
-	if inj.ht != nil {
-		inj.ht.ReleaseReadH(tx, b, hnd)
-		return
-	}
-	inj.tab.ReleaseRead(tx, b)
+	inj.beforeRelease(tx)
+	inj.tab.ReleaseReadH(tx, b, hnd)
 }
 
-// ReleaseWriteH is ReleaseWrite through the handle API.
+// ReleaseWriteH injects stalls and delays, then releases.
 func (inj *Injector) ReleaseWriteH(tx otable.TxID, b addr.Block, hnd otable.Handle) {
-	inj.stall(tx)
-	_, h := inj.step()
-	inj.delay(h)
-	if inj.ht != nil {
-		inj.ht.ReleaseWriteH(tx, b, hnd)
-		return
-	}
-	inj.tab.ReleaseWrite(tx, b)
+	inj.beforeRelease(tx)
+	inj.tab.ReleaseWriteH(tx, b, hnd)
 }
 
-// --- otable.VersionTable ---
+// ReleaseWriteV forwards the stamped release with the usual stall/delay
+// treatment; the stamp itself is never perturbed.
+func (inj *Injector) ReleaseWriteV(tx otable.TxID, b addr.Block, hnd otable.Handle, stamp uint64) {
+	inj.beforeRelease(tx)
+	inj.tab.ReleaseWriteV(tx, b, hnd, stamp)
+}
 
 // staleSkew is what a perturbed version sample is offset by: far above any
 // stamp a test run can genuinely produce, so a perturbed sample never
@@ -360,10 +290,8 @@ const staleSkew uint64 = 1 << 50
 // SampleVersion forwards the sample, perturbing a StaleVersionRate fraction
 // of results. The sampling hot path consumes no operation index when stale
 // injection is off, so configs without it keep their exact fault schedules.
-// Panics when the wrapped table has no version support — an injected table
-// offered to an invisible-reader runtime must wrap one that qualifies.
 func (inj *Injector) SampleVersion(b addr.Block) (uint64, bool) {
-	s, locked := inj.vt.SampleVersion(b)
+	s, locked := inj.tab.SampleVersion(b)
 	if inj.staleBar != 0 {
 		if _, h := inj.step(); h < inj.staleBar {
 			inj.staled.Add(1)
@@ -373,16 +301,7 @@ func (inj *Injector) SampleVersion(b addr.Block) (uint64, bool) {
 	return s, locked
 }
 
-// ReleaseWriteV forwards the stamped release with the usual stall/delay
-// treatment; the stamp itself is never perturbed.
-func (inj *Injector) ReleaseWriteV(tx otable.TxID, b addr.Block, hnd otable.Handle, stamp uint64) {
-	inj.stall(tx)
-	_, h := inj.step()
-	inj.delay(h)
-	inj.vt.ReleaseWriteV(tx, b, hnd, stamp)
-}
-
 // StampVersion forwards the stamp raise untouched.
 func (inj *Injector) StampVersion(b addr.Block, stamp uint64) {
-	inj.vt.StampVersion(b, stamp)
+	inj.tab.StampVersion(b, stamp)
 }

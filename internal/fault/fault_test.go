@@ -22,6 +22,14 @@ import (
 // zero leaked ownership records after quiescence, and opaque recorded
 // histories — all of it meaningful chiefly under -race.
 
+// Every built-in table and the injector implement the one table interface.
+var (
+	_ otable.Table = (*otable.Tagless)(nil)
+	_ otable.Table = (*otable.Tagged)(nil)
+	_ otable.Table = (*otable.Sharded)(nil)
+	_ otable.Table = (*fault.Injector)(nil)
+)
+
 // grid workload shape. Two increments per transaction keeps the per-
 // attempt acquire count at four, so even the serial-token holder (whose
 // acquires are still spuriously denied at 20%) has a ~59% abort chance per
@@ -292,10 +300,10 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 		outs := make([]otable.Outcome, 0, 200)
 		for i := 0; i < 100; i++ {
 			b := addr.Block(i)
-			out, _ := inj.AcquireRead(1, b)
+			out, _ := otable.AcquireRead(inj, 1, b)
 			outs = append(outs, out)
 			if !out.Conflict() {
-				inj.ReleaseRead(1, b)
+				otable.ReleaseRead(inj, 1, b)
 			}
 		}
 		return outs

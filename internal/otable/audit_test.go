@@ -25,13 +25,13 @@ func TestAuditQuiesced(t *testing.T) {
 			}
 
 			blocks := []addr.Block{3, 7, 200}
-			if out, _ := tab.AcquireWrite(1, blocks[0], 0); out != Granted {
+			if out, _ := AcquireWrite(tab, 1, blocks[0], 0); out != Granted {
 				t.Fatalf("AcquireWrite: outcome %v", out)
 			}
-			if out, _ := tab.AcquireRead(1, blocks[1]); out != Granted {
+			if out, _ := AcquireRead(tab, 1, blocks[1]); out != Granted {
 				t.Fatalf("AcquireRead: outcome %v", out)
 			}
-			if out, _ := tab.AcquireRead(2, blocks[2]); out != Granted {
+			if out, _ := AcquireRead(tab, 2, blocks[2]); out != Granted {
 				t.Fatalf("AcquireRead (second tx): outcome %v", out)
 			}
 			if err := AuditQuiesced(tab); err == nil {
@@ -39,13 +39,13 @@ func TestAuditQuiesced(t *testing.T) {
 			}
 
 			// Releasing only part of the footprint must still fail.
-			tab.ReleaseWrite(1, blocks[0])
+			ReleaseWrite(tab, 1, blocks[0])
 			if err := AuditQuiesced(tab); err == nil {
 				t.Fatal("table with remaining read shares reported quiescent")
 			}
 
-			tab.ReleaseRead(1, blocks[1])
-			tab.ReleaseRead(2, blocks[2])
+			ReleaseRead(tab, 1, blocks[1])
+			ReleaseRead(tab, 2, blocks[2])
 			if err := AuditQuiesced(tab); err != nil {
 				t.Fatalf("fully released table not quiescent: %v", err)
 			}

@@ -98,7 +98,7 @@ func FuzzConflictInfoRoundTrip(f *testing.F) {
 // TestAcquireReportsOpponent drives every table organization through the
 // four denial shapes single-threaded and checks the reported opponent each
 // time: the owning writer's identity for writer conflicts (on both the
-// read and write acquire paths, plain and handle-taking), and the foreign
+// read and write acquire paths, free helpers and handle-taking), and the foreign
 // sharer count — the caller's own shares subtracted — for reader conflicts,
 // including the upgrade-by-handle path.
 func TestAcquireReportsOpponent(t *testing.T) {
@@ -112,52 +112,51 @@ func TestAcquireReportsOpponent(t *testing.T) {
 			const owner = TxID(7)
 
 			// Writer conflicts name the owner on every acquire path.
-			if out, ci := tab.AcquireWrite(owner, b, 0); out != Granted || ci != NoConflict {
+			if out, ci := AcquireWrite(tab, owner, b, 0); out != Granted || ci != NoConflict {
 				t.Fatalf("setup AcquireWrite = %v, %v", out, ci)
 			}
-			out, ci := tab.AcquireRead(2, b)
+			out, ci := AcquireRead(tab, 2, b)
 			if out != ConflictWriter {
 				t.Fatalf("AcquireRead vs writer = %v", out)
 			}
 			if w, ok := ci.Writer(); !ok || w != owner {
 				t.Fatalf("AcquireRead conflict names %v, want writer tx %d", ci, owner)
 			}
-			out, ci = tab.AcquireWrite(2, b, 0)
+			out, ci = AcquireWrite(tab, 2, b, 0)
 			if w, ok := ci.Writer(); out != ConflictWriter || !ok || w != owner {
 				t.Fatalf("AcquireWrite conflict = %v names %v, want writer tx %d", out, ci, owner)
 			}
-			ht := tab.(HandleTable)
-			if out, ci, h := ht.AcquireReadH(2, b); out != ConflictWriter || h != NoHandle {
+			if out, ci, h := tab.AcquireReadH(2, b); out != ConflictWriter || h != NoHandle {
 				t.Fatalf("AcquireReadH vs writer = %v, %v, %v", out, ci, h)
 			} else if w, ok := ci.Writer(); !ok || w != owner {
 				t.Fatalf("AcquireReadH conflict names %v, want writer tx %d", ci, owner)
 			}
-			tab.ReleaseWrite(owner, b)
+			ReleaseWrite(tab, owner, b)
 
 			// Reader conflicts report the foreign share count.
-			if out, ci := tab.AcquireRead(1, b); out != Granted || ci != NoConflict {
+			if out, ci := AcquireRead(tab, 1, b); out != Granted || ci != NoConflict {
 				t.Fatalf("reader setup = %v, %v", out, ci)
 			}
-			_, _, h2 := ht.AcquireReadH(2, b)
-			if out, ci := tab.AcquireRead(3, b); out != Granted || ci != NoConflict {
+			_, _, h2 := tab.AcquireReadH(2, b)
+			if out, ci := AcquireRead(tab, 3, b); out != Granted || ci != NoConflict {
 				t.Fatalf("reader setup = %v, %v", out, ci)
 			}
-			out, ci = tab.AcquireWrite(4, b, 0)
+			out, ci = AcquireWrite(tab, 4, b, 0)
 			if n, ok := ci.Readers(); out != ConflictReaders || !ok || n != 3 {
 				t.Fatalf("AcquireWrite vs 3 readers = %v, %v, want 3 foreign readers", out, ci)
 			}
 			// An upgrading reader sees only the two foreign shares.
-			out, ci, _ = ht.AcquireWriteH(2, b, 1, h2)
+			out, ci, _ = tab.AcquireWriteH(2, b, 1, h2)
 			if n, ok := ci.Readers(); out != ConflictReaders || !ok || n != 2 {
 				t.Fatalf("upgrade vs 2 foreign readers = %v, %v, want 2", out, ci)
 			}
-			out, ci = tab.AcquireWrite(2, b, 1)
+			out, ci = AcquireWrite(tab, 2, b, 1)
 			if n, ok := ci.Readers(); out != ConflictReaders || !ok || n != 2 {
 				t.Fatalf("walking upgrade vs 2 foreign readers = %v, %v, want 2", out, ci)
 			}
-			tab.ReleaseRead(1, b)
-			tab.ReleaseRead(2, b)
-			tab.ReleaseRead(3, b)
+			ReleaseRead(tab, 1, b)
+			ReleaseRead(tab, 2, b)
+			ReleaseRead(tab, 3, b)
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
@@ -195,8 +194,8 @@ func TestConflictTargetNeverStale(t *testing.T) {
 					defer wg.Done()
 					tx := TxID(id + 1) // writer IDs: 1..writers
 					for i := 0; i < iters; i++ {
-						if out, _ := tab.AcquireWrite(tx, hot, 0); out == Granted {
-							tab.ReleaseWrite(tx, hot)
+						if out, _ := AcquireWrite(tab, tx, hot, 0); out == Granted {
+							ReleaseWrite(tab, tx, hot)
 						}
 					}
 				}(w)
@@ -207,9 +206,9 @@ func TestConflictTargetNeverStale(t *testing.T) {
 					defer wg.Done()
 					tx := TxID(100 + id) // disjoint from the writer set
 					for i := 0; i < iters; i++ {
-						out, ci := tab.AcquireRead(tx, hot)
+						out, ci := AcquireRead(tab, tx, hot)
 						if out == Granted {
-							tab.ReleaseRead(tx, hot)
+							ReleaseRead(tab, tx, hot)
 							continue
 						}
 						conflictsSeen.Add(1)

@@ -62,7 +62,7 @@ func (f *Footprint) Read(b addr.Block) Outcome {
 		f.last = NoConflict
 		return AlreadyHeld
 	}
-	out, ci := f.tab.AcquireRead(f.tx, b)
+	out, ci := AcquireRead(f.tab, f.tx, b)
 	f.last = ci
 	switch out {
 	case Granted:
@@ -89,7 +89,7 @@ func (f *Footprint) Write(b addr.Block) Outcome {
 	if h != nil {
 		heldReads = h.reads
 	}
-	out, ci := f.tab.AcquireWrite(f.tx, b, heldReads)
+	out, ci := AcquireWrite(f.tab, f.tx, b, heldReads)
 	f.last = ci
 	switch out {
 	case Granted:
@@ -128,10 +128,10 @@ func (f *Footprint) ReleaseAll() {
 	for _, slot := range f.order {
 		h := f.slots[slot]
 		if h.write {
-			f.tab.ReleaseWrite(f.tx, h.block)
+			ReleaseWrite(f.tab, f.tx, h.block)
 		}
 		for i := uint32(0); i < h.reads; i++ {
-			f.tab.ReleaseRead(f.tx, h.block)
+			ReleaseRead(f.tab, f.tx, h.block)
 		}
 		delete(f.slots, slot)
 	}

@@ -27,7 +27,6 @@ func TestHandleReleaseSkipsChainWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ht := tab.(HandleTable)
 			const workingSet = 16 // distinct buckets under the mask hash
 			handles := make([]Handle, workingSet)
 			for cycle := 0; cycle < 50; cycle++ {
@@ -35,9 +34,9 @@ func TestHandleReleaseSkipsChainWalk(t *testing.T) {
 					b := addr.Block(i)
 					var out Outcome
 					if i%2 == 0 {
-						out, _, handles[i] = ht.AcquireWriteH(1, b, 0, NoHandle)
+						out, _, handles[i] = tab.AcquireWriteH(1, b, 0, NoHandle)
 					} else {
-						out, _, handles[i] = ht.AcquireReadH(1, b)
+						out, _, handles[i] = tab.AcquireReadH(1, b)
 					}
 					if out != Granted {
 						t.Fatalf("cycle %d block %d: outcome %v", cycle, i, out)
@@ -49,9 +48,9 @@ func TestHandleReleaseSkipsChainWalk(t *testing.T) {
 				for i := 0; i < workingSet; i++ {
 					b := addr.Block(i)
 					if i%2 == 0 {
-						ht.ReleaseWriteH(1, b, handles[i])
+						tab.ReleaseWriteH(1, b, handles[i])
 					} else {
-						ht.ReleaseReadH(1, b, handles[i])
+						tab.ReleaseReadH(1, b, handles[i])
 					}
 				}
 			}
@@ -82,18 +81,17 @@ func TestHandleUpgradeSkipsChainWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ht := tab.(HandleTable)
 			b := addr.Block(7)
 			for cycle := 0; cycle < 20; cycle++ {
-				out, _, h := ht.AcquireReadH(4, b)
+				out, _, h := tab.AcquireReadH(4, b)
 				if out != Granted {
 					t.Fatalf("read acquire: %v", out)
 				}
-				out, _, h2 := ht.AcquireWriteH(4, b, 1, h)
+				out, _, h2 := tab.AcquireWriteH(4, b, 1, h)
 				if out != Upgraded || h2 != h {
 					t.Fatalf("upgrade: outcome %v handle %v (want Upgraded, unchanged %v)", out, h2, h)
 				}
-				ht.ReleaseWriteH(4, b, h2)
+				tab.ReleaseWriteH(4, b, h2)
 			}
 			st := tab.Stats()
 			if st.ReleaseWalks != 0 || st.ChainFollows != 0 {
@@ -112,7 +110,7 @@ func TestHandleUpgradeSkipsChainWalk(t *testing.T) {
 
 // TestTaglessHandleRoundTrip covers the tagless handle (the entry index):
 // acquire/release and upgrade through handles behave identically to the
-// plain API, and handle releases land on the correct entry.
+// NoHandle helpers, and handle releases land on the correct entry.
 func TestTaglessHandleRoundTrip(t *testing.T) {
 	h := hash.NewMask(32)
 	tab := NewTagless(h)
@@ -237,8 +235,9 @@ func TestStaleReadHandleFallsBack(t *testing.T) {
 	}
 }
 
-// TestHandleAcquireOutcomeParity cross-checks the handle API against the
-// plain API outcome-for-outcome over a scripted mixed sequence, per kind.
+// TestHandleAcquireOutcomeParity cross-checks handle-carrying calls against
+// the NoHandle free helpers outcome-for-outcome over a scripted mixed
+// sequence, per kind.
 func TestHandleAcquireOutcomeParity(t *testing.T) {
 	for _, kind := range Kinds() {
 		t.Run(kind, func(t *testing.T) {
@@ -250,7 +249,6 @@ func TestHandleAcquireOutcomeParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ht := withH.(HandleTable)
 			check := func(step string, a, b Outcome) {
 				t.Helper()
 				if a != b {
@@ -260,19 +258,19 @@ func TestHandleAcquireOutcomeParity(t *testing.T) {
 			b1, b2 := addr.Block(1), addr.Block(33) // alias under 32 entries
 			// tx 1 writes b1; tx 2's read of the aliasing b2 conflicts only
 			// on the tagless table — both APIs must agree either way.
-			o1, _ := plain.AcquireWrite(1, b1, 0)
-			o2, _, h1 := ht.AcquireWriteH(1, b1, 0, NoHandle)
+			o1, _ := AcquireWrite(plain, 1, b1, 0)
+			o2, _, h1 := withH.AcquireWriteH(1, b1, 0, NoHandle)
 			check("write b1", o1, o2)
-			o1, _ = plain.AcquireRead(2, b2)
-			o2, _, _ = ht.AcquireReadH(2, b2)
+			o1, _ = AcquireRead(plain, 2, b2)
+			o2, _, _ = withH.AcquireReadH(2, b2)
 			check("read b2", o1, o2)
 			if o1 == Granted {
-				plain.ReleaseRead(2, b2)
+				ReleaseRead(plain, 2, b2)
 				// NoHandle exercises the locate-from-block fallback.
-				ht.ReleaseReadH(2, b2, NoHandle)
+				withH.ReleaseReadH(2, b2, NoHandle)
 			}
-			plain.ReleaseWrite(1, b1)
-			ht.ReleaseWriteH(1, b1, h1)
+			ReleaseWrite(plain, 1, b1)
+			withH.ReleaseWriteH(1, b1, h1)
 			if p, q := plain.Occupied(), withH.Occupied(); p != 0 || q != 0 {
 				t.Fatalf("occupancy plain=%d handle=%d after drain", p, q)
 			}

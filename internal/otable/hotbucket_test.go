@@ -76,7 +76,7 @@ func TestHotBucketHammer(t *testing.T) {
 						b, guard := blocks[bi], guardOf[bi]
 						switch r.Intn(3) {
 						case 0: // read, then release
-							if out, _ := tab.AcquireRead(tx, b); out != Granted {
+							if out, _ := AcquireRead(tab, tx, b); out != Granted {
 								continue
 							}
 							if guard.Add(1) <= 0 {
@@ -84,9 +84,9 @@ func TestHotBucketHammer(t *testing.T) {
 							}
 							reads.Add(1)
 							guard.Add(-1)
-							tab.ReleaseRead(tx, b)
+							ReleaseRead(tab, tx, b)
 						case 1: // write, then release
-							out, _ := tab.AcquireWrite(tx, b, 0)
+							out, _ := AcquireWrite(tab, tx, b, 0)
 							if out != Granted {
 								continue
 							}
@@ -95,15 +95,15 @@ func TestHotBucketHammer(t *testing.T) {
 							}
 							writes.Add(1)
 							guard.Add(wrGuard)
-							tab.ReleaseWrite(tx, b)
+							ReleaseWrite(tab, tx, b)
 						default: // read, try to upgrade, release what's held
-							if out, _ := tab.AcquireRead(tx, b); out != Granted {
+							if out, _ := AcquireRead(tab, tx, b); out != Granted {
 								continue
 							}
 							if guard.Add(1) <= 0 {
 								violations.Add(1)
 							}
-							if out, _ := tab.AcquireWrite(tx, b, 1); out == Upgraded {
+							if out, _ := AcquireWrite(tab, tx, b, 1); out == Upgraded {
 								// Our share became exclusivity: swap the
 								// read stamp for the write stamp and verify
 								// no one else is inside.
@@ -112,10 +112,10 @@ func TestHotBucketHammer(t *testing.T) {
 								}
 								upgrades.Add(1)
 								guard.Add(wrGuard)
-								tab.ReleaseWrite(tx, b)
+								ReleaseWrite(tab, tx, b)
 							} else {
 								guard.Add(-1)
-								tab.ReleaseRead(tx, b)
+								ReleaseRead(tab, tx, b)
 							}
 						}
 					}
@@ -183,12 +183,12 @@ func TestHotBucketConflictTargets(t *testing.T) {
 					tx := TxID(id + 1)
 					for i := 0; i < iters; i++ {
 						if r.Intn(2) == 0 {
-							if out, _ := tab.AcquireWrite(tx, hot, 0); out == Granted {
-								tab.ReleaseWrite(tx, hot)
+							if out, _ := AcquireWrite(tab, tx, hot, 0); out == Granted {
+								ReleaseWrite(tab, tx, hot)
 							}
 						} else {
-							if out, _ := tab.AcquireRead(tx, hot); out == Granted {
-								tab.ReleaseRead(tx, hot)
+							if out, _ := AcquireRead(tab, tx, hot); out == Granted {
+								ReleaseRead(tab, tx, hot)
 							}
 						}
 					}
@@ -202,8 +202,8 @@ func TestHotBucketConflictTargets(t *testing.T) {
 					base := addr.Block(1_000_000 * (id + 1))
 					for i := 0; i < iters; i++ {
 						b := base + addr.Block((i%streamLen)*buckets) + hot
-						if out, _ := tab.AcquireWrite(tx, b, 0); out == Granted {
-							tab.ReleaseWrite(tx, b)
+						if out, _ := AcquireWrite(tab, tx, b, 0); out == Granted {
+							ReleaseWrite(tab, tx, b)
 						}
 					}
 				}(s)
@@ -220,10 +220,10 @@ func TestHotBucketConflictTargets(t *testing.T) {
 						return (w >= 1 && w <= holders) || (w >= 100 && w < 100+probers && w != tx)
 					}
 					for i := 0; i < iters; i++ {
-						out, ci := tab.AcquireWrite(tx, hot, 0)
+						out, ci := AcquireWrite(tab, tx, hot, 0)
 						switch out {
 						case Granted:
-							tab.ReleaseWrite(tx, hot)
+							ReleaseWrite(tab, tx, hot)
 						case ConflictWriter:
 							writerDenials.Add(1)
 							if w, ok := ci.Writer(); !ok || !legitWriter(w) {
@@ -285,7 +285,6 @@ func TestHotBucketHandleHammer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ht := tab.(HandleTable)
 			blocks := make([]addr.Block, aliases)
 			guards := make([]*atomic.Int64, aliases)
 			for i := range blocks {
@@ -308,14 +307,14 @@ func TestHotBucketHandleHammer(t *testing.T) {
 						base := addr.Block(1_000_000 * (id + 1))
 						for i := 0; i < iters; i++ {
 							b := base + addr.Block((i%streamLen)*buckets) + hot
-							out, _, h := ht.AcquireWriteH(tx, b, 0, NoHandle)
+							out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
 							if out != Granted {
 								continue
 							}
 							if r.Intn(2) == 0 {
-								ht.ReleaseWriteH(tx, b, h)
+								tab.ReleaseWriteH(tx, b, h)
 							} else {
-								ht.ReleaseWriteH(tx, b, NoHandle) // walking release
+								tab.ReleaseWriteH(tx, b, NoHandle) // walking release
 							}
 						}
 						return
@@ -326,7 +325,7 @@ func TestHotBucketHandleHammer(t *testing.T) {
 						viaHandle := r.Intn(2) == 0
 						switch r.Intn(3) {
 						case 0:
-							out, _, h := ht.AcquireReadH(tx, b)
+							out, _, h := tab.AcquireReadH(tx, b)
 							if out != Granted {
 								continue
 							}
@@ -338,9 +337,9 @@ func TestHotBucketHandleHammer(t *testing.T) {
 							if !viaHandle {
 								h = NoHandle
 							}
-							ht.ReleaseReadH(tx, b, h)
+							tab.ReleaseReadH(tx, b, h)
 						case 1:
-							out, _, h := ht.AcquireWriteH(tx, b, 0, NoHandle)
+							out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
 							if out != Granted {
 								continue
 							}
@@ -352,16 +351,16 @@ func TestHotBucketHandleHammer(t *testing.T) {
 							if !viaHandle {
 								h = NoHandle
 							}
-							ht.ReleaseWriteH(tx, b, h)
+							tab.ReleaseWriteH(tx, b, h)
 						default:
-							out, _, h := ht.AcquireReadH(tx, b)
+							out, _, h := tab.AcquireReadH(tx, b)
 							if out != Granted {
 								continue
 							}
 							if guard.Add(1) <= 0 {
 								violations.Add(1)
 							}
-							if up, _, h2 := ht.AcquireWriteH(tx, b, 1, h); up == Upgraded {
+							if up, _, h2 := tab.AcquireWriteH(tx, b, 1, h); up == Upgraded {
 								if guard.Add(-wrGuard-1) != -wrGuard {
 									violations.Add(1)
 								}
@@ -370,10 +369,10 @@ func TestHotBucketHandleHammer(t *testing.T) {
 								if !viaHandle {
 									h2 = NoHandle
 								}
-								ht.ReleaseWriteH(tx, b, h2)
+								tab.ReleaseWriteH(tx, b, h2)
 							} else {
 								guard.Add(-1)
-								ht.ReleaseReadH(tx, b, h)
+								tab.ReleaseReadH(tx, b, h)
 							}
 						}
 					}

@@ -141,7 +141,7 @@ func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 			if _, w := heldWrite[k]; w || heldReads[k] > 0 {
 				continue // footprint fast path would skip the table
 			}
-			got, _ := tab.AcquireRead(tx, b)
+			got, _ := AcquireRead(tab, tx, b)
 			want := orc.acquireRead(tx, b)
 			if got != want {
 				t.Logf("step %d: AcquireRead(%d, %v) = %v, oracle %v", step, tx, b, got, want)
@@ -156,7 +156,7 @@ func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 				continue
 			}
 			hr := heldReads[k]
-			got, _ := tab.AcquireWrite(tx, b, hr)
+			got, _ := AcquireWrite(tab, tx, b, hr)
 			want := orc.acquireWrite(tx, b, hr)
 			if got != want {
 				t.Logf("step %d: AcquireWrite(%d, %v, %d) = %v, oracle %v", step, tx, b, hr, got, want)
@@ -171,7 +171,7 @@ func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 				continue
 			}
 			rb := readBlock[k]
-			tab.ReleaseRead(tx, rb)
+			ReleaseRead(tab, tx, rb)
 			orc.releaseRead(tx, rb)
 			heldReads[k]--
 		case 3: // release write
@@ -179,7 +179,7 @@ func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 			if !ok {
 				continue
 			}
-			tab.ReleaseWrite(tx, wb)
+			ReleaseWrite(tab, tx, wb)
 			orc.releaseWrite(tx, wb)
 			delete(heldWrite, k)
 		}
@@ -187,12 +187,12 @@ func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 	// Drain everything and compare occupancy.
 	for k, n := range heldReads {
 		for i := uint32(0); i < n; i++ {
-			tab.ReleaseRead(k.tx, readBlock[k])
+			ReleaseRead(tab, k.tx, readBlock[k])
 			orc.releaseRead(k.tx, readBlock[k])
 		}
 	}
 	for k, wb := range heldWrite {
-		tab.ReleaseWrite(k.tx, wb)
+		ReleaseWrite(tab, k.tx, wb)
 		orc.releaseWrite(k.tx, wb)
 	}
 	if tab.Occupied() != orc.occupied() {

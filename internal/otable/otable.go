@@ -25,8 +25,8 @@
 //     statistics, so threads working in different shards share no
 //     synchronization state at all — not even CAS targets.
 //
-// All implementations are lock-free and safe for concurrent use, and keep
-// the statistics the experiments report.
+// All implementations are lock-free and safe for concurrent use, keep the
+// statistics the experiments report, and implement the one Table interface.
 package otable
 
 import (
@@ -108,10 +108,15 @@ func (o Outcome) String() string {
 	}
 }
 
-// Table is the common interface of the ownership table organizations.
+// Table is the one interface of the ownership table organizations: identity
+// and slotting, handle-carrying acquire and release, the per-cell version
+// words of the invisible-reader protocol (see version.go), and accounting.
+// Every built-in table implements all of it, and so does every wrapper
+// (fault.Injector, the tracing and recording tables of the benchmark and
+// tests), so a consumer never probes for optional capabilities.
 //
 // Callers are responsible for tracking their own holdings per slot (see
-// Footprint): AcquireWrite must be told how many read shares the calling
+// Footprint): AcquireWriteH must be told how many read shares the calling
 // transaction already holds on the target slot so that read→write upgrades
 // can be distinguished from reader conflicts — the tagless table cannot know
 // who its anonymous sharers are.
@@ -124,7 +129,11 @@ func (o Outcome) String() string {
 // commit paths while other transactions spin on acquires of the same slot;
 // the acquirer that wins the post-release state sees every memory write the
 // releaser published before releasing, provided the releaser wrote before
-// calling Release (the STM's write-back-then-release commit order).
+// calling the release (the STM's write-back-then-release commit order).
+//
+// Callers that keep no handles (Footprint, the simulators, tests) use the
+// free functions AcquireRead, AcquireWrite, ReleaseRead and ReleaseWrite,
+// which pass NoHandle.
 type Table interface {
 	// Kind returns "tagless", "tagged", or "sharded".
 	Kind() string
@@ -134,21 +143,50 @@ type Table interface {
 	// tagless tables (aliasing blocks share a slot) and the block number
 	// itself for tagged tables (every block has its own slot).
 	SlotOf(b addr.Block) uint64
-	// AcquireRead requests shared permission on b for tx. On a denial the
-	// ConflictInfo names the opponent observed at the denying state word;
-	// it is NoConflict on success.
-	AcquireRead(tx TxID, b addr.Block) (Outcome, ConflictInfo)
-	// AcquireWrite requests exclusive permission on b for tx. heldReads is
-	// the number of read shares tx currently holds on SlotOf(b). On a
-	// denial the ConflictInfo names the opponent (the owning writer, or
-	// the foreign-sharer count).
-	AcquireWrite(tx TxID, b addr.Block, heldReads uint32) (Outcome, ConflictInfo)
-	// ReleaseRead returns one read share on b's slot. It panics if the slot
+	// SlotsAreBlocks reports SlotOf(b) == uint64(b) for every block b: every
+	// block is its own slot, so distinct chunks can never share a release
+	// obligation. The STM then skips the per-access slot-aliasing
+	// bookkeeping that only tagless tables need — one probe of the thread's
+	// access set resolves both membership and slot ownership.
+	SlotsAreBlocks() bool
+
+	// AcquireReadH requests shared permission on b for tx and returns the
+	// handle of the granted record. On a denial the ConflictInfo names the
+	// opponent observed at the denying state word and the handle is
+	// NoHandle; the ConflictInfo is NoConflict on success.
+	AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Handle)
+	// AcquireWriteH requests exclusive permission on b for tx. heldReads is
+	// the number of read shares tx currently holds on SlotOf(b), and h, when
+	// not NoHandle, is the caller's handle for that held slot, letting an
+	// upgrade skip the walk. On a denial the ConflictInfo names the opponent
+	// (the owning writer, or the foreign-sharer count).
+	AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle)
+	// ReleaseReadH returns one read share on b's slot. It panics if the slot
 	// holds no read permission (a caller bookkeeping bug).
-	ReleaseRead(tx TxID, b addr.Block)
-	// ReleaseWrite returns write ownership of b's slot. It panics if tx is
-	// not the writer of record.
-	ReleaseWrite(tx TxID, b addr.Block)
+	ReleaseReadH(tx TxID, b addr.Block, h Handle)
+	// ReleaseWriteH returns write ownership of b's slot without publishing a
+	// version stamp — the abort-path release. It panics if tx is not the
+	// writer of record.
+	ReleaseWriteH(tx TxID, b addr.Block, h Handle)
+	// ReleaseWriteV is ReleaseWriteH plus version publication: it raises
+	// b's cell stamp to at least stamp and drops the active-writer count,
+	// then releases the ownership exactly as ReleaseWriteH would. Commit
+	// paths of a runtime with invisible readers must use it (after
+	// write-back) in place of ReleaseWriteH.
+	ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64)
+
+	// SampleVersion returns the cell's current commit stamp and whether any
+	// writer holds exclusive ownership anywhere in b's cell. One hash, one
+	// atomic load.
+	SampleVersion(b addr.Block) (stamp uint64, writerActive bool)
+	// StampVersion raises b's cell stamp without touching ownership or the
+	// writer count. It is for mutations applied under an existing exclusive
+	// hold that survive the hold's own outcome — a strong-isolation
+	// non-transactional store into a chunk the running transaction already
+	// owns must bump the version immediately, because the owning
+	// transaction's later abort-path release will not publish one.
+	StampVersion(b addr.Block, stamp uint64)
+
 	// Occupied returns the number of non-free first-level entries (the
 	// occupancy measure used for the paper's Figure 6(b) compensation).
 	Occupied() uint64
@@ -159,23 +197,23 @@ type Table interface {
 	Reset()
 }
 
-// BlockSlotted is the optional interface of tables whose SlotOf is the
-// identity over blocks — every block is its own slot, so distinct chunks can
-// never share a release obligation. The STM uses it to skip the per-access
-// slot-aliasing bookkeeping that only tagless tables need: with identity
-// slots, one probe of the thread's access set fully resolves both
-// membership and slot ownership.
-type BlockSlotted interface {
-	// SlotsAreBlocks reports SlotOf(b) == uint64(b) for every block b.
-	SlotsAreBlocks() bool
-}
+// HandleTable, VersionTable and BlockSlotted were optional faces of Table
+// before the interface was unified. The frozen benchmark/ module still
+// spells them; they go when it next changes.
+type (
+	// Deprecated: use Table.
+	HandleTable = Table
+	// Deprecated: use Table.
+	VersionTable = Table
+	// Deprecated: use Table.
+	BlockSlotted = Table
+)
 
 // Handle names the table location backing a granted permission, so the
 // holder can release or upgrade it without re-locating it: the record link
 // {generation, slab index} for the tagged and sharded tables, the entry
 // index (plus one) for the tagless table. NoHandle means "no location
-// known"; handle-taking operations then fall back to locating the slot
-// from the block, exactly as the non-handle API does.
+// known"; the operation then locates the slot from the block.
 //
 // A handle is only meaningful to the table that issued it, only names the
 // record incarnation it was issued under, and carries no permission of its
@@ -183,31 +221,29 @@ type BlockSlotted interface {
 // lookup. Tagged-table handles are generation-validated — a stale handle
 // (the record was reaped and its slab slot reused) fails validation and
 // the operation falls back to the locating path, which panics if the
-// claimed permission truly is not there, the same bookkeeping-bug contract
-// as the non-handle API.
+// claimed permission truly is not there (a caller bookkeeping bug).
 type Handle uint64
 
 // NoHandle is the zero Handle: no table location known.
 const NoHandle Handle = 0
 
-// HandleTable is the optional interface of tables that issue Handles from
-// acquires and honor them on release and upgrade. All built-in tables
-// implement it; the STM uses it to make the serial commit path walk-free
-// (release-by-handle: one generation-validated state CAS per held slot,
-// no chain re-walk).
-type HandleTable interface {
-	// AcquireReadH is AcquireRead returning the handle of the granted
-	// record; NoHandle on a conflict.
-	AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Handle)
-	// AcquireWriteH is AcquireWrite returning the handle. h, when not
-	// NoHandle, is the caller's handle for the slot it already holds
-	// heldReads read shares on, letting an upgrade skip the walk.
-	AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle)
-	// ReleaseReadH is ReleaseRead through a handle.
-	ReleaseReadH(tx TxID, b addr.Block, h Handle)
-	// ReleaseWriteH is ReleaseWrite through a handle.
-	ReleaseWriteH(tx TxID, b addr.Block, h Handle)
+// AcquireRead is t.AcquireReadH for callers that keep no handles.
+func AcquireRead(t Table, tx TxID, b addr.Block) (Outcome, ConflictInfo) {
+	out, ci, _ := t.AcquireReadH(tx, b)
+	return out, ci
 }
+
+// AcquireWrite is t.AcquireWriteH for callers that keep no handles.
+func AcquireWrite(t Table, tx TxID, b addr.Block, heldReads uint32) (Outcome, ConflictInfo) {
+	out, ci, _ := t.AcquireWriteH(tx, b, heldReads, NoHandle)
+	return out, ci
+}
+
+// ReleaseRead is t.ReleaseReadH locating the slot from the block.
+func ReleaseRead(t Table, tx TxID, b addr.Block) { t.ReleaseReadH(tx, b, NoHandle) }
+
+// ReleaseWrite is t.ReleaseWriteH locating the slot from the block.
+func ReleaseWrite(t Table, tx TxID, b addr.Block) { t.ReleaseWriteH(tx, b, NoHandle) }
 
 // Stats is a snapshot of table operation counters.
 type Stats struct {

@@ -108,7 +108,7 @@ func (t *Sharded) Shards() int { return len(t.shards) }
 // slot — records are per-block, so aliasing blocks never conflict.
 func (t *Sharded) SlotOf(b addr.Block) uint64 { return uint64(b) }
 
-// SlotsAreBlocks implements BlockSlotted: SlotOf is the identity.
+// SlotsAreBlocks implements Table: SlotOf is the identity.
 func (t *Sharded) SlotsAreBlocks() bool { return true }
 
 // ShardOf returns the shard index block b routes to: the high bits of its
@@ -124,33 +124,7 @@ func (t *Sharded) locate(b addr.Block) (*Tagged, uint64) {
 	return t.shards[idx>>t.perShardBits], idx & t.perShardMask
 }
 
-// AcquireRead implements Table.
-func (t *Sharded) AcquireRead(tx TxID, b addr.Block) (Outcome, ConflictInfo) {
-	s, bucket := t.locate(b)
-	out, ci, _ := s.acquireReadAt(bucket, tx, b)
-	return out, ci
-}
-
-// AcquireWrite implements Table.
-func (t *Sharded) AcquireWrite(tx TxID, b addr.Block, heldReads uint32) (Outcome, ConflictInfo) {
-	s, bucket := t.locate(b)
-	out, ci, _ := s.acquireWriteAt(bucket, tx, b, heldReads)
-	return out, ci
-}
-
-// ReleaseRead implements Table.
-func (t *Sharded) ReleaseRead(tx TxID, b addr.Block) {
-	s, bucket := t.locate(b)
-	s.releaseReadAt(bucket, tx, b)
-}
-
-// ReleaseWrite implements Table.
-func (t *Sharded) ReleaseWrite(tx TxID, b addr.Block) {
-	s, bucket := t.locate(b)
-	s.releaseWriteAt(bucket, tx, b)
-}
-
-// AcquireReadH implements HandleTable. Handles are issued by — and only
+// AcquireReadH implements Table. Handles are issued by — and only
 // meaningful within — the shard the block routes to; since the route is a
 // pure function of the block, a handle presented with the same block
 // always reaches the shard that issued it.
@@ -160,7 +134,7 @@ func (t *Sharded) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Ha
 	return out, ci, Handle(h)
 }
 
-// AcquireWriteH implements HandleTable.
+// AcquireWriteH implements Table.
 func (t *Sharded) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle) {
 	s, bucket := t.locate(b)
 	if h != NoHandle && heldReads > 0 {
@@ -172,32 +146,32 @@ func (t *Sharded) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handl
 	return out, ci, Handle(link)
 }
 
-// ReleaseReadH implements HandleTable.
+// ReleaseReadH implements Table.
 func (t *Sharded) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
 	s, bucket := t.locate(b)
 	s.releaseReadHAt(bucket, tx, b, h)
 }
 
-// ReleaseWriteH implements HandleTable.
+// ReleaseWriteH implements Table.
 func (t *Sharded) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 	s, bucket := t.locate(b)
 	s.releaseWriteHAt(bucket, tx, b, h)
 }
 
-// SampleVersion implements VersionTable: one global hash locates the shard
+// SampleVersion implements Table: one global hash locates the shard
 // and bucket, one atomic load samples the bucket's version word.
 func (t *Sharded) SampleVersion(b addr.Block) (uint64, bool) {
 	s, bucket := t.locate(b)
 	return verUnpack(s.vers[bucket].Load())
 }
 
-// ReleaseWriteV implements VersionTable.
+// ReleaseWriteV implements Table.
 func (t *Sharded) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
 	s, bucket := t.locate(b)
 	s.releaseWriteVAt(bucket, tx, b, h, stamp)
 }
 
-// StampVersion implements VersionTable.
+// StampVersion implements Table.
 func (t *Sharded) StampVersion(b addr.Block, stamp uint64) {
 	s, bucket := t.locate(b)
 	verRaise(&s.vers[bucket], stamp)
@@ -268,9 +242,3 @@ func (t *Sharded) Reset() {
 		s.Reset()
 	}
 }
-
-var (
-	_ Table        = (*Sharded)(nil)
-	_ HandleTable  = (*Sharded)(nil)
-	_ VersionTable = (*Sharded)(nil)
-)

@@ -111,7 +111,7 @@ type Tagged struct {
 	heads []atomic.Uint64 // per-bucket chain head link {0, gen, idx}; 0 = empty
 	live  []atomic.Int32  // per-bucket count of held (Read/Write) records
 	// vers holds one version word per bucket ({stamp, active-writer count},
-	// see VersionTable). The version lives on the bucket, not the record:
+	// see version.go). The version lives on the bucket, not the record:
 	// records are reaped and recycled, and a stamp that vanished with its
 	// record could let a stale recorded version validate against a fresh
 	// record's zero. Bucket granularity means blocks that alias into one
@@ -259,7 +259,7 @@ func (t *Tagged) Hash() hash.Func { return t.h }
 // per-block.
 func (t *Tagged) SlotOf(b addr.Block) uint64 { return uint64(b) }
 
-// SlotsAreBlocks implements BlockSlotted: SlotOf is the identity.
+// SlotsAreBlocks implements Table: SlotOf is the identity.
 func (t *Tagged) SlotsAreBlocks() bool { return true }
 
 // rec dereferences a slab index. Indices come from links whose segment was
@@ -516,19 +516,13 @@ func (t *Tagged) ungrant(idx uint64) {
 	}
 }
 
-// AcquireRead implements Table.
-func (t *Tagged) AcquireRead(tx TxID, b addr.Block) (Outcome, ConflictInfo) {
-	out, ci, _ := t.acquireReadAt(t.h.Index(b), tx, b)
-	return out, ci
-}
-
-// AcquireReadH implements HandleTable.
+// AcquireReadH implements Table.
 func (t *Tagged) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Handle) {
 	out, ci, h := t.acquireReadAt(t.h.Index(b), tx, b)
 	return out, ci, Handle(h)
 }
 
-// acquireReadAt is AcquireRead with the bucket index precomputed; the
+// acquireReadAt is AcquireReadH with the bucket index precomputed; the
 // sharded table routes here after hashing once at the shard selector. The
 // outcome linearizes at a single CAS: the head CAS for a fresh record, or
 // the state CAS/load of the record for the tag. A denial's ConflictInfo is
@@ -575,19 +569,12 @@ func (t *Tagged) acquireReadAt(idx uint64, tx TxID, b addr.Block) (Outcome, Conf
 	}
 }
 
-// AcquireWrite implements Table. Because records are per-block, a conflict
+// AcquireWriteH implements Table. Because records are per-block, a conflict
 // here is always a *true* conflict: the same block is held by another
-// transaction.
-func (t *Tagged) AcquireWrite(tx TxID, b addr.Block, heldReads uint32) (Outcome, ConflictInfo) {
-	out, ci, _ := t.acquireWriteAt(t.h.Index(b), tx, b, heldReads)
-	return out, ci
-}
-
-// AcquireWriteH implements HandleTable. With a valid handle for a held
-// read share, the read→write upgrade is a single generation-validated
-// state CAS with no chain walk; the bucket hash is computed up front
-// either way, because a successful upgrade must count the new writer into
-// the bucket's version word.
+// transaction. With a valid handle for a held read share, the read→write
+// upgrade is a single generation-validated state CAS with no chain walk;
+// the bucket hash is computed up front either way, because a successful
+// upgrade must count the new writer into the bucket's version word.
 func (t *Tagged) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle) {
 	idx := t.h.Index(b)
 	if h != NoHandle && heldReads > 0 {
@@ -632,7 +619,7 @@ func (t *Tagged) upgradeByHandle(idx uint64, tx TxID, heldReads uint32, h uint64
 	}
 }
 
-// acquireWriteAt is AcquireWrite with the bucket index precomputed. The
+// acquireWriteAt is the walking write acquire on bucket idx. The
 // read→write upgrade is one CAS from {Read, g, heldReads} to {Write, g,
 // tx}: it can only succeed while the caller's shares are the record's whole
 // sharer count, so a racing foreign reader either beats the CAS (and the
@@ -691,12 +678,7 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 	}
 }
 
-// ReleaseRead implements Table.
-func (t *Tagged) ReleaseRead(tx TxID, b addr.Block) {
-	t.releaseReadAt(t.h.Index(b), tx, b)
-}
-
-// ReleaseReadH implements HandleTable: one generation-validated state CAS
+// ReleaseReadH implements Table: one generation-validated state CAS
 // on the record the handle names, no chain walk. A stale or useless handle
 // falls back to the walking release.
 func (t *Tagged) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
@@ -733,8 +715,8 @@ func (t *Tagged) releaseReadHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
 	}
 }
 
-// releaseReadAt is ReleaseRead with the bucket index precomputed. The
-// release linearizes at the state CAS; dropping the last share parks the
+// releaseReadAt is the walking read release on bucket idx. The release
+// linearizes at the state CAS; dropping the last share parks the
 // record as Free in place — no physical removal, so the common
 // release-then-reacquire cycle costs one CAS on each side. A holder's
 // record cannot die or be recycled under it — its own shares pin the sharer
@@ -765,12 +747,7 @@ func (t *Tagged) releaseReadAt(idx uint64, tx TxID, b addr.Block) {
 	}
 }
 
-// ReleaseWrite implements Table.
-func (t *Tagged) ReleaseWrite(tx TxID, b addr.Block) {
-	t.releaseWriteAt(t.h.Index(b), tx, b)
-}
-
-// ReleaseWriteH implements HandleTable: one generation-validated state CAS
+// ReleaseWriteH implements Table: one generation-validated state CAS
 // on the record the handle names, no chain walk. A stale or useless handle
 // falls back to the walking release.
 func (t *Tagged) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
@@ -783,12 +760,6 @@ func (t *Tagged) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 // stamp still describes it).
 func (t *Tagged) releaseWriteHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
 	t.releaseWriteOwnHAt(idx, tx, b, h)
-	verLeave(&t.vers[idx])
-}
-
-// releaseWriteAt is releaseWriteHAt without a handle.
-func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block) {
-	t.releaseWriteOwnAt(idx, tx, b)
 	verLeave(&t.vers[idx])
 }
 
@@ -840,17 +811,17 @@ func (t *Tagged) releaseWriteOwnAt(idx uint64, tx TxID, b addr.Block) {
 	t.stats.releases.Add(1)
 }
 
-// SampleVersion implements VersionTable: one hash, one atomic load.
+// SampleVersion implements Table: one hash, one atomic load.
 func (t *Tagged) SampleVersion(b addr.Block) (uint64, bool) {
 	return verUnpack(t.vers[t.h.Index(b)].Load())
 }
 
-// ReleaseWriteV implements VersionTable.
+// ReleaseWriteV implements Table.
 func (t *Tagged) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
 	t.releaseWriteVAt(t.h.Index(b), tx, b, h, stamp)
 }
 
-// StampVersion implements VersionTable.
+// StampVersion implements Table.
 func (t *Tagged) StampVersion(b addr.Block, stamp uint64) {
 	verRaise(&t.vers[t.h.Index(b)], stamp)
 }
@@ -940,9 +911,3 @@ func (t *Tagged) Reset() {
 	t.occ.Store(0)
 	t.stats.reset()
 }
-
-var (
-	_ Table        = (*Tagged)(nil)
-	_ HandleTable  = (*Tagged)(nil)
-	_ VersionTable = (*Tagged)(nil)
-)

@@ -15,10 +15,10 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 	// The defining property (Section 5): aliasing blocks 3 and 67 in a
 	// 64-bucket table are held by different writers simultaneously.
 	tab := newTagged(64)
-	if got, _ := tab.AcquireWrite(1, 3, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 1, 3, 0); got != Granted {
 		t.Fatalf("first write: %v", got)
 	}
-	if got, _ := tab.AcquireWrite(2, 67, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 2, 67, 0); got != Granted {
 		t.Fatalf("aliasing write should be granted in tagged table: %v", got)
 	}
 	if tab.Records() != 2 {
@@ -31,37 +31,37 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 
 func TestTaggedTrueConflictStillDetected(t *testing.T) {
 	tab := newTagged(64)
-	tab.AcquireWrite(1, 3, 0)
-	if got, _ := tab.AcquireWrite(2, 3, 0); got != ConflictWriter {
+	AcquireWrite(tab, 1, 3, 0)
+	if got, _ := AcquireWrite(tab, 2, 3, 0); got != ConflictWriter {
 		t.Fatalf("same-block write: %v, want ConflictWriter", got)
 	}
-	if got, _ := tab.AcquireRead(2, 3); got != ConflictWriter {
+	if got, _ := AcquireRead(tab, 2, 3); got != ConflictWriter {
 		t.Fatalf("same-block read: %v, want ConflictWriter", got)
 	}
 }
 
 func TestTaggedSharedReads(t *testing.T) {
 	tab := newTagged(64)
-	tab.AcquireRead(1, 5)
-	tab.AcquireRead(2, 5)
-	tab.AcquireRead(3, 69) // aliases block 5's bucket
-	if got, _ := tab.AcquireWrite(4, 5, 0); got != ConflictReaders {
+	AcquireRead(tab, 1, 5)
+	AcquireRead(tab, 2, 5)
+	AcquireRead(tab, 3, 69) // aliases block 5's bucket
+	if got, _ := AcquireWrite(tab, 4, 5, 0); got != ConflictReaders {
 		t.Fatalf("write vs readers: %v", got)
 	}
 	// But the aliasing block 69 is independently writable... no — tx 3
 	// holds a read on 69 itself, so a different tx conflicts only on 69.
-	if got, _ := tab.AcquireWrite(4, 133, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 4, 133, 0); got != Granted {
 		t.Fatalf("third aliasing block should be independent: %v", got)
 	}
 }
 
 func TestTaggedUpgrade(t *testing.T) {
 	tab := newTagged(64)
-	tab.AcquireRead(1, 9)
-	if got, _ := tab.AcquireWrite(1, 9, 1); got != Upgraded {
+	AcquireRead(tab, 1, 9)
+	if got, _ := AcquireWrite(tab, 1, 9, 1); got != Upgraded {
 		t.Fatalf("upgrade: %v", got)
 	}
-	tab.ReleaseWrite(1, 9)
+	ReleaseWrite(tab, 1, 9)
 	if tab.Records() != 0 {
 		t.Fatalf("Records after release = %d", tab.Records())
 	}
@@ -69,25 +69,25 @@ func TestTaggedUpgrade(t *testing.T) {
 
 func TestTaggedUpgradeBlockedByOtherReader(t *testing.T) {
 	tab := newTagged(64)
-	tab.AcquireRead(1, 9)
-	tab.AcquireRead(2, 9)
-	if got, _ := tab.AcquireWrite(1, 9, 1); got != ConflictReaders {
+	AcquireRead(tab, 1, 9)
+	AcquireRead(tab, 2, 9)
+	if got, _ := AcquireWrite(tab, 1, 9, 1); got != ConflictReaders {
 		t.Fatalf("upgrade with foreign reader: %v", got)
 	}
 }
 
 func TestTaggedReacquire(t *testing.T) {
 	tab := newTagged(64)
-	tab.AcquireWrite(1, 5, 0)
-	if got, _ := tab.AcquireWrite(1, 5, 0); got != AlreadyHeld {
+	AcquireWrite(tab, 1, 5, 0)
+	if got, _ := AcquireWrite(tab, 1, 5, 0); got != AlreadyHeld {
 		t.Fatalf("re-write: %v", got)
 	}
-	if got, _ := tab.AcquireRead(1, 5); got != AlreadyHeld {
+	if got, _ := AcquireRead(tab, 1, 5); got != AlreadyHeld {
 		t.Fatalf("read under own write: %v", got)
 	}
 	// Unlike tagless, an aliasing block is NOT covered by the write: it is
 	// a separate record.
-	if got, _ := tab.AcquireWrite(1, 69, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 1, 69, 0); got != Granted {
 		t.Fatalf("aliasing block should need its own record: %v", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestTaggedChainAccounting(t *testing.T) {
 	tab := newTagged(8)
 	// Blocks 0, 8, 16, 24 all land in bucket 0.
 	for i, b := range []addr.Block{0, 8, 16, 24} {
-		if got, _ := tab.AcquireWrite(TxID(i+1), b, 0); got != Granted {
+		if got, _ := AcquireWrite(tab, TxID(i+1), b, 0); got != Granted {
 			t.Fatalf("write %d: %v", i, got)
 		}
 	}
@@ -108,11 +108,11 @@ func TestTaggedChainAccounting(t *testing.T) {
 		t.Fatalf("MaxChain = %d", s.MaxChain)
 	}
 	// Remove the middle record and verify the chain stays intact.
-	tab.ReleaseWrite(2, 8)
-	if got, _ := tab.AcquireRead(5, 16); got != ConflictWriter {
+	ReleaseWrite(tab, 2, 8)
+	if got, _ := AcquireRead(tab, 5, 16); got != ConflictWriter {
 		t.Fatalf("block 16 should still be write-held after unrelated removal: %v", got)
 	}
-	if got, _ := tab.AcquireWrite(6, 8, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 6, 8, 0); got != Granted {
 		t.Fatalf("removed block should be reacquirable: %v", got)
 	}
 }
@@ -125,28 +125,28 @@ func TestTaggedReleasePanics(t *testing.T) {
 				t.Error("ReleaseRead without record did not panic")
 			}
 		}()
-		tab.ReleaseRead(1, 3)
+		ReleaseRead(tab, 1, 3)
 	}()
-	tab.AcquireWrite(1, 4, 0)
+	AcquireWrite(tab, 1, 4, 0)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ReleaseWrite by non-owner did not panic")
 			}
 		}()
-		tab.ReleaseWrite(2, 4)
+		ReleaseWrite(tab, 2, 4)
 	}()
 }
 
 func TestTaggedReset(t *testing.T) {
 	tab := newTagged(64)
-	tab.AcquireWrite(1, 2, 0)
-	tab.AcquireRead(2, 3)
+	AcquireWrite(tab, 1, 2, 0)
+	AcquireRead(tab, 2, 3)
 	tab.Reset()
 	if tab.Occupied() != 0 || tab.Records() != 0 {
 		t.Fatalf("after reset: occ=%d records=%d", tab.Occupied(), tab.Records())
 	}
-	if got, _ := tab.AcquireWrite(3, 2, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 3, 2, 0); got != Granted {
 		t.Fatalf("write after reset: %v", got)
 	}
 }
@@ -225,7 +225,7 @@ func TestTaggedSmallTableStripes(t *testing.T) {
 	// Tables smaller than the stripe count must still work.
 	tab := newTagged(2)
 	for b := addr.Block(0); b < 20; b++ {
-		if got, _ := tab.AcquireRead(1, b); got != Granted {
+		if got, _ := AcquireRead(tab, 1, b); got != Granted {
 			t.Fatalf("read %d: %v", b, got)
 		}
 	}
@@ -281,7 +281,7 @@ func TestTaggedReapProtectsOccupiedBuckets(t *testing.T) {
 	// raise its reap allowance from 0 to live.
 	for i := 0; i < live; i++ {
 		b := addr.Block(hot + uint64(i)*buckets)
-		if out, _ := tab.AcquireWrite(TxID(i+1), b, 0); out != Granted {
+		if out, _ := AcquireWrite(tab, TxID(i+1), b, 0); out != Granted {
 			t.Fatalf("live acquire %d: %v", i, out)
 		}
 	}
@@ -293,10 +293,10 @@ func TestTaggedReapProtectsOccupiedBuckets(t *testing.T) {
 		hb := addr.Block(hot + uint64(100+i)*buckets)
 		cb := addr.Block(cold + uint64(i)*buckets)
 		for _, b := range []addr.Block{hb, cb} {
-			if out, _ := tab.AcquireWrite(9, b, 0); out != Granted {
+			if out, _ := AcquireWrite(tab, 9, b, 0); out != Granted {
 				t.Fatalf("streamed tag %d: %v", b, out)
 			}
-			tab.ReleaseWrite(9, b)
+			ReleaseWrite(tab, 9, b)
 		}
 		if n := physChainLen(tab, hot); n > maxHot {
 			maxHot = n
@@ -325,14 +325,14 @@ func TestTaggedReapProtectsOccupiedBuckets(t *testing.T) {
 	// Release the working set: the allowance drops to zero, and the next
 	// walks condemn the now-unprotected surplus back to the base bound.
 	for i := 0; i < live; i++ {
-		tab.ReleaseWrite(TxID(i+1), addr.Block(hot+uint64(i)*buckets))
+		ReleaseWrite(tab, TxID(i+1), addr.Block(hot+uint64(i)*buckets))
 	}
 	for i := 0; i < 5; i++ {
 		b := addr.Block(hot + uint64(1000+i)*buckets)
-		if out, _ := tab.AcquireWrite(9, b, 0); out != Granted {
+		if out, _ := AcquireWrite(tab, 9, b, 0); out != Granted {
 			t.Fatalf("post-release tag %d: %v", i, out)
 		}
-		tab.ReleaseWrite(9, b)
+		ReleaseWrite(tab, 9, b)
 	}
 	if n := physChainLen(tab, hot); n > reapDepth+2 {
 		t.Fatalf("hot chain still %d records after its live set released, want <= %d",
@@ -362,10 +362,10 @@ func TestTagStreamingBoundsChainDepth(t *testing.T) {
 	maxPhys := 0
 	for i := 0; i < stream; i++ {
 		b := addr.Block(bucket + uint64(i)*buckets) // unique tag, always bucket 3
-		if out, _ := tab.AcquireWrite(1, b, 0); out != Granted {
+		if out, _ := AcquireWrite(tab, 1, b, 0); out != Granted {
 			t.Fatalf("streamed tag %d: AcquireWrite = %v", i, out)
 		}
-		tab.ReleaseWrite(1, b)
+		ReleaseWrite(tab, 1, b)
 		if n := physChainLen(tab, bucket); n > maxPhys {
 			maxPhys = n
 		}
@@ -378,10 +378,10 @@ func TestTagStreamingBoundsChainDepth(t *testing.T) {
 	// delta is the physical records it passed beyond the head.
 	pre := tab.Stats().ChainFollows
 	b := addr.Block(bucket + uint64(stream)*buckets)
-	if out, _ := tab.AcquireWrite(1, b, 0); out != Granted {
+	if out, _ := AcquireWrite(tab, 1, b, 0); out != Granted {
 		t.Fatalf("post-stream AcquireWrite = %v", out)
 	}
-	tab.ReleaseWrite(1, b)
+	ReleaseWrite(tab, 1, b)
 	if delta := tab.Stats().ChainFollows - pre; delta > uint64(reapDepth)+2 {
 		t.Fatalf("post-stream walk traversed %d records, want <= %d", delta, reapDepth+2)
 	}

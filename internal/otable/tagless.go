@@ -22,7 +22,7 @@ type Tagless struct {
 	h       hash.Func
 	entries []atomic.Uint64
 	// vers holds one version word per entry ({stamp, active-writer count},
-	// see VersionTable): the invisible-reader read path validates against
+	// see version.go): the invisible-reader read path validates against
 	// it instead of acquiring. Aliasing blocks share an entry and therefore
 	// a version, so an aliased commit costs readers a spurious validation
 	// failure, never a wrong value.
@@ -70,13 +70,19 @@ func (t *Tagless) Hash() hash.Func { return t.h }
 // blocks share a slot.
 func (t *Tagless) SlotOf(b addr.Block) uint64 { return t.h.Index(b) }
 
-// AcquireRead implements Table.
-func (t *Tagless) AcquireRead(tx TxID, b addr.Block) (Outcome, ConflictInfo) {
-	return t.acquireReadIdx(t.h.Index(b), tx)
+// SlotsAreBlocks implements Table: aliasing blocks share a slot.
+func (t *Tagless) SlotsAreBlocks() bool { return false }
+
+// entryOf resolves a handle to its entry index, hashing b when there is none.
+func (t *Tagless) entryOf(b addr.Block, h Handle) uint64 {
+	if h == NoHandle {
+		return t.h.Index(b)
+	}
+	return uint64(h) - 1
 }
 
-// AcquireReadH implements HandleTable. The handle is the entry index plus
-// one (entries have no generations to validate — the slot itself is the
+// AcquireReadH implements Table. The handle is the entry index plus one
+// (entries have no generations to validate — the slot itself is the
 // record), so handle-taking operations merely skip the address re-hash.
 func (t *Tagless) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Handle) {
 	idx := t.h.Index(b)
@@ -87,12 +93,11 @@ func (t *Tagless) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Ha
 	return out, ci, Handle(idx + 1)
 }
 
-// AcquireWriteH implements HandleTable.
+// AcquireWriteH implements Table. heldReads is the number of read shares tx
+// already holds on b's entry; if it equals the entry's full sharer count the
+// acquire is a private upgrade, otherwise foreign readers block it.
 func (t *Tagless) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle) {
-	idx := uint64(h) - 1
-	if h == NoHandle {
-		idx = t.h.Index(b)
-	}
+	idx := t.entryOf(b, h)
 	out, ci := t.acquireWriteIdx(idx, tx, heldReads)
 	if out.Conflict() {
 		return out, ci, NoHandle
@@ -100,25 +105,21 @@ func (t *Tagless) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handl
 	return out, ci, Handle(idx + 1)
 }
 
-// ReleaseReadH implements HandleTable.
+// ReleaseReadH implements Table.
 func (t *Tagless) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
-	if h == NoHandle {
-		t.ReleaseRead(tx, b)
-		return
-	}
-	t.releaseReadIdx(uint64(h)-1, tx)
+	t.releaseReadIdx(t.entryOf(b, h), tx)
 }
 
-// ReleaseWriteH implements HandleTable.
+// ReleaseWriteH implements Table: the abort-path release, which uncounts the
+// writer without publishing a stamp (memory was never mutated, so the old
+// stamp still describes it).
 func (t *Tagless) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
-	if h == NoHandle {
-		t.ReleaseWrite(tx, b)
-		return
-	}
-	t.releaseWriteIdx(uint64(h)-1, tx)
+	idx := t.entryOf(b, h)
+	verLeave(&t.vers[idx])
+	t.releaseWriteOwn(idx, tx)
 }
 
-// acquireReadIdx is AcquireRead on a precomputed entry index. A denial
+// acquireReadIdx is the read acquire on a precomputed entry index. A denial
 // reports the owner read from the very entry word that decided it.
 func (t *Tagless) acquireReadIdx(idx uint64, tx TxID) (Outcome, ConflictInfo) {
 	e := &t.entries[idx]
@@ -149,14 +150,7 @@ func (t *Tagless) acquireReadIdx(idx uint64, tx TxID) (Outcome, ConflictInfo) {
 	}
 }
 
-// AcquireWrite implements Table. heldReads is the number of read shares tx
-// already holds on b's entry; if it equals the entry's full sharer count the
-// acquire is a private upgrade, otherwise foreign readers block it.
-func (t *Tagless) AcquireWrite(tx TxID, b addr.Block, heldReads uint32) (Outcome, ConflictInfo) {
-	return t.acquireWriteIdx(t.h.Index(b), tx, heldReads)
-}
-
-// acquireWriteIdx is AcquireWrite on a precomputed entry index. A denial
+// acquireWriteIdx is the write acquire on a precomputed entry index. A denial
 // reports the owning writer, or the count of foreign sharers (the entry's
 // sharer count minus the caller's own shares).
 func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcome, ConflictInfo) {
@@ -200,12 +194,7 @@ func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcom
 	}
 }
 
-// ReleaseRead implements Table.
-func (t *Tagless) ReleaseRead(tx TxID, b addr.Block) {
-	t.releaseReadIdx(t.h.Index(b), tx)
-}
-
-// releaseReadIdx is ReleaseRead on a precomputed entry index.
+// releaseReadIdx is the read release on a precomputed entry index.
 func (t *Tagless) releaseReadIdx(idx uint64, tx TxID) {
 	e := &t.entries[idx]
 	for {
@@ -230,19 +219,6 @@ func (t *Tagless) releaseReadIdx(idx uint64, tx TxID) {
 	}
 }
 
-// ReleaseWrite implements Table.
-func (t *Tagless) ReleaseWrite(tx TxID, b addr.Block) {
-	t.releaseWriteIdx(t.h.Index(b), tx)
-}
-
-// releaseWriteIdx is ReleaseWrite on a precomputed entry index: the
-// abort-path release, which uncounts the writer without publishing a stamp
-// (memory was never mutated, so the old stamp still describes it).
-func (t *Tagless) releaseWriteIdx(idx uint64, tx TxID) {
-	verLeave(&t.vers[idx])
-	t.releaseWriteOwn(idx, tx)
-}
-
 // releaseWriteOwn releases write ownership of entry idx without touching
 // the version word; the caller has already accounted for the writer count.
 func (t *Tagless) releaseWriteOwn(idx uint64, tx TxID) {
@@ -261,24 +237,21 @@ func (t *Tagless) releaseWriteOwn(idx uint64, tx TxID) {
 	}
 }
 
-// SampleVersion implements VersionTable: one hash, one atomic load.
+// SampleVersion implements Table: one hash, one atomic load.
 func (t *Tagless) SampleVersion(b addr.Block) (uint64, bool) {
 	return verUnpack(t.vers[t.h.Index(b)].Load())
 }
 
-// ReleaseWriteV implements VersionTable: publish the stamp (and uncount the
+// ReleaseWriteV implements Table: publish the stamp (and uncount the
 // writer) before the ownership-releasing CAS, so any acquire that succeeds
 // after the release observes the new stamp.
 func (t *Tagless) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
-	idx := uint64(h) - 1
-	if h == NoHandle {
-		idx = t.h.Index(b)
-	}
+	idx := t.entryOf(b, h)
 	verPublish(&t.vers[idx], stamp)
 	t.releaseWriteOwn(idx, tx)
 }
 
-// StampVersion implements VersionTable.
+// StampVersion implements Table.
 func (t *Tagless) StampVersion(b addr.Block, stamp uint64) {
 	verRaise(&t.vers[t.h.Index(b)], stamp)
 }
@@ -312,9 +285,3 @@ func (t *Tagless) Reset() {
 func (t *Tagless) EntryState(i uint64) (Mode, uint32) {
 	return unpackEntry(t.entries[i].Load())
 }
-
-var (
-	_ Table        = (*Tagless)(nil)
-	_ HandleTable  = (*Tagless)(nil)
-	_ VersionTable = (*Tagless)(nil)
-)

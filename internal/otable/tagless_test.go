@@ -13,10 +13,10 @@ func newTagless(n uint64) *Tagless { return NewTagless(hash.NewMask(n)) }
 
 func TestTaglessReadThenRead(t *testing.T) {
 	tab := newTagless(64)
-	if got, _ := tab.AcquireRead(1, 10); got != Granted {
+	if got, _ := AcquireRead(tab, 1, 10); got != Granted {
 		t.Fatalf("first read: %v", got)
 	}
-	if got, _ := tab.AcquireRead(2, 10); got != Granted {
+	if got, _ := AcquireRead(tab, 2, 10); got != Granted {
 		t.Fatalf("second reader: %v", got)
 	}
 	mode, count := tab.EntryState(10)
@@ -30,13 +30,13 @@ func TestTaglessReadThenRead(t *testing.T) {
 
 func TestTaglessWriteConflictsWithWrite(t *testing.T) {
 	tab := newTagless(64)
-	if got, _ := tab.AcquireWrite(1, 5, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 1, 5, 0); got != Granted {
 		t.Fatalf("first write: %v", got)
 	}
-	if got, _ := tab.AcquireWrite(2, 5, 0); got != ConflictWriter {
+	if got, _ := AcquireWrite(tab, 2, 5, 0); got != ConflictWriter {
 		t.Fatalf("second writer: %v, want ConflictWriter", got)
 	}
-	if got, _ := tab.AcquireRead(2, 5); got != ConflictWriter {
+	if got, _ := AcquireRead(tab, 2, 5); got != ConflictWriter {
 		t.Fatalf("reader vs writer: %v, want ConflictWriter", got)
 	}
 }
@@ -45,34 +45,34 @@ func TestTaglessFalseConflictByConstruction(t *testing.T) {
 	// Blocks 3 and 67 alias in a 64-entry mask table. Distinct data, same
 	// entry: the tagless table must (falsely) report a conflict.
 	tab := newTagless(64)
-	if got, _ := tab.AcquireWrite(1, 3, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 1, 3, 0); got != Granted {
 		t.Fatalf("write: %v", got)
 	}
-	if got, _ := tab.AcquireWrite(2, 67, 0); got != ConflictWriter {
+	if got, _ := AcquireWrite(tab, 2, 67, 0); got != ConflictWriter {
 		t.Fatalf("aliasing write: %v, want ConflictWriter (the false conflict)", got)
 	}
 }
 
 func TestTaglessWriterReacquires(t *testing.T) {
 	tab := newTagless(64)
-	tab.AcquireWrite(1, 5, 0)
-	if got, _ := tab.AcquireWrite(1, 5, 0); got != AlreadyHeld {
+	AcquireWrite(tab, 1, 5, 0)
+	if got, _ := AcquireWrite(tab, 1, 5, 0); got != AlreadyHeld {
 		t.Fatalf("re-write: %v", got)
 	}
-	if got, _ := tab.AcquireRead(1, 5); got != AlreadyHeld {
+	if got, _ := AcquireRead(tab, 1, 5); got != AlreadyHeld {
 		t.Fatalf("read under own write: %v", got)
 	}
 	// An aliasing block of the same transaction is also covered (entry
 	// granularity: "exclusive access to both blocks", Figure 1).
-	if got, _ := tab.AcquireWrite(1, 69, 0); got != AlreadyHeld {
+	if got, _ := AcquireWrite(tab, 1, 69, 0); got != AlreadyHeld {
 		t.Fatalf("aliasing own write: %v", got)
 	}
 }
 
 func TestTaglessUpgrade(t *testing.T) {
 	tab := newTagless(64)
-	tab.AcquireRead(1, 9)
-	if got, _ := tab.AcquireWrite(1, 9, 1); got != Upgraded {
+	AcquireRead(tab, 1, 9)
+	if got, _ := AcquireWrite(tab, 1, 9, 1); got != Upgraded {
 		t.Fatalf("upgrade: %v", got)
 	}
 	mode, owner := tab.EntryState(9)
@@ -80,7 +80,7 @@ func TestTaglessUpgrade(t *testing.T) {
 		t.Fatalf("after upgrade: %v/%d", mode, owner)
 	}
 	// After an upgrade the transaction owes exactly one write release.
-	tab.ReleaseWrite(1, 9)
+	ReleaseWrite(tab, 1, 9)
 	if tab.Occupied() != 0 {
 		t.Fatalf("Occupied after release = %d", tab.Occupied())
 	}
@@ -88,23 +88,23 @@ func TestTaglessUpgrade(t *testing.T) {
 
 func TestTaglessUpgradeBlockedByOtherReader(t *testing.T) {
 	tab := newTagless(64)
-	tab.AcquireRead(1, 9)
-	tab.AcquireRead(2, 9)
-	if got, _ := tab.AcquireWrite(1, 9, 1); got != ConflictReaders {
+	AcquireRead(tab, 1, 9)
+	AcquireRead(tab, 2, 9)
+	if got, _ := AcquireWrite(tab, 1, 9, 1); got != ConflictReaders {
 		t.Fatalf("upgrade with foreign reader: %v, want ConflictReaders", got)
 	}
 }
 
 func TestTaglessReleaseRestoresFree(t *testing.T) {
 	tab := newTagless(64)
-	tab.AcquireRead(1, 7)
-	tab.AcquireRead(2, 7)
-	tab.ReleaseRead(1, 7)
+	AcquireRead(tab, 1, 7)
+	AcquireRead(tab, 2, 7)
+	ReleaseRead(tab, 1, 7)
 	mode, count := tab.EntryState(7)
 	if mode != Read || count != 1 {
 		t.Fatalf("after one release: %v/%d", mode, count)
 	}
-	tab.ReleaseRead(2, 7)
+	ReleaseRead(tab, 2, 7)
 	mode, _ = tab.EntryState(7)
 	if mode != Free {
 		t.Fatalf("after all releases: %v", mode)
@@ -122,25 +122,25 @@ func TestTaglessReleasePanicsOnBadState(t *testing.T) {
 				t.Error("ReleaseRead on free entry did not panic")
 			}
 		}()
-		tab.ReleaseRead(1, 3)
+		ReleaseRead(tab, 1, 3)
 	}()
-	tab.AcquireWrite(1, 4, 0)
+	AcquireWrite(tab, 1, 4, 0)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ReleaseWrite by non-owner did not panic")
 			}
 		}()
-		tab.ReleaseWrite(2, 4)
+		ReleaseWrite(tab, 2, 4)
 	}()
 }
 
 func TestTaglessStats(t *testing.T) {
 	tab := newTagless(64)
-	tab.AcquireRead(1, 1)
-	tab.AcquireWrite(1, 2, 0)
-	tab.AcquireWrite(2, 2, 0) // conflict
-	tab.AcquireWrite(1, 1, 1) // upgrade
+	AcquireRead(tab, 1, 1)
+	AcquireWrite(tab, 1, 2, 0)
+	AcquireWrite(tab, 2, 2, 0) // conflict
+	AcquireWrite(tab, 1, 1, 1) // upgrade
 	s := tab.Stats()
 	if s.ReadAcquires != 1 || s.WriteAcquires != 2 || s.Conflicts != 1 || s.Upgrades != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -149,8 +149,8 @@ func TestTaglessStats(t *testing.T) {
 
 func TestTaglessReset(t *testing.T) {
 	tab := newTagless(64)
-	tab.AcquireWrite(1, 2, 0)
-	tab.AcquireRead(2, 3)
+	AcquireWrite(tab, 1, 2, 0)
+	AcquireRead(tab, 2, 3)
 	tab.Reset()
 	if tab.Occupied() != 0 {
 		t.Fatalf("Occupied after reset = %d", tab.Occupied())
@@ -158,7 +158,7 @@ func TestTaglessReset(t *testing.T) {
 	if s := tab.Stats(); s.WriteAcquires != 0 || s.ReadAcquires != 0 {
 		t.Fatalf("stats after reset = %+v", s)
 	}
-	if got, _ := tab.AcquireWrite(3, 2, 0); got != Granted {
+	if got, _ := AcquireWrite(tab, 3, 2, 0); got != Granted {
 		t.Fatalf("write after reset: %v", got)
 	}
 }

@@ -1,15 +1,11 @@
 package otable
 
-import (
-	"sync/atomic"
+import "sync/atomic"
 
-	"tmbp/internal/addr"
-)
-
-// VersionTable is the optional interface of tables that publish a commit
-// version per first-level cell, letting read-only transactions validate by
-// version comparison instead of ever acquiring read ownership — the
-// invisible-reader fast path in internal/stm.
+// Version words are what Table.SampleVersion, ReleaseWriteV and StampVersion
+// operate on: one commit version per first-level cell, letting read-only
+// transactions validate by version comparison instead of ever acquiring
+// read ownership — the invisible-reader fast path in internal/stm.
 //
 // Each first-level cell (table entry for the tagless organization, bucket
 // for the tagged and sharded ones) carries one version word alongside its
@@ -38,24 +34,6 @@ import (
 // costs the reader only a spurious validation failure — the same
 // birthday-paradox false-sharing the paper quantifies for ownership, never
 // a wrong value.
-type VersionTable interface {
-	// SampleVersion returns the cell's current commit stamp and whether any
-	// writer holds exclusive ownership anywhere in b's cell. One hash, one
-	// atomic load.
-	SampleVersion(b addr.Block) (stamp uint64, writerActive bool)
-	// ReleaseWriteV is ReleaseWriteH plus version publication: it raises
-	// b's cell stamp to at least stamp and drops the active-writer count,
-	// then releases the ownership exactly as ReleaseWriteH would. Commit
-	// paths must use it (after write-back) in place of ReleaseWriteH.
-	ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64)
-	// StampVersion raises b's cell stamp without touching ownership or the
-	// writer count. It is for mutations applied under an existing exclusive
-	// hold that survive the hold's own outcome — a strong-isolation
-	// non-transactional store into a chunk the running transaction already
-	// owns must bump the version immediately, because the owning
-	// transaction's later abort-path release will not publish one.
-	StampVersion(b addr.Block, stamp uint64)
-}
 
 // Version word layout shared by all organizations.
 const (

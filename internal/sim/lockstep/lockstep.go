@@ -220,15 +220,15 @@ func ntProbeConflicts(cfg Config, tab otable.Table, rng *xrand.Rand) bool {
 		id := otable.TxID(cfg.C + nt + 1)
 		b := addr.Block(rng.Uint64n(cfg.BlockSpace))
 		if rng.Float64() < cfg.NTWriteFraction {
-			if out, _ := tab.AcquireWrite(id, b, 0); out.Conflict() {
+			if out, _ := otable.AcquireWrite(tab, id, b, 0); out.Conflict() {
 				return true
 			}
-			tab.ReleaseWrite(id, b)
+			otable.ReleaseWrite(tab, id, b)
 		} else {
-			if out, _ := tab.AcquireRead(id, b); out.Conflict() {
+			if out, _ := otable.AcquireRead(tab, id, b); out.Conflict() {
 				return true
 			}
-			tab.ReleaseRead(id, b)
+			otable.ReleaseRead(tab, id, b)
 		}
 	}
 	return false

@@ -20,9 +20,7 @@ import (
 // these pin the exact contracts with schedules no scheduler can perturb.
 
 // denyTable denies the first K acquires with a phantom writer conflict,
-// then behaves like the wrapped table. It deliberately does not implement
-// HandleTable — embedding the interface promotes only Table's methods — so
-// it also exercises the STM's walking release path.
+// then behaves like the wrapped table.
 type denyTable struct {
 	otable.Table
 	remaining atomic.Int64
@@ -41,18 +39,18 @@ func newDenyTable(t *testing.T, k int64) *denyTable {
 
 const denyPhantom otable.TxID = 0xdead
 
-func (d *denyTable) AcquireRead(tx otable.TxID, b addr.Block) (otable.Outcome, otable.ConflictInfo) {
+func (d *denyTable) AcquireReadH(tx otable.TxID, b addr.Block) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
 	if d.remaining.Add(-1) >= 0 {
-		return otable.ConflictWriter, otable.WriterConflict(denyPhantom)
+		return otable.ConflictWriter, otable.WriterConflict(denyPhantom), otable.NoHandle
 	}
-	return d.Table.AcquireRead(tx, b)
+	return d.Table.AcquireReadH(tx, b)
 }
 
-func (d *denyTable) AcquireWrite(tx otable.TxID, b addr.Block, heldReads uint32) (otable.Outcome, otable.ConflictInfo) {
+func (d *denyTable) AcquireWriteH(tx otable.TxID, b addr.Block, heldReads uint32, h otable.Handle) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
 	if d.remaining.Add(-1) >= 0 {
-		return otable.ConflictWriter, otable.WriterConflict(denyPhantom)
+		return otable.ConflictWriter, otable.WriterConflict(denyPhantom), otable.NoHandle
 	}
-	return d.Table.AcquireWrite(tx, b, heldReads)
+	return d.Table.AcquireWriteH(tx, b, heldReads, h)
 }
 
 // TestAtomicCtxPreCancelled pins the entry contract: a context that is

@@ -185,3 +185,42 @@ func TestMixedOpsHammerAllKinds(t *testing.T) {
 		})
 	}
 }
+
+// TestNTBadAddressPanicsHoldingNothing is the regression test for the
+// strong-isolation leak where LoadNT/StoreNT acquired the chunk before
+// Memory.index validated the address: an out-of-range or unaligned address
+// panicked with the share still held, leaving the slot blocked forever.
+func TestNTBadAddressPanicsHoldingNothing(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			tab, err := otable.New(kind, hash.NewMask(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMemory(64)
+			rt, err := New(Config{Table: tab, Memory: mem, Isolation: StrongIsolation, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := rt.NewThread()
+			mustPanic := func(name string, fn func()) {
+				t.Helper()
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s did not panic", name)
+					}
+					if err := otable.AuditQuiesced(tab); err != nil {
+						t.Errorf("after %s: %v", name, err)
+					}
+				}()
+				fn()
+			}
+			beyond := addr.Addr(mem.Bytes())
+			unaligned := mem.WordAddr(3) + 1
+			mustPanic("LoadNT beyond memory", func() { th.LoadNT(beyond) })
+			mustPanic("StoreNT beyond memory", func() { th.StoreNT(beyond, 1) })
+			mustPanic("LoadNT unaligned", func() { th.LoadNT(unaligned) })
+			mustPanic("StoreNT unaligned", func() { th.StoreNT(unaligned, 1) })
+		})
+	}
+}

@@ -158,8 +158,6 @@ type Config struct {
 	// acquiring path on its first Write/WriteBlock (promoting its read set
 	// to real read ownership) or after a bounded number of validation
 	// aborts (FallbackAfter when positive, else an internal default).
-	// Requires a Table implementing otable.VersionTable; all built-in
-	// tables do.
 	InvisibleReaders bool
 	// MaxAttempts bounds the retries of one transaction (0 = unlimited).
 	MaxAttempts int
@@ -331,11 +329,6 @@ func New(cfg Config) (*Runtime, error) {
 	if !validCM(cfg.CM) {
 		return nil, fmt.Errorf("stm: unknown CM policy %q (want one of %v)", cfg.CM, CMKinds())
 	}
-	if cfg.InvisibleReaders {
-		if _, ok := cfg.Table.(otable.VersionTable); !ok {
-			return nil, fmt.Errorf("stm: InvisibleReaders requires an ownership table implementing otable.VersionTable, %q does not", cfg.Table.Kind())
-		}
-	}
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 4
 	}
@@ -450,15 +443,6 @@ func (rt *Runtime) NewThread() *Thread {
 	board[id-1] = ctr
 	rt.board.Store(&board)
 	rt.mu.Unlock()
-	slotID := false
-	if bs, ok := rt.cfg.Table.(otable.BlockSlotted); ok {
-		slotID = bs.SlotsAreBlocks()
-	}
-	ht, _ := rt.cfg.Table.(otable.HandleTable)
-	var vt otable.VersionTable
-	if rt.cfg.InvisibleReaders {
-		vt, _ = rt.cfg.Table.(otable.VersionTable) // validated in New
-	}
 	roLimit := rt.cfg.FallbackAfter
 	if roLimit <= 0 {
 		roLimit = defaultROFallback
@@ -468,11 +452,10 @@ func (rt *Runtime) NewThread() *Thread {
 		id:       id,
 		ctr:      ctr,
 		tab:      rt.cfg.Table,
-		ht:       ht,
-		vt:       vt,
+		invis:    rt.cfg.InvisibleReaders,
 		mem:      rt.cfg.Memory,
 		wordGran: rt.cfg.Granularity == WordGranularity,
-		slotID:   slotID,
+		slotID:   rt.cfg.Table.SlotsAreBlocks(),
 		fb:       rt.cfg.FallbackAfter,
 		roLimit:  roLimit,
 		rec:      rt.cfg.Recorder,
@@ -492,19 +475,15 @@ type Thread struct {
 	rt  *Runtime
 	id  otable.TxID
 	ctr *threadCounters
-	// tab/ht/mem/wordGran/slotID cache the config the hot path consults on
-	// every access.
+	// tab/invis/mem/wordGran/slotID cache the config the hot path consults
+	// on every access. Acquires record the granted record's handle in the
+	// access-set entry and commit/abort release by handle — no table re-walk
+	// on the serial commit path.
 	tab otable.Table
-	// ht is tab's handle-issuing face, nil when the table implements only
-	// the plain Table interface. When present, acquires record the granted
-	// record's handle in the access-set entry and commit/abort release by
-	// handle — no table re-walk on the serial commit path.
-	ht otable.HandleTable
-	// vt is tab's version-sampling face, non-nil only when
-	// Config.InvisibleReaders is set. Its presence is the master switch of
-	// the invisible-reader fast path: vt == nil costs the hot paths one nil
-	// check and nothing else.
-	vt       otable.VersionTable
+	// invis is Config.InvisibleReaders, the master switch of the
+	// invisible-reader fast path: when false it costs the hot paths one
+	// branch and nothing else.
+	invis    bool
 	mem      *Memory
 	wordGran bool // ownership tracked per word rather than per block
 	slotID   bool // table slots are blocks: no cross-chunk slot aliasing
@@ -662,7 +641,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 			th.ctr.started.Add(1)
 		}
 		th.desc.Begin()
-		if th.vt != nil {
+		if th.invis {
 			// Serial attempts run with the runtime drained — acquiring is
 			// uncontended and validation could only lose to the very writers
 			// the fallback gate parked, so they skip the fast path.
@@ -802,54 +781,37 @@ func (th *Thread) rollback() {
 
 // releaseAll returns every held slot to the table in first-access order —
 // the obligation-carrying entries of the access set — and retires the set.
-// On handle-issuing tables each release is one generation-validated state
-// CAS on the record the entry's handle names: the table is never re-walked
-// on the commit or abort path.
+// Each release is one generation-validated state CAS on the record the
+// entry's handle names: the table is never re-walked on the commit or abort
+// path.
 //
 // When invisible readers are enabled and the walk is a committing one, the
 // first write release draws one stamp from the epoch clock and every write
 // release publishes it to its slot's version cell (strictly before ownership
-// drops, see otable.VersionTable). The epoch is drawn lazily so read-only
-// commits — which hold no write slots — never advance it, keeping the
-// epoch==rv commit shortcut of concurrent invisible readers valid. Aborting
-// walks publish nothing: memory was never mutated, so the old stamps still
-// describe it.
+// drops, see otable.Table.ReleaseWriteV). The epoch is drawn lazily so
+// read-only commits — which hold no write slots — never advance it, keeping
+// the epoch==rv commit shortcut of concurrent invisible readers valid.
+// Aborting walks publish nothing: memory was never mutated, so the old
+// stamps still describe it.
 func (th *Thread) releaseAll(committed bool) {
 	set := &th.desc.Set
 	n := set.Len()
 	th.lastFP = n
+	publish := committed && th.invis
 	var stamp uint64
-	if ht := th.ht; ht != nil {
-		for i := 0; i < n; i++ {
-			e := set.At(i)
-			if e.Perm&txn.SlotWrite != 0 {
-				if committed && th.vt != nil {
-					if stamp == 0 {
-						stamp = th.rt.epoch.Add(1)
-					}
-					th.vt.ReleaseWriteV(th.id, e.Rel, otable.Handle(e.Hnd), stamp)
-				} else {
-					ht.ReleaseWriteH(th.id, e.Rel, otable.Handle(e.Hnd))
+	for i := 0; i < n; i++ {
+		e := set.At(i)
+		if e.Perm&txn.SlotWrite != 0 {
+			if publish {
+				if stamp == 0 {
+					stamp = th.rt.epoch.Add(1)
 				}
-			} else if e.Perm&txn.SlotRead != 0 {
-				ht.ReleaseReadH(th.id, e.Rel, otable.Handle(e.Hnd))
+				th.tab.ReleaseWriteV(th.id, e.Rel, otable.Handle(e.Hnd), stamp)
+			} else {
+				th.tab.ReleaseWriteH(th.id, e.Rel, otable.Handle(e.Hnd))
 			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			e := set.At(i)
-			if e.Perm&txn.SlotWrite != 0 {
-				if committed && th.vt != nil {
-					if stamp == 0 {
-						stamp = th.rt.epoch.Add(1)
-					}
-					th.vt.ReleaseWriteV(th.id, e.Rel, otable.NoHandle, stamp)
-				} else {
-					th.tab.ReleaseWrite(th.id, e.Rel)
-				}
-			} else if e.Perm&txn.SlotRead != 0 {
-				th.tab.ReleaseRead(th.id, e.Rel)
-			}
+		} else if e.Perm&txn.SlotRead != 0 {
+			th.tab.ReleaseReadH(th.id, e.Rel, otable.Handle(e.Hnd))
 		}
 	}
 	set.Reset()
@@ -910,7 +872,7 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 	} else if th.invisible {
 		v = th.readInvisibleMiss(word, chunk, widx)
 	} else {
-		th.acquireReadChunk(chunk)
+		th.acquireReadChunk(chunk, nil)
 		v = th.mem.words[word].Load()
 	}
 	if r := th.rec; r != nil {
@@ -958,7 +920,7 @@ func (tx *Tx) ReadBlock(b addr.Block) {
 		th.readBlockInvisible(b)
 		return
 	}
-	th.acquireReadChunk(b)
+	th.acquireReadChunk(b, nil)
 }
 
 // WriteBlock acquires write ownership of a block without logging a word
@@ -978,30 +940,13 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 	}
 }
 
-// tabAcquireRead requests read permission, through the handle-issuing face
-// when the table has one.
-func (th *Thread) tabAcquireRead(chunk addr.Block) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
-	if th.ht != nil {
-		return th.ht.AcquireReadH(th.id, chunk)
-	}
-	out, ci := th.tab.AcquireRead(th.id, chunk)
-	return out, ci, otable.NoHandle
-}
-
-// tabAcquireWrite requests write permission; h is the caller's handle for
-// an already-held read share on the slot (NoHandle when none).
-func (th *Thread) tabAcquireWrite(chunk addr.Block, heldReads uint32, h otable.Handle) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
-	if th.ht != nil {
-		return th.ht.AcquireWriteH(th.id, chunk, heldReads, h)
-	}
-	out, ci := th.tab.AcquireWrite(th.id, chunk, heldReads)
-	return out, ci, otable.NoHandle
-}
-
-// acquireReadChunk acquires read permission for a chunk with no access-set
-// entry yet, inserts the entry, and returns it. On a denied acquire the
-// attempt aborts with no state change.
-func (th *Thread) acquireReadChunk(chunk addr.Block) *txn.Access {
+// acquireReadChunk acquires the read share backing chunk's slot, unless an
+// earlier entry already covers the slot, and records the resulting release
+// obligation in the chunk's access-set entry. The acquiring protocol passes
+// e == nil — the chunk has no entry yet, and one is inserted once the acquire
+// has succeeded, so a denied acquire aborts the attempt with no state
+// change; promotion passes the entry the invisible protocol already made.
+func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access {
 	set := &th.desc.Set
 	slot := uint64(chunk)
 	covered := false
@@ -1016,14 +961,16 @@ func (th *Thread) acquireReadChunk(chunk addr.Block) *txn.Access {
 	var hnd otable.Handle
 	if !covered {
 		var ci otable.ConflictInfo
-		out, ci, hnd = th.tabAcquireRead(chunk)
+		out, ci, hnd = th.tab.AcquireReadH(th.id, chunk)
 		if out.Conflict() {
 			th.conflict(ci)
 		}
 	}
-	e := set.Insert(chunk)
+	if e == nil {
+		e = set.Insert(chunk)
+		e.Perm = txn.PermRead
+	}
 	e.Slot = slot
-	e.Perm = txn.PermRead
 	if !covered && out == otable.Granted {
 		// Granted created a release obligation; AlreadyHeld (covering
 		// exclusive permission the table attributes to us) did not.
@@ -1048,7 +995,7 @@ func (th *Thread) acquireWriteChunk(chunk addr.Block) *txn.Access {
 				// The slot is held with our read share: a private upgrade.
 				// The owner entry's handle names the same slot, so it
 				// survives the upgrade unchanged.
-				out, ci, _ := th.tabAcquireWrite(chunk, 1, otable.Handle(owner.Hnd))
+				out, ci, _ := th.tab.AcquireWriteH(th.id, chunk, 1, otable.Handle(owner.Hnd))
 				if out.Conflict() {
 					th.conflict(ci)
 				}
@@ -1061,7 +1008,7 @@ func (th *Thread) acquireWriteChunk(chunk addr.Block) *txn.Access {
 			return e
 		}
 	}
-	out, ci, hnd := th.tabAcquireWrite(chunk, 0, otable.NoHandle)
+	out, ci, hnd := th.tab.AcquireWriteH(th.id, chunk, 0, otable.NoHandle)
 	if out.Conflict() {
 		th.conflict(ci)
 	}
@@ -1091,7 +1038,7 @@ func (th *Thread) upgradeWriteChunk(e *txn.Access) {
 			held = 1
 			h = otable.Handle(e.Hnd)
 		}
-		out, ci, hnd := th.tabAcquireWrite(e.Chunk, held, h)
+		out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, held, h)
 		if out.Conflict() {
 			th.conflict(ci)
 		}
@@ -1106,7 +1053,7 @@ func (th *Thread) upgradeWriteChunk(e *txn.Access) {
 	if oi := set.FindSlotOwner(e.Slot); oi >= 0 {
 		owner := set.At(oi)
 		if owner.Perm&txn.SlotWrite == 0 {
-			out, ci, _ := th.tabAcquireWrite(e.Chunk, 1, otable.Handle(owner.Hnd))
+			out, ci, _ := th.tab.AcquireWriteH(th.id, e.Chunk, 1, otable.Handle(owner.Hnd))
 			if out.Conflict() {
 				th.conflict(ci)
 			}
@@ -1121,7 +1068,7 @@ func (th *Thread) upgradeWriteChunk(e *txn.Access) {
 	}
 	// No owner on record: covering permission was attributed to us by the
 	// table without an obligation; acquire directly.
-	out, ci, hnd := th.tabAcquireWrite(e.Chunk, 0, otable.NoHandle)
+	out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
 	if out.Conflict() {
 		th.conflict(ci)
 	}
@@ -1154,9 +1101,9 @@ const roReadRetries = 4
 // the load means the load belongs to that state. The value is cached in the
 // entry (RMask) so repeat reads are pure probes.
 func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) uint64 {
-	vt := th.vt
+	tab := th.tab
 	for tries := 0; ; tries++ {
-		s1, locked := vt.SampleVersion(chunk)
+		s1, locked := tab.SampleVersion(chunk)
 		if locked {
 			// A writer is mid-flight on the cell. Waiting here would bypass
 			// the contention manager; abort and let it arbitrate.
@@ -1173,7 +1120,7 @@ func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) 
 			}
 		}
 		v := th.mem.words[word].Load()
-		if s2, locked2 := vt.SampleVersion(chunk); !locked2 && s2 == s1 {
+		if s2, locked2 := tab.SampleVersion(chunk); !locked2 && s2 == s1 {
 			e := th.desc.Set.Insert(chunk)
 			e.Perm = txn.PermRead
 			e.Ver = s1
@@ -1198,7 +1145,7 @@ func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint
 		return e.Vals[widx]
 	}
 	v := th.mem.words[word].Load()
-	if s, locked := th.vt.SampleVersion(e.Chunk); locked || s != e.Ver {
+	if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
 		th.roConflict()
 	}
 	e.Vals[widx] = v
@@ -1211,7 +1158,7 @@ func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint
 // needed — there is no value whose consistency could be at stake, only the
 // footprint's, which commit-time validation checks against Ver.
 func (th *Thread) readBlockInvisible(b addr.Block) {
-	s1, locked := th.vt.SampleVersion(b)
+	s1, locked := th.tab.SampleVersion(b)
 	if locked {
 		th.roConflict()
 	}
@@ -1233,13 +1180,7 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 // "lazy snapshot" extension). Any mismatch aborts.
 func (th *Thread) extendSnapshot() {
 	newRv := th.rt.epoch.Load()
-	set := &th.desc.Set
-	for i, n := 0, set.Len(); i < n; i++ {
-		e := set.At(i)
-		if s, locked := th.vt.SampleVersion(e.Chunk); locked || s != e.Ver {
-			th.roConflict()
-		}
-	}
+	th.revalidateReadSet()
 	th.rv = newRv
 	th.ctr.roExtends.Add(1)
 }
@@ -1250,13 +1191,18 @@ func (th *Thread) extendSnapshot() {
 // anywhere committed a write and the read set is vacuously intact — the
 // expected case for read-mostly phases, making read-only commit O(1).
 func (th *Thread) validateReadSet() {
-	if th.rt.epoch.Load() == th.rv {
-		return
+	if th.rt.epoch.Load() != th.rv {
+		th.revalidateReadSet()
 	}
+}
+
+// revalidateReadSet aborts the invisible attempt unless every chunk read so
+// far is writer-free and still at the stamp it was validated at.
+func (th *Thread) revalidateReadSet() {
 	set := &th.desc.Set
 	for i, n := 0, set.Len(); i < n; i++ {
 		e := set.At(i)
-		if s, locked := th.vt.SampleVersion(e.Chunk); locked || s != e.Ver {
+		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
 			th.roConflict()
 		}
 	}
@@ -1277,38 +1223,17 @@ func (th *Thread) promote() {
 	}
 }
 
-// promoteEntry acquires read ownership for one invisible entry (mirroring
-// acquireReadChunk's slot-coverage logic on an entry that already exists)
-// and revalidates its stamp.
+// promoteEntry acquires read ownership for one invisible entry and
+// revalidates its stamp.
 func (th *Thread) promoteEntry(e *txn.Access) {
-	set := &th.desc.Set
-	slot := uint64(e.Chunk)
-	covered := false
-	if !th.slotID {
-		slot = th.tab.SlotOf(e.Chunk)
-		covered = set.FindSlotOwner(slot) >= 0
-	}
-	e.Slot = slot
-	if !covered {
-		out, ci, hnd := th.tabAcquireRead(e.Chunk)
-		if out.Conflict() {
-			th.conflict(ci)
-		}
-		if out == otable.Granted {
-			e.Perm |= txn.SlotRead
-			e.Hnd = uint64(hnd)
-			if !th.slotID {
-				set.RecordSlotOwner(e)
-			}
-		}
-	}
+	th.acquireReadChunk(e.Chunk, e)
 	// Ownership (ours, or a covering earlier entry's) now pins the chunk
 	// against writers; the stamp must still be the one the invisible reads
 	// validated against. The writer count is deliberately ignored: a writer
 	// on a chunk aliasing into the same cell may legitimately be active,
 	// and a committed writer of *this* chunk would have raised the stamp
 	// before our acquire could have succeeded.
-	if s, _ := th.vt.SampleVersion(e.Chunk); s != e.Ver {
+	if s, _ := th.tab.SampleVersion(e.Chunk); s != e.Ver {
 		th.roConflict()
 	}
 }
@@ -1328,24 +1253,21 @@ func (tx *Tx) FootprintBlocks() int { return tx.th.desc.FootprintBlocks() }
 // probes through the thread's shared footprint and released it wholesale —
 // silently dropping a live transaction's ownership.)
 func (th *Thread) LoadNT(a addr.Addr) (uint64, error) {
-	mem := th.rt.cfg.Memory
+	// Validated before any acquire: a bad address panics holding nothing.
+	w := &th.mem.words[th.mem.index(a)]
 	if th.rt.cfg.Isolation == WeakIsolation {
-		return mem.load(a), nil
+		return w.Load(), nil
 	}
 	th.ctr.ntReads.Add(1)
 	chunk := th.rt.cfg.Granularity.chunkOf(a)
-	out, ci, hnd := th.tabAcquireRead(chunk)
+	out, ci, hnd := th.tab.AcquireReadH(th.id, chunk)
 	if out.Conflict() {
 		th.ctr.ntConfl.Add(1)
 		return 0, fmt.Errorf("stm: non-transactional read of %v denied: %v (%v)", a, out, ci)
 	}
-	v := mem.load(a)
+	v := w.Load()
 	if out == otable.Granted {
-		if th.ht != nil {
-			th.ht.ReleaseReadH(th.id, chunk, hnd)
-		} else {
-			th.tab.ReleaseRead(th.id, chunk)
-		}
+		th.tab.ReleaseReadH(th.id, chunk, hnd)
 	}
 	// AlreadyHeld: this thread's own active transaction owns the slot
 	// exclusively; the release obligation stays with the transaction.
@@ -1360,34 +1282,33 @@ func (th *Thread) LoadNT(a addr.Addr) (uint64, error) {
 // overwritten by the transaction's own commit write-back. See LoadNT for
 // the one-slot acquire/release discipline.
 func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
-	mem := th.rt.cfg.Memory
+	// Validated before any acquire: a bad address panics holding nothing.
+	w := &th.mem.words[th.mem.index(a)]
 	if th.rt.cfg.Isolation == WeakIsolation {
-		mem.store(a, v)
+		w.Store(v)
 		return nil
 	}
 	th.ctr.ntReads.Add(1)
 	chunk := th.rt.cfg.Granularity.chunkOf(a)
-	out, ci, hnd := th.tabAcquireWrite(chunk, 0, otable.NoHandle)
+	out, ci, hnd := th.tab.AcquireWriteH(th.id, chunk, 0, otable.NoHandle)
 	if out.Conflict() {
 		th.ctr.ntConfl.Add(1)
 		return fmt.Errorf("stm: non-transactional write of %v denied: %v (%v)", a, out, ci)
 	}
-	mem.store(a, v)
+	w.Store(v)
 	if out == otable.Granted {
-		if th.vt != nil {
-			th.vt.ReleaseWriteV(th.id, chunk, hnd, th.rt.epoch.Add(1))
-		} else if th.ht != nil {
-			th.ht.ReleaseWriteH(th.id, chunk, hnd)
+		if th.invis {
+			th.tab.ReleaseWriteV(th.id, chunk, hnd, th.rt.epoch.Add(1))
 		} else {
-			th.tab.ReleaseWrite(th.id, chunk)
+			th.tab.ReleaseWriteH(th.id, chunk, hnd)
 		}
-	} else if th.vt != nil {
+	} else if th.invis {
 		// AlreadyHeld: the store went through under the calling thread's own
 		// exclusive ownership and survives even if that transaction aborts —
 		// the release obligation stays with the transaction, but memory has
 		// already changed, so the version cell must advance immediately or a
 		// concurrent invisible reader could validate a torn mix.
-		th.vt.StampVersion(chunk, th.rt.epoch.Add(1))
+		th.tab.StampVersion(chunk, th.rt.epoch.Add(1))
 	}
 	return nil
 }

@@ -3,16 +3,16 @@ package stm
 import (
 	"fmt"
 	"testing"
+	"testing/quick"
 
 	"tmbp/internal/addr"
 	"tmbp/internal/hash"
 	"tmbp/internal/otable"
-	"tmbp/internal/txn"
 	"tmbp/internal/xrand"
 )
 
 // This file oracle-tests the unified access set against the structures it
-// replaced: the map-backed BlockSet read/write footprints, the WriteLog
+// replaced: the map-backed blockSet read/write footprints, the writeLog
 // redo map, and the slot-keyed otable.Footprint. A model STM built from the
 // old triple (replicating the pre-unification Tx logic operation for
 // operation) and the real runtime are driven through identical random
@@ -29,87 +29,247 @@ import (
 // transactions leaving no trace.
 
 // recTable wraps a Table and logs every ownership operation with its
-// outcome.
+// outcome. Handles pass through unlogged: the runtime (which carries them)
+// and the old-triple model (which drives the table through the NoHandle
+// helpers of otable.Footprint) must log the same logical operations.
 type recTable struct {
-	inner otable.Table
-	log   []string
+	otable.Table
+	log []string
 }
 
-func (r *recTable) Kind() string               { return r.inner.Kind() }
-func (r *recTable) N() uint64                  { return r.inner.N() }
-func (r *recTable) SlotOf(b addr.Block) uint64 { return r.inner.SlotOf(b) }
-func (r *recTable) Occupied() uint64           { return r.inner.Occupied() }
-func (r *recTable) Stats() otable.Stats        { return r.inner.Stats() }
-func (r *recTable) Reset()                     { r.inner.Reset() }
-
-func (r *recTable) AcquireRead(tx otable.TxID, b addr.Block) (otable.Outcome, otable.ConflictInfo) {
-	out, ci := r.inner.AcquireRead(tx, b)
-	r.log = append(r.log, fmt.Sprintf("AR %d -> %v", b, out))
-	return out, ci
-}
-
-func (r *recTable) AcquireWrite(tx otable.TxID, b addr.Block, heldReads uint32) (otable.Outcome, otable.ConflictInfo) {
-	out, ci := r.inner.AcquireWrite(tx, b, heldReads)
-	r.log = append(r.log, fmt.Sprintf("AW %d held=%d -> %v", b, heldReads, out))
-	return out, ci
-}
-
-func (r *recTable) ReleaseRead(tx otable.TxID, b addr.Block) {
-	r.inner.ReleaseRead(tx, b)
-	r.log = append(r.log, fmt.Sprintf("RR %d", b))
-}
-
-func (r *recTable) ReleaseWrite(tx otable.TxID, b addr.Block) {
-	r.inner.ReleaseWrite(tx, b)
-	r.log = append(r.log, fmt.Sprintf("RW %d", b))
-}
-
-// SlotsAreBlocks forwards the identity-slot capability so the runtime takes
-// the same fast path it would on the bare table.
-func (r *recTable) SlotsAreBlocks() bool {
-	bs, ok := r.inner.(otable.BlockSlotted)
-	return ok && bs.SlotsAreBlocks()
-}
-
-// recTableH additionally forwards the handle-issuing interface, logging the
-// same logical operations: driven through it, the runtime takes its
-// release-by-handle path, which must produce table traffic identical to
-// both the walking path and the old-triple model.
-type recTableH struct{ recTable }
-
-func (r *recTableH) ht() otable.HandleTable { return r.inner.(otable.HandleTable) }
-
-func (r *recTableH) AcquireReadH(tx otable.TxID, b addr.Block) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
-	out, ci, h := r.ht().AcquireReadH(tx, b)
+func (r *recTable) AcquireReadH(tx otable.TxID, b addr.Block) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
+	out, ci, h := r.Table.AcquireReadH(tx, b)
 	r.log = append(r.log, fmt.Sprintf("AR %d -> %v", b, out))
 	return out, ci, h
 }
 
-func (r *recTableH) AcquireWriteH(tx otable.TxID, b addr.Block, heldReads uint32, h otable.Handle) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
-	out, ci, nh := r.ht().AcquireWriteH(tx, b, heldReads, h)
+func (r *recTable) AcquireWriteH(tx otable.TxID, b addr.Block, heldReads uint32, h otable.Handle) (otable.Outcome, otable.ConflictInfo, otable.Handle) {
+	out, ci, nh := r.Table.AcquireWriteH(tx, b, heldReads, h)
 	r.log = append(r.log, fmt.Sprintf("AW %d held=%d -> %v", b, heldReads, out))
 	return out, ci, nh
 }
 
-func (r *recTableH) ReleaseReadH(tx otable.TxID, b addr.Block, h otable.Handle) {
-	r.ht().ReleaseReadH(tx, b, h)
+func (r *recTable) ReleaseReadH(tx otable.TxID, b addr.Block, h otable.Handle) {
+	r.Table.ReleaseReadH(tx, b, h)
 	r.log = append(r.log, fmt.Sprintf("RR %d", b))
 }
 
-func (r *recTableH) ReleaseWriteH(tx otable.TxID, b addr.Block, h otable.Handle) {
-	r.ht().ReleaseWriteH(tx, b, h)
+func (r *recTable) ReleaseWriteH(tx otable.TxID, b addr.Block, h otable.Handle) {
+	r.Table.ReleaseWriteH(tx, b, h)
 	r.log = append(r.log, fmt.Sprintf("RW %d", b))
 }
 
+func (r *recTable) ReleaseWriteV(tx otable.TxID, b addr.Block, h otable.Handle, stamp uint64) {
+	r.Table.ReleaseWriteV(tx, b, h, stamp)
+	r.log = append(r.log, fmt.Sprintf("RW %d", b))
+}
+
+// writeLog is a redo log: the speculative value of every word written by
+// the transaction, applied to memory only at commit. Insertion order is
+// preserved so write-back is deterministic.
+//
+// writeLog and blockSet are the original map-backed log structures. The
+// unified txn.AccessSet subsumes both with a single probe; they remain here
+// as the executable specification the AccessSet is oracle-tested against.
+type writeLog struct {
+	vals  map[uint64]uint64 // word index -> speculative value
+	order []uint64          // word indices in first-write order
+}
+
+func newWriteLog() *writeLog {
+	return &writeLog{vals: make(map[uint64]uint64)}
+}
+
+// Set records the speculative value for a word, overwriting any prior value.
+func (l *writeLog) Set(word uint64, val uint64) {
+	if _, ok := l.vals[word]; !ok {
+		l.order = append(l.order, word)
+	}
+	l.vals[word] = val
+}
+
+// Get returns the speculative value for a word, if one was written.
+func (l *writeLog) Get(word uint64) (uint64, bool) {
+	v, ok := l.vals[word]
+	return v, ok
+}
+
+// Len returns the number of distinct words written.
+func (l *writeLog) Len() int { return len(l.order) }
+
+// Range calls fn for every (word, value) pair in first-write order.
+func (l *writeLog) Range(fn func(word uint64, val uint64)) {
+	for _, w := range l.order {
+		fn(w, l.vals[w])
+	}
+}
+
+// Reset clears the log, retaining capacity.
+func (l *writeLog) Reset() {
+	for _, w := range l.order {
+		delete(l.vals, w)
+	}
+	l.order = l.order[:0]
+}
+
+// blockSet is an insertion-ordered set of cache blocks: the read or write
+// footprint of a transaction at ownership granularity.
+type blockSet struct {
+	m     map[addr.Block]struct{}
+	order []addr.Block
+}
+
+func newBlockSet() *blockSet {
+	return &blockSet{m: make(map[addr.Block]struct{})}
+}
+
+// Add inserts b, reporting whether it was new.
+func (s *blockSet) Add(b addr.Block) bool {
+	if _, ok := s.m[b]; ok {
+		return false
+	}
+	s.m[b] = struct{}{}
+	s.order = append(s.order, b)
+	return true
+}
+
+// Has reports membership.
+func (s *blockSet) Has(b addr.Block) bool {
+	_, ok := s.m[b]
+	return ok
+}
+
+// Remove deletes b, reporting whether it was present. Footprints are small,
+// so the O(n) order-slice fix-up is immaterial.
+func (s *blockSet) Remove(b addr.Block) bool {
+	if _, ok := s.m[b]; !ok {
+		return false
+	}
+	delete(s.m, b)
+	for i, x := range s.order {
+		if x == b {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+	return true
+}
+
+// Len returns the set size.
+func (s *blockSet) Len() int { return len(s.order) }
+
+// Range calls fn for each block in insertion order.
+func (s *blockSet) Range(fn func(b addr.Block)) {
+	for _, b := range s.order {
+		fn(b)
+	}
+}
+
+// Reset clears the set, retaining capacity.
+func (s *blockSet) Reset() {
+	for _, b := range s.order {
+		delete(s.m, b)
+	}
+	s.order = s.order[:0]
+}
+
+func TestWriteLogBasics(t *testing.T) {
+	l := newWriteLog()
+	l.Set(3, 30)
+	l.Set(1, 10)
+	l.Set(3, 33) // overwrite keeps first-write order
+	if l.Len() != 2 {
+		t.Fatalf("Len = %d", l.Len())
+	}
+	if v, ok := l.Get(3); !ok || v != 33 {
+		t.Fatalf("Get(3) = %v, %v", v, ok)
+	}
+	if _, ok := l.Get(99); ok {
+		t.Fatal("Get(99) found a value")
+	}
+	var order []uint64
+	l.Range(func(w, v uint64) { order = append(order, w) })
+	if len(order) != 2 || order[0] != 3 || order[1] != 1 {
+		t.Fatalf("Range order = %v, want [3 1]", order)
+	}
+}
+
+func TestWriteLogReset(t *testing.T) {
+	l := newWriteLog()
+	l.Set(1, 1)
+	l.Set(2, 2)
+	l.Reset()
+	if l.Len() != 0 {
+		t.Fatalf("Len after reset = %d", l.Len())
+	}
+	if _, ok := l.Get(1); ok {
+		t.Fatal("stale value after reset")
+	}
+	l.Set(1, 7)
+	if v, _ := l.Get(1); v != 7 {
+		t.Fatal("reuse after reset broken")
+	}
+}
+
+func TestWriteLogMatchesMapModel(t *testing.T) {
+	check := func(seed uint64) bool {
+		r := xrand.New(seed)
+		l := newWriteLog()
+		model := make(map[uint64]uint64)
+		for i := 0; i < 200; i++ {
+			w := r.Uint64n(32)
+			v := r.Uint64()
+			l.Set(w, v)
+			model[w] = v
+		}
+		if l.Len() != len(model) {
+			return false
+		}
+		for w, v := range model {
+			got, ok := l.Get(w)
+			if !ok || got != v {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBlockSet(t *testing.T) {
+	s := newBlockSet()
+	if !s.Add(5) || s.Add(5) {
+		t.Fatal("Add newness reporting wrong")
+	}
+	s.Add(7)
+	if !s.Has(5) || !s.Has(7) || s.Has(6) {
+		t.Fatal("membership wrong")
+	}
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d", s.Len())
+	}
+	var got []addr.Block
+	s.Range(func(b addr.Block) { got = append(got, b) })
+	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
+		t.Fatalf("Range = %v", got)
+	}
+	s.Reset()
+	if s.Len() != 0 || s.Has(5) {
+		t.Fatal("reset incomplete")
+	}
+}
+
 // oldModel is the pre-unification per-thread log: the exact Tx.Read/Write/
-// ReadBlock/WriteBlock/commit/rollback logic over BlockSet+WriteLog+
+// ReadBlock/WriteBlock/commit/rollback logic over blockSet+writeLog+
 // Footprint, kept as the executable specification.
 type oldModel struct {
 	tab      *recTable
 	fp       *otable.Footprint
-	reads    *txn.BlockSet
-	writes   *txn.BlockSet
-	redo     *txn.WriteLog
+	reads    *blockSet
+	writes   *blockSet
+	redo     *writeLog
 	mem      []uint64
 	wordGran bool
 }
@@ -118,9 +278,9 @@ func newOldModel(tab *recTable, id otable.TxID, words int, wordGran bool) *oldMo
 	return &oldModel{
 		tab:      tab,
 		fp:       otable.NewFootprint(tab, id),
-		reads:    txn.NewBlockSet(),
-		writes:   txn.NewBlockSet(),
-		redo:     txn.NewWriteLog(),
+		reads:    newBlockSet(),
+		writes:   newBlockSet(),
+		redo:     newWriteLog(),
 		mem:      make([]uint64, words),
 		wordGran: wordGran,
 	}
@@ -206,7 +366,7 @@ func TestUnifiedLogMatchesOldTripleOracle(t *testing.T) {
 			name := fmt.Sprintf("%s/%s", kind, gran)
 			t.Run(name, func(t *testing.T) {
 				for seed := uint64(1); seed <= seeds; seed++ {
-					runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, "backoff", false)
+					runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, "backoff")
 				}
 			})
 		}
@@ -214,11 +374,10 @@ func TestUnifiedLogMatchesOldTripleOracle(t *testing.T) {
 }
 
 // TestUnifiedLogOracleAcrossCMPolicies repeats the oracle sweep for every
-// contention-management policy, over handle-forwarding recording tables so
-// the runtime takes its release-by-handle path. A policy (or the handle
-// path) that changed the table-op sequence, any read value, a footprint, or
-// final memory would diverge from the model here — proving CM choice only
-// ever reschedules retries and never changes serialization.
+// contention-management policy. A policy that changed the table-op sequence,
+// any read value, a footprint, or final memory would diverge from the model
+// here — proving CM choice only ever reschedules retries and never changes
+// serialization.
 func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 	const (
 		words   = 64
@@ -232,7 +391,7 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/%s", kind, gran, policy)
 				t.Run(name, func(t *testing.T) {
 					for seed := uint64(1); seed <= seeds; seed++ {
-						runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, policy, true)
+						runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, policy)
 					}
 				})
 			}
@@ -240,25 +399,16 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 	}
 }
 
-func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int, entries uint64, txns int, seed uint64, policy string, handles bool) {
+func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int, entries uint64, txns int, seed uint64, policy string) {
 	t.Helper()
-	newInner := func() otable.Table {
+	newRec := func() *recTable {
 		tab, err := otable.New(kind, hash.NewMask(entries))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tab
+		return &recTable{Table: tab}
 	}
-	var realTab otable.Table
-	var realRec *recTable
-	if handles {
-		h := &recTableH{recTable{inner: newInner()}}
-		realTab, realRec = h, &h.recTable
-	} else {
-		r := &recTable{inner: newInner()}
-		realTab, realRec = r, r
-	}
-	modelTab := &recTable{inner: newInner()}
+	realTab, modelTab := newRec(), newRec()
 	mem := NewMemory(words)
 	rt, err := New(Config{Table: realTab, Memory: mem, Granularity: gran, Seed: seed, CM: policy})
 	if err != nil {
@@ -331,17 +481,17 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 		}
 
 		// Ownership traffic must be operation-for-operation identical.
-		if len(realRec.log) != len(modelTab.log) {
+		if len(realTab.log) != len(modelTab.log) {
 			t.Fatalf("%s seed=%d txn=%d: table op counts diverge: real %d vs model %d\nreal: %v\nmodel: %v",
-				kind, seed, tn, len(realRec.log), len(modelTab.log), realRec.log, modelTab.log)
+				kind, seed, tn, len(realTab.log), len(modelTab.log), realTab.log, modelTab.log)
 		}
-		for i := range realRec.log {
-			if realRec.log[i] != modelTab.log[i] {
+		for i := range realTab.log {
+			if realTab.log[i] != modelTab.log[i] {
 				t.Fatalf("%s seed=%d txn=%d: table op %d diverges: real %q vs model %q",
-					kind, seed, tn, i, realRec.log[i], modelTab.log[i])
+					kind, seed, tn, i, realTab.log[i], modelTab.log[i])
 			}
 		}
-		realRec.log, modelTab.log = realRec.log[:0], modelTab.log[:0]
+		realTab.log, modelTab.log = realTab.log[:0], modelTab.log[:0]
 	}
 
 	// Final memory identical; both tables drained.

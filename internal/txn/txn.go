@@ -9,11 +9,7 @@
 // execution allocates nothing on the fast path.
 package txn
 
-import (
-	"fmt"
-
-	"tmbp/internal/addr"
-)
+import "fmt"
 
 // Status is the transaction state recorded in the log.
 type Status uint32
@@ -40,119 +36,6 @@ func (s Status) String() string {
 	default:
 		return fmt.Sprintf("Status(%d)", uint32(s))
 	}
-}
-
-// WriteLog is a redo log: the speculative value of every word written by
-// the transaction, applied to memory only at commit. Insertion order is
-// preserved so write-back is deterministic.
-//
-// WriteLog and BlockSet are the original map-backed log structures. The STM
-// hot path no longer uses them — the unified AccessSet subsumes both with a
-// single probe — but they remain as the executable specification the
-// AccessSet is oracle-tested against, and as convenient general-purpose
-// structures for simulators.
-type WriteLog struct {
-	vals  map[uint64]uint64 // word index -> speculative value
-	order []uint64          // word indices in first-write order
-}
-
-// NewWriteLog returns an empty redo log.
-func NewWriteLog() *WriteLog {
-	return &WriteLog{vals: make(map[uint64]uint64)}
-}
-
-// Set records the speculative value for a word, overwriting any prior value.
-func (l *WriteLog) Set(word uint64, val uint64) {
-	if _, ok := l.vals[word]; !ok {
-		l.order = append(l.order, word)
-	}
-	l.vals[word] = val
-}
-
-// Get returns the speculative value for a word, if one was written.
-func (l *WriteLog) Get(word uint64) (uint64, bool) {
-	v, ok := l.vals[word]
-	return v, ok
-}
-
-// Len returns the number of distinct words written.
-func (l *WriteLog) Len() int { return len(l.order) }
-
-// Range calls fn for every (word, value) pair in first-write order.
-func (l *WriteLog) Range(fn func(word uint64, val uint64)) {
-	for _, w := range l.order {
-		fn(w, l.vals[w])
-	}
-}
-
-// Reset clears the log, retaining capacity.
-func (l *WriteLog) Reset() {
-	for _, w := range l.order {
-		delete(l.vals, w)
-	}
-	l.order = l.order[:0]
-}
-
-// BlockSet is an insertion-ordered set of cache blocks: the read or write
-// footprint of a transaction at ownership granularity.
-type BlockSet struct {
-	m     map[addr.Block]struct{}
-	order []addr.Block
-}
-
-// NewBlockSet returns an empty set.
-func NewBlockSet() *BlockSet {
-	return &BlockSet{m: make(map[addr.Block]struct{})}
-}
-
-// Add inserts b, reporting whether it was new.
-func (s *BlockSet) Add(b addr.Block) bool {
-	if _, ok := s.m[b]; ok {
-		return false
-	}
-	s.m[b] = struct{}{}
-	s.order = append(s.order, b)
-	return true
-}
-
-// Has reports membership.
-func (s *BlockSet) Has(b addr.Block) bool {
-	_, ok := s.m[b]
-	return ok
-}
-
-// Remove deletes b, reporting whether it was present. Footprints are small,
-// so the O(n) order-slice fix-up is immaterial.
-func (s *BlockSet) Remove(b addr.Block) bool {
-	if _, ok := s.m[b]; !ok {
-		return false
-	}
-	delete(s.m, b)
-	for i, x := range s.order {
-		if x == b {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Len returns the set size.
-func (s *BlockSet) Len() int { return len(s.order) }
-
-// Range calls fn for each block in insertion order.
-func (s *BlockSet) Range(fn func(b addr.Block)) {
-	for _, b := range s.order {
-		fn(b)
-	}
-}
-
-// Reset clears the set, retaining capacity.
-func (s *BlockSet) Reset() {
-	for _, b := range s.order {
-		delete(s.m, b)
-	}
-	s.order = s.order[:0]
 }
 
 // Desc is the complete per-transaction log: status, attempt counter, and

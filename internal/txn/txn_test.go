@@ -1,100 +1,6 @@
 package txn
 
-import (
-	"testing"
-	"testing/quick"
-
-	"tmbp/internal/addr"
-	"tmbp/internal/xrand"
-)
-
-func TestWriteLogBasics(t *testing.T) {
-	l := NewWriteLog()
-	l.Set(3, 30)
-	l.Set(1, 10)
-	l.Set(3, 33) // overwrite keeps first-write order
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	if v, ok := l.Get(3); !ok || v != 33 {
-		t.Fatalf("Get(3) = %v, %v", v, ok)
-	}
-	if _, ok := l.Get(99); ok {
-		t.Fatal("Get(99) found a value")
-	}
-	var order []uint64
-	l.Range(func(w, v uint64) { order = append(order, w) })
-	if len(order) != 2 || order[0] != 3 || order[1] != 1 {
-		t.Fatalf("Range order = %v, want [3 1]", order)
-	}
-}
-
-func TestWriteLogReset(t *testing.T) {
-	l := NewWriteLog()
-	l.Set(1, 1)
-	l.Set(2, 2)
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatalf("Len after reset = %d", l.Len())
-	}
-	if _, ok := l.Get(1); ok {
-		t.Fatal("stale value after reset")
-	}
-	l.Set(1, 7)
-	if v, _ := l.Get(1); v != 7 {
-		t.Fatal("reuse after reset broken")
-	}
-}
-
-func TestWriteLogMatchesMapModel(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := xrand.New(seed)
-		l := NewWriteLog()
-		model := make(map[uint64]uint64)
-		for i := 0; i < 200; i++ {
-			w := r.Uint64n(32)
-			v := r.Uint64()
-			l.Set(w, v)
-			model[w] = v
-		}
-		if l.Len() != len(model) {
-			return false
-		}
-		for w, v := range model {
-			got, ok := l.Get(w)
-			if !ok || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockSet(t *testing.T) {
-	s := NewBlockSet()
-	if !s.Add(5) || s.Add(5) {
-		t.Fatal("Add newness reporting wrong")
-	}
-	s.Add(7)
-	if !s.Has(5) || !s.Has(7) || s.Has(6) {
-		t.Fatal("membership wrong")
-	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	var got []addr.Block
-	s.Range(func(b addr.Block) { got = append(got, b) })
-	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
-		t.Fatalf("Range = %v", got)
-	}
-	s.Reset()
-	if s.Len() != 0 || s.Has(5) {
-		t.Fatal("reset incomplete")
-	}
-}
+import "testing"
 
 func TestDescLifecycle(t *testing.T) {
 	d := NewDesc()
