@@ -1,0 +1,272 @@
+package stm
+
+import (
+	"tmbp/internal/addr"
+	"tmbp/internal/opacity"
+	"tmbp/internal/otable"
+	"tmbp/internal/txn"
+)
+
+// Tx is the handle user code receives inside Atomic. It is valid only for
+// the duration of the enclosing attempt. One Tx is embedded in each Thread
+// and reused across attempts, so beginning a transaction allocates nothing.
+type Tx struct {
+	th *Thread
+}
+
+// blockWordShift converts a word index to its block number; blockWordMask
+// extracts the word-in-block offset.
+const (
+	blockWordShift = addr.BlockShift - addr.WordShift
+	blockWordMask  = 1<<blockWordShift - 1
+)
+
+// locate maps address a to its memory word, ownership chunk, and
+// word-in-chunk offset under the runtime's granularity. At word granularity
+// the chunk is the word itself and the offset is always zero.
+func (th *Thread) locate(a addr.Addr) (word uint64, chunk addr.Block, widx uint64) {
+	word = th.mem.index(a)
+	if th.wordGran {
+		return word, addr.Block(word), 0
+	}
+	return word, addr.Block(word >> blockWordShift), word & blockWordMask
+}
+
+// Read returns the word at address a as of the transaction's serialization
+// point, acquiring read ownership of a's chunk. On conflict the attempt is
+// rolled back and retried; user code simply never continues past the Read.
+//
+// The hit path is a single access-set probe: one entry answers membership,
+// permission coverage, and read-own-writes at once.
+func (tx *Tx) Read(a addr.Addr) uint64 {
+	th := tx.th
+	th.fuzz()
+	word, chunk, widx := th.locate(a)
+	var v uint64
+	if e := th.desc.Set.Lookup(chunk); e != nil {
+		// Read-own-writes: the inline redo value wins over memory. Any
+		// existing entry holds at least read permission, so memory is
+		// directly readable otherwise — except on the invisible path, where
+		// nothing is held and a load must be version-validated (or served
+		// from the entry's snapshot cache).
+		if e.WMask&(1<<widx) != 0 {
+			v = e.Vals[widx]
+		} else if th.invisible {
+			v = th.readInvisibleHit(e, word, widx)
+		} else {
+			v = th.mem.words[word].Load()
+		}
+	} else if th.invisible {
+		v = th.readInvisibleMiss(word, chunk, widx)
+	} else {
+		th.acquireReadChunk(chunk, nil)
+		v = th.mem.words[word].Load()
+	}
+	if r := th.rec; r != nil {
+		r.RecordEvent(opacity.Event{Kind: opacity.KindRead,
+			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts), Word: word, Value: v})
+	}
+	return v
+}
+
+// Write records v as the speculative value of the word at a, acquiring
+// write ownership of a's chunk. Memory is unmodified until commit.
+func (tx *Tx) Write(a addr.Addr, v uint64) {
+	th := tx.th
+	th.fuzz()
+	word, chunk, widx := th.locate(a)
+	if th.invisible {
+		th.promote()
+	}
+	e := th.desc.Set.Lookup(chunk)
+	switch {
+	case e == nil:
+		e = th.acquireWriteChunk(chunk)
+	case e.Perm&txn.PermWrite == 0:
+		th.upgradeWriteChunk(e)
+	}
+	e.Word = word - widx
+	e.Vals[widx] = v
+	e.WMask |= 1 << widx
+	if r := th.rec; r != nil {
+		r.RecordEvent(opacity.Event{Kind: opacity.KindWrite,
+			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts), Word: word, Value: v})
+	}
+}
+
+// ReadBlock acquires read ownership of an entire block footprint element
+// without loading a word — used by trace replay where only footprints
+// matter.
+func (tx *Tx) ReadBlock(b addr.Block) {
+	th := tx.th
+	th.fuzz()
+	if th.desc.Set.Lookup(b) != nil {
+		return
+	}
+	if th.invisible {
+		th.readBlockInvisible(b)
+		return
+	}
+	th.acquireReadChunk(b, nil)
+}
+
+// WriteBlock acquires write ownership of a block without logging a word
+// value; the footprint analogue of Write.
+func (tx *Tx) WriteBlock(b addr.Block) {
+	th := tx.th
+	th.fuzz()
+	if th.invisible {
+		th.promote()
+	}
+	e := th.desc.Set.Lookup(b)
+	switch {
+	case e == nil:
+		th.acquireWriteChunk(b)
+	case e.Perm&txn.PermWrite == 0:
+		th.upgradeWriteChunk(e)
+	}
+}
+
+// acquireReadChunk acquires the read share backing chunk's slot, unless an
+// earlier entry already covers the slot, and records the resulting release
+// obligation in the chunk's access-set entry. The acquiring protocol passes
+// e == nil — the chunk has no entry yet, and one is inserted once the acquire
+// has succeeded, so a denied acquire aborts the attempt with no state
+// change; promotion passes the entry the invisible protocol already made.
+func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access {
+	set := &th.desc.Set
+	slot := uint64(chunk)
+	covered := false
+	if !th.slotID {
+		// Non-identity slots (tagless): an earlier entry for an aliasing
+		// chunk may already hold covering permission on the slot — read or
+		// write both cover a read, and no table traffic is needed.
+		slot = th.tab.SlotOf(chunk)
+		covered = set.FindSlotOwner(slot) >= 0
+	}
+	var out otable.Outcome
+	var hnd otable.Handle
+	if !covered {
+		var ci otable.ConflictInfo
+		out, ci, hnd = th.tab.AcquireReadH(th.id, chunk)
+		if out.Conflict() {
+			th.conflict(ci)
+		}
+	}
+	if e == nil {
+		e = set.Insert(chunk)
+		e.Perm = txn.PermRead
+	}
+	e.Slot = slot
+	if !covered && out == otable.Granted {
+		// Granted created a release obligation; AlreadyHeld (covering
+		// exclusive permission the table attributes to us) did not.
+		e.Perm |= txn.SlotRead
+		e.Hnd = uint64(hnd)
+		if !th.slotID {
+			set.RecordSlotOwner(e)
+		}
+	}
+	return e
+}
+
+// acquireWriteChunk acquires write permission for a chunk with no
+// access-set entry yet, inserts the entry, and returns it.
+func (th *Thread) acquireWriteChunk(chunk addr.Block) *txn.Access {
+	set := &th.desc.Set
+	slot := uint64(chunk)
+	if !th.slotID {
+		slot = th.tab.SlotOf(chunk)
+		if oi := set.FindSlotOwner(slot); oi >= 0 {
+			if owner := set.At(oi); owner.Perm&txn.SlotWrite == 0 {
+				// The slot is held with our read share: a private upgrade.
+				// The owner entry's handle names the same slot, so it
+				// survives the upgrade unchanged.
+				out, ci, _ := th.tab.AcquireWriteH(th.id, chunk, 1, otable.Handle(owner.Hnd))
+				if out.Conflict() {
+					th.conflict(ci)
+				}
+				owner.Perm = owner.Perm&^txn.SlotRead | txn.SlotWrite
+				owner.Rel = chunk
+			}
+			e := set.Insert(chunk)
+			e.Slot = slot
+			e.Perm = txn.PermWrite
+			return e
+		}
+	}
+	out, ci, hnd := th.tab.AcquireWriteH(th.id, chunk, 0, otable.NoHandle)
+	if out.Conflict() {
+		th.conflict(ci)
+	}
+	e := set.Insert(chunk)
+	e.Slot = slot
+	e.Perm = txn.PermWrite
+	if out == otable.Granted {
+		e.Perm |= txn.SlotWrite
+		e.Hnd = uint64(hnd)
+		if !th.slotID {
+			set.RecordSlotOwner(e)
+		}
+	}
+	return e
+}
+
+// upgradeWriteChunk promotes an existing read-only entry to write
+// permission, upgrading the slot's ownership when this transaction holds
+// its read share. On conflict (foreign readers or writer) the attempt
+// aborts with the entry unchanged, so rollback still releases the held
+// share.
+func (th *Thread) upgradeWriteChunk(e *txn.Access) {
+	if th.slotID {
+		held := uint32(0)
+		h := otable.NoHandle
+		if e.Perm&txn.SlotRead != 0 {
+			held = 1
+			h = otable.Handle(e.Hnd)
+		}
+		out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, held, h)
+		if out.Conflict() {
+			th.conflict(ci)
+		}
+		e.Perm = e.Perm&^txn.SlotRead | txn.PermWrite
+		if out != otable.AlreadyHeld {
+			e.Perm |= txn.SlotWrite
+			e.Hnd = uint64(hnd)
+		}
+		return
+	}
+	set := &th.desc.Set
+	if oi := set.FindSlotOwner(e.Slot); oi >= 0 {
+		owner := set.At(oi)
+		if owner.Perm&txn.SlotWrite == 0 {
+			out, ci, _ := th.tab.AcquireWriteH(th.id, e.Chunk, 1, otable.Handle(owner.Hnd))
+			if out.Conflict() {
+				th.conflict(ci)
+			}
+			// The obligation stays with the first-touch owner entry so
+			// release order matches first-acquire order; the representative
+			// block follows the upgrade as in the footprint design.
+			owner.Perm = owner.Perm&^txn.SlotRead | txn.SlotWrite
+			owner.Rel = e.Chunk
+		}
+		e.Perm |= txn.PermWrite
+		return
+	}
+	// No owner on record: covering permission was attributed to us by the
+	// table without an obligation; acquire directly.
+	out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
+	if out.Conflict() {
+		th.conflict(ci)
+	}
+	e.Perm |= txn.PermWrite
+	if out == otable.Granted {
+		e.Perm |= txn.SlotWrite
+		e.Hnd = uint64(hnd)
+		set.RecordSlotOwner(e)
+	}
+}
+
+// FootprintBlocks returns the number of distinct chunks the transaction has
+// accessed so far.
+func (tx *Tx) FootprintBlocks() int { return tx.th.desc.FootprintBlocks() }

@@ -1,0 +1,301 @@
+package stm
+
+import (
+	"context"
+	"math/bits"
+	"runtime"
+
+	"tmbp/internal/opacity"
+	"tmbp/internal/otable"
+	"tmbp/internal/txn"
+)
+
+// conflictSignal is panicked internally on ownership conflicts and caught
+// in Atomic; user code never observes it. A single preallocated sentinel is
+// thrown so even the abort path stays allocation-free.
+type conflictSignal struct{}
+
+var conflictSentinel = &conflictSignal{}
+
+// conflict aborts the current attempt, recording the denying opponent for
+// the contention manager's Aborted callback.
+func (th *Thread) conflict(ci otable.ConflictInfo) {
+	th.opp = ci
+	panic(conflictSentinel)
+}
+
+// fuzz yields the processor with the configured probability; see
+// Config.FuzzYield.
+func (th *Thread) fuzz() {
+	if p := th.rt.cfg.FuzzYield; p > 0 && th.rng.Float64() < p {
+		runtime.Gosched()
+	}
+}
+
+// Atomic runs fn as a transaction, retrying on conflicts until it commits,
+// fn returns an error, or the attempt budget is exhausted. How the thread
+// waits between retries is the contention manager's decision (Config.CM).
+// A non-nil error from fn aborts the transaction and is returned unchanged;
+// memory is untouched in that case. Runtime failures (the MaxAttempts
+// budget) are reported as a *AbortError wrapping ErrTooManyAttempts.
+//
+// Atomic must not be called from inside a running transaction's function on
+// the same Thread: the nested call fails with ErrNestedAtomic, leaving the
+// enclosing transaction intact.
+func (th *Thread) Atomic(fn func(tx *Tx) error) error {
+	return th.atomic(nil, fn)
+}
+
+// AtomicCtx is Atomic bounded by a context: cancellation and deadline are
+// honored between attempts and inside every built-in contention-management
+// wait (including the opponent-completion waits of the timestamp policy and
+// the serial-fallback gate), so a blocked retry loop unwinds within a
+// scheduler yield of the context ending. The attempt that was in flight
+// when cancellation is detected has already rolled back — its ownership
+// records are released and its Abort is recorded for opacity — and the
+// returned *AbortError wraps ctx.Err() with the attempt count and the last
+// denying opponent.
+//
+// Cancellation never races a commit's outcome: the context is only
+// consulted before starting an attempt, so once an attempt reaches its
+// commit point the transaction reports success even if the context was
+// cancelled while committing. A nil ctx behaves exactly like Atomic.
+func (th *Thread) AtomicCtx(ctx context.Context, fn func(tx *Tx) error) error {
+	return th.atomic(ctx, fn)
+}
+
+// atomic is the shared retry loop behind Atomic and AtomicCtx.
+func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
+	if th.active {
+		return ErrNestedAtomic
+	}
+	th.active = true
+	th.ctx = ctx
+	serial := false
+	defer func() {
+		// The deferred form keeps the guard and gate consistent on every
+		// exit, including a propagating user panic.
+		if serial {
+			th.rt.serialRelease()
+		}
+		th.streak = 0
+		th.roStreak = 0
+		th.active = false
+		th.ctx = nil
+	}()
+	th.desc.StartTransaction()
+	th.opp = otable.NoConflict
+	for {
+		if ctx != nil && ctx.Err() != nil {
+			// Between attempts: the previous attempt (if any) has rolled
+			// back and released its records. Give the CM its completion
+			// callback so per-transaction state (stamps, karma) resets.
+			if th.desc.Attempts > 0 {
+				th.cm.Committed(th.lastFP)
+			}
+			return th.abortError(ctx.Err())
+		}
+		if th.fb > 0 {
+			if !serial {
+				if th.desc.Attempts >= th.fb {
+					// FallbackAfter consecutive aborts: stop being
+					// optimistic. Take the serial token and run with the
+					// runtime drained.
+					if err := th.rt.serialAcquire(th); err != nil {
+						th.cm.Committed(th.lastFP)
+						return th.abortError(err)
+					}
+					serial = true
+				} else if err := th.rt.serialWait(th); err != nil {
+					// Another thread holds (or is queued for) the token:
+					// park this optimistic attempt until the gate is free.
+					if th.desc.Attempts > 0 {
+						th.cm.Committed(th.lastFP)
+					}
+					return th.abortError(err)
+				}
+			}
+			// Counted on serial attempts too (their commit/rollback bumps
+			// finished), keeping started == finished at quiescence — the
+			// condition every future drain waits for.
+			th.ctr.started.Add(1)
+		}
+		th.desc.Begin()
+		if th.invis {
+			// Serial attempts run with the runtime drained — acquiring is
+			// uncontended and validation could only lose to the very writers
+			// the fallback gate parked, so they skip the fast path.
+			th.invisible = !serial && th.roStreak < th.roLimit
+			th.rv = th.rt.epoch.Load()
+		}
+		if r := th.rec; r != nil {
+			// Recorded before the attempt's first acquire: the Begin index
+			// precedes every memory effect of the attempt.
+			r.RecordEvent(opacity.Event{Kind: opacity.KindBegin,
+				Thread: uint32(th.id), Attempt: int32(th.desc.Attempts)})
+		}
+		err, conflicted := th.attempt(fn)
+		if !conflicted {
+			th.cm.Committed(th.lastFP)
+			if err != nil {
+				return err // user abort
+			}
+			if serial {
+				th.ctr.fbCommits.Add(1)
+			}
+			return nil // committed
+		}
+		th.ctr.aborts.Add(1)
+		if th.roAbort {
+			th.roAbort = false
+			th.roStreak++
+			th.ctr.roValAborts.Add(1)
+		}
+		th.streak++
+		if uint64(th.streak) > th.ctr.maxStreak.Load() {
+			th.ctr.maxStreak.Store(uint64(th.streak))
+		}
+		if th.rt.cfg.MaxAttempts > 0 && th.desc.Attempts >= th.rt.cfg.MaxAttempts {
+			th.desc.Status = txn.Aborted
+			th.cm.Committed(th.lastFP)
+			return th.abortError(ErrTooManyAttempts)
+		}
+		th.cm.Aborted(th.desc.Attempts, th.lastFP, th.opp)
+	}
+}
+
+// cancelled reports whether the in-flight AtomicCtx context has ended; it
+// is the poll every waiter loop makes. Plain Atomic never cancels.
+func (th *Thread) cancelled() bool {
+	ctx := th.ctx
+	return ctx != nil && ctx.Err() != nil
+}
+
+// Cancelled reports whether the context of the thread's in-flight AtomicCtx
+// call has been cancelled or has expired. It is intended for custom CM
+// policies (Config.NewCM): a policy that waits should poll Cancelled and
+// return early when it reports true, exactly as the built-in policies do —
+// otherwise cancellation is honored only between attempts.
+func (th *Thread) Cancelled() bool { return th.cancelled() }
+
+// attempt runs fn once. It reports the user error (nil on commit) and
+// whether the attempt was killed by an ownership conflict.
+func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != any(conflictSentinel) {
+				th.rollback()
+				// A user panic terminates the transaction: give the CM its
+				// completion callback (resetting karma/abort-rate state)
+				// before propagating, as for any other completion.
+				th.cm.Committed(th.lastFP)
+				panic(r) // user panic: release ownership, propagate
+			}
+			th.rollback()
+			conflicted = true
+		}
+	}()
+	if err := fn(&th.tx); err != nil {
+		th.rollback()
+		return err, false
+	}
+	if th.invisible {
+		th.validateReadSet()
+	}
+	th.commit()
+	return nil, false
+}
+
+// commit makes the transaction's writes visible and releases ownership:
+// write-back happens strictly before release, so any transaction that later
+// acquires a written block observes the committed values. Both phases are
+// single walks of the dense access array in first-access order.
+func (th *Thread) commit() {
+	th.desc.Status = txn.Committed
+	set := &th.desc.Set
+	words := th.mem.words
+	for i, n := 0, set.Len(); i < n; i++ {
+		e := set.At(i)
+		for m := e.WMask; m != 0; m &= m - 1 {
+			w := uint64(bits.TrailingZeros8(m))
+			words[e.Word+w].Store(e.Vals[w])
+		}
+	}
+	th.releaseAll(true)
+	if th.fb > 0 {
+		// Release precedes finished: when the serial drain observes
+		// started == finished, every record this attempt held is free.
+		th.ctr.finished.Add(1)
+	}
+	th.ctr.commits.Add(1)
+	if th.invisible {
+		// Still on the fast path at commit: the transaction read its whole
+		// footprint without a single table acquire.
+		th.ctr.roCommits.Add(1)
+	}
+	if r := th.rec; r != nil {
+		// Recorded after write-back (and release): the Commit index
+		// follows every memory effect of the attempt, so the recorded
+		// [Begin, Commit] interval brackets the linearization point.
+		r.RecordEvent(opacity.Event{Kind: opacity.KindCommit,
+			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts)})
+	}
+}
+
+// rollback discards speculative state and releases ownership.
+func (th *Thread) rollback() {
+	th.desc.Status = txn.Aborted
+	th.releaseAll(false)
+	if th.fb > 0 {
+		// Counted on every attempt-ending path — conflict, user error,
+		// user panic — so the serial drain never waits on a dead attempt.
+		th.ctr.finished.Add(1)
+	}
+	if r := th.rec; r != nil {
+		// Every rollback — conflict, user error, or user panic — closes
+		// the recorded attempt, so traces stay quiescent.
+		r.RecordEvent(opacity.Event{Kind: opacity.KindAbort,
+			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts)})
+	}
+}
+
+// releaseAll returns every held slot to the table in first-access order —
+// the obligation-carrying entries of the access set — and retires the set.
+// Each release is one generation-validated state CAS on the record the
+// entry's handle names: the table is never re-walked on the commit or abort
+// path.
+//
+// When invisible readers are enabled and the walk is a committing one, the
+// first write release draws one stamp from the epoch clock and every write
+// release publishes it to its slot's version cell (strictly before ownership
+// drops, see otable.Table.ReleaseWriteV). The epoch is drawn lazily so
+// read-only commits — which hold no write slots — never advance it, keeping
+// the epoch==rv commit shortcut of concurrent invisible readers valid.
+// Aborting walks publish nothing: memory was never mutated, so the old
+// stamps still describe it.
+func (th *Thread) releaseAll(committed bool) {
+	set := &th.desc.Set
+	n := set.Len()
+	th.lastFP = n
+	publish := committed && th.invis
+	var stamp uint64
+	for i := 0; i < n; i++ {
+		e := set.At(i)
+		if e.Perm&txn.SlotWrite != 0 {
+			if publish {
+				if stamp == 0 {
+					stamp = th.rt.epoch.Add(1)
+				}
+				th.tab.ReleaseWriteV(th.id, e.Rel, otable.Handle(e.Hnd), stamp)
+			} else {
+				th.tab.ReleaseWriteH(th.id, e.Rel, otable.Handle(e.Hnd))
+			}
+		} else if e.Perm&txn.SlotRead != 0 {
+			th.tab.ReleaseReadH(th.id, e.Rel, otable.Handle(e.Hnd))
+		}
+	}
+	set.Reset()
+}
+
+// CM returns the thread's contention manager (for statistics and tests).
+func (th *Thread) CM() CM { return th.cm }

@@ -1,0 +1,144 @@
+package stm
+
+import (
+	"tmbp/internal/addr"
+	"tmbp/internal/opacity"
+	"tmbp/internal/otable"
+)
+
+// Recorder receives one opacity.Event per transactional operation: a Begin
+// for every attempt, a Read/Write (with the memory word index and the
+// observed/speculative value) for every Tx.Read/Tx.Write, and a
+// Commit/Abort when the attempt completes. Implementations must be safe
+// for concurrent use by all threads and are expected to assign the global
+// event index (see opacity.Log, the standard implementation). The runtime
+// orders the calls so the recorded history brackets the real memory
+// effects: Begin is recorded before the attempt's first acquire, and
+// Commit/Abort after write-back and release — which is exactly the
+// real-time contract the offline opacity checker relies on.
+//
+// Footprint-only accesses (Tx.ReadBlock/Tx.WriteBlock) and
+// non-transactional probes (LoadNT/StoreNT) are not recorded: they carry
+// no values, so they have no place in a value-based opacity history.
+//
+// A nil Recorder (the default, and the only configuration benchmarks and
+// production runs should use) costs one predictable branch per operation
+// and zero allocations.
+type Recorder interface {
+	RecordEvent(opacity.Event)
+}
+
+// Granularity selects the chunk size at which ownership is tracked
+// (Section 1: "typically either individual words ... or whole cache lines").
+type Granularity int
+
+// Supported ownership granularities.
+const (
+	// BlockGranularity tracks ownership per 64-byte cache block.
+	BlockGranularity Granularity = iota
+	// WordGranularity tracks ownership per 8-byte word.
+	WordGranularity
+)
+
+// chunkOf maps a byte address to its ownership chunk under g.
+func (g Granularity) chunkOf(a addr.Addr) addr.Block {
+	if g == WordGranularity {
+		return addr.Block(uint64(a) >> addr.WordShift)
+	}
+	return addr.BlockOf(a)
+}
+
+// String names the granularity.
+func (g Granularity) String() string {
+	if g == WordGranularity {
+		return "word"
+	}
+	return "block"
+}
+
+// Isolation selects how non-transactional accesses interact with
+// transactions (Section 6).
+type Isolation int
+
+// Isolation levels.
+const (
+	// WeakIsolation: non-transactional accesses bypass the ownership
+	// table entirely. Cheap, but unprotected against racing transactions.
+	WeakIsolation Isolation = iota
+	// StrongIsolation: non-transactional accesses perform ownership-table
+	// lookups too, aborting none but waiting for no one: they acquire and
+	// immediately release a one-block footprint, failing with a conflict
+	// if a transaction holds the block. The paper notes this extra
+	// concurrency makes tagless tables "even more untenable".
+	StrongIsolation
+)
+
+// Config assembles an STM runtime.
+type Config struct {
+	// Table is the shared ownership table. Required.
+	Table otable.Table
+	// Memory is the word store transactions operate on. Required.
+	Memory *Memory
+	// Granularity of ownership tracking; defaults to BlockGranularity.
+	Granularity Granularity
+	// Isolation for non-transactional accesses; defaults to WeakIsolation.
+	Isolation Isolation
+	// InvisibleReaders enables the version-validated read-only fast path:
+	// a transaction that has performed only reads validates each read
+	// against the table's per-cell version stamps (snapshotting the
+	// runtime's epoch clock at begin and revalidating the read set on
+	// epoch advance and at commit) instead of ever acquiring ownership —
+	// so read-only transactions are invisible to the ownership table and
+	// to each other. The transaction falls back transparently to the
+	// acquiring path on its first Write/WriteBlock (promoting its read set
+	// to real read ownership) or after a bounded number of validation
+	// aborts (FallbackAfter when positive, else an internal default).
+	InvisibleReaders bool
+	// MaxAttempts bounds the retries of one transaction (0 = unlimited).
+	MaxAttempts int
+	// BackoffBase is the initial backoff budget after an abort, measured
+	// in scheduler yields; it doubles per consecutive abort up to
+	// BackoffMax. Defaults 4 and 256. Set BackoffBase = -1 to disable
+	// backoff entirely (immediate retry).
+	//
+	// Backoff yields the processor rather than spinning: on machines with
+	// few cores, spinning preserves the exact interleaving that caused the
+	// conflict and deterministic workloads can phase-lock into livelock;
+	// a randomized number of yields reshuffles the schedule.
+	BackoffBase int
+	// BackoffMax caps the backoff yield budget.
+	BackoffMax int
+	// FuzzYield, when positive, makes each transactional operation yield
+	// the processor with the given probability. It perturbs goroutine
+	// scheduling so transactions genuinely interleave — a lightweight
+	// schedule fuzzer for tests and demonstrations on machines with few
+	// cores, where transactions otherwise run to completion within one
+	// scheduler slice and conflicts never materialize. Zero disables it;
+	// it must be < 1.
+	FuzzYield float64
+	// CM selects the contention-management policy by name: "backoff"
+	// (default), "adaptive", "karma", "timestamp", or "switching". See the
+	// CM interface. All policies draw their waiting bounds from
+	// BackoffBase/BackoffMax (BackoffBase = -1 disables all waiting,
+	// including the opponent-completion waits of the opponent-aware
+	// policies).
+	CM string
+	// NewCM, when non-nil, overrides CM with a custom per-thread policy
+	// constructor, called once from NewThread for each thread.
+	NewCM func(th *Thread) CM
+	// FallbackAfter, when positive, bounds how long a transaction stays
+	// optimistic: after that many consecutive conflict aborts the thread
+	// escalates to the runtime-wide serial token — a FIFO ticket that
+	// stops new optimistic attempts, waits for in-flight ones to drain,
+	// and then runs the starved transaction with no optimistic opponents
+	// at all (the HTM-style global-lock fallback). Commits made while
+	// holding the token are counted in Stats.FallbackCommits. Zero (the
+	// default) disables escalation and its per-attempt gate check.
+	FallbackAfter int
+	// Recorder, when non-nil, receives the runtime's transactional history
+	// for offline opacity checking (see the Recorder interface and
+	// `tmbp check`). Nil disables recording at zero cost.
+	Recorder Recorder
+	// Seed makes thread-local randomized backoff reproducible.
+	Seed uint64
+}

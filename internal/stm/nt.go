@@ -1,0 +1,79 @@
+package stm
+
+import (
+	"fmt"
+
+	"tmbp/internal/addr"
+	"tmbp/internal/otable"
+)
+
+// LoadNT performs a non-transactional read of address a according to the
+// runtime's isolation level. Under StrongIsolation it returns an error if a
+// transaction holds the chunk with write permission.
+//
+// Non-transactional accesses touch exactly one table slot and release
+// exactly what they acquired, never the thread's transactional holdings:
+// LoadNT and StoreNT are safe to call from inside Atomic, where an active
+// transaction's footprint must survive them. (An earlier design routed NT
+// probes through the thread's shared footprint and released it wholesale —
+// silently dropping a live transaction's ownership.)
+func (th *Thread) LoadNT(a addr.Addr) (uint64, error) {
+	// Validated before any acquire: a bad address panics holding nothing.
+	w := &th.mem.words[th.mem.index(a)]
+	if th.rt.cfg.Isolation == WeakIsolation {
+		return w.Load(), nil
+	}
+	th.ctr.ntReads.Add(1)
+	chunk := th.rt.cfg.Granularity.chunkOf(a)
+	out, ci, hnd := th.tab.AcquireReadH(th.id, chunk)
+	if out.Conflict() {
+		th.ctr.ntConfl.Add(1)
+		return 0, fmt.Errorf("stm: non-transactional read of %v denied: %v (%v)", a, out, ci)
+	}
+	v := w.Load()
+	if out == otable.Granted {
+		th.tab.ReleaseReadH(th.id, chunk, hnd)
+	}
+	// AlreadyHeld: this thread's own active transaction owns the slot
+	// exclusively; the release obligation stays with the transaction.
+	return v, nil
+}
+
+// StoreNT performs a non-transactional write; under StrongIsolation it is
+// denied while any transaction holds the chunk — including a read share
+// held by this thread's own active transaction, which a non-transactional
+// write may not silently upgrade. If the calling thread's transaction holds
+// the chunk exclusively the store is applied immediately and may later be
+// overwritten by the transaction's own commit write-back. See LoadNT for
+// the one-slot acquire/release discipline.
+func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
+	// Validated before any acquire: a bad address panics holding nothing.
+	w := &th.mem.words[th.mem.index(a)]
+	if th.rt.cfg.Isolation == WeakIsolation {
+		w.Store(v)
+		return nil
+	}
+	th.ctr.ntReads.Add(1)
+	chunk := th.rt.cfg.Granularity.chunkOf(a)
+	out, ci, hnd := th.tab.AcquireWriteH(th.id, chunk, 0, otable.NoHandle)
+	if out.Conflict() {
+		th.ctr.ntConfl.Add(1)
+		return fmt.Errorf("stm: non-transactional write of %v denied: %v (%v)", a, out, ci)
+	}
+	w.Store(v)
+	if out == otable.Granted {
+		if th.invis {
+			th.tab.ReleaseWriteV(th.id, chunk, hnd, th.rt.epoch.Add(1))
+		} else {
+			th.tab.ReleaseWriteH(th.id, chunk, hnd)
+		}
+	} else if th.invis {
+		// AlreadyHeld: the store went through under the calling thread's own
+		// exclusive ownership and survives even if that transaction aborts —
+		// the release obligation stays with the transaction, but memory has
+		// already changed, so the version cell must advance immediately or a
+		// concurrent invisible reader could validate a torn mix.
+		th.tab.StampVersion(chunk, th.rt.epoch.Add(1))
+	}
+	return nil
+}
