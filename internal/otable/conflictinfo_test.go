@@ -1,6 +1,7 @@
 package otable
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -188,6 +189,11 @@ func TestConflictTargetNeverStale(t *testing.T) {
 			var bogus atomic.Int64
 			var conflictsSeen atomic.Int64
 			var wg sync.WaitGroup
+			// Hold the block as writer 1 until a prober has met it, so that
+			// every run verifies a conflict whatever the scheduler does.
+			if out, _ := AcquireWrite(tab, 1, hot, 0); out != Granted {
+				t.Fatalf("initial hold: %v", out)
+			}
 			for w := 0; w < writers; w++ {
 				wg.Add(1)
 				go func(id int) {
@@ -219,6 +225,10 @@ func TestConflictTargetNeverStale(t *testing.T) {
 					}
 				}(p)
 			}
+			for conflictsSeen.Load() == 0 {
+				runtime.Gosched()
+			}
+			ReleaseWrite(tab, 1, hot)
 			wg.Wait()
 			if n := bogus.Load(); n != 0 {
 				t.Fatalf("%d conflicts reported an opponent outside the writer set", n)

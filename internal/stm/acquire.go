@@ -133,7 +133,7 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 // e == nil — the chunk has no entry yet, and one is inserted once the acquire
 // has succeeded, so a denied acquire aborts the attempt with no state
 // change; promotion passes the entry the invisible protocol already made.
-func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access {
+func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) {
 	set := &th.desc.Set
 	slot := uint64(chunk)
 	covered := false
@@ -167,7 +167,6 @@ func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access 
 			set.RecordSlotOwner(e)
 		}
 	}
-	return e
 }
 
 // acquireWriteChunk acquires write permission for a chunk with no

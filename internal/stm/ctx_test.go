@@ -403,3 +403,20 @@ func TestFallbackCancelWhileQueued(t *testing.T) {
 		t.Fatalf("transaction after abandoned ticket: %v", err)
 	}
 }
+
+// TestFallbackDrainSkipsRegistrationHole pins the drain against the board's
+// transient nil holes: a concurrent NewThread that has drawn a higher ID
+// publishes first, leaving the lower slot nil until its owner registers.
+func TestFallbackDrainSkipsRegistrationHole(t *testing.T) {
+	rt, err := New(Config{Table: newDenyTable(t, 0).Table, Memory: NewMemory(64), FallbackAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := rt.NewThread()
+	board := append(append([]*threadCounters(nil), *rt.board.Load()...), nil)
+	rt.board.Store(&board)
+	if err := rt.serialAcquire(th); err != nil {
+		t.Fatal(err)
+	}
+	rt.serialRelease()
+}

@@ -71,7 +71,9 @@ func (rt *Runtime) serialAcquire(th *Thread) error {
 	// their records are released before finished is bumped).
 	board := rt.board.Load()
 	for _, c := range *board {
-		if c == th.ctr {
+		if c == nil || c == th.ctr {
+			// nil: a registration hole (see NewThread). That thread has run
+			// no attempt yet, and its first will park at the gate.
 			continue
 		}
 		for c.started.Load() != c.finished.Load() {
