@@ -1,14 +1,15 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"time"
 
-	"tmbp/internal/hash"
+	"tmbp"
 	"tmbp/internal/otable"
 	"tmbp/internal/report"
 	"tmbp/internal/stm"
@@ -26,125 +27,49 @@ import (
 // the op count (and therefore runtime) an explicit flag, and makes the
 // output format stable for tooling.
 func runBench(fs *flag.FlagSet, args []string) error {
+	var o benchOpts
 	jsonOut := fs.Bool("json", false, "emit JSON instead of an aligned table")
-	entries := fs.Uint64("entries", 4096, "ownership table entries (power of two)")
-	hashName := fs.String("hash", "mask", "address hash: mask | fibonacci | mix")
-	serialOps := fs.Int("serial-ops", 200000, "transactions per serial measurement")
-	contOps := fs.Int("contended-ops", 20000, "transactions per goroutine per contended measurement")
-	seed := fs.Uint64("seed", 1, "random seed")
+	fs.Uint64Var(&o.entries, "entries", 4096, "ownership table entries (power of two)")
+	fs.StringVar(&o.hashName, "hash", "mask", "address hash: mask | fibonacci | mix")
+	fs.IntVar(&o.serialOps, "serial-ops", 200000, "transactions per serial measurement")
+	fs.IntVar(&o.contOps, "contended-ops", 20000, "transactions per goroutine per contended measurement")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	var results []benchResult
-	for _, kind := range otable.Kinds() {
-		r, err := benchSerial("serial", kind, "backoff", *entries, *hashName, *serialOps, *seed)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
-	// Per-policy serial rows: a serial run never aborts, so these measure
-	// the CM plumbing's cost on the conflict-free hot path — the bench-diff
-	// gate then catches any policy whose mere presence slows commits.
-	for _, policy := range stm.CMKinds() {
-		r, err := benchSerial("serial-cm-"+policy, "tagged", policy, *entries, *hashName, *serialOps, *seed)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
-	// Per-policy abort-path rows: serial runs never abort, so the rows
-	// above cannot see what a policy does when it matters. These invoke
-	// Aborted directly with synthetic denials and waiting disabled,
-	// pricing the per-abort decision itself — karma's lock-free published-
-	// account ranking, timestamp's board lookup — in ns/op and allocs/op.
-	for _, policy := range stm.CMKinds() {
-		r, err := benchCMAbort(policy, *serialOps, *seed)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
-	// Read-only rows, acquiring vs invisible: the same 8-read transaction
-	// measured with reads taking table ownership (the default protocol) and
-	// with the invisible-reader fast path validating versions instead. The
-	// pair is the headline number for the invisible-reader work — the diff
-	// gate holds both to zero allocs, and the invisible row is expected to
-	// beat the acquiring one on every table kind.
-	for _, kind := range otable.Kinds() {
-		for _, mode := range []struct {
-			workload  string
-			invisible bool
-		}{{"serial-ro-acquire", false}, {"serial-ro-invisible", true}} {
-			r, err := benchSerialRO(mode.workload, kind, *entries, *hashName, *serialOps, *seed, mode.invisible)
-			if err != nil {
-				return err
+	for _, fam := range benchFamilies {
+		for _, kind := range fam.kinds {
+			for _, row := range fam.rows {
+				r, err := measure(fam, row, kind, o)
+				if err != nil {
+					return err
+				}
+				results = append(results, r)
 			}
-			results = append(results, r)
 		}
-	}
-	// Ordered-map rows: the skiplist's point-operation mix and a
-	// whole-structure range scan. The scan row is the one serial workload
-	// whose access set spills far past the inline region every transaction
-	// (one read per level-0 node), so its allocs/op pins the spill table's
-	// steady-state reuse and its ns/op prices the multi-hundred-block
-	// footprint.
-	for _, kind := range otable.Kinds() {
-		r, err := benchSkiplist("serial-skiplist", kind, *hashName, *entries, *serialOps/4, *seed, false)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-		r, err = benchSkiplist("serial-skiplist-scan", kind, *hashName, *entries, *serialOps/100, *seed, true)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-	}
-	for _, kind := range otable.Kinds() {
-		r, err := benchContended(kind, *hashName, *contOps, *seed)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(benchReport{
-			Schema:     1,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Results:    results,
-		})
+		return emitJSON(jsonReport{Results: results})
 	}
 	t := report.New("STM benchmark suite",
-		"workload", "table", "ns/op", "allocs/op", "B/op", "abort rate")
+		"workload", "table", "ops", "ns/op", "allocs/op", "B/op", "abort rate")
 	for _, r := range results {
 		t.Add(r.Workload+"/"+r.Kind,
 			r.Kind,
+			fmt.Sprintf("%d", r.Ops),
 			report.F1(r.NsPerOp),
 			fmt.Sprintf("%.2f", r.AllocsPerOp),
 			fmt.Sprintf("%.1f", r.BytesPerOp),
 			report.Pct(r.AbortRate))
 	}
-	t.Note("serial: one thread, %d 8-access read-modify-write txns; contended: GOMAXPROCS threads x %d single-word read-modify-write txns on a 256-entry table", *serialOps, *contOps)
-	t.Note("serial-cm-*: the serial workload on the tagged table under each contention-management policy (no aborts occur; this prices the policy plumbing on the hot path)")
-	t.Note("cmabort-*: the policy's Aborted callback invoked directly with synthetic writer/reader denials, waits disabled — the per-abort decision cost (karma ranks over the lock-free board, never a mutex)")
-	t.Note("serial-ro-*: one thread, %d read-only txns of 8 reads over 8 distinct chunks; -acquire takes read ownership per chunk, -invisible validates version stamps and never touches the table", *serialOps)
-	t.Note("serial-skiplist: one thread driving the transactional skiplist's Get/Put/Delete point mix; -scan instead range-scans all 128 entries per txn — a ~130-block footprint that exercises the access set's spill table")
+	for _, fam := range benchFamilies {
+		t.Note("%s", fam.note)
+	}
 	t.Note("allocs/op and B/op are process-wide malloc deltas per transaction; steady state must be 0")
 	return t.Render(os.Stdout)
-}
-
-// benchReport is the JSON envelope of one bench run.
-type benchReport struct {
-	Schema     int           `json:"schema"`
-	GoVersion  string        `json:"go"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Results    []benchResult `json:"results"`
 }
 
 // benchResult is one workload x table measurement.
@@ -160,271 +85,270 @@ type benchResult struct {
 	Aborts      uint64  `json:"aborts"`
 }
 
-// newBenchRuntime assembles a runtime for the bench workloads.
-func newBenchRuntime(kind, hashName, cm string, entries uint64, words int, seed uint64) (*stm.Runtime, error) {
-	h, err := hash.New(hashName, entries)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := otable.New(kind, h)
-	if err != nil {
-		return nil, err
-	}
-	return stm.New(stm.Config{Table: tab, Memory: stm.NewMemory(words), Seed: seed, CM: cm})
+// benchOpts carries the flags every measurement shares.
+type benchOpts struct {
+	entries            uint64
+	hashName           string
+	serialOps, contOps int
+	seed               uint64
 }
 
-// benchSerial measures single-thread transaction latency: the 8-word
-// read-modify-write transaction of the package benchmarks. Allocation is
-// measured as the process-wide malloc delta across the timed region — with
-// a single goroutine this is exact, and in steady state it must be zero.
-func benchSerial(workload, kind, cm string, entries uint64, hashName string, ops int, seed uint64) (benchResult, error) {
-	const words = 1 << 12
-	rt, err := newBenchRuntime(kind, hashName, cm, entries, words, seed)
+// benchWords is the word range the raw-memory workloads walk. Every row
+// gets the same memory, sized for the skiplist rows' structure; the rest of
+// it is simply never touched by the others.
+const (
+	benchWords       = 1 << 12
+	benchSkiplistCap = 512
+)
+
+// benchSetup prepares one row's runtime (threads, structures) and returns
+// the per-iteration op — iteration i of the given worker — plus the number
+// of warm-up iterations per worker that bring it to steady state.
+type benchSetup func(rt *stm.Runtime, workers int, seed uint64) (op func(worker, i int) error, warm int, err error)
+
+// benchRow is one workload of the scoreboard.
+type benchRow struct {
+	workload string
+	cfg      stm.Config // contention policy, read protocol, backoff; measure adds Table, Memory, Seed
+	div      int        // measured ops = -serial-ops / div (0 = 1) ...
+	parallel bool       // ... or, when set, -contended-ops on each of GOMAXPROCS workers
+	setup    benchSetup
+}
+
+// benchFamily is a group of rows swept kind-major (for each kind, every
+// row) with the footnote that explains them in the rendered table.
+type benchFamily struct {
+	kinds   []string // result labels, each also the table organization unless table is set
+	table   string
+	entries uint64 // table entries; 0 = -entries
+	rows    []benchRow
+	note    string
+}
+
+// perPolicy builds one row per built-in contention-management policy.
+func perPolicy(prefix string, cfg stm.Config, setup benchSetup) []benchRow {
+	var rows []benchRow
+	for _, policy := range stm.CMKinds() {
+		cfg.CM = policy
+		rows = append(rows, benchRow{workload: prefix + policy, cfg: cfg, setup: setup})
+	}
+	return rows
+}
+
+// benchFamilies is the scoreboard, in output order. BENCH_baseline.json and
+// the CI gates key on workload/kind, so a new row needs a baseline row.
+var benchFamilies = []benchFamily{
+	{kinds: otable.Kinds(),
+		rows: []benchRow{{workload: "serial", setup: setupRMW}},
+		note: "serial: one thread, 8-word read-modify-write txns"},
+	{kinds: []string{"tagged"},
+		rows: perPolicy("serial-cm-", stm.Config{}, setupRMW),
+		note: "serial-cm-*: the serial workload under each contention-management policy (no aborts occur; this prices the policy plumbing on the hot path, so the bench-diff gate catches a policy whose mere presence slows commits)"},
+	// No transaction runs in these rows, so the table is never touched and
+	// the result is labelled "cm" instead of a table kind.
+	{kinds: []string{"cm"}, table: "tagged",
+		rows: perPolicy("cmabort-", stm.Config{BackoffBase: -1}, setupCMAbort),
+		note: "cmabort-*: the policy's Aborted callback invoked directly with synthetic writer/reader denials, waits disabled — the per-abort decision cost a serial run can never reach (karma ranks over the lock-free board, never a mutex)"},
+	{kinds: otable.Kinds(),
+		rows: []benchRow{
+			{workload: "serial-ro-acquire", setup: setupRO},
+			{workload: "serial-ro-invisible", cfg: stm.Config{InvisibleReaders: true}, setup: setupRO},
+		},
+		note: "serial-ro-*: one thread, read-only txns of 8 reads over 8 distinct chunks; -acquire takes read ownership per chunk (two table CASes), -invisible validates version stamps (two loads) and never touches the table, and is expected to win on every table kind"},
+	{kinds: otable.Kinds(),
+		rows: []benchRow{
+			{workload: "serial-skiplist", div: 4, setup: setupSkiplist(false)},
+			{workload: "serial-skiplist-scan", div: 100, setup: setupSkiplist(true)},
+		},
+		note: "serial-skiplist: one thread driving the transactional skiplist's Get/Put/Delete point mix; -scan instead range-scans all 128 entries per txn — a ~130-block footprint that spills the access set every transaction, so its allocs/op pins the spill table's steady-state reuse"},
+	{kinds: otable.Kinds(), entries: 256,
+		rows: []benchRow{{workload: "contended", parallel: true, setup: setupContended}},
+		note: "contended: GOMAXPROCS threads of single-word read-modify-write txns on a small, heavily aliasing 256-entry table"},
+}
+
+// measure runs one row against one table kind. It is the only measuring
+// loop: it assembles the runtime, warms the op up, brackets the measured
+// iterations with the clock and runtime.MemStats, and reports them with the
+// runtime's commit/abort delta. Allocation is the process-wide malloc delta
+// across the timed region; in steady state it must be zero.
+func measure(fam benchFamily, row benchRow, kind string, o benchOpts) (benchResult, error) {
+	org, entries := kind, o.entries
+	if fam.table != "" {
+		org = fam.table
+	}
+	if fam.entries != 0 {
+		entries = fam.entries
+	}
+	tab, err := tmbp.NewTable(org, entries, o.hashName)
 	if err != nil {
 		return benchResult{}, err
 	}
-	mem := rt.Memory()
-	th := rt.NewThread()
-	txn := func(i int) error {
+	cfg := row.cfg
+	cfg.Table, cfg.Memory, cfg.Seed = tab, stm.NewMemory(tmds.SkiplistWords(benchSkiplistCap)), o.seed
+	rt, err := stm.New(cfg)
+	if err != nil {
+		return benchResult{}, err
+	}
+	workers, ops := 1, o.serialOps/max(row.div, 1)
+	if row.parallel {
+		workers, ops = runtime.GOMAXPROCS(0), o.contOps
+	}
+	op, warm, err := row.setup(rt, workers, o.seed)
+	if err != nil {
+		return benchResult{}, err
+	}
+	// phase runs n iterations on every worker: worker 0 on this goroutine,
+	// the rest on goroutines held at a start barrier. armed is called once
+	// they exist, just before release. Barrier and join spin on atomics
+	// rather than block: a channel or WaitGroup wait takes a sudog, which
+	// the runtime mallocs whenever its per-P cache happens to be empty, and
+	// that malloc would land in the measured delta.
+	phase := func(n int, armed func()) error {
+		errs := make([]error, workers)
+		loop := func(w int) {
+			for i := 0; i < n; i++ {
+				if err := op(w, i); err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}
+		var started atomic.Bool
+		var finished atomic.Int32
+		for w := 1; w < workers; w++ {
+			go func(w int) {
+				for !started.Load() {
+					runtime.Gosched()
+				}
+				loop(w)
+				finished.Add(1)
+			}(w)
+		}
+		armed()
+		started.Store(true)
+		loop(0)
+		for int(finished.Load()) < workers-1 {
+			runtime.Gosched()
+		}
+		return errors.Join(errs...)
+	}
+	if err := phase(warm, func() {}); err != nil {
+		return benchResult{}, err
+	}
+	base := rt.Stats()
+	var before, after runtime.MemStats
+	var t0 time.Time
+	err = phase(ops, func() {
+		runtime.ReadMemStats(&before)
+		t0 = time.Now()
+	})
+	elapsed := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		return benchResult{}, err
+	}
+	st := rt.Stats()
+	delta := stm.Stats{Commits: st.Commits - base.Commits, Aborts: st.Aborts - base.Aborts}
+	total := workers * ops
+	return benchResult{
+		Workload:    row.workload,
+		Kind:        kind,
+		Ops:         total,
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(total),
+		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(total),
+		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(total),
+		AbortRate:   delta.AbortRate(),
+		Commits:     delta.Commits,
+		Aborts:      delta.Aborts,
+	}, nil
+}
+
+// setupRMW is the serial workload: 8-word read-modify-write transactions
+// walking the whole memory. The warm-up establishes access-set capacity and
+// the table's record pools.
+func setupRMW(rt *stm.Runtime, _ int, _ uint64) (func(_, i int) error, int, error) {
+	mem, th := rt.Memory(), rt.NewThread()
+	return func(_, i int) error {
 		return th.Atomic(func(tx *stm.Tx) error {
 			for k := 0; k < 8; k++ {
-				a := mem.WordAddr((i*8 + k) % words)
+				a := mem.WordAddr((i*8 + k) % benchWords)
 				tx.Write(a, tx.Read(a)+1)
 			}
 			return nil
 		})
-	}
-	// Warm up: establish access-set capacity and table record pools.
-	for i := 0; i < 1000; i++ {
-		if err := txn(i); err != nil {
-			return benchResult{}, err
-		}
-	}
-	warm := rt.Stats()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if err := txn(i); err != nil {
-			return benchResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	st := rt.Stats()
-	commits := st.Commits - warm.Commits
-	aborts := st.Aborts - warm.Aborts
-	res := benchResult{
-		Workload:    workload,
-		Kind:        kind,
-		Ops:         ops,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
-		Commits:     commits,
-		Aborts:      aborts,
-	}
-	if commits+aborts > 0 {
-		res.AbortRate = float64(aborts) / float64(commits+aborts)
-	}
-	return res, nil
+	}, 1000, nil
 }
 
-// benchSerialRO measures single-thread read-only transaction latency: 8
-// reads spread across 8 distinct chunks, no writes, so the whole transaction
-// stays on whichever read protocol the runtime is configured with and every
-// read pays the per-chunk protocol cost (reads within an already-read chunk
-// would mostly hit the access set and measure nothing). The acquiring
-// variant pays two table CASes per chunk (acquire + release); the invisible
-// variant pays two version-word loads. Same warm-up and process-wide
-// malloc-delta accounting as benchSerial.
-func benchSerialRO(workload, kind string, entries uint64, hashName string, ops int, seed uint64, invisible bool) (benchResult, error) {
-	const words = 1 << 12
-	h, err := hash.New(hashName, entries)
-	if err != nil {
-		return benchResult{}, err
-	}
-	tab, err := otable.New(kind, h)
-	if err != nil {
-		return benchResult{}, err
-	}
-	rt, err := stm.New(stm.Config{
-		Table:            tab,
-		Memory:           stm.NewMemory(words),
-		Seed:             seed,
-		InvisibleReaders: invisible,
-	})
-	if err != nil {
-		return benchResult{}, err
-	}
-	mem := rt.Memory()
-	th := rt.NewThread()
-	var sink uint64
-	txn := func(i int) error {
+// setupRO is the read-only workload. Each of the 8 reads lands in its own
+// chunk — reads within an already-read chunk would mostly hit the access
+// set and measure nothing — and i walks the whole space, so the warm-up
+// touches every table slot.
+func setupRO(rt *stm.Runtime, _ int, _ uint64) (func(_, i int) error, int, error) {
+	mem, th := rt.Memory(), rt.NewThread()
+	return func(_, i int) error {
 		return th.Atomic(func(tx *stm.Tx) error {
-			var s uint64
 			for k := 0; k < 8; k++ {
-				// k*(words/8) lands each read in its own chunk; i walks the
-				// whole space so the warm-up touches every table slot.
-				s += tx.Read(mem.WordAddr((i + k*(words/8)) % words))
+				tx.Read(mem.WordAddr((i + k*(benchWords/8)) % benchWords))
 			}
-			sink = s
 			return nil
 		})
-	}
-	for i := 0; i < 1000; i++ {
-		if err := txn(i); err != nil {
-			return benchResult{}, err
-		}
-	}
-	warm := rt.Stats()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if err := txn(i); err != nil {
-			return benchResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	_ = sink
-	st := rt.Stats()
-	commits := st.Commits - warm.Commits
-	aborts := st.Aborts - warm.Aborts
-	res := benchResult{
-		Workload:    workload,
-		Kind:        kind,
-		Ops:         ops,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
-		Commits:     commits,
-		Aborts:      aborts,
-	}
-	if commits+aborts > 0 {
-		res.AbortRate = float64(aborts) / float64(commits+aborts)
-	}
-	return res, nil
+	}, 1000, nil
 }
 
-// benchScanSink is the skiplist scan row's observation callback: a
-// package-level func so the measured loop carries no closure.
-func benchScanSink(_, _ uint64) error { return nil }
-
-// benchSkiplist measures the transactional skiplist through the public
-// facade — the same code path tmds users take. A half-full 512-slot
-// skiplist (even keys of [0, 256)) serves either a point-operation mix
-// (Get-heavy with occasional Put/Delete, scan=false) or a whole-structure
-// range scan per transaction (scan=true). Warm-up grows the thread's access
-// set to the scan footprint, so the measured region must allocate nothing.
-func benchSkiplist(workload, kind, hashName string, entries uint64, ops int, seed uint64, scan bool) (benchResult, error) {
-	const capacity = 512
-	rt, err := newBenchRuntime(kind, hashName, "backoff", entries, tmds.SkiplistWords(capacity), seed)
-	if err != nil {
-		return benchResult{}, err
-	}
-	mem := rt.Memory()
-	s, err := tmds.NewSkiplist(mem, 0, capacity, seed)
-	if err != nil {
-		return benchResult{}, err
-	}
-	th := rt.NewThread()
-	for k := uint64(0); k < 256; k += 2 {
-		if _, err := s.Put(th, k, k); err != nil {
-			return benchResult{}, err
+// setupSkiplist drives the skiplist through the public facade — the code
+// path tmds users take — half full (even keys of [0, 256)). Warm-up grows
+// the thread's access set to the scan footprint, so the measured region
+// must allocate nothing.
+func setupSkiplist(scan bool) benchSetup {
+	return func(rt *stm.Runtime, _ int, seed uint64) (func(_, i int) error, int, error) {
+		s, err := tmds.NewSkiplist(rt.Memory(), 0, benchSkiplistCap, seed)
+		if err != nil {
+			return nil, 0, err
 		}
-	}
-	scanBody := func(tx *stm.Tx) error { return s.RangeScanTx(tx, 0, 255, benchScanSink) }
-	txn := func(i int) error {
+		th := rt.NewThread()
+		for k := uint64(0); k < 256; k += 2 {
+			if _, err := s.Put(th, k, k); err != nil {
+				return nil, 0, err
+			}
+		}
 		if scan {
-			return th.Atomic(scanBody)
+			// Body and callback are built once: the measured loop carries
+			// no per-iteration closure.
+			body := func(tx *stm.Tx) error {
+				return s.RangeScanTx(tx, 0, 255, func(_, _ uint64) error { return nil })
+			}
+			return func(_, _ int) error { return th.Atomic(body) }, 200, nil
 		}
-		k := uint64(i*31) % 256
-		switch i % 10 {
-		case 0, 1:
-			_, err := s.Put(th, k, uint64(i))
+		return func(_, i int) error {
+			k := uint64(i*31) % 256
+			var err error
+			switch i % 10 {
+			case 0, 1:
+				_, err = s.Put(th, k, uint64(i))
+			case 2:
+				_, err = s.Delete(th, k)
+			default:
+				_, _, err = s.Get(th, k)
+			}
 			return err
-		case 2:
-			_, err := s.Delete(th, k)
-			return err
-		default:
-			_, _, err := s.Get(th, k)
-			return err
-		}
+		}, 200, nil
 	}
-	for i := 0; i < 200; i++ {
-		if err := txn(i); err != nil {
-			return benchResult{}, err
-		}
-	}
-	warm := rt.Stats()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		if err := txn(i); err != nil {
-			return benchResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	st := rt.Stats()
-	commits := st.Commits - warm.Commits
-	aborts := st.Aborts - warm.Aborts
-	res := benchResult{
-		Workload:    workload,
-		Kind:        kind,
-		Ops:         ops,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
-		Commits:     commits,
-		Aborts:      aborts,
-	}
-	if commits+aborts > 0 {
-		res.AbortRate = float64(aborts) / float64(commits+aborts)
-	}
-	return res, nil
 }
 
-// benchCMAbort prices one contention-management policy's per-abort decision
-// in isolation. No transactions run: Aborted is invoked directly with
-// synthetic denials (alternating a known writer opponent and an anonymous
-// reader count, the two shapes a real conflict takes), against a runtime
-// with several registered threads so board-ranking policies have something
-// to rank over. BackoffBase = -1 disables all waiting, so ns/op is the
-// decision bookkeeping alone and allocs/op proves the abort path never
-// touches the heap — including karma's seniority ranking, which reads the
-// epoch-published board instead of taking the runtime mutex.
-func benchCMAbort(policy string, ops int, seed uint64) (benchResult, error) {
-	const threads = 8
-	h, err := hash.New("mask", 256)
-	if err != nil {
-		return benchResult{}, err
-	}
-	tab, err := otable.New("tagged", h)
-	if err != nil {
-		return benchResult{}, err
-	}
-	rt, err := stm.New(stm.Config{
-		Table:       tab,
-		Memory:      stm.NewMemory(64),
-		Seed:        seed,
-		CM:          policy,
-		BackoffBase: -1, // decisions only: no yields, no opponent waits
-	})
-	if err != nil {
-		return benchResult{}, err
-	}
-	ths := make([]*stm.Thread, threads)
+// setupCMAbort alternates the two shapes a real denial takes — a known
+// writer opponent and an anonymous reader count — against a runtime with
+// several registered threads, so board-ranking policies have something to
+// rank over. The rows disable all waiting (BackoffBase = -1): ns/op is the
+// decision bookkeeping alone.
+func setupCMAbort(rt *stm.Runtime, _ int, _ uint64) (func(_, i int) error, int, error) {
+	ths := make([]*stm.Thread, 8)
 	for i := range ths {
 		ths[i] = rt.NewThread()
 	}
 	cm := ths[0].CM()
 	oppWriter := otable.WriterConflict(ths[1].ID())
 	oppReaders := otable.ReadersConflict(2)
-	cycle := func(i int) {
+	return func(_, i int) error {
 		opp := oppWriter
 		if i&1 == 1 {
 			opp = oppReaders
@@ -433,110 +357,24 @@ func benchCMAbort(policy string, ops int, seed uint64) (benchResult, error) {
 		if i&7 == 7 {
 			cm.Committed(8)
 		}
-	}
-	for i := 0; i < 1000; i++ { // warm up any lazily built state
-		cycle(i)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		cycle(i)
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-	cm.Committed(8)
-	return benchResult{
-		Workload:    "cmabort-" + policy,
-		Kind:        "cm",
-		Ops:         ops,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(ops),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(ops),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ops),
-	}, nil
+		return nil
+	}, 1000, nil
 }
 
-// benchContended measures throughput and abort rate under real goroutine
-// contention on a small, heavily aliasing table (the BenchmarkSTMContended
-// shape). ns/op is wall time over total transactions; the malloc delta is
-// process-wide across all workers. Harness setup stays outside the measured
-// region: threads are created up front and the workers are parked on a
-// start barrier before the clock and MemStats are read, so the measured
-// allocations are the STM's alone and must be zero in steady state.
-func benchContended(kind, hashName string, opsPerG int, seed uint64) (benchResult, error) {
-	const (
-		entries = 256
-		words   = 1 << 12
-	)
-	rt, err := newBenchRuntime(kind, hashName, "backoff", entries, words, seed)
-	if err != nil {
-		return benchResult{}, err
-	}
+// setupContended is the BenchmarkSTMContended shape: every worker runs
+// single-word read-modify-write transactions over addresses that collide in
+// the family's small table.
+func setupContended(rt *stm.Runtime, workers int, _ uint64) (func(w, i int) error, int, error) {
 	mem := rt.Memory()
-	goroutines := runtime.GOMAXPROCS(0)
-	ths := make([]*stm.Thread, goroutines)
-	for g := range ths {
-		ths[g] = rt.NewThread()
+	ths := make([]*stm.Thread, workers)
+	for w := range ths {
+		ths[w] = rt.NewThread()
 	}
-	// run executes ops transactions per worker, measuring only the span
-	// between releasing the parked workers and their last completion.
-	run := func(ops int) (elapsed time.Duration, mallocs, bytes uint64, err error) {
-		start := make(chan struct{})
-		done := make(chan error, goroutines)
-		for g := 0; g < goroutines; g++ {
-			go func(gid int) {
-				th := ths[gid]
-				<-start
-				for i := 0; i < ops; i++ {
-					if err := th.Atomic(func(tx *stm.Tx) error {
-						a := mem.WordAddr(((gid + i) * 8 * 31) % words)
-						tx.Write(a, tx.Read(a)+1)
-						return nil
-					}); err != nil {
-						done <- err
-						return
-					}
-				}
-				done <- nil
-			}(g)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		close(start)
-		for g := 0; g < goroutines; g++ {
-			if werr := <-done; werr != nil && err == nil {
-				err = werr
-			}
-		}
-		elapsed = time.Since(t0)
-		runtime.ReadMemStats(&after)
-		return elapsed, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, err
-	}
-	if _, _, _, err := run(500); err != nil { // warm-up
-		return benchResult{}, err
-	}
-	warm := rt.Stats()
-	elapsed, mallocs, bytes, err := run(opsPerG)
-	if err != nil {
-		return benchResult{}, err
-	}
-	st := rt.Stats()
-	commits := st.Commits - warm.Commits
-	aborts := st.Aborts - warm.Aborts
-	total := goroutines * opsPerG
-	res := benchResult{
-		Workload:    "contended",
-		Kind:        kind,
-		Ops:         total,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(total),
-		AllocsPerOp: float64(mallocs) / float64(total),
-		BytesPerOp:  float64(bytes) / float64(total),
-		Commits:     commits,
-		Aborts:      aborts,
-	}
-	if commits+aborts > 0 {
-		res.AbortRate = float64(aborts) / float64(commits+aborts)
-	}
-	return res, nil
+	return func(w, i int) error {
+		return ths[w].Atomic(func(tx *stm.Tx) error {
+			a := mem.WordAddr(((w + i) * 8 * 31) % benchWords)
+			tx.Write(a, tx.Read(a)+1)
+			return nil
+		})
+	}, 500, nil
 }

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 
 	"tmbp/internal/load"
 	"tmbp/internal/opacity"
@@ -18,66 +15,59 @@ import (
 // runLoad executes the open-loop service benchmark: a seeded load
 // generator drives the tmds structures through the STM at a configured
 // arrival rate and reports throughput plus p50/p99/p999 open-loop latency
-// per structure × contention-management policy (see internal/load). With
-// -virtual the run is a discrete-event simulation on a virtual clock and
-// the emitted rows are byte-identical across machines for the same seed —
-// that mode is what the CI gate diffs against the checked-in
-// BENCH_load.json. Without it, real worker goroutines race real arrivals
-// on the wall clock.
+// for every row of loadRows under each selected contention policy (see
+// internal/load). Without -virtual, real worker goroutines race real
+// arrivals on the wall clock. With -virtual the run is a discrete-event
+// simulation whose rows are byte-identical across machines for the same
+// seed; CI diffs them against BENCH_load.json. Virtual transactions execute
+// serially, so nothing ever conflicts: the rows gate the determinism of the
+// generator and the histogram and carry no runtime signal. A contention
+// manager is consulted only after a conflict, hence the one-policy default;
+// -cm all sweeps all five for wall-clock runs.
 func runLoad(fs *flag.FlagSet, args []string) error {
+	// base is the scenario every row starts from: the flags bind to it.
+	var base load.Scenario
 	jsonOut := fs.Bool("json", false, "emit JSON instead of an aligned table")
-	virtual := fs.Bool("virtual", false, "deterministic discrete-event run on a virtual clock (byte-reproducible per seed)")
+	fs.BoolVar(&base.Virtual, "virtual", false, "deterministic discrete-event run on a virtual clock (byte-reproducible per seed)")
 	structName := fs.String("struct", "all", "structure under load: hashmap | list | queue | skiplist | all")
-	table := fs.String("table", "tagged", "ownership table: tagless | tagged | sharded")
-	cm := fs.String("cm", "all", "contention policy: backoff | adaptive | karma | timestamp | switching | all")
-	arrival := fs.String("arrival", "poisson", "arrival process: fixed | poisson")
-	rate := fs.Float64("rate", 2e6, "mean arrivals per second")
-	workers := fs.Int("workers", 4, "servers: goroutines (wall clock) or simulated servers (-virtual)")
-	ops := fs.Int("ops", 20000, "transactions per scenario")
-	keys := fs.Int("keys", 1024, "key-space size")
-	zipfS := fs.Float64("zipf", 0.9, "Zipf key-popularity exponent (0 = uniform)")
-	readFrac := fs.Float64("read-frac", 0.75, "fraction of operations that observe rather than mutate (0 selects the default)")
-	meanOps := fs.Float64("mean-ops", 4, "mean operations per transaction (geometric, >= 1)")
-	serviceNs := fs.Int64("service-ns", 250, "simulated per-operation service time for -virtual")
-	seed := fs.Uint64("seed", 1, "root random seed")
-	bits := fs.Int("bits", 7, "histogram precision in sub-bucket bits (relative error 2^-bits)")
-	entries := fs.Uint64("entries", 4096, "ownership table entries (power of two)")
-	scanFrac := fs.Float64("scan-frac", 0.25, "fraction of operations that range-scan in the skiplist scan sweep")
-	scanSpan := fs.Int("scan-span", 64, "inclusive key width of each range scan in the skiplist scan sweep")
+	fs.StringVar(&base.Table, "table", "tagged", "ownership table: tagless | tagged | sharded")
+	cm := fs.String("cm", "backoff", "contention policy: backoff | adaptive | karma | timestamp | switching | all")
+	fs.StringVar(&base.Arrival, "arrival", "poisson", "arrival process: fixed | poisson")
+	fs.Float64Var(&base.RatePerSec, "rate", 2e6, "mean arrivals per second")
+	fs.IntVar(&base.Workers, "workers", 4, "servers: goroutines (wall clock) or simulated servers (-virtual)")
+	fs.IntVar(&base.Ops, "ops", 20000, "transactions per scenario")
+	fs.IntVar(&base.Keys, "keys", 1024, "key-space size")
+	fs.Float64Var(&base.ZipfS, "zipf", 0.9, "Zipf key-popularity exponent (0 = uniform)")
+	fs.Float64Var(&base.ReadFrac, "read-frac", 0.75, "fraction of operations that observe rather than mutate (0 selects the default)")
+	fs.Float64Var(&base.MeanOps, "mean-ops", 4, "mean operations per transaction (geometric, >= 1)")
+	fs.Int64Var(&base.ServiceNs, "service-ns", 250, "simulated per-operation service time for -virtual")
+	fs.Uint64Var(&base.Seed, "seed", 1, "root random seed")
+	fs.IntVar(&base.Bits, "bits", 7, "histogram precision in sub-bucket bits (relative error 2^-bits)")
+	fs.Uint64Var(&base.TableEntries, "entries", 4096, "ownership table entries (power of two)")
+	scanFrac := fs.Float64("scan-frac", 0.25, "fraction of operations that range-scan in the skiplist scan rows")
+	scanSpan := fs.Int("scan-span", 64, "inclusive key width of each range scan in the skiplist scan rows")
 	record := fs.String("record", "", "directory to write one opacity trace per scenario (verify with 'tmbp check')")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	structs := tmds.Kinds()
-	if *structName != "all" {
-		structs = []string{*structName}
-	}
-	cms := stm.CMKinds()
-	if *cm != "all" {
-		cms = []string{*cm}
+	cms := []string{*cm}
+	if *cm == "all" {
+		cms = stm.CMKinds()
 	}
 
 	var rows []load.Row
-	for _, st := range structs {
+	for _, row := range loadRows {
+		if *structName != "all" && *structName != row.structure {
+			continue
+		}
 		for _, policy := range cms {
-			sc := load.Scenario{
-				Struct:       st,
-				Table:        *table,
-				CM:           policy,
-				Arrival:      *arrival,
-				RatePerSec:   *rate,
-				Workers:      *workers,
-				Ops:          *ops,
-				Keys:         *keys,
-				ZipfS:        *zipfS,
-				ReadFrac:     *readFrac,
-				MeanOps:      *meanOps,
-				ServiceNs:    *serviceNs,
-				Virtual:      *virtual,
-				Seed:         *seed,
-				Bits:         *bits,
-				TableEntries: *entries,
+			sc := base
+			sc.Struct, sc.CM, sc.Invisible = row.structure, policy, row.invisible
+			if row.readFrac != 0 {
+				sc.ReadFrac = row.readFrac
+			}
+			if row.scan {
+				sc.ScanFrac, sc.ScanSpan = *scanFrac, *scanSpan
 			}
 			var trace *opacity.Log
 			if *record != "" {
@@ -90,125 +80,19 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 			}
 			rows = append(rows, res.Row)
 			if trace != nil {
-				name := fmt.Sprintf("load_%s_%s_%s.trace", st, *table, policy)
-				if err := dumpTrace(trace, *record, name); err != nil {
+				name := fmt.Sprintf("load_%s_%s_%s.trace", row.name, base.Table, policy)
+				if err := trace.DumpFile(*record, name); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	// Read-mostly companion sweep: the same scenario at 90% reads, with and
-	// without the invisible-reader fast path, over the hashmap (the structure
-	// whose transactions most often stay read-only). The pair of rows is the
-	// service-level counterpart of the serial-ro-* bench rows: same seed and
-	// plan within the pair — ReadFrac and Invisible don't perturb the arrival
-	// stream — so the latency columns isolate the read protocol.
-	for _, policy := range cms {
-		for _, invisible := range []bool{false, true} {
-			sc := load.Scenario{
-				Struct:       "hashmap",
-				Table:        *table,
-				CM:           policy,
-				Arrival:      *arrival,
-				RatePerSec:   *rate,
-				Workers:      *workers,
-				Ops:          *ops,
-				Keys:         *keys,
-				ZipfS:        *zipfS,
-				ReadFrac:     0.9,
-				Invisible:    invisible,
-				MeanOps:      *meanOps,
-				ServiceNs:    *serviceNs,
-				Virtual:      *virtual,
-				Seed:         *seed,
-				Bits:         *bits,
-				TableEntries: *entries,
-			}
-			var trace *opacity.Log
-			if *record != "" {
-				trace = opacity.NewLog()
-				sc.Recorder = trace
-			}
-			res, err := load.Run(sc)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, res.Row)
-			if trace != nil {
-				mode := "acq"
-				if invisible {
-					mode = "inv"
-				}
-				name := fmt.Sprintf("load_ro_hashmap_%s_%s_%s.trace", *table, policy, mode)
-				if err := dumpTrace(trace, *record, name); err != nil {
-					return err
-				}
-			}
-		}
-	}
-
-	// Scan-heavy companion sweep: the skiplist with a quarter of operations
-	// replaced by range scans, with and without invisible readers. A scan
-	// reads every level-0 node in its span inside one transaction, so these
-	// rows surface the footprint-vs-conflict trade the point sweeps cannot:
-	// scans widen the window for false conflicts under block aliasing, and
-	// the invisible rows show how much of that a non-acquiring read protocol
-	// buys back.
-	for _, policy := range cms {
-		for _, invisible := range []bool{false, true} {
-			sc := load.Scenario{
-				Struct:       "skiplist",
-				Table:        *table,
-				CM:           policy,
-				Arrival:      *arrival,
-				RatePerSec:   *rate,
-				Workers:      *workers,
-				Ops:          *ops,
-				Keys:         *keys,
-				ZipfS:        *zipfS,
-				ReadFrac:     *readFrac,
-				ScanFrac:     *scanFrac,
-				ScanSpan:     *scanSpan,
-				Invisible:    invisible,
-				MeanOps:      *meanOps,
-				ServiceNs:    *serviceNs,
-				Virtual:      *virtual,
-				Seed:         *seed,
-				Bits:         *bits,
-				TableEntries: *entries,
-			}
-			var trace *opacity.Log
-			if *record != "" {
-				trace = opacity.NewLog()
-				sc.Recorder = trace
-			}
-			res, err := load.Run(sc)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, res.Row)
-			if trace != nil {
-				mode := "acq"
-				if invisible {
-					mode = "inv"
-				}
-				name := fmt.Sprintf("load_scan_skiplist_%s_%s_%s.trace", *table, policy, mode)
-				if err := dumpTrace(trace, *record, name); err != nil {
-					return err
-				}
-			}
-		}
+	if len(rows) == 0 {
+		return fmt.Errorf("load: unknown structure %q (want one of %v or all)", *structName, tmds.Kinds())
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(loadReport{
-			Schema:     1,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Rows:       rows,
-		})
+		return emitJSON(jsonReport{Rows: rows})
 	}
 	t := report.New("Open-loop load benchmark",
 		"struct", "cm", "reads", "tput tx/s", "p50 ns", "p99 ns", "p999 ns", "max ns", "abort rate")
@@ -229,37 +113,41 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 			report.Pct(r.AbortRate))
 	}
 	mode := "wall clock"
-	if *virtual {
+	if base.Virtual {
 		mode = "virtual clock (deterministic)"
 	}
 	t.Note("open loop: latency is completion minus scheduled arrival (%s arrivals at %.0f/s, %d workers, %s table, seed %d, %s)",
-		*arrival, *rate, *workers, *table, *seed, mode)
-	t.Note("quantiles from per-worker log-bucketed histograms (relative error <= 2^-%d), merged after the run", *bits)
-	t.Note("90%% rows: read-mostly hashmap companion sweep; 'inv' commits read-only transactions by version validation (invisible readers) instead of acquiring ownership")
-	t.Note("s%% rows: skiplist scan sweep — that fraction of operations range-scan %d keys in one transaction, a multi-hundred-word footprint per scan", *scanSpan)
+		base.Arrival, base.RatePerSec, base.Workers, base.Table, base.Seed, mode)
+	t.Note("quantiles from per-worker log-bucketed histograms (relative error <= 2^-%d), merged after the run", base.Bits)
+	t.Note("'inv' rows commit read-only transactions by version validation (invisible readers) instead of acquiring ownership; the row above each is its acquiring twin on the identical arrival stream, so the pair isolates the read protocol")
+	t.Note("s%% rows: that fraction of operations range-scan %d keys in one transaction, a multi-hundred-word footprint per scan", *scanSpan)
 	return t.Render(os.Stdout)
 }
 
-// loadReport is the JSON envelope of one load run.
-type loadReport struct {
-	Schema     int        `json:"schema"`
-	GoVersion  string     `json:"go"`
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Rows       []load.Row `json:"rows"`
+// loadRow is one scenario of the load sweep: a structure plus what it
+// overrides in the flag-derived base scenario. Every row runs under each
+// selected contention policy.
+type loadRow struct {
+	name      string // trace-file tag
+	structure string
+	readFrac  float64 // replaces -read-frac when nonzero
+	scan      bool    // -scan-frac of operations range-scan -scan-span keys
+	invisible bool    // invisible readers instead of acquiring reads
 }
 
-// dumpTrace writes one recorded trace into dir.
-func dumpTrace(trace *opacity.Log, dir, name string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	if err := trace.Dump(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+// loadRows is the sweep, in output order: every structure at the flag
+// defaults, then two acquiring/invisible pairs (ReadFrac and Invisible don't
+// perturb the arrival stream, so a pair shares its plan). The hashmap is
+// the structure whose transactions most often stay read-only; a skiplist
+// scan reads every level-0 node of its span in one transaction, so those
+// rows show the footprint-vs-conflict trade the point rows cannot.
+var loadRows = []loadRow{
+	{name: "hashmap", structure: "hashmap"},
+	{name: "list", structure: "list"},
+	{name: "queue", structure: "queue"},
+	{name: "skiplist", structure: "skiplist"},
+	{name: "ro_hashmap_acq", structure: "hashmap", readFrac: 0.9},
+	{name: "ro_hashmap_inv", structure: "hashmap", readFrac: 0.9, invisible: true},
+	{name: "scan_skiplist_acq", structure: "skiplist", scan: true},
+	{name: "scan_skiplist_inv", structure: "skiplist", scan: true, invisible: true},
 }

@@ -22,8 +22,9 @@
 //	stm     end-to-end STM run: tagless vs tagged abort rates
 //	bench   STM latency/allocation/abort-rate suite (-json for tooling)
 //	load    open-loop service benchmark: seeded arrivals against the tmds
-//	        structures, tail-latency histograms per structure x CM policy
-//	        (-virtual for byte-reproducible rows, -json for tooling)
+//	        structures, tail-latency histograms per scenario row
+//	        (-cm all for every policy, -virtual for the byte-reproducible
+//	        determinism gate, -json for tooling)
 //	check   verify recorded transactional traces for opacity
 //	model   evaluate the conflict model at one configuration
 //	all     every figure above, in paper order (scale, stm, and model are
@@ -33,13 +34,16 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"tmbp/internal/figures"
+	"tmbp/internal/load"
 	"tmbp/internal/report"
 )
 
@@ -212,4 +216,22 @@ func emit(tables []*report.Table, csv bool) error {
 		}
 	}
 	return nil
+}
+
+// jsonReport is the envelope of `tmbp bench -json` (Results) and `tmbp
+// load -json` (Rows).
+type jsonReport struct {
+	Schema     int           `json:"schema"`
+	GoVersion  string        `json:"go"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Results    []benchResult `json:"results,omitempty"`
+	Rows       []load.Row    `json:"rows,omitempty"`
+}
+
+// emitJSON stamps the envelope and writes it to stdout.
+func emitJSON(r jsonReport) error {
+	r.Schema, r.GoVersion, r.GOMAXPROCS = 1, runtime.Version(), runtime.GOMAXPROCS(0)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r)
 }

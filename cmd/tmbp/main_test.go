@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,10 @@ func TestRunSTMSubcommand(t *testing.T) {
 	}
 }
 
+// TestRunBenchSubcommandJSON pins the scoreboard `tmbp bench -json` emits:
+// the full ordered list of workload/kind rows and each row's op count for
+// the given flags. BENCH_baseline.json and the CI bench-diff gate key on
+// exactly these names, so the row table must keep reproducing them.
 func TestRunBenchSubcommandJSON(t *testing.T) {
 	out := capture(t, func() error {
 		return run("bench", []string{"-json", "-serial-ops", "200", "-contended-ops", "50"})
@@ -105,47 +110,50 @@ func TestRunBenchSubcommandJSON(t *testing.T) {
 	var rep struct {
 		Schema  int `json:"schema"`
 		Results []struct {
-			Workload    string  `json:"workload"`
-			Kind        string  `json:"kind"`
-			NsPerOp     float64 `json:"ns_per_op"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-			AbortRate   float64 `json:"abort_rate"`
-			Commits     uint64  `json:"commits"`
+			Workload string  `json:"workload"`
+			Kind     string  `json:"kind"`
+			Ops      int     `json:"ops"`
+			NsPerOp  float64 `json:"ns_per_op"`
+			Commits  uint64  `json:"commits"`
 		} `json:"results"`
 	}
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bench -json emitted invalid JSON: %v\n%s", err, out)
 	}
-	// 3 serial + 5 serial-cm + 5 cmabort + 3x2 serial-ro + 3x2 skiplist
-	// + 3 contended.
-	if rep.Schema != 1 || len(rep.Results) != 28 {
-		t.Fatalf("bench report shape: schema=%d results=%d, want 1/28", rep.Schema, len(rep.Results))
+	type row struct {
+		name string
+		ops  int
 	}
-	kinds := map[string]bool{}
-	for _, r := range rep.Results {
-		kinds[r.Workload+"/"+r.Kind] = true
+	contended := 50 * runtime.GOMAXPROCS(0) // -contended-ops per worker
+	want := []row{
+		{"serial/tagless", 200}, {"serial/tagged", 200}, {"serial/sharded", 200},
+		{"serial-cm-backoff/tagged", 200}, {"serial-cm-adaptive/tagged", 200},
+		{"serial-cm-karma/tagged", 200}, {"serial-cm-timestamp/tagged", 200},
+		{"serial-cm-switching/tagged", 200},
+		{"cmabort-backoff/cm", 200}, {"cmabort-adaptive/cm", 200}, {"cmabort-karma/cm", 200},
+		{"cmabort-timestamp/cm", 200}, {"cmabort-switching/cm", 200},
+		{"serial-ro-acquire/tagless", 200}, {"serial-ro-invisible/tagless", 200},
+		{"serial-ro-acquire/tagged", 200}, {"serial-ro-invisible/tagged", 200},
+		{"serial-ro-acquire/sharded", 200}, {"serial-ro-invisible/sharded", 200},
+		{"serial-skiplist/tagless", 50}, {"serial-skiplist-scan/tagless", 2},
+		{"serial-skiplist/tagged", 50}, {"serial-skiplist-scan/tagged", 2},
+		{"serial-skiplist/sharded", 50}, {"serial-skiplist-scan/sharded", 2},
+		{"contended/tagless", contended}, {"contended/tagged", contended},
+		{"contended/sharded", contended},
+	}
+	if rep.Schema != 1 || len(rep.Results) != len(want) {
+		t.Fatalf("bench report shape: schema=%d results=%d, want 1/%d", rep.Schema, len(rep.Results), len(want))
+	}
+	for i, r := range rep.Results {
+		if got := (row{r.Workload + "/" + r.Kind, r.Ops}); got != want[i] {
+			t.Errorf("row %d = %v, want %v", i, got, want[i])
+		}
 		if r.NsPerOp <= 0 {
 			t.Errorf("%s/%s: ns_per_op=%v", r.Workload, r.Kind, r.NsPerOp)
 		}
 		// cmabort rows invoke the policy directly and run no transactions.
 		if !strings.HasPrefix(r.Workload, "cmabort") && r.Commits == 0 {
 			t.Errorf("%s/%s: commits=%d", r.Workload, r.Kind, r.Commits)
-		}
-	}
-	for _, want := range []string{
-		"serial/tagless", "serial/tagged", "serial/sharded", "contended/sharded",
-		"serial-cm-backoff/tagged", "serial-cm-adaptive/tagged", "serial-cm-karma/tagged",
-		"serial-cm-timestamp/tagged", "serial-cm-switching/tagged",
-		"cmabort-backoff/cm", "cmabort-karma/cm", "cmabort-timestamp/cm", "cmabort-switching/cm",
-		"serial-ro-acquire/tagless", "serial-ro-invisible/tagless",
-		"serial-ro-acquire/tagged", "serial-ro-invisible/tagged",
-		"serial-ro-acquire/sharded", "serial-ro-invisible/sharded",
-		"serial-skiplist/tagless", "serial-skiplist-scan/tagless",
-		"serial-skiplist/tagged", "serial-skiplist-scan/tagged",
-		"serial-skiplist/sharded", "serial-skiplist-scan/sharded",
-	} {
-		if !kinds[want] {
-			t.Errorf("bench report missing %s", want)
 		}
 	}
 }
@@ -217,58 +225,109 @@ func TestRunLoadFlagErrors(t *testing.T) {
 	}
 }
 
-// loadTestArgs is a cheap deterministic load sweep: 4 structures x 5
-// policies plus the read-mostly and scan companion sweeps, 300 transactions
-// each, on the virtual clock.
+// loadTestArgs is a cheap deterministic load sweep: the 8 default rows, 300
+// transactions each, on the virtual clock.
 var loadTestArgs = []string{"-json", "-virtual", "-ops", "300", "-keys", "64"}
 
-// TestRunLoadSubcommandJSON pins the shape of `tmbp load -json`: a
-// schema-versioned envelope with one row per structure x CM policy, each
-// carrying throughput and monotone latency quantiles.
-func TestRunLoadSubcommandJSON(t *testing.T) {
-	out := capture(t, func() error { return run("load", loadTestArgs) })
+// loadRowJSON is the slice of a `tmbp load -json` row the tests look at.
+type loadRowJSON struct {
+	Struct        string  `json:"struct"`
+	CM            string  `json:"cm"`
+	Virtual       bool    `json:"virtual"`
+	Ops           int     `json:"ops"`
+	ReadFrac      float64 `json:"read_frac"`
+	ScanFrac      float64 `json:"scan_frac"`
+	Invisible     bool    `json:"invisible"`
+	ThroughputTPS float64 `json:"throughput_tps"`
+	P50           int64   `json:"p50_ns"`
+	P99           int64   `json:"p99_ns"`
+	P999          int64   `json:"p999_ns"`
+	Max           int64   `json:"max_ns"`
+	Commits       uint64  `json:"commits"`
+}
+
+// runLoadJSON runs `tmbp load` with loadTestArgs plus extra and decodes the
+// report's rows.
+func runLoadJSON(t *testing.T, extra ...string) []loadRowJSON {
+	t.Helper()
+	args := append(append([]string{}, loadTestArgs...), extra...)
+	out := capture(t, func() error { return run("load", args) })
 	var rep struct {
-		Schema int `json:"schema"`
-		Rows   []struct {
-			Struct        string  `json:"struct"`
-			Table         string  `json:"table"`
-			CM            string  `json:"cm"`
-			Virtual       bool    `json:"virtual"`
-			Ops           int     `json:"ops"`
-			ThroughputTPS float64 `json:"throughput_tps"`
-			P50           int64   `json:"p50_ns"`
-			P99           int64   `json:"p99_ns"`
-			P999          int64   `json:"p999_ns"`
-			Max           int64   `json:"max_ns"`
-			Commits       uint64  `json:"commits"`
-		} `json:"rows"`
+		Schema int           `json:"schema"`
+		Rows   []loadRowJSON `json:"rows"`
 	}
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("load -json emitted invalid JSON: %v\n%s", err, out)
 	}
-	// 4 structures x 5 policies, plus the read-mostly hashmap and scan-heavy
-	// skiplist companion sweeps: 5 policies x {acquiring, invisible} each.
-	if rep.Schema != 1 || len(rep.Rows) != 40 {
-		t.Fatalf("load report shape: schema=%d rows=%d, want 1/40", rep.Schema, len(rep.Rows))
+	if rep.Schema != 1 {
+		t.Fatalf("load report schema = %d, want 1", rep.Schema)
+	}
+	return rep.Rows
+}
+
+// TestRunLoadSubcommandJSON pins the shape of `tmbp load -json`: by default
+// one row per scenario that exercises different code — the four structures,
+// the read-mostly hashmap pair and the skiplist scan pair — each carrying
+// throughput and monotone latency quantiles; -cm all multiplies them by the
+// five policies; -struct and -cm filter every family.
+func TestRunLoadSubcommandJSON(t *testing.T) {
+	rows := runLoadJSON(t)
+	if len(rows) != 8 {
+		t.Fatalf("default sweep has %d rows, want 8", len(rows))
 	}
 	seen := map[string]bool{}
-	for _, r := range rep.Rows {
-		seen[r.Struct+"/"+r.CM] = true
-		if !r.Virtual || r.Ops != 300 {
-			t.Errorf("%s/%s: virtual=%v ops=%d", r.Struct, r.CM, r.Virtual, r.Ops)
+	for _, r := range rows {
+		name := r.Struct
+		switch {
+		case r.ScanFrac > 0:
+			name += "/scan"
+		case r.ReadFrac == 0.9:
+			name += "/ro"
+		}
+		if r.ScanFrac > 0 || r.ReadFrac == 0.9 {
+			name += map[bool]string{false: "/acq", true: "/inv"}[r.Invisible]
+		}
+		seen[name] = true
+		if r.CM != "backoff" || !r.Virtual || r.Ops != 300 {
+			t.Errorf("%s: cm=%s virtual=%v ops=%d", name, r.CM, r.Virtual, r.Ops)
 		}
 		if r.ThroughputTPS <= 0 || r.Commits < 300 {
-			t.Errorf("%s/%s: throughput=%v commits=%d", r.Struct, r.CM, r.ThroughputTPS, r.Commits)
+			t.Errorf("%s: throughput=%v commits=%d", name, r.ThroughputTPS, r.Commits)
 		}
 		if r.P50 > r.P99 || r.P99 > r.P999 || r.P999 > r.Max {
-			t.Errorf("%s/%s: quantiles not monotone: %d/%d/%d/%d",
-				r.Struct, r.CM, r.P50, r.P99, r.P999, r.Max)
+			t.Errorf("%s: quantiles not monotone: %d/%d/%d/%d", name, r.P50, r.P99, r.P999, r.Max)
 		}
 	}
-	for _, structName := range []string{"hashmap", "list", "queue", "skiplist"} {
-		for _, cm := range []string{"backoff", "adaptive", "karma", "timestamp", "switching"} {
-			if !seen[structName+"/"+cm] {
-				t.Errorf("load report missing row %s/%s", structName, cm)
+	for _, want := range []string{"hashmap", "list", "queue", "skiplist",
+		"hashmap/ro/acq", "hashmap/ro/inv", "skiplist/scan/acq", "skiplist/scan/inv"} {
+		if !seen[want] {
+			t.Errorf("default sweep missing row %s (have %v)", want, seen)
+		}
+	}
+
+	all := runLoadJSON(t, "-cm", "all")
+	if len(all) != 40 {
+		t.Fatalf("-cm all sweep has %d rows, want 40", len(all))
+	}
+	perCM := map[string]int{}
+	for _, r := range all {
+		perCM[r.CM]++
+	}
+	for _, cm := range []string{"backoff", "adaptive", "karma", "timestamp", "switching"} {
+		if perCM[cm] != 8 {
+			t.Errorf("-cm all: %d rows under %s, want 8", perCM[cm], cm)
+		}
+	}
+
+	// -struct filters the companion pairs too, not just the per-structure rows.
+	for structName, want := range map[string]int{"queue": 1, "list": 1, "hashmap": 3, "skiplist": 3} {
+		got := runLoadJSON(t, "-struct", structName, "-cm", "backoff")
+		if len(got) != want {
+			t.Errorf("-struct %s: %d rows, want %d", structName, len(got), want)
+		}
+		for _, r := range got {
+			if r.Struct != structName {
+				t.Errorf("-struct %s emitted a %s row", structName, r.Struct)
 			}
 		}
 	}

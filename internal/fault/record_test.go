@@ -3,8 +3,6 @@ package fault_test
 import (
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -42,19 +40,8 @@ func recordTrace(t testing.TB, cfg *stm.Config) *opacity.Log {
 		if log.Len() == 0 {
 			return
 		}
-		if err := os.MkdirAll(*faultRecordDir, 0o755); err != nil {
+		if err := log.DumpFile(*faultRecordDir, base+".trace"); err != nil {
 			t.Errorf("fault-record: %v", err)
-			return
-		}
-		path := filepath.Join(*faultRecordDir, base+".trace")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Errorf("fault-record: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := log.Dump(f); err != nil {
-			t.Errorf("fault-record: writing %s: %v", path, err)
 		}
 	})
 	return log

@@ -2,8 +2,6 @@ package figures
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -265,27 +263,11 @@ func scaleCMRun(policy string, goroutines int, o Options) (scaleResult, error) {
 		res.throughput = float64(st.Commits) / secs
 	}
 	if trace != nil {
-		if err := dumpTrace(trace, o.RecordDir, fmt.Sprintf("scale-cm-%s-g%d.trace", policy, goroutines)); err != nil {
+		if err := trace.DumpFile(o.RecordDir, fmt.Sprintf("scale-cm-%s-g%d.trace", policy, goroutines)); err != nil {
 			return scaleResult{}, err
 		}
 	}
 	return res, nil
-}
-
-// dumpTrace writes a recorded history into dir, creating it if needed.
-func dumpTrace(trace *opacity.Log, dir, name string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	if err := trace.Dump(f); err != nil {
-		f.Close()
-		return fmt.Errorf("recording %s: %w", name, err)
-	}
-	return f.Close()
 }
 
 // scaleRun measures one cell: `goroutines` goroutines each committing

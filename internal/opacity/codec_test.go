@@ -2,6 +2,8 @@ package opacity
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -198,5 +200,22 @@ func TestLogAssignsMonotoneIndexes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(evs, back) {
 		t.Fatalf("log round trip mismatch: %v vs %v", evs, back)
+	}
+
+	// DumpFile creates the directory and writes the same bytes.
+	dir := filepath.Join(t.TempDir(), "nested", "traces")
+	if err := l.DumpFile(dir, "x.trace"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "x.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if back, err = ReadTrace(f); err != nil || !reflect.DeepEqual(evs, back) {
+		t.Fatalf("DumpFile round trip: %v, %v vs %v", err, evs, back)
+	}
+	if err := l.DumpFile(filepath.Join(dir, "x.trace"), "y.trace"); err == nil {
+		t.Fatal("DumpFile into a path that is a file succeeded")
 	}
 }

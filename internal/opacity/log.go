@@ -1,7 +1,10 @@
 package opacity
 
 import (
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 )
 
@@ -66,4 +69,21 @@ func (l *Log) Events() []Event {
 // Dump serializes the log to w in the trace wire format.
 func (l *Log) Dump(w io.Writer) error {
 	return WriteTrace(w, l.Events())
+}
+
+// DumpFile writes the log as the trace file dir/name, creating dir if
+// needed.
+func (l *Log) DumpFile(dir, name string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	if err := l.Dump(f); err != nil {
+		f.Close()
+		return fmt.Errorf("recording %s: %w", name, err)
+	}
+	return f.Close()
 }

@@ -40,6 +40,28 @@ const cmAbortBound = 50
 // hang: far above cmAbortBound, so it never masks the real assertion.
 const cmMaxAttempts = 1000
 
+// onOneP runs a scenario test, including its parallel subtests, on a single
+// P and restores GOMAXPROCS when they have all finished.
+//
+// Every policy waits in scheduler yields, and a yield is a wait only while
+// the opponent shares the yielder's P: there each Gosched hands the P to
+// the next runnable goroutine in turn, so a holder advances between a
+// waiter's retries, and a kernel-level stall stops both alike. On two Ps
+// that breaks down. Under yield-heavy load the kernel freezes one of the
+// Ms for a ~4 ms tick several times a second, and whatever that M was
+// carrying — the block holder, or the main goroutine about to release it —
+// stands still while the other P spins through waits that cost ~100 ns per
+// yield: a waiter burns past cmAbortBound, and under the short-leash
+// policies all cmMaxAttempts (~3 ms of retries), against an opponent that
+// is not running at all. That measures the kernel's time slice, not
+// convergence. The scenarios force their interleaving by rendezvous and
+// gain nothing from parallelism; the hammers at the end of this file and
+// the race suite keep exercising the policies on every P.
+func onOneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // newCMRuntime builds a small runtime for one scenario.
 func newCMRuntime(t *testing.T, kind, policy string) *Runtime {
 	t.Helper()
@@ -93,6 +115,7 @@ func checkScenario(t *testing.T, rt *Runtime, errs []error, want map[int]uint64)
 // break the symmetry (backoff/adaptive by randomized waits, karma by the
 // seniority tie-break) and commit both threads within the abort budget.
 func TestCMSymmetricLivelock(t *testing.T) {
+	onOneP(t)
 	for _, kind := range otable.Kinds() {
 		for _, policy := range CMKinds() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
@@ -145,6 +168,7 @@ func TestCMSymmetricLivelock(t *testing.T) {
 // provably aborted at least once, so the scenario always exercises the
 // policy's wait; the writer must then commit promptly.
 func TestCMReaderStarvesWriter(t *testing.T) {
+	onOneP(t)
 	for _, policy := range CMKinds() {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
@@ -207,6 +231,7 @@ func TestCMReaderStarvesWriter(t *testing.T) {
 // whichever thread upgrades first. The loser must release its share (so
 // the winner's upgrade succeeds), retry, and commit within the budget.
 func TestCMUpgradeDeadlock(t *testing.T) {
+	onOneP(t)
 	for _, kind := range []string{"tagless", "tagged"} {
 		for _, policy := range CMKinds() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
@@ -254,6 +279,7 @@ func TestCMUpgradeDeadlock(t *testing.T) {
 // drain the convoy promptly once the leader releases, with every increment
 // intact and aborts bounded.
 func TestCMConvoy(t *testing.T) {
+	onOneP(t)
 	const followers = 3
 	for _, kind := range otable.Kinds() {
 		for _, policy := range CMKinds() {
@@ -317,6 +343,7 @@ func TestCMConvoy(t *testing.T) {
 // names B, B's denial names A. Everyone must commit with aborts bounded
 // once A releases.
 func TestCMChainedConflict(t *testing.T) {
+	onOneP(t)
 	for _, kind := range []string{"tagged", "sharded"} {
 		for _, policy := range CMKinds() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {

@@ -3,8 +3,6 @@ package stm
 import (
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -45,19 +43,8 @@ func attachRecorder(t testing.TB, cfg *Config) *opacity.Log {
 		if log.Len() == 0 {
 			return
 		}
-		if err := os.MkdirAll(*opacityRecordDir, 0o755); err != nil {
+		if err := log.DumpFile(*opacityRecordDir, base+".trace"); err != nil {
 			t.Errorf("opacity-record: %v", err)
-			return
-		}
-		path := filepath.Join(*opacityRecordDir, base+".trace")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Errorf("opacity-record: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := log.Dump(f); err != nil {
-			t.Errorf("opacity-record: writing %s: %v", path, err)
 		}
 	})
 	return log

@@ -2,8 +2,6 @@ package tmds
 
 import (
 	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -33,17 +31,7 @@ func attachLog(t *testing.T, cfg *tmbp.STMConfig) *opacity.Log {
 		if log.Len() == 0 {
 			return
 		}
-		if err := os.MkdirAll(*opacityRecordDir, 0o755); err != nil {
-			t.Errorf("opacity-record: %v", err)
-			return
-		}
-		f, err := os.Create(filepath.Join(*opacityRecordDir, base+".trace"))
-		if err != nil {
-			t.Errorf("opacity-record: %v", err)
-			return
-		}
-		defer f.Close()
-		if err := log.Dump(f); err != nil {
+		if err := log.DumpFile(*opacityRecordDir, base+".trace"); err != nil {
 			t.Errorf("opacity-record: %v", err)
 		}
 	})
