@@ -21,12 +21,19 @@
 //   - Sharded: a scalability-oriented organization layered on the tagged
 //     design. The index space is split into power-of-two shards selected by
 //     the high bits of the hashed index, each shard an independent
-//     lock-free tagged sub-table with private record slab, occupancy, and
-//     statistics, so threads working in different shards share no
+//     lock-free tagged sub-table with private record slab and event
+//     counters, so threads working in different shards share no
 //     synchronization state at all — not even CAS targets.
 //
 // All implementations are lock-free and safe for concurrent use, keep the
 // statistics the experiments report, and implement the one Table interface.
+//
+// Accounting costs every successful operation exactly one atomic add, on a
+// cache-line-padded counter block picked by the low bits of the cell index
+// (see counters): the counters record events split by whether they opened
+// or closed a first-level cell, and both Stats and Occupied are sums over
+// them. docs/ARCHITECTURE.md ("Synchronisation budget") lists every
+// lock-prefixed instruction each operation executes and what it is for.
 package otable
 
 import (
@@ -258,48 +265,81 @@ type Stats struct {
 	MaxChain      uint64 // tagged only: maximum bucket chain length observed
 }
 
-// counters is the shared atomic implementation behind Stats. (Records is
+// counterStripes is the number of counter blocks a table spreads its
+// accounting over (a power of two). An operation on first-level cell idx
+// counts into block idx&(counterStripes-1), so threads working on different
+// cells rarely write the same accounting line.
+const counterStripes = 8
+
+// counterBlock is one stripe of the event counters behind Stats and
+// Occupied, padded to two cache lines so neighboring stripes never
+// false-share. Every successful operation bumps exactly one of its words:
+// acquires and releases are split by whether they opened (respectively
+// closed) the first-level cell — took it from no holder to one, or back — so
+// occupancy is opens minus closes and needs no word of its own. (Records is
 // not a counter: the tagged table derives it from its per-bucket held
 // counts, see Tagged.Records.)
-type counters struct {
-	readAcquires  atomic.Uint64
-	writeAcquires atomic.Uint64
-	upgrades      atomic.Uint64
-	conflicts     atomic.Uint64
-	releases      atomic.Uint64
-	releaseWalks  atomic.Uint64
-	chainFollows  atomic.Uint64
-	maxChain      atomic.Uint64
+type counterBlock struct {
+	readOpens, reads         atomic.Uint64 // successful read acquires that did / did not open the cell
+	writeOpens, writes       atomic.Uint64 // write grants (Granted or AlreadyHeld) that did / did not open it
+	upgrades                 atomic.Uint64 // read→write upgrades; also write acquires in Stats
+	conflicts                atomic.Uint64
+	closes, releases         atomic.Uint64 // releases that did / did not close the cell
+	walkCloses, walkReleases atomic.Uint64 // tagged only: the same, for releases that walked the chain
+	chainFollows             atomic.Uint64
+	maxChain                 atomic.Uint64
+	_                        [32]byte
 }
+
+// counters is the striped implementation behind Stats and Occupied. Tables
+// keep it as their first field: the allocator aligns an object this large
+// to a multiple of 128 bytes, which is what makes the blocks' padding
+// line up with cache lines.
+type counters [counterStripes]counterBlock
+
+// at returns the counter block for first-level cell idx.
+func (c *counters) at(idx uint64) *counterBlock { return &c[idx&(counterStripes-1)] }
 
 func (c *counters) snapshot() Stats {
-	return Stats{
-		ReadAcquires:  c.readAcquires.Load(),
-		WriteAcquires: c.writeAcquires.Load(),
-		Upgrades:      c.upgrades.Load(),
-		Conflicts:     c.conflicts.Load(),
-		Releases:      c.releases.Load(),
-		ReleaseWalks:  c.releaseWalks.Load(),
-		ChainFollows:  c.chainFollows.Load(),
-		MaxChain:      c.maxChain.Load(),
+	var s Stats
+	for i := range c {
+		b := &c[i]
+		up := b.upgrades.Load()
+		s.ReadAcquires += b.readOpens.Load() + b.reads.Load()
+		s.WriteAcquires += b.writeOpens.Load() + b.writes.Load() + up
+		s.Upgrades += up
+		s.Conflicts += b.conflicts.Load()
+		walks := b.walkCloses.Load() + b.walkReleases.Load()
+		s.Releases += b.closes.Load() + b.releases.Load() + walks
+		s.ReleaseWalks += walks
+		s.ChainFollows += b.chainFollows.Load()
+		if m := b.maxChain.Load(); m > s.MaxChain {
+			s.MaxChain = m
+		}
 	}
+	return s
 }
 
-func (c *counters) reset() {
-	c.readAcquires.Store(0)
-	c.writeAcquires.Store(0)
-	c.upgrades.Store(0)
-	c.conflicts.Store(0)
-	c.releases.Store(0)
-	c.releaseWalks.Store(0)
-	c.chainFollows.Store(0)
-	c.maxChain.Store(0)
+// occupied returns opens minus closes: the number of first-level cells with
+// at least one holder. A cell's close is counted after its open, in the same
+// block, so loading each block's closes first keeps a concurrent reading
+// from going negative; it is exact whenever the table is quiescent.
+func (c *counters) occupied() uint64 {
+	var closes, opens uint64
+	for i := range c {
+		b := &c[i]
+		closes += b.closes.Load() + b.walkCloses.Load()
+		opens += b.readOpens.Load() + b.writeOpens.Load()
+	}
+	return opens - closes
 }
 
-func (c *counters) observeChain(n uint64) {
+func (c *counters) reset() { *c = counters{} }
+
+func (b *counterBlock) observeChain(n uint64) {
 	for {
-		cur := c.maxChain.Load()
-		if n <= cur || c.maxChain.CompareAndSwap(cur, n) {
+		cur := b.maxChain.Load()
+		if n <= cur || b.maxChain.CompareAndSwap(cur, n) {
 			return
 		}
 	}

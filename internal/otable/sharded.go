@@ -22,8 +22,8 @@ import (
 // the flat tagged table. The tagged sub-tables are already lock-free, so
 // within one shard threads only ever contend on the CAS words of the
 // bucket and record they actually touch; sharding additionally makes every
-// record slab, free-list stripe, occupancy counter, and statistics word
-// private to a shard, so S threads touching different shards share no
+// record slab, free-list stripe and event-counter block private to a
+// shard, so S threads touching different shards share no
 // synchronization state at all and the residual cache-line ping-pong of a
 // single table drops by roughly a factor of S.
 type Sharded struct {
@@ -155,7 +155,7 @@ func (t *Sharded) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
 // ReleaseWriteH implements Table.
 func (t *Sharded) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 	s, bucket := t.locate(b)
-	s.releaseWriteHAt(bucket, tx, b, h)
+	s.releaseWriteAt(bucket, tx, b, h, 0)
 }
 
 // SampleVersion implements Table: one global hash locates the shard
@@ -168,7 +168,7 @@ func (t *Sharded) SampleVersion(b addr.Block) (uint64, bool) {
 // ReleaseWriteV implements Table.
 func (t *Sharded) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
 	s, bucket := t.locate(b)
-	s.releaseWriteVAt(bucket, tx, b, h, stamp)
+	s.releaseWriteAt(bucket, tx, b, h, stamp)
 }
 
 // StampVersion implements Table.

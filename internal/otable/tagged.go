@@ -107,6 +107,7 @@ import (
 //     is a transient publish artifact — walkers decide deadness by the
 //     state word and treat such marks as traversal noise.
 type Tagged struct {
+	stats counters // first field, see counters; also yields Occupied
 	h     hash.Func
 	heads []atomic.Uint64 // per-bucket chain head link {0, gen, idx}; 0 = empty
 	live  []atomic.Int32  // per-bucket count of held (Read/Write) records
@@ -132,9 +133,6 @@ type Tagged struct {
 	// reachable no matter what stale links still point at it.
 	segs    []atomic.Pointer[recSeg]
 	nextIdx atomic.Uint32 // bump allocator over the slab; index 0 = nil
-
-	occ   atomic.Int64 // buckets with ≥1 held record
-	stats counters
 }
 
 // Slab geometry: segments of 1024 records, at most 1024 segments. The cap
@@ -415,7 +413,7 @@ restart:
 		if mode == Free {
 			if tag == uint64(b) {
 				if phys > 0 {
-					t.stats.chainFollows.Add(phys)
+					t.stats.at(idx).chainFollows.Add(phys)
 				}
 				return rec, st, cur, head, depth, true
 			}
@@ -436,7 +434,7 @@ restart:
 		} else {
 			if tag == uint64(b) {
 				if phys > 0 {
-					t.stats.chainFollows.Add(phys)
+					t.stats.at(idx).chainFollows.Add(phys)
 				}
 				return rec, st, cur, head, depth, true
 			}
@@ -447,7 +445,7 @@ restart:
 		cur = next
 	}
 	if phys > 1 {
-		t.stats.chainFollows.Add(phys - 1)
+		t.stats.at(idx).chainFollows.Add(phys - 1)
 	}
 	return nil, 0, 0, head, depth, false
 }
@@ -488,31 +486,39 @@ func (t *Tagged) insertAt(idx uint64, b addr.Block, m Mode, payload uint32, head
 	// condemn this record — cannot run before this store: the grant has
 	// not yet been returned to the caller.
 	r.next.Store(headSeen)
+	c := t.stats.at(idx)
 	if m == Write {
 		// Count the writer into the bucket's version word before the grant
 		// is returned: the caller cannot write data before this, so an
 		// invisible reader that misses the count can only have sampled
 		// before any mutation existed.
 		verEnter(&t.vers[idx])
+		t.grant(idx, &c.writeOpens, &c.writes)
+	} else {
+		t.grant(idx, &c.readOpens, &c.reads)
 	}
-	if t.live[idx].Add(1) == 1 {
-		t.occ.Add(1)
-	}
-	t.stats.observeChain(liveLen + 1)
+	c.observeChain(liveLen + 1)
 	return mkLink(g, ridx)
 }
 
-// grant updates the occupancy accounting after a Free→held claim.
-func (t *Tagged) grant(idx uint64) {
+// grant counts a Free→held claim into bucket idx's held-record count and
+// bumps the acquire's one event counter: opens if the claim gave the bucket
+// its first held record, joins otherwise.
+func (t *Tagged) grant(idx uint64, opens, joins *atomic.Uint64) {
 	if t.live[idx].Add(1) == 1 {
-		t.occ.Add(1)
+		opens.Add(1)
+	} else {
+		joins.Add(1)
 	}
 }
 
-// ungrant updates the occupancy accounting after a held→Free release.
-func (t *Tagged) ungrant(idx uint64) {
+// ungrant is grant's inverse for a held→Free release: closes if the bucket
+// is left with no held record, stays otherwise.
+func (t *Tagged) ungrant(idx uint64, closes, stays *atomic.Uint64) {
 	if t.live[idx].Add(-1) == 0 {
-		t.occ.Add(-1)
+		closes.Add(1)
+	} else {
+		stays.Add(1)
 	}
 }
 
@@ -535,31 +541,29 @@ func (t *Tagged) acquireReadAt(idx uint64, tx TxID, b addr.Block) (Outcome, Conf
 		r, st, rlink, headSeen, depth, found := t.walk(idx, b)
 		if !found {
 			if h := t.insertAt(idx, b, Read, 1, headSeen, depth); h != 0 {
-				t.stats.readAcquires.Add(1)
 				return Granted, NoConflict, h
 			}
 			continue
 		}
-		g := linkGen(rlink)
+		g, c := linkGen(rlink), t.stats.at(idx)
 		for {
 			switch recMode(st) {
 			case Free: // claim the parked record in place
 				if r.state.CompareAndSwap(st, packRec(Read, g, 1)) {
-					t.grant(idx)
-					t.stats.readAcquires.Add(1)
+					t.grant(idx, &c.readOpens, &c.reads)
 					return Granted, NoConflict, rlink
 				}
 			case Read:
 				if r.state.CompareAndSwap(st, packRec(Read, g, recPayload(st)+1)) {
-					t.stats.readAcquires.Add(1)
+					c.reads.Add(1)
 					return Granted, NoConflict, rlink
 				}
 			case Write:
 				if TxID(recPayload(st)) == tx {
-					t.stats.readAcquires.Add(1)
+					c.reads.Add(1)
 					return AlreadyHeld, NoConflict, rlink
 				}
-				t.stats.conflicts.Add(1)
+				c.conflicts.Add(1)
 				return ConflictWriter, WriterConflict(TxID(recPayload(st))), 0
 			}
 			if st = r.state.Load(); recGen(st) != g || recMode(st) == deadMode {
@@ -607,13 +611,12 @@ func (t *Tagged) upgradeByHandle(idx uint64, tx TxID, heldReads uint32, h uint64
 				payload, tx, heldReads))
 		}
 		if heldReads < payload {
-			t.stats.conflicts.Add(1)
+			t.stats.at(idx).conflicts.Add(1)
 			return ConflictReaders, ReadersConflict(payload - heldReads), true
 		}
 		if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
 			verEnter(&t.vers[idx])
-			t.stats.writeAcquires.Add(1)
-			t.stats.upgrades.Add(1)
+			t.stats.at(idx).upgrades.Add(1)
 			return Upgraded, NoConflict, true
 		}
 	}
@@ -631,19 +634,17 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 		r, st, rlink, headSeen, depth, found := t.walk(idx, b)
 		if !found {
 			if h := t.insertAt(idx, b, Write, uint32(tx), headSeen, depth); h != 0 {
-				t.stats.writeAcquires.Add(1)
 				return Granted, NoConflict, h
 			}
 			continue
 		}
-		g := linkGen(rlink)
+		g, c := linkGen(rlink), t.stats.at(idx)
 		for {
 			switch recMode(st) {
 			case Free: // claim the parked record in place
 				if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
 					verEnter(&t.vers[idx])
-					t.grant(idx)
-					t.stats.writeAcquires.Add(1)
+					t.grant(idx, &c.writeOpens, &c.writes)
 					return Granted, NoConflict, rlink
 				}
 			case Read:
@@ -655,20 +656,19 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 				if heldReads == payload {
 					if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
 						verEnter(&t.vers[idx])
-						t.stats.writeAcquires.Add(1)
-						t.stats.upgrades.Add(1)
+						c.upgrades.Add(1)
 						return Upgraded, NoConflict, rlink
 					}
 				} else {
-					t.stats.conflicts.Add(1)
+					c.conflicts.Add(1)
 					return ConflictReaders, ReadersConflict(payload - heldReads), 0
 				}
 			case Write:
 				if TxID(recPayload(st)) == tx {
-					t.stats.writeAcquires.Add(1)
+					c.writes.Add(1)
 					return AlreadyHeld, NoConflict, rlink
 				}
-				t.stats.conflicts.Add(1)
+				c.conflicts.Add(1)
 				return ConflictWriter, WriterConflict(TxID(recPayload(st))), 0
 			}
 			if st = r.state.Load(); recGen(st) != g || recMode(st) == deadMode {
@@ -691,8 +691,7 @@ func (t *Tagged) releaseReadHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
 		t.releaseReadAt(idx, tx, b)
 		return
 	}
-	r := t.rec(linkIdx(uint64(h)))
-	g := linkGen(uint64(h))
+	r, g, c := t.rec(linkIdx(uint64(h))), linkGen(uint64(h)), t.stats.at(idx)
 	for {
 		st := r.state.Load()
 		if recGen(st) != g || recMode(st) != Read || recPayload(st) == 0 {
@@ -704,12 +703,11 @@ func (t *Tagged) releaseReadHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
 		}
 		if n := recPayload(st); n > 1 {
 			if r.state.CompareAndSwap(st, packRec(Read, g, n-1)) {
-				t.stats.releases.Add(1)
+				c.releases.Add(1)
 				return
 			}
 		} else if r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			t.ungrant(idx)
-			t.stats.releases.Add(1)
+			t.ungrant(idx, &c.closes, &c.releases)
 			return
 		}
 	}
@@ -723,92 +721,68 @@ func (t *Tagged) releaseReadHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
 // count above zero — so the panic on a missing or non-read record is a
 // caller bookkeeping bug, exactly as under a mutex-guarded table.
 func (t *Tagged) releaseReadAt(idx uint64, tx TxID, b addr.Block) {
-	t.stats.releaseWalks.Add(1)
 	r, st, rlink, _, _, found := t.walk(idx, b)
 	if !found {
 		panic(fmt.Sprintf("otable: ReleaseRead by tx %d on block %v with no read record", tx, b))
 	}
-	g := linkGen(rlink)
+	g, c := linkGen(rlink), t.stats.at(idx)
 	for {
 		if recMode(st) != Read || recPayload(st) == 0 {
 			panic(fmt.Sprintf("otable: ReleaseRead by tx %d on block %v with no read record", tx, b))
 		}
 		if n := recPayload(st); n > 1 {
 			if r.state.CompareAndSwap(st, packRec(Read, g, n-1)) {
-				t.stats.releases.Add(1)
+				c.walkReleases.Add(1)
 				return
 			}
 		} else if r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			t.ungrant(idx)
-			t.stats.releases.Add(1)
+			t.ungrant(idx, &c.walkCloses, &c.walkReleases)
 			return
 		}
 		st = r.state.Load()
 	}
 }
 
-// ReleaseWriteH implements Table: one generation-validated state CAS
-// on the record the handle names, no chain walk. A stale or useless handle
-// falls back to the walking release.
+// ReleaseWriteH implements Table: the abort-path release, which uncounts the
+// writer from the bucket's version word without publishing a stamp (memory
+// was never mutated, so the old stamp still describes it) — raising the
+// stamp to at least 0 raises nothing.
 func (t *Tagged) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
-	t.releaseWriteHAt(t.h.Index(b), tx, b, h)
+	t.releaseWriteAt(t.h.Index(b), tx, b, h, 0)
 }
 
-// releaseWriteHAt is ReleaseWriteH with the bucket index precomputed: the
-// abort-path release, which uncounts the writer from the bucket's version
-// word without publishing a stamp (memory was never mutated, so the old
-// stamp still describes it).
-func (t *Tagged) releaseWriteHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
-	t.releaseWriteOwnHAt(idx, tx, b, h)
-	verLeave(&t.vers[idx])
-}
-
-// releaseWriteVAt is the commit-path release: it raises the bucket stamp
-// (and uncounts the writer) in one CAS ordered before the ownership
-// release, so any acquire or read validation that observes the slot free
-// afterwards also observes the stamp.
-func (t *Tagged) releaseWriteVAt(idx uint64, tx TxID, b addr.Block, h Handle, stamp uint64) {
-	verPublish(&t.vers[idx], stamp)
-	t.releaseWriteOwnHAt(idx, tx, b, h)
-}
-
-// releaseWriteOwnHAt releases write ownership through a handle, without
-// touching the version word (the caller has accounted for the writer
-// count). A write record has exactly one legitimate releaser, so the single
-// CAS cannot be contended by correct code; any mismatch routes to the
-// walking release for diagnosis.
-func (t *Tagged) releaseWriteOwnHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
+// releaseWriteAt releases tx's write ownership of b in bucket idx: through
+// the handle with no chain walk, or — with a stale or useless handle — by
+// walking. Either way owner and mode are validated from the record's state
+// word before the version word is touched, so a release by anyone but the
+// owner panics without side effects. The owner then raises the bucket stamp
+// (and uncounts the writer) in one CAS ordered before the ownership release,
+// so any acquire or read validation that observes the slot free afterwards
+// also observes the stamp. A write record has exactly one legitimate
+// releaser, so the state CAS can only be contended by bugs.
+func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block, h Handle, stamp uint64) {
+	c := t.stats.at(idx)
+	closes, stays := &c.closes, &c.releases
+	var r *record
+	var st, g uint64
 	if h != NoHandle {
-		r := t.rec(linkIdx(uint64(h)))
-		g := linkGen(uint64(h))
-		st := r.state.Load()
-		if recGen(st) == g && recMode(st) == Write && TxID(recPayload(st)) == tx &&
-			r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			t.ungrant(idx)
-			t.stats.releases.Add(1)
-			return
+		r, g = t.rec(linkIdx(uint64(h))), linkGen(uint64(h))
+		st = r.state.Load()
+	}
+	if r == nil || recGen(st) != g || recMode(st) != Write || TxID(recPayload(st)) != tx {
+		var rlink uint64
+		var found bool
+		r, st, rlink, _, _, found = t.walk(idx, b)
+		if !found || recMode(st) != Write || TxID(recPayload(st)) != tx {
+			panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
 		}
+		g, closes, stays = linkGen(rlink), &c.walkCloses, &c.walkReleases
 	}
-	t.releaseWriteOwnAt(idx, tx, b)
-}
-
-// releaseWriteOwnAt is the walking form of releaseWriteOwnHAt. See
-// releaseReadAt for the linearization; a write record has exactly one
-// legitimate releaser, so the CAS to Free can only be contended by bugs.
-func (t *Tagged) releaseWriteOwnAt(idx uint64, tx TxID, b addr.Block) {
-	t.stats.releaseWalks.Add(1)
-	r, st, rlink, _, _, found := t.walk(idx, b)
-	if !found {
+	verPublish(&t.vers[idx], stamp)
+	if !r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
 		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
 	}
-	if recMode(st) != Write || TxID(recPayload(st)) != tx {
-		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
-	}
-	if !r.state.CompareAndSwap(st, packRec(Free, linkGen(rlink), 0)) {
-		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
-	}
-	t.ungrant(idx)
-	t.stats.releases.Add(1)
+	t.ungrant(idx, closes, stays)
 }
 
 // SampleVersion implements Table: one hash, one atomic load.
@@ -818,7 +792,7 @@ func (t *Tagged) SampleVersion(b addr.Block) (uint64, bool) {
 
 // ReleaseWriteV implements Table.
 func (t *Tagged) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
-	t.releaseWriteVAt(t.h.Index(b), tx, b, h, stamp)
+	t.releaseWriteAt(t.h.Index(b), tx, b, h, stamp)
 }
 
 // StampVersion implements Table.
@@ -827,16 +801,10 @@ func (t *Tagged) StampVersion(b addr.Block, stamp uint64) {
 }
 
 // Occupied implements Table: the number of buckets holding at least one
-// held record. The count is maintained on the grant/release transitions,
-// so concurrent readers see a momentarily lagging value — exact whenever
-// the table is quiescent.
-func (t *Tagged) Occupied() uint64 {
-	v := t.occ.Load()
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
+// held record, derived from the open/close event counters the grant and
+// release transitions bump (see counters.occupied), so concurrent readers
+// see a momentarily lagging value — exact whenever the table is quiescent.
+func (t *Tagged) Occupied() uint64 { return t.stats.occupied() }
 
 // Records returns the number of held ownership records (≥ Occupied when
 // chains exist), summed from the per-bucket counters; free parked records
@@ -908,6 +876,5 @@ func (t *Tagged) Reset() {
 		t.stripes[i].free.Store(0)
 	}
 	t.nextIdx.Store(1)
-	t.occ.Store(0)
 	t.stats.reset()
 }

@@ -19,6 +19,7 @@ import (
 // concurrent use without locks, mirroring the low-overhead motivation the
 // paper ascribes to tagless designs.
 type Tagless struct {
+	stats   counters // first field, see counters; also yields Occupied
 	h       hash.Func
 	entries []atomic.Uint64
 	// vers holds one version word per entry ({stamp, active-writer count},
@@ -26,9 +27,7 @@ type Tagless struct {
 	// it instead of acquiring. Aliasing blocks share an entry and therefore
 	// a version, so an aliased commit costs readers a spurious validation
 	// failure, never a wrong value.
-	vers  []atomic.Uint64
-	occ   atomic.Int64
-	stats counters
+	vers []atomic.Uint64
 }
 
 // Entry word layout:
@@ -112,39 +111,36 @@ func (t *Tagless) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
 
 // ReleaseWriteH implements Table: the abort-path release, which uncounts the
 // writer without publishing a stamp (memory was never mutated, so the old
-// stamp still describes it).
+// stamp still describes it) — raising the stamp to at least 0 raises nothing.
 func (t *Tagless) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
-	idx := t.entryOf(b, h)
-	verLeave(&t.vers[idx])
-	t.releaseWriteOwn(idx, tx)
+	t.releaseWriteIdx(t.entryOf(b, h), tx, 0)
 }
 
 // acquireReadIdx is the read acquire on a precomputed entry index. A denial
 // reports the owner read from the very entry word that decided it.
 func (t *Tagless) acquireReadIdx(idx uint64, tx TxID) (Outcome, ConflictInfo) {
-	e := &t.entries[idx]
+	e, c := &t.entries[idx], t.stats.at(idx)
 	for {
 		old := e.Load()
 		mode, payload := unpackEntry(old)
 		switch mode {
 		case Free:
 			if e.CompareAndSwap(old, packEntry(Read, 1)) {
-				t.occ.Add(1)
-				t.stats.readAcquires.Add(1)
+				c.readOpens.Add(1)
 				return Granted, NoConflict
 			}
 		case Read:
 			if e.CompareAndSwap(old, packEntry(Read, payload+1)) {
-				t.stats.readAcquires.Add(1)
+				c.reads.Add(1)
 				return Granted, NoConflict
 			}
 		case Write:
 			if TxID(payload) == tx {
 				// Exclusive ownership subsumes the read.
-				t.stats.readAcquires.Add(1)
+				c.reads.Add(1)
 				return AlreadyHeld, NoConflict
 			}
-			t.stats.conflicts.Add(1)
+			c.conflicts.Add(1)
 			return ConflictWriter, WriterConflict(TxID(payload))
 		}
 	}
@@ -154,7 +150,7 @@ func (t *Tagless) acquireReadIdx(idx uint64, tx TxID) (Outcome, ConflictInfo) {
 // reports the owning writer, or the count of foreign sharers (the entry's
 // sharer count minus the caller's own shares).
 func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcome, ConflictInfo) {
-	e := &t.entries[idx]
+	e, c := &t.entries[idx], t.stats.at(idx)
 	for {
 		old := e.Load()
 		mode, payload := unpackEntry(old)
@@ -162,8 +158,7 @@ func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcom
 		case Free:
 			if e.CompareAndSwap(old, packEntry(Write, uint32(tx))) {
 				verEnter(&t.vers[idx])
-				t.occ.Add(1)
-				t.stats.writeAcquires.Add(1)
+				c.writeOpens.Add(1)
 				return Granted, NoConflict
 			}
 		case Read:
@@ -175,20 +170,19 @@ func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcom
 				// Every current sharer is the caller: upgrade in place.
 				if e.CompareAndSwap(old, packEntry(Write, uint32(tx))) {
 					verEnter(&t.vers[idx])
-					t.stats.writeAcquires.Add(1)
-					t.stats.upgrades.Add(1)
+					c.upgrades.Add(1)
 					return Upgraded, NoConflict
 				}
 				continue
 			}
-			t.stats.conflicts.Add(1)
+			c.conflicts.Add(1)
 			return ConflictReaders, ReadersConflict(payload - heldReads)
 		case Write:
 			if TxID(payload) == tx {
-				t.stats.writeAcquires.Add(1)
+				c.writes.Add(1)
 				return AlreadyHeld, NoConflict
 			}
-			t.stats.conflicts.Add(1)
+			c.conflicts.Add(1)
 			return ConflictWriter, WriterConflict(TxID(payload))
 		}
 	}
@@ -196,45 +190,42 @@ func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcom
 
 // releaseReadIdx is the read release on a precomputed entry index.
 func (t *Tagless) releaseReadIdx(idx uint64, tx TxID) {
-	e := &t.entries[idx]
+	e, c := &t.entries[idx], t.stats.at(idx)
 	for {
 		old := e.Load()
 		mode, payload := unpackEntry(old)
 		if mode != Read || payload == 0 {
 			panic(fmt.Sprintf("otable: ReleaseRead by tx %d on %s entry", tx, mode))
 		}
-		var next uint64
+		next, n := packEntry(Read, payload-1), &c.releases
 		if payload == 1 {
-			next = packEntry(Free, 0)
-		} else {
-			next = packEntry(Read, payload-1)
+			next, n = packEntry(Free, 0), &c.closes
 		}
 		if e.CompareAndSwap(old, next) {
-			if payload == 1 {
-				t.occ.Add(-1)
-			}
-			t.stats.releases.Add(1)
+			n.Add(1)
 			return
 		}
 	}
 }
 
-// releaseWriteOwn releases write ownership of entry idx without touching
-// the version word; the caller has already accounted for the writer count.
-func (t *Tagless) releaseWriteOwn(idx uint64, tx TxID) {
+// releaseWriteIdx releases write ownership of entry idx. Owner and mode are
+// validated from the entry word before the version word is touched, so a
+// release by anyone but the owner panics without side effects; the owner is
+// exclusive, so the entry cannot change between the validation and the CAS.
+// The stamp is published (and the writer uncounted) before the
+// ownership-releasing CAS, so any acquire that succeeds after the release
+// observes the new stamp.
+func (t *Tagless) releaseWriteIdx(idx uint64, tx TxID, stamp uint64) {
 	e := &t.entries[idx]
-	for {
-		old := e.Load()
-		mode, payload := unpackEntry(old)
-		if mode != Write || TxID(payload) != tx {
-			panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on entry %s/owner=%d", tx, mode, payload))
-		}
-		if e.CompareAndSwap(old, packEntry(Free, 0)) {
-			t.occ.Add(-1)
-			t.stats.releases.Add(1)
-			return
-		}
+	old := e.Load()
+	if mode, payload := unpackEntry(old); mode != Write || TxID(payload) != tx {
+		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on entry %s/owner=%d", tx, mode, payload))
 	}
+	verPublish(&t.vers[idx], stamp)
+	if !e.CompareAndSwap(old, packEntry(Free, 0)) {
+		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d raced another release of its entry", tx))
+	}
+	t.stats.at(idx).closes.Add(1)
 }
 
 // SampleVersion implements Table: one hash, one atomic load.
@@ -242,13 +233,9 @@ func (t *Tagless) SampleVersion(b addr.Block) (uint64, bool) {
 	return verUnpack(t.vers[t.h.Index(b)].Load())
 }
 
-// ReleaseWriteV implements Table: publish the stamp (and uncount the
-// writer) before the ownership-releasing CAS, so any acquire that succeeds
-// after the release observes the new stamp.
+// ReleaseWriteV implements Table.
 func (t *Tagless) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
-	idx := t.entryOf(b, h)
-	verPublish(&t.vers[idx], stamp)
-	t.releaseWriteOwn(idx, tx)
+	t.releaseWriteIdx(t.entryOf(b, h), tx, stamp)
 }
 
 // StampVersion implements Table.
@@ -256,14 +243,9 @@ func (t *Tagless) StampVersion(b addr.Block, stamp uint64) {
 	verRaise(&t.vers[t.h.Index(b)], stamp)
 }
 
-// Occupied implements Table.
-func (t *Tagless) Occupied() uint64 {
-	v := t.occ.Load()
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
+// Occupied implements Table: the number of held entries, derived from the
+// open/close event counters (see counters.occupied).
+func (t *Tagless) Occupied() uint64 { return t.stats.occupied() }
 
 // Stats implements Table.
 func (t *Tagless) Stats() Stats { return t.stats.snapshot() }
@@ -276,7 +258,6 @@ func (t *Tagless) Reset() {
 	for i := range t.vers {
 		t.vers[i].Store(0)
 	}
-	t.occ.Store(0)
 	t.stats.reset()
 }
 

@@ -44,13 +44,10 @@ const (
 // verEnter counts a new exclusive hold into the cell.
 func verEnter(v *atomic.Uint64) { v.Add(1) }
 
-// verLeave removes one exclusive hold without publishing a stamp — the
-// abort-path release, where memory was never mutated so the old stamp still
-// describes it.
-func verLeave(v *atomic.Uint64) { v.Add(^uint64(0)) }
-
 // verPublish removes one exclusive hold and raises the stamp to at least
-// stamp. The caller must currently be counted (count >= 1).
+// stamp. The caller must currently be counted (count >= 1). Stamp 0 raises
+// nothing: that is the abort-path release, where memory was never mutated
+// so the old stamp still describes it.
 func verPublish(v *atomic.Uint64, stamp uint64) {
 	for {
 		old := v.Load()

@@ -27,7 +27,7 @@ func (th *Thread) conflict(ci otable.ConflictInfo) {
 // fuzz yields the processor with the configured probability; see
 // Config.FuzzYield.
 func (th *Thread) fuzz() {
-	if p := th.rt.cfg.FuzzYield; p > 0 && th.rng.Float64() < p {
+	if th.fuzzP > 0 && th.rng.Float64() < th.fuzzP {
 		runtime.Gosched()
 	}
 }

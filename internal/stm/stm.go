@@ -315,6 +315,7 @@ func (rt *Runtime) NewThread() *Thread {
 		mem:      rt.cfg.Memory,
 		wordGran: rt.cfg.Granularity == WordGranularity,
 		slotID:   rt.cfg.Table.SlotsAreBlocks(),
+		fuzzP:    rt.cfg.FuzzYield,
 		fb:       rt.cfg.FallbackAfter,
 		roLimit:  roLimit,
 		rec:      rt.cfg.Recorder,
@@ -344,9 +345,10 @@ type Thread struct {
 	// branch and nothing else.
 	invis    bool
 	mem      *Memory
-	wordGran bool // ownership tracked per word rather than per block
-	slotID   bool // table slots are blocks: no cross-chunk slot aliasing
-	fb       int  // Config.FallbackAfter (0 = serial fallback disabled)
+	wordGran bool    // ownership tracked per word rather than per block
+	slotID   bool    // table slots are blocks: no cross-chunk slot aliasing
+	fuzzP    float64 // Config.FuzzYield; 0 (the default) costs fuzz one local branch
+	fb       int     // Config.FallbackAfter (0 = serial fallback disabled)
 	// rec is the runtime's history recorder, nil when disabled; cached
 	// here so the hot path pays one nil check, not a config dereference.
 	rec  Recorder
