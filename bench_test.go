@@ -265,6 +265,45 @@ func BenchmarkSTMTagged(b *testing.B) { benchSTM(b, "tagged") }
 // BenchmarkSTMSharded measures STM commit throughput on the sharded table.
 func BenchmarkSTMSharded(b *testing.B) { benchSTM(b, "sharded") }
 
+// BenchmarkInvisibleReadThenWrite prices what an invisible attempt pays for
+// the blocks it only reads once it also writes: one thread, four invisible
+// reads and one write to a fifth block per transaction. The reads stay
+// invisible through the commit, so the reported table read acquires per
+// transaction must be 0 — under whole-read-set promotion they were 4, each
+// with its release.
+func BenchmarkInvisibleReadThenWrite(b *testing.B) {
+	for _, kind := range otable.Kinds() {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			tab, err := NewTable(kind, 4096, "mask")
+			if err != nil {
+				b.Fatal(err)
+			}
+			mem := NewMemory(1 << 12)
+			rt, err := NewSTM(STMConfig{Table: tab, Memory: mem, Seed: 1, InvisibleReaders: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			th := rt.NewThread()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := th.Atomic(func(tx *stm.Tx) error {
+					var sum uint64
+					for k := 0; k < 4; k++ {
+						sum += tx.Read(mem.WordAddr((i*40 + k*8) % 4096))
+					}
+					tx.Write(mem.WordAddr((i*40+32)%4096), sum+1)
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tab.Stats().ReadAcquires)/float64(b.N), "read-acquires/op")
+		})
+	}
+}
+
 // benchSTMParallel measures multi-core transaction throughput on disjoint
 // per-goroutine data: every committed transaction is conflict-free for the
 // tagged and sharded tables, so the benchmark isolates the cost of the

@@ -12,68 +12,110 @@ import (
 	"tmbp/internal/stm"
 )
 
-// TestFaultStaleVersionBoundedAborts poisons every version sample: with
+// TestFaultStaleVersionBoundedAborts poisons version samples: with
 // StaleVersionRate 1.0 each invisible read observes an impossible "future"
 // stamp, so every invisible attempt dies in validation. The runtime must
 // keep the damage bounded — exactly FallbackAfter validation aborts per
 // transaction, after which attempts stop betting on invisibility (and, at
 // FallbackAfter, escalate to the serial token) and every transaction
-// commits. Single-threaded, so the schedule is exactly reproducible.
+// commits. Writing transactions stay invisible too, so the same bound must
+// hold for a read-then-write workload, with exact sums; at rate 0.5 the
+// poisoned samples also land on the stamp check behind a write acquire and
+// on the re-sample after a load, which may cost aborts up to the bound and
+// nothing else. (Commit-time validation of writers needs a concurrent
+// commit to run at all; the grid test below covers it.) Single-threaded, so
+// each schedule is exactly reproducible.
 func TestFaultStaleVersionBoundedAborts(t *testing.T) {
-	tab, err := otable.New("tagged", hash.NewMask(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.New(tab, fault.Config{Seed: 5, StaleVersionRate: 1.0})
-	mem := stm.NewMemory(64)
-	const fallbackAfter = 3
-	cfg := stm.Config{Table: inj, Memory: mem, Seed: 5,
-		FallbackAfter: fallbackAfter, InvisibleReaders: true}
-	log := recordTrace(t, &cfg)
-	rt, err := stm.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.NewThread()
-	const txns = 10
-	for i := 0; i < txns; i++ {
-		if err := th.Atomic(func(tx *stm.Tx) error {
-			if v := tx.Read(mem.WordAddr(i % mem.Words())); v != 0 {
-				t.Fatalf("txn %d read %d from untouched memory", i, v)
+	const (
+		fallbackAfter = 3
+		txns          = 60 // fewer than memory words: each word is touched once
+	)
+	for _, tc := range []struct {
+		name  string
+		rate  float64
+		write bool
+	}{
+		{"read-only", 1.0, false},
+		{"read-then-write", 1.0, true},
+		{"read-then-write-half", 0.5, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tab, err := otable.New("tagged", hash.NewMask(64))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			t.Fatalf("txn %d: %v", i, err)
-		}
-	}
-	st := rt.Stats()
-	if st.Commits != txns {
-		t.Fatalf("commits = %d, want %d", st.Commits, txns)
-	}
-	// The poisoned fast path costs each transaction exactly fallbackAfter
-	// validation aborts before the acquiring (serial, here) attempt commits.
-	if st.ROValidationAborts != fallbackAfter*txns {
-		t.Fatalf("ROValidationAborts = %d, want %d (bounded at %d per transaction)",
-			st.ROValidationAborts, fallbackAfter*txns, fallbackAfter)
-	}
-	if st.Aborts != fallbackAfter*txns {
-		t.Fatalf("aborts = %d, want %d: staleness must cost nothing beyond the bound",
-			st.Aborts, fallbackAfter*txns)
-	}
-	if st.ROCommits != 0 {
-		t.Fatalf("ROCommits = %d under total sample poisoning, want 0", st.ROCommits)
-	}
-	if st.FallbackCommits != txns {
-		t.Fatalf("FallbackCommits = %d, want %d: the bound should reuse the serial escalation", st.FallbackCommits, txns)
-	}
-	if fs := inj.FaultStats(); fs.Staled == 0 {
-		t.Fatal("injector perturbed no samples: the test exercised nothing")
-	}
-	if err := otable.AuditQuiesced(inj.Underlying()); err != nil {
-		t.Error(err)
-	}
-	if res, err := opacity.CheckTrace(log.Events()); err != nil || !res.Opaque {
-		t.Fatalf("stale-version trace: opaque=%v err=%v", res != nil && res.Opaque, err)
+			inj := fault.New(tab, fault.Config{Seed: 5, StaleVersionRate: tc.rate})
+			mem := stm.NewMemory(64)
+			cfg := stm.Config{Table: inj, Memory: mem, Seed: 5,
+				FallbackAfter: fallbackAfter, InvisibleReaders: true}
+			log := recordTrace(t, &cfg)
+			rt, err := stm.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := rt.NewThread()
+			for i := 0; i < txns; i++ {
+				a, b := mem.WordAddr(i%mem.Words()), mem.WordAddr((i+8)%mem.Words())
+				if err := th.Atomic(func(tx *stm.Tx) error {
+					v := tx.Read(a)
+					if v != 0 {
+						t.Fatalf("txn %d read %d from untouched memory", i, v)
+					}
+					if tc.write {
+						_ = tx.Read(b) // stays invisible through the commit
+						tx.Write(a, v+1)
+					}
+					return nil
+				}); err != nil {
+					t.Fatalf("txn %d: %v", i, err)
+				}
+				if got := th.Attempts(); got > fallbackAfter+1 {
+					t.Fatalf("txn %d took %d attempts, bound is %d", i, got, fallbackAfter+1)
+				}
+			}
+			var sum uint64
+			for w := 0; w < mem.Words(); w++ {
+				sum += mem.LoadDirect(mem.WordAddr(w))
+			}
+			if want := uint64(txns); tc.write && sum != want || !tc.write && sum != 0 {
+				t.Fatalf("memory sums to %d after %d one-word transactions (write=%v)", sum, txns, tc.write)
+			}
+			st := rt.Stats()
+			if st.Commits != txns {
+				t.Fatalf("commits = %d, want %d", st.Commits, txns)
+			}
+			// Staleness only ever fails validations: every abort is one.
+			if st.Aborts != st.ROValidationAborts {
+				t.Fatalf("aborts = %d but only %d validation aborts: staleness must cost nothing else",
+					st.Aborts, st.ROValidationAborts)
+			}
+			if tc.rate == 1.0 {
+				// The poisoned fast path costs each transaction exactly
+				// fallbackAfter validation aborts before the acquiring
+				// (serial, here) attempt commits.
+				if st.ROValidationAborts != fallbackAfter*txns {
+					t.Fatalf("ROValidationAborts = %d, want %d (bounded at %d per transaction)",
+						st.ROValidationAborts, fallbackAfter*txns, fallbackAfter)
+				}
+				if st.ROCommits != 0 {
+					t.Fatalf("ROCommits = %d under total sample poisoning, want 0", st.ROCommits)
+				}
+				if st.FallbackCommits != txns {
+					t.Fatalf("FallbackCommits = %d, want %d: the bound should reuse the serial escalation", st.FallbackCommits, txns)
+				}
+			} else if st.ROValidationAborts == 0 || st.FallbackCommits == txns {
+				t.Fatalf("partial poisoning should abort some attempts and let others commit invisibly: %+v", st)
+			}
+			if fs := inj.FaultStats(); fs.Staled == 0 {
+				t.Fatal("injector perturbed no samples: the test exercised nothing")
+			}
+			if err := otable.AuditQuiesced(inj.Underlying()); err != nil {
+				t.Error(err)
+			}
+			if res, err := opacity.CheckTrace(log.Events()); err != nil || !res.Opaque {
+				t.Fatalf("stale-version trace: opaque=%v err=%v", res != nil && res.Opaque, err)
+			}
+		})
 	}
 }
 

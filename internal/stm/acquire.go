@@ -44,11 +44,12 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 	word, chunk, widx := th.locate(a)
 	var v uint64
 	if e := th.desc.Set.Lookup(chunk); e != nil {
-		// Read-own-writes: the inline redo value wins over memory. Any
+		// Read-own-writes: the inline redo value wins over memory (and over
+		// a snapshot of the same word cached before it was written). Any
 		// existing entry holds at least read permission, so memory is
 		// directly readable otherwise — except on the invisible path, where
-		// nothing is held and a load must be version-validated (or served
-		// from the entry's snapshot cache).
+		// the entry may hold nothing and a load must be version-validated
+		// (or served from the entry's snapshot cache).
 		if e.WMask&(1<<widx) != 0 {
 			v = e.Vals[widx]
 		} else if th.invisible {
@@ -70,19 +71,22 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 }
 
 // Write records v as the speculative value of the word at a, acquiring
-// write ownership of a's chunk. Memory is unmodified until commit.
+// write ownership of a's chunk — and of that chunk only: an invisible
+// attempt's reads stay invisible and are validated at commit. Memory is
+// unmodified until commit.
 func (tx *Tx) Write(a addr.Addr, v uint64) {
 	th := tx.th
 	th.fuzz()
 	word, chunk, widx := th.locate(a)
-	if th.invisible {
-		th.promote()
-	}
+	th.wrote = true
 	e := th.desc.Set.Lookup(chunk)
 	switch {
 	case e == nil:
 		e = th.acquireWriteChunk(chunk)
-	case e.Perm&txn.PermWrite == 0:
+	case e.Perm&txn.PermWrite != 0:
+	case e.Perm&txn.VerRead != 0:
+		th.writeInvisiblyRead(e)
+	default:
 		th.upgradeWriteChunk(e)
 	}
 	e.Word = word - widx
@@ -115,14 +119,15 @@ func (tx *Tx) ReadBlock(b addr.Block) {
 func (tx *Tx) WriteBlock(b addr.Block) {
 	th := tx.th
 	th.fuzz()
-	if th.invisible {
-		th.promote()
-	}
+	th.wrote = true
 	e := th.desc.Set.Lookup(b)
 	switch {
 	case e == nil:
 		th.acquireWriteChunk(b)
-	case e.Perm&txn.PermWrite == 0:
+	case e.Perm&txn.PermWrite != 0:
+	case e.Perm&txn.VerRead != 0:
+		th.writeInvisiblyRead(e)
+	default:
 		th.upgradeWriteChunk(e)
 	}
 }
@@ -132,7 +137,7 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 // obligation in the chunk's access-set entry. The acquiring protocol passes
 // e == nil — the chunk has no entry yet, and one is inserted once the acquire
 // has succeeded, so a denied acquire aborts the attempt with no state
-// change; promotion passes the entry the invisible protocol already made.
+// change; pinOrAbort passes the entry the invisible protocol already made.
 func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) {
 	set := &th.desc.Set
 	slot := uint64(chunk)

@@ -121,6 +121,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 			th.ctr.started.Add(1)
 		}
 		th.desc.Begin()
+		th.wrote = false
 		if th.invis {
 			// Serial attempts run with the runtime drained — acquiring is
 			// uncontended and validation could only lose to the very writers
@@ -199,9 +200,6 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 		th.rollback()
 		return err, false
 	}
-	if th.invisible {
-		th.validateReadSet()
-	}
 	th.commit()
 	return nil, false
 }
@@ -209,8 +207,15 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 // commit makes the transaction's writes visible and releases ownership:
 // write-back happens strictly before release, so any transaction that later
 // acquires a written block observes the committed values. Both phases are
-// single walks of the dense access array in first-access order.
+// single walks of the dense access array in first-access order. Under
+// InvisibleReaders the commit stamp is drawn, and the invisible reads are
+// validated, before the first word is written back (commitStamp); a failed
+// validation unwinds into attempt's rollback with memory untouched.
 func (th *Thread) commit() {
+	var stamp uint64
+	if th.invis {
+		stamp = th.commitStamp()
+	}
 	th.desc.Status = txn.Committed
 	set := &th.desc.Set
 	words := th.mem.words
@@ -221,16 +226,16 @@ func (th *Thread) commit() {
 			words[e.Word+w].Store(e.Vals[w])
 		}
 	}
-	th.releaseAll(true)
+	th.releaseAll(stamp)
 	if th.fb > 0 {
 		// Release precedes finished: when the serial drain observes
 		// started == finished, every record this attempt held is free.
 		th.ctr.finished.Add(1)
 	}
 	th.ctr.commits.Add(1)
-	if th.invisible {
-		// Still on the fast path at commit: the transaction read its whole
-		// footprint without a single table acquire.
+	if th.invisible && !th.wrote {
+		// Read-only and still on the fast path at commit: the transaction
+		// read its whole footprint without a single table acquire.
 		th.ctr.roCommits.Add(1)
 	}
 	if r := th.rec; r != nil {
@@ -245,7 +250,7 @@ func (th *Thread) commit() {
 // rollback discards speculative state and releases ownership.
 func (th *Thread) rollback() {
 	th.desc.Status = txn.Aborted
-	th.releaseAll(false)
+	th.releaseAll(0)
 	if th.fb > 0 {
 		// Counted on every attempt-ending path — conflict, user error,
 		// user panic — so the serial drain never waits on a dead attempt.
@@ -265,27 +270,21 @@ func (th *Thread) rollback() {
 // entry's handle names: the table is never re-walked on the commit or abort
 // path.
 //
-// When invisible readers are enabled and the walk is a committing one, the
-// first write release draws one stamp from the epoch clock and every write
-// release publishes it to its slot's version cell (strictly before ownership
-// drops, see otable.Table.ReleaseWriteV). The epoch is drawn lazily so
-// read-only commits — which hold no write slots — never advance it, keeping
-// the epoch==rv commit shortcut of concurrent invisible readers valid.
-// Aborting walks publish nothing: memory was never mutated, so the old
-// stamps still describe it.
-func (th *Thread) releaseAll(committed bool) {
+// A committing walk under InvisibleReaders passes the stamp commitStamp drew
+// and every write release publishes it to its slot's version cell (strictly
+// before ownership drops, see otable.Table.ReleaseWriteV). Read-only
+// commits hold no write slots and draw no stamp, keeping the epoch==rv
+// commit shortcut of concurrent invisible readers valid. Aborting walks
+// pass 0 and publish nothing: memory was never mutated, so the old stamps
+// still describe it.
+func (th *Thread) releaseAll(stamp uint64) {
 	set := &th.desc.Set
 	n := set.Len()
 	th.lastFP = n
-	publish := committed && th.invis
-	var stamp uint64
 	for i := 0; i < n; i++ {
 		e := set.At(i)
 		if e.Perm&txn.SlotWrite != 0 {
-			if publish {
-				if stamp == 0 {
-					stamp = th.rt.epoch.Add(1)
-				}
+			if stamp != 0 {
 				th.tab.ReleaseWriteV(th.id, e.Rel, otable.Handle(e.Hnd), stamp)
 			} else {
 				th.tab.ReleaseWriteH(th.id, e.Rel, otable.Handle(e.Hnd))

@@ -83,16 +83,18 @@ type Config struct {
 	Granularity Granularity
 	// Isolation for non-transactional accesses; defaults to WeakIsolation.
 	Isolation Isolation
-	// InvisibleReaders enables the version-validated read-only fast path:
-	// a transaction that has performed only reads validates each read
-	// against the table's per-cell version stamps (snapshotting the
-	// runtime's epoch clock at begin and revalidating the read set on
-	// epoch advance and at commit) instead of ever acquiring ownership —
-	// so read-only transactions are invisible to the ownership table and
-	// to each other. The transaction falls back transparently to the
-	// acquiring path on its first Write/WriteBlock (promoting its read set
-	// to real read ownership) or after a bounded number of validation
-	// aborts (FallbackAfter when positive, else an internal default).
+	// InvisibleReaders enables version-validated invisible reads: a
+	// transaction validates each read against the table's per-cell version
+	// stamps (snapshotting the runtime's epoch clock at begin and
+	// revalidating the read set on epoch advance and at commit) instead of
+	// acquiring read ownership — so read-only transactions are invisible
+	// to the ownership table and to each other. A transaction that writes
+	// stays invisible for what it only reads: Write/WriteBlock acquire the
+	// written chunk alone, and the commit draws its stamp from the epoch
+	// clock and revalidates the read set with every write held, before
+	// the first word is written back. After a bounded number of validation
+	// aborts (FallbackAfter when positive, else an internal default) the
+	// transaction retries on the acquiring path.
 	InvisibleReaders bool
 	// MaxAttempts bounds the retries of one transaction (0 = unlimited).
 	MaxAttempts int

@@ -26,29 +26,28 @@ const roReadRetries = 4
 // state some committed prefix ≤ rv produced; an unchanged re-sample after
 // the load means the load belongs to that state. The value is cached in the
 // entry (RMask) so repeat reads are pure probes.
+//
+// A writing attempt that samples a writer reads the chunk visibly instead
+// (pinOrAbort): the read share, or a covering own hold, pins memory, which
+// makes the re-sample unnecessary.
 func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) uint64 {
 	tab := th.tab
 	for tries := 0; ; tries++ {
 		s1, locked := tab.SampleVersion(chunk)
 		if locked {
-			// A writer is mid-flight on the cell. Waiting here would bypass
-			// the contention manager; abort and let it arbitrate.
-			th.roConflict()
+			th.pinOrAbort(chunk, nil)
+			if s1, _ = tab.SampleVersion(chunk); s1 > th.rv {
+				th.coverStamp(s1)
+			}
+			return th.mem.words[word].Load()
 		}
 		if s1 > th.rv {
-			// The chunk committed after our snapshot. The rest of the read
-			// set may still be untouched: try to slide the snapshot forward.
-			th.extendSnapshot()
-			if s1 > th.rv {
-				// A genuine stamp cannot exceed an epoch value read after it
-				// was published; only injected staleness lands here.
-				th.roConflict()
-			}
+			th.coverStamp(s1)
 		}
 		v := th.mem.words[word].Load()
 		if s2, locked2 := tab.SampleVersion(chunk); !locked2 && s2 == s1 {
 			e := th.desc.Set.Insert(chunk)
-			e.Perm = txn.PermRead
+			e.Perm = txn.PermRead | txn.VerRead
 			e.Ver = s1
 			e.Vals[widx] = v
 			e.RMask = 1 << widx
@@ -60,19 +59,53 @@ func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) 
 	}
 }
 
-// readInvisibleHit is the invisible read of a new word in an already-read
-// chunk: serve cached words from the entry's snapshot, and validate a fresh
-// load by re-sampling the version cell. An unchanged stamp with no active
-// writer pins the load to the same committed state entry.Ver named — any
-// writer that committed the cell in between necessarily raised the stamp,
-// and one still in flight shows in the writer count.
+// coverStamp is called with a sampled stamp above rv: the chunk committed
+// after the snapshot, but the rest of the read set may still be untouched,
+// so try to slide the snapshot forward to cover it.
+func (th *Thread) coverStamp(s uint64) {
+	th.extendSnapshot()
+	if s > th.rv {
+		// A genuine stamp cannot exceed an epoch value read after it was
+		// published; only injected staleness lands here.
+		th.roConflict()
+	}
+}
+
+// pinOrAbort handles a version sample that showed a writer in chunk's cell.
+// A read-only attempt holds nothing, so the writer is foreign and mid-flight:
+// waiting here would bypass the contention manager, so abort and let it
+// arbitrate. A writing attempt may have sampled its own hold — a tagless
+// entry it owns through an aliasing chunk, a tagged record in the same
+// bucket; the count cannot tell — and settles the question for this one
+// chunk by read-acquiring it (e is the chunk's invisible entry, nil on a
+// first read): a covering own hold on a tagless slot needs no table call,
+// and a foreign writer of the chunk is a genuine conflict that reaches the
+// contention manager with its ConflictInfo.
+func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
+	if !th.wrote {
+		th.roConflict()
+	}
+	th.acquireReadChunk(chunk, e)
+	th.ctr.roPromotes.Add(1) // granted: a denied acquire never returns
+}
+
+// readInvisibleHit is the read of an unwritten word in a chunk an invisible
+// attempt already has an entry for: serve cached words from the entry's
+// snapshot, and validate a fresh load of a chunk nothing pins (VerRead) by
+// re-sampling the version cell. An unchanged stamp with no active writer
+// pins the load to the same committed state entry.Ver named — any writer
+// that committed the cell in between necessarily raised the stamp, and one
+// still in flight shows in the writer count. A chunk the attempt has since
+// acquired is read straight from memory.
 func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint64 {
 	if e.RMask&(1<<widx) != 0 {
 		return e.Vals[widx]
 	}
 	v := th.mem.words[word].Load()
-	if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
-		th.roConflict()
+	if e.Perm&txn.VerRead != 0 {
+		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
+			th.validationFailed(e, locked)
+		}
 	}
 	e.Vals[widx] = v
 	e.RMask |= 1 << widx
@@ -86,16 +119,14 @@ func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint
 func (th *Thread) readBlockInvisible(b addr.Block) {
 	s1, locked := th.tab.SampleVersion(b)
 	if locked {
-		th.roConflict()
+		th.pinOrAbort(b, nil)
+		return
 	}
 	if s1 > th.rv {
-		th.extendSnapshot()
-		if s1 > th.rv {
-			th.roConflict()
-		}
+		th.coverStamp(s1)
 	}
 	e := th.desc.Set.Insert(b)
-	e.Perm = txn.PermRead
+	e.Perm = txn.PermRead | txn.VerRead
 	e.Ver = s1
 }
 
@@ -103,7 +134,8 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 // forward after a read observed a post-snapshot stamp: if every chunk read
 // so far still carries exactly the stamp it was validated at, the reads all
 // remain atomic at the *current* epoch and rv may advance to it (the LSA
-// "lazy snapshot" extension). Any mismatch aborts.
+// "lazy snapshot" extension). Any mismatch aborts. Chunks the attempt holds
+// cannot have changed and are skipped.
 func (th *Thread) extendSnapshot() {
 	newRv := th.rt.epoch.Load()
 	th.revalidateReadSet()
@@ -111,54 +143,82 @@ func (th *Thread) extendSnapshot() {
 	th.ctr.roExtends.Add(1)
 }
 
-// validateReadSet is the commit-time check of an invisible attempt: every
-// read chunk must still carry the stamp its reads were validated against.
-// If the epoch clock itself has not moved since the snapshot, nothing
-// anywhere committed a write and the read set is vacuously intact — the
-// expected case for read-mostly phases, making read-only commit O(1).
-func (th *Thread) validateReadSet() {
-	if th.rt.epoch.Load() != th.rv {
+// commitStamp is the serialization step of a commit under InvisibleReaders,
+// run with every write of the attempt held and before the first word is
+// written back. A writing attempt — invisible, visible retry or serial —
+// draws its stamp from the epoch clock here: were the clock advanced only
+// after write-back (at release), two attempts with crossing read and write
+// sets could both find it unmoved, both skip validation and commit a write
+// skew. An invisible attempt then revalidates the reads nothing pins; if it
+// drew exactly rv+1 no other writing commit serialized since its snapshot
+// and the read set is vacuously intact. A read-only attempt draws nothing
+// (the result is 0) and is just as vacuously intact while the clock still
+// reads rv — the expected case in read-mostly phases, making read-only
+// commit O(1) — so it never invalidates that shortcut for anyone else.
+func (th *Thread) commitStamp() uint64 {
+	if !th.wrote {
+		if th.invisible && th.rt.epoch.Load() != th.rv {
+			th.revalidateReadSet()
+		}
+		return 0
+	}
+	stamp := th.rt.epoch.Add(1)
+	if th.invisible && stamp != th.rv+1 {
 		th.revalidateReadSet()
 	}
+	return stamp
 }
 
-// revalidateReadSet aborts the invisible attempt unless every chunk read so
-// far is writer-free and still at the stamp it was validated at.
+// revalidateReadSet aborts the invisible attempt unless every chunk whose
+// reads nothing pins is still at the stamp they were validated at.
 func (th *Thread) revalidateReadSet() {
 	set := &th.desc.Set
 	for i, n := 0, set.Len(); i < n; i++ {
 		e := set.At(i)
+		if e.Perm&txn.VerRead == 0 {
+			continue
+		}
 		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
-			th.roConflict()
+			th.validationFailed(e, locked)
 		}
 	}
 }
 
-// promote transparently moves an invisible attempt onto the acquiring path
-// at its first write: every chunk read so far gains real read ownership and
-// is then revalidated, after which the ordinary encounter-time protocol
-// (upgrade on write, release at end) applies unchanged. The already-read
-// values stay valid — ownership now pins them — so user code never observes
-// the switch.
-func (th *Thread) promote() {
-	th.invisible = false
-	th.ctr.roPromotes.Add(1)
-	set := &th.desc.Set
-	for i, n := 0, set.Len(); i < n; i++ {
-		th.promoteEntry(set.At(i))
+// validationFailed handles a sample of e's cell that did not show "no
+// writer, stamp still e.Ver" (the passing test stays inline at both callers:
+// it runs once per validated read). A moved stamp aborts; a counted writer
+// aborts too unless the attempt may be looking at its own hold, in which
+// case the entry is pinned on the spot and its stamp rechecked.
+func (th *Thread) validationFailed(e *txn.Access, locked bool) {
+	if !locked {
+		th.roConflict()
 	}
+	th.pinOrAbort(e.Chunk, e)
+	th.checkPinned(e)
 }
 
-// promoteEntry acquires read ownership for one invisible entry and
-// revalidates its stamp.
-func (th *Thread) promoteEntry(e *txn.Access) {
-	th.acquireReadChunk(e.Chunk, e)
-	// Ownership (ours, or a covering earlier entry's) now pins the chunk
-	// against writers; the stamp must still be the one the invisible reads
-	// validated against. The writer count is deliberately ignored: a writer
-	// on a chunk aliasing into the same cell may legitimately be active,
-	// and a committed writer of *this* chunk would have raised the stamp
-	// before our acquire could have succeeded.
+// writeInvisiblyRead is Write's miss path for a chunk the attempt has so far
+// only read invisibly: one plain write acquire — nothing is held, so there
+// is no read share to upgrade — then the same stamp check as a pin.
+func (th *Thread) writeInvisiblyRead(e *txn.Access) {
+	if !th.slotID {
+		// The invisible insert left Slot at the identity; an aliasing chunk
+		// of this attempt may already own the real slot.
+		e.Slot = th.tab.SlotOf(e.Chunk)
+	}
+	th.upgradeWriteChunk(e)
+	th.checkPinned(e)
+}
+
+// checkPinned retires e's VerRead bit once ownership (the attempt's own,
+// through this entry or a covering earlier one) pins the chunk against
+// writers: the stamp must still be the one the invisible reads validated
+// against. The writer count is deliberately ignored — it may be the
+// attempt's own hold, or a writer on another chunk of the cell — and a
+// committed writer of *this* chunk would have raised the stamp before our
+// acquire could have succeeded.
+func (th *Thread) checkPinned(e *txn.Access) {
+	e.Perm &^= txn.VerRead
 	if s, _ := th.tab.SampleVersion(e.Chunk); s != e.Ver {
 		th.roConflict()
 	}

@@ -95,34 +95,57 @@ func TestInvisibleReadBlockFootprint(t *testing.T) {
 	}
 }
 
-// TestInvisiblePromotionOnWrite checks the transparent fallback at the first
-// write: reads performed invisibly stay valid, the transaction acquires real
-// ownership for them, and commits exactly like an acquiring transaction.
+// TestInvisiblePromotionOnWrite pins what replaced whole-read-set promotion
+// (the name is kept for the test's history): a transaction that reads k
+// chunks invisibly and then writes one of them stays invisible. On every
+// table organization it commits with zero read acquires, exactly one write
+// acquire and one release; read-own-write, the re-read of an invisibly
+// cached word and the read of an unwritten word of the written chunk are
+// all correct; and it counts neither as a read-only commit nor as a pin.
 func TestInvisiblePromotionOnWrite(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
-			mem.StoreDirect(mem.WordAddr(0), 41)
+			const k = 4
+			for i := 0; i < k; i++ {
+				mem.StoreDirect(mem.WordAddr(8*i), uint64(10+i))
+			}
+			mem.StoreDirect(mem.WordAddr(9), 77)
 			th := rt.NewThread()
+			readAll := func(tx *Tx) (sum uint64) {
+				for i := 0; i < k; i++ {
+					sum += tx.Read(mem.WordAddr(8 * i))
+				}
+				return sum
+			}
+			if err := th.Atomic(func(tx *Tx) error { readAll(tx); return nil }); err != nil {
+				t.Fatal(err)
+			}
 			if err := th.Atomic(func(tx *Tx) error {
-				v := tx.Read(mem.WordAddr(0))  // invisible
-				tx.Write(mem.WordAddr(8), v+1) // promotes
-				if got := tx.Read(mem.WordAddr(8)); got != 42 {
-					t.Fatalf("read-own-write after promotion = %d", got)
+				sum := readAll(tx)             // invisible
+				tx.Write(mem.WordAddr(8), sum) // chunk 1: read, now written
+				if got := tx.Read(mem.WordAddr(8)); got != sum {
+					t.Fatalf("read-own-write = %d, want %d", got, sum)
+				}
+				if got := tx.Read(mem.WordAddr(0)); got != 10 {
+					t.Fatalf("re-read of a cached word = %d, want 10", got)
+				}
+				if got := tx.Read(mem.WordAddr(9)); got != 77 {
+					t.Fatalf("unwritten word of the written chunk = %d, want 77", got)
 				}
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if got := mem.LoadDirect(mem.WordAddr(8)); got != 42 {
-				t.Fatalf("word 8 = %d, want 42", got)
+			if got := mem.LoadDirect(mem.WordAddr(8)); got != 10+11+12+13 {
+				t.Fatalf("word 8 = %d, want 46", got)
+			}
+			if ts := tab.Stats(); ts.ReadAcquires != 0 || ts.WriteAcquires != 1 || ts.Upgrades != 0 || ts.Releases != 1 {
+				t.Fatalf("read-%d-write-1 table traffic = %+v, want exactly one write acquire and one release", k, ts)
 			}
 			st := rt.Stats()
-			if st.ROPromotions != 1 || st.ROCommits != 0 {
-				t.Fatalf("ROPromotions/ROCommits = %d/%d, want 1/0", st.ROPromotions, st.ROCommits)
-			}
-			if ts := tab.Stats(); ts.ReadAcquires == 0 {
-				t.Fatalf("promotion acquired nothing on %s", kind)
+			if st.Commits != 2 || st.Aborts != 0 || st.ROCommits != 1 || st.ROPromotions != 0 {
+				t.Fatalf("stats = %+v, want 2 commits, 0 aborts, the read-only one on the fast path, 0 pins", st)
 			}
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after commit = %d", occ)
@@ -278,26 +301,33 @@ func TestInvisibleSeesStoreNT(t *testing.T) {
 }
 
 // TestInvisibleReadAllocationFree pins the fast path's zero-allocation
-// property: a steady-state read-only transaction — version samples, snapshot
-// caching, commit validation and all — never touches the heap.
+// property: a steady-state invisible transaction — version samples, snapshot
+// caching, commit validation and all — never touches the heap, whether it
+// is read-only or ends by writing a chunk it read.
 func TestInvisibleReadAllocationFree(t *testing.T) {
 	rt, _, mem := newInvisibleRuntime(t, "tagged", 64, 256, Config{})
 	th := rt.NewThread()
-	body := func() {
-		if err := th.Atomic(func(tx *Tx) error {
-			for w := 0; w < 8; w++ {
-				_ = tx.Read(mem.WordAddr(w * 8))
+	for _, write := range []bool{false, true} {
+		body := func() {
+			if err := th.Atomic(func(tx *Tx) error {
+				var sum uint64
+				for w := 0; w < 8; w++ {
+					sum += tx.Read(mem.WordAddr(w * 8))
+				}
+				if write {
+					tx.Write(mem.WordAddr(8), sum+1)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
-	}
-	for i := 0; i < 50; i++ {
-		body()
-	}
-	if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
-		t.Fatalf("invisible read-only transaction allocates %v times per op, want 0", allocs)
+		for i := 0; i < 50; i++ {
+			body()
+		}
+		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
+			t.Fatalf("invisible transaction (write=%v) allocates %v times per op, want 0", write, allocs)
+		}
 	}
 }
 

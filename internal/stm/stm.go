@@ -82,13 +82,17 @@ type Runtime struct {
 	// lower stamp = older = senior. Drawn lazily (on a transaction's first
 	// abort), so conflict-free execution never touches it.
 	clock atomic.Uint64
-	// epoch is the global commit clock of the invisible-reader fast path
+	// epoch is the global commit clock of the invisible-reader protocol
 	// (Config.InvisibleReaders): every writing commit draws one stamp with
-	// Add(1) and publishes it to the version cells of the chunks it wrote,
-	// and read-only transactions validate against it. Untouched — and
-	// never advanced — when invisible readers are disabled or no writes
-	// commit, so a read-only epoch comparison doubles as "nothing anywhere
-	// has committed since my snapshot".
+	// Add(1) — holding its writes, before it writes anything back — and
+	// publishes it to the version cells of the chunks it wrote; invisible
+	// attempts validate against it. A writing attempt whose commit-time
+	// validation then fails has advanced the clock and publishes nothing,
+	// which costs concurrent attempts a revalidation, never a wrong
+	// answer. Read-only commits (and every attempt that dies earlier)
+	// never advance it, nor does anything when invisible readers are
+	// disabled, so an unmoved clock still means "no writing commit has
+	// serialized since my snapshot".
 	epoch atomic.Uint64
 
 	// Serial-fallback gate: a FIFO ticket lock over the whole runtime (see
@@ -147,12 +151,12 @@ type threadCounters struct {
 	// the thread has suffered (tail-behavior signal, see Stats).
 	fbCommits atomic.Uint64
 	maxStreak atomic.Uint64
-	// Invisible-reader fast-path counters (Config.InvisibleReaders):
-	// roCommits counts transactions that committed with zero table
+	// Invisible-reader counters (Config.InvisibleReaders): roCommits
+	// counts read-only transactions that committed with zero table
 	// acquires, roValAborts the invisible attempts killed by version
-	// validation, roPromotes the invisible attempts that fell back to
-	// acquiring on their first write, roExtends the successful
-	// read-snapshot extensions.
+	// validation, roPromotes the single entries a writing invisible
+	// attempt pinned with a visible read (its own hold hid in the cell's
+	// writer count), roExtends the successful read-snapshot extensions.
 	roCommits   atomic.Uint64
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
@@ -219,16 +223,20 @@ type Stats struct {
 	// aborts any single thread suffered — the tail the mean abort rate
 	// hides. A commit, user error, or terminal abort ends a run.
 	MaxConsecutiveAborts uint64
-	// ROCommits counts transactions that committed entirely on the
-	// invisible-reader fast path — version-validated reads, zero
-	// ownership-table acquires (Config.InvisibleReaders).
+	// ROCommits counts read-only transactions that committed entirely on
+	// the invisible-reader fast path — version-validated reads, zero
+	// ownership-table acquires (Config.InvisibleReaders). Writing
+	// transactions with an invisible read set are not counted.
 	ROCommits uint64
-	// ROValidationAborts counts invisible read-only attempts aborted by
-	// version validation: a concurrent commit (true, or aliased into the
-	// same version cell) touched a chunk the attempt had read.
+	// ROValidationAborts counts invisible attempts, read-only or writing,
+	// aborted by version validation: a concurrent commit (true, or aliased
+	// into the same version cell) touched a chunk the attempt had read.
 	ROValidationAborts uint64
-	// ROPromotions counts invisible attempts that transparently promoted
-	// their read set to real read ownership on their first write.
+	// ROPromotions counts single read-set entries pinned with a visible
+	// read acquire: a writing invisible attempt sampled a writer in a
+	// version cell where it holds a write itself, and settled whether the
+	// writer is foreign by acquiring that one chunk. (Whole-read-set
+	// promotion at the first write, which this once counted, is gone.)
 	ROPromotions uint64
 	// ROExtensions counts successful read-snapshot extensions: a read
 	// observed a stamp newer than the attempt's snapshot and the whole
@@ -361,12 +369,17 @@ type Thread struct {
 	// promptly on cancellation. Only the owning goroutine touches it.
 	ctx    context.Context
 	active bool // a transaction is executing: nesting guard
-	// Invisible-reader attempt state: invisible marks an attempt still on
-	// the read-only fast path (cleared by the first write's promotion), rv
-	// is its epoch snapshot, roAbort flags that the in-flight abort is a
-	// version-validation kill, and roStreak counts such kills within the
-	// current transaction — at roLimit the attempts give up on invisibility
-	// and start acquiring.
+	// wrote marks an attempt that has called Write/WriteBlock (set with one
+	// unconditional store per call): it holds at least one write, so under
+	// InvisibleReaders its commit must draw a stamp, and a writer it samples
+	// in a version cell may be itself.
+	wrote bool
+	// Invisible-reader attempt state: invisible marks an attempt whose
+	// reads are version-validated instead of acquired (it stays set when
+	// the attempt writes), rv is its epoch snapshot, roAbort flags that the
+	// in-flight abort is a version-validation kill, and roStreak counts
+	// such kills within the current transaction — at roLimit the attempts
+	// give up on invisibility and start acquiring.
 	invisible bool
 	roAbort   bool
 	rv        uint64

@@ -60,12 +60,16 @@ const InlineEntries = 16
 // membership); SlotRead/SlotWrite mark the entry that carries the release
 // obligation for the chunk's table slot (the old Footprint holding). Under
 // tagless tables several aliasing chunks share one slot, so only the first
-// entry to touch a slot carries a Slot* bit.
+// entry to touch a slot carries a Slot* bit. VerRead marks a chunk read on
+// the invisible path whose reads nothing pins yet: they stand on Ver alone
+// and must be revalidated; acquiring the chunk (write upgrade or read pin)
+// clears it.
 const (
 	PermRead  uint8 = 1 << 0 // chunk was read by the transaction
 	PermWrite uint8 = 1 << 1 // chunk was written by the transaction
 	SlotRead  uint8 = 1 << 2 // entry holds one read share on its slot
 	SlotWrite uint8 = 1 << 3 // entry holds exclusive ownership of its slot
+	VerRead   uint8 = 1 << 4 // reads validated by version only, nothing held
 )
 
 // Access is one chunk-granular entry of the unified log.
@@ -75,11 +79,11 @@ const (
 // first read of the chunk validated against, and Vals doubles as a snapshot
 // cache — RMask marks the words whose validated values are cached there, so
 // a repeat read of the same word is a pure array probe and a read of a new
-// word in a known chunk revalidates against Ver before being cached. Once
-// the transaction promotes to the acquiring path (first write), RMask stops
-// mattering: ownership pins the chunk and WMask governs Vals as the redo
-// log. The two masks never overlap in the invisible phase because
-// promotion precedes the first write.
+// word in a known chunk revalidates against Ver (while the entry carries
+// VerRead) before being cached. An invisible attempt stays invisible when it
+// writes, so one entry may carry both masks: a word read and then written
+// has its bit in each, and WMask wins on read — Vals then holds the redo
+// value, which is also all commit ever writes back.
 type Access struct {
 	Chunk addr.Block                               // the accessed chunk: the set key
 	Slot  uint64                                   // the ownership-table slot key for Chunk
