@@ -269,8 +269,7 @@ func BenchmarkSTMSharded(b *testing.B) { benchSTM(b, "sharded") }
 // the blocks it only reads once it also writes: one thread, four invisible
 // reads and one write to a fifth block per transaction. The reads stay
 // invisible through the commit, so the reported table read acquires per
-// transaction must be 0 — under whole-read-set promotion they were 4, each
-// with its release.
+// transaction must be 0.
 func BenchmarkInvisibleReadThenWrite(b *testing.B) {
 	for _, kind := range otable.Kinds() {
 		b.Run(kind, func(b *testing.B) {

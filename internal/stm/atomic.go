@@ -208,13 +208,20 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 // write-back happens strictly before release, so any transaction that later
 // acquires a written block observes the committed values. Both phases are
 // single walks of the dense access array in first-access order. Under
-// InvisibleReaders the commit stamp is drawn, and the invisible reads are
-// validated, before the first word is written back (commitStamp); a failed
-// validation unwinds into attempt's rollback with memory untouched.
+// InvisibleReaders a writing attempt draws its commit stamp, and validates
+// its invisible reads, before the first word is written back (commitStamp).
+// A read-only attempt draws nothing, so it never invalidates anyone's rv+1
+// shortcut, and is vacuously intact while the clock still reads rv — the
+// expected case in read-mostly phases, making read-only commit O(1). A
+// failed validation unwinds into attempt's rollback with memory untouched.
 func (th *Thread) commit() {
 	var stamp uint64
-	if th.invis {
-		stamp = th.commitStamp()
+	if th.wrote {
+		if th.invis {
+			stamp = th.commitStamp()
+		}
+	} else if th.invisible && th.rt.epoch.Load() != th.rv {
+		th.revalidateReadSet()
 	}
 	th.desc.Status = txn.Committed
 	set := &th.desc.Set

@@ -95,8 +95,14 @@ func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
 // re-sampling the version cell. An unchanged stamp with no active writer
 // pins the load to the same committed state entry.Ver named — any writer
 // that committed the cell in between necessarily raised the stamp, and one
-// still in flight shows in the writer count. A chunk the attempt has since
-// acquired is read straight from memory.
+// still in flight shows in the writer count.
+//
+// A chunk the attempt holds is read straight from memory, but its first read
+// owes the snapshot-cover check of any first read if no read came before the
+// acquire: a chunk written without being read (or covered by an aliasing own
+// hold) may have been committed after rv, and its unwritten words must not be
+// seen beside older reads. The hold keeps the stamp still, so once is enough,
+// and any cached word proves an earlier read already checked it.
 func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint64 {
 	if e.RMask&(1<<widx) != 0 {
 		return e.Vals[widx]
@@ -105,6 +111,10 @@ func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint
 	if e.Perm&txn.VerRead != 0 {
 		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
 			th.validationFailed(e, locked)
+		}
+	} else if e.RMask == 0 {
+		if s, _ := th.tab.SampleVersion(e.Chunk); s > th.rv {
+			th.coverStamp(s)
 		}
 	}
 	e.Vals[widx] = v
@@ -120,6 +130,9 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 	s1, locked := th.tab.SampleVersion(b)
 	if locked {
 		th.pinOrAbort(b, nil)
+		if s1, _ = th.tab.SampleVersion(b); s1 > th.rv {
+			th.coverStamp(s1)
+		}
 		return
 	}
 	if s1 > th.rv {
@@ -143,25 +156,16 @@ func (th *Thread) extendSnapshot() {
 	th.ctr.roExtends.Add(1)
 }
 
-// commitStamp is the serialization step of a commit under InvisibleReaders,
-// run with every write of the attempt held and before the first word is
-// written back. A writing attempt — invisible, visible retry or serial —
-// draws its stamp from the epoch clock here: were the clock advanced only
-// after write-back (at release), two attempts with crossing read and write
-// sets could both find it unmoved, both skip validation and commit a write
-// skew. An invisible attempt then revalidates the reads nothing pins; if it
-// drew exactly rv+1 no other writing commit serialized since its snapshot
-// and the read set is vacuously intact. A read-only attempt draws nothing
-// (the result is 0) and is just as vacuously intact while the clock still
-// reads rv — the expected case in read-mostly phases, making read-only
-// commit O(1) — so it never invalidates that shortcut for anyone else.
+// commitStamp is the serialization step of a writing commit under
+// InvisibleReaders, run with every write of the attempt held and before the
+// first word is written back. The attempt — invisible, visible retry or
+// serial — draws its stamp from the epoch clock here: were the clock advanced
+// only after write-back (at release), two attempts with crossing read and
+// write sets could both find it unmoved, both skip validation and commit a
+// write skew. An invisible attempt then revalidates the reads nothing pins;
+// if it drew exactly rv+1 no other writing commit serialized since its
+// snapshot and the read set is vacuously intact.
 func (th *Thread) commitStamp() uint64 {
-	if !th.wrote {
-		if th.invisible && th.rt.epoch.Load() != th.rv {
-			th.revalidateReadSet()
-		}
-		return 0
-	}
 	stamp := th.rt.epoch.Add(1)
 	if th.invisible && stamp != th.rv+1 {
 		th.revalidateReadSet()

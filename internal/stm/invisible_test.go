@@ -95,13 +95,12 @@ func TestInvisibleReadBlockFootprint(t *testing.T) {
 	}
 }
 
-// TestInvisiblePromotionOnWrite pins what replaced whole-read-set promotion
-// (the name is kept for the test's history): a transaction that reads k
-// chunks invisibly and then writes one of them stays invisible. On every
-// table organization it commits with zero read acquires, exactly one write
-// acquire and one release; read-own-write, the re-read of an invisibly
-// cached word and the read of an unwritten word of the written chunk are
-// all correct; and it counts neither as a read-only commit nor as a pin.
+// TestInvisiblePromotionOnWrite: nothing is promoted — a transaction that
+// reads k chunks invisibly and then writes one of them stays invisible. On
+// every table organization it commits with zero read acquires, exactly one
+// write acquire and one release; read-own-write, the re-read of an invisibly
+// cached word and the read of an unwritten word of the written chunk are all
+// correct; and it counts neither as a read-only commit nor as a pin.
 func TestInvisiblePromotionOnWrite(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {

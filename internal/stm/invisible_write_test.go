@@ -16,7 +16,9 @@ import (
 // validated at commit, the written chunk alone is acquired. The first group
 // pins the table traffic and the two aliasing traps single-threaded; the
 // second proves serializability where the protocol could lose it — write
-// skew, lost updates, strong-isolation stores — under real interleaving.
+// skew, lost updates, strong-isolation stores — under real interleaving; the
+// last covers first reads of chunks the attempt already holds, which owe the
+// snapshot-cover check although nothing about them needs validating later.
 
 // atLeastTwoPs raises GOMAXPROCS to 2 for tests whose failure mode needs two
 // commits genuinely overlapping.
@@ -642,5 +644,196 @@ func TestAtomicHammerInvisibleUpdate(t *testing.T) {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
 		})
+	}
+}
+
+// TestInvisibleBlindWriteThenReadSnapshot: a chunk an invisible attempt
+// write-acquires without having read it has no validated stamp, so the first
+// read of one of its unwritten words must make the snapshot-cover check a
+// first read makes. T reads X; a foreign commit writes Z.w1 — together with
+// X, or alone — T writes Z.w0 and then reads Z.w1. Beside the old X the new
+// Z.w1 must never be returned (the attempt aborts: extension finds X moved);
+// with X untouched the snapshot extends and the attempt commits.
+func TestInvisibleBlindWriteThenReadSnapshot(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		for _, alsoX := range []bool{true, false} {
+			name := kind + "/foreign-writes-Z"
+			if alsoX {
+				name = kind + "/foreign-writes-X-and-Z"
+			}
+			t.Run(name, func(t *testing.T) {
+				rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
+				x, zw0, zw1 := mem.WordAddr(0), mem.WordAddr(80), mem.WordAddr(81)
+				th, other := rt.NewThread(), rt.NewThread()
+				attempt := 0
+				var gotX, gotZ uint64
+				if err := th.Atomic(func(tx *Tx) error {
+					attempt++
+					gotX = tx.Read(x)
+					if attempt == 1 {
+						if err := other.Atomic(func(otx *Tx) error {
+							if alsoX {
+								otx.Write(x, 1)
+							}
+							otx.Write(zw1, 1)
+							return nil
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					tx.Write(zw0, 7)
+					gotZ = tx.Read(zw1)
+					if alsoX && gotX != gotZ {
+						t.Fatalf("attempt %d read X = %d beside Z.w1 = %d: two halves of one commit", attempt, gotX, gotZ)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				st := rt.Stats()
+				if alsoX {
+					if attempt != 2 || gotX != 1 || gotZ != 1 || st.ROValidationAborts != 1 {
+						t.Fatalf("attempts %d, X/Z.w1 = %d/%d, stats %+v: want one validation abort, then 1/1", attempt, gotX, gotZ, st)
+					}
+				} else if attempt != 1 || gotX != 0 || gotZ != 1 || st.ROExtensions != 1 {
+					t.Fatalf("attempts %d, X/Z.w1 = %d/%d, stats %+v: want one extension and no abort", attempt, gotX, gotZ, st)
+				}
+				if occ := tab.Occupied(); occ != 0 {
+					t.Fatalf("occupancy after commit = %d", occ)
+				}
+			})
+		}
+	}
+}
+
+// TestAtomicHammerInvisibleBlindWrite is the recorded hammer of a read in a
+// chunk the attempt wrote first, at block granularity. Each of four pairs
+// keeps a word X and the second word of another block Z equal; bumpers
+// advance both in one commit, and probers read X invisibly, overwrite Z's
+// first word without reading it, then read Z's second word and compare —
+// inside the transaction, so a zombie's torn view counts. CI replays the
+// recorded history through tmbp check.
+func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			tab, err := otable.New(kind, hash.NewMask(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMemory(256)
+			cfg := Config{Table: tab, Memory: mem, Seed: 7, FuzzYield: 0.3,
+				CM: "karma", InvisibleReaders: true}
+			attachRecorder(t, &cfg)
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const (
+				pairs    = 4
+				bumpers  = 2
+				probers  = 4
+				txnsEach = 150
+			)
+			xOf := func(p int) addr.Addr { return mem.WordAddr(16 * p) }
+			zOf := func(p, w int) addr.Addr { return mem.WordAddr(16*p + 8 + w) }
+			var torn atomic.Uint64
+			var wg sync.WaitGroup
+			errs := make(chan error, bumpers+probers)
+			for g := 0; g < bumpers+probers; g++ {
+				wg.Add(1)
+				go func(gid int) {
+					defer wg.Done()
+					th := rt.NewThread()
+					rng := xrand.NewWithStream(23, uint64(gid))
+					for i := 0; i < txnsEach; i++ {
+						p := int(rng.Uint64() % pairs)
+						fn := func(tx *Tx) error { // prober
+							vx := tx.Read(xOf(p))
+							tx.Write(zOf(p, 0), uint64(gid))
+							if tx.Read(zOf(p, 1)) != vx {
+								torn.Add(1)
+							}
+							return nil
+						}
+						if gid < bumpers {
+							fn = func(tx *Tx) error {
+								v := tx.Read(xOf(p)) + 1
+								tx.Write(xOf(p), v)
+								tx.Write(zOf(p, 1), v)
+								return nil
+							}
+						}
+						if err := th.Atomic(fn); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			if n := torn.Load(); n != 0 {
+				t.Fatalf("%d attempts read X beside a Z.w1 of another commit", n)
+			}
+			var bumps uint64
+			for p := 0; p < pairs; p++ {
+				vx, vz := mem.LoadDirect(xOf(p)), mem.LoadDirect(zOf(p, 1))
+				if vx != vz {
+					t.Fatalf("pair %d ended X = %d, Z.w1 = %d", p, vx, vz)
+				}
+				bumps += vx
+			}
+			if st := rt.Stats(); bumps != bumpers*txnsEach || st.Commits != (bumpers+probers)*txnsEach {
+				t.Fatalf("bumps = %d, commits = %d, want %d and %d", bumps, st.Commits, bumpers*txnsEach, (bumpers+probers)*txnsEach)
+			}
+			if occ := tab.Occupied(); occ != 0 {
+				t.Fatalf("occupancy after drain = %d", occ)
+			}
+		})
+	}
+}
+
+// TestInvisiblePinnedFirstReadCoversStamp: a first read that is pinned
+// because it sampled the attempt's own hold still owes the snapshot-cover
+// check, in the Read and in the ReadBlock form alike. On a two-entry table a
+// foreign commit raises cell 0's stamp past rv; T then writes A and first-
+// reads B, both in cell 0: one pin, one extension, no abort.
+func TestInvisiblePinnedFirstReadCoversStamp(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		for _, block := range []bool{false, true} {
+			name := kind + "/Read"
+			if block {
+				name = kind + "/ReadBlock"
+			}
+			t.Run(name, func(t *testing.T) {
+				rt, tab, mem := newInvisibleRuntime(t, kind, 2, 256, Config{})
+				a, b, c := mem.WordAddr(0), mem.WordAddr(16), mem.WordAddr(32) // blocks 0, 2, 4: cell 0
+				th, other := rt.NewThread(), rt.NewThread()
+				if err := th.Atomic(func(tx *Tx) error {
+					if err := other.Atomic(func(otx *Tx) error { otx.Write(c, 1); return nil }); err != nil {
+						t.Fatal(err)
+					}
+					tx.Write(a, 1)
+					if block {
+						tx.ReadBlock(addr.BlockOf(b))
+					} else {
+						tx.Read(b)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if st := rt.Stats(); st.Aborts != 0 || st.ROPromotions != 1 || st.ROExtensions != 1 {
+					t.Fatalf("stats = %+v, want one pin, one extension, no abort", st)
+				}
+				if occ := tab.Occupied(); occ != 0 {
+					t.Fatalf("occupancy after commit = %d", occ)
+				}
+			})
+		}
 	}
 }

@@ -235,8 +235,7 @@ type Stats struct {
 	// ROPromotions counts single read-set entries pinned with a visible
 	// read acquire: a writing invisible attempt sampled a writer in a
 	// version cell where it holds a write itself, and settled whether the
-	// writer is foreign by acquiring that one chunk. (Whole-read-set
-	// promotion at the first write, which this once counted, is gone.)
+	// writer is foreign by acquiring that one chunk.
 	ROPromotions uint64
 	// ROExtensions counts successful read-snapshot extensions: a read
 	// observed a stamp newer than the attempt's snapshot and the whole

@@ -7,13 +7,12 @@ import (
 )
 
 // TestSkiplistInvisibleScanPromotion pins the invisible-reader/scan
-// interaction (the name predates the protocol: nothing is promoted any
-// more): a transaction that range-scans and then writes starts on the
-// invisible fast path, the scan acquires nothing, and the PutTx acquires
-// only the blocks its splice writes — the scanned blocks stay invisible and
-// are validated at commit, so the combined footprint stays opaque at the
-// cost of no table read acquire at all. A pure scan in the same runtime
-// stays read-only end to end.
+// interaction — nothing is promoted: a transaction that range-scans and then
+// writes starts on the invisible fast path, the scan acquires nothing, and
+// the PutTx acquires only the blocks its splice writes — the scanned blocks
+// stay invisible and are validated at commit, so the combined footprint stays
+// opaque at the cost of no table read acquire at all. A pure scan in the same
+// runtime stays read-only end to end.
 func TestSkiplistInvisibleScanPromotion(t *testing.T) {
 	for _, kind := range tmbp.TableKinds() {
 		t.Run(kind, func(t *testing.T) {
