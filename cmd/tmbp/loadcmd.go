@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"tmbp/internal/load"
 	"tmbp/internal/opacity"
@@ -19,11 +21,11 @@ import (
 // internal/load). Without -virtual, real worker goroutines race real
 // arrivals on the wall clock. With -virtual the run is a discrete-event
 // simulation whose rows are byte-identical across machines for the same
-// seed; CI diffs them against BENCH_load.json. Virtual transactions execute
-// serially, so nothing ever conflicts: the rows gate the determinism of the
-// generator and the histogram and carry no runtime signal. A contention
-// manager is consulted only after a conflict, hence the one-policy default;
-// -cm all sweeps all five for wall-clock runs.
+// seed (internal/load's tests pin the default rows). Virtual transactions
+// execute serially, so nothing ever conflicts: the rows check the
+// determinism of the generator and the histogram and carry no runtime
+// signal. A contention manager is consulted only after a conflict, hence the
+// one-policy default; -cm all sweeps all five for wall-clock runs.
 func runLoad(fs *flag.FlagSet, args []string) error {
 	// base is the scenario every row starts from: the flags bind to it.
 	var base load.Scenario
@@ -92,7 +94,10 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 	}
 
 	if *jsonOut {
-		return emitJSON(jsonReport{Rows: rows})
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(jsonReport{Schema: 1, GoVersion: runtime.Version(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0), Rows: rows})
 	}
 	t := report.New("Open-loop load benchmark",
 		"struct", "cm", "reads", "tput tx/s", "p50 ns", "p99 ns", "p999 ns", "max ns", "abort rate")
@@ -122,6 +127,14 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 	t.Note("'inv' rows commit read-only transactions by version validation (invisible readers) instead of acquiring ownership; the row above each is its acquiring twin on the identical arrival stream, so the pair isolates the read protocol")
 	t.Note("s%% rows: that fraction of operations range-scan %d keys in one transaction, a multi-hundred-word footprint per scan", *scanSpan)
 	return t.Render(os.Stdout)
+}
+
+// jsonReport is the envelope of `tmbp load -json`.
+type jsonReport struct {
+	Schema     int        `json:"schema"`
+	GoVersion  string     `json:"go"`
+	GOMAXPROCS int        `json:"gomaxprocs"`
+	Rows       []load.Row `json:"rows"`
 }
 
 // loadRow is one scenario of the load sweep: a structure plus what it

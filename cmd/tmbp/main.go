@@ -20,11 +20,10 @@
 //	scale   STM throughput scaling: goroutines x {tagless, tagged, sharded},
 //	        plus a contended goroutines x CM-policy comparison
 //	stm     end-to-end STM run: tagless vs tagged abort rates
-//	bench   STM latency/allocation/abort-rate suite (-json for tooling)
 //	load    open-loop service benchmark: seeded arrivals against the tmds
 //	        structures, tail-latency histograms per scenario row
-//	        (-cm all for every policy, -virtual for the byte-reproducible
-//	        determinism gate, -json for tooling)
+//	        (-cm all for every policy, -virtual for a byte-reproducible
+//	        discrete-event run, -json for tooling)
 //	check   verify recorded transactional traces for opacity
 //	model   evaluate the conflict model at one configuration
 //	all     every figure above, in paper order (scale, stm, and model are
@@ -34,16 +33,13 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"tmbp/internal/figures"
-	"tmbp/internal/load"
 	"tmbp/internal/report"
 )
 
@@ -70,7 +66,7 @@ func subcommands() []string {
 	return []string{
 		"fig2", "fig3", "fig4", "fig5", "fig6",
 		"sizing", "tagged", "ablation", "isolation",
-		"scale", "stm", "bench", "load", "check", "model", "all",
+		"scale", "stm", "load", "check", "model", "all",
 	}
 }
 
@@ -85,7 +81,6 @@ subcommands:
   isolation                          strong-isolation study (Sec. 6)
   scale                              throughput scaling across organizations
   stm                                end-to-end STM abort-rate comparison
-  bench                              ns/op, allocs/op, abort-rate suite (-json)
   load                               open-loop tail-latency benchmark over the
                                      tmds structures (-virtual, -json)
   check <trace-file>...              verify recorded traces for opacity
@@ -176,8 +171,6 @@ func run(cmd string, args []string) error {
 		return runSTM(fs, args, csv)
 	case "check":
 		return runCheck(fs, args)
-	case "bench":
-		return runBench(fs, args)
 	case "load":
 		return runLoad(fs, args)
 	case "model":
@@ -216,22 +209,4 @@ func emit(tables []*report.Table, csv bool) error {
 		}
 	}
 	return nil
-}
-
-// jsonReport is the envelope of `tmbp bench -json` (Results) and `tmbp
-// load -json` (Rows).
-type jsonReport struct {
-	Schema     int           `json:"schema"`
-	GoVersion  string        `json:"go"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Results    []benchResult `json:"results,omitempty"`
-	Rows       []load.Row    `json:"rows,omitempty"`
-}
-
-// emitJSON stamps the envelope and writes it to stdout.
-func emitJSON(r jsonReport) error {
-	r.Schema, r.GoVersion, r.GOMAXPROCS = 1, runtime.Version(), runtime.GOMAXPROCS(0)
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -99,76 +99,6 @@ func TestRunSTMSubcommand(t *testing.T) {
 	}
 }
 
-// TestRunBenchSubcommandJSON pins the scoreboard `tmbp bench -json` emits:
-// the full ordered list of workload/kind rows and each row's op count for
-// the given flags. BENCH_baseline.json and the CI bench-diff gate key on
-// exactly these names, so the row table must keep reproducing them.
-func TestRunBenchSubcommandJSON(t *testing.T) {
-	out := capture(t, func() error {
-		return run("bench", []string{"-json", "-serial-ops", "200", "-contended-ops", "50"})
-	})
-	var rep struct {
-		Schema  int `json:"schema"`
-		Results []struct {
-			Workload string  `json:"workload"`
-			Kind     string  `json:"kind"`
-			Ops      int     `json:"ops"`
-			NsPerOp  float64 `json:"ns_per_op"`
-			Commits  uint64  `json:"commits"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("bench -json emitted invalid JSON: %v\n%s", err, out)
-	}
-	type row struct {
-		name string
-		ops  int
-	}
-	contended := 50 * runtime.GOMAXPROCS(0) // -contended-ops per worker
-	want := []row{
-		{"serial/tagless", 200}, {"serial/tagged", 200}, {"serial/sharded", 200},
-		{"serial-cm-backoff/tagged", 200}, {"serial-cm-adaptive/tagged", 200},
-		{"serial-cm-karma/tagged", 200}, {"serial-cm-timestamp/tagged", 200},
-		{"serial-cm-switching/tagged", 200},
-		{"cmabort-backoff/cm", 200}, {"cmabort-adaptive/cm", 200}, {"cmabort-karma/cm", 200},
-		{"cmabort-timestamp/cm", 200}, {"cmabort-switching/cm", 200},
-		{"serial-ro-acquire/tagless", 200}, {"serial-ro-invisible/tagless", 200},
-		{"serial-ro-acquire/tagged", 200}, {"serial-ro-invisible/tagged", 200},
-		{"serial-ro-acquire/sharded", 200}, {"serial-ro-invisible/sharded", 200},
-		{"serial-skiplist/tagless", 50}, {"serial-skiplist-scan/tagless", 2},
-		{"serial-skiplist/tagged", 50}, {"serial-skiplist-scan/tagged", 2},
-		{"serial-skiplist/sharded", 50}, {"serial-skiplist-scan/sharded", 2},
-		{"contended/tagless", contended}, {"contended/tagged", contended},
-		{"contended/sharded", contended},
-	}
-	if rep.Schema != 1 || len(rep.Results) != len(want) {
-		t.Fatalf("bench report shape: schema=%d results=%d, want 1/%d", rep.Schema, len(rep.Results), len(want))
-	}
-	for i, r := range rep.Results {
-		if got := (row{r.Workload + "/" + r.Kind, r.Ops}); got != want[i] {
-			t.Errorf("row %d = %v, want %v", i, got, want[i])
-		}
-		if r.NsPerOp <= 0 {
-			t.Errorf("%s/%s: ns_per_op=%v", r.Workload, r.Kind, r.NsPerOp)
-		}
-		// cmabort rows invoke the policy directly and run no transactions.
-		if !strings.HasPrefix(r.Workload, "cmabort") && r.Commits == 0 {
-			t.Errorf("%s/%s: commits=%d", r.Workload, r.Kind, r.Commits)
-		}
-	}
-}
-
-func TestRunBenchSubcommandTable(t *testing.T) {
-	out := capture(t, func() error {
-		return run("bench", []string{"-serial-ops", "200", "-contended-ops", "50"})
-	})
-	for _, want := range []string{"ns/op", "allocs/op", "abort rate", "sharded"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench table output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestHelp(t *testing.T) {
 	if err := run("help", nil); err != nil {
 		t.Fatalf("help returned error: %v", err)
@@ -186,9 +116,13 @@ func TestDispatchTableComplete(t *testing.T) {
 			t.Errorf("run(%q, -h) = %v, want flag.ErrHelp", name, err)
 		}
 	}
-	err := run("bogus", []string{"-h"})
-	if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
-		t.Errorf("unknown subcommand returned %v", err)
+	// "bench" is the retired scoreboard subcommand (benchmark/ is the one
+	// scoreboard): it must be rejected like any unknown name.
+	for _, name := range []string{"bogus", "bench"} {
+		err := run(name, []string{"-h"})
+		if want := fmt.Sprintf("unknown subcommand %q", name); err == nil || err.Error() != want {
+			t.Errorf("run(%q, -h) = %v, want %s", name, err, want)
+		}
 	}
 }
 

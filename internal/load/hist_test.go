@@ -126,7 +126,7 @@ func TestHistMergeRejectsMixedPrecision(t *testing.T) {
 }
 
 // TestHistRecordAllocationFree asserts the record path performs zero heap
-// allocations, in the style of TestRecorderDisabledAllocationFree: the
+// allocations, in the style of stm's TestSteadyStateAllocationFree: the
 // load generator records on every transaction, so an allocation here would
 // both distort latencies and show up in every profile.
 func TestHistRecordAllocationFree(t *testing.T) {

@@ -178,6 +178,45 @@ func TestVirtualRowsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestVirtualRowsGolden pins the default `tmbp load -virtual` sweep across
+// commits, not only across reruns. A mismatch means the generator, the
+// histogram or the workload semantics changed.
+func TestVirtualRowsGolden(t *testing.T) {
+	type golden struct {
+		elapsed, p50, p99, p999, max int64
+		commits, aborts              uint64
+	}
+	point := golden{10064409, 748, 4224, 6400, 9000, 20000, 0}
+	scan := golden{10063844, 748, 4416, 6240, 8590, 20000, 0}
+	// The CLI's rows: ZipfS 0.9 is its -zipf default, everything unset is
+	// the Scenario default. Only a scan changes the transaction sizes; the
+	// structure, the read fraction and the read protocol must not.
+	for _, c := range []struct {
+		sc   Scenario
+		want golden
+	}{
+		{Scenario{Struct: "hashmap"}, point},
+		{Scenario{Struct: "list"}, point},
+		{Scenario{Struct: "queue"}, point},
+		{Scenario{Struct: "skiplist"}, point},
+		{Scenario{Struct: "hashmap", ReadFrac: 0.9}, point},
+		{Scenario{Struct: "hashmap", ReadFrac: 0.9, Invisible: true}, point},
+		{Scenario{Struct: "skiplist", ScanFrac: 0.25, ScanSpan: 64}, scan},
+		{Scenario{Struct: "skiplist", ScanFrac: 0.25, ScanSpan: 64, Invisible: true}, scan},
+	} {
+		c.sc.ZipfS, c.sc.Virtual = 0.9, true
+		res, err := Run(c.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.Row
+		if got := (golden{r.ElapsedNs, r.P50Ns, r.P99Ns, r.P999Ns, r.MaxNs, r.Commits, r.Aborts}); got != c.want {
+			t.Errorf("%s read=%v scan=%v invisible=%v: row %+v, want %+v",
+				r.Struct, r.ReadFrac, r.ScanFrac, r.Invisible, got, c.want)
+		}
+	}
+}
+
 // TestVirtualLatencyMath hand-checks the discrete-event simulation on two
 // closed-form cases.
 func TestVirtualLatencyMath(t *testing.T) {

@@ -233,9 +233,6 @@ func TestConflictTargetNeverStale(t *testing.T) {
 			if n := bogus.Load(); n != 0 {
 				t.Fatalf("%d conflicts reported an opponent outside the writer set", n)
 			}
-			if conflictsSeen.Load() == 0 {
-				t.Skip("no conflicts materialized; nothing verified this run")
-			}
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}

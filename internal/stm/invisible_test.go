@@ -299,37 +299,6 @@ func TestInvisibleSeesStoreNT(t *testing.T) {
 	}
 }
 
-// TestInvisibleReadAllocationFree pins the fast path's zero-allocation
-// property: a steady-state invisible transaction — version samples, snapshot
-// caching, commit validation and all — never touches the heap, whether it
-// is read-only or ends by writing a chunk it read.
-func TestInvisibleReadAllocationFree(t *testing.T) {
-	rt, _, mem := newInvisibleRuntime(t, "tagged", 64, 256, Config{})
-	th := rt.NewThread()
-	for _, write := range []bool{false, true} {
-		body := func() {
-			if err := th.Atomic(func(tx *Tx) error {
-				var sum uint64
-				for w := 0; w < 8; w++ {
-					sum += tx.Read(mem.WordAddr(w * 8))
-				}
-				if write {
-					tx.Write(mem.WordAddr(8), sum+1)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 50; i++ {
-			body()
-		}
-		if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
-			t.Fatalf("invisible transaction (write=%v) allocates %v times per op, want 0", write, allocs)
-		}
-	}
-}
-
 // TestAtomicHammerInvisibleReadMostly is the contended acceptance hammer of
 // the invisible-reader path: on every table organization, writer goroutines
 // keep two words of one chunk and one word of another in lockstep while

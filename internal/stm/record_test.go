@@ -207,33 +207,3 @@ func TestRecordedUserAbortClosesAttempt(t *testing.T) {
 		t.Fatalf("fresh transaction recorded as %+v, want begin of attempt 1", evs[3])
 	}
 }
-
-// TestRecorderDisabledAllocationFree pins the acceptance criterion that a
-// nil Recorder adds nothing to the hot path: a steady-state transaction
-// still performs zero heap allocations end to end.
-func TestRecorderDisabledAllocationFree(t *testing.T) {
-	tab := otable.NewTagged(hash.NewMask(64))
-	mem := NewMemory(256)
-	rt, err := New(Config{Table: tab, Memory: mem, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.NewThread()
-	body := func() {
-		if err := th.Atomic(func(tx *Tx) error {
-			for w := 0; w < 8; w++ {
-				a := mem.WordAddr(w * 8)
-				tx.Write(a, tx.Read(a)+1)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		body() // reach steady state: spill table sized, records claimed
-	}
-	if allocs := testing.AllocsPerRun(100, body); allocs != 0 {
-		t.Fatalf("recorder-disabled transaction allocates %v times per op, want 0", allocs)
-	}
-}

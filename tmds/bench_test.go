@@ -1,6 +1,7 @@
 package tmds
 
 import (
+	"fmt"
 	"testing"
 
 	"tmbp"
@@ -87,40 +88,29 @@ func BenchmarkMapPutGet(b *testing.B) {
 }
 
 // skiplistBenchWorld builds a half-full skiplist (even keys of [0, 256))
-// shared by the skiplist benchmarks.
-func skiplistBenchWorld(b *testing.B, kind string) (*tmbp.Thread, *Skiplist) {
-	b.Helper()
-	b.ReportAllocs()
-	tab, err := tmbp.NewTable(kind, 4096, "mask")
-	if err != nil {
-		b.Fatal(err)
-	}
-	mem := tmbp.NewMemory(SkiplistWords(512))
-	rt, err := tmbp.NewSTM(tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+// shared by the skiplist benchmarks and their allocation test.
+func skiplistBenchWorld(tb testing.TB, kind string) (*tmbp.Thread, *Skiplist) {
+	tb.Helper()
+	rt, mem := newWorld(tb, kind, 4096, SkiplistWords(512))
 	s, err := NewSkiplist(mem, 0, 512, 9)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	th := rt.NewThread()
 	for k := uint64(0); k < 256; k += 2 {
 		if _, err := s.Put(th, k, k); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return th, s
 }
 
-// benchSkiplistOps runs the point-operation mix (Get-heavy with occasional
-// Put/Delete) over one table organization.
-func benchSkiplistOps(b *testing.B, kind string) {
-	th, s := skiplistBenchWorld(b, kind)
+// skiplistPointOp returns the point-operation mix (Get-heavy with occasional
+// Put/Delete) as one op per call.
+func skiplistPointOp(th *tmbp.Thread, s *Skiplist) func() error {
 	rng := uint64(7)
 	next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		k := next() % 256
 		var err error
 		switch next() % 10 {
@@ -131,40 +121,85 @@ func benchSkiplistOps(b *testing.B, kind string) {
 		default:
 			_, _, err = s.Get(th, k)
 		}
-		if err != nil {
+		return err
+	}
+}
+
+// skiplistScanOp returns a whole-structure range scan as one op per call:
+// one transaction reading every level-0 node — a ~130-block footprint, far
+// past the access set's 16 inline entries, so every scan spills. Body and
+// callback are built once; a call creates no closure.
+func skiplistScanOp(th *tmbp.Thread, s *Skiplist) func() error {
+	n, blocks := 0, 0
+	visit := func(_, _ uint64) error { n++; return nil }
+	body := func(tx *tmbp.Tx) error {
+		n = 0
+		err := s.RangeScanTx(tx, 0, 255, visit)
+		blocks = tx.FootprintBlocks()
+		return err
+	}
+	return func() error {
+		if err := th.Atomic(body); err != nil {
+			return err
+		}
+		if n != 128 || blocks < 128 {
+			return fmt.Errorf("scan saw %d entries over %d blocks, want 128 entries and a spilled footprint", n, blocks)
+		}
+		return nil
+	}
+}
+
+// benchSkiplist runs one of the two skiplist ops over one table organization.
+func benchSkiplist(b *testing.B, kind string, newOp func(*tmbp.Thread, *Skiplist) func() error) {
+	b.ReportAllocs()
+	op := newOp(skiplistBenchWorld(b, kind))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSkiplistTagless measures skiplist point ops over the tagless table.
-func BenchmarkSkiplistTagless(b *testing.B) { benchSkiplistOps(b, "tagless") }
+func BenchmarkSkiplistTagless(b *testing.B) { benchSkiplist(b, "tagless", skiplistPointOp) }
 
 // BenchmarkSkiplistTagged measures skiplist point ops over the tagged table.
-func BenchmarkSkiplistTagged(b *testing.B) { benchSkiplistOps(b, "tagged") }
+func BenchmarkSkiplistTagged(b *testing.B) { benchSkiplist(b, "tagged", skiplistPointOp) }
 
 // BenchmarkSkiplistSharded measures skiplist point ops over the sharded table.
-func BenchmarkSkiplistSharded(b *testing.B) { benchSkiplistOps(b, "sharded") }
+func BenchmarkSkiplistSharded(b *testing.B) { benchSkiplist(b, "sharded", skiplistPointOp) }
 
-// BenchmarkSkiplistScan measures a whole-structure range scan per iteration:
-// one transaction reading every level-0 node — the multi-hundred-word
-// footprint that exercises the access set's spill table.
-func BenchmarkSkiplistScan(b *testing.B) {
-	th, s := skiplistBenchWorld(b, "tagged")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if err := th.Atomic(func(tx *tmbp.Tx) error {
-			n = 0
-			return s.RangeScanTx(tx, 0, 255, func(_, _ uint64) error {
-				n++
-				return nil
+// BenchmarkSkiplistScan measures the spilling whole-structure scan.
+func BenchmarkSkiplistScan(b *testing.B) { benchSkiplist(b, "tagged", skiplistScanOp) }
+
+// TestSkiplistSteadyStateAllocationFree is the structure-level allocation
+// gate, identical on every host: on every table organization the point mix
+// (node allocation and reuse included) and the scan that spills the access
+// set allocate nothing once the thread's access set has grown to the
+// footprint. internal/stm's TestSteadyStateAllocationFree covers the raw
+// transaction paths.
+func TestSkiplistSteadyStateAllocationFree(t *testing.T) {
+	ops := []struct {
+		name  string
+		newOp func(*tmbp.Thread, *Skiplist) func() error
+	}{{"point", skiplistPointOp}, {"scan", skiplistScanOp}}
+	for _, o := range ops {
+		for _, kind := range tmbp.TableKinds() {
+			t.Run(o.name+"/"+kind, func(t *testing.T) {
+				op := o.newOp(skiplistBenchWorld(t, kind))
+				run := func() {
+					if err := op(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 200; i++ {
+					run()
+				}
+				if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+					t.Fatalf("%v allocations per op, want 0", allocs)
+				}
 			})
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if n != 128 {
-			b.Fatalf("scan saw %d entries, want 128", n)
 		}
 	}
 }
