@@ -226,6 +226,46 @@ func BenchmarkTableDisjointParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkTableWriteCycle prices the two write cycles
+// BenchmarkTableDisjointParallel does not run, on the raw table with handles
+// over 256 consecutive cells of a mask-hashed table: rmw-abortrelease is
+// acquire-read → upgrade → ReleaseWriteH, the acquiring protocol's commit
+// path (it publishes no stamp, so the release is named for the abort it
+// shares it with); write-commitrelease is write-from-free → ReleaseWriteV,
+// what an invisible attempt pays for a block it writes. Run at -cpu 1: the
+// ns/op is the sum of the locked instructions docs/ARCHITECTURE.md
+// ("Synchronisation budget") counts for each step.
+func BenchmarkTableWriteCycle(b *testing.B) {
+	const cells = 256
+	for _, kind := range otable.Kinds() {
+		tab, err := otable.New(kind, hash.NewMask(cells))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(kind+"/rmw-abortrelease", func(b *testing.B) {
+			for k := 0; k < b.N; k++ {
+				blk := addr.Block(k % cells)
+				outR, _, h := tab.AcquireReadH(1, blk)
+				outW, _, _ := tab.AcquireWriteH(1, blk, 1, h)
+				if outR != otable.Granted || outW != otable.Upgraded {
+					b.Fatalf("block %v: read %v, upgrade %v on a private cell", blk, outR, outW)
+				}
+				tab.ReleaseWriteH(1, blk, h)
+			}
+		})
+		b.Run(kind+"/write-commitrelease", func(b *testing.B) {
+			for k := 0; k < b.N; k++ {
+				blk := addr.Block(k % cells)
+				out, _, h := tab.AcquireWriteH(1, blk, 0, otable.NoHandle)
+				if out != otable.Granted {
+					b.Fatalf("block %v: write %v on a private cell", blk, out)
+				}
+				tab.ReleaseWriteV(1, blk, h, uint64(k))
+			}
+		})
+	}
+}
+
 // benchSTM measures single-thread transaction throughput end to end. A
 // steady-state transaction must not allocate: ReportAllocs makes any
 // regression of the unified-log fast path fail review on sight.

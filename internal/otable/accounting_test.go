@@ -12,10 +12,13 @@ import (
 
 // TestAccountingStepByStep walks one first-level cell through every
 // transition the event counters distinguish and checks the whole Stats
-// snapshot and Occupied after each step. The expectations are the tagged
-// ones; the tagless table differs only in never reporting the tagged-only
-// fields (the aliasing block shares b's entry there, so the "second record"
-// is a second sharer — the same counts).
+// snapshot, Occupied and the cell's version sample after each step. The
+// expectations are the tagged ones; the tagless table differs only in never
+// reporting the tagged-only fields (the aliasing block shares b's entry
+// there, so the "second record" is a second sharer — the same counts). The
+// sample shows a writer from a write grant or upgrade until the write
+// release, and a new stamp only after ReleaseWriteV: AlreadyHeld grants,
+// denied acquires and read traffic leave it alone.
 func TestAccountingStepByStep(t *testing.T) {
 	const (
 		b     = addr.Block(3)
@@ -47,40 +50,42 @@ func TestAccountingStepByStep(t *testing.T) {
 				do   func()
 				want Stats
 				occ  uint64
+				ver  uint64 // SampleVersion(b) after the step
+				wr   bool
 			}{
 				{"read from free", func() { h1 = read(1, b, Granted) },
-					Stats{ReadAcquires: 1, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 1, Records: 1, MaxChain: 1}, 1, 0, false},
 				{"second sharer", func() { h2 = read(2, b, Granted) },
-					Stats{ReadAcquires: 2, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 2, Records: 1, MaxChain: 1}, 1, 0, false},
 				{"denied upgrade", func() { write(1, 1, h1, ConflictReaders) },
-					Stats{ReadAcquires: 2, Conflicts: 1, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 2, Conflicts: 1, Records: 1, MaxChain: 1}, 1, 0, false},
 				{"release one share", func() { tab.ReleaseReadH(1, b, h1) },
-					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 1, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 1, Records: 1, MaxChain: 1}, 1, 0, false},
 				{"release last share", func() { tab.ReleaseReadH(2, b, h2) },
-					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 2, MaxChain: 1}, 0},
+					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 2, MaxChain: 1}, 0, 0, false},
 				{"write from free", func() { h1 = write(1, 0, NoHandle, Granted) },
-					Stats{ReadAcquires: 2, WriteAcquires: 1, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 2, WriteAcquires: 1, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
 				{"write already held", func() { write(1, 0, NoHandle, AlreadyHeld) },
-					Stats{ReadAcquires: 2, WriteAcquires: 2, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 2, WriteAcquires: 2, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
 				{"read already held", func() { read(1, b, AlreadyHeld) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
 				{"denied read", func() { read(2, b, ConflictWriter) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 2, Releases: 2, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 2, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
 				{"denied write", func() { write(2, 0, NoHandle, ConflictWriter) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 2, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
 				{"publishing write release", func() { tab.ReleaseWriteV(1, b, h1, 5) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 3, MaxChain: 1}, 0},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 3, MaxChain: 1}, 0, 5, false},
 				{"read from free again", func() { h1 = read(1, b, Granted) },
-					Stats{ReadAcquires: 4, WriteAcquires: 2, Conflicts: 3, Releases: 3, Records: 1, MaxChain: 1}, 1},
+					Stats{ReadAcquires: 4, WriteAcquires: 2, Conflicts: 3, Releases: 3, Records: 1, MaxChain: 1}, 1, 5, false},
 				{"second record in the cell", func() { ha = read(2, alias, Granted) },
-					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 3, Records: 2, MaxChain: 2}, 1},
+					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 3, Records: 2, MaxChain: 2}, 1, 5, false},
 				{"release the second record", func() { tab.ReleaseReadH(2, alias, ha) },
-					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 4, Records: 1, MaxChain: 2}, 1},
+					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 4, Records: 1, MaxChain: 2}, 1, 5, false},
 				{"upgrade", func() { write(1, 1, h1, Upgraded) },
-					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 4, Records: 1, MaxChain: 2}, 1},
+					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 4, Records: 1, MaxChain: 2}, 1, 5, true},
 				{"walking release past the parked record", func() { tab.ReleaseWriteH(1, b, NoHandle) },
 					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 5,
-						ReleaseWalks: 1, ChainFollows: 1, MaxChain: 2}, 0},
+						ReleaseWalks: 1, ChainFollows: 1, MaxChain: 2}, 0, 5, false},
 			}
 			for _, s := range steps {
 				s.do()
@@ -90,6 +95,34 @@ func TestAccountingStepByStep(t *testing.T) {
 				}
 				if got, occ := tab.Stats(), tab.Occupied(); got != want || occ != s.occ {
 					t.Fatalf("after %q:\n got %+v, occupied %d\nwant %+v, occupied %d", s.name, got, occ, want, s.occ)
+				}
+				if ver, wr := tab.SampleVersion(b); ver != s.ver || wr != s.wr {
+					t.Fatalf("after %q: version = stamp %d, writerActive %v; want %d, %v", s.name, ver, wr, s.ver, s.wr)
+				}
+			}
+			if kind == "tagless" {
+				return // one entry, one writer: nothing below can be granted
+			}
+			// Two writers in one bucket: the cell shows a writer while either
+			// remains, whichever leaves first and however it releases.
+			for first := 0; first < 2; first++ {
+				blk := [2]addr.Block{b, alias}
+				var h [2]Handle
+				for i := range blk {
+					out, _, hi := tab.AcquireWriteH(TxID(i+1), blk[i], 0, NoHandle)
+					if out != Granted {
+						t.Fatalf("two writers: AcquireWriteH(%d, %v) = %v", i+1, blk[i], out)
+					}
+					h[i] = hi
+				}
+				stamp := uint64(8 + first)
+				tab.ReleaseWriteV(TxID(first+1), blk[first], h[first], stamp)
+				if ver, wr := tab.SampleVersion(b); ver != stamp || !wr {
+					t.Fatalf("one of two writers left: version = stamp %d, writerActive %v; want %d, true", ver, wr, stamp)
+				}
+				tab.ReleaseWriteH(TxID(2-first), blk[1-first], h[1-first])
+				if ver, wr := tab.SampleVersion(alias); ver != stamp || wr {
+					t.Fatalf("both writers left: version = stamp %d, writerActive %v; want %d, false", ver, wr, stamp)
 				}
 			}
 		})

@@ -117,7 +117,7 @@ func (o Outcome) String() string {
 
 // Table is the one interface of the ownership table organizations: identity
 // and slotting, handle-carrying acquire and release, the per-cell version
-// words of the invisible-reader protocol (see version.go), and accounting.
+// state of the invisible-reader protocol (see version.go), and accounting.
 // Every built-in table implements all of it, and so does every wrapper
 // (fault.Injector, the tracing and recording tables of the benchmark and
 // tests), so a consumer never probes for optional capabilities.
@@ -176,22 +176,23 @@ type Table interface {
 	// writer of record.
 	ReleaseWriteH(tx TxID, b addr.Block, h Handle)
 	// ReleaseWriteV is ReleaseWriteH plus version publication: it raises
-	// b's cell stamp to at least stamp and drops the active-writer count,
-	// then releases the ownership exactly as ReleaseWriteH would. Commit
-	// paths of a runtime with invisible readers must use it (after
-	// write-back) in place of ReleaseWriteH.
+	// b's cell stamp to at least stamp, then releases the ownership exactly
+	// as ReleaseWriteH would. Commit paths of a runtime with invisible
+	// readers must use it (after write-back) in place of ReleaseWriteH.
 	ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64)
 
 	// SampleVersion returns the cell's current commit stamp and whether any
-	// writer holds exclusive ownership anywhere in b's cell. One hash, one
-	// atomic load.
+	// writer holds exclusive ownership anywhere in b's cell. One hash, then
+	// loads only: writer activity first (the tagless entry word; a bucket's
+	// hold word, on the stamp's cache line, and once more after it), then
+	// the stamp — the order version.go's argument rests on.
 	SampleVersion(b addr.Block) (stamp uint64, writerActive bool)
-	// StampVersion raises b's cell stamp without touching ownership or the
-	// writer count. It is for mutations applied under an existing exclusive
-	// hold that survive the hold's own outcome — a strong-isolation
-	// non-transactional store into a chunk the running transaction already
-	// owns must bump the version immediately, because the owning
-	// transaction's later abort-path release will not publish one.
+	// StampVersion raises b's cell stamp without touching ownership. It is
+	// for mutations applied under an existing exclusive hold that survive
+	// the hold's own outcome — a strong-isolation non-transactional store
+	// into a chunk the running transaction already owns must bump the
+	// version immediately, because the owning transaction's later
+	// abort-path release will not publish one.
 	StampVersion(b addr.Block, stamp uint64)
 
 	// Occupied returns the number of non-free first-level entries (the

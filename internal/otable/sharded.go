@@ -159,10 +159,10 @@ func (t *Sharded) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 }
 
 // SampleVersion implements Table: one global hash locates the shard
-// and bucket, one atomic load samples the bucket's version word.
+// and bucket, whose cell is sampled as in the flat tagged table.
 func (t *Sharded) SampleVersion(b addr.Block) (uint64, bool) {
 	s, bucket := t.locate(b)
-	return verUnpack(s.vers[bucket].Load())
+	return s.cells[bucket].sample()
 }
 
 // ReleaseWriteV implements Table.
@@ -174,7 +174,7 @@ func (t *Sharded) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
 // StampVersion implements Table.
 func (t *Sharded) StampVersion(b addr.Block, stamp uint64) {
 	s, bucket := t.locate(b)
-	verRaise(&s.vers[bucket], stamp)
+	verRaise(&s.cells[bucket].vers, stamp)
 }
 
 // Occupied implements Table: the sum of per-shard non-empty bucket counts.

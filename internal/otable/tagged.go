@@ -110,16 +110,14 @@ type Tagged struct {
 	stats counters // first field, see counters; also yields Occupied
 	h     hash.Func
 	heads []atomic.Uint64 // per-bucket chain head link {0, gen, idx}; 0 = empty
-	live  []atomic.Int32  // per-bucket count of held (Read/Write) records
-	// vers holds one version word per bucket ({stamp, active-writer count},
-	// see version.go). The version lives on the bucket, not the record:
-	// records are reaped and recycled, and a stamp that vanished with its
-	// record could let a stale recorded version validate against a fresh
-	// record's zero. Bucket granularity means blocks that alias into one
-	// bucket share a version — an aliased commit costs invisible readers a
-	// spurious validation failure (the paper's birthday-paradox aliasing,
-	// resurfacing at validation granularity), never a wrong value.
-	vers []atomic.Uint64
+	// cells holds each bucket's commit stamp and hold word {writers | held
+	// (Read/Write) records}, see version.go. The hold word serves the
+	// open/close decision, the reap allowance, Records and the writer-active
+	// half of a version sample. The version lives on the bucket, not the
+	// record: records are reaped and recycled, and a stamp that vanished
+	// with its record could let a stale recorded version validate against a
+	// fresh record's zero.
+	cells []cell
 	// stripes hold the per-stripe free lists of retired records. Retiring
 	// and allocating through the stripe of the operated-on bucket keeps
 	// pool traffic spread out the same way striped locks would spread lock
@@ -161,14 +159,9 @@ const reapDepth = 3
 
 // reapAllowance returns the extra physical-chain depth bucket idx is
 // allowed beyond reapDepth before free records get condemned: its current
-// live-record count. Loaded lazily — only on walks already deep enough to
-// consider reaping — so shallow hot-path walks never touch the counter.
-func (t *Tagged) reapAllowance(idx uint64) uint64 {
-	if lv := t.live[idx].Load(); lv > 0 {
-		return uint64(lv)
-	}
-	return 0
-}
+// held-record count. Loaded lazily — only on walks already deep enough to
+// consider reaping — so shallow hot-path walks never touch the hold word.
+func (t *Tagged) reapAllowance(idx uint64) uint64 { return t.cells[idx].held() }
 
 // recSeg is one slab segment.
 type recSeg [segSize]record
@@ -234,8 +227,7 @@ func NewTagged(h hash.Func) *Tagged {
 	t := &Tagged{
 		h:       h,
 		heads:   make([]atomic.Uint64, n),
-		live:    make([]atomic.Int32, n),
-		vers:    make([]atomic.Uint64, n),
+		cells:   make([]cell, n),
 		stripes: make([]stripe, stripes),
 		mask:    stripes - 1,
 		segs:    make([]atomic.Pointer[recSeg], maxSegs),
@@ -488,24 +480,22 @@ func (t *Tagged) insertAt(idx uint64, b addr.Block, m Mode, payload uint32, head
 	r.next.Store(headSeen)
 	c := t.stats.at(idx)
 	if m == Write {
-		// Count the writer into the bucket's version word before the grant
-		// is returned: the caller cannot write data before this, so an
-		// invisible reader that misses the count can only have sampled
-		// before any mutation existed.
-		verEnter(&t.vers[idx])
-		t.grant(idx, &c.writeOpens, &c.writes)
+		// The writer is counted into the hold word before the grant is
+		// returned: the caller cannot write data before this, so a sample
+		// that misses the count precedes any mutation.
+		t.grant(idx, holdWriter+1, &c.writeOpens, &c.writes)
 	} else {
-		t.grant(idx, &c.readOpens, &c.reads)
+		t.grant(idx, 1, &c.readOpens, &c.reads)
 	}
 	c.observeChain(liveLen + 1)
 	return mkLink(g, ridx)
 }
 
-// grant counts a Free→held claim into bucket idx's held-record count and
-// bumps the acquire's one event counter: opens if the claim gave the bucket
-// its first held record, joins otherwise.
-func (t *Tagged) grant(idx uint64, opens, joins *atomic.Uint64) {
-	if t.live[idx].Add(1) == 1 {
+// grant counts a Free→held claim into bucket idx's hold word (1 for a read
+// claim, holdWriter+1 for a write claim) and bumps the acquire's one event
+// counter: opens if the bucket got its first held record, joins otherwise.
+func (t *Tagged) grant(idx uint64, hold uint64, opens, joins *atomic.Uint64) {
+	if t.cells[idx].bump(hold) == 1 {
 		opens.Add(1)
 	} else {
 		joins.Add(1)
@@ -514,8 +504,8 @@ func (t *Tagged) grant(idx uint64, opens, joins *atomic.Uint64) {
 
 // ungrant is grant's inverse for a held→Free release: closes if the bucket
 // is left with no held record, stays otherwise.
-func (t *Tagged) ungrant(idx uint64, closes, stays *atomic.Uint64) {
-	if t.live[idx].Add(-1) == 0 {
+func (t *Tagged) ungrant(idx uint64, hold uint64, closes, stays *atomic.Uint64) {
+	if t.cells[idx].bump(-hold) == 0 {
 		closes.Add(1)
 	} else {
 		stays.Add(1)
@@ -550,7 +540,7 @@ func (t *Tagged) acquireReadAt(idx uint64, tx TxID, b addr.Block) (Outcome, Conf
 			switch recMode(st) {
 			case Free: // claim the parked record in place
 				if r.state.CompareAndSwap(st, packRec(Read, g, 1)) {
-					t.grant(idx, &c.readOpens, &c.reads)
+					t.grant(idx, 1, &c.readOpens, &c.reads)
 					return Granted, NoConflict, rlink
 				}
 			case Read:
@@ -578,7 +568,7 @@ func (t *Tagged) acquireReadAt(idx uint64, tx TxID, b addr.Block) (Outcome, Conf
 // transaction. With a valid handle for a held read share, the read→write
 // upgrade is a single generation-validated state CAS with no chain walk;
 // the bucket hash is computed up front either way, because a successful
-// upgrade must count the new writer into the bucket's version word.
+// upgrade must count the new writer into the bucket's hold word.
 func (t *Tagged) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle) {
 	idx := t.h.Index(b)
 	if h != NoHandle && heldReads > 0 {
@@ -615,7 +605,7 @@ func (t *Tagged) upgradeByHandle(idx uint64, tx TxID, heldReads uint32, h uint64
 			return ConflictReaders, ReadersConflict(payload - heldReads), true
 		}
 		if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
-			verEnter(&t.vers[idx])
+			t.cells[idx].bump(holdWriter)
 			t.stats.at(idx).upgrades.Add(1)
 			return Upgraded, NoConflict, true
 		}
@@ -643,8 +633,7 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 			switch recMode(st) {
 			case Free: // claim the parked record in place
 				if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
-					verEnter(&t.vers[idx])
-					t.grant(idx, &c.writeOpens, &c.writes)
+					t.grant(idx, holdWriter+1, &c.writeOpens, &c.writes)
 					return Granted, NoConflict, rlink
 				}
 			case Read:
@@ -655,7 +644,7 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 				}
 				if heldReads == payload {
 					if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
-						verEnter(&t.vers[idx])
+						t.cells[idx].bump(holdWriter)
 						c.upgrades.Add(1)
 						return Upgraded, NoConflict, rlink
 					}
@@ -707,7 +696,7 @@ func (t *Tagged) releaseReadHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
 				return
 			}
 		} else if r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			t.ungrant(idx, &c.closes, &c.releases)
+			t.ungrant(idx, 1, &c.closes, &c.releases)
 			return
 		}
 	}
@@ -736,17 +725,15 @@ func (t *Tagged) releaseReadAt(idx uint64, tx TxID, b addr.Block) {
 				return
 			}
 		} else if r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			t.ungrant(idx, &c.walkCloses, &c.walkReleases)
+			t.ungrant(idx, 1, &c.walkCloses, &c.walkReleases)
 			return
 		}
 		st = r.state.Load()
 	}
 }
 
-// ReleaseWriteH implements Table: the abort-path release, which uncounts the
-// writer from the bucket's version word without publishing a stamp (memory
-// was never mutated, so the old stamp still describes it) — raising the
-// stamp to at least 0 raises nothing.
+// ReleaseWriteH implements Table: the abort-path release, which publishes no
+// stamp (memory was never mutated, so the old stamp still describes it).
 func (t *Tagged) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 	t.releaseWriteAt(t.h.Index(b), tx, b, h, 0)
 }
@@ -754,12 +741,12 @@ func (t *Tagged) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 // releaseWriteAt releases tx's write ownership of b in bucket idx: through
 // the handle with no chain walk, or — with a stale or useless handle — by
 // walking. Either way owner and mode are validated from the record's state
-// word before the version word is touched, so a release by anyone but the
-// owner panics without side effects. The owner then raises the bucket stamp
-// (and uncounts the writer) in one CAS ordered before the ownership release,
-// so any acquire or read validation that observes the slot free afterwards
-// also observes the stamp. A write record has exactly one legitimate
-// releaser, so the state CAS can only be contended by bugs.
+// word before the bucket's cell is touched, so a release by anyone but the
+// owner panics without side effects. The owner then raises the bucket stamp,
+// frees the record, and only then uncounts itself (ungrant's one Add), so an
+// acquire that finds the slot free, or a sample that finds no writer, also
+// finds the stamp. A write record has exactly one legitimate releaser, so the
+// state CAS can only be contended by bugs.
 func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block, h Handle, stamp uint64) {
 	c := t.stats.at(idx)
 	closes, stays := &c.closes, &c.releases
@@ -778,16 +765,16 @@ func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block, h Handle, sta
 		}
 		g, closes, stays = linkGen(rlink), &c.walkCloses, &c.walkReleases
 	}
-	verPublish(&t.vers[idx], stamp)
+	verRaise(&t.cells[idx].vers, stamp)
 	if !r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
 		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
 	}
-	t.ungrant(idx, closes, stays)
+	t.ungrant(idx, holdWriter+1, closes, stays)
 }
 
-// SampleVersion implements Table: one hash, one atomic load.
+// SampleVersion implements Table: one hash, one cache line (see cell.sample).
 func (t *Tagged) SampleVersion(b addr.Block) (uint64, bool) {
-	return verUnpack(t.vers[t.h.Index(b)].Load())
+	return t.cells[t.h.Index(b)].sample()
 }
 
 // ReleaseWriteV implements Table.
@@ -797,7 +784,7 @@ func (t *Tagged) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
 
 // StampVersion implements Table.
 func (t *Tagged) StampVersion(b addr.Block, stamp uint64) {
-	verRaise(&t.vers[t.h.Index(b)], stamp)
+	verRaise(&t.cells[t.h.Index(b)].vers, stamp)
 }
 
 // Occupied implements Table: the number of buckets holding at least one
@@ -807,18 +794,14 @@ func (t *Tagged) StampVersion(b addr.Block, stamp uint64) {
 func (t *Tagged) Occupied() uint64 { return t.stats.occupied() }
 
 // Records returns the number of held ownership records (≥ Occupied when
-// chains exist), summed from the per-bucket counters; free parked records
+// chains exist), summed from the per-bucket hold words; free parked records
 // are not counted. Concurrent mutations make the sum approximate — exact
 // whenever the table is quiescent.
-func (t *Tagged) Records() uint64 {
-	var n int64
-	for i := range t.live {
-		n += int64(t.live[i].Load())
+func (t *Tagged) Records() (n uint64) {
+	for i := range t.cells {
+		n += t.cells[i].held()
 	}
-	if n < 0 {
-		return 0
-	}
-	return uint64(n)
+	return n
 }
 
 // ChainLengths returns a histogram of bucket chain lengths: result[k] is
@@ -866,11 +849,9 @@ func (t *Tagged) Reset() {
 	for i := range t.heads {
 		t.heads[i].Store(0)
 	}
-	for i := range t.live {
-		t.live[i].Store(0)
-	}
-	for i := range t.vers {
-		t.vers[i].Store(0)
+	for i := range t.cells {
+		t.cells[i].vers.Store(0)
+		t.cells[i].hold.Store(0)
 	}
 	for i := range t.stripes {
 		t.stripes[i].free.Store(0)

@@ -22,11 +22,10 @@ type Tagless struct {
 	stats   counters // first field, see counters; also yields Occupied
 	h       hash.Func
 	entries []atomic.Uint64
-	// vers holds one version word per entry ({stamp, active-writer count},
-	// see version.go): the invisible-reader read path validates against
-	// it instead of acquiring. Aliasing blocks share an entry and therefore
-	// a version, so an aliased commit costs readers a spurious validation
-	// failure, never a wrong value.
+	// vers holds one commit stamp per entry (see version.go): invisible
+	// readers validate against it and the entry's mode instead of acquiring.
+	// Aliasing blocks share an entry and so a version: an aliased commit
+	// costs readers a spurious validation failure, never a wrong value.
 	vers []atomic.Uint64
 }
 
@@ -109,9 +108,8 @@ func (t *Tagless) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
 	t.releaseReadIdx(t.entryOf(b, h), tx)
 }
 
-// ReleaseWriteH implements Table: the abort-path release, which uncounts the
-// writer without publishing a stamp (memory was never mutated, so the old
-// stamp still describes it) — raising the stamp to at least 0 raises nothing.
+// ReleaseWriteH implements Table: the abort-path release, which publishes no
+// stamp (memory was never mutated, so the old stamp still describes it).
 func (t *Tagless) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 	t.releaseWriteIdx(t.entryOf(b, h), tx, 0)
 }
@@ -157,7 +155,6 @@ func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcom
 		switch mode {
 		case Free:
 			if e.CompareAndSwap(old, packEntry(Write, uint32(tx))) {
-				verEnter(&t.vers[idx])
 				c.writeOpens.Add(1)
 				return Granted, NoConflict
 			}
@@ -169,7 +166,6 @@ func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcom
 			if heldReads == payload {
 				// Every current sharer is the caller: upgrade in place.
 				if e.CompareAndSwap(old, packEntry(Write, uint32(tx))) {
-					verEnter(&t.vers[idx])
 					c.upgrades.Add(1)
 					return Upgraded, NoConflict
 				}
@@ -209,28 +205,30 @@ func (t *Tagless) releaseReadIdx(idx uint64, tx TxID) {
 }
 
 // releaseWriteIdx releases write ownership of entry idx. Owner and mode are
-// validated from the entry word before the version word is touched, so a
-// release by anyone but the owner panics without side effects; the owner is
-// exclusive, so the entry cannot change between the validation and the CAS.
-// The stamp is published (and the writer uncounted) before the
-// ownership-releasing CAS, so any acquire that succeeds after the release
-// observes the new stamp.
+// validated from the entry word before the stamp is touched, so a release by
+// anyone but the owner panics without side effects; the owner is exclusive,
+// so the entry cannot change between the validation and the CAS. The stamp
+// is raised strictly before the entry-freeing CAS, so any acquire that
+// succeeds, or sample that finds no writer, after the release observes it.
 func (t *Tagless) releaseWriteIdx(idx uint64, tx TxID, stamp uint64) {
 	e := &t.entries[idx]
 	old := e.Load()
 	if mode, payload := unpackEntry(old); mode != Write || TxID(payload) != tx {
 		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on entry %s/owner=%d", tx, mode, payload))
 	}
-	verPublish(&t.vers[idx], stamp)
+	verRaise(&t.vers[idx], stamp)
 	if !e.CompareAndSwap(old, packEntry(Free, 0)) {
 		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d raced another release of its entry", tx))
 	}
 	t.stats.at(idx).closes.Add(1)
 }
 
-// SampleVersion implements Table: one hash, one atomic load.
+// SampleVersion implements Table: one hash, then the entry word (a writer is
+// active exactly while its mode is Write) and, after it, the stamp.
 func (t *Tagless) SampleVersion(b addr.Block) (uint64, bool) {
-	return verUnpack(t.vers[t.h.Index(b)].Load())
+	idx := t.h.Index(b)
+	mode, _ := unpackEntry(t.entries[idx].Load())
+	return t.vers[idx].Load(), mode == Write
 }
 
 // ReleaseWriteV implements Table.

@@ -25,9 +25,16 @@ func (th *Thread) conflict(ci otable.ConflictInfo) {
 }
 
 // fuzz yields the processor with the configured probability; see
-// Config.FuzzYield.
+// Config.FuzzYield. It is only the guard, small enough to inline into every
+// access, so a disabled fuzzer costs one local branch and no call.
 func (th *Thread) fuzz() {
-	if th.fuzzP > 0 && th.rng.Float64() < th.fuzzP {
+	if th.fuzzP > 0 {
+		th.fuzzYield()
+	}
+}
+
+func (th *Thread) fuzzYield() {
+	if th.rng.Float64() < th.fuzzP {
 		runtime.Gosched()
 	}
 }

@@ -76,7 +76,7 @@ func (th *Thread) coverStamp(s uint64) {
 // waiting here would bypass the contention manager, so abort and let it
 // arbitrate. A writing attempt may have sampled its own hold — a tagless
 // entry it owns through an aliasing chunk, a tagged record in the same
-// bucket; the count cannot tell — and settles the question for this one
+// bucket; the sample cannot tell — and settles the question for this one
 // chunk by read-acquiring it (e is the chunk's invisible entry, nil on a
 // first read): a covering own hold on a tagless slot needs no table call,
 // and a foreign writer of the chunk is a genuine conflict that reaches the
@@ -95,7 +95,7 @@ func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
 // re-sampling the version cell. An unchanged stamp with no active writer
 // pins the load to the same committed state entry.Ver named — any writer
 // that committed the cell in between necessarily raised the stamp, and one
-// still in flight shows in the writer count.
+// still in flight shows as an active writer.
 //
 // A chunk the attempt holds is read straight from memory, but its first read
 // owes the snapshot-cover check of any first read if no read came before the
@@ -217,7 +217,7 @@ func (th *Thread) writeInvisiblyRead(e *txn.Access) {
 // checkPinned retires e's VerRead bit once ownership (the attempt's own,
 // through this entry or a covering earlier one) pins the chunk against
 // writers: the stamp must still be the one the invisible reads validated
-// against. The writer count is deliberately ignored — it may be the
+// against. The writer flag is deliberately ignored — it may be the
 // attempt's own hold, or a writer on another chunk of the cell — and a
 // committed writer of *this* chunk would have raised the stamp before our
 // acquire could have succeeded.

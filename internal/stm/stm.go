@@ -155,8 +155,9 @@ type threadCounters struct {
 	// counts read-only transactions that committed with zero table
 	// acquires, roValAborts the invisible attempts killed by version
 	// validation, roPromotes the single entries a writing invisible
-	// attempt pinned with a visible read (its own hold hid in the cell's
-	// writer count), roExtends the successful read-snapshot extensions.
+	// attempt pinned with a visible read (a sample cannot tell its own hold
+	// from a foreign writer), roExtends the successful read-snapshot
+	// extensions.
 	roCommits   atomic.Uint64
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
