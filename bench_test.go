@@ -343,6 +343,49 @@ func BenchmarkInvisibleReadThenWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkInvisibleScan is the still-clock read path on its own: one thread,
+// read-only transactions that read three words in each of 64 blocks, nobody
+// committing a write. Each block costs one version sample for its first word
+// and only the clock for the other two; the commit compares the clock and
+// walks nothing.
+func BenchmarkInvisibleScan(b *testing.B) {
+	for _, kind := range otable.Kinds() {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			tab, err := NewTable(kind, 4096, "mask")
+			if err != nil {
+				b.Fatal(err)
+			}
+			mem := NewMemory(1 << 12)
+			rt, err := NewSTM(STMConfig{Table: tab, Memory: mem, Seed: 1, InvisibleReaders: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			th := rt.NewThread()
+			var sum uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := th.Atomic(func(tx *stm.Tx) error {
+					base := i * 8
+					for blk := 0; blk < 64; blk++ {
+						for w := 0; w < 3; w++ {
+							sum += tx.Read(mem.WordAddr((base + blk*8 + w) % 4096))
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			_ = sum
+			if st := rt.Stats(); st.ROCommits != uint64(b.N) {
+				b.Fatalf("invisible commits = %d of %d: the scan left the fast path", st.ROCommits, b.N)
+			}
+		})
+	}
+}
+
 // benchSTMParallel measures multi-core transaction throughput on disjoint
 // per-goroutine data: every committed transaction is conflict-free for the
 // tagged and sharded tables, so what keeps -cpu 2 from doubling -cpu 1

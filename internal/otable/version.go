@@ -24,10 +24,12 @@ import "sync/atomic"
 //
 // and draws its stamp while it holds every write of the attempt, so the
 // stamp exceeds every stamp published to the cell before the draw. The abort
-// release raises nothing: memory never changed. A reader brackets its load
-// with two samples and accepts it when neither shows a writer and both
-// return the same stamp s; a sample loads the activity first, the stamp
-// second. Then, for any writer of the cell:
+// release raises nothing: memory never changed. A reader that finds the
+// epoch clock moved since its snapshot (internal/stm; on a still clock one
+// writer-free sample before the load is enough, and the clock vouches for the
+// rest) brackets its load with two samples and accepts it when neither shows
+// a writer and both return the same stamp s; a sample loads the activity
+// first, the stamp second. Then, for any writer of the cell:
 //
 //   - gone before the second sample's activity load: it raised its stamp
 //     before that, so s covers it; the first sample returned s as well, so

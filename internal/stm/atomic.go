@@ -219,8 +219,9 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 // its invisible reads, before the first word is written back (commitStamp).
 // A read-only attempt draws nothing, so it never invalidates anyone's rv+1
 // shortcut, and is vacuously intact while the clock still reads rv — the
-// expected case in read-mostly phases, making read-only commit O(1). A
-// failed validation unwinds into attempt's rollback with memory untouched.
+// expected case in read-mostly phases, making read-only commit O(1): neither
+// the write-back nor the release walk runs for it. A failed validation
+// unwinds into attempt's rollback with memory untouched.
 func (th *Thread) commit() {
 	var stamp uint64
 	if th.wrote {
@@ -231,13 +232,15 @@ func (th *Thread) commit() {
 		th.revalidateReadSet()
 	}
 	th.desc.Status = txn.Committed
-	set := &th.desc.Set
-	words := th.mem.words
-	for i, n := 0, set.Len(); i < n; i++ {
-		e := set.At(i)
-		for m := e.WMask; m != 0; m &= m - 1 {
-			w := uint64(bits.TrailingZeros8(m))
-			words[e.Word+w].Store(e.Vals[w])
+	if th.wrote {
+		set := &th.desc.Set
+		words := th.mem.words
+		for i, n := 0, set.Len(); i < n; i++ {
+			e := set.At(i)
+			for m := e.WMask; m != 0; m &= m - 1 {
+				w := uint64(bits.TrailingZeros8(m))
+				words[e.Word+w].Store(e.Vals[w])
+			}
 		}
 	}
 	th.releaseAll(stamp)
@@ -295,6 +298,9 @@ func (th *Thread) releaseAll(stamp uint64) {
 	set := &th.desc.Set
 	n := set.Len()
 	th.lastFP = n
+	if th.invisible && !th.wrote {
+		n = 0 // only a writing invisible attempt ever acquires (Write, pinOrAbort)
+	}
 	for i := 0; i < n; i++ {
 		e := set.At(i)
 		if e.Perm&txn.SlotWrite != 0 {

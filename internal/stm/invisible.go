@@ -16,36 +16,54 @@ func (th *Thread) roConflict() {
 	th.conflict(otable.NoConflict)
 }
 
-// roReadRetries bounds the sample-load-resample loop of an invisible read
-// against version-cell churn before the attempt gives up.
+// The Ver invariant: every VerRead entry's Ver comes from a writer-free
+// sample of the chunk's cell taken after the current th.rv was loaded. It lets
+// a read ask the clock instead of the cell — a load followed by
+// rt.epoch.Load() == th.rv belongs to the committed state Ver names. A writer
+// that drew a stamp at most rv holds its chunks writer-active from before the
+// draw to its release: the sample would have seen it, so it had released and
+// the load sees all of it. A writer arriving after the sample draws above rv,
+// and draws before it writes a word back (commitStamp; StoreNT likewise), so a
+// clock still at rv after the load means it has not written. Whatever reloads
+// rv keeps the invariant: extendSnapshot samples every entry after the reload,
+// and the first read whose sample caused the extension takes that sample again.
+
+// roReadRetries bounds how often an invisible first read goes back to the
+// cell — after an extension, or a changed re-sample — before it gives up.
 const roReadRetries = 4
 
-// readInvisibleMiss is the invisible first read of a chunk: validate-load-
-// revalidate against the chunk's version cell, with no table traffic.
-// A stamp at most rv with no active writer means memory holds exactly the
-// state some committed prefix ≤ rv produced; an unchanged re-sample after
-// the load means the load belongs to that state. The value is cached in the
+// readInvisibleMiss is the invisible first read of a chunk, with no table
+// traffic: sample the version cell, load, check the clock. The sample (no
+// writer, stamp at most rv) becomes the entry's Ver, and a clock still at rv
+// accepts the load on it (the Ver invariant). On a moved clock the load is
+// bracketed instead: an unchanged, writer-free re-sample pins it to the state
+// Ver names. A stamp above rv extends the snapshot, which reloads rv, so that
+// sample is spent and the loop takes another. The value is cached in the
 // entry (RMask) so repeat reads are pure probes.
 //
 // A writing attempt that samples a writer reads the chunk visibly instead
 // (pinOrAbort): the read share, or a covering own hold, pins memory, which
-// makes the re-sample unnecessary.
+// leaves nothing to validate.
 func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) uint64 {
 	tab := th.tab
 	for tries := 0; ; tries++ {
 		s1, locked := tab.SampleVersion(chunk)
-		if locked {
+		switch {
+		case locked:
 			th.pinOrAbort(chunk, nil)
 			if s1, _ = tab.SampleVersion(chunk); s1 > th.rv {
 				th.coverStamp(s1)
 			}
 			return th.mem.words[word].Load()
-		}
-		if s1 > th.rv {
+		case s1 > th.rv:
 			th.coverStamp(s1)
-		}
-		v := th.mem.words[word].Load()
-		if s2, locked2 := tab.SampleVersion(chunk); !locked2 && s2 == s1 {
+		default:
+			v := th.mem.words[word].Load()
+			if th.rt.epoch.Load() != th.rv {
+				if s2, locked2 := tab.SampleVersion(chunk); locked2 || s2 != s1 {
+					break
+				}
+			}
 			e := th.desc.Set.Insert(chunk)
 			e.Perm = txn.PermRead | txn.VerRead
 			e.Ver = s1
@@ -61,7 +79,8 @@ func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) 
 
 // coverStamp is called with a sampled stamp above rv: the chunk committed
 // after the snapshot, but the rest of the read set may still be untouched,
-// so try to slide the snapshot forward to cover it.
+// so try to slide the snapshot forward to cover it. That reloads rv: by the
+// Ver invariant s, sampled before, can no longer become a Ver.
 func (th *Thread) coverStamp(s uint64) {
 	th.extendSnapshot()
 	if s > th.rv {
@@ -91,10 +110,11 @@ func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
 
 // readInvisibleHit is the read of an unwritten word in a chunk an invisible
 // attempt already has an entry for: serve cached words from the entry's
-// snapshot, and validate a fresh load of a chunk nothing pins (VerRead) by
-// re-sampling the version cell. An unchanged stamp with no active writer
-// pins the load to the same committed state entry.Ver named — any writer
-// that committed the cell in between necessarily raised the stamp, and one
+// snapshot, and accept a fresh load of a chunk nothing pins (VerRead) on a
+// clock still at rv with no visit to the cell — entry.Ver is the sample the
+// Ver invariant asks for. On a moved clock the cell decides: an unchanged
+// stamp with no active writer pins the load to the state entry.Ver named —
+// any writer that committed the cell in between raised the stamp, and one
 // still in flight shows as an active writer.
 //
 // A chunk the attempt holds is read straight from memory, but its first read
@@ -109,8 +129,10 @@ func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint
 	}
 	v := th.mem.words[word].Load()
 	if e.Perm&txn.VerRead != 0 {
-		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
-			th.validationFailed(e, locked)
+		if th.rt.epoch.Load() != th.rv {
+			if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
+				th.validationFailed(e, locked)
+			}
 		}
 	} else if e.RMask == 0 {
 		if s, _ := th.tab.SampleVersion(e.Chunk); s > th.rv {
@@ -123,24 +145,30 @@ func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint
 }
 
 // readBlockInvisible is the invisible ReadBlock: record the chunk in the
-// read set at its current stamp without loading a word. No re-sample is
-// needed — there is no value whose consistency could be at stake, only the
-// footprint's, which commit-time validation checks against Ver.
+// read set at its current stamp without loading a word, so there is no load
+// to bracket. A later Read of the chunk trusts the recorded stamp under the
+// Ver invariant, so a sample that extended the snapshot is taken again.
 func (th *Thread) readBlockInvisible(b addr.Block) {
-	s1, locked := th.tab.SampleVersion(b)
-	if locked {
-		th.pinOrAbort(b, nil)
-		if s1, _ = th.tab.SampleVersion(b); s1 > th.rv {
-			th.coverStamp(s1)
+	for tries := 0; ; tries++ {
+		s1, locked := th.tab.SampleVersion(b)
+		if locked {
+			th.pinOrAbort(b, nil)
+			if s1, _ = th.tab.SampleVersion(b); s1 > th.rv {
+				th.coverStamp(s1)
+			}
+			return
 		}
-		return
-	}
-	if s1 > th.rv {
+		if s1 <= th.rv {
+			e := th.desc.Set.Insert(b)
+			e.Perm = txn.PermRead | txn.VerRead
+			e.Ver = s1
+			return
+		}
+		if tries >= roReadRetries {
+			th.roConflict()
+		}
 		th.coverStamp(s1)
 	}
-	e := th.desc.Set.Insert(b)
-	e.Perm = txn.PermRead | txn.VerRead
-	e.Ver = s1
 }
 
 // extendSnapshot tries to slide an invisible attempt's epoch snapshot
@@ -148,7 +176,8 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 // so far still carries exactly the stamp it was validated at, the reads all
 // remain atomic at the *current* epoch and rv may advance to it (the LSA
 // "lazy snapshot" extension). Any mismatch aborts. Chunks the attempt holds
-// cannot have changed and are skipped.
+// cannot have changed and are skipped. The clock is read before the cells:
+// each passing sample re-establishes the Ver invariant for the new rv.
 func (th *Thread) extendSnapshot() {
 	newRv := th.rt.epoch.Load()
 	th.revalidateReadSet()

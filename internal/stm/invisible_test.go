@@ -18,6 +18,14 @@ func newInvisibleRuntime(t *testing.T, kind string, entries uint64, words int, c
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt, mem := newInvisibleRuntimeOn(t, tab, words, cfg)
+	return rt, tab, mem
+}
+
+// newInvisibleRuntimeOn is newInvisibleRuntime over a table the caller built
+// (or wrapped).
+func newInvisibleRuntimeOn(t *testing.T, tab otable.Table, words int, cfg Config) (*Runtime, *Memory) {
+	t.Helper()
 	mem := NewMemory(words)
 	cfg.Table = tab
 	cfg.Memory = mem
@@ -29,7 +37,7 @@ func newInvisibleRuntime(t *testing.T, kind string, entries uint64, words int, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, tab, mem
+	return rt, mem
 }
 
 // TestInvisibleReadOnlyNoAcquires is the acceptance test of the fast path:

@@ -60,10 +60,16 @@ func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
 		th.ctr.ntConfl.Add(1)
 		return fmt.Errorf("stm: non-transactional write of %v denied: %v (%v)", a, out, ci)
 	}
+	var stamp uint64
+	if th.invis {
+		// Drawn before memory changes and with the cell showing the writer,
+		// as in a commit: the rule the Ver invariant (invisible.go) rests on.
+		stamp = th.rt.epoch.Add(1)
+	}
 	w.Store(v)
 	if out == otable.Granted {
 		if th.invis {
-			th.tab.ReleaseWriteV(th.id, chunk, hnd, th.rt.epoch.Add(1))
+			th.tab.ReleaseWriteV(th.id, chunk, hnd, stamp)
 		} else {
 			th.tab.ReleaseWriteH(th.id, chunk, hnd)
 		}
@@ -73,7 +79,7 @@ func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
 		// the release obligation stays with the transaction, but memory has
 		// already changed, so the version cell must advance immediately or a
 		// concurrent invisible reader could validate a torn mix.
-		th.tab.StampVersion(chunk, th.rt.epoch.Add(1))
+		th.tab.StampVersion(chunk, stamp)
 	}
 	return nil
 }
