@@ -10,22 +10,19 @@ import (
 	"tmbp/internal/load"
 	"tmbp/internal/opacity"
 	"tmbp/internal/report"
-	"tmbp/internal/stm"
 	"tmbp/tmds"
 )
 
 // runLoad executes the open-loop service benchmark: a seeded load
 // generator drives the tmds structures through the STM at a configured
 // arrival rate and reports throughput plus p50/p99/p999 open-loop latency
-// for every row of loadRows under each selected contention policy (see
-// internal/load). Without -virtual, real worker goroutines race real
-// arrivals on the wall clock. With -virtual the run is a discrete-event
-// simulation whose rows are byte-identical across machines for the same
-// seed (internal/load's tests pin the default rows). Virtual transactions
-// execute serially, so nothing ever conflicts: the rows check the
-// determinism of the generator and the histogram and carry no runtime
-// signal. A contention manager is consulted only after a conflict, hence the
-// one-policy default; -cm all sweeps all five for wall-clock runs.
+// for every row of loadRows (see internal/load). Without -virtual, real
+// worker goroutines race real arrivals on the wall clock. With -virtual the
+// run is a discrete-event simulation whose rows are byte-identical across
+// machines for the same seed (internal/load's tests pin the default rows).
+// Virtual transactions execute serially, so nothing ever conflicts: the
+// rows check the determinism of the generator and the histogram and carry
+// no runtime signal.
 func runLoad(fs *flag.FlagSet, args []string) error {
 	// base is the scenario every row starts from: the flags bind to it.
 	var base load.Scenario
@@ -33,7 +30,6 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 	fs.BoolVar(&base.Virtual, "virtual", false, "deterministic discrete-event run on a virtual clock (byte-reproducible per seed)")
 	structName := fs.String("struct", "all", "structure under load: hashmap | list | queue | skiplist | all")
 	fs.StringVar(&base.Table, "table", "tagged", "ownership table: tagless | tagged | sharded")
-	cm := fs.String("cm", "backoff", "contention policy: backoff | adaptive | karma | timestamp | switching | all")
 	fs.StringVar(&base.Arrival, "arrival", "poisson", "arrival process: fixed | poisson")
 	fs.Float64Var(&base.RatePerSec, "rate", 2e6, "mean arrivals per second")
 	fs.IntVar(&base.Workers, "workers", 4, "servers: goroutines (wall clock) or simulated servers (-virtual)")
@@ -52,40 +48,34 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cms := []string{*cm}
-	if *cm == "all" {
-		cms = stm.CMKinds()
-	}
 
 	var rows []load.Row
 	for _, row := range loadRows {
 		if *structName != "all" && *structName != row.structure {
 			continue
 		}
-		for _, policy := range cms {
-			sc := base
-			sc.Struct, sc.CM, sc.Invisible = row.structure, policy, row.invisible
-			if row.readFrac != 0 {
-				sc.ReadFrac = row.readFrac
-			}
-			if row.scan {
-				sc.ScanFrac, sc.ScanSpan = *scanFrac, *scanSpan
-			}
-			var trace *opacity.Log
-			if *record != "" {
-				trace = opacity.NewLog()
-				sc.Recorder = trace
-			}
-			res, err := load.Run(sc)
-			if err != nil {
+		sc := base
+		sc.Struct, sc.Invisible = row.structure, row.invisible
+		if row.readFrac != 0 {
+			sc.ReadFrac = row.readFrac
+		}
+		if row.scan {
+			sc.ScanFrac, sc.ScanSpan = *scanFrac, *scanSpan
+		}
+		var trace *opacity.Log
+		if *record != "" {
+			trace = opacity.NewLog()
+			sc.Recorder = trace
+		}
+		res, err := load.Run(sc)
+		if err != nil {
+			return err
+		}
+		rows = append(rows, res.Row)
+		if trace != nil {
+			name := fmt.Sprintf("load_%s_%s.trace", row.name, base.Table)
+			if err := trace.DumpFile(*record, name); err != nil {
 				return err
-			}
-			rows = append(rows, res.Row)
-			if trace != nil {
-				name := fmt.Sprintf("load_%s_%s_%s.trace", row.name, base.Table, policy)
-				if err := trace.DumpFile(*record, name); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -96,11 +86,11 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(jsonReport{Schema: 1, GoVersion: runtime.Version(),
+		return enc.Encode(jsonReport{Schema: 2, GoVersion: runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0), Rows: rows})
 	}
 	t := report.New("Open-loop load benchmark",
-		"struct", "cm", "reads", "tput tx/s", "p50 ns", "p99 ns", "p999 ns", "max ns", "abort rate")
+		"struct", "reads", "tput tx/s", "p50 ns", "p99 ns", "p999 ns", "max ns", "abort rate")
 	for _, r := range rows {
 		reads := fmt.Sprintf("%.0f%%", r.ReadFrac*100)
 		if r.ScanFrac > 0 {
@@ -109,7 +99,7 @@ func runLoad(fs *flag.FlagSet, args []string) error {
 		if r.Invisible {
 			reads += " inv"
 		}
-		t.Add(r.Struct, r.CM, reads,
+		t.Add(r.Struct, reads,
 			report.F1(r.ThroughputTPS),
 			fmt.Sprintf("%d", r.P50Ns),
 			fmt.Sprintf("%d", r.P99Ns),
@@ -138,8 +128,7 @@ type jsonReport struct {
 }
 
 // loadRow is one scenario of the load sweep: a structure plus what it
-// overrides in the flag-derived base scenario. Every row runs under each
-// selected contention policy.
+// overrides in the flag-derived base scenario.
 type loadRow struct {
 	name      string // trace-file tag
 	structure string

@@ -18,18 +18,18 @@
 //	ablation victim-buffer depth sweep, hash ablation, hash diagnostics
 //	isolation strong-isolation conflict study (Section 6)
 //	scale   STM throughput scaling: goroutines x {tagless, tagged, sharded},
-//	        plus a contended goroutines x CM-policy comparison
+//	        plus a contended hot-pool run per goroutine count
 //	stm     end-to-end STM run: tagless vs tagged abort rates
 //	load    open-loop service benchmark: seeded arrivals against the tmds
 //	        structures, tail-latency histograms per scenario row
-//	        (-cm all for every policy, -virtual for a byte-reproducible
-//	        discrete-event run, -json for tooling)
+//	        (-virtual for a byte-reproducible discrete-event run, -json
+//	        for tooling)
 //	check   verify recorded transactional traces for opacity
 //	model   evaluate the conflict model at one configuration
 //	all     every figure above, in paper order (scale, stm, and model are
 //	        separate live-runtime/point commands and are not included)
 //
-// Common flags: -seed, -quick, -csv, -samples, -trials, -traces, -hash, -cm.
+// Common flags: -seed, -quick, -csv, -samples, -trials, -traces, -hash.
 package main
 
 import (
@@ -103,10 +103,9 @@ func commonFlags(fs *flag.FlagSet) func() figures.Options {
 	alphaF := fs.Int("alpha", 2, "reads per write in synthetic transactions")
 	hashName := fs.String("hash", "mask", "address hash: mask | fibonacci | mix")
 	kind := fs.String("kind", "tagless", "ownership table under test: tagless | tagged | sharded")
-	cm := fs.String("cm", "backoff", "STM contention-management policy: backoff | adaptive | karma | timestamp | switching")
 	scaleTxns := fs.Int("scale-txns", 0, "override scaling-experiment transactions per goroutine")
-	fallbackAfter := fs.Int("fallback-after", 0, "serial-fallback escalation threshold for the contended CM scaling runs (0 = optimistic only)")
-	record := fs.String("record", "", "directory to write opacity traces of the contended CM scaling runs (verify with 'tmbp check')")
+	fallbackAfter := fs.Int("fallback-after", 0, "serial-fallback escalation threshold for the contended scaling runs (0 = optimistic only)")
+	record := fs.String("record", "", "directory to write opacity traces of the contended scaling runs (verify with 'tmbp check')")
 	return func() figures.Options {
 		o := figures.Paper(*seed)
 		if *quick {
@@ -127,7 +126,6 @@ func commonFlags(fs *flag.FlagSet) func() figures.Options {
 		o.Alpha = *alphaF
 		o.Hash = *hashName
 		o.Kind = *kind
-		o.CM = *cm
 		if *scaleTxns > 0 {
 			o.ScaleTxns = *scaleTxns
 		}

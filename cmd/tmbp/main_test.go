@@ -146,7 +146,7 @@ func TestRunLoadFlagErrors(t *testing.T) {
 		{"-rate", "-5"},
 		{"-struct", "btree"},
 		{"-table", "cuckoo"},
-		{"-cm", "polite"},
+		{"-cm", "backoff"}, // the flag is gone: one built-in policy
 		{"-arrival", "bursty"},
 		{"-mean-ops", "0.5"},
 		{"-bits", "99"},
@@ -166,7 +166,6 @@ var loadTestArgs = []string{"-json", "-virtual", "-ops", "300", "-keys", "64"}
 // loadRowJSON is the slice of a `tmbp load -json` row the tests look at.
 type loadRowJSON struct {
 	Struct        string  `json:"struct"`
-	CM            string  `json:"cm"`
 	Virtual       bool    `json:"virtual"`
 	Ops           int     `json:"ops"`
 	ReadFrac      float64 `json:"read_frac"`
@@ -193,8 +192,11 @@ func runLoadJSON(t *testing.T, extra ...string) []loadRowJSON {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("load -json emitted invalid JSON: %v\n%s", err, out)
 	}
-	if rep.Schema != 1 {
-		t.Fatalf("load report schema = %d, want 1", rep.Schema)
+	if rep.Schema != 2 {
+		t.Fatalf("load report schema = %d, want 2", rep.Schema)
+	}
+	if strings.Contains(out, `"cm"`) {
+		t.Fatalf("schema 2 rows carry no cm field:\n%s", out)
 	}
 	return rep.Rows
 }
@@ -202,8 +204,7 @@ func runLoadJSON(t *testing.T, extra ...string) []loadRowJSON {
 // TestRunLoadSubcommandJSON pins the shape of `tmbp load -json`: by default
 // one row per scenario that exercises different code — the four structures,
 // the read-mostly hashmap pair and the skiplist scan pair — each carrying
-// throughput and monotone latency quantiles; -cm all multiplies them by the
-// five policies; -struct and -cm filter every family.
+// throughput and monotone latency quantiles; -struct filters every family.
 func TestRunLoadSubcommandJSON(t *testing.T) {
 	rows := runLoadJSON(t)
 	if len(rows) != 8 {
@@ -222,8 +223,8 @@ func TestRunLoadSubcommandJSON(t *testing.T) {
 			name += map[bool]string{false: "/acq", true: "/inv"}[r.Invisible]
 		}
 		seen[name] = true
-		if r.CM != "backoff" || !r.Virtual || r.Ops != 300 {
-			t.Errorf("%s: cm=%s virtual=%v ops=%d", name, r.CM, r.Virtual, r.Ops)
+		if !r.Virtual || r.Ops != 300 {
+			t.Errorf("%s: virtual=%v ops=%d", name, r.Virtual, r.Ops)
 		}
 		if r.ThroughputTPS <= 0 || r.Commits < 300 {
 			t.Errorf("%s: throughput=%v commits=%d", name, r.ThroughputTPS, r.Commits)
@@ -239,23 +240,9 @@ func TestRunLoadSubcommandJSON(t *testing.T) {
 		}
 	}
 
-	all := runLoadJSON(t, "-cm", "all")
-	if len(all) != 40 {
-		t.Fatalf("-cm all sweep has %d rows, want 40", len(all))
-	}
-	perCM := map[string]int{}
-	for _, r := range all {
-		perCM[r.CM]++
-	}
-	for _, cm := range []string{"backoff", "adaptive", "karma", "timestamp", "switching"} {
-		if perCM[cm] != 8 {
-			t.Errorf("-cm all: %d rows under %s, want 8", perCM[cm], cm)
-		}
-	}
-
 	// -struct filters the companion pairs too, not just the per-structure rows.
 	for structName, want := range map[string]int{"queue": 1, "list": 1, "hashmap": 3, "skiplist": 3} {
-		got := runLoadJSON(t, "-struct", structName, "-cm", "backoff")
+		got := runLoadJSON(t, "-struct", structName)
 		if len(got) != want {
 			t.Errorf("-struct %s: %d rows, want %d", structName, len(got), want)
 		}
@@ -281,7 +268,7 @@ func TestRunLoadJSONDeterministic(t *testing.T) {
 // TestRunLoadSubcommandTable smoke-tests the human-readable rendering.
 func TestRunLoadSubcommandTable(t *testing.T) {
 	out := capture(t, func() error {
-		return run("load", []string{"-virtual", "-ops", "200", "-keys", "64", "-struct", "hashmap", "-cm", "backoff"})
+		return run("load", []string{"-virtual", "-ops", "200", "-keys", "64", "-struct", "hashmap"})
 	})
 	for _, want := range []string{"p999", "abort rate", "hashmap", "open loop"} {
 		if !strings.Contains(out, want) {

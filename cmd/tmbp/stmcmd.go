@@ -28,7 +28,6 @@ func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 	entries := fs.Uint64("entries", 4096, "ownership table entries (power of two)")
 	txns := fs.Int("txns", 500, "transactions per thread")
 	seed := fs.Uint64("seed", 1, "random seed")
-	cm := fs.String("cm", "backoff", "STM contention-management policy: backoff | adaptive | karma | timestamp | switching")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -36,7 +35,7 @@ func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 	t := report.New("End-to-end STM: tagless vs tagged on disjoint data",
 		"table", "commits", "aborts", "abort rate", "model prediction")
 	for _, kind := range []string{"tagless", "tagged"} {
-		st, err := runWorkload(kind, *threads, *writes, *alphaF, *entries, *txns, *seed, *cm)
+		st, err := runWorkload(kind, *threads, *writes, *alphaF, *entries, *txns, *seed)
 		if err != nil {
 			return err
 		}
@@ -52,8 +51,8 @@ func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 			report.U64(st.Commits), report.U64(st.Aborts),
 			report.Pct(st.AbortRate()), pred)
 	}
-	t.Note("threads=%d writes=%d alpha=%d entries=%d txns/thread=%d cm=%s; all data physically disjoint, so every abort is a false conflict",
-		*threads, *writes, *alphaF, *entries, *txns, *cm)
+	t.Note("threads=%d writes=%d alpha=%d entries=%d txns/thread=%d; all data physically disjoint, so every abort is a false conflict",
+		*threads, *writes, *alphaF, *entries, *txns)
 	t.Note("model bound is the group conflict likelihood (Eq. 8, saturating); per-attempt rates sit below it")
 	if *csv {
 		return t.RenderCSV(os.Stdout)
@@ -70,7 +69,7 @@ func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 // heavily — the Berkeley-DB-style pathology Damron et al. observed. A
 // scheduler yield between block accesses stands in for real computation so
 // transactions overlap even on a single CPU.
-func runWorkload(kind string, threads, writes, alpha int, entries uint64, txns int, seed uint64, cm string) (stm.Stats, error) {
+func runWorkload(kind string, threads, writes, alpha int, entries uint64, txns int, seed uint64) (stm.Stats, error) {
 	h, err := hash.New("mask", entries)
 	if err != nil {
 		return stm.Stats{}, err
@@ -82,7 +81,7 @@ func runWorkload(kind string, threads, writes, alpha int, entries uint64, txns i
 	blocksPerTxn := writes * (1 + alpha)
 	stripeBlocks := blocksPerTxn * 8
 	mem := stm.NewMemory(stripeBlocks * 8) // one stripe's worth of backing words, shared cyclically
-	rt, err := stm.New(stm.Config{Table: tab, Memory: mem, Seed: seed, CM: cm})
+	rt, err := stm.New(stm.Config{Table: tab, Memory: mem, Seed: seed})
 	if err != nil {
 		return stm.Stats{}, err
 	}

@@ -42,10 +42,9 @@ import (
 )
 
 // PhantomTx is the opponent the injector blames for spurious write-denials.
-// It is deliberately far outside the range of registered thread IDs: CM
-// policies that look the opponent up (karma, timestamp) find no registered
-// thread and fall back to their board-ranking path, which is the behavior
-// a real foreign table user would trigger.
+// It is deliberately far outside the range of registered thread IDs, as a
+// real foreign table user's would be: a CM policy that looks the opponent
+// up finds no registered thread.
 const PhantomTx otable.TxID = 0xfa_0175
 
 // Config selects the faults to inject. The zero value injects nothing.

@@ -15,7 +15,7 @@ import (
 	"tmbp/internal/stm"
 )
 
-// The robustness suite: every table organization under every CM policy,
+// The robustness suite: every table organization under the backoff policy,
 // with the injector denying 20% of acquires, stalling one thread at every
 // ownership boundary, and delaying a slice of releases. The assertions are
 // the issue's acceptance criteria — exact results, bounded abort tails,
@@ -54,97 +54,94 @@ func gridConfig(seed uint64) fault.Config {
 }
 
 // TestFaultGridAllPoliciesAllTables runs the contended increment hammer on
-// every table kind × CM policy cell with injection active and asserts:
-// no transaction fails, no increment is lost, every policy keeps the
-// 50-abort tail bound, the table leaks nothing, and the recorded history
-// verifies as opaque.
+// every table kind with injection active and asserts: no transaction
+// fails, no increment is lost, backoff keeps the 50-abort tail bound, the
+// table leaks nothing, and the recorded history verifies as opaque.
 func TestFaultGridAllPoliciesAllTables(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, policy := range stm.CMKinds() {
-			t.Run(kind+"/"+policy, func(t *testing.T) {
-				t.Parallel()
-				tab, err := otable.New(kind, hash.NewMask(64))
-				if err != nil {
-					t.Fatal(err)
-				}
-				inj := fault.New(tab, gridConfig(23))
-				mem := stm.NewMemory(256)
-				cfg := stm.Config{Table: inj, Memory: mem, Seed: 23,
-					FuzzYield: 0.2, CM: policy, FallbackAfter: 6}
-				log := recordTrace(t, &cfg)
-				rt, err := stm.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var wg sync.WaitGroup
-				errs := make(chan error, gridGoroutines)
-				for g := 0; g < gridGoroutines; g++ {
-					wg.Add(1)
-					go func(gid int) {
-						defer wg.Done()
-						th := rt.NewThread()
-						for i := 0; i < gridTxnsEach; i++ {
-							if err := th.Atomic(func(tx *stm.Tx) error {
-								for k := 0; k < gridIncrements; k++ {
-									a := mem.WordAddr((gid*29 + i*5 + k*11) % mem.Words())
-									tx.Write(a, tx.Read(a)+1)
-								}
-								return nil
-							}); err != nil {
-								errs <- err
-								return
+		t.Run(kind+"/backoff", func(t *testing.T) {
+			t.Parallel()
+			tab, err := otable.New(kind, hash.NewMask(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := fault.New(tab, gridConfig(23))
+			mem := stm.NewMemory(256)
+			cfg := stm.Config{Table: inj, Memory: mem, Seed: 23,
+				FuzzYield: 0.2, FallbackAfter: 6}
+			log := recordTrace(t, &cfg)
+			rt, err := stm.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, gridGoroutines)
+			for g := 0; g < gridGoroutines; g++ {
+				wg.Add(1)
+				go func(gid int) {
+					defer wg.Done()
+					th := rt.NewThread()
+					for i := 0; i < gridTxnsEach; i++ {
+						if err := th.Atomic(func(tx *stm.Tx) error {
+							for k := 0; k < gridIncrements; k++ {
+								a := mem.WordAddr((gid*29 + i*5 + k*11) % mem.Words())
+								tx.Write(a, tx.Read(a)+1)
 							}
+							return nil
+						}); err != nil {
+							errs <- err
+							return
 						}
-					}(g)
-				}
-				wg.Wait()
-				close(errs)
-				if err := <-errs; err != nil {
-					t.Fatal(err)
-				}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
 
-				var sum uint64
-				for w := 0; w < mem.Words(); w++ {
-					sum += mem.LoadDirect(mem.WordAddr(w))
-				}
-				if want := uint64(gridGoroutines * gridTxnsEach * gridIncrements); sum != want {
-					t.Errorf("increments lost under injection: sum = %d, want %d", sum, want)
-				}
+			var sum uint64
+			for w := 0; w < mem.Words(); w++ {
+				sum += mem.LoadDirect(mem.WordAddr(w))
+			}
+			if want := uint64(gridGoroutines * gridTxnsEach * gridIncrements); sum != want {
+				t.Errorf("increments lost under injection: sum = %d, want %d", sum, want)
+			}
 
-				st := rt.Stats()
-				if st.Commits != gridGoroutines*gridTxnsEach {
-					t.Errorf("commits = %d, want %d", st.Commits, gridGoroutines*gridTxnsEach)
-				}
-				if st.MaxConsecutiveAborts > gridAbortBound {
-					t.Errorf("policy %s: max consecutive aborts %d exceeds the %d bound",
-						policy, st.MaxConsecutiveAborts, gridAbortBound)
-				}
-				if fs := inj.FaultStats(); fs.Denied == 0 {
-					t.Errorf("injector denied nothing (ops=%d): the suite is not testing faults", fs.Ops)
-				}
+			st := rt.Stats()
+			if st.Commits != gridGoroutines*gridTxnsEach {
+				t.Errorf("commits = %d, want %d", st.Commits, gridGoroutines*gridTxnsEach)
+			}
+			if st.MaxConsecutiveAborts > gridAbortBound {
+				t.Errorf("max consecutive aborts %d exceeds the %d bound",
+					st.MaxConsecutiveAborts, gridAbortBound)
+			}
+			if fs := inj.FaultStats(); fs.Denied == 0 {
+				t.Errorf("injector denied nothing (ops=%d): the suite is not testing faults", fs.Ops)
+			}
 
-				// Quiescence audit, through the injector and directly: a
-				// record still held here is a leak on some rollback path.
-				if err := otable.AuditQuiesced(inj); err != nil {
-					t.Error(err)
-				}
-				if err := otable.AuditQuiesced(inj.Underlying()); err != nil {
-					t.Error(err)
-				}
+			// Quiescence audit, through the injector and directly: a
+			// record still held here is a leak on some rollback path.
+			if err := otable.AuditQuiesced(inj); err != nil {
+				t.Error(err)
+			}
+			if err := otable.AuditQuiesced(inj.Underlying()); err != nil {
+				t.Error(err)
+			}
 
-				res, err := opacity.CheckTrace(log.Events())
-				if err != nil {
-					t.Fatalf("recorded trace malformed: %v", err)
-				}
-				if !res.Opaque {
-					t.Fatalf("recorded history not opaque under injection: %s", res)
-				}
-				if res.Committed != gridGoroutines*gridTxnsEach {
-					t.Errorf("trace has %d committed attempts, want %d",
-						res.Committed, gridGoroutines*gridTxnsEach)
-				}
-			})
-		}
+			res, err := opacity.CheckTrace(log.Events())
+			if err != nil {
+				t.Fatalf("recorded trace malformed: %v", err)
+			}
+			if !res.Opaque {
+				t.Fatalf("recorded history not opaque under injection: %s", res)
+			}
+			if res.Committed != gridGoroutines*gridTxnsEach {
+				t.Errorf("trace has %d committed attempts, want %d",
+					res.Committed, gridGoroutines*gridTxnsEach)
+			}
+		})
 	}
 }
 
@@ -201,55 +198,53 @@ func TestFaultFallbackEngagesAndCommits(t *testing.T) {
 // nothing. Fallback is off: the transaction must stay in the optimistic
 // retry loop, where only the waiter-level cancellation checks can save it.
 func TestFaultAtomicCtxDeadline(t *testing.T) {
-	for _, policy := range stm.CMKinds() {
-		t.Run(policy, func(t *testing.T) {
-			t.Parallel()
-			tab, err := otable.New("tagless", hash.NewMask(64))
-			if err != nil {
-				t.Fatal(err)
-			}
-			inj := fault.New(tab, fault.Config{Seed: 3, DenyRate: 1.0})
-			mem := stm.NewMemory(64)
-			rt, err := stm.New(stm.Config{Table: inj, Memory: mem, Seed: 3, CM: policy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			th := rt.NewThread()
-			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-			defer cancel()
-			start := time.Now()
-			err = th.AtomicCtx(ctx, func(tx *stm.Tx) error {
-				tx.Write(mem.WordAddr(1), 9)
-				return nil
-			})
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("AtomicCtx = %v, want deadline exceeded", err)
-			}
-			var ae *stm.AbortError
-			if !errors.As(err, &ae) {
-				t.Fatalf("AtomicCtx error %T is not *stm.AbortError", err)
-			}
-			if ae.Attempts == 0 {
-				t.Error("AbortError.Attempts = 0; the retry loop never ran?")
-			}
-			if !ae.Conflict.Valid() {
-				t.Error("AbortError.Conflict invalid; every attempt was denied, one should be recorded")
-			}
-			// Generous bound: the point is "within the deadline's order of
-			// magnitude", not a scheduler benchmark; -race and loaded CI
-			// machines stretch the 50ms considerably.
-			if elapsed > 10*time.Second {
-				t.Errorf("AtomicCtx took %v to honor a 50ms deadline", elapsed)
-			}
-			if mem.LoadDirect(mem.WordAddr(1)) != 0 {
-				t.Error("cancelled transaction's write leaked to memory")
-			}
-			if err := otable.AuditQuiesced(inj.Underlying()); err != nil {
-				t.Error(err)
-			}
+	t.Run("backoff", func(t *testing.T) {
+		t.Parallel()
+		tab, err := otable.New("tagless", hash.NewMask(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj := fault.New(tab, fault.Config{Seed: 3, DenyRate: 1.0})
+		mem := stm.NewMemory(64)
+		rt, err := stm.New(stm.Config{Table: inj, Memory: mem, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := rt.NewThread()
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		err = th.AtomicCtx(ctx, func(tx *stm.Tx) error {
+			tx.Write(mem.WordAddr(1), 9)
+			return nil
 		})
-	}
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("AtomicCtx = %v, want deadline exceeded", err)
+		}
+		var ae *stm.AbortError
+		if !errors.As(err, &ae) {
+			t.Fatalf("AtomicCtx error %T is not *stm.AbortError", err)
+		}
+		if ae.Attempts == 0 {
+			t.Error("AbortError.Attempts = 0; the retry loop never ran?")
+		}
+		if !ae.Conflict.Valid() {
+			t.Error("AbortError.Conflict invalid; every attempt was denied, one should be recorded")
+		}
+		// Generous bound: the point is "within the deadline's order of
+		// magnitude", not a scheduler benchmark; -race and loaded CI
+		// machines stretch the 50ms considerably.
+		if elapsed > 10*time.Second {
+			t.Errorf("AtomicCtx took %v to honor a 50ms deadline", elapsed)
+		}
+		if mem.LoadDirect(mem.WordAddr(1)) != 0 {
+			t.Error("cancelled transaction's write leaked to memory")
+		}
+		if err := otable.AuditQuiesced(inj.Underlying()); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestFaultDenyNth pins the forced-abort-at-the-k-th-operation fault with

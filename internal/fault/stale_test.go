@@ -135,7 +135,7 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 			inj := fault.New(tab, fault.Config{Seed: 31, StaleVersionRate: 0.25})
 			mem := stm.NewMemory(256)
 			cfg := stm.Config{Table: inj, Memory: mem, Seed: 31, FuzzYield: 0.2,
-				CM: "karma", FallbackAfter: 6, InvisibleReaders: true}
+				FallbackAfter: 6, InvisibleReaders: true}
 			log := recordTrace(t, &cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {

@@ -48,20 +48,16 @@ type Options struct {
 	Hash string
 	// Kind selects the ownership-table organization under test.
 	Kind string
-	// CM selects the STM contention-management policy for the live-runtime
-	// experiments ("backoff", "adaptive", "karma"); the scaling experiment
-	// additionally sweeps all policies in its contended comparison.
-	CM string
 	// ScaleTxns is the transactions-per-goroutine count for the scaling
 	// experiment.
 	ScaleTxns int
 	// FallbackAfter, when positive, enables the STM's serial-fallback
-	// escalation in the contended CM scaling runs (stm.Config.FallbackAfter)
-	// and adds a fallback-commits table to the report.
+	// escalation in the contended scaling runs (stm.Config.FallbackAfter)
+	// and adds a fallback-commits column to the report.
 	FallbackAfter int
-	// RecordDir, when non-empty, makes the contended CM scaling runs
-	// record their transactional histories as opacity trace files
-	// (scale-cm-<policy>-g<N>.trace) in this directory, for offline
+	// RecordDir, when non-empty, makes the contended scaling runs record
+	// their transactional histories as opacity trace files
+	// (scale-contended-g<N>.trace) in this directory, for offline
 	// verification with `tmbp check`. Recording serializes every
 	// transactional operation through one mutex, so recorded throughput
 	// numbers measure the recorder, not the STM.
@@ -80,7 +76,6 @@ func Paper(seed uint64) Options {
 		Alpha:          2,
 		Hash:           "mask",
 		Kind:           "tagless",
-		CM:             "backoff",
 		ScaleTxns:      1500,
 	}
 }

@@ -15,8 +15,9 @@ import (
 	"tmbp/internal/xrand"
 )
 
-// blockWords is the number of memory words per ownership block; the CM
-// sweep spaces its hot words a block apart so each touch is its own chunk.
+// blockWords is the number of memory words per ownership block; the
+// contended sweep spaces its hot words a block apart so each touch is its
+// own chunk.
 const blockWords = int(addr.BlockBytes / addr.WordBytes)
 
 // The scaling experiment goes beyond the paper's figures: it measures the
@@ -27,10 +28,10 @@ const blockWords = int(addr.BlockBytes / addr.WordBytes)
 // counters, shared cache lines) costs as concurrency grows, which is
 // exactly what the sharded organization is built to reduce.
 //
-// A second sweep compares contention-management policies on a deliberately
-// contended workload (a small shared block pool every thread hammers): the
-// disjoint-stripe sweep never aborts on the tagged tables, so CM policy
-// differences only show where transactions genuinely collide.
+// A second sweep runs a deliberately contended workload (a small shared
+// block pool every thread hammers): the disjoint-stripe sweep never aborts
+// on the tagged tables, so the retry path — backoff, the serial fallback,
+// the abort tail — only shows where transactions genuinely collide.
 
 // Scaling-experiment grid constants.
 var (
@@ -41,17 +42,17 @@ var (
 	// ScaleWrites is the per-transaction write footprint.
 	ScaleWrites = 8
 
-	// ScaleCMTable is the table size for the CM-policy comparison.
+	// ScaleCMTable is the table size for the contended sweep.
 	ScaleCMTable = uint64(1024)
 	// ScaleCMBlocks is the shared hot-block pool all threads draw from.
 	ScaleCMBlocks = 64
 	// ScaleCMWrites is the read-modify-write footprint per transaction in
-	// the CM comparison.
+	// the contended sweep.
 	ScaleCMWrites = 4
-	// ScaleCMFuzz is the per-access scheduler-yield probability in the CM
-	// comparison. Without it, machines with few cores run each transaction
-	// to completion inside one scheduler slice, conflicts never materialize,
-	// and every policy measures the same (see Config.FuzzYield).
+	// ScaleCMFuzz is the per-access scheduler-yield probability in the
+	// contended sweep. Without it, machines with few cores run each
+	// transaction to completion inside one scheduler slice and conflicts
+	// never materialize (see Config.FuzzYield).
 	ScaleCMFuzz = 0.2
 )
 
@@ -117,92 +118,57 @@ func Scale(o Options) ([]*report.Table, error) {
 			shards = sh
 		}
 	}
-	note := fmt.Sprintf("N=%d entries, W=%d writes/txn, alpha=%d, %d txns/goroutine, hash=%s, GOMAXPROCS=%d, %d shards, cm=%s",
-		ScaleTable, ScaleWrites, o.Alpha, o.ScaleTxns, o.Hash, runtime.GOMAXPROCS(0), shards, cmName(o))
+	note := fmt.Sprintf("N=%d entries, W=%d writes/txn, alpha=%d, %d txns/goroutine, hash=%s, GOMAXPROCS=%d, %d shards",
+		ScaleTable, ScaleWrites, o.Alpha, o.ScaleTxns, o.Hash, runtime.GOMAXPROCS(0), shards)
 	thr.Note("%s", note)
 	thr.Note("per-thread stripes are physically disjoint: tagless aborts are all false conflicts; tagged and sharded run conflict-free")
 	ab.Note("%s", note)
 
-	cmTables, err := scaleCM(o)
+	cm, err := scaleCM(o)
 	if err != nil {
 		return nil, err
 	}
-	return append([]*report.Table{thr, ab}, cmTables...), nil
+	return []*report.Table{thr, ab, cm}, nil
 }
 
-// cmName resolves the configured CM policy name ("" = the default).
-func cmName(o Options) string {
-	if o.CM == "" {
-		return "backoff"
-	}
-	return o.CM
-}
-
-// scaleCM sweeps goroutines × contention-management policies over a
-// contended workload: every thread runs read-modify-write transactions
-// over the same small pool of hot blocks, so aborts are frequent and the
-// between-retry policy — not the table — decides throughput. This is the
-// scenario where adaptive feedback, karma seniority, and the
-// opponent-aware timestamp/switching policies (which wait on the specific
-// transaction that denied the acquire) are supposed to beat fixed backoff.
-func scaleCM(o Options) ([]*report.Table, error) {
-	policies := stm.CMKinds()
-	thr := report.New("Scaling: contended committed txns/sec by CM policy",
-		append([]string{"goroutines"}, policies...)...)
-	ab := report.New("Scaling: contended abort rate by CM policy",
-		append([]string{"goroutines"}, policies...)...)
-	// The tail table: the longest consecutive-abort run any single thread
-	// suffered, per cell. The mean abort rate above hides exactly this —
-	// a policy can post a healthy average while starving one victim.
-	tail := report.New("Scaling: contended max consecutive aborts by CM policy",
-		append([]string{"goroutines"}, policies...)...)
-	var fb *report.Table
+// scaleCM sweeps goroutines over a contended workload: every thread runs
+// read-modify-write transactions over the same small pool of hot blocks, so
+// aborts are frequent true conflicts and the retry path — randomized
+// backoff, plus the serial fallback when FallbackAfter enables it — decides
+// throughput. Beside throughput and abort rate it reports the tail: the
+// longest consecutive-abort run any single thread suffered, which the mean
+// abort rate hides.
+func scaleCM(o Options) (*report.Table, error) {
+	cols := []string{"goroutines", "txns/sec", "abort rate", "max consecutive aborts"}
 	if o.FallbackAfter > 0 {
-		fb = report.New("Scaling: contended serial-fallback commits by CM policy",
-			append([]string{"goroutines"}, policies...)...)
+		cols = append(cols, "fallback commits")
 	}
+	t := report.New("Scaling: contended hot pool", cols...)
 	for _, g := range ScaleGoroutines {
-		thrRow := []string{report.Int(g)}
-		abRow := []string{report.Int(g)}
-		tailRow := []string{report.Int(g)}
-		fbRow := []string{report.Int(g)}
-		for _, policy := range policies {
-			res, err := scaleCMRun(policy, g, o)
-			if err != nil {
-				return nil, err
-			}
-			thrRow = append(thrRow, report.SI(uint64(res.throughput)))
-			abRow = append(abRow, report.Pct(res.abortRate))
-			tailRow = append(tailRow, report.Int(int(res.maxConsec)))
-			fbRow = append(fbRow, report.Int(int(res.fbCommits)))
+		res, err := scaleCMRun(g, o)
+		if err != nil {
+			return nil, err
 		}
-		thr.Add(thrRow...)
-		ab.Add(abRow...)
-		tail.Add(tailRow...)
-		if fb != nil {
-			fb.Add(fbRow...)
+		row := []string{report.Int(g), report.SI(uint64(res.throughput)),
+			report.Pct(res.abortRate), report.Int(int(res.maxConsec))}
+		if o.FallbackAfter > 0 {
+			row = append(row, report.Int(int(res.fbCommits)))
 		}
+		t.Add(row...)
 	}
-	note := fmt.Sprintf("tagged table, N=%d entries, %d shared hot blocks, W=%d read-modify-writes/txn, %d txns/goroutine, fuzz=%.2f, GOMAXPROCS=%d",
+	t.Note("tagged table, N=%d entries, %d shared hot blocks, W=%d read-modify-writes/txn, %d txns/goroutine, fuzz=%.2f, GOMAXPROCS=%d",
 		ScaleCMTable, ScaleCMBlocks, ScaleCMWrites, o.ScaleTxns, ScaleCMFuzz, runtime.GOMAXPROCS(0))
-	thr.Note("%s", note)
-	thr.Note("all threads draw blocks from one hot pool: aborts are true conflicts and the CM policy sets the retry schedule")
-	ab.Note("%s", note)
-	tail.Note("%s", note)
-	tail.Note("longest run of consecutive conflict aborts suffered by any one thread: the starvation tail the mean abort rate hides")
-	tables := []*report.Table{thr, ab, tail}
-	if fb != nil {
-		fb.Note("%s", note)
-		fb.Note("commits made while holding the runtime-wide serial token (FallbackAfter=%d): how often optimism was abandoned to guarantee progress", o.FallbackAfter)
-		tables = append(tables, fb)
+	t.Note("all threads draw blocks from one hot pool: aborts are true conflicts, retried after randomized backoff")
+	if o.FallbackAfter > 0 {
+		t.Note("fallback commits: made while holding the runtime-wide serial token (FallbackAfter=%d), how often optimism was abandoned to guarantee progress", o.FallbackAfter)
 	}
-	return tables, nil
+	return t, nil
 }
 
 // scaleCMRun measures one contended cell: `goroutines` goroutines each
 // committing o.ScaleTxns read-modify-write transactions over the shared
-// hot-block pool under the given CM policy.
-func scaleCMRun(policy string, goroutines int, o Options) (scaleResult, error) {
+// hot-block pool.
+func scaleCMRun(goroutines int, o Options) (scaleResult, error) {
 	h, err := hash.New(o.Hash, ScaleCMTable)
 	if err != nil {
 		return scaleResult{}, err
@@ -213,7 +179,7 @@ func scaleCMRun(policy string, goroutines int, o Options) (scaleResult, error) {
 	}
 	words := ScaleCMBlocks * blockWords
 	mem := stm.NewMemory(words)
-	cfg := stm.Config{Table: tab, Memory: mem, Seed: o.Seed, CM: policy,
+	cfg := stm.Config{Table: tab, Memory: mem, Seed: o.Seed,
 		FuzzYield: ScaleCMFuzz, FallbackAfter: o.FallbackAfter}
 	var trace *opacity.Log
 	if o.RecordDir != "" {
@@ -243,7 +209,7 @@ func scaleCMRun(policy string, goroutines int, o Options) (scaleResult, error) {
 					}
 					return nil
 				}); err != nil {
-					errs <- fmt.Errorf("scale cm=%s g=%d: %w", policy, gid, err)
+					errs <- fmt.Errorf("scale contended g=%d: %w", gid, err)
 					return
 				}
 			}
@@ -263,7 +229,7 @@ func scaleCMRun(policy string, goroutines int, o Options) (scaleResult, error) {
 		res.throughput = float64(st.Commits) / secs
 	}
 	if trace != nil {
-		if err := trace.DumpFile(o.RecordDir, fmt.Sprintf("scale-cm-%s-g%d.trace", policy, goroutines)); err != nil {
+		if err := trace.DumpFile(o.RecordDir, fmt.Sprintf("scale-contended-g%d.trace", goroutines)); err != nil {
 			return scaleResult{}, err
 		}
 	}
@@ -292,7 +258,7 @@ func scaleRun(kind string, goroutines int, o Options) (scaleResult, error) {
 	blocksPerTxn := ScaleWrites * (1 + o.Alpha)
 	stripeBlocks := blocksPerTxn * 8
 	mem := stm.NewMemory(8) // footprint-only workload: memory is never touched
-	rt, err := stm.New(stm.Config{Table: tab, Memory: mem, Seed: o.Seed, CM: o.CM})
+	rt, err := stm.New(stm.Config{Table: tab, Memory: mem, Seed: o.Seed})
 	if err != nil {
 		return scaleResult{}, err
 	}

@@ -12,21 +12,22 @@ func TestScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 5 {
-		t.Fatalf("Scale returned %d tables, want org throughput/aborts + CM throughput/aborts/tail", len(tables))
+	if len(tables) != 3 {
+		t.Fatalf("Scale returned %d tables, want org throughput/aborts + contended", len(tables))
 	}
 	out := renderAll(t, tables)
 	for _, want := range []string{
 		"Scaling: committed transactions/sec", "Scaling: abort rate",
 		"tagless", "tagged", "sharded", "sharded/tagged", "GOMAXPROCS",
-		"Scaling: contended committed txns/sec by CM policy",
-		"Scaling: contended abort rate by CM policy",
-		"Scaling: contended max consecutive aborts by CM policy",
-		"backoff", "adaptive", "karma",
+		"Scaling: contended hot pool",
+		"txns/sec", "abort rate", "max consecutive aborts",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "fallback commits") {
+		t.Errorf("fallback column without FallbackAfter:\n%s", out)
 	}
 	// One row per goroutine count in each table.
 	for _, g := range ScaleGoroutines {
@@ -50,7 +51,7 @@ func TestScaleValidatesOptions(t *testing.T) {
 }
 
 // TestScaleFallbackTable checks that enabling the serial fallback adds the
-// fallback-commits table and annotates it with the escalation threshold.
+// fallback-commits column and annotates it with the escalation threshold.
 func TestScaleFallbackTable(t *testing.T) {
 	o := tiny()
 	o.FallbackAfter = 4
@@ -58,12 +59,12 @@ func TestScaleFallbackTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 6 {
-		t.Fatalf("Scale with FallbackAfter returned %d tables, want 6 (fallback-commits added)", len(tables))
+	if len(tables) != 3 {
+		t.Fatalf("Scale with FallbackAfter returned %d tables, want 3", len(tables))
 	}
-	out := renderAll(t, tables)
+	out := renderAll(t, tables[2:])
 	for _, want := range []string{
-		"Scaling: contended serial-fallback commits by CM policy",
+		"fallback commits",
 		"FallbackAfter=4",
 	} {
 		if !strings.Contains(out, want) {

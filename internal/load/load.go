@@ -20,17 +20,14 @@ const (
 )
 
 // Scenario describes one open-loop load run: a seeded plan of transactions
-// against one structure × ownership-table kind × contention-management
-// policy. Zero values take the defaults noted per field; Normalize applies
-// them and validates the rest.
+// against one structure × ownership-table kind. Zero values take the
+// defaults noted per field; Normalize applies them and validates the rest.
 type Scenario struct {
 	// Struct is the tmds structure driven: "hashmap", "list", "queue", or
 	// "skiplist". Default "hashmap".
 	Struct string
 	// Table is the ownership-table organization. Default "tagged".
 	Table string
-	// CM is the contention-management policy. Default "backoff".
-	CM string
 	// Arrival is the arrival process, "fixed" or "poisson". Default
 	// "poisson" — the memoryless arrivals whose bursts build the tail.
 	Arrival string
@@ -100,9 +97,6 @@ func (sc Scenario) Normalize() (Scenario, error) {
 	if sc.Table == "" {
 		sc.Table = "tagged"
 	}
-	if sc.CM == "" {
-		sc.CM = "backoff"
-	}
 	if sc.Arrival == "" {
 		sc.Arrival = "poisson"
 	}
@@ -144,9 +138,6 @@ func (sc Scenario) Normalize() (Scenario, error) {
 	}
 	if !contains(tmbp.TableKinds(), sc.Table) {
 		return sc, fmt.Errorf("load: unknown table kind %q (want one of %v)", sc.Table, tmbp.TableKinds())
-	}
-	if !contains(tmbp.CMKinds(), sc.CM) {
-		return sc, fmt.Errorf("load: unknown CM policy %q (want one of %v)", sc.CM, tmbp.CMKinds())
 	}
 	if !contains(Processes(), sc.Arrival) {
 		return sc, fmt.Errorf("load: unknown arrival process %q (want one of %v)", sc.Arrival, Processes())
@@ -196,7 +187,6 @@ func contains(xs []string, x string) bool {
 type Row struct {
 	Struct        string  `json:"struct"`
 	Table         string  `json:"table"`
-	CM            string  `json:"cm"`
 	Arrival       string  `json:"arrival"`
 	RatePerSec    float64 `json:"rate_per_sec"`
 	Workers       int     `json:"workers"`
@@ -293,7 +283,6 @@ func world(sc Scenario) (*tmbp.STM, tmds.Keyed, error) {
 	rt, err := tmbp.NewSTM(tmbp.STMConfig{
 		Table:            tab,
 		Memory:           mem,
-		CM:               sc.CM,
 		Seed:             sc.Seed,
 		Recorder:         sc.Recorder,
 		InvisibleReaders: sc.Invisible,
@@ -384,7 +373,6 @@ func Run(sc Scenario) (*Result, error) {
 	row := Row{
 		Struct:     sc.Struct,
 		Table:      sc.Table,
-		CM:         sc.CM,
 		Arrival:    sc.Arrival,
 		RatePerSec: sc.RatePerSec,
 		Workers:    sc.Workers,

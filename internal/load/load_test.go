@@ -263,7 +263,7 @@ func TestVirtualLatencyMath(t *testing.T) {
 // and the row's counters are consistent.
 func TestWallClockRun(t *testing.T) {
 	sc := Scenario{
-		Struct: "hashmap", Table: "tagless", CM: "karma",
+		Struct: "hashmap", Table: "tagless",
 		RatePerSec: 5e5, Workers: 4, Ops: 3000, Keys: 64, ZipfS: 1.1,
 	}
 	r, err := Run(sc)
@@ -297,7 +297,7 @@ func TestWallClockAnchoredAtDispatch(t *testing.T) {
 	wallSetupHook = func() { time.Sleep(pause) }
 	defer func() { wallSetupHook = nil }()
 	sc := Scenario{
-		Struct: "hashmap", Table: "tagless", CM: "karma",
+		Struct: "hashmap", Table: "tagless",
 		RatePerSec: 1e6, Workers: 2, Ops: 500, Keys: 256,
 	}
 	r, err := Run(sc)
@@ -319,7 +319,6 @@ func TestNormalizeValidates(t *testing.T) {
 	bad := []Scenario{
 		{Struct: "btree"},
 		{Table: "cuckoo"},
-		{CM: "polite"},
 		{Arrival: "bursty"},
 		{RatePerSec: -1},
 		{Workers: -1},
@@ -344,7 +343,7 @@ func TestNormalizeValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Struct != "hashmap" || got.CM != "backoff" || got.Workers != 4 || got.Bits != 7 {
+	if got.Struct != "hashmap" || got.Workers != 4 || got.Bits != 7 {
 		t.Fatalf("defaults not applied: %+v", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestLoadTracesOpaque is the integration proof behind the CI load job:
 // a short seeded wall-clock load scenario, recorded, for every structure
-// × ownership-table kind × contention-management policy, replays opaque
+// × ownership-table kind, replays opaque
 // through the offline checker. The scenario is tuned hot — a tiny Zipf
 // key space over a small table — so the traces contain genuine conflicts
 // and aborts, not just a serial history. Sweeping the structures matters:
@@ -18,33 +18,31 @@ import (
 // Init event in the trace shows up here as a phantom inconsistent read.
 func TestLoadTracesOpaque(t *testing.T) {
 	if testing.Short() {
-		t.Skip("45 recorded concurrent runs")
+		t.Skip("12 recorded concurrent runs")
 	}
 	for _, structName := range tmds.Kinds() {
 		for _, table := range tmbp.TableKinds() {
-			for _, cm := range tmbp.CMKinds() {
-				log := opacity.NewLog()
-				sc := Scenario{
-					Struct: structName, Table: table, CM: cm,
-					RatePerSec: 1e6, Workers: 4, Ops: 250, Keys: 16,
-					ZipfS: 1.2, ReadFrac: 0.5, TableEntries: 256,
-					Recorder: log,
-				}
-				r, err := Run(sc)
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", structName, table, cm, err)
-				}
-				res, err := opacity.CheckTrace(log.Events())
-				if err != nil {
-					t.Fatalf("%s/%s/%s: trace malformed: %v", structName, table, cm, err)
-				}
-				if !res.Opaque {
-					t.Errorf("%s/%s/%s: trace not opaque: %v", structName, table, cm, res)
-				}
-				if res.Ops == 0 || r.Hist.Count() != 250 {
-					t.Errorf("%s/%s/%s: degenerate trace: %d ops, %d latencies",
-						structName, table, cm, res.Ops, r.Hist.Count())
-				}
+			log := opacity.NewLog()
+			sc := Scenario{
+				Struct: structName, Table: table,
+				RatePerSec: 1e6, Workers: 4, Ops: 250, Keys: 16,
+				ZipfS: 1.2, ReadFrac: 0.5, TableEntries: 256,
+				Recorder: log,
+			}
+			r, err := Run(sc)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", structName, table, err)
+			}
+			res, err := opacity.CheckTrace(log.Events())
+			if err != nil {
+				t.Fatalf("%s/%s: trace malformed: %v", structName, table, err)
+			}
+			if !res.Opaque {
+				t.Errorf("%s/%s: trace not opaque: %v", structName, table, res)
+			}
+			if res.Ops == 0 || r.Hist.Count() != 250 {
+				t.Errorf("%s/%s: degenerate trace: %d ops, %d latencies",
+					structName, table, res.Ops, r.Hist.Count())
 			}
 		}
 	}
@@ -63,7 +61,7 @@ func TestLoadTracesOpaqueInvisible(t *testing.T) {
 	for _, table := range tmbp.TableKinds() {
 		log := opacity.NewLog()
 		sc := Scenario{
-			Struct: "hashmap", Table: table, CM: "karma",
+			Struct: "hashmap", Table: table,
 			RatePerSec: 1e6, Workers: 4, Ops: 400, Keys: 16,
 			ZipfS: 1.2, ReadFrac: 0.9, Invisible: true,
 			TableEntries: 256, Recorder: log,

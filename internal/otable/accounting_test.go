@@ -4,11 +4,22 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tmbp/internal/addr"
 	"tmbp/internal/hash"
 	"tmbp/internal/xrand"
 )
+
+// TestCounterBlockPadding pins counterBlock to two cache lines: its
+// trailing pad is hand-computed from the word count, and a counter added or
+// removed without redoing that arithmetic would let neighboring stripes
+// false-share.
+func TestCounterBlockPadding(t *testing.T) {
+	if got := unsafe.Sizeof(counterBlock{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(counterBlock{}) = %d, want 128", got)
+	}
+}
 
 // TestAccountingStepByStep walks one first-level cell through every
 // transition the event counters distinguish and checks the whole Stats

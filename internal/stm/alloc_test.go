@@ -82,8 +82,8 @@ func read8Write1(tx *Tx, mem *Memory, i int) error {
 
 // cmDecisionOp calls the policy directly, as a denied acquire would, with
 // the two shapes a denial takes — a known writer and an anonymous reader
-// count — on a runtime with 8 registered threads, so the board-ranking
-// policies have something to rank over. The rows run with waits off.
+// count — on a runtime with 8 registered threads. The row runs with waits
+// off.
 func cmDecisionOp(_ *testing.T, rt *Runtime) func() {
 	ths := make([]*Thread, 8)
 	for i := range ths {
@@ -131,7 +131,8 @@ func conflictAbortOp(t *testing.T, rt *Runtime) func() {
 // table's record pools are warm, a transaction — committing, read-only on
 // either read protocol, or aborting on a conflict — never touches the heap,
 // with Config.Recorder nil (rmw/tagged is the recorder-disabled contract),
-// under every table organization and every contention-management policy.
+// under every table organization, and the backoff policy's decision path
+// (cm-decision/backoff) allocates nothing either.
 // Wall-clock cost is benchmark/'s business; this test asserts only counts.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	var rows []allocRow
@@ -145,12 +146,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 				Config{MaxAttempts: allocAttempts, BackoffBase: -1}, conflictAbortOp, 1},
 		)
 	}
-	for _, policy := range CMKinds() {
-		rows = append(rows,
-			allocRow{"rmw-cm-" + policy + "/tagged", "tagged", Config{CM: policy}, txnOp(rmw8), 0},
-			allocRow{"cm-decision/" + policy, "tagged", Config{CM: policy, BackoffBase: -1}, cmDecisionOp, 0},
-		)
-	}
+	rows = append(rows, allocRow{"cm-decision/backoff", "tagged", Config{BackoffBase: -1}, cmDecisionOp, 0})
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			rt, _, _ := newBigFootprintRuntime(t, row.kind, allocBlocks, row.cfg)

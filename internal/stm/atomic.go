@@ -41,7 +41,8 @@ func (th *Thread) fuzzYield() {
 
 // Atomic runs fn as a transaction, retrying on conflicts until it commits,
 // fn returns an error, or the attempt budget is exhausted. How the thread
-// waits between retries is the contention manager's decision (Config.CM).
+// waits between retries is the contention manager's decision: randomized
+// backoff unless Config.NewCM installs another policy.
 // A non-nil error from fn aborts the transaction and is returned unchanged;
 // memory is untouched in that case. Runtime failures (the MaxAttempts
 // budget) are reported as a *AbortError wrapping ErrTooManyAttempts.
@@ -54,9 +55,8 @@ func (th *Thread) Atomic(fn func(tx *Tx) error) error {
 }
 
 // AtomicCtx is Atomic bounded by a context: cancellation and deadline are
-// honored between attempts and inside every built-in contention-management
-// wait (including the opponent-completion waits of the timestamp policy and
-// the serial-fallback gate), so a blocked retry loop unwinds within a
+// honored between attempts and inside every built-in wait (the backoff
+// loop and the serial-fallback gate), so a blocked retry loop unwinds within a
 // scheduler yield of the context ending. The attempt that was in flight
 // when cancellation is detected has already rolled back — its ownership
 // records are released and its Abort is recorded for opacity — and the
@@ -96,7 +96,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		if ctx != nil && ctx.Err() != nil {
 			// Between attempts: the previous attempt (if any) has rolled
 			// back and released its records. Give the CM its completion
-			// callback so per-transaction state (stamps, karma) resets.
+			// callback so per-transaction policy state resets.
 			if th.desc.Attempts > 0 {
 				th.cm.Committed(th.lastFP)
 			}
@@ -182,7 +182,7 @@ func (th *Thread) cancelled() bool {
 // Cancelled reports whether the context of the thread's in-flight AtomicCtx
 // call has been cancelled or has expired. It is intended for custom CM
 // policies (Config.NewCM): a policy that waits should poll Cancelled and
-// return early when it reports true, exactly as the built-in policies do —
+// return early when it reports true, exactly as the built-in backoff does —
 // otherwise cancellation is honored only between attempts.
 func (th *Thread) Cancelled() bool { return th.cancelled() }
 
@@ -194,8 +194,8 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 			if r != any(conflictSentinel) {
 				th.rollback()
 				// A user panic terminates the transaction: give the CM its
-				// completion callback (resetting karma/abort-rate state)
-				// before propagating, as for any other completion.
+				// completion callback (resetting per-transaction policy
+				// state) before propagating, as for any other completion.
 				th.cm.Committed(th.lastFP)
 				panic(r) // user panic: release ownership, propagate
 			}

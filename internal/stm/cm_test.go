@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,9 +21,11 @@ import (
 // a CM owes the runtime: every transaction commits, within a bounded number
 // of aborts, and the committed state is exactly what a serial execution
 // produces — policies may only reschedule retries, never change outcomes.
-// Every scenario runs across every built-in policy, including the
-// opponent-aware timestamp and switching policies, so the conflict-target
-// plumbing is exercised under each policy's waiting discipline.
+// Every scenario runs on each table kind it applies to under every policy
+// of cmPolicies — the built-in randomized backoff and the four seam
+// policies of seamcm_test.go, opponent-aware timestamp and switching among
+// them — so the conflict-target plumbing a Config.NewCM policy relies on is
+// exercised under each waiting discipline.
 //
 // Stepping discipline: rendezvous channels are buffered and each side
 // signals before waiting, so the step itself cannot deadlock; and all
@@ -73,9 +76,9 @@ func newCMRuntime(t *testing.T, kind, policy string) *Runtime {
 		Table:       tab,
 		Memory:      NewMemory(64),
 		Seed:        7,
-		CM:          policy,
 		MaxAttempts: cmMaxAttempts,
 	}
+	withPolicy(&cfg, policy)
 	attachRecorder(t, &cfg)
 	rt, err := New(cfg)
 	if err != nil {
@@ -117,7 +120,7 @@ func checkScenario(t *testing.T, rt *Runtime, errs []error, want map[int]uint64)
 func TestCMSymmetricLivelock(t *testing.T) {
 	onOneP(t)
 	for _, kind := range otable.Kinds() {
-		for _, policy := range CMKinds() {
+		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				rt := newCMRuntime(t, kind, policy)
@@ -169,7 +172,7 @@ func TestCMSymmetricLivelock(t *testing.T) {
 // policy's wait; the writer must then commit promptly.
 func TestCMReaderStarvesWriter(t *testing.T) {
 	onOneP(t)
-	for _, policy := range CMKinds() {
+	for _, policy := range cmPolicies() {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
 			rt := newCMRuntime(t, "tagged", policy)
@@ -233,7 +236,7 @@ func TestCMReaderStarvesWriter(t *testing.T) {
 func TestCMUpgradeDeadlock(t *testing.T) {
 	onOneP(t)
 	for _, kind := range []string{"tagless", "tagged"} {
-		for _, policy := range CMKinds() {
+		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				rt := newCMRuntime(t, kind, policy)
@@ -282,7 +285,7 @@ func TestCMConvoy(t *testing.T) {
 	onOneP(t)
 	const followers = 3
 	for _, kind := range otable.Kinds() {
-		for _, policy := range CMKinds() {
+		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				rt := newCMRuntime(t, kind, policy)
@@ -345,7 +348,7 @@ func TestCMConvoy(t *testing.T) {
 func TestCMChainedConflict(t *testing.T) {
 	onOneP(t)
 	for _, kind := range []string{"tagged", "sharded"} {
-		for _, policy := range CMKinds() {
+		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				rt := newCMRuntime(t, kind, policy)
@@ -510,109 +513,29 @@ func TestCMOpponentDelivered(t *testing.T) {
 	}
 }
 
-// TestCMTimestampStamps checks the greedy/timestamp policy's bookkeeping
-// directly: stamps are drawn lazily (a conflict-free transaction never
-// stamps), published monotonically (the first thread to conflict is the
-// senior), and cleared on completion.
-func TestCMTimestampStamps(t *testing.T) {
-	tab := otable.NewTagged(hash.NewMask(64))
-	rt, err := New(Config{Table: tab, Memory: NewMemory(8), CM: "timestamp", BackoffBase: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th1, th2 := rt.NewThread(), rt.NewThread()
-	if s := th1.ctr.stamp.Load(); s != 0 {
-		t.Fatalf("fresh thread published stamp %d", s)
-	}
-	// th2 conflicts first: it becomes the elder.
-	th2.CM().Aborted(1, 4, otable.WriterConflict(th1.ID()))
-	s2 := th2.ctr.stamp.Load()
-	if s2 == 0 {
-		t.Fatal("aborted thread did not publish a stamp")
-	}
-	th1.CM().Aborted(1, 4, otable.WriterConflict(th2.ID()))
-	s1 := th1.ctr.stamp.Load()
-	if s1 <= s2 {
-		t.Fatalf("later conflict drew stamp %d <= elder's %d", s1, s2)
-	}
-	// Repeat aborts of the same transaction keep the stamp (age is fixed
-	// at first conflict).
-	th1.CM().Aborted(2, 4, otable.WriterConflict(th2.ID()))
-	if got := th1.ctr.stamp.Load(); got != s1 {
-		t.Fatalf("stamp changed across retries: %d -> %d", s1, got)
-	}
-	th1.CM().Committed(4)
-	th2.CM().Committed(4)
-	if th1.ctr.stamp.Load() != 0 || th2.ctr.stamp.Load() != 0 {
-		t.Fatal("completion did not clear published stamps")
-	}
-}
-
-// TestCMSwitchingModes drives the switching policy's EWMA across both
-// thresholds and asserts the hysteresis: repeated aborts engage
-// opponent-aware mode at switchUp, and it takes a run of clean commits to
-// fall back below switchDown.
-func TestCMSwitchingModes(t *testing.T) {
-	tab := otable.NewTagged(hash.NewMask(64))
-	rt, err := New(Config{Table: tab, Memory: NewMemory(8), CM: "switching", BackoffBase: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.NewThread()
-	sc, ok := th.CM().(*switchingCM)
-	if !ok {
-		t.Fatalf("CM %q is not the switching policy", th.CM().Kind())
-	}
-	if sc.opponent {
-		t.Fatal("switching policy started in opponent mode")
-	}
-	opp := otable.WriterConflict(otable.TxID(999))
-	flipped := -1
-	for i := 0; i < 32 && flipped < 0; i++ {
-		sc.Aborted(i+1, 4, opp)
-		if sc.opponent {
-			flipped = i + 1
-		}
-	}
-	if flipped < 0 {
-		t.Fatal("sustained aborts never engaged opponent-aware mode")
-	}
-	if flipped < 2 {
-		t.Fatalf("opponent mode engaged after %d abort(s): no hysteresis", flipped)
-	}
-	back := -1
-	for i := 0; i < 64 && back < 0; i++ {
-		sc.Committed(4)
-		if !sc.opponent {
-			back = i + 1
-		}
-	}
-	if back < 0 {
-		t.Fatal("sustained commits never restored backoff mode")
-	}
-	if back < 2 {
-		t.Fatalf("backoff mode restored after %d commit(s): no hysteresis", back)
-	}
-}
-
-// TestCMConfigValidation rejects unknown policy names and accepts every
-// built-in (plus the empty default).
+// TestCMConfigValidation pins the deprecated Config.CM: the empty default
+// and "backoff" build the one built-in policy, and every other name — the
+// four deleted policies included — fails New with an error pointing to
+// Config.NewCM, so a caller that asked for a deleted policy never silently
+// runs backoff instead.
 func TestCMConfigValidation(t *testing.T) {
 	tab := otable.NewTagless(hash.NewMask(64))
-	if _, err := New(Config{Table: tab, Memory: NewMemory(8), CM: "bogus"}); err == nil {
-		t.Fatal("unknown CM policy accepted")
-	}
-	for _, policy := range append(CMKinds(), "") {
+	for _, policy := range []string{"", "backoff"} {
 		rt, err := New(Config{Table: tab, Memory: NewMemory(8), CM: policy})
 		if err != nil {
 			t.Fatalf("CM %q rejected: %v", policy, err)
 		}
-		want := policy
-		if want == "" {
-			want = "backoff"
-		}
-		if got := rt.NewThread().CM().Kind(); got != want {
+		if got := rt.NewThread().CM().Kind(); got != "backoff" {
 			t.Fatalf("CM %q built policy %q", policy, got)
+		}
+	}
+	for _, policy := range []string{"adaptive", "karma", "timestamp", "switching", "bogus"} {
+		_, err := New(Config{Table: tab, Memory: NewMemory(8), CM: policy})
+		if err == nil {
+			t.Fatalf("CM %q accepted", policy)
+		}
+		if !strings.Contains(err.Error(), "NewCM") {
+			t.Fatalf("CM %q: error %q does not point to Config.NewCM", policy, err)
 		}
 	}
 }
@@ -678,10 +601,10 @@ func TestCustomCMHook(t *testing.T) {
 
 // TestCMPoliciesUnderHammer drives every policy through genuine goroutine
 // contention on a tiny table (the all-kinds hammer shape) — run under
-// -race this doubles as the data-race check on the karma policy's shared
-// seniority board.
+// -race this doubles as the data-race check on the karma seam policy's
+// shared seniority board.
 func TestCMPoliciesUnderHammer(t *testing.T) {
-	for _, policy := range CMKinds() {
+	for _, policy := range cmPolicies() {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
 			tab, err := otable.New("sharded", hash.NewMask(128))
@@ -689,7 +612,8 @@ func TestCMPoliciesUnderHammer(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(1 << 10)
-			cfg := Config{Table: tab, Memory: mem, Seed: 3, CM: policy, FuzzYield: 0.2}
+			cfg := Config{Table: tab, Memory: mem, Seed: 3, FuzzYield: 0.2}
+			withPolicy(&cfg, policy)
 			attachRecorder(t, &cfg)
 			rt, err := New(cfg)
 			if err != nil {
@@ -748,7 +672,7 @@ func TestCMPoliciesUnderHammer(t *testing.T) {
 // belongs to the retry loop, not to any one policy's waiting discipline.
 func TestCMCancelRacingCommitStillCommits(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, policy := range CMKinds() {
+		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				rt := newCMRuntime(t, kind, policy)

@@ -118,15 +118,15 @@ type Config struct {
 	// scheduler slice and conflicts never materialize. Zero disables it;
 	// it must be < 1.
 	FuzzYield float64
-	// CM selects the contention-management policy by name: "backoff"
-	// (default), "adaptive", "karma", "timestamp", or "switching". See the
-	// CM interface. All policies draw their waiting bounds from
-	// BackoffBase/BackoffMax (BackoffBase = -1 disables all waiting,
-	// including the opponent-completion waits of the opponent-aware
-	// policies).
+	// CM names a built-in policy. Backoff is the only one: New accepts ""
+	// and "backoff" and rejects any other name. The frozen benchmark/
+	// module still sets it; it goes when that module next changes.
+	//
+	// Deprecated: leave it empty; use NewCM for a custom policy.
 	CM string
-	// NewCM, when non-nil, overrides CM with a custom per-thread policy
-	// constructor, called once from NewThread for each thread.
+	// NewCM, when non-nil, replaces the built-in randomized backoff with a
+	// custom per-thread policy constructor, called once from NewThread for
+	// each thread.
 	NewCM func(th *Thread) CM
 	// FallbackAfter, when positive, bounds how long a transaction stays
 	// optimistic: after that many consecutive conflict aborts the thread

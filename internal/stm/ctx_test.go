@@ -113,11 +113,14 @@ func TestAtomicCtxNilBehavesLikeAtomic(t *testing.T) {
 // contested block, so the contender can never commit — it conflicts,
 // waits under its policy, and retries, forever. Cancelling the context
 // after the first conflict must pop the contender out of the retry loop
-// with an *AbortError naming the holder, for every policy (including
-// timestamp, whose wait watches the parked opponent's progress counter
-// and would otherwise spin its full budget per retry).
+// with an *AbortError naming the holder, for every policy. The runtime's
+// own waits are its only two waiter loops — the backoff between retries
+// and the serial-fallback gate (TestFallbackCancelWhileQueued); the seam
+// policies (seamcm_test.go) wait in loops of their own that poll
+// Thread.Cancelled, timestamp's watch on the parked opponent's finished
+// attempts included, which would otherwise spin its full budget per retry.
 func TestAtomicCtxCancelDuringCMWait(t *testing.T) {
-	for _, policy := range CMKinds() {
+	for _, policy := range cmPolicies() {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
 			rt := newCMRuntime(t, "tagged", policy)
@@ -192,7 +195,7 @@ func TestAtomicCtxDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No MaxAttempts: the deadline must be the only way out.
-	rt, err := New(Config{Table: tab, Memory: NewMemory(64), Seed: 7, CM: "timestamp"})
+	rt, err := New(Config{Table: tab, Memory: NewMemory(64), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

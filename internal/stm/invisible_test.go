@@ -323,7 +323,7 @@ func TestAtomicHammerInvisibleReadMostly(t *testing.T) {
 			}
 			mem := NewMemory(256)
 			cfg := Config{Table: tab, Memory: mem, Seed: 3, FuzzYield: 0.2,
-				CM: "karma", InvisibleReaders: true}
+				InvisibleReaders: true}
 			attachRecorder(t, &cfg)
 			rt, err := New(cfg)
 			if err != nil {

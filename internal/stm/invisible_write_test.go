@@ -316,7 +316,7 @@ func TestWriteSkewHammer(t *testing.T) {
 	atLeastTwoPs(t)
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{CM: "karma"})
+			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			x, y := mem.WordAddr(0), mem.WordAddr(64)
 			const resets = 2000
 			var skew atomic.Uint64
@@ -388,7 +388,7 @@ func TestLostUpdateHammerInvisible(t *testing.T) {
 	atLeastTwoPs(t)
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{CM: "karma"})
+			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			ctr := mem.WordAddr(24)
 			const (
 				threads  = 4
@@ -564,7 +564,7 @@ func TestAtomicHammerInvisibleUpdate(t *testing.T) {
 			}
 			mem := NewMemory(256)
 			cfg := Config{Table: tab, Memory: mem, Seed: 5, FuzzYield: 0.2,
-				CM: "karma", InvisibleReaders: true}
+				InvisibleReaders: true}
 			attachRecorder(t, &cfg)
 			rt, err := New(cfg)
 			if err != nil {
@@ -738,7 +738,7 @@ func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
 			}
 			mem := NewMemory(256)
 			cfg := Config{Table: tab, Memory: mem, Seed: 7, FuzzYield: 0.3,
-				CM: "karma", InvisibleReaders: true}
+				InvisibleReaders: true}
 			attachRecorder(t, &cfg)
 			rt, err := New(cfg)
 			if err != nil {

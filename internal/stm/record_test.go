@@ -59,7 +59,7 @@ func attachRecorder(t testing.TB, cfg *Config) *opacity.Log {
 // aborted attempt) observed a consistent snapshot.
 func TestRecordedHammerHistoriesOpaque(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, policy := range CMKinds() {
+		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				tab, err := otable.New(kind, hash.NewMask(64))
@@ -68,8 +68,10 @@ func TestRecordedHammerHistoriesOpaque(t *testing.T) {
 				}
 				mem := NewMemory(256)
 				log := opacity.NewLog()
-				rt, err := New(Config{Table: tab, Memory: mem, Seed: 11,
-					FuzzYield: 0.2, CM: policy, Recorder: log})
+				cfg := Config{Table: tab, Memory: mem, Seed: 11,
+					FuzzYield: 0.2, Recorder: log}
+				withPolicy(&cfg, policy)
+				rt, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,11 +14,11 @@ import (
 // on a deliberately small table. Run under -race this exercises the CAS
 // entries (tagless), the lock-free record chains and release-by-handle
 // (tagged), the shard routing plus per-thread runtime counters (sharded),
-// and the karma policy's shared seniority board; the exact-sum assertion
-// proves serializability is identical across policies.
+// and the karma seam policy's shared seniority board (seamcm_test.go); the
+// exact-sum assertion proves serializability is identical across policies.
 func TestAtomicHammerAllKinds(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, policy := range CMKinds() {
+		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
 				tab, err := otable.New(kind, hash.NewMask(128))
@@ -26,7 +26,8 @@ func TestAtomicHammerAllKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				mem := NewMemory(1 << 10)
-				cfg := Config{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.2, CM: policy}
+				cfg := Config{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.2}
+				withPolicy(&cfg, policy)
 				attachRecorder(t, &cfg)
 				rt, err := New(cfg)
 				if err != nil {

@@ -13,14 +13,13 @@
 // Concurrency control is encounter-time two-phase locking over ownership
 // table slots: permissions are acquired before data access and held until
 // commit or abort, which yields serializable transactions. Contention
-// management is self-abort with a pluggable between-retry policy — fixed
-// exponential backoff, abort-rate-adaptive backoff, karma seniority,
-// greedy/timestamp opponent waiting, or abort-rate-driven switching —
-// selected by Config.CM (see the CM interface in cm.go). Denied acquires
-// report the denying opponent (otable.ConflictInfo), which the runtime
-// hands to the policy's Aborted callback so opponent-aware policies can
-// wait on the specific transaction that blocked them. Policies only
-// reschedule retries; they never change what commits.
+// management is self-abort with randomized exponential backoff between
+// retries; Config.NewCM replaces it with a custom policy (see the CM
+// interface in cm.go), and Config.FallbackAfter bounds how long any
+// transaction stays optimistic. Denied acquires report the denying
+// opponent (otable.ConflictInfo), which the runtime hands to the policy's
+// Aborted callback. Policies only reschedule retries; they never change
+// what commits.
 //
 // # The unified per-thread log
 //
@@ -77,11 +76,6 @@ import (
 type Runtime struct {
 	cfg    Config
 	nextID atomic.Uint32
-	// clock is the logical timestamp source of the greedy/timestamp CM
-	// policies: each conflicted transaction draws one monotone stamp, and
-	// lower stamp = older = senior. Drawn lazily (on a transaction's first
-	// abort), so conflict-free execution never touches it.
-	clock atomic.Uint64
 	// epoch is the global commit clock of the invisible-reader protocol
 	// (Config.InvisibleReaders): every writing commit draws one stamp with
 	// Add(1) — holding its writes, before it writes anything back — and
@@ -104,41 +98,20 @@ type Runtime struct {
 	mu sync.Mutex // serializes board republication (NewThread)
 	// board is the sole thread registry: the epoch-published slice of
 	// counter blocks indexed by TxID-1. NewThread copies, extends, and
-	// republishes it under mu; readers — Stats aggregation, the CM
-	// policies resolving a conflict target to its opponent's published
-	// karma/stamp/progress, and the karma seniority scan — take one
-	// atomic pointer load and never the mutex.
+	// republishes it under mu; readers — Stats aggregation and the serial
+	// fallback's drain — take one atomic pointer load and never the mutex.
 	board atomic.Pointer[[]*threadCounters]
-}
-
-// counterFor resolves a transaction ID to its thread's counter block via
-// the published board, lock-free. It returns nil for IDs no registered
-// thread owns (e.g. foreign table users).
-func (rt *Runtime) counterFor(id otable.TxID) *threadCounters {
-	b := rt.board.Load()
-	if b == nil || id == 0 || uint64(id) > uint64(len(*b)) {
-		return nil
-	}
-	return (*b)[id-1]
 }
 
 // threadCounters is one thread's slice of the runtime statistics. Each block
 // is its own heap allocation padded to two cache lines, so no two threads'
 // counters ever share a line and the increments on the commit path stay
-// core-local. The block doubles as the thread's public contention-management
-// face: karma is the published seniority account the karma policy ranks
-// threads by, stamp is the transaction timestamp the greedy/timestamp
-// policy orders opponents by, and commits+aborts serve as a progress
-// counter an opponent-aware policy can watch to detect "the transaction
-// that denied me has completed an attempt (and so released its slots)".
-// Fields unused by the active policy stay zero.
+// core-local.
 type threadCounters struct {
 	commits atomic.Uint64
 	aborts  atomic.Uint64
 	ntReads atomic.Uint64 // strong-isolation non-transactional probes
 	ntConfl atomic.Uint64 // strong-isolation probes denied by a transaction
-	karma   atomic.Uint64 // published karma account (karma CM policy only)
-	stamp   atomic.Uint64 // published transaction timestamp (timestamp CM; 0 = unstamped)
 	// started/finished bracket attempts (incremented at Begin and after
 	// the releasing commit/rollback respectively), so started == finished
 	// means "no attempt of this thread holds any table slot". The serial
@@ -162,15 +135,7 @@ type threadCounters struct {
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
 	roExtends   atomic.Uint64
-	id          otable.TxID // owning thread, for deterministic seniority tie-breaks
-	_           [128 - 14*8 - 4]byte
-}
-
-// completions reports how many attempts (commits or aborts) the thread has
-// finished — the progress signal opponent-aware CM waits watch, because
-// every completed attempt has released all its ownership-table slots.
-func (c *threadCounters) completions() uint64 {
-	return c.commits.Load() + c.aborts.Load()
+	_           [128 - 12*8]byte
 }
 
 // New validates cfg and returns a Runtime.
@@ -190,8 +155,8 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.FallbackAfter < 0 {
 		return nil, fmt.Errorf("stm: FallbackAfter = %d must be >= 0", cfg.FallbackAfter)
 	}
-	if !validCM(cfg.CM) {
-		return nil, fmt.Errorf("stm: unknown CM policy %q (want one of %v)", cfg.CM, CMKinds())
+	if cfg.CM != "" && cfg.CM != "backoff" {
+		return nil, fmt.Errorf("stm: CM policy %q does not exist (backoff is the only built-in; install others with Config.NewCM)", cfg.CM)
 	}
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 4
@@ -290,7 +255,7 @@ func (s Stats) AbortRate() float64 {
 // Runtime for the runtime's lifetime so that Stats can aggregate it.
 func (rt *Runtime) NewThread() *Thread {
 	id := otable.TxID(rt.nextID.Add(1))
-	ctr := &threadCounters{id: id}
+	ctr := &threadCounters{}
 	rt.mu.Lock()
 	// Republish the board with the new block (copy-on-write: concurrent
 	// lock-free readers keep the old epoch's slice). IDs are sequential,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tmbp/internal/addr"
 	"tmbp/internal/hash"
@@ -23,6 +24,16 @@ func newRuntime(t *testing.T, kind string, entries uint64, words int) *Runtime {
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// TestThreadCountersPadding pins threadCounters to two cache lines: its
+// trailing pad is hand-computed from the field count, and a field added or
+// removed without redoing that arithmetic would let two threads' blocks
+// share a line.
+func TestThreadCountersPadding(t *testing.T) {
+	if got := unsafe.Sizeof(threadCounters{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(threadCounters{}) = %d, want 128", got)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

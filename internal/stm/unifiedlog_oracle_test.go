@@ -387,7 +387,7 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 	)
 	for _, kind := range otable.Kinds() {
 		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
-			for _, policy := range CMKinds() {
+			for _, policy := range cmPolicies() {
 				name := fmt.Sprintf("%s/%s/%s", kind, gran, policy)
 				t.Run(name, func(t *testing.T) {
 					for seed := uint64(1); seed <= seeds; seed++ {
@@ -410,7 +410,9 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 	}
 	realTab, modelTab := newRec(), newRec()
 	mem := NewMemory(words)
-	rt, err := New(Config{Table: realTab, Memory: mem, Granularity: gran, Seed: seed, CM: policy})
+	cfg := Config{Table: realTab, Memory: mem, Granularity: gran, Seed: seed}
+	withPolicy(&cfg, policy)
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

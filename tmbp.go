@@ -18,11 +18,10 @@
 //     per-thread bookkeeping is a single open-addressed access set: one
 //     probe per transactional access, zero heap allocations in steady
 //     state, and commit-time release by record handle with no table
-//     re-walk. Denied acquires name the denying opponent (ConflictInfo),
-//     so the contention managers — fixed backoff, abort-rate-adaptive
-//     backoff, lock-free karma seniority, greedy/timestamp opponent
-//     waiting, and abort-rate-driven switching — can wait on the specific
-//     transaction that blocked them;
+//     re-walk. Contention management is randomized backoff between
+//     retries, replaceable per runtime (STMConfig.NewCM); denied acquires
+//     name the denying opponent (ConflictInfo), which the policy receives
+//     on every conflict abort;
 //   - the analytical model (conflict likelihood ∝ C(C−1)(1+2α)W²/2N) and
 //     its birthday-paradox underpinnings;
 //   - simulators and synthetic workloads reproducing Figures 2-6.
@@ -110,18 +109,14 @@ const (
 )
 
 // CM is the per-thread contention-management policy consulted between
-// transaction attempts; select a built-in by name via STMConfig.CM or
-// install a custom one via STMConfig.NewCM.
+// transaction attempts. The built-in is randomized backoff; install a
+// custom one via STMConfig.NewCM.
 type CM = stm.CM
 
 // ConflictInfo names the opponent that denied an ownership acquire (the
 // owning writer's TxID, or the foreign reader count); it is delivered to
 // CM policies on every conflict abort.
 type ConflictInfo = otable.ConflictInfo
-
-// CMKinds lists the built-in contention-management policies ("backoff",
-// "adaptive", "karma", "timestamp", "switching").
-func CMKinds() []string { return stm.CMKinds() }
 
 // AbortError is the typed error Thread.Atomic and Thread.AtomicCtx return
 // when a transaction terminates without committing for a runtime reason —

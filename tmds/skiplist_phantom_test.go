@@ -207,7 +207,7 @@ func scanHammer(t *testing.T, kind string, invisible bool) {
 	}
 	mem := tmbp.NewMemory(SkiplistWords(capacity))
 	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 31,
-		FuzzYield: 0.2, CM: "karma", InvisibleReaders: invisible}
+		FuzzYield: 0.2, InvisibleReaders: invisible}
 	log := attachLog(t, &cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {

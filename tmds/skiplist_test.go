@@ -240,9 +240,9 @@ func TestSkiplistRejectsBadConfig(t *testing.T) {
 // TestSkiplistOracleSweep is the differential oracle: the skiplist and a Go
 // map reference driven through identical seeded op sequences — Put, Get,
 // Delete, Min, Max, Len, and RangeScan with random bounds — across every
-// table kind × granularity × CM policy, asserting identical results op by
-// op and identical final contents. The sweep is the ordered-map analogue of
-// the PR-4 kinds × granularities × policies oracle.
+// table kind × granularity, asserting identical results op by op and
+// identical final contents. The sweep is the ordered-map analogue of the
+// kinds × granularities unified-log oracle.
 func TestSkiplistOracleSweep(t *testing.T) {
 	grans := []struct {
 		name string
@@ -254,153 +254,150 @@ func TestSkiplistOracleSweep(t *testing.T) {
 	combo := 0
 	for _, kind := range tmbp.TableKinds() {
 		for _, gr := range grans {
-			for _, policy := range tmbp.CMKinds() {
-				combo++
-				seed := uint64(combo)
-				t.Run(fmt.Sprintf("%s/%s/%s", kind, gr.name, policy), func(t *testing.T) {
-					t.Parallel()
-					const capacity = 96
-					tab, err := tmbp.NewTable(kind, 512, "mask")
-					if err != nil {
-						t.Fatal(err)
-					}
-					mem := tmbp.NewMemory(SkiplistWords(capacity))
-					cfg := gr.g
-					cfg.Table = tab
-					cfg.Memory = mem
-					cfg.CM = policy
-					cfg.Seed = seed
-					rt, err := tmbp.NewSTM(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s, err := NewSkiplist(mem, 0, capacity, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					th := rt.NewThread()
-					ref := map[uint64]uint64{}
-					refScan := func(lo, hi uint64) []uint64 {
-						var ks []uint64
-						for k := range ref {
-							if k >= lo && k <= hi {
-								ks = append(ks, k)
-							}
+			combo++
+			seed := uint64(combo)
+			t.Run(fmt.Sprintf("%s/%s/backoff", kind, gr.name), func(t *testing.T) {
+				t.Parallel()
+				const capacity = 96
+				tab, err := tmbp.NewTable(kind, 512, "mask")
+				if err != nil {
+					t.Fatal(err)
+				}
+				mem := tmbp.NewMemory(SkiplistWords(capacity))
+				cfg := gr.g
+				cfg.Table = tab
+				cfg.Memory = mem
+				cfg.Seed = seed
+				rt, err := tmbp.NewSTM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := NewSkiplist(mem, 0, capacity, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				th := rt.NewThread()
+				ref := map[uint64]uint64{}
+				refScan := func(lo, hi uint64) []uint64 {
+					var ks []uint64
+					for k := range ref {
+						if k >= lo && k <= hi {
+							ks = append(ks, k)
 						}
-						sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-						return ks
 					}
-					rng := xrand.NewWithStream(seed, 12345)
-					var scanned []uint64
-					for i := 0; i < 600; i++ {
-						k := rng.Uint64n(capacity) // keys < capacity: ErrFull unreachable
-						switch rng.Intn(8) {
-						case 0, 1, 2:
-							v := rng.Uint64()
-							added, err := s.Put(th, k, v)
-							if err != nil {
-								t.Fatal(err)
-							}
-							_, present := ref[k]
-							if added == present {
-								t.Fatalf("op %d: Put(%d) added=%v, oracle present=%v", i, k, added, present)
-							}
-							ref[k] = v
-						case 3:
-							v, ok, err := s.Get(th, k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want, wantOK := ref[k]
-							if ok != wantOK || (ok && v != want) {
-								t.Fatalf("op %d: Get(%d) = (%d, %v), oracle (%d, %v)", i, k, v, ok, want, wantOK)
-							}
-						case 4:
-							removed, err := s.Delete(th, k)
-							if err != nil {
-								t.Fatal(err)
-							}
-							_, present := ref[k]
-							if removed != present {
-								t.Fatalf("op %d: Delete(%d) removed=%v, oracle present=%v", i, k, removed, present)
-							}
-							delete(ref, k)
-						case 5:
-							lo, hi := rng.Uint64n(capacity+10), rng.Uint64n(capacity+10)
-							err := th.Atomic(func(tx *tmbp.Tx) error {
-								scanned = scanned[:0]
-								return s.RangeScanTx(tx, lo, hi, func(k, v uint64) error {
-									if ref[k] != v {
-										t.Fatalf("op %d: scan saw (%d, %d), oracle value %d", i, k, v, ref[k])
-									}
-									scanned = append(scanned, k)
-									return nil
-								})
+					sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+					return ks
+				}
+				rng := xrand.NewWithStream(seed, 12345)
+				var scanned []uint64
+				for i := 0; i < 600; i++ {
+					k := rng.Uint64n(capacity) // keys < capacity: ErrFull unreachable
+					switch rng.Intn(8) {
+					case 0, 1, 2:
+						v := rng.Uint64()
+						added, err := s.Put(th, k, v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						_, present := ref[k]
+						if added == present {
+							t.Fatalf("op %d: Put(%d) added=%v, oracle present=%v", i, k, added, present)
+						}
+						ref[k] = v
+					case 3:
+						v, ok, err := s.Get(th, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, wantOK := ref[k]
+						if ok != wantOK || (ok && v != want) {
+							t.Fatalf("op %d: Get(%d) = (%d, %v), oracle (%d, %v)", i, k, v, ok, want, wantOK)
+						}
+					case 4:
+						removed, err := s.Delete(th, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						_, present := ref[k]
+						if removed != present {
+							t.Fatalf("op %d: Delete(%d) removed=%v, oracle present=%v", i, k, removed, present)
+						}
+						delete(ref, k)
+					case 5:
+						lo, hi := rng.Uint64n(capacity+10), rng.Uint64n(capacity+10)
+						err := th.Atomic(func(tx *tmbp.Tx) error {
+							scanned = scanned[:0]
+							return s.RangeScanTx(tx, lo, hi, func(k, v uint64) error {
+								if ref[k] != v {
+									t.Fatalf("op %d: scan saw (%d, %d), oracle value %d", i, k, v, ref[k])
+								}
+								scanned = append(scanned, k)
+								return nil
 							})
-							if err != nil {
-								t.Fatal(err)
-							}
-							want := refScan(lo, hi)
-							if len(scanned) != len(want) {
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := refScan(lo, hi)
+						if len(scanned) != len(want) {
+							t.Fatalf("op %d: scan [%d, %d] = %v, oracle %v", i, lo, hi, scanned, want)
+						}
+						for j := range want {
+							if scanned[j] != want[j] {
 								t.Fatalf("op %d: scan [%d, %d] = %v, oracle %v", i, lo, hi, scanned, want)
 							}
-							for j := range want {
-								if scanned[j] != want[j] {
-									t.Fatalf("op %d: scan [%d, %d] = %v, oracle %v", i, lo, hi, scanned, want)
-								}
-							}
-						case 6:
-							mink, _, ok, err := s.Min(th)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want := refScan(0, ^uint64(0))
-							if ok != (len(want) > 0) || (ok && mink != want[0]) {
-								t.Fatalf("op %d: Min = (%d, %v), oracle %v", i, mink, ok, want)
-							}
-						case 7:
-							maxk, _, ok, err := s.Max(th)
-							if err != nil {
-								t.Fatal(err)
-							}
-							want := refScan(0, ^uint64(0))
-							if ok != (len(want) > 0) || (ok && maxk != want[len(want)-1]) {
-								t.Fatalf("op %d: Max = (%d, %v), oracle %v", i, maxk, ok, want)
-							}
+						}
+					case 6:
+						mink, _, ok, err := s.Min(th)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := refScan(0, ^uint64(0))
+						if ok != (len(want) > 0) || (ok && mink != want[0]) {
+							t.Fatalf("op %d: Min = (%d, %v), oracle %v", i, mink, ok, want)
+						}
+					case 7:
+						maxk, _, ok, err := s.Max(th)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := refScan(0, ^uint64(0))
+						if ok != (len(want) > 0) || (ok && maxk != want[len(want)-1]) {
+							t.Fatalf("op %d: Max = (%d, %v), oracle %v", i, maxk, ok, want)
 						}
 					}
-					// Final contents: one full scan equals the sorted oracle.
-					var finalKeys []uint64
-					err = th.Atomic(func(tx *tmbp.Tx) error {
-						finalKeys = finalKeys[:0]
-						return s.RangeScanTx(tx, 0, ^uint64(0), func(k, v uint64) error {
-							if ref[k] != v {
-								t.Fatalf("final scan saw (%d, %d), oracle value %d", k, v, ref[k])
-							}
-							finalKeys = append(finalKeys, k)
-							return nil
-						})
+				}
+				// Final contents: one full scan equals the sorted oracle.
+				var finalKeys []uint64
+				err = th.Atomic(func(tx *tmbp.Tx) error {
+					finalKeys = finalKeys[:0]
+					return s.RangeScanTx(tx, 0, ^uint64(0), func(k, v uint64) error {
+						if ref[k] != v {
+							t.Fatalf("final scan saw (%d, %d), oracle value %d", k, v, ref[k])
+						}
+						finalKeys = append(finalKeys, k)
+						return nil
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := refScan(0, ^uint64(0))
-					if len(finalKeys) != len(want) {
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refScan(0, ^uint64(0))
+				if len(finalKeys) != len(want) {
+					t.Fatalf("final contents %v, oracle %v", finalKeys, want)
+				}
+				for j := range want {
+					if finalKeys[j] != want[j] {
 						t.Fatalf("final contents %v, oracle %v", finalKeys, want)
 					}
-					for j := range want {
-						if finalKeys[j] != want[j] {
-							t.Fatalf("final contents %v, oracle %v", finalKeys, want)
-						}
-					}
-					if n, _ := s.Len(th); n != len(ref) {
-						t.Fatalf("final Len = %d, oracle %d", n, len(ref))
-					}
-					if occ := tab.Occupied(); occ != 0 {
-						t.Fatalf("ownership table still holds %d entries after quiescence", occ)
-					}
-				})
-			}
+				}
+				if n, _ := s.Len(th); n != len(ref) {
+					t.Fatalf("final Len = %d, oracle %d", n, len(ref))
+				}
+				if occ := tab.Occupied(); occ != 0 {
+					t.Fatalf("ownership table still holds %d entries after quiescence", occ)
+				}
+			})
 		}
 	}
 }
