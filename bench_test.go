@@ -411,7 +411,7 @@ func benchSTMParallel(b *testing.B, kind string) {
 	b.RunParallel(func(pb *testing.PB) {
 		th := rt.NewThread()
 		// Disjoint stripe per goroutine, aliasing across stripes in the
-		// hashed index space (the scale experiment's layout).
+		// hashed index space (the `tmbp stm` disjoint-stripe layout).
 		base := uint64(th.ID())*(1<<20) + uint64(th.ID())*379
 		i := 0
 		for pb.Next() {

@@ -11,7 +11,8 @@ import (
 // runCheck implements `tmbp check <trace-file>...`: it replays recorded
 // transactional histories through the opacity checker and fails if any
 // trace is malformed or admits no opaque serialization. Traces come from
-// the STM test suite's -opacity-record flag or from `tmbp scale -record`.
+// the -opacity-record flag of the internal/stm and tmds test suites (or
+// internal/fault's -fault-record).
 func runCheck(fs *flag.FlagSet, args []string) error {
 	quiet := fs.Bool("q", false, "only print failures")
 	fs.Usage = func() {
@@ -26,8 +27,8 @@ a minimal counterexample naming the inconsistent read and the events
 that pin it.
 
 Record traces with:
-  go test ./internal/stm/ -run 'CM|AtomicHammer' -opacity-record <dir>
-  tmbp scale -quick -record <dir>`)
+  go test ./internal/stm/ -run 'CM|AtomicHammer|Oracle' -opacity-record <dir>
+  go test ./tmds/ -run 'Phantom|ScanHammer|KeyedTraces' -opacity-record <dir>`)
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

@@ -17,19 +17,16 @@
 //	tagged  tagged-table characterization (Section 5)
 //	ablation victim-buffer depth sweep, hash ablation, hash diagnostics
 //	isolation strong-isolation conflict study (Section 6)
-//	scale   STM throughput scaling: goroutines x {tagless, tagged, sharded},
-//	        plus a contended hot-pool run per goroutine count
 //	stm     end-to-end STM run: tagless vs tagged abort rates
-//	load    open-loop service benchmark: seeded arrivals against the tmds
-//	        structures, tail-latency histograms per scenario row
-//	        (-virtual for a byte-reproducible discrete-event run, -json
-//	        for tooling)
 //	check   verify recorded transactional traces for opacity
 //	model   evaluate the conflict model at one configuration
-//	all     every figure above, in paper order (scale, stm, and model are
+//	all     every figure above, in paper order (stm and model are
 //	        separate live-runtime/point commands and are not included)
 //
 // Common flags: -seed, -quick, -csv, -samples, -trials, -traces, -hash.
+//
+// Runtime speed is measured only by the benchmark/ module; opacity traces
+// are recorded by the test suites (-opacity-record) and replayed with check.
 package main
 
 import (
@@ -66,7 +63,7 @@ func subcommands() []string {
 	return []string{
 		"fig2", "fig3", "fig4", "fig5", "fig6",
 		"sizing", "tagged", "ablation", "isolation",
-		"scale", "stm", "load", "check", "model", "all",
+		"stm", "check", "model", "all",
 	}
 }
 
@@ -79,14 +76,11 @@ subcommands:
   tagged                             tagged-table characterization (Sec. 5)
   ablation                           victim-depth and hash ablations
   isolation                          strong-isolation study (Sec. 6)
-  scale                              throughput scaling across organizations
   stm                                end-to-end STM abort-rate comparison
-  load                               open-loop tail-latency benchmark over the
-                                     tmds structures (-virtual, -json)
   check <trace-file>...              verify recorded traces for opacity
   model                              evaluate the conflict model at a point
   all                                run every figure in paper order
-                                     (scale, stm, model run separately)
+                                     (stm, model run separately)
 
 run 'tmbp <subcommand> -h' for flags`)
 }
@@ -103,9 +97,6 @@ func commonFlags(fs *flag.FlagSet) func() figures.Options {
 	alphaF := fs.Int("alpha", 2, "reads per write in synthetic transactions")
 	hashName := fs.String("hash", "mask", "address hash: mask | fibonacci | mix")
 	kind := fs.String("kind", "tagless", "ownership table under test: tagless | tagged | sharded")
-	scaleTxns := fs.Int("scale-txns", 0, "override scaling-experiment transactions per goroutine")
-	fallbackAfter := fs.Int("fallback-after", 0, "serial-fallback escalation threshold for the contended scaling runs (0 = optimistic only)")
-	record := fs.String("record", "", "directory to write opacity traces of the contended scaling runs (verify with 'tmbp check')")
 	return func() figures.Options {
 		o := figures.Paper(*seed)
 		if *quick {
@@ -126,11 +117,6 @@ func commonFlags(fs *flag.FlagSet) func() figures.Options {
 		o.Alpha = *alphaF
 		o.Hash = *hashName
 		o.Kind = *kind
-		if *scaleTxns > 0 {
-			o.ScaleTxns = *scaleTxns
-		}
-		o.FallbackAfter = *fallbackAfter
-		o.RecordDir = *record
 		return o
 	}
 }
@@ -161,16 +147,12 @@ func run(cmd string, args []string) error {
 		figFn = figures.Ablations
 	case "isolation":
 		figFn = figures.Isolation
-	case "scale":
-		figFn = figures.Scale
 	case "all":
 		figFn = figures.All
 	case "stm":
 		return runSTM(fs, args, csv)
 	case "check":
 		return runCheck(fs, args)
-	case "load":
-		return runLoad(fs, args)
 	case "model":
 		return runModel(fs, args)
 	case "-h", "--help", "help":

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -79,17 +78,6 @@ func TestRunIsolationTiny(t *testing.T) {
 	}
 }
 
-func TestRunScaleSubcommand(t *testing.T) {
-	out := capture(t, func() error {
-		return run("scale", append([]string{"-scale-txns", "25"}, tinyArgs...))
-	})
-	for _, want := range []string{"transactions/sec", "abort rate", "sharded/tagged", "GOMAXPROCS"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("scale output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRunSTMSubcommand(t *testing.T) {
 	out := capture(t, func() error {
 		return run("stm", []string{"-threads", "2", "-writes", "4", "-entries", "512", "-txns", "20"})
@@ -116,9 +104,10 @@ func TestDispatchTableComplete(t *testing.T) {
 			t.Errorf("run(%q, -h) = %v, want flag.ErrHelp", name, err)
 		}
 	}
-	// "bench" is the retired scoreboard subcommand (benchmark/ is the one
-	// scoreboard): it must be rejected like any unknown name.
-	for _, name := range []string{"bogus", "bench"} {
+	// "bench", "scale" and "load" are retired wall-clock commands
+	// (benchmark/ is the one wall-clock harness): each must be rejected like
+	// any unknown name.
+	for _, name := range []string{"bogus", "bench", "scale", "load"} {
 		err := run(name, []string{"-h"})
 		if want := fmt.Sprintf("unknown subcommand %q", name); err == nil || err.Error() != want {
 			t.Errorf("run(%q, -h) = %v, want %s", name, err, want)
@@ -134,145 +123,6 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 	for _, name := range subcommands() {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("usage text does not mention subcommand %q", name)
-		}
-	}
-}
-
-// TestRunLoadFlagErrors pins the load subcommand's argument validation:
-// unknown flags fail at parse, bad values fail at scenario validation.
-func TestRunLoadFlagErrors(t *testing.T) {
-	cases := [][]string{
-		{"-no-such-flag"},
-		{"-rate", "-5"},
-		{"-struct", "btree"},
-		{"-table", "cuckoo"},
-		{"-cm", "backoff"}, // the flag is gone: one built-in policy
-		{"-arrival", "bursty"},
-		{"-mean-ops", "0.5"},
-		{"-bits", "99"},
-		{"-entries", "3"},
-	}
-	for _, args := range cases {
-		if err := run("load", append([]string{"-virtual", "-ops", "10"}, args...)); err == nil {
-			t.Errorf("load %v accepted", args)
-		}
-	}
-}
-
-// loadTestArgs is a cheap deterministic load sweep: the 8 default rows, 300
-// transactions each, on the virtual clock.
-var loadTestArgs = []string{"-json", "-virtual", "-ops", "300", "-keys", "64"}
-
-// loadRowJSON is the slice of a `tmbp load -json` row the tests look at.
-type loadRowJSON struct {
-	Struct        string  `json:"struct"`
-	Virtual       bool    `json:"virtual"`
-	Ops           int     `json:"ops"`
-	ReadFrac      float64 `json:"read_frac"`
-	ScanFrac      float64 `json:"scan_frac"`
-	Invisible     bool    `json:"invisible"`
-	ThroughputTPS float64 `json:"throughput_tps"`
-	P50           int64   `json:"p50_ns"`
-	P99           int64   `json:"p99_ns"`
-	P999          int64   `json:"p999_ns"`
-	Max           int64   `json:"max_ns"`
-	Commits       uint64  `json:"commits"`
-}
-
-// runLoadJSON runs `tmbp load` with loadTestArgs plus extra and decodes the
-// report's rows.
-func runLoadJSON(t *testing.T, extra ...string) []loadRowJSON {
-	t.Helper()
-	args := append(append([]string{}, loadTestArgs...), extra...)
-	out := capture(t, func() error { return run("load", args) })
-	var rep struct {
-		Schema int           `json:"schema"`
-		Rows   []loadRowJSON `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("load -json emitted invalid JSON: %v\n%s", err, out)
-	}
-	if rep.Schema != 2 {
-		t.Fatalf("load report schema = %d, want 2", rep.Schema)
-	}
-	if strings.Contains(out, `"cm"`) {
-		t.Fatalf("schema 2 rows carry no cm field:\n%s", out)
-	}
-	return rep.Rows
-}
-
-// TestRunLoadSubcommandJSON pins the shape of `tmbp load -json`: by default
-// one row per scenario that exercises different code — the four structures,
-// the read-mostly hashmap pair and the skiplist scan pair — each carrying
-// throughput and monotone latency quantiles; -struct filters every family.
-func TestRunLoadSubcommandJSON(t *testing.T) {
-	rows := runLoadJSON(t)
-	if len(rows) != 8 {
-		t.Fatalf("default sweep has %d rows, want 8", len(rows))
-	}
-	seen := map[string]bool{}
-	for _, r := range rows {
-		name := r.Struct
-		switch {
-		case r.ScanFrac > 0:
-			name += "/scan"
-		case r.ReadFrac == 0.9:
-			name += "/ro"
-		}
-		if r.ScanFrac > 0 || r.ReadFrac == 0.9 {
-			name += map[bool]string{false: "/acq", true: "/inv"}[r.Invisible]
-		}
-		seen[name] = true
-		if !r.Virtual || r.Ops != 300 {
-			t.Errorf("%s: virtual=%v ops=%d", name, r.Virtual, r.Ops)
-		}
-		if r.ThroughputTPS <= 0 || r.Commits < 300 {
-			t.Errorf("%s: throughput=%v commits=%d", name, r.ThroughputTPS, r.Commits)
-		}
-		if r.P50 > r.P99 || r.P99 > r.P999 || r.P999 > r.Max {
-			t.Errorf("%s: quantiles not monotone: %d/%d/%d/%d", name, r.P50, r.P99, r.P999, r.Max)
-		}
-	}
-	for _, want := range []string{"hashmap", "list", "queue", "skiplist",
-		"hashmap/ro/acq", "hashmap/ro/inv", "skiplist/scan/acq", "skiplist/scan/inv"} {
-		if !seen[want] {
-			t.Errorf("default sweep missing row %s (have %v)", want, seen)
-		}
-	}
-
-	// -struct filters the companion pairs too, not just the per-structure rows.
-	for structName, want := range map[string]int{"queue": 1, "list": 1, "hashmap": 3, "skiplist": 3} {
-		got := runLoadJSON(t, "-struct", structName)
-		if len(got) != want {
-			t.Errorf("-struct %s: %d rows, want %d", structName, len(got), want)
-		}
-		for _, r := range got {
-			if r.Struct != structName {
-				t.Errorf("-struct %s emitted a %s row", structName, r.Struct)
-			}
-		}
-	}
-}
-
-// TestRunLoadJSONDeterministic is the CLI-level determinism contract the
-// CI gate relies on: two -virtual runs of the same seed emit byte-
-// identical output.
-func TestRunLoadJSONDeterministic(t *testing.T) {
-	a := capture(t, func() error { return run("load", loadTestArgs) })
-	b := capture(t, func() error { return run("load", loadTestArgs) })
-	if a != b {
-		t.Fatalf("virtual reruns differ:\n%s\n---\n%s", a, b)
-	}
-}
-
-// TestRunLoadSubcommandTable smoke-tests the human-readable rendering.
-func TestRunLoadSubcommandTable(t *testing.T) {
-	out := capture(t, func() error {
-		return run("load", []string{"-virtual", "-ops", "200", "-keys", "64", "-struct", "hashmap"})
-	})
-	for _, want := range []string{"p999", "abort rate", "hashmap", "open loop"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("load table output missing %q:\n%s", want, out)
 		}
 	}
 }

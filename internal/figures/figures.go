@@ -1,6 +1,6 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation, one function per figure, returning render-ready tables. It is
-// the shared engine behind the tmbp command and the benchmark harness.
+// the engine behind the tmbp command's figure subcommands.
 //
 // Each function sweeps the same parameter grids as the paper:
 //
@@ -15,8 +15,6 @@
 //	Sizing — the back-of-envelope table-size requirements of Sections
 //	         3.1-3.2.
 //	Tagged — the Section 5 tagged-table characterization.
-//	Scale  — beyond the paper: live STM throughput and abort rate as
-//	         goroutines are added, for all three table organizations.
 package figures
 
 import (
@@ -48,20 +46,6 @@ type Options struct {
 	Hash string
 	// Kind selects the ownership-table organization under test.
 	Kind string
-	// ScaleTxns is the transactions-per-goroutine count for the scaling
-	// experiment.
-	ScaleTxns int
-	// FallbackAfter, when positive, enables the STM's serial-fallback
-	// escalation in the contended scaling runs (stm.Config.FallbackAfter)
-	// and adds a fallback-commits column to the report.
-	FallbackAfter int
-	// RecordDir, when non-empty, makes the contended scaling runs record
-	// their transactional histories as opacity trace files
-	// (scale-contended-g<N>.trace) in this directory, for offline
-	// verification with `tmbp check`. Recording serializes every
-	// transactional operation through one mutex, so recorded throughput
-	// numbers measure the recorder, not the STM.
-	RecordDir string
 }
 
 // Paper returns the full-fidelity preset matching the paper's sample
@@ -76,7 +60,6 @@ func Paper(seed uint64) Options {
 		Alpha:          2,
 		Hash:           "mask",
 		Kind:           "tagless",
-		ScaleTxns:      1500,
 	}
 }
 
@@ -88,7 +71,6 @@ func Quick(seed uint64) Options {
 	o.LockstepTrials = 300
 	o.ClosedTrials = 3
 	o.Traces = 8
-	o.ScaleTxns = 300
 	return o
 }
 

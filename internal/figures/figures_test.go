@@ -14,7 +14,6 @@ func tiny() Options {
 	o.LockstepTrials = 60
 	o.ClosedTrials = 2
 	o.Traces = 2
-	o.ScaleTxns = 30
 	return o
 }
 

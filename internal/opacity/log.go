@@ -19,11 +19,11 @@ import (
 // gap between one attempt's end and another's begin brackets the actual
 // memory effects).
 //
-// Recording is for tests, trace capture, and the `tmbp scale -record`
-// path; a single mutex is deliberate — correctness tooling wants the
-// strongest ordering, not throughput. Production runs leave the STM's
-// Recorder nil, which costs one predictable branch per operation and zero
-// allocations.
+// Recording is for tests and the trace capture of their -opacity-record
+// and -fault-record flags; a single mutex is deliberate — correctness
+// tooling wants the strongest ordering, not throughput. Production runs
+// leave the STM's Recorder nil, which costs one predictable branch per
+// operation and zero allocations.
 type Log struct {
 	mu     sync.Mutex
 	events []Event

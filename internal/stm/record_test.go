@@ -13,10 +13,11 @@ import (
 )
 
 // -opacity-record makes the trace-instrumented tests in this package (the
-// deterministic-schedule CM suite via newCMRuntime, the all-kinds race
-// hammer, and the CM policy hammer) dump their transactional histories as
-// one trace file per runtime into the given directory, for offline replay
-// through `tmbp check`. CI's opacity job drives this.
+// deterministic-schedule CM suite via newCMRuntime, the race hammers —
+// the serial-fallback one included — the CM policy hammer, and the oracle
+// sweeps) dump their transactional histories as one trace file per runtime
+// into the given directory, for offline replay through `tmbp check`. CI's
+// opacity job drives this.
 var opacityRecordDir = flag.String("opacity-record", "",
 	"directory to write opacity trace files into (empty = recording off)")
 

@@ -76,7 +76,7 @@ func (m *Map) slot(k uint64) uint64 {
 // whether the key was new. A full table returns ErrFull, which aborts the
 // enclosing transaction when propagated. The Tx-level operations exist so
 // one transaction can compose several structure operations — the shape the
-// open-loop load generator drives.
+// Keyed workload face (workload.go) drives.
 func (m *Map) PutTx(tx *tmbp.Tx, k, v uint64) (added bool, err error) {
 	tag := k + mapKeyBias
 	firstFree := uint64(m.buckets) // sentinel: none seen

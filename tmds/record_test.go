@@ -10,11 +10,12 @@ import (
 )
 
 // -opacity-record mirrors the internal/stm flag of the same name: the
-// trace-instrumented tests in this package (the phantom-conflict schedules
-// and the scan hammers) dump their transactional histories as one trace
-// file per runtime into the given directory, for offline replay through
-// `tmbp check`. CI's opacity job drives this. Unlike the stm helper, the
-// log is always attached — these tests also verify opacity in-process.
+// trace-instrumented tests in this package (the phantom-conflict schedules,
+// the scan hammers and the keyed-structure runs) dump their transactional
+// histories as one trace file per runtime into the given directory, for
+// offline replay through `tmbp check`. CI's opacity job drives this. Unlike
+// the stm helper, the log is always attached — these tests also verify
+// opacity in-process.
 var opacityRecordDir = flag.String("opacity-record", "",
 	"directory to write opacity trace files into (empty = dump off; the log still records)")
 

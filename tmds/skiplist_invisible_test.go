@@ -40,7 +40,8 @@ func TestSkiplistInvisibleScanPromotion(t *testing.T) {
 
 			// Scan-then-write: the scan's read set is never acquired.
 			if err := th.Atomic(func(tx *tmbp.Tx) error {
-				if err := s.RangeScanTx(tx, 0, ^uint64(0), discardKV); err != nil {
+				discard := func(_, _ uint64) error { return nil }
+				if err := s.RangeScanTx(tx, 0, ^uint64(0), discard); err != nil {
 					return err
 				}
 				_, err := s.PutTx(tx, 25, 250)

@@ -6,14 +6,13 @@ import (
 	"tmbp"
 )
 
-// Kinds lists the transactional structures by name, in the order the
-// open-loop load generator (`tmbp load`) sweeps them.
+// Kinds lists, by name, the structure kinds NewKeyed and KeyedWords accept.
 func Kinds() []string { return []string{"hashmap", "list", "queue", "skiplist"} }
 
 // Keyed is the uniform keyed face a workload generator drives: every
 // structure exposes one observing and one mutating operation per key, both
 // usable inside an already-running transaction so a single transaction can
-// touch several keys (the transaction-size distribution of `tmbp load`).
+// touch several keys.
 //
 // The mapping per structure:
 //
@@ -31,15 +30,6 @@ type Keyed interface {
 	// WriteTx mutates the structure at key k inside tx; v supplies the
 	// value material (stored values, insert-vs-remove choice).
 	WriteTx(tx *tmbp.Tx, k, v uint64) error
-}
-
-// Ranged is the optional scan face of a Keyed structure: ordered
-// structures additionally expose an atomic range observation over
-// [lo, hi]. Only the skiplist implements it today; the load generator
-// type-asserts for it when a scenario asks for scan operations.
-type Ranged interface {
-	// ScanTx observes every entry with lo <= key <= hi inside tx.
-	ScanTx(tx *tmbp.Tx, lo, hi uint64) error
 }
 
 // KeyedWords returns the memory words NewKeyed needs for a structure of
@@ -101,8 +91,7 @@ func NewKeyed(kind string, mem *tmbp.Memory, baseWord, keys int) (Keyed, error) 
 		// Capacity equals the key-space size, so a Put of a possibly-present
 		// key can never exhaust the free list: ErrFull is unreachable. The
 		// fixed seed makes every workload skiplist's tower layout identical
-		// for a given key space — the byte-reproducible load rows depend on
-		// this.
+		// for a given key space, so a seeded run replays the same structure.
 		s, err := NewSkiplist(mem, baseWord, keys, keyedSkiplistSeed)
 		if err != nil {
 			return nil, err
@@ -158,7 +147,8 @@ func (w keyedQueue) WriteTx(tx *tmbp.Tx, _, v uint64) error {
 	return nil
 }
 
-// keyedSkiplistSeed fixes the workload skiplist's tower-height stream.
+// keyedSkiplistSeed fixes the workload skiplist's tower-height stream, so
+// NewKeyed lays out the same towers for the same key space on every run.
 const keyedSkiplistSeed = 0x736b6970 // "skip"
 
 type keyedSkiplist struct{ s *Skiplist }
@@ -175,13 +165,4 @@ func (w keyedSkiplist) WriteTx(tx *tmbp.Tx, k, v uint64) error {
 	}
 	_, err := w.s.PutTx(tx, k, v)
 	return err
-}
-
-// discardKV is RangeScanTx's observation sink for workload scans: the scan
-// still reads every key and value transactionally (the footprint is the
-// point), but a package-level func keeps the hot path closure-free.
-func discardKV(_, _ uint64) error { return nil }
-
-func (w keyedSkiplist) ScanTx(tx *tmbp.Tx, lo, hi uint64) error {
-	return w.s.RangeScanTx(tx, lo, hi, discardKV)
 }

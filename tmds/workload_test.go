@@ -2,9 +2,12 @@ package tmds
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"tmbp"
+	"tmbp/internal/xrand"
 )
 
 // newKeyedWorld builds a runtime plus a keyed workload structure of the
@@ -224,4 +227,125 @@ func TestKeyedMultiOpTransactionAtomic(t *testing.T) {
 		}
 		_ = rt
 	}
+}
+
+// TestKeyedTracesOpaque records concurrent closed-loop runs of every keyed
+// structure × ownership-table kind with acquiring reads and checks each
+// history opaque (CI also replays the dumps through `tmbp check`). The runs
+// are tuned hot — 16 Zipf-skewed keys over a 256-entry table — so the traces
+// contain genuine conflicts and aborts, not just a serial history. Sweeping
+// the structures matters: their constructors initialize memory with direct
+// stores, and a missing Init event shows up here as a phantom inconsistent
+// read.
+func TestKeyedTracesOpaque(t *testing.T) {
+	keyedTraceSweep(t, false)
+}
+
+// TestKeyedTracesOpaqueInvisible is TestKeyedTracesOpaque with invisible
+// readers. The runs are read-mostly, where the version-validated fast path
+// actually engages while the writing minority keeps conflicts (and
+// validation aborts) in the trace.
+func TestKeyedTracesOpaqueInvisible(t *testing.T) {
+	keyedTraceSweep(t, true)
+}
+
+// keyedTraceSweep runs keyedTraceRun for every keyed structure × table kind.
+func keyedTraceSweep(t *testing.T, invisible bool) {
+	if testing.Short() {
+		t.Skip("12 recorded concurrent runs")
+	}
+	for _, kind := range Kinds() {
+		for _, table := range tmbp.TableKinds() {
+			t.Run(kind+"/"+table, func(t *testing.T) { keyedTraceRun(t, kind, table, invisible) })
+		}
+	}
+}
+
+// keyedTraceRun is one recorded TestKeyedTracesOpaque run: 4 workers each
+// commit txnsPerWorker transactions of 1 + Geometric(1/4) keyed operations
+// drawn Zipf(1.2) over 16 keys.
+func keyedTraceRun(t *testing.T, kind, table string, invisible bool) {
+	const (
+		workers       = 4
+		txnsPerWorker = 64
+		keys          = 16
+		zipfS         = 1.2
+		meanOps       = 4
+	)
+	readFrac := 0.5
+	if invisible {
+		readFrac = 0.9
+	}
+	tab, err := tmbp.NewTable(table, 256, "fibonacci")
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, err := KeyedWords(kind, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := tmbp.NewMemory(words)
+	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1, InvisibleReaders: invisible}
+	log := attachLog(t, &cfg)
+	rt, err := tmbp.NewSTM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewKeyed(kind, mem, 0, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordInitialWords(log, mem)
+
+	type op struct {
+		read bool
+		k, v uint64
+	}
+	zipf := xrand.NewZipf(keys, zipfS)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(gid int) {
+			defer wg.Done()
+			th := rt.NewThread()
+			rng := xrand.NewWithStream(1, uint64(gid))
+			var ops []op
+			for i := 0; i < txnsPerWorker; i++ {
+				// Draw the transaction before running it, so a retry replays
+				// the same operations.
+				ops = ops[:0]
+				for n := 1 + rng.Geometric(1.0/meanOps); n > 0; n-- {
+					ops = append(ops, op{read: rng.Float64() < readFrac,
+						k: uint64(zipf.Sample(rng)), v: rng.Uint64()})
+				}
+				if err := th.Atomic(func(tx *tmbp.Tx) error {
+					for _, o := range ops {
+						var err error
+						if o.read {
+							err = w.ReadTx(tx, o.k)
+						} else {
+							err = w.WriteTx(tx, o.k, o.v)
+						}
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					errs <- fmt.Errorf("worker %d: %w", gid, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		t.Fatal(err)
+	}
+	if st := rt.Stats(); st.Commits != workers*txnsPerWorker {
+		t.Fatalf("%d commits, want %d", st.Commits, workers*txnsPerWorker)
+	}
+	checkOpaque(t, log)
 }
