@@ -229,10 +229,10 @@ func BenchmarkTableDisjointParallel(b *testing.B) {
 // BenchmarkTableWriteCycle prices the two write cycles
 // BenchmarkTableDisjointParallel does not run, on the raw table with handles
 // over 256 consecutive cells of a mask-hashed table: rmw-abortrelease is
-// acquire-read → upgrade → ReleaseWriteH, the acquiring protocol's commit
-// path (it publishes no stamp, so the release is named for the abort it
-// shares it with); write-commitrelease is write-from-free → ReleaseWriteV,
-// what an invisible attempt pays for a block it writes. Run at -cpu 1: the
+// acquire-read → upgrade → ReleaseWriteH, a block a visible attempt reads
+// and writes, released by an abort (which publishes no stamp);
+// write-commitrelease is write-from-free → ReleaseWriteV, what an invisible
+// attempt pays for a block it writes. Run at -cpu 1: the
 // ns/op is the sum of the locked instructions docs/ARCHITECTURE.md
 // ("Synchronisation budget") counts for each step.
 func BenchmarkTableWriteCycle(b *testing.B) {
@@ -319,7 +319,7 @@ func BenchmarkInvisibleReadThenWrite(b *testing.B) {
 				b.Fatal(err)
 			}
 			mem := NewMemory(1 << 12)
-			rt, err := NewSTM(STMConfig{Table: tab, Memory: mem, Seed: 1, InvisibleReaders: true})
+			rt, err := NewSTM(STMConfig{Table: tab, Memory: mem, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -357,7 +357,7 @@ func BenchmarkInvisibleScan(b *testing.B) {
 				b.Fatal(err)
 			}
 			mem := NewMemory(1 << 12)
-			rt, err := NewSTM(STMConfig{Table: tab, Memory: mem, Seed: 1, InvisibleReaders: true})
+			rt, err := NewSTM(STMConfig{Table: tab, Memory: mem, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -248,14 +248,15 @@ func TestFaultAtomicCtxDeadline(t *testing.T) {
 }
 
 // TestFaultDenyNth pins the forced-abort-at-the-k-th-operation fault with
-// an exact serial schedule: operation 2 (the first transaction's write
-// upgrade) is denied, the attempt rolls back, and the retry commits.
+// an exact serial schedule: operation 1 (the first transaction's write
+// acquire; its read is invisible and touches no table op) is denied, the
+// attempt rolls back, and the retry commits.
 func TestFaultDenyNth(t *testing.T) {
 	tab, err := otable.New("tagged", hash.NewMask(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := fault.New(tab, fault.Config{Seed: 1, DenyNth: 2})
+	inj := fault.New(tab, fault.Config{Seed: 1, DenyNth: 1})
 	mem := stm.NewMemory(64)
 	rt, err := stm.New(stm.Config{Table: inj, Memory: mem, Seed: 1})
 	if err != nil {
@@ -264,7 +265,7 @@ func TestFaultDenyNth(t *testing.T) {
 	th := rt.NewThread()
 	if err := th.Atomic(func(tx *stm.Tx) error {
 		a := mem.WordAddr(5)
-		tx.Write(a, tx.Read(a)+1) // read acquire = op 1, write upgrade = op 2: denied
+		tx.Write(a, tx.Read(a)+1) // write acquire = op 1: denied
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -274,7 +275,7 @@ func TestFaultDenyNth(t *testing.T) {
 		t.Fatalf("commits/aborts = %d/%d, want 1/1", st.Commits, st.Aborts)
 	}
 	if fs := inj.FaultStats(); fs.Denied != 1 {
-		t.Fatalf("injector denied %d ops, want exactly 1 (op 2)", fs.Denied)
+		t.Fatalf("injector denied %d ops, want exactly 1 (op 1)", fs.Denied)
 	}
 	if mem.LoadDirect(mem.WordAddr(5)) != 1 {
 		t.Fatalf("word 5 = %d, want 1", mem.LoadDirect(mem.WordAddr(5)))

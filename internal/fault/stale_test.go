@@ -47,7 +47,7 @@ func TestFaultStaleVersionBoundedAborts(t *testing.T) {
 			inj := fault.New(tab, fault.Config{Seed: 5, StaleVersionRate: tc.rate})
 			mem := stm.NewMemory(64)
 			cfg := stm.Config{Table: inj, Memory: mem, Seed: 5,
-				FallbackAfter: fallbackAfter, InvisibleReaders: true}
+				FallbackAfter: fallbackAfter}
 			log := recordTrace(t, &cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {
@@ -135,7 +135,7 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 			inj := fault.New(tab, fault.Config{Seed: 31, StaleVersionRate: 0.25})
 			mem := stm.NewMemory(256)
 			cfg := stm.Config{Table: inj, Memory: mem, Seed: 31, FuzzYield: 0.2,
-				FallbackAfter: 6, InvisibleReaders: true}
+				FallbackAfter: 6}
 			log := recordTrace(t, &cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {

@@ -33,8 +33,10 @@ func (th *Thread) locate(a addr.Addr) (word uint64, chunk addr.Block, widx uint6
 }
 
 // Read returns the word at address a as of the transaction's serialization
-// point, acquiring read ownership of a's chunk. On conflict the attempt is
-// rolled back and retried; user code simply never continues past the Read.
+// point, validating it against the version cell of a's chunk — or, on a
+// visible attempt (see the package documentation), acquiring read
+// ownership of the chunk. On conflict the attempt is rolled back and
+// retried; user code simply never continues past the Read.
 //
 // The hit path is a single access-set probe: one entry answers membership,
 // permission coverage, and read-own-writes at once.
@@ -98,9 +100,9 @@ func (tx *Tx) Write(a addr.Addr, v uint64) {
 	}
 }
 
-// ReadBlock acquires read ownership of an entire block footprint element
-// without loading a word — used by trace replay where only footprints
-// matter.
+// ReadBlock adds an entire block to the read footprint without loading a
+// word — used by trace replay where only footprints matter. It records the
+// block's version stamp, or on a visible attempt acquires read ownership.
 func (tx *Tx) ReadBlock(b addr.Block) {
 	th := tx.th
 	th.fuzz()
@@ -134,7 +136,7 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 
 // acquireReadChunk acquires the read share backing chunk's slot, unless an
 // earlier entry already covers the slot, and records the resulting release
-// obligation in the chunk's access-set entry. The acquiring protocol passes
+// obligation in the chunk's access-set entry. A visible read passes
 // e == nil — the chunk has no entry yet, and one is inserted once the acquire
 // has succeeded, so a denied acquire aborts the attempt with no state
 // change; pinOrAbort passes the entry the invisible protocol already made.

@@ -33,15 +33,16 @@ func blockWord(mem *Memory, i, k, w int) addr.Addr {
 	return mem.WordAddr((i+k)%allocBlocks*8 + w)
 }
 
-// txnOp measures one committed transaction running body. Transaction
+// txnOp measures one committed transaction running body, started by run
+// ((*Thread).Atomic, or atomicVisible for the visible escape). Transaction
 // function and op are built once: the measured loop creates no closure.
-func txnOp(body func(tx *Tx, mem *Memory, i int) error) func(*testing.T, *Runtime) func() {
+func txnOp(run func(*Thread, func(*Tx) error) error, body func(tx *Tx, mem *Memory, i int) error) func(*testing.T, *Runtime) func() {
 	return func(t *testing.T, rt *Runtime) func() {
 		th, mem, i := rt.NewThread(), rt.Memory(), 0
 		fn := func(tx *Tx) error { return body(tx, mem, i) }
 		return func() {
 			i++
-			if err := th.Atomic(fn); err != nil {
+			if err := run(th, fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -49,7 +50,7 @@ func txnOp(body func(tx *Tx, mem *Memory, i int) error) func(*testing.T, *Runtim
 }
 
 // rmw8 read-modify-writes one word in each of 8 blocks — a read miss and a
-// write upgrade per block — and reads it back through the hit path.
+// write acquire per block — and reads it back through the hit path.
 func rmw8(tx *Tx, mem *Memory, i int) error {
 	for k := 0; k < 8; k++ {
 		a := blockWord(mem, i, k, 0)
@@ -72,8 +73,8 @@ func read8(tx *Tx, mem *Memory, i int) error {
 	return nil
 }
 
-// read8Write1 ends the 8-block read by writing one block it read: under
-// InvisibleReaders the commit draws a stamp and validates the other seven.
+// read8Write1 ends the 8-block read by writing one block it read: the
+// commit draws a stamp and validates the other seven.
 func read8Write1(tx *Tx, mem *Memory, i int) error {
 	err := read8(tx, mem, i)
 	tx.Write(blockWord(mem, i, 1, 0), uint64(i))
@@ -100,7 +101,7 @@ func cmDecisionOp(_ *testing.T, rt *Runtime) func() {
 }
 
 // conflictAbortOp parks a foreign writer on one block and measures a
-// transaction that takes three read shares and is then denied that block on
+// transaction that reads three blocks and is then denied that block on
 // every one of its allocAttempts attempts: acquire, denial, unwind, release
 // and the policy callback allocate nothing, so the whole retry loop costs
 // exactly the terminal *AbortError. It is the deterministic form of the
@@ -129,7 +130,8 @@ func conflictAbortOp(t *testing.T, rt *Runtime) func() {
 // TestSteadyStateAllocationFree is the allocation gate of the transaction
 // paths, identical on every host: once a thread's access set and the
 // table's record pools are warm, a transaction — committing, read-only on
-// either read protocol, or aborting on a conflict — never touches the heap,
+// the invisible path or the visible escape, or aborting on a conflict —
+// never touches the heap,
 // with Config.Recorder nil (rmw/tagged is the recorder-disabled contract),
 // under every table organization, and the backoff policy's decision path
 // (cm-decision/backoff) allocates nothing either.
@@ -138,10 +140,10 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	var rows []allocRow
 	for _, kind := range otable.Kinds() {
 		rows = append(rows,
-			allocRow{"rmw/" + kind, kind, Config{}, txnOp(rmw8), 0},
-			allocRow{"ro-acquire/" + kind, kind, Config{}, txnOp(read8), 0},
-			allocRow{"ro-invisible/" + kind, kind, Config{InvisibleReaders: true}, txnOp(read8), 0},
-			allocRow{"read-write-invisible/" + kind, kind, Config{InvisibleReaders: true}, txnOp(read8Write1), 0},
+			allocRow{"rmw/" + kind, kind, Config{}, txnOp((*Thread).Atomic, rmw8), 0},
+			allocRow{"ro-acquire/" + kind, kind, Config{}, txnOp(atomicVisible, read8), 0},
+			allocRow{"ro-invisible/" + kind, kind, Config{}, txnOp((*Thread).Atomic, read8), 0},
+			allocRow{"read-write-invisible/" + kind, kind, Config{}, txnOp((*Thread).Atomic, read8Write1), 0},
 			allocRow{"conflict-abort/" + kind, kind,
 				Config{MaxAttempts: allocAttempts, BackoffBase: -1}, conflictAbortOp, 1},
 		)

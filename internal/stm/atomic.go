@@ -129,13 +129,11 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		}
 		th.desc.Begin()
 		th.wrote = false
-		if th.invis {
-			// Serial attempts run with the runtime drained — acquiring is
-			// uncontended and validation could only lose to the very writers
-			// the fallback gate parked, so they skip the fast path.
-			th.invisible = !serial && th.roStreak < th.roLimit
-			th.rv = th.rt.epoch.Load()
-		}
+		// Serial attempts run with the runtime drained — acquiring is
+		// uncontended and validation could only lose to the very writers the
+		// fallback gate parked, so they skip the fast path.
+		th.invisible = !serial && th.roStreak < roLimit
+		th.rv = th.rt.epoch.Load()
 		if r := th.rec; r != nil {
 			// Recorded before the attempt's first acquire: the Begin index
 			// precedes every memory effect of the attempt.
@@ -214,20 +212,18 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 // commit makes the transaction's writes visible and releases ownership:
 // write-back happens strictly before release, so any transaction that later
 // acquires a written block observes the committed values. Both phases are
-// single walks of the dense access array in first-access order. Under
-// InvisibleReaders a writing attempt draws its commit stamp, and validates
-// its invisible reads, before the first word is written back (commitStamp).
-// A read-only attempt draws nothing, so it never invalidates anyone's rv+1
-// shortcut, and is vacuously intact while the clock still reads rv — the
-// expected case in read-mostly phases, making read-only commit O(1): neither
-// the write-back nor the release walk runs for it. A failed validation
-// unwinds into attempt's rollback with memory untouched.
+// single walks of the dense access array in first-access order. A writing
+// attempt draws its commit stamp, and validates its invisible reads, before
+// the first word is written back (commitStamp). A read-only attempt draws
+// nothing, so it never invalidates anyone's rv+1 shortcut, and is vacuously
+// intact while the clock still reads rv — the expected case in read-mostly
+// phases, making read-only commit O(1): neither the write-back nor the
+// release walk runs for it. A failed validation unwinds into attempt's
+// rollback with memory untouched.
 func (th *Thread) commit() {
 	var stamp uint64
 	if th.wrote {
-		if th.invis {
-			stamp = th.commitStamp()
-		}
+		stamp = th.commitStamp()
 	} else if th.invisible && th.rt.epoch.Load() != th.rv {
 		th.revalidateReadSet()
 	}
@@ -287,13 +283,12 @@ func (th *Thread) rollback() {
 // entry's handle names: the table is never re-walked on the commit or abort
 // path.
 //
-// A committing walk under InvisibleReaders passes the stamp commitStamp drew
-// and every write release publishes it to its slot's version cell (strictly
-// before ownership drops, see otable.Table.ReleaseWriteV). Read-only
-// commits hold no write slots and draw no stamp, keeping the epoch==rv
-// commit shortcut of concurrent invisible readers valid. Aborting walks
-// pass 0 and publish nothing: memory was never mutated, so the old stamps
-// still describe it.
+// A writing commit passes the stamp commitStamp drew and every write release
+// publishes it to its slot's version cell (strictly before ownership drops,
+// see otable.Table.ReleaseWriteV). Read-only commits hold no write slots and
+// draw no stamp, keeping the epoch==rv commit shortcut of concurrent
+// invisible readers valid. Aborting walks pass 0 and publish nothing: memory
+// was never mutated, so the old stamps still describe it.
 func (th *Thread) releaseAll(stamp uint64) {
 	set := &th.desc.Set
 	n := set.Len()

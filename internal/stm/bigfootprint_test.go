@@ -90,15 +90,15 @@ func TestBigFootprintZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestBigFootprintInvisibleReadOnly is the invisible-reader variant: a
-// read-only transaction over 1024 blocks touches the ownership table zero
+// TestBigFootprintInvisibleReadOnly: a read-only transaction over 1024
+// blocks touches the ownership table zero
 // times, commits on the read-only path, and is allocation-free once the
 // read-set has grown.
 func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 	const blocks = 1024
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			rt, tab, mem := newBigFootprintRuntime(t, kind, blocks, Config{InvisibleReaders: true})
+			rt, tab, mem := newBigFootprintRuntime(t, kind, blocks, Config{})
 			for b := 0; b < blocks; b++ {
 				mem.StoreDirect(mem.WordAddr(b*8), uint64(b))
 			}

@@ -169,7 +169,8 @@ func TestCMSymmetricLivelock(t *testing.T) {
 // lets a writer bang against it: every write acquire is denied until the
 // readers drain. The readers are released only after the writer has
 // provably aborted at least once, so the scenario always exercises the
-// policy's wait; the writer must then commit promptly.
+// policy's wait; the writer must then commit promptly. An invisible read
+// holds no share, so every transaction runs on the visible escape.
 func TestCMReaderStarvesWriter(t *testing.T) {
 	onOneP(t)
 	for _, policy := range cmPolicies() {
@@ -189,7 +190,7 @@ func TestCMReaderStarvesWriter(t *testing.T) {
 					defer wg.Done()
 					th := rt.NewThread()
 					att := 0
-					errs[i] = th.Atomic(func(tx *Tx) error {
+					errs[i] = atomicVisible(th, func(tx *Tx) error {
 						att++
 						_ = tx.Read(a)
 						if att == 1 {
@@ -207,7 +208,7 @@ func TestCMReaderStarvesWriter(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				th := rt.NewThread()
-				errs[readers] = th.Atomic(func(tx *Tx) error {
+				errs[readers] = atomicVisible(th, func(tx *Tx) error {
 					tx.Write(a, tx.Read(a)+1)
 					return nil
 				})
@@ -433,7 +434,9 @@ func TestCMChainedConflict(t *testing.T) {
 // acquire's ConflictInfo — extracted at the table's denying CAS — must
 // arrive at the CM's Aborted callback naming the exact opponent. A custom
 // recording policy observes every abort of a thread hammering a block the
-// other thread verifiably holds with write ownership.
+// other thread verifiably holds with write ownership. Both run on the
+// visible escape: an invisible first read that samples the writer aborts
+// with no table opponent to name.
 func TestCMOpponentDelivered(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {
@@ -469,7 +472,7 @@ func TestCMOpponentDelivered(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				att := 0
-				errs[0] = holder.Atomic(func(tx *Tx) error {
+				errs[0] = atomicVisible(holder, func(tx *Tx) error {
 					att++
 					tx.Write(a, tx.Read(a)+1)
 					if att == 1 {
@@ -482,7 +485,7 @@ func TestCMOpponentDelivered(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-held
-				errs[1] = contender.Atomic(func(tx *Tx) error {
+				errs[1] = atomicVisible(contender, func(tx *Tx) error {
 					tx.Write(a, tx.Read(a)+1)
 					return nil
 				})

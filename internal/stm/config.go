@@ -83,18 +83,13 @@ type Config struct {
 	Granularity Granularity
 	// Isolation for non-transactional accesses; defaults to WeakIsolation.
 	Isolation Isolation
-	// InvisibleReaders enables version-validated invisible reads: a
-	// transaction validates each read against the table's per-cell version
-	// stamps (snapshotting the runtime's epoch clock at begin and
-	// revalidating the read set on epoch advance and at commit) instead of
-	// acquiring read ownership — so read-only transactions are invisible
-	// to the ownership table and to each other. A transaction that writes
-	// stays invisible for what it only reads: Write/WriteBlock acquire the
-	// written chunk alone, and the commit draws its stamp from the epoch
-	// clock and revalidates the read set with every write held, before
-	// the first word is written back. After a bounded number of validation
-	// aborts (FallbackAfter when positive, else an internal default) the
-	// transaction retries on the acquiring path.
+	// InvisibleReaders is ignored. Every optimistic attempt reads by
+	// version validation, and the runtime alone decides when a read takes
+	// read ownership (see the package documentation). The frozen
+	// benchmark/ module still sets it; it goes when that module next
+	// changes.
+	//
+	// Deprecated: leave it unset; it has no effect.
 	InvisibleReaders bool
 	// MaxAttempts bounds the retries of one transaction (0 = unlimited).
 	MaxAttempts int
@@ -133,9 +128,10 @@ type Config struct {
 	// escalates to the runtime-wide serial token — a FIFO ticket that
 	// stops new optimistic attempts, waits for in-flight ones to drain,
 	// and then runs the starved transaction with no optimistic opponents
-	// at all (the HTM-style global-lock fallback). Commits made while
-	// holding the token are counted in Stats.FallbackCommits. Zero (the
-	// default) disables escalation and its per-attempt gate check.
+	// at all (the HTM-style global-lock fallback). Serial attempts read
+	// under read ownership. Commits made while holding the token are
+	// counted in Stats.FallbackCommits. Zero (the default) disables
+	// escalation and its per-attempt gate check.
 	FallbackAfter int
 	// Recorder, when non-nil, receives the runtime's transactional history
 	// for offline opacity checking (see the Recorder interface and

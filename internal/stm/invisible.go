@@ -185,13 +185,12 @@ func (th *Thread) extendSnapshot() {
 	th.ctr.roExtends.Add(1)
 }
 
-// commitStamp is the serialization step of a writing commit under
-// InvisibleReaders, run with every write of the attempt held and before the
-// first word is written back. The attempt — invisible, visible retry or
-// serial — draws its stamp from the epoch clock here: were the clock advanced
-// only after write-back (at release), two attempts with crossing read and
-// write sets could both find it unmoved, both skip validation and commit a
-// write skew. An invisible attempt then revalidates the reads nothing pins;
+// commitStamp is the serialization step of a writing commit, run with every
+// write of the attempt held and before the first word is written back. The
+// attempt — invisible, visible escape or serial — draws its stamp from the
+// epoch clock here: were the clock advanced only after write-back (at
+// release), two attempts with crossing read and write sets could both find
+// it unmoved, both skip validation and commit a write skew. An invisible attempt then revalidates the reads nothing pins;
 // if it drew exactly rv+1 no other writing commit serialized since its
 // snapshot and the read set is vacuously intact.
 func (th *Thread) commitStamp() uint64 {

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +11,16 @@ import (
 	"tmbp/internal/otable"
 )
 
-// newInvisibleRuntime builds a runtime with the invisible-reader fast path
-// enabled on a fresh table of the given kind.
+// atomicVisible runs fn as one transaction on the visible escape: with
+// roStreak already at roLimit, every attempt reads under read shares, as
+// the attempts of a transaction that validation killed roLimit times do.
+// It is the test seam for whatever needs an optimistic read share.
+func atomicVisible(th *Thread, fn func(tx *Tx) error) error {
+	th.roStreak = roLimit
+	return th.Atomic(fn)
+}
+
+// newInvisibleRuntime builds a runtime on a fresh table of the given kind.
 func newInvisibleRuntime(t *testing.T, kind string, entries uint64, words int, cfg Config) (*Runtime, otable.Table, *Memory) {
 	t.Helper()
 	tab, err := otable.New(kind, hash.NewMask(entries))
@@ -29,7 +38,6 @@ func newInvisibleRuntimeOn(t *testing.T, tab otable.Table, words int, cfg Config
 	mem := NewMemory(words)
 	cfg.Table = tab
 	cfg.Memory = mem
-	cfg.InvisibleReaders = true
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -41,10 +49,9 @@ func newInvisibleRuntimeOn(t *testing.T, tab otable.Table, words int, cfg Config
 }
 
 // TestInvisibleReadOnlyNoAcquires is the acceptance test of the fast path:
-// on every table organization, a read-only transaction under
-// InvisibleReaders touches the ownership table zero times — no read
-// acquires, no write acquires, no releases — and is counted as an invisible
-// commit.
+// on every table organization, a read-only transaction touches the
+// ownership table zero times — no read acquires, no write acquires, no
+// releases — and is counted as an invisible commit.
 func TestInvisibleReadOnlyNoAcquires(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {
@@ -77,6 +84,32 @@ func TestInvisibleReadOnlyNoAcquires(t *testing.T) {
 				t.Fatalf("uncontended read-only run aborted: %+v", st)
 			}
 		})
+	}
+}
+
+// TestInvisibleReadersIgnored pins the deprecated Config.InvisibleReaders:
+// there is one read protocol, so either setting runs a read-only
+// transaction with zero table traffic and counts it as an invisible commit.
+func TestInvisibleReadersIgnored(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		for _, invisible := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/%v", kind, invisible), func(t *testing.T) {
+				rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{InvisibleReaders: invisible})
+				if err := rt.NewThread().Atomic(func(tx *Tx) error {
+					tx.Read(mem.WordAddr(0))
+					tx.Read(mem.WordAddr(8))
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if ts := tab.Stats(); ts.ReadAcquires != 0 || ts.WriteAcquires != 0 || ts.Releases != 0 {
+					t.Fatalf("read-only transaction touched the table: %+v", ts)
+				}
+				if st := rt.Stats(); st.ROCommits != 1 {
+					t.Fatalf("ROCommits = %d, want 1", st.ROCommits)
+				}
+			})
+		}
 	}
 }
 
@@ -239,8 +272,8 @@ func TestInvisibleSnapshotExtension(t *testing.T) {
 
 // TestInvisibleFallbackAfterValidationAborts starves an invisible reader
 // with a writer that clobbers its read set on every invisible attempt: after
-// defaultROFallback validation aborts the reader must stop betting on
-// invisibility, acquire like an ordinary transaction, and commit.
+// roLimit validation aborts the reader must stop betting on invisibility,
+// read under a read share, and commit.
 func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
 	rt, tab, mem := newInvisibleRuntime(t, "sharded", 64, 256, Config{})
 	reader, writer := rt.NewThread(), rt.NewThread()
@@ -249,7 +282,7 @@ func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
 	if err := reader.Atomic(func(tx *Tx) error {
 		attempt++
 		_ = tx.Read(x)
-		if attempt <= defaultROFallback {
+		if attempt <= roLimit {
 			// Invalidate the read set while the attempt is still invisible.
 			// Once the reader falls back it holds a real read share, which
 			// this write would conflict with — so stop interfering.
@@ -264,12 +297,12 @@ func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if attempt != defaultROFallback+1 {
-		t.Fatalf("committed on attempt %d, want %d", attempt, defaultROFallback+1)
+	if attempt != roLimit+1 {
+		t.Fatalf("committed on attempt %d, want %d", attempt, roLimit+1)
 	}
 	st := rt.Stats()
-	if st.ROValidationAborts != defaultROFallback {
-		t.Fatalf("ROValidationAborts = %d, want %d", st.ROValidationAborts, defaultROFallback)
+	if st.ROValidationAborts != roLimit {
+		t.Fatalf("ROValidationAborts = %d, want %d", st.ROValidationAborts, roLimit)
 	}
 	if st.ROCommits != 0 {
 		t.Fatalf("ROCommits = %d for a fallback commit, want 0", st.ROCommits)
@@ -277,6 +310,40 @@ func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
 	// The final attempt went through the table: the reader's acquire shows.
 	if ts := tab.Stats(); ts.ReadAcquires == 0 {
 		t.Fatal("fallback attempt performed no read acquire")
+	}
+}
+
+// TestInvisibleReaderSeesVisibleEscapeWriter: a writing commit on the
+// visible escape draws and publishes its stamp like any other, so an
+// invisible reader that read the chunk before it is killed by validation
+// instead of committing the overwritten value.
+func TestInvisibleReaderSeesVisibleEscapeWriter(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			rt, _, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
+			reader, writer := rt.NewThread(), rt.NewThread()
+			x := mem.WordAddr(0)
+			attempt := 0
+			var got uint64
+			if err := reader.Atomic(func(tx *Tx) error {
+				attempt++
+				got = tx.Read(x)
+				if attempt == 1 {
+					if err := atomicVisible(writer, func(wtx *Tx) error {
+						wtx.Write(x, wtx.Read(x)+5)
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if attempt != 2 || got != 5 {
+				t.Fatalf("attempts/value = %d/%d, want 2/5", attempt, got)
+			}
+		})
 	}
 }
 
@@ -322,8 +389,7 @@ func TestAtomicHammerInvisibleReadMostly(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(256)
-			cfg := Config{Table: tab, Memory: mem, Seed: 3, FuzzYield: 0.2,
-				InvisibleReaders: true}
+			cfg := Config{Table: tab, Memory: mem, Seed: 3, FuzzYield: 0.2}
 			attachRecorder(t, &cfg)
 			rt, err := New(cfg)
 			if err != nil {

@@ -563,8 +563,7 @@ func TestAtomicHammerInvisibleUpdate(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(256)
-			cfg := Config{Table: tab, Memory: mem, Seed: 5, FuzzYield: 0.2,
-				InvisibleReaders: true}
+			cfg := Config{Table: tab, Memory: mem, Seed: 5, FuzzYield: 0.2}
 			attachRecorder(t, &cfg)
 			rt, err := New(cfg)
 			if err != nil {
@@ -737,8 +736,7 @@ func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(256)
-			cfg := Config{Table: tab, Memory: mem, Seed: 7, FuzzYield: 0.3,
-				InvisibleReaders: true}
+			cfg := Config{Table: tab, Memory: mem, Seed: 7, FuzzYield: 0.3}
 			attachRecorder(t, &cfg)
 			rt, err := New(cfg)
 			if err != nil {

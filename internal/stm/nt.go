@@ -5,6 +5,7 @@ import (
 
 	"tmbp/internal/addr"
 	"tmbp/internal/otable"
+	"tmbp/internal/txn"
 )
 
 // LoadNT performs a non-transactional read of address a according to the
@@ -40,9 +41,10 @@ func (th *Thread) LoadNT(a addr.Addr) (uint64, error) {
 }
 
 // StoreNT performs a non-transactional write; under StrongIsolation it is
-// denied while any transaction holds the chunk — including a read share
-// held by this thread's own active transaction, which a non-transactional
-// write may not silently upgrade. If the calling thread's transaction holds
+// denied while any transaction holds the chunk, and while the calling
+// thread's own active transaction has read it without writing it — by
+// version or under a read share, which a non-transactional write may not
+// silently invalidate or upgrade. If the calling thread's transaction holds
 // the chunk exclusively the store is applied immediately and may later be
 // overwritten by the transaction's own commit write-back. See LoadNT for
 // the one-slot acquire/release discipline.
@@ -55,25 +57,25 @@ func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
 	}
 	th.ctr.ntReads.Add(1)
 	chunk := th.rt.cfg.Granularity.chunkOf(a)
+	if e := th.desc.Set.Lookup(chunk); e != nil && e.Perm&txn.PermWrite == 0 {
+		// An invisible read holds nothing the table could deny on: stored
+		// and stamped, the write would kill the caller's own attempt in
+		// validation, and its retry would store again.
+		th.ctr.ntConfl.Add(1)
+		return fmt.Errorf("stm: non-transactional write of %v denied: the calling thread's transaction has read it", a)
+	}
 	out, ci, hnd := th.tab.AcquireWriteH(th.id, chunk, 0, otable.NoHandle)
 	if out.Conflict() {
 		th.ctr.ntConfl.Add(1)
 		return fmt.Errorf("stm: non-transactional write of %v denied: %v (%v)", a, out, ci)
 	}
-	var stamp uint64
-	if th.invis {
-		// Drawn before memory changes and with the cell showing the writer,
-		// as in a commit: the rule the Ver invariant (invisible.go) rests on.
-		stamp = th.rt.epoch.Add(1)
-	}
+	// Drawn before memory changes and with the cell showing the writer, as
+	// in a commit: the rule the Ver invariant (invisible.go) rests on.
+	stamp := th.rt.epoch.Add(1)
 	w.Store(v)
 	if out == otable.Granted {
-		if th.invis {
-			th.tab.ReleaseWriteV(th.id, chunk, hnd, stamp)
-		} else {
-			th.tab.ReleaseWriteH(th.id, chunk, hnd)
-		}
-	} else if th.invis {
+		th.tab.ReleaseWriteV(th.id, chunk, hnd, stamp)
+	} else {
 		// AlreadyHeld: the store went through under the calling thread's own
 		// exclusive ownership and survives even if that transaction aborts —
 		// the release obligation stays with the transaction, but memory has

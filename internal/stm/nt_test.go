@@ -104,6 +104,42 @@ func TestNTStoreDeniedOnOwnReadShare(t *testing.T) {
 	}
 }
 
+// TestNTStoreDeniedOnOwnInvisibleRead: an invisible read holds nothing the
+// table could deny a store on, so StoreNT must refuse, before any acquire,
+// a chunk its own transaction has read. Stored and stamped, the write would
+// kill the attempt in validation, and every retry would store it again.
+func TestNTStoreDeniedOnOwnInvisibleRead(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 64, Config{Isolation: StrongIsolation})
+			th := rt.NewThread()
+			a := mem.WordAddr(0)
+			err := th.Atomic(func(tx *Tx) error {
+				_ = tx.Read(a)
+				if serr := th.StoreNT(a, 9); serr == nil {
+					t.Error("StoreNT wrote a chunk its own transaction read")
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := th.Attempts(); got != 1 {
+				t.Fatalf("attempts = %d, want 1", got)
+			}
+			if st := rt.Stats(); st.NTConflicts != 1 || st.ROCommits != 1 {
+				t.Fatalf("NTConflicts/ROCommits = %d/%d, want 1/1", st.NTConflicts, st.ROCommits)
+			}
+			if ts := tab.Stats(); ts.WriteAcquires != 0 {
+				t.Fatalf("denied StoreNT acquired: %+v", ts)
+			}
+			if got := mem.LoadDirect(a); got != 0 {
+				t.Fatalf("word = %d after a denied StoreNT, want 0", got)
+			}
+		})
+	}
+}
+
 // TestMixedOpsHammerAllKinds race-hammers the unified-log fast path with
 // every operation shape at once — word Read/Write, block footprint ops, and
 // strong-isolation NT accesses between and inside transactions — under all

@@ -1,7 +1,7 @@
 // Package stm is a word-based software transactional memory built on the
 // ownership tables of package otable. It is the runtime the paper's
 // analysis applies to: transactions execute optimistically, acquire
-// ownership of the cache blocks they touch at encounter time through a
+// ownership of the cache blocks they write at encounter time through a
 // central ownership table, buffer writes in a redo log, and roll back when
 // a conflict — true or false — is detected.
 //
@@ -10,9 +10,18 @@
 // behavior the paper quantifies (tagless aborts on aliasing accesses the
 // tagged table runs conflict-free).
 //
-// Concurrency control is encounter-time two-phase locking over ownership
-// table slots: permissions are acquired before data access and held until
-// commit or abort, which yields serializable transactions. Contention
+// Concurrency control differs for writes and reads. A write acquires
+// exclusive ownership of its chunk before the redo log records it, and
+// holds it until commit or abort. A read acquires nothing: it is validated
+// against the table's per-cell version stamps and the runtime's epoch clock
+// (see invisible.go), and a writing commit draws its stamp and revalidates
+// its reads with every write held, before it writes anything back. That
+// makes every attempt opaque and read-only transactions invisible to the
+// table and to each other. Read ownership is taken in three places only: a
+// writing attempt pins a chunk whose cell shows a writer that may be its
+// own hold (pinOrAbort); attempts under the serial token read under read
+// shares; and a transaction whose optimistic attempts validation killed
+// roLimit times reads under read shares from then on. Contention
 // management is self-abort with randomized exponential backoff between
 // retries; Config.NewCM replaces it with a custom policy (see the CM
 // interface in cm.go), and Config.FallbackAfter bounds how long any
@@ -76,17 +85,15 @@ import (
 type Runtime struct {
 	cfg    Config
 	nextID atomic.Uint32
-	// epoch is the global commit clock of the invisible-reader protocol
-	// (Config.InvisibleReaders): every writing commit draws one stamp with
-	// Add(1) — holding its writes, before it writes anything back — and
-	// publishes it to the version cells of the chunks it wrote; invisible
-	// attempts validate against it. A writing attempt whose commit-time
-	// validation then fails has advanced the clock and publishes nothing,
-	// which costs concurrent attempts a revalidation, never a wrong
-	// answer. Read-only commits (and every attempt that dies earlier)
-	// never advance it, nor does anything when invisible readers are
-	// disabled, so an unmoved clock still means "no writing commit has
-	// serialized since my snapshot".
+	// epoch is the global commit clock of the read protocol: every writing
+	// commit draws one stamp with Add(1) — holding its writes, before it
+	// writes anything back — and publishes it to the version cells of the
+	// chunks it wrote; invisible attempts validate against it. A writing
+	// attempt whose commit-time validation then fails has advanced the
+	// clock and publishes nothing, which costs concurrent attempts a
+	// revalidation, never a wrong answer. Read-only commits (and every
+	// attempt that dies earlier) never advance it, so an unmoved clock
+	// still means "no writing commit has serialized since my snapshot".
 	epoch atomic.Uint64
 
 	// Serial-fallback gate: a FIFO ticket lock over the whole runtime (see
@@ -124,13 +131,12 @@ type threadCounters struct {
 	// the thread has suffered (tail-behavior signal, see Stats).
 	fbCommits atomic.Uint64
 	maxStreak atomic.Uint64
-	// Invisible-reader counters (Config.InvisibleReaders): roCommits
-	// counts read-only transactions that committed with zero table
-	// acquires, roValAborts the invisible attempts killed by version
-	// validation, roPromotes the single entries a writing invisible
-	// attempt pinned with a visible read (a sample cannot tell its own hold
-	// from a foreign writer), roExtends the successful read-snapshot
-	// extensions.
+	// Read-protocol counters: roCommits counts read-only transactions that
+	// committed with zero table acquires, roValAborts the invisible
+	// attempts killed by version validation, roPromotes the single entries
+	// a writing invisible attempt pinned with a visible read (a sample
+	// cannot tell its own hold from a foreign writer), roExtends the
+	// successful read-snapshot extensions.
 	roCommits   atomic.Uint64
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
@@ -191,8 +197,8 @@ type Stats struct {
 	MaxConsecutiveAborts uint64
 	// ROCommits counts read-only transactions that committed entirely on
 	// the invisible-reader fast path — version-validated reads, zero
-	// ownership-table acquires (Config.InvisibleReaders). Writing
-	// transactions with an invisible read set are not counted.
+	// ownership-table acquires. Writing transactions with an invisible
+	// read set are not counted.
 	ROCommits uint64
 	// ROValidationAborts counts invisible attempts, read-only or writing,
 	// aborted by version validation: a concurrent commit (true, or aliased
@@ -275,22 +281,16 @@ func (rt *Runtime) NewThread() *Thread {
 	board[id-1] = ctr
 	rt.board.Store(&board)
 	rt.mu.Unlock()
-	roLimit := rt.cfg.FallbackAfter
-	if roLimit <= 0 {
-		roLimit = defaultROFallback
-	}
 	th := &Thread{
 		rt:       rt,
 		id:       id,
 		ctr:      ctr,
 		tab:      rt.cfg.Table,
-		invis:    rt.cfg.InvisibleReaders,
 		mem:      rt.cfg.Memory,
 		wordGran: rt.cfg.Granularity == WordGranularity,
 		slotID:   rt.cfg.Table.SlotsAreBlocks(),
 		fuzzP:    rt.cfg.FuzzYield,
 		fb:       rt.cfg.FallbackAfter,
-		roLimit:  roLimit,
 		rec:      rt.cfg.Recorder,
 		rng:      xrand.NewWithStream(rt.cfg.Seed, uint64(id)),
 	}
@@ -308,15 +308,11 @@ type Thread struct {
 	rt  *Runtime
 	id  otable.TxID
 	ctr *threadCounters
-	// tab/invis/mem/wordGran/slotID cache the config the hot path consults
-	// on every access. Acquires record the granted record's handle in the
+	// tab/mem/wordGran/slotID cache the config the hot path consults on
+	// every access. Acquires record the granted record's handle in the
 	// access-set entry and commit/abort release by handle — no table re-walk
 	// on the serial commit path.
-	tab otable.Table
-	// invis is Config.InvisibleReaders, the master switch of the
-	// invisible-reader fast path: when false it costs the hot paths one
-	// branch and nothing else.
-	invis    bool
+	tab      otable.Table
 	mem      *Memory
 	wordGran bool    // ownership tracked per word rather than per block
 	slotID   bool    // table slots are blocks: no cross-chunk slot aliasing
@@ -335,13 +331,13 @@ type Thread struct {
 	ctx    context.Context
 	active bool // a transaction is executing: nesting guard
 	// wrote marks an attempt that has called Write/WriteBlock (set with one
-	// unconditional store per call): it holds at least one write, so under
-	// InvisibleReaders its commit must draw a stamp, and a writer it samples
-	// in a version cell may be itself.
+	// unconditional store per call): it holds at least one write, so its
+	// commit must draw a stamp, and a writer it samples in a version cell
+	// may be itself.
 	wrote bool
-	// Invisible-reader attempt state: invisible marks an attempt whose
-	// reads are version-validated instead of acquired (it stays set when
-	// the attempt writes), rv is its epoch snapshot, roAbort flags that the
+	// Read-protocol attempt state: invisible marks an attempt whose reads
+	// are version-validated instead of acquired (it stays set when the
+	// attempt writes), rv is its epoch snapshot, roAbort flags that the
 	// in-flight abort is a version-validation kill, and roStreak counts
 	// such kills within the current transaction — at roLimit the attempts
 	// give up on invisibility and start acquiring.
@@ -349,19 +345,18 @@ type Thread struct {
 	roAbort   bool
 	rv        uint64
 	roStreak  int
-	roLimit   int
 	streak    int                 // consecutive conflict aborts of the running transaction
 	lastFP    int                 // access-set size of the last finished attempt
 	opp       otable.ConflictInfo // opponent of the conflict that killed the last attempt
 	tx        Tx
 }
 
-// defaultROFallback bounds the validation aborts a transaction tolerates on
-// the invisible-reader path before retrying with ordinary acquiring reads,
-// when Config.FallbackAfter does not supply a tighter bound. Validation has
+// roLimit bounds the validation aborts a transaction tolerates on the
+// invisible path before its attempts read under read shares. Validation has
 // no contention manager protecting it — an unlucky read-only transaction
-// overlapping a steady stream of writers could otherwise starve.
-const defaultROFallback = 8
+// overlapping a steady stream of writers could otherwise starve. A
+// Config.FallbackAfter of at most roLimit reaches the serial token first.
+const roLimit = 8
 
 // ID returns the thread's transaction identity.
 func (th *Thread) ID() otable.TxID { return th.id }

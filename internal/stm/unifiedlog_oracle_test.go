@@ -26,7 +26,8 @@ import (
 //   - the same final memory contents,
 //
 // across all three table kinds and both granularities, with aborted
-// transactions leaving no trace.
+// transactions leaving no trace. The old triple acquired every read, so the
+// real runtime runs each transaction on the visible escape (atomicVisible).
 
 // recTable wraps a Table and logs every ownership operation with its
 // outcome. Handles pass through unlogged: the runtime (which carries them)
@@ -453,7 +454,7 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 
 		// Real pass over the same script.
 		sentinel := fmt.Errorf("scripted abort")
-		err := th.Atomic(func(tx *Tx) error {
+		err := atomicVisible(th, func(tx *Tx) error {
 			for i, op := range ops {
 				switch op.kind {
 				case 0:

@@ -2,10 +2,8 @@ package tmds
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"tmbp"
 	"tmbp/internal/xrand"
@@ -14,7 +12,7 @@ import (
 // phantomWorld builds a recorded skiplist world for the phantom schedules:
 // a small aliasing-prone table, block granularity, and the keys
 // 10/20/30/40/50 pre-inserted.
-func phantomWorld(t *testing.T, kind string, invisible bool) (*tmbp.STM, *Skiplist, func()) {
+func phantomWorld(t *testing.T, kind string) (*tmbp.STM, *Skiplist, func()) {
 	t.Helper()
 	const capacity = 64
 	tab, err := tmbp.NewTable(kind, 256, "mask")
@@ -22,7 +20,7 @@ func phantomWorld(t *testing.T, kind string, invisible bool) (*tmbp.STM, *Skipli
 		t.Fatal(err)
 	}
 	mem := tmbp.NewMemory(SkiplistWords(capacity))
-	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 21, InvisibleReaders: invisible}
+	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 21}
 	log := attachLog(t, &cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {
@@ -42,101 +40,17 @@ func phantomWorld(t *testing.T, kind string, invisible bool) (*tmbp.STM, *Skipli
 	return rt, s, func() { checkOpaque(t, log) }
 }
 
-// TestSkiplistPhantomScanSchedule is the deterministic phantom-conflict
-// schedule under the acquiring protocol: reader A pauses mid-scan on its
-// first visited node, writer B tries to insert key 15 into the scanned
-// range. A's scan read-shares the header block and node 10's block — the
-// very words B's splice must write — so B is denied and aborts at least
-// once, and A's scan completes on the pre-insert snapshot: never a torn
-// prefix, never a phantom. After A commits, B's insert lands and a rescan
-// observes it. The recorded history must verify opaque (and replays through
-// `tmbp check` in CI).
-func TestSkiplistPhantomScanSchedule(t *testing.T) {
-	for _, kind := range tmbp.TableKinds() {
-		t.Run(kind, func(t *testing.T) {
-			rt, s, verify := phantomWorld(t, kind, false)
-			reader := rt.NewThread()
-
-			scanStarted := make(chan struct{})
-			resume := make(chan struct{})
-			first := true
-			var got []uint64
-			readerDone := make(chan error, 1)
-			go func() {
-				readerDone <- reader.Atomic(func(tx *tmbp.Tx) error {
-					got = got[:0]
-					return s.RangeScanTx(tx, 10, 50, func(k, _ uint64) error {
-						got = append(got, k)
-						if first && k == 10 {
-							first = false
-							close(scanStarted)
-							<-resume
-						}
-						return nil
-					})
-				})
-			}()
-			<-scanStarted
-
-			writerDone := make(chan error, 1)
-			go func() {
-				wth := rt.NewThread()
-				_, err := s.Put(wth, 15, 150)
-				writerDone <- err
-			}()
-			// The writer must conflict with the paused scan: wait until its
-			// denied acquire has aborted at least one attempt.
-			deadline := time.Now().Add(10 * time.Second)
-			for rt.Stats().Aborts == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("writer never conflicted with the paused scan")
-				}
-				runtime.Gosched()
-			}
-			close(resume)
-			if err := <-readerDone; err != nil {
-				t.Fatalf("reader: %v", err)
-			}
-			// The paused scan serialized before the insert: exactly the
-			// pre-insert range, no torn prefix, no phantom 15.
-			want := []uint64{10, 20, 30, 40, 50}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("paused scan saw %v, want pre-insert %v", got, want)
-			}
-			if err := <-writerDone; err != nil {
-				t.Fatalf("writer: %v", err)
-			}
-			// A fresh scan serializes after the insert.
-			got = got[:0]
-			if err := reader.Atomic(func(tx *tmbp.Tx) error {
-				got = got[:0]
-				return s.RangeScanTx(tx, 10, 50, func(k, _ uint64) error {
-					got = append(got, k)
-					return nil
-				})
-			}); err != nil {
-				t.Fatal(err)
-			}
-			want = []uint64{10, 15, 20, 30, 40, 50}
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("rescan saw %v, want post-insert %v", got, want)
-			}
-			verify()
-		})
-	}
-}
-
-// TestSkiplistPhantomInvisibleScan is the same schedule under the
-// invisible-reader fast path, where the outcome flips deterministically: an
-// invisible scan holds no table state, so the writer commits while the
-// reader is paused — and the reader's next version validation must catch
-// it, abort the attempt, and re-run the scan on the post-insert snapshot.
-// Either serialization is legal; a torn prefix (15 missing but later nodes
-// re-read inconsistently) is not, and the recorded history proves it.
+// TestSkiplistPhantomInvisibleScan is the deterministic phantom schedule:
+// reader A pauses mid-scan on its first visited node, writer B inserts key
+// 15 into the scanned range. An invisible scan holds no table state, so
+// the writer commits while the reader is paused — and the reader's next
+// version validation must catch it, abort the attempt, and re-run the scan
+// on the post-insert snapshot. A torn prefix (15 missing but later nodes
+// re-read inconsistently) is not legal, and the recorded history proves it.
 func TestSkiplistPhantomInvisibleScan(t *testing.T) {
 	for _, kind := range tmbp.TableKinds() {
 		t.Run(kind, func(t *testing.T) {
-			rt, s, verify := phantomWorld(t, kind, true)
+			rt, s, verify := phantomWorld(t, kind)
 			reader := rt.NewThread()
 
 			scanStarted := make(chan struct{})
@@ -190,8 +104,9 @@ func TestSkiplistPhantomInvisibleScan(t *testing.T) {
 // while readers range-scan the whole key space and check that every
 // observed snapshot is strictly ascending and pair-consistent — a torn scan
 // prefix would surface as a half-present pair. Runs under -race in CI with
-// recording; the history must verify opaque.
-func scanHammer(t *testing.T, kind string, invisible bool) {
+// recording; the history must verify opaque. It returns the runtime's
+// counters for the caller's assertions.
+func scanHammer(t *testing.T, kind string, fallbackAfter int) tmbp.STMStats {
 	const (
 		pairOffset = 32
 		pairKeys   = 32
@@ -207,7 +122,7 @@ func scanHammer(t *testing.T, kind string, invisible bool) {
 	}
 	mem := tmbp.NewMemory(SkiplistWords(capacity))
 	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 31,
-		FuzzYield: 0.2, InvisibleReaders: invisible}
+		FuzzYield: 0.2, FallbackAfter: fallbackAfter}
 	log := attachLog(t, &cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {
@@ -294,27 +209,33 @@ func scanHammer(t *testing.T, kind string, invisible bool) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if invisible {
-		if st := rt.Stats(); st.ROCommits == 0 {
-			t.Fatalf("invisible hammer committed no read-only transactions: %+v", st)
-		}
-	}
 	checkOpaque(t, log)
+	return rt.Stats()
 }
 
-// TestSkiplistScanHammer runs the invariant hammer on every table kind
-// under the acquiring protocol.
+// TestSkiplistScanHammer runs the invariant hammer on every table kind with
+// FallbackAfter 1: a transaction that aborts once retries under the serial
+// token, whose attempts read under read shares, so the recorded histories
+// carry visible reads beside invisible ones.
 func TestSkiplistScanHammer(t *testing.T) {
+	var fallbacks uint64
 	for _, kind := range tmbp.TableKinds() {
-		t.Run(kind, func(t *testing.T) { scanHammer(t, kind, false) })
+		t.Run(kind, func(t *testing.T) { fallbacks += scanHammer(t, kind, 1).FallbackCommits })
+	}
+	if fallbacks == 0 {
+		t.Fatal("no serial commit in the sweep: it recorded no visible reads")
 	}
 }
 
-// TestSkiplistScanHammerInvisible runs it with the invisible-reader fast
-// path: whole-range scans are read-only, so they commit by version
-// validation racing the writers' splices.
+// TestSkiplistScanHammerInvisible runs it with no serial fallback:
+// whole-range scans are read-only, so they commit by version validation
+// racing the writers' splices.
 func TestSkiplistScanHammerInvisible(t *testing.T) {
 	for _, kind := range tmbp.TableKinds() {
-		t.Run(kind, func(t *testing.T) { scanHammer(t, kind, true) })
+		t.Run(kind, func(t *testing.T) {
+			if st := scanHammer(t, kind, 0); st.ROCommits == 0 {
+				t.Fatalf("invisible hammer committed no read-only transactions: %+v", st)
+			}
+		})
 	}
 }

@@ -230,41 +230,49 @@ func TestKeyedMultiOpTransactionAtomic(t *testing.T) {
 }
 
 // TestKeyedTracesOpaque records concurrent closed-loop runs of every keyed
-// structure × ownership-table kind with acquiring reads and checks each
-// history opaque (CI also replays the dumps through `tmbp check`). The runs
-// are tuned hot — 16 Zipf-skewed keys over a 256-entry table — so the traces
-// contain genuine conflicts and aborts, not just a serial history. Sweeping
-// the structures matters: their constructors initialize memory with direct
-// stores, and a missing Init event shows up here as a phantom inconsistent
-// read.
+// structure × ownership-table kind and checks each history opaque (CI also
+// replays the dumps through `tmbp check`). The runs are tuned hot — 16
+// Zipf-skewed keys over a 256-entry table, half the operations writes, a
+// 5 % fuzz yield — so the traces contain genuine conflicts and aborts, not
+// just a serial history. FallbackAfter 1 sends every transaction that
+// aborts once to the serial token, whose attempts read under read shares,
+// so the sweep records visible reads too. Sweeping the structures matters:
+// their constructors initialize memory with direct stores, and a missing
+// Init event shows up here as a phantom inconsistent read.
 func TestKeyedTracesOpaque(t *testing.T) {
-	keyedTraceSweep(t, false)
+	if fallbacks := keyedTraceSweep(t, 0.5, 1); fallbacks == 0 {
+		t.Fatal("no serial commit in the sweep: it recorded no visible reads")
+	}
 }
 
-// TestKeyedTracesOpaqueInvisible is TestKeyedTracesOpaque with invisible
-// readers. The runs are read-mostly, where the version-validated fast path
-// actually engages while the writing minority keeps conflicts (and
-// validation aborts) in the trace.
+// TestKeyedTracesOpaqueInvisible is TestKeyedTracesOpaque read-mostly and
+// with no serial fallback, where the version-validated read path carries
+// the runs while the writing minority keeps conflicts (and validation
+// aborts) in the trace.
 func TestKeyedTracesOpaqueInvisible(t *testing.T) {
-	keyedTraceSweep(t, true)
+	keyedTraceSweep(t, 0.9, 0)
 }
 
-// keyedTraceSweep runs keyedTraceRun for every keyed structure × table kind.
-func keyedTraceSweep(t *testing.T, invisible bool) {
+// keyedTraceSweep runs keyedTraceRun for every keyed structure × table kind
+// and returns the serial-token commits summed over the runs.
+func keyedTraceSweep(t *testing.T, readFrac float64, fallbackAfter int) (fallbacks uint64) {
 	if testing.Short() {
 		t.Skip("12 recorded concurrent runs")
 	}
 	for _, kind := range Kinds() {
 		for _, table := range tmbp.TableKinds() {
-			t.Run(kind+"/"+table, func(t *testing.T) { keyedTraceRun(t, kind, table, invisible) })
+			t.Run(kind+"/"+table, func(t *testing.T) {
+				fallbacks += keyedTraceRun(t, kind, table, readFrac, fallbackAfter).FallbackCommits
+			})
 		}
 	}
+	return fallbacks
 }
 
 // keyedTraceRun is one recorded TestKeyedTracesOpaque run: 4 workers each
 // commit txnsPerWorker transactions of 1 + Geometric(1/4) keyed operations
-// drawn Zipf(1.2) over 16 keys.
-func keyedTraceRun(t *testing.T, kind, table string, invisible bool) {
+// drawn Zipf(1.2) over 16 keys, a readFrac share of them reads.
+func keyedTraceRun(t *testing.T, kind, table string, readFrac float64, fallbackAfter int) tmbp.STMStats {
 	const (
 		workers       = 4
 		txnsPerWorker = 64
@@ -272,10 +280,6 @@ func keyedTraceRun(t *testing.T, kind, table string, invisible bool) {
 		zipfS         = 1.2
 		meanOps       = 4
 	)
-	readFrac := 0.5
-	if invisible {
-		readFrac = 0.9
-	}
 	tab, err := tmbp.NewTable(table, 256, "fibonacci")
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +289,7 @@ func keyedTraceRun(t *testing.T, kind, table string, invisible bool) {
 		t.Fatal(err)
 	}
 	mem := tmbp.NewMemory(words)
-	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1, InvisibleReaders: invisible}
+	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.05, FallbackAfter: fallbackAfter}
 	log := attachLog(t, &cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {
@@ -344,8 +348,10 @@ func keyedTraceRun(t *testing.T, kind, table string, invisible bool) {
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if st := rt.Stats(); st.Commits != workers*txnsPerWorker {
+	st := rt.Stats()
+	if st.Commits != workers*txnsPerWorker {
 		t.Fatalf("%d commits, want %d", st.Commits, workers*txnsPerWorker)
 	}
 	checkOpaque(t, log)
+	return st
 }
