@@ -70,6 +70,7 @@ func TestFaultGridAllPoliciesAllTables(t *testing.T) {
 			cfg := stm.Config{Table: inj, Memory: mem, Seed: 23,
 				FuzzYield: 0.2, FallbackAfter: 6}
 			log := recordTrace(t, &cfg)
+			samples := countSamples(&cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -141,6 +142,7 @@ func TestFaultGridAllPoliciesAllTables(t *testing.T) {
 				t.Errorf("trace has %d committed attempts, want %d",
 					res.Committed, gridGoroutines*gridTxnsEach)
 			}
+			assertDrained(t, rt, samples, mem.WordAddr(0))
 		})
 	}
 }
@@ -159,6 +161,7 @@ func TestFaultFallbackEngagesAndCommits(t *testing.T) {
 	mem := stm.NewMemory(64)
 	cfg := stm.Config{Table: inj, Memory: mem, Seed: 7, FallbackAfter: 3}
 	log := recordTrace(t, &cfg)
+	samples := countSamples(&cfg)
 	rt, err := stm.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,6 +193,7 @@ func TestFaultFallbackEngagesAndCommits(t *testing.T) {
 	if res, err := opacity.CheckTrace(log.Events()); err != nil || !res.Opaque {
 		t.Fatalf("fallback trace: opaque=%v err=%v", res != nil && res.Opaque, err)
 	}
+	assertDrained(t, rt, samples, mem.WordAddr(0))
 }
 
 // TestFaultAtomicCtxDeadline drives a transaction that can never commit —

@@ -13,17 +13,21 @@ import (
 )
 
 // TestFaultStaleVersionBoundedAborts poisons version samples: with
-// StaleVersionRate 1.0 each invisible read observes an impossible "future"
-// stamp, so every invisible attempt dies in validation. The runtime must
+// StaleVersionRate 1.0 each sampled invisible read observes an impossible
+// "future" stamp, so every invisible attempt dies in validation. An attempt
+// that begins drained takes no sample while the clock stands still, so each
+// optimistic attempt first has a second thread commit a blind write of its
+// own word, moving the clock past rv from inside the body: the attempt's reads
+// then sample as they would beside any concurrent writer. The runtime must
 // keep the damage bounded — exactly FallbackAfter validation aborts per
 // transaction, after which attempts stop betting on invisibility (and, at
 // FallbackAfter, escalate to the serial token) and every transaction
 // commits. Writing transactions stay invisible too, so the same bound must
 // hold for a read-then-write workload, with exact sums; at rate 0.5 the
 // poisoned samples also land on the stamp check behind a write acquire and
-// on the re-sample after a load, which may cost aborts up to the bound and
-// nothing else. (Commit-time validation of writers needs a concurrent
-// commit to run at all; the grid test below covers it.) Single-threaded, so
+// on the re-sample after a load and, since the blind write keeps a writer's
+// draw off rv+1, on commit-time validation, which may cost aborts up to the
+// bound and nothing else. The two threads take turns on one goroutine, so
 // each schedule is exactly reproducible.
 func TestFaultStaleVersionBoundedAborts(t *testing.T) {
 	const (
@@ -49,14 +53,29 @@ func TestFaultStaleVersionBoundedAborts(t *testing.T) {
 			cfg := stm.Config{Table: inj, Memory: mem, Seed: 5,
 				FallbackAfter: fallbackAfter}
 			log := recordTrace(t, &cfg)
+			samples := countSamples(&cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			th := rt.NewThread()
+			th, other := rt.NewThread(), rt.NewThread()
+			// The blind writes store 0 to a word no transaction writes.
+			blind, blinds := mem.WordAddr(mem.Words()-1), uint64(0)
 			for i := 0; i < txns; i++ {
 				a, b := mem.WordAddr(i%mem.Words()), mem.WordAddr((i+8)%mem.Words())
+				attempt := 0
 				if err := th.Atomic(func(tx *stm.Tx) error {
+					// Not on the serial attempt: the token it holds would park
+					// other's transaction for good.
+					if attempt++; attempt <= fallbackAfter {
+						if err := other.Atomic(func(otx *stm.Tx) error {
+							otx.Write(blind, 0)
+							return nil
+						}); err != nil {
+							t.Fatalf("txn %d: blind write: %v", i, err)
+						}
+						blinds++
+					}
 					v := tx.Read(a)
 					if v != 0 {
 						t.Fatalf("txn %d read %d from untouched memory", i, v)
@@ -81,8 +100,8 @@ func TestFaultStaleVersionBoundedAborts(t *testing.T) {
 				t.Fatalf("memory sums to %d after %d one-word transactions (write=%v)", sum, txns, tc.write)
 			}
 			st := rt.Stats()
-			if st.Commits != txns {
-				t.Fatalf("commits = %d, want %d", st.Commits, txns)
+			if st.Commits != txns+blinds {
+				t.Fatalf("commits = %d, want %d and %d blind writes", st.Commits, txns, blinds)
 			}
 			// Staleness only ever fails validations: every abort is one.
 			if st.Aborts != st.ROValidationAborts {
@@ -115,6 +134,7 @@ func TestFaultStaleVersionBoundedAborts(t *testing.T) {
 			if res, err := opacity.CheckTrace(log.Events()); err != nil || !res.Opaque {
 				t.Fatalf("stale-version trace: opaque=%v err=%v", res != nil && res.Opaque, err)
 			}
+			assertDrained(t, rt, samples, mem.WordAddr(0))
 		})
 	}
 }
@@ -137,6 +157,7 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 			cfg := stm.Config{Table: inj, Memory: mem, Seed: 31, FuzzYield: 0.2,
 				FallbackAfter: 6}
 			log := recordTrace(t, &cfg)
+			samples := countSamples(&cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -148,6 +169,14 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 				txnsEach = 50
 			)
 			var torn atomic.Bool
+			var bumps, reads atomic.Uint64
+			var readersLeft atomic.Int32
+			readersLeft.Store(readers)
+			// An attempt that begins drained samples only once a commit moves
+			// the clock under it, so a run can take few samples and poison
+			// none. Until one is poisoned, past txnsEach, readers go on (up
+			// to 20 times as long) and writers go on while readers do.
+			unexercised := func() bool { return inj.FaultStats().Staled == 0 }
 			var wg sync.WaitGroup
 			errs := make(chan error, writers+readers)
 			for g := 0; g < writers; g++ {
@@ -155,7 +184,7 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					th := rt.NewThread()
-					for i := 0; i < txnsEach; i++ {
+					for i := 0; i < txnsEach || readersLeft.Load() > 0 && unexercised(); i++ {
 						if err := th.Atomic(func(tx *stm.Tx) error {
 							tx.Write(x, tx.Read(x)+1)
 							tx.Write(y, tx.Read(y)+1)
@@ -164,6 +193,7 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 							errs <- err
 							return
 						}
+						bumps.Add(1)
 					}
 				}()
 			}
@@ -171,8 +201,9 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					defer readersLeft.Add(-1)
 					th := rt.NewThread()
-					for i := 0; i < txnsEach; i++ {
+					for i := 0; i < txnsEach || i < 20*txnsEach && unexercised(); i++ {
 						if err := th.Atomic(func(tx *stm.Tx) error {
 							if a, b := tx.Read(x), tx.Read(y); a != b {
 								torn.Store(true)
@@ -182,6 +213,7 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 							errs <- err
 							return
 						}
+						reads.Add(1)
 					}
 				}()
 			}
@@ -193,13 +225,13 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 			if torn.Load() {
 				t.Fatal("reader observed a torn writer commit under stale samples")
 			}
-			want := uint64(writers * txnsEach)
+			want := bumps.Load()
 			if gx, gy := mem.LoadDirect(x), mem.LoadDirect(y); gx != want || gy != want {
 				t.Fatalf("x/y = %d/%d, want %d", gx, gy, want)
 			}
 			st := rt.Stats()
-			if st.Commits != (writers+readers)*txnsEach {
-				t.Fatalf("commits = %d, want %d", st.Commits, (writers+readers)*txnsEach)
+			if st.Commits != want+reads.Load() {
+				t.Fatalf("commits = %d, want %d", st.Commits, want+reads.Load())
 			}
 			if fs := inj.FaultStats(); fs.Staled == 0 {
 				t.Error("no samples perturbed: rate/seed combination exercised nothing")
@@ -214,6 +246,7 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 			if !res.Opaque {
 				t.Fatalf("recorded history not opaque under stale samples: %s", res)
 			}
+			assertDrained(t, rt, samples, x)
 		})
 	}
 }

@@ -129,11 +129,16 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		}
 		th.desc.Begin()
 		th.wrote = false
+		th.stamped = false
 		// Serial attempts run with the runtime drained — acquiring is
 		// uncontended and validation could only lose to the very writers the
 		// fallback gate parked, so they skip the fast path.
 		th.invisible = !serial && th.roStreak < roLimit
 		th.rv = th.rt.epoch.Load()
+		// Loaded after rv: done == rv says every stamp up to rv is finished
+		// unless a later one was drawn in between — and then the clock has
+		// already moved past rv, which the first drained read finds.
+		th.quiet = th.invisible && th.rt.done.Load() == th.rv
 		if r := th.rec; r != nil {
 			// Recorded before the attempt's first acquire: the Begin index
 			// precedes every memory effect of the attempt.
@@ -289,6 +294,10 @@ func (th *Thread) rollback() {
 // draw no stamp, keeping the epoch==rv commit shortcut of concurrent
 // invisible readers valid. Aborting walks pass 0 and publish nothing: memory
 // was never mutated, so the old stamps still describe it.
+//
+// An attempt that drew a stamp — committing, or rolled back by the
+// validation after its draw — counts it finished in Runtime.done after the
+// last release.
 func (th *Thread) releaseAll(stamp uint64) {
 	set := &th.desc.Set
 	n := set.Len()
@@ -309,6 +318,9 @@ func (th *Thread) releaseAll(stamp uint64) {
 		}
 	}
 	set.Reset()
+	if th.stamped {
+		th.rt.done.Add(1)
+	}
 }
 
 // CM returns the thread's contention manager (for statistics and tests).

@@ -16,17 +16,23 @@ func (th *Thread) roConflict() {
 	th.conflict(otable.NoConflict)
 }
 
-// The Ver invariant: every VerRead entry's Ver comes from a writer-free
-// sample of the chunk's cell taken after the current th.rv was loaded. It lets
-// a read ask the clock instead of the cell — a load followed by
-// rt.epoch.Load() == th.rv belongs to the committed state Ver names. A writer
-// that drew a stamp at most rv holds its chunks writer-active from before the
-// draw to its release: the sample would have seen it, so it had released and
-// the load sees all of it. A writer arriving after the sample draws above rv,
-// and draws before it writes a word back (commitStamp; StoreNT likewise), so a
-// clock still at rv after the load means it has not written. Whatever reloads
-// rv keeps the invariant: extendSnapshot samples every entry after the reload,
-// and the first read whose sample caused the extension takes that sample again.
+// The Ver invariant: every VerRead entry's Ver bounds the chunk's cell stamp
+// from above at a moment after the current th.rv was loaded when no writer of
+// the chunk was in flight. Ver is a writer-free sample taken after rv was
+// loaded, or rv itself on a drained attempt, whose done == rv was a
+// writer-free sample of every cell at once. Stamps only rise, so the chunk is
+// unchanged since the read while its cell shows no writer and a stamp not
+// above Ver. The invariant lets a read ask the clock instead of the cell — a
+// load followed by rt.epoch.Load() == th.rv belongs to the committed state
+// Ver bounds. A writer that drew a stamp at most rv holds its chunks
+// writer-active from before the draw to its release: the sample would have
+// seen it, so it had released and the load sees all of it. A writer arriving
+// after the sample draws above rv, and draws before it writes a word back
+// (commitStamp; StoreNT likewise), so a clock still at rv after the load
+// means it has not written. Whatever reloads rv keeps the invariant:
+// extendSnapshot samples every entry after the reload and ends drained
+// reading, and the first read whose sample caused the extension takes that
+// sample again.
 
 // roReadRetries bounds how often an invisible first read goes back to the
 // cell — after an extension, or a changed re-sample — before it gives up.
@@ -35,11 +41,14 @@ const roReadRetries = 4
 // readInvisibleMiss is the invisible first read of a chunk, with no table
 // traffic: sample the version cell, load, check the clock. The sample (no
 // writer, stamp at most rv) becomes the entry's Ver, and a clock still at rv
-// accepts the load on it (the Ver invariant). On a moved clock the load is
-// bracketed instead: an unchanged, writer-free re-sample pins it to the state
-// Ver names. A stamp above rv extends the snapshot, which reloads rv, so that
-// sample is spent and the loop takes another. The value is cached in the
-// entry (RMask) so repeat reads are pure probes.
+// accepts the load on it (the Ver invariant). A drained attempt skips the
+// sample and records rv. On a moved clock the load is bracketed instead: an
+// unchanged, writer-free re-sample pins it to the state Ver names; a drained
+// read that finds the clock moved has no first sample to bracket with, so it
+// stops reading drained and goes back for one. A stamp above rv extends the
+// snapshot, which reloads rv, so that sample is spent and the loop takes
+// another. The value is cached in the entry (RMask) so repeat reads are pure
+// probes.
 //
 // A writing attempt that samples a writer reads the chunk visibly instead
 // (pinOrAbort): the read share, or a covering own hold, pins memory, which
@@ -47,7 +56,10 @@ const roReadRetries = 4
 func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) uint64 {
 	tab := th.tab
 	for tries := 0; ; tries++ {
-		s1, locked := tab.SampleVersion(chunk)
+		s1, locked := th.rv, false
+		if !th.quiet {
+			s1, locked = tab.SampleVersion(chunk)
+		}
 		switch {
 		case locked:
 			th.pinOrAbort(chunk, nil)
@@ -60,6 +72,10 @@ func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) 
 		default:
 			v := th.mem.words[word].Load()
 			if th.rt.epoch.Load() != th.rv {
+				if th.quiet {
+					th.quiet = false
+					break
+				}
 				if s2, locked2 := tab.SampleVersion(chunk); locked2 || s2 != s1 {
 					break
 				}
@@ -111,32 +127,34 @@ func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
 // readInvisibleHit is the read of an unwritten word in a chunk an invisible
 // attempt already has an entry for: serve cached words from the entry's
 // snapshot, and accept a fresh load of a chunk nothing pins (VerRead) on a
-// clock still at rv with no visit to the cell — entry.Ver is the sample the
-// Ver invariant asks for. On a moved clock the cell decides: an unchanged
-// stamp with no active writer pins the load to the state entry.Ver named —
-// any writer that committed the cell in between raised the stamp, and one
-// still in flight shows as an active writer.
+// clock still at rv with no visit to the cell — entry.Ver is the bound the
+// Ver invariant asks for. On a moved clock the cell decides: no active writer
+// and a stamp not above entry.Ver pin the load to the state entry.Ver bounds
+// — any writer that committed the chunk in between raised the stamp past it,
+// and one still in flight shows as an active writer.
 //
 // A chunk the attempt holds is read straight from memory, but its first read
 // owes the snapshot-cover check of any first read if no read came before the
 // acquire: a chunk written without being read (or covered by an aliasing own
 // hold) may have been committed after rv, and its unwritten words must not be
-// seen beside older reads. The hold keeps the stamp still, so once is enough,
-// and any cached word proves an earlier read already checked it.
+// seen beside older reads. While the clock stands at rv no stamp above it
+// exists, so the check needs no sample. The hold keeps the stamp still, so
+// once is enough, and any cached word proves an earlier read already
+// checked it.
 func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint64 {
 	if e.RMask&(1<<widx) != 0 {
 		return e.Vals[widx]
 	}
 	v := th.mem.words[word].Load()
-	if e.Perm&txn.VerRead != 0 {
-		if th.rt.epoch.Load() != th.rv {
-			if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
+	if th.rt.epoch.Load() != th.rv {
+		if e.Perm&txn.VerRead != 0 {
+			if s, locked := th.tab.SampleVersion(e.Chunk); locked || s > e.Ver {
 				th.validationFailed(e, locked)
 			}
-		}
-	} else if e.RMask == 0 {
-		if s, _ := th.tab.SampleVersion(e.Chunk); s > th.rv {
-			th.coverStamp(s)
+		} else if e.RMask == 0 {
+			if s, _ := th.tab.SampleVersion(e.Chunk); s > th.rv {
+				th.coverStamp(s)
+			}
 		}
 	}
 	e.Vals[widx] = v
@@ -147,10 +165,18 @@ func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint
 // readBlockInvisible is the invisible ReadBlock: record the chunk in the
 // read set at its current stamp without loading a word, so there is no load
 // to bracket. A later Read of the chunk trusts the recorded stamp under the
-// Ver invariant, so a sample that extended the snapshot is taken again.
+// Ver invariant, so a sample that extended the snapshot is taken again. A
+// drained attempt records rv instead of a sample while the clock still
+// reads rv, the rule a drained load is accepted on.
 func (th *Thread) readBlockInvisible(b addr.Block) {
 	for tries := 0; ; tries++ {
-		s1, locked := th.tab.SampleVersion(b)
+		if th.quiet && th.rt.epoch.Load() != th.rv {
+			th.quiet = false
+		}
+		s1, locked := th.rv, false
+		if !th.quiet {
+			s1, locked = th.tab.SampleVersion(b)
+		}
 		if locked {
 			th.pinOrAbort(b, nil)
 			if s1, _ = th.tab.SampleVersion(b); s1 > th.rv {
@@ -178,10 +204,14 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 // "lazy snapshot" extension). Any mismatch aborts. Chunks the attempt holds
 // cannot have changed and are skipped. The clock is read before the cells:
 // each passing sample re-establishes the Ver invariant for the new rv.
+//
+// Drained reads end here for the rest of the attempt: write-backs below the
+// new rv may still be in flight.
 func (th *Thread) extendSnapshot() {
 	newRv := th.rt.epoch.Load()
 	th.revalidateReadSet()
 	th.rv = newRv
+	th.quiet = false
 	th.ctr.roExtends.Add(1)
 }
 
@@ -195,14 +225,15 @@ func (th *Thread) extendSnapshot() {
 // snapshot and the read set is vacuously intact.
 func (th *Thread) commitStamp() uint64 {
 	stamp := th.rt.epoch.Add(1)
+	th.stamped = true // releaseAll counts it finished, on commit or rollback
 	if th.invisible && stamp != th.rv+1 {
 		th.revalidateReadSet()
 	}
 	return stamp
 }
 
-// revalidateReadSet aborts the invisible attempt unless every chunk whose
-// reads nothing pins is still at the stamp they were validated at.
+// revalidateReadSet aborts the invisible attempt unless no chunk whose reads
+// nothing pins has a writer or a stamp above the Ver they were validated at.
 func (th *Thread) revalidateReadSet() {
 	set := &th.desc.Set
 	for i, n := 0, set.Len(); i < n; i++ {
@@ -210,14 +241,14 @@ func (th *Thread) revalidateReadSet() {
 		if e.Perm&txn.VerRead == 0 {
 			continue
 		}
-		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s != e.Ver {
+		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s > e.Ver {
 			th.validationFailed(e, locked)
 		}
 	}
 }
 
 // validationFailed handles a sample of e's cell that did not show "no
-// writer, stamp still e.Ver" (the passing test stays inline at both callers:
+// writer, stamp not above e.Ver" (the passing test stays inline at both callers:
 // it runs once per validated read). A moved stamp aborts; a counted writer
 // aborts too unless the attempt may be looking at its own hold, in which
 // case the entry is pinned on the spot and its stamp rechecked.
@@ -244,14 +275,19 @@ func (th *Thread) writeInvisiblyRead(e *txn.Access) {
 
 // checkPinned retires e's VerRead bit once ownership (the attempt's own,
 // through this entry or a covering earlier one) pins the chunk against
-// writers: the stamp must still be the one the invisible reads validated
-// against. The writer flag is deliberately ignored — it may be the
+// writers: the stamp must still be at most the Ver the invisible reads
+// validated against. The writer flag is deliberately ignored — it may be the
 // attempt's own hold, or a writer on another chunk of the cell — and a
 // committed writer of *this* chunk would have raised the stamp before our
-// acquire could have succeeded.
+// acquire could have succeeded. A clock still at rv after the acquire needs
+// no sample: by the Ver invariant a writer of the chunk since the read would
+// have drawn above rv.
 func (th *Thread) checkPinned(e *txn.Access) {
 	e.Perm &^= txn.VerRead
-	if s, _ := th.tab.SampleVersion(e.Chunk); s != e.Ver {
+	if th.rt.epoch.Load() == th.rv {
+		return
+	}
+	if s, _ := th.tab.SampleVersion(e.Chunk); s > e.Ver {
 		th.roConflict()
 	}
 }

@@ -20,6 +20,23 @@ func atomicVisible(th *Thread, fn func(tx *Tx) error) error {
 	return th.Atomic(fn)
 }
 
+// undrain leaves one drawn stamp unfinished for good, as a writer parked
+// between its draw and its release would: no later attempt of rt begins
+// drained, so every first read takes its version sample. It is the test
+// seam for whatever needs the sampled first read on a still clock.
+func undrain(rt *Runtime) { rt.epoch.Add(1) }
+
+// assertDrained fails the test unless every stamp rt has drawn was counted
+// finished. Checked at quiescence: a stamp path that missed its count would
+// leave every later attempt undrained for the runtime's life, and nothing
+// else would notice.
+func assertDrained(t testing.TB, rt *Runtime) {
+	t.Helper()
+	if d, e := rt.done.Load(), rt.epoch.Load(); d != e {
+		t.Errorf("at quiescence done = %d, epoch = %d: %d drawn stamps never counted finished", d, e, e-d)
+	}
+}
+
 // newInvisibleRuntime builds a runtime on a fresh table of the given kind.
 func newInvisibleRuntime(t *testing.T, kind string, entries uint64, words int, cfg Config) (*Runtime, otable.Table, *Memory) {
 	t.Helper()
@@ -465,6 +482,7 @@ func TestAtomicHammerInvisibleReadMostly(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
+			assertDrained(t, rt)
 		})
 	}
 }

@@ -35,11 +35,12 @@ func atLeastTwoPs(t *testing.T) {
 // can tell from a foreign writer. Each such sample must be settled by
 // pinning that one entry — at a first read, at the read of a second word
 // once the clock has moved, and at commit validation — with no abort, and
-// every pin released.
+// every pin released. The runtime starts undrained, so first reads sample.
 func TestInvisibleWriterOwnHoldSameCell(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 2, 256, Config{})
+			undrain(rt)
 			// Blocks 0, 2 and 4 share cell 0; block 1 lives in cell 1.
 			a, b, b2, c, d := mem.WordAddr(0), mem.WordAddr(16), mem.WordAddr(17), mem.WordAddr(32), mem.WordAddr(8)
 			mem.StoreDirect(b, 5)
@@ -304,6 +305,9 @@ func TestWriteSkewSchedule(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
+			// Every round's loser drew its stamp and then failed validation:
+			// its rollback must have counted the stamp finished.
+			assertDrained(t, rt)
 		})
 	}
 }
@@ -544,6 +548,7 @@ func TestInvisibleWriterVsStoreNTRace(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
+			assertDrained(t, rt)
 		})
 	}
 }
@@ -657,6 +662,7 @@ func TestAtomicHammerInvisibleUpdate(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
+			assertDrained(t, rt)
 		})
 	}
 }
@@ -806,6 +812,7 @@ func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
+			assertDrained(t, rt)
 		})
 	}
 }

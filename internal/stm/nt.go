@@ -83,5 +83,6 @@ func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
 		// concurrent invisible reader could validate a torn mix.
 		th.tab.StampVersion(chunk, stamp)
 	}
+	th.rt.done.Add(1) // stored and published: the stamp is finished
 	return nil
 }

@@ -215,6 +215,7 @@ func TestMixedOpsHammerAllKinds(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
+			assertDrained(t, rt)
 			if st := rt.Stats(); st.NTProbes != ntOK.Load()+ntDenied.Load() {
 				t.Fatalf("NT probe accounting: stats %d vs observed %d", st.NTProbes, ntOK.Load()+ntDenied.Load())
 			}

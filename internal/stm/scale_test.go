@@ -83,6 +83,7 @@ func TestAtomicHammerAllKinds(t *testing.T) {
 				if occ := tab.Occupied(); occ != 0 {
 					t.Fatalf("%s table occupancy after drain = %d", kind, occ)
 				}
+				assertDrained(t, rt)
 			})
 		}
 	}
@@ -156,6 +157,7 @@ func TestAtomicHammerSerialFallback(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("%s table occupancy after drain = %d", kind, occ)
 			}
+			assertDrained(t, rt)
 			fallbackCommits += rt.Stats().FallbackCommits
 		})
 	}

@@ -19,16 +19,23 @@ import (
 // run on the reader's own goroutine: the writer's steps are made from a hook
 // on the reader's SampleVersion call or from the transaction body, so there is
 // no scheduling to get lucky with. The hammer at the end covers the one
-// ordering no script can reach.
+// ordering no script can reach. An attempt that begins drained takes no
+// sample at a first read, so the schedules that hang the writer on one start
+// from a runtime with a stamp left unfinished (undrain); drained_test.go
+// schedules the drained reads themselves.
 
 // sampleTable counts SampleVersion calls and can run a script between one
-// sample and whatever its caller does with it.
+// sample and whatever its caller does with it, or just before a stamp is
+// published.
 type sampleTable struct {
 	otable.Table
 	samples int
 	// after runs once a sample of any block has been taken, before the caller
 	// sees the result; a script disarms itself by clearing the field.
 	after func(b addr.Block)
+	// publishing runs at the start of every ReleaseWriteV and StampVersion,
+	// before the stamp reaches the cell.
+	publishing func()
 }
 
 func (st *sampleTable) SampleVersion(b addr.Block) (uint64, bool) {
@@ -40,25 +47,40 @@ func (st *sampleTable) SampleVersion(b addr.Block) (uint64, bool) {
 	return s, locked
 }
 
-// newSampledRuntime builds an invisible-reader runtime over a sampleTable of
-// the given kind: 64 entries under the mask hash, so blocks 0..63 have a cell
-// each.
-func newSampledRuntime(t *testing.T, kind string) (*Runtime, *sampleTable, *Memory) {
+func (st *sampleTable) ReleaseWriteV(tx otable.TxID, b addr.Block, h otable.Handle, stamp uint64) {
+	if f := st.publishing; f != nil {
+		f()
+	}
+	st.Table.ReleaseWriteV(tx, b, h, stamp)
+}
+
+func (st *sampleTable) StampVersion(b addr.Block, stamp uint64) {
+	if f := st.publishing; f != nil {
+		f()
+	}
+	st.Table.StampVersion(b, stamp)
+}
+
+// newSampledRuntime builds an invisible-reader runtime from cfg over a
+// sampleTable of the given kind: 64 entries under the mask hash, so blocks
+// 0..63 have a cell each.
+func newSampledRuntime(t *testing.T, kind string, cfg Config) (*Runtime, *sampleTable, *Memory) {
 	t.Helper()
 	tab, err := otable.New(kind, hash.NewMask(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := &sampleTable{Table: tab}
-	rt, mem := newInvisibleRuntimeOn(t, st, 512, Config{})
+	rt, mem := newInvisibleRuntimeOn(t, st, 512, cfg)
 	return rt, st, mem
 }
 
 // stepWriter is a writing commit of one chunk taken apart into the steps
 // commit makes, in commit's order — write acquire, stamp draw, write-back
-// word by word, stamped release — so a test can stop the writer between any
-// two of them. A real transaction cannot be parked between two words of its
-// write-back, which is where a torn read comes from.
+// word by word, stamped release and the count of the stamp as finished — so
+// a test can stop the writer between any two of them. A real transaction
+// cannot be parked between two words of its write-back, which is where a
+// torn read comes from.
 type stepWriter struct {
 	t     *testing.T
 	rt    *Runtime
@@ -87,15 +109,19 @@ func (w *stepWriter) store(a addr.Addr, v uint64) { w.rt.cfg.Memory.StoreDirect(
 
 func (w *stepWriter) leave() {
 	w.rt.cfg.Table.ReleaseWriteV(w.id, w.chunk, w.hnd, w.stamp)
+	w.rt.done.Add(1)
 }
 
 // TestInvisibleSamplesPerRead counts version samples per read, the
-// host-independent form of the shortcut's gain. While the clock stands at rv
-// the first read of a chunk takes exactly one sample and every later read of
-// the chunk, and the read-only commit, none. Once a foreign writing commit
-// has moved the clock the reads are bracketed and validated as before the
-// shortcut existed (2 / 1 / 0), and one snapshot extension — here forced by
-// reading the chunk that commit wrote — restores the still-clock regime.
+// host-independent form of the shortcut's gain. An attempt that begins
+// drained reads without a single sample while the clock stands at rv. Once a
+// foreign writing commit has moved the clock the reads are bracketed and
+// validated as before the shortcut existed (2 / 1 / 0), and one snapshot
+// extension — here forced by reading the chunk that commit wrote — restores
+// the still-clock regime, though not the drained one: the first read of a
+// chunk takes exactly one sample and every later read of the chunk, and the
+// read-only commit, none. An attempt that begins with a stamp unfinished
+// reads in that regime from the start.
 func TestInvisibleSamplesPerRead(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		for _, block := range []bool{false, true} {
@@ -104,7 +130,7 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 				name = kind + "/block"
 			}
 			t.Run(name, func(t *testing.T) {
-				rt, st, mem := newSampledRuntime(t, kind)
+				rt, st, mem := newSampledRuntime(t, kind, Config{})
 				th, other := rt.NewThread(), rt.NewThread()
 				word := func(blk, w int) addr.Addr { return mem.WordAddr(8*blk + w) }
 				// first is the first access of block blk: a Read of its word 0,
@@ -148,9 +174,9 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 					}
 				}
 
-				commitFree("still-clock read-only commit", func(tx *Tx) {
-					expect("still clock: first read of a chunk", 1, func() { first(tx, 1) })
-					expect("still clock: another word of it", 0, func() { tx.Read(word(1, 1)) })
+				commitFree("drained read-only commit", func(tx *Tx) {
+					expect("drained: first read of a chunk", 0, func() { first(tx, 1) })
+					expect("drained: another word of it", 0, func() { tx.Read(word(1, 1)) })
 					rereadWord0(tx, 0)
 				})
 
@@ -173,8 +199,14 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 					expect("extended: another word of it", 0, func() { tx.Read(word(2, 1)) })
 					expect("extended: new word of an old chunk", 0, func() { tx.Read(word(1, 2)) })
 				})
-				if s := rt.Stats(); s.Aborts != 0 || s.ROCommits != 2 || s.ROExtensions != 1 {
-					t.Fatalf("stats = %+v, want two invisible commits, one extension, no abort", s)
+
+				undrain(rt)
+				commitFree("undrained still-clock read-only commit", func(tx *Tx) {
+					expect("still clock: first read of a chunk", 1, func() { first(tx, 3) })
+					expect("still clock: another word of it", 0, func() { tx.Read(word(3, 1)) })
+				})
+				if s := rt.Stats(); s.Aborts != 0 || s.ROCommits != 3 || s.ROExtensions != 1 {
+					t.Fatalf("stats = %+v, want three invisible commits, one extension, no abort", s)
 				}
 			})
 		}
@@ -213,18 +245,21 @@ func (env *stillClockEnv) enterAfterSample(v uint64) {
 	}
 }
 
-// runStillClockSchedule drives one schedule. first is the reader's first
-// attempt, which must end in a conflict abort inside one of its reads, having
-// left the writer parked with one of the two words written back; whatever
-// first defers runs while that abort unwinds and completes the write-back.
-// The writer is let out at the start of the retry, which must read the new
-// pair.
-func runStillClockSchedule(t *testing.T, kind string, writes bool, first func(tx *Tx, env *stillClockEnv)) Stats {
+// runStillClockSchedule drives one schedule. before, if not nil, runs ahead of
+// the reader's transaction. first is the reader's first attempt, which must
+// end in a conflict abort inside one of its reads, having left the writer
+// parked with one of the two words written back; whatever first defers runs
+// while that abort unwinds and completes the write-back. The writer is let
+// out at the start of the retry, which must read the new pair.
+func runStillClockSchedule(t *testing.T, kind string, writes bool, before func(env *stillClockEnv), first func(tx *Tx, env *stillClockEnv)) Stats {
 	t.Helper()
 	onOneP(t)
-	rt, tab, mem := newSampledRuntime(t, kind)
+	rt, tab, mem := newSampledRuntime(t, kind, Config{})
 	env := &stillClockEnv{rt: rt, tab: tab, x0: mem.WordAddr(16), x1: mem.WordAddr(17), y: mem.WordAddr(80)}
 	env.w = newStepWriter(t, rt, addr.BlockOf(env.x0))
+	if before != nil {
+		before(env)
+	}
 	th := rt.NewThread()
 	attempt := 0
 	if err := th.Atomic(func(tx *Tx) error {
@@ -260,11 +295,13 @@ func runStillClockSchedule(t *testing.T, kind string, writes bool, first func(tx
 // word; only the moved clock says so, and the fallback sample then finds the
 // writer. Returning from the read fails the test: that is the shortcut taken
 // without asking the clock, or the clock asked before the sample was taken.
+// The runtime starts undrained, so the first read takes its sample.
 func TestStillClockScheduleWriterAfterSample(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		for _, r := range stillClockReaders {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
-				runStillClockSchedule(t, kind, r.writes, func(tx *Tx, env *stillClockEnv) {
+				undrained := func(env *stillClockEnv) { undrain(env.rt) }
+				runStillClockSchedule(t, kind, r.writes, undrained, func(tx *Tx, env *stillClockEnv) {
 					env.enterAfterSample(1)
 					defer env.w.store(env.x1, 1)
 					v := tx.Read(env.x0)
@@ -281,7 +318,9 @@ func TestStillClockScheduleWriterAfterSample(t *testing.T) {
 // new rv covers the writer's stamp, the clock then stands still, and nothing
 // else in the read set is touched — only taking the sample again shows the
 // writer. Keeping the pre-extension sample returns the half-written word
-// (Read), or records a Ver the next two reads trust (ReadBlock).
+// (Read), or records a Ver the next two reads trust (ReadBlock). The attempt
+// begins drained; the foreign commit ends that at the read of block 2, which
+// then takes its sample.
 func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		for _, block := range []bool{false, true} {
@@ -290,7 +329,7 @@ func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
 				name = kind + "/ReadBlock"
 			}
 			t.Run(name, func(t *testing.T) {
-				st := runStillClockSchedule(t, kind, false, func(tx *Tx, env *stillClockEnv) {
+				st := runStillClockSchedule(t, kind, false, nil, func(tx *Tx, env *stillClockEnv) {
 					tx.Read(env.y) // something for the extension to revalidate
 					if err := env.rt.NewThread().Atomic(func(otx *Tx) error {
 						otx.Write(env.x0, 1)
@@ -316,14 +355,16 @@ func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
 }
 
 // TestStillClockScheduleSecondWord: the reader knows the chunk — word 0 is
-// cached, Ver recorded — when a writer enters and writes back word 1. The
-// read of word 1 takes no sample on a still clock, so the clock is all that
-// stands between it and half a commit.
+// cached, a sampled Ver recorded — when a writer enters and writes back word
+// 1. The read of word 1 takes no sample on a still clock, so the clock is all
+// that stands between it and half a commit. (TestDrainedBeginComparesDone
+// makes the same read on a Ver the drained first read recorded.)
 func TestStillClockScheduleSecondWord(t *testing.T) {
 	for _, kind := range otable.Kinds() {
 		for _, r := range stillClockReaders {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
-				runStillClockSchedule(t, kind, r.writes, func(tx *Tx, env *stillClockEnv) {
+				undrained := func(env *stillClockEnv) { undrain(env.rt) }
+				runStillClockSchedule(t, kind, r.writes, undrained, func(tx *Tx, env *stillClockEnv) {
 					a := tx.Read(env.x0)
 					env.w.enter()
 					env.w.store(env.x1, 1)
@@ -396,6 +437,7 @@ func TestStillClockHammer(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
+			assertDrained(t, rt)
 		})
 	}
 }

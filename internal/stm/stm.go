@@ -17,7 +17,9 @@
 // (see invisible.go), and a writing commit draws its stamp and revalidates
 // its reads with every write held, before it writes anything back. That
 // makes every attempt opaque and read-only transactions invisible to the
-// table and to each other. Read ownership is taken in three places only: a
+// table and to each other. An attempt that begins with no write-back in
+// flight anywhere (every drawn stamp counted finished) validates its first
+// reads by the clock alone. Read ownership is taken in three places only: a
 // writing attempt pins a chunk whose cell shows a writer that may be its
 // own hold (pinOrAbort); attempts under the serial token read under read
 // shares; and a transaction whose optimistic attempts validation killed
@@ -83,8 +85,6 @@ import (
 // transaction by every thread — a shared cache line bouncing between cores
 // that caps scalability long before the ownership table does.
 type Runtime struct {
-	cfg    Config
-	nextID atomic.Uint32
 	// epoch is the global commit clock of the read protocol: every writing
 	// commit draws one stamp with Add(1) — holding its writes, before it
 	// writes anything back — and publishes it to the version cells of the
@@ -95,6 +95,15 @@ type Runtime struct {
 	// attempt that dies earlier) never advance it, so an unmoved clock
 	// still means "no writing commit has serialized since my snapshot".
 	epoch atomic.Uint64
+	// done counts the stamps their drawers have finished with, each once,
+	// after the stamped releases (releaseAll, StoreNT): done == epoch means no
+	// write-back is in flight, and an attempt that finds done == rv right
+	// after loading rv begins drained (Thread.quiet). epoch and done lead the
+	// struct to share one cache line, which the committer's draw has taken.
+	done atomic.Uint64
+
+	cfg    Config
+	nextID atomic.Uint32
 
 	// Serial-fallback gate: a FIFO ticket lock over the whole runtime (see
 	// fallback.go). fbTicket counts tickets issued, fbServing the ticket
@@ -337,11 +346,14 @@ type Thread struct {
 	wrote bool
 	// Read-protocol attempt state: invisible marks an attempt whose reads
 	// are version-validated instead of acquired (it stays set when the
-	// attempt writes), rv is its epoch snapshot, roAbort flags that the
-	// in-flight abort is a version-validation kill, and roStreak counts
-	// such kills within the current transaction — at roLimit the attempts
-	// give up on invisibility and start acquiring.
+	// attempt writes), rv is its epoch snapshot, quiet marks an invisible
+	// attempt still reading drained (first reads take no version sample),
+	// stamped an attempt that has drawn its commit stamp, roAbort flags that the in-flight abort is a version-validation kill,
+	// and roStreak counts such kills within the current transaction — at
+	// roLimit the attempts give up on invisibility and start acquiring.
 	invisible bool
+	quiet     bool
+	stamped   bool
 	roAbort   bool
 	rv        uint64
 	roStreak  int

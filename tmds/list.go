@@ -4,9 +4,9 @@ import "tmbp"
 
 // List is a transactional sorted set of uint64 keys backed by a singly
 // linked list — the canonical STM microbenchmark ("intset"). Operations are
-// linearizable; traversal read-shares every node on the search path, so
-// long lists generate the large read footprints the paper's analysis is
-// about.
+// linearizable; traversal reads every node on the search path into the
+// transaction's read set, so long lists generate the large read footprints
+// the paper's analysis is about.
 //
 // Node representation (indices are 1-based; 0 is the nil pointer):
 //

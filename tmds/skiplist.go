@@ -13,10 +13,12 @@ import (
 // level-0 links inside one transaction, so a scan's read footprint is a run
 // of adjacent node blocks — exactly the aliasing pattern where the paper
 // predicts block-granularity tables suffer birthday-paradox false
-// conflicts. Phantom freedom needs no extra machinery: a scan read-shares
-// every node it visits (including the predecessor whose next pointer a
-// concurrent insert must redirect), so a splice into the scanned range
-// either waits, aborts, or serializes entirely before or after the scan.
+// conflicts. Phantom freedom needs no extra machinery: a scan reads every
+// node it visits (including the predecessor whose next pointer a concurrent
+// insert must redirect), and each read is validated against the node's
+// version cell, so a splice into the scanned range that commits during the
+// scan fails the scan's validation: the scan retries, serialized entirely
+// before or after the splice.
 //
 // Tower heights are not stored in STM words: they are drawn once at
 // construction from a seeded per-structure xrand stream, one height per
@@ -24,8 +26,7 @@ import (
 // a free list, keeping their height). Two skiplists built with the same
 // capacity and seed therefore have identical tower layouts, and replaying
 // the same operation sequence yields bit-identical STM memory — the
-// determinism contract the seeded benchmarks and the virtual-clock load
-// rows rely on.
+// determinism contract the seeded benchmarks rely on.
 //
 // Word layout (indices are 1-based; 0 is the nil pointer, and also names
 // the header when used as a tower origin):

@@ -291,6 +291,7 @@ func keyedTraceRun(t *testing.T, kind, table string, readFrac float64, fallbackA
 	mem := tmbp.NewMemory(words)
 	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.05, FallbackAfter: fallbackAfter}
 	log := attachLog(t, &cfg)
+	samples := countSamples(&cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -353,5 +354,6 @@ func keyedTraceRun(t *testing.T, kind, table string, readFrac float64, fallbackA
 		t.Fatalf("%d commits, want %d", st.Commits, workers*txnsPerWorker)
 	}
 	checkOpaque(t, log)
+	assertDrained(t, rt, samples, mem.WordAddr(0))
 	return st
 }
