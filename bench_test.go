@@ -179,11 +179,6 @@ func BenchmarkTaglessTable(b *testing.B) { benchTableOps(b, "tagless") }
 // the tag-storage/chaining overhead the paper argues is small (Section 5).
 func BenchmarkTaggedTable(b *testing.B) { benchTableOps(b, "tagged") }
 
-// BenchmarkShardedTable measures the sharded organization's footprint ops:
-// single-threaded it should match the tagged table, since the hot path
-// hashes once either way.
-func BenchmarkShardedTable(b *testing.B) { benchTableOps(b, "sharded") }
-
 // BenchmarkTableDisjointParallel measures what goroutines that never touch
 // the same first-level cell still share inside a table. Each goroutine
 // cycles acquire-read → upgrade → publishing write release, through the raw
@@ -192,9 +187,7 @@ func BenchmarkShardedTable(b *testing.B) { benchTableOps(b, "sharded") }
 // goroutines, and whatever keeps -cpu 2 from halving the -cpu 1 ns/op is
 // cache lines the organization makes every thread write, chiefly the
 // accounting. (The gated timing of benchmark/'s two-worker workloads is solo
-// by design and cannot see this.) Up to four goroutines fall into one shard
-// of the sharded table, which then differs from the tagged one only by the
-// shard selector.
+// by design and cannot see this.)
 func BenchmarkTableDisjointParallel(b *testing.B) {
 	const perG, maxG = 256, 64
 	for _, kind := range otable.Kinds() {
@@ -302,9 +295,6 @@ func BenchmarkSTMTagless(b *testing.B) { benchSTM(b, "tagless") }
 // BenchmarkSTMTagged measures STM commit throughput on the tagged table.
 func BenchmarkSTMTagged(b *testing.B) { benchSTM(b, "tagged") }
 
-// BenchmarkSTMSharded measures STM commit throughput on the sharded table.
-func BenchmarkSTMSharded(b *testing.B) { benchSTM(b, "sharded") }
-
 // BenchmarkInvisibleReadThenWrite prices what an invisible attempt pays for
 // the blocks it only reads once it also writes: one thread, four invisible
 // reads and one write to a fifth block per transaction. The reads stay
@@ -388,15 +378,13 @@ func BenchmarkInvisibleScan(b *testing.B) {
 
 // benchSTMParallel measures multi-core transaction throughput on disjoint
 // per-goroutine data: every committed transaction is conflict-free for the
-// tagged and sharded tables, so what keeps -cpu 2 from doubling -cpu 1
-// throughput is state the table makes disjoint transactions share. Both
-// organizations are lock-free, so that is cache lines, not locks: in the
-// flat tagged table every goroutine draws records from one slab through
-// the same free-list stripes and counts events in the same accounting
-// stripes; BenchmarkSTMShardedParallel gives each shard its own slab,
-// free lists and counters, which goroutines in different shards never
-// write together. BenchmarkTableDisjointParallel is the same question
-// asked of the raw table, without the runtime around it.
+// tagged table, so what keeps -cpu 2 from doubling -cpu 1 throughput is
+// state the table makes disjoint transactions share. The tables are
+// lock-free, so that is cache lines, not locks: every goroutine draws
+// tagged records from one slab through striped free lists and counts events
+// in striped accounting blocks, and two goroutines write the same line only
+// when their cells pick the same stripe. BenchmarkTableDisjointParallel is
+// the same question asked of the raw table, without the runtime around it.
 func benchSTMParallel(b *testing.B, kind string) {
 	b.ReportAllocs()
 	tab, err := NewTable(kind, 4096, "mask")
@@ -439,12 +427,8 @@ func benchSTMParallel(b *testing.B, kind string) {
 // (its aborts here are all false conflicts).
 func BenchmarkSTMTaglessParallel(b *testing.B) { benchSTMParallel(b, "tagless") }
 
-// BenchmarkSTMTaggedParallel is the parallel workload on the flat tagged
-// table: the baseline the sharded table is built to beat.
+// BenchmarkSTMTaggedParallel is the parallel workload on the tagged table.
 func BenchmarkSTMTaggedParallel(b *testing.B) { benchSTMParallel(b, "tagged") }
-
-// BenchmarkSTMShardedParallel is the parallel workload on the sharded table.
-func BenchmarkSTMShardedParallel(b *testing.B) { benchSTMParallel(b, "sharded") }
 
 // BenchmarkSTMContended measures throughput under real goroutine contention
 // on a small table (heavy aliasing).

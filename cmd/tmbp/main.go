@@ -96,7 +96,7 @@ func commonFlags(fs *flag.FlagSet) func() figures.Options {
 	traces := fs.Int("traces", 0, "override Figure 3 traces per benchmark (paper: 20)")
 	alphaF := fs.Int("alpha", 2, "reads per write in synthetic transactions")
 	hashName := fs.String("hash", "mask", "address hash: mask | fibonacci | mix")
-	kind := fs.String("kind", "tagless", "ownership table under test: tagless | tagged | sharded")
+	kind := fs.String("kind", "tagless", "ownership table under test: tagless | tagged")
 	return func() figures.Options {
 		o := figures.Paper(*seed)
 		if *quick {

@@ -26,7 +26,6 @@ import (
 var (
 	_ otable.Table = (*otable.Tagless)(nil)
 	_ otable.Table = (*otable.Tagged)(nil)
-	_ otable.Table = (*otable.Sharded)(nil)
 	_ otable.Table = (*fault.Injector)(nil)
 )
 

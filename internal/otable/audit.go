@@ -9,9 +9,9 @@ import "fmt"
 // slot forever, the STM equivalent of a lock leaked on an error path.
 //
 // The check is two-sided so it covers every built-in organization:
-// Occupied counts non-free first-level entries (tagless and sharded state
-// words, tagged bucket heads with live chains) and Stats().Records counts
-// held ownership records on record-allocating tables. Both must be zero.
+// Occupied counts non-free first-level entries (tagless state words, tagged
+// buckets with held records) and Stats().Records counts held ownership
+// records on record-allocating tables. Both must be zero.
 //
 // AuditQuiesced takes the same snapshot reads a Stats call does; it is not
 // safe to interpret while transactions are still running, since in-flight

@@ -112,6 +112,12 @@ func TestTaglessWriteExclusivity(t *testing.T) {
 	writeExclusivity(t, NewTagless(hash.NewMask(16)))
 }
 
+// TestTaggedWriteExclusivity is the same check on the tagged table, where
+// the writers race to claim, park and reclaim each block's record.
+func TestTaggedWriteExclusivity(t *testing.T) {
+	writeExclusivity(t, NewTagged(hash.NewMask(16)))
+}
+
 // TestTaggedDisjointConcurrent verifies the no-false-conflict guarantee
 // under real concurrency: goroutines on disjoint blocks never conflict.
 func TestTaggedDisjointConcurrent(t *testing.T) {

@@ -18,7 +18,7 @@ import "fmt"
 //     in every table organization — a read entry stores only a count — so
 //     a count is the whole sharer snapshot there is.
 //
-// On the tagged and sharded tables the state word is generation-validated
+// On the tagged table the state word is generation-validated
 // against the record link before it is unpacked (exactly as handles are),
 // so a record that was released, reaped, and reused under a new tag can
 // never leak a stale owner: the acquire re-walks instead of reporting it.

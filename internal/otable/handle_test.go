@@ -21,91 +21,81 @@ import (
 // acquires find their record parked at the bucket head and releases go
 // straight to the record, so both traversal counters stay at zero.
 func TestHandleReleaseSkipsChainWalk(t *testing.T) {
-	for _, kind := range []string{"tagged", "sharded"} {
-		t.Run(kind, func(t *testing.T) {
-			tab, err := New(kind, hash.NewMask(64))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const workingSet = 16 // distinct buckets under the mask hash
-			handles := make([]Handle, workingSet)
-			for cycle := 0; cycle < 50; cycle++ {
-				for i := 0; i < workingSet; i++ {
-					b := addr.Block(i)
-					var out Outcome
-					if i%2 == 0 {
-						out, _, handles[i] = tab.AcquireWriteH(1, b, 0, NoHandle)
-					} else {
-						out, _, handles[i] = tab.AcquireReadH(1, b)
-					}
-					if out != Granted {
-						t.Fatalf("cycle %d block %d: outcome %v", cycle, i, out)
-					}
-					if handles[i] == NoHandle {
-						t.Fatalf("cycle %d block %d: no handle issued on Granted", cycle, i)
-					}
+	t.Run("tagged", func(t *testing.T) {
+		tab := NewTagged(hash.NewMask(64))
+		const workingSet = 16 // distinct buckets under the mask hash
+		handles := make([]Handle, workingSet)
+		for cycle := 0; cycle < 50; cycle++ {
+			for i := 0; i < workingSet; i++ {
+				b := addr.Block(i)
+				var out Outcome
+				if i%2 == 0 {
+					out, _, handles[i] = tab.AcquireWriteH(1, b, 0, NoHandle)
+				} else {
+					out, _, handles[i] = tab.AcquireReadH(1, b)
 				}
-				for i := 0; i < workingSet; i++ {
-					b := addr.Block(i)
-					if i%2 == 0 {
-						tab.ReleaseWriteH(1, b, handles[i])
-					} else {
-						tab.ReleaseReadH(1, b, handles[i])
-					}
+				if out != Granted {
+					t.Fatalf("cycle %d block %d: outcome %v", cycle, i, out)
+				}
+				if handles[i] == NoHandle {
+					t.Fatalf("cycle %d block %d: no handle issued on Granted", cycle, i)
 				}
 			}
-			st := tab.Stats()
-			if st.ReleaseWalks != 0 {
-				t.Fatalf("ReleaseWalks = %d, want 0: releases re-walked the chain despite handles", st.ReleaseWalks)
+			for i := 0; i < workingSet; i++ {
+				b := addr.Block(i)
+				if i%2 == 0 {
+					tab.ReleaseWriteH(1, b, handles[i])
+				} else {
+					tab.ReleaseReadH(1, b, handles[i])
+				}
 			}
-			if st.ChainFollows != 0 {
-				t.Fatalf("ChainFollows = %d, want 0 for a one-record-per-bucket working set", st.ChainFollows)
-			}
-			if want := uint64(50 * workingSet); st.Releases != want {
-				t.Fatalf("Releases = %d, want %d", st.Releases, want)
-			}
-			if occ := tab.Occupied(); occ != 0 {
-				t.Fatalf("occupancy after drain = %d", occ)
-			}
-		})
-	}
+		}
+		st := tab.Stats()
+		if st.ReleaseWalks != 0 {
+			t.Fatalf("ReleaseWalks = %d, want 0: releases re-walked the chain despite handles", st.ReleaseWalks)
+		}
+		if st.ChainFollows != 0 {
+			t.Fatalf("ChainFollows = %d, want 0 for a one-record-per-bucket working set", st.ChainFollows)
+		}
+		if want := uint64(50 * workingSet); st.Releases != want {
+			t.Fatalf("Releases = %d, want %d", st.Releases, want)
+		}
+		if occ := tab.Occupied(); occ != 0 {
+			t.Fatalf("occupancy after drain = %d", occ)
+		}
+	})
 }
 
 // TestHandleUpgradeSkipsChainWalk checks the upgrade half: read → write
 // through the read share's handle is one state CAS, no traversal, and the
 // handle stays valid for the final release.
 func TestHandleUpgradeSkipsChainWalk(t *testing.T) {
-	for _, kind := range []string{"tagged", "sharded"} {
-		t.Run(kind, func(t *testing.T) {
-			tab, err := New(kind, hash.NewMask(64))
-			if err != nil {
-				t.Fatal(err)
+	t.Run("tagged", func(t *testing.T) {
+		tab := NewTagged(hash.NewMask(64))
+		b := addr.Block(7)
+		for cycle := 0; cycle < 20; cycle++ {
+			out, _, h := tab.AcquireReadH(4, b)
+			if out != Granted {
+				t.Fatalf("read acquire: %v", out)
 			}
-			b := addr.Block(7)
-			for cycle := 0; cycle < 20; cycle++ {
-				out, _, h := tab.AcquireReadH(4, b)
-				if out != Granted {
-					t.Fatalf("read acquire: %v", out)
-				}
-				out, _, h2 := tab.AcquireWriteH(4, b, 1, h)
-				if out != Upgraded || h2 != h {
-					t.Fatalf("upgrade: outcome %v handle %v (want Upgraded, unchanged %v)", out, h2, h)
-				}
-				tab.ReleaseWriteH(4, b, h2)
+			out, _, h2 := tab.AcquireWriteH(4, b, 1, h)
+			if out != Upgraded || h2 != h {
+				t.Fatalf("upgrade: outcome %v handle %v (want Upgraded, unchanged %v)", out, h2, h)
 			}
-			st := tab.Stats()
-			if st.ReleaseWalks != 0 || st.ChainFollows != 0 {
-				t.Fatalf("upgrade cycles walked: ReleaseWalks=%d ChainFollows=%d, want 0/0",
-					st.ReleaseWalks, st.ChainFollows)
-			}
-			if st.Upgrades != 20 {
-				t.Fatalf("Upgrades = %d, want 20", st.Upgrades)
-			}
-			if occ := tab.Occupied(); occ != 0 {
-				t.Fatalf("occupancy after drain = %d", occ)
-			}
-		})
-	}
+			tab.ReleaseWriteH(4, b, h2)
+		}
+		st := tab.Stats()
+		if st.ReleaseWalks != 0 || st.ChainFollows != 0 {
+			t.Fatalf("upgrade cycles walked: ReleaseWalks=%d ChainFollows=%d, want 0/0",
+				st.ReleaseWalks, st.ChainFollows)
+		}
+		if st.Upgrades != 20 {
+			t.Fatalf("Upgrades = %d, want 20", st.Upgrades)
+		}
+		if occ := tab.Occupied(); occ != 0 {
+			t.Fatalf("occupancy after drain = %d", occ)
+		}
+	})
 }
 
 // TestTaglessHandleRoundTrip covers the tagless handle (the entry index):

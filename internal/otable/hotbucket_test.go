@@ -24,14 +24,14 @@ import (
 //     guards read zero and the table drains to zero occupancy (and zero
 //     records for the per-block tables).
 //
-// With more aliasing blocks than reapDepth, the tagged/sharded chains keep
+// With more aliasing blocks than reapDepth, the tagged chains keep
 // free parked records past the reap threshold, so the hammer also
 // exercises the claim-versus-condemn CAS arbitration and the helped
 // mark/unlink/retire pipeline concurrently with fresh inserts — the full
 // record lifecycle, under -race.
 func TestHotBucketHammer(t *testing.T) {
 	const (
-		buckets    = 64 // table entries; sharded splits them across shards
+		buckets    = 64 // table entries
 		aliases    = 8  // blocks on one bucket: > reapDepth forces reaping
 		hot        = addr.Block(5)
 		goroutines = 8
@@ -52,7 +52,7 @@ func TestHotBucketHammer(t *testing.T) {
 			for i := range blocks {
 				blocks[i] = hot + addr.Block(i*buckets) // all hash to bucket hot
 			}
-			// One guard per slot: per block for tagged/sharded, one shared
+			// One guard per slot: per block for tagged, one shared
 			// guard for tagless (where the aliasing blocks are one slot).
 			guards := make(map[uint64]*atomic.Int64)
 			guardOf := make([]*atomic.Int64, aliases)
@@ -167,104 +167,97 @@ func TestHotBucketConflictTargets(t *testing.T) {
 		iters     = 4000
 		streamLen = 64
 	)
-	for _, kind := range []string{"tagged", "sharded"} {
-		t.Run(kind, func(t *testing.T) {
-			tab, err := New(kind, hash.NewMask(buckets))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var badWriter, badReaders atomic.Int64
-			var denials atomic.Int64
-			var wg sync.WaitGroup
-			// Hold the block as holder 1 until a prober has been denied, so
-			// that every run verifies a denial whatever the scheduler does.
-			if out, _ := AcquireWrite(tab, 1, hot, 0); out != Granted {
-				t.Fatalf("initial hold: %v", out)
-			}
-			for h := 0; h < holders; h++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					r := xrand.NewWithStream(41, uint64(id))
-					tx := TxID(id + 1)
-					for i := 0; i < iters; i++ {
-						if r.Intn(2) == 0 {
-							if out, _ := AcquireWrite(tab, tx, hot, 0); out == Granted {
-								ReleaseWrite(tab, tx, hot)
-							}
-						} else {
-							if out, _ := AcquireRead(tab, tx, hot); out == Granted {
-								ReleaseRead(tab, tx, hot)
-							}
-						}
-					}
-				}(h)
-			}
-			for s := 0; s < streamers; s++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					tx := TxID(1000 + id)
-					base := addr.Block(1_000_000 * (id + 1))
-					for i := 0; i < iters; i++ {
-						b := base + addr.Block((i%streamLen)*buckets) + hot
-						if out, _ := AcquireWrite(tab, tx, b, 0); out == Granted {
-							ReleaseWrite(tab, tx, b)
-						}
-					}
-				}(s)
-			}
-			for p := 0; p < probers; p++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					tx := TxID(100 + id)
-					// Writers of the hot block are the holders and the other
-					// probers; its readers are holders only. A streamer ID
-					// (1000+) or anything else in a denial is a stale leak.
-					legitWriter := func(w TxID) bool {
-						return (w >= 1 && w <= holders) || (w >= 100 && w < 100+probers && w != tx)
-					}
-					for i := 0; i < iters; i++ {
-						out, ci := AcquireWrite(tab, tx, hot, 0)
-						switch out {
-						case Granted:
+	t.Run("tagged", func(t *testing.T) {
+		tab := NewTagged(hash.NewMask(buckets))
+		var badWriter, badReaders atomic.Int64
+		var denials atomic.Int64
+		var wg sync.WaitGroup
+		// Hold the block as holder 1 until a prober has been denied, so
+		// that every run verifies a denial whatever the scheduler does.
+		if out, _ := AcquireWrite(tab, 1, hot, 0); out != Granted {
+			t.Fatalf("initial hold: %v", out)
+		}
+		for h := 0; h < holders; h++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				r := xrand.NewWithStream(41, uint64(id))
+				tx := TxID(id + 1)
+				for i := 0; i < iters; i++ {
+					if r.Intn(2) == 0 {
+						if out, _ := AcquireWrite(tab, tx, hot, 0); out == Granted {
 							ReleaseWrite(tab, tx, hot)
-						case ConflictWriter:
-							denials.Add(1)
-							if w, ok := ci.Writer(); !ok || !legitWriter(w) {
-								badWriter.Add(1)
-							}
-						case ConflictReaders:
-							denials.Add(1)
-							if n, ok := ci.Readers(); !ok || n < 1 || n > holders {
-								badReaders.Add(1)
-							}
+						}
+					} else {
+						if out, _ := AcquireRead(tab, tx, hot); out == Granted {
+							ReleaseRead(tab, tx, hot)
 						}
 					}
-				}(p)
-			}
-			for denials.Load() == 0 {
-				runtime.Gosched()
-			}
-			ReleaseWrite(tab, 1, hot)
-			wg.Wait()
-			if n := badWriter.Load(); n != 0 {
-				t.Fatalf("%d writer denials named an opponent outside the holder set (stale owner leaked)", n)
-			}
-			if n := badReaders.Load(); n != 0 {
-				t.Fatalf("%d reader denials reported an impossible share count", n)
-			}
-			if occ := tab.Occupied(); occ != 0 {
-				t.Fatalf("occupancy after drain = %d, want 0", occ)
-			}
-			if rt, ok := tab.(interface{ Records() uint64 }); ok {
-				if n := rt.Records(); n != 0 {
-					t.Fatalf("records after drain = %d, want 0", n)
 				}
-			}
-		})
-	}
+			}(h)
+		}
+		for s := 0; s < streamers; s++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				tx := TxID(1000 + id)
+				base := addr.Block(1_000_000 * (id + 1))
+				for i := 0; i < iters; i++ {
+					b := base + addr.Block((i%streamLen)*buckets) + hot
+					if out, _ := AcquireWrite(tab, tx, b, 0); out == Granted {
+						ReleaseWrite(tab, tx, b)
+					}
+				}
+			}(s)
+		}
+		for p := 0; p < probers; p++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				tx := TxID(100 + id)
+				// Writers of the hot block are the holders and the other
+				// probers; its readers are holders only. A streamer ID
+				// (1000+) or anything else in a denial is a stale leak.
+				legitWriter := func(w TxID) bool {
+					return (w >= 1 && w <= holders) || (w >= 100 && w < 100+probers && w != tx)
+				}
+				for i := 0; i < iters; i++ {
+					out, ci := AcquireWrite(tab, tx, hot, 0)
+					switch out {
+					case Granted:
+						ReleaseWrite(tab, tx, hot)
+					case ConflictWriter:
+						denials.Add(1)
+						if w, ok := ci.Writer(); !ok || !legitWriter(w) {
+							badWriter.Add(1)
+						}
+					case ConflictReaders:
+						denials.Add(1)
+						if n, ok := ci.Readers(); !ok || n < 1 || n > holders {
+							badReaders.Add(1)
+						}
+					}
+				}
+			}(p)
+		}
+		for denials.Load() == 0 {
+			runtime.Gosched()
+		}
+		ReleaseWrite(tab, 1, hot)
+		wg.Wait()
+		if n := badWriter.Load(); n != 0 {
+			t.Fatalf("%d writer denials named an opponent outside the holder set (stale owner leaked)", n)
+		}
+		if n := badReaders.Load(); n != 0 {
+			t.Fatalf("%d reader denials reported an impossible share count", n)
+		}
+		if occ := tab.Occupied(); occ != 0 {
+			t.Fatalf("occupancy after drain = %d, want 0", occ)
+		}
+		if n := tab.Records(); n != 0 {
+			t.Fatalf("records after drain = %d, want 0", n)
+		}
+	})
 }
 
 // TestHotBucketHandleHammer is the release-by-handle variant of the hot
@@ -286,126 +279,119 @@ func TestHotBucketHandleHammer(t *testing.T) {
 		streamLen  = 64 // unique tags each streamer cycles through the bucket
 		wrGuard    = int64(1) << 32
 	)
-	for _, kind := range []string{"tagged", "sharded"} {
-		t.Run(kind, func(t *testing.T) {
-			tab, err := New(kind, hash.NewMask(buckets))
-			if err != nil {
-				t.Fatal(err)
-			}
-			blocks := make([]addr.Block, aliases)
-			guards := make([]*atomic.Int64, aliases)
-			for i := range blocks {
-				blocks[i] = hot + addr.Block(i*buckets)
-				guards[i] = new(atomic.Int64)
-			}
-			var violations atomic.Int64
-			var upgrades, writes, reads atomic.Int64
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(id int) {
-					defer wg.Done()
-					r := xrand.NewWithStream(77, uint64(id))
-					tx := TxID(id + 1)
-					if id >= goroutines-2 {
-						// Streamer: walk unique tags through the hot bucket,
-						// forcing insert/park/condemn/unlink/retire/recycle
-						// churn under everyone else's handles.
-						base := addr.Block(1_000_000 * (id + 1))
-						for i := 0; i < iters; i++ {
-							b := base + addr.Block((i%streamLen)*buckets) + hot
-							out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
-							if out != Granted {
-								continue
-							}
-							if r.Intn(2) == 0 {
-								tab.ReleaseWriteH(tx, b, h)
-							} else {
-								tab.ReleaseWriteH(tx, b, NoHandle) // walking release
-							}
-						}
-						return
-					}
+	t.Run("tagged", func(t *testing.T) {
+		tab := NewTagged(hash.NewMask(buckets))
+		blocks := make([]addr.Block, aliases)
+		guards := make([]*atomic.Int64, aliases)
+		for i := range blocks {
+			blocks[i] = hot + addr.Block(i*buckets)
+			guards[i] = new(atomic.Int64)
+		}
+		var violations atomic.Int64
+		var upgrades, writes, reads atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				r := xrand.NewWithStream(77, uint64(id))
+				tx := TxID(id + 1)
+				if id >= goroutines-2 {
+					// Streamer: walk unique tags through the hot bucket,
+					// forcing insert/park/condemn/unlink/retire/recycle
+					// churn under everyone else's handles.
+					base := addr.Block(1_000_000 * (id + 1))
 					for i := 0; i < iters; i++ {
-						bi := r.Intn(aliases)
-						b, guard := blocks[bi], guards[bi]
-						viaHandle := r.Intn(2) == 0
-						switch r.Intn(3) {
-						case 0:
-							out, _, h := tab.AcquireReadH(tx, b)
-							if out != Granted {
-								continue
-							}
-							if guard.Add(1) <= 0 {
+						b := base + addr.Block((i%streamLen)*buckets) + hot
+						out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
+						if out != Granted {
+							continue
+						}
+						if r.Intn(2) == 0 {
+							tab.ReleaseWriteH(tx, b, h)
+						} else {
+							tab.ReleaseWriteH(tx, b, NoHandle) // walking release
+						}
+					}
+					return
+				}
+				for i := 0; i < iters; i++ {
+					bi := r.Intn(aliases)
+					b, guard := blocks[bi], guards[bi]
+					viaHandle := r.Intn(2) == 0
+					switch r.Intn(3) {
+					case 0:
+						out, _, h := tab.AcquireReadH(tx, b)
+						if out != Granted {
+							continue
+						}
+						if guard.Add(1) <= 0 {
+							violations.Add(1)
+						}
+						reads.Add(1)
+						guard.Add(-1)
+						if !viaHandle {
+							h = NoHandle
+						}
+						tab.ReleaseReadH(tx, b, h)
+					case 1:
+						out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
+						if out != Granted {
+							continue
+						}
+						if guard.Add(-wrGuard) != -wrGuard {
+							violations.Add(1)
+						}
+						writes.Add(1)
+						guard.Add(wrGuard)
+						if !viaHandle {
+							h = NoHandle
+						}
+						tab.ReleaseWriteH(tx, b, h)
+					default:
+						out, _, h := tab.AcquireReadH(tx, b)
+						if out != Granted {
+							continue
+						}
+						if guard.Add(1) <= 0 {
+							violations.Add(1)
+						}
+						if up, _, h2 := tab.AcquireWriteH(tx, b, 1, h); up == Upgraded {
+							if guard.Add(-wrGuard-1) != -wrGuard {
 								violations.Add(1)
 							}
-							reads.Add(1)
-							guard.Add(-1)
-							if !viaHandle {
-								h = NoHandle
-							}
-							tab.ReleaseReadH(tx, b, h)
-						case 1:
-							out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
-							if out != Granted {
-								continue
-							}
-							if guard.Add(-wrGuard) != -wrGuard {
-								violations.Add(1)
-							}
-							writes.Add(1)
+							upgrades.Add(1)
 							guard.Add(wrGuard)
 							if !viaHandle {
-								h = NoHandle
+								h2 = NoHandle
 							}
-							tab.ReleaseWriteH(tx, b, h)
-						default:
-							out, _, h := tab.AcquireReadH(tx, b)
-							if out != Granted {
-								continue
-							}
-							if guard.Add(1) <= 0 {
-								violations.Add(1)
-							}
-							if up, _, h2 := tab.AcquireWriteH(tx, b, 1, h); up == Upgraded {
-								if guard.Add(-wrGuard-1) != -wrGuard {
-									violations.Add(1)
-								}
-								upgrades.Add(1)
-								guard.Add(wrGuard)
-								if !viaHandle {
-									h2 = NoHandle
-								}
-								tab.ReleaseWriteH(tx, b, h2)
-							} else {
-								guard.Add(-1)
-								tab.ReleaseReadH(tx, b, h)
-							}
+							tab.ReleaseWriteH(tx, b, h2)
+						} else {
+							guard.Add(-1)
+							tab.ReleaseReadH(tx, b, h)
 						}
 					}
-				}(g)
-			}
-			wg.Wait()
-			if n := violations.Load(); n != 0 {
-				t.Fatalf("%d exclusivity violations with handle-based releases", n)
-			}
-			for i, g := range guards {
-				if v := g.Load(); v != 0 {
-					t.Fatalf("guard for block %v = %d after drain, want 0", blocks[i], v)
 				}
+			}(g)
+		}
+		wg.Wait()
+		if n := violations.Load(); n != 0 {
+			t.Fatalf("%d exclusivity violations with handle-based releases", n)
+		}
+		for i, g := range guards {
+			if v := g.Load(); v != 0 {
+				t.Fatalf("guard for block %v = %d after drain, want 0", blocks[i], v)
 			}
-			if occ := tab.Occupied(); occ != 0 {
-				t.Fatalf("occupancy after drain = %d, want 0 (lost release)", occ)
-			}
-			if rt, ok := tab.(interface{ Records() uint64 }); ok {
-				if n := rt.Records(); n != 0 {
-					t.Fatalf("records after drain = %d, want 0 (lost release)", n)
-				}
-			}
-			if reads.Load() == 0 || writes.Load() == 0 || upgrades.Load() == 0 {
-				t.Fatalf("hammer did not exercise all paths: reads=%d writes=%d upgrades=%d",
-					reads.Load(), writes.Load(), upgrades.Load())
-			}
-		})
-	}
+		}
+		if occ := tab.Occupied(); occ != 0 {
+			t.Fatalf("occupancy after drain = %d, want 0 (lost release)", occ)
+		}
+		if n := tab.Records(); n != 0 {
+			t.Fatalf("records after drain = %d, want 0 (lost release)", n)
+		}
+		if reads.Load() == 0 || writes.Load() == 0 || upgrades.Load() == 0 {
+			t.Fatalf("hammer did not exercise all paths: reads=%d writes=%d upgrades=%d",
+				reads.Load(), writes.Load(), upgrades.Load())
+		}
+	})
 }

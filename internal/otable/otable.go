@@ -2,7 +2,7 @@
 // the metadata structure a word-based STM uses to track which transactions
 // hold read and write permissions on which regions of memory.
 //
-// Three organizations are provided:
+// Two organizations are provided:
 //
 //   - Tagless (Section 2.1, Figure 1): a flat table of entries, each packing
 //     {mode, owner-or-sharer-count} into one atomic word. Addresses are
@@ -16,16 +16,10 @@
 //     chain traversal. Chains are lock-free: heads and links are CAS-able
 //     words and every acquire/release is one CAS on a record's packed state
 //     word — see the Tagged type for the record lifecycle and its
-//     invariants.
+//     invariants. Its record free lists and event counters are striped, so
+//     threads working on different buckets rarely share a cache line.
 //
-//   - Sharded: a scalability-oriented organization layered on the tagged
-//     design. The index space is split into power-of-two shards selected by
-//     the high bits of the hashed index, each shard an independent
-//     lock-free tagged sub-table with private record slab and event
-//     counters, so threads working in different shards share no
-//     synchronization state at all — not even CAS targets.
-//
-// All implementations are lock-free and safe for concurrent use, keep the
+// Both implementations are lock-free and safe for concurrent use, keep the
 // statistics the experiments report, and implement the one Table interface.
 //
 // Accounting costs every successful operation exactly one atomic add, on a
@@ -142,7 +136,7 @@ func (o Outcome) String() string {
 // free functions AcquireRead, AcquireWrite, ReleaseRead and ReleaseWrite,
 // which pass NoHandle.
 type Table interface {
-	// Kind returns "tagless", "tagged", or "sharded".
+	// Kind returns "tagless" or "tagged".
 	Kind() string
 	// N returns the number of first-level entries.
 	N() uint64
@@ -219,7 +213,7 @@ type (
 
 // Handle names the table location backing a granted permission, so the
 // holder can release or upgrade it without re-locating it: the record link
-// {generation, slab index} for the tagged and sharded tables, the entry
+// {generation, slab index} for the tagged table, the entry
 // index (plus one) for the tagless table. NoHandle means "no location
 // known"; the operation then locates the slot from the block.
 //
@@ -346,21 +340,20 @@ func (b *counterBlock) observeChain(n uint64) {
 	}
 }
 
-// New constructs a table by kind name ("tagless", "tagged", or "sharded")
-// over the given hash function. Sharded tables get DefaultShards shards; use
-// NewSharded directly to pick the count.
+// New constructs a table by kind name ("tagless" or "tagged") over the given
+// hash function. "sharded" is a deprecated alias of "tagged", not listed in
+// Kinds: the frozen benchmark/ module still names it; it goes when that
+// module next changes.
 func New(kind string, h hash.Func) (Table, error) {
 	switch kind {
 	case "tagless":
 		return NewTagless(h), nil
-	case "tagged":
+	case "tagged", "sharded":
 		return NewTagged(h), nil
-	case "sharded":
-		return NewSharded(h, DefaultShards(h.N()))
 	default:
-		return nil, fmt.Errorf("otable: unknown table kind %q (want tagless, tagged, or sharded)", kind)
+		return nil, fmt.Errorf("otable: unknown table kind %q (want tagless or tagged)", kind)
 	}
 }
 
 // Kinds lists the available table organizations.
-func Kinds() []string { return []string{"tagless", "tagged", "sharded"} }
+func Kinds() []string { return []string{"tagless", "tagged"} }

@@ -512,26 +512,19 @@ func (t *Tagged) ungrant(idx uint64, hold uint64, closes, stays *atomic.Uint64) 
 	}
 }
 
-// AcquireReadH implements Table.
+// AcquireReadH implements Table. The outcome linearizes at a single CAS:
+// the head CAS for a fresh record, or the state CAS/load of the record for
+// the tag. A denial's ConflictInfo is unpacked from the same
+// generation-validated state word that decided it, so a reaped-and-reused
+// record can never leak a stale owner. The handle is the record's {gen, idx}
+// link — the caller's release/upgrade handle — or NoHandle on a conflict.
 func (t *Tagged) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Handle) {
-	out, ci, h := t.acquireReadAt(t.h.Index(b), tx, b)
-	return out, ci, Handle(h)
-}
-
-// acquireReadAt is AcquireReadH with the bucket index precomputed; the
-// sharded table routes here after hashing once at the shard selector. The
-// outcome linearizes at a single CAS: the head CAS for a fresh record, or
-// the state CAS/load of the record for the tag. A denial's ConflictInfo is
-// unpacked from the same generation-validated state word that decided it,
-// so a reaped-and-reused record can never leak a stale owner. The third
-// result is the record's {gen, idx} link — the caller's release/upgrade
-// handle — or 0 on a conflict.
-func (t *Tagged) acquireReadAt(idx uint64, tx TxID, b addr.Block) (Outcome, ConflictInfo, uint64) {
+	idx := t.h.Index(b)
 	for {
 		r, st, rlink, headSeen, depth, found := t.walk(idx, b)
 		if !found {
 			if h := t.insertAt(idx, b, Read, 1, headSeen, depth); h != 0 {
-				return Granted, NoConflict, h
+				return Granted, NoConflict, Handle(h)
 			}
 			continue
 		}
@@ -541,20 +534,20 @@ func (t *Tagged) acquireReadAt(idx uint64, tx TxID, b addr.Block) (Outcome, Conf
 			case Free: // claim the parked record in place
 				if r.state.CompareAndSwap(st, packRec(Read, g, 1)) {
 					t.grant(idx, 1, &c.readOpens, &c.reads)
-					return Granted, NoConflict, rlink
+					return Granted, NoConflict, Handle(rlink)
 				}
 			case Read:
 				if r.state.CompareAndSwap(st, packRec(Read, g, recPayload(st)+1)) {
 					c.reads.Add(1)
-					return Granted, NoConflict, rlink
+					return Granted, NoConflict, Handle(rlink)
 				}
 			case Write:
 				if TxID(recPayload(st)) == tx {
 					c.reads.Add(1)
-					return AlreadyHeld, NoConflict, rlink
+					return AlreadyHeld, NoConflict, Handle(rlink)
 				}
 				c.conflicts.Add(1)
-				return ConflictWriter, WriterConflict(TxID(recPayload(st))), 0
+				return ConflictWriter, WriterConflict(TxID(recPayload(st))), NoHandle
 			}
 			if st = r.state.Load(); recGen(st) != g || recMode(st) == deadMode {
 				break // condemned or recycled under us: re-walk
@@ -671,11 +664,7 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 // on the record the handle names, no chain walk. A stale or useless handle
 // falls back to the walking release.
 func (t *Tagged) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
-	t.releaseReadHAt(t.h.Index(b), tx, b, h)
-}
-
-// releaseReadHAt is ReleaseReadH with the bucket index precomputed.
-func (t *Tagged) releaseReadHAt(idx uint64, tx TxID, b addr.Block, h Handle) {
+	idx := t.h.Index(b)
 	if h == NoHandle {
 		t.releaseReadAt(idx, tx, b)
 		return

@@ -247,6 +247,17 @@ func TestNewByKind(t *testing.T) {
 	if _, err := New("bogus", hash.NewMask(64)); err == nil {
 		t.Fatal("New(bogus) succeeded")
 	}
+	// The deprecated "sharded" alias builds the flat tagged table.
+	tab, err := New("sharded", hash.NewMask(64))
+	if err != nil {
+		t.Fatalf("New(sharded): %v", err)
+	}
+	if _, ok := tab.(*Tagged); !ok || tab.Kind() != "tagged" {
+		t.Fatalf("New(sharded) = %T with Kind %q, want *Tagged of kind tagged", tab, tab.Kind())
+	}
+	if kinds := Kinds(); len(kinds) != 2 || kinds[0] != "tagless" || kinds[1] != "tagged" {
+		t.Fatalf("Kinds() = %v, want [tagless tagged]", kinds)
+	}
 }
 
 // physChainLen counts the records physically chained in bucket idx, in any

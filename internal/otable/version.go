@@ -5,7 +5,7 @@ import "sync/atomic"
 // Version state is what Table.SampleVersion, ReleaseWriteV and StampVersion
 // operate on: it lets invisible readers (internal/stm) validate by
 // comparison instead of acquiring read ownership. A first-level cell — a
-// tagless entry, a tagged or sharded bucket — answers two questions:
+// tagless entry, a tagged bucket — answers two questions:
 //
 //   - stamp: a word of its own, the highest epoch-clock value a writer of
 //     the cell has published. Only verRaise writes it, monotonically: cells

@@ -10,16 +10,8 @@ import (
 	"tmbp/internal/hash"
 )
 
-// bucketCell returns the version cell of b's bucket in a tagged or sharded
-// table.
-func bucketCell(tab Table, b addr.Block) *cell {
-	if t, ok := tab.(*Sharded); ok {
-		s, bucket := t.locate(b)
-		return &s.cells[bucket]
-	}
-	t := tab.(*Tagged)
-	return &t.cells[t.h.Index(b)]
-}
+// bucketCell returns the version cell of b's bucket.
+func bucketCell(t *Tagged, b addr.Block) *cell { return &t.cells[t.h.Index(b)] }
 
 // TestHoldWordOverflowPanics drives a bucket's hold word to the edge of each
 // field from inside the package: the grant that would fill the held-records
@@ -43,29 +35,27 @@ func TestHoldWordOverflowPanics(t *testing.T) {
 			t.Fatalf("%s: SampleVersion reports a writer nobody is", when)
 		}
 	}
-	for _, kind := range []string{"tagged", "sharded"} {
-		t.Run(kind+"/records-overflow", func(t *testing.T) {
-			tab, _ := New(kind, hash.NewMask(64))
-			bucketCell(tab, b).hold.Store(holdGuard&(holdWriter-1) - 1) // one below the records limit
-			noWriter(t, tab, "at the limit")
-			mustPanic(t, "the grant past the records limit", func() { tab.AcquireReadH(1, b) })
-			noWriter(t, tab, "after the refused grant")
-		})
-		t.Run(kind+"/writer-underflow", func(t *testing.T) {
-			tab, _ := New(kind, hash.NewMask(64))
-			_, _, h := tab.AcquireWriteH(1, b, 0, NoHandle)
-			tab.ReleaseWriteH(1, b, h)
-			// A second release of the same grant never reaches the hold word:
-			// the state word no longer names the caller.
-			mustPanic(t, "a double release", func() { tab.ReleaseWriteH(1, b, h) })
-			noWriter(t, tab, "after the double release")
-			// Had one slipped through and uncounted the writer twice, the
-			// next release would borrow from an empty field.
-			_, _, h = tab.AcquireWriteH(1, b, 0, NoHandle)
-			bucketCell(tab, b).hold.Add(^holdWriter + 1) // minus one writer
-			mustPanic(t, "the release below zero writers", func() { tab.ReleaseWriteH(1, b, h) })
-		})
-	}
+	t.Run("tagged/records-overflow", func(t *testing.T) {
+		tab := NewTagged(hash.NewMask(64))
+		bucketCell(tab, b).hold.Store(holdGuard&(holdWriter-1) - 1) // one below the records limit
+		noWriter(t, tab, "at the limit")
+		mustPanic(t, "the grant past the records limit", func() { tab.AcquireReadH(1, b) })
+		noWriter(t, tab, "after the refused grant")
+	})
+	t.Run("tagged/writer-underflow", func(t *testing.T) {
+		tab := NewTagged(hash.NewMask(64))
+		_, _, h := tab.AcquireWriteH(1, b, 0, NoHandle)
+		tab.ReleaseWriteH(1, b, h)
+		// A second release of the same grant never reaches the hold word:
+		// the state word no longer names the caller.
+		mustPanic(t, "a double release", func() { tab.ReleaseWriteH(1, b, h) })
+		noWriter(t, tab, "after the double release")
+		// Had one slipped through and uncounted the writer twice, the
+		// next release would borrow from an empty field.
+		_, _, h = tab.AcquireWriteH(1, b, 0, NoHandle)
+		bucketCell(tab, b).hold.Add(^holdWriter + 1) // minus one writer
+		mustPanic(t, "the release below zero writers", func() { tab.ReleaseWriteH(1, b, h) })
+	})
 }
 
 // TestVersionSampleBracketsWriter checks the one promise SampleVersion makes

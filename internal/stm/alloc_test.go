@@ -138,7 +138,7 @@ func conflictAbortOp(t *testing.T, rt *Runtime) func() {
 // Wall-clock cost is benchmark/'s business; this test asserts only counts.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	var rows []allocRow
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		rows = append(rows,
 			allocRow{"rmw/" + kind, kind, Config{}, txnOp((*Thread).Atomic, rmw8), 0},
 			allocRow{"ro-acquire/" + kind, kind, Config{}, txnOp(atomicVisible, read8), 0},

@@ -35,7 +35,7 @@ func newBigFootprintRuntime(t *testing.T, kind string, blocks int, cfg Config) (
 // transaction sees them, and commit releases everything (the table drains
 // back to zero occupancy).
 func TestBigFootprintTransactions(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			for _, blocks := range []int{256, 1024, 4096} {
 				rt, tab, mem := newBigFootprintRuntime(t, kind, blocks, Config{})
@@ -96,7 +96,7 @@ func TestBigFootprintZeroAllocSteadyState(t *testing.T) {
 // read-set has grown.
 func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 	const blocks = 1024
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newBigFootprintRuntime(t, kind, blocks, Config{})
 			for b := 0; b < blocks; b++ {

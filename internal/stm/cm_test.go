@@ -119,7 +119,7 @@ func checkScenario(t *testing.T, rt *Runtime, errs []error, want map[int]uint64)
 // seniority tie-break) and commit both threads within the abort budget.
 func TestCMSymmetricLivelock(t *testing.T) {
 	onOneP(t)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
@@ -285,7 +285,7 @@ func TestCMUpgradeDeadlock(t *testing.T) {
 func TestCMConvoy(t *testing.T) {
 	onOneP(t)
 	const followers = 3
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
@@ -348,85 +348,83 @@ func TestCMConvoy(t *testing.T) {
 // once A releases.
 func TestCMChainedConflict(t *testing.T) {
 	onOneP(t)
-	for _, kind := range []string{"tagged", "sharded"} {
-		for _, policy := range cmPolicies() {
-			t.Run(kind+"/"+policy, func(t *testing.T) {
-				t.Parallel()
-				rt := newCMRuntime(t, kind, policy)
-				mem := rt.Memory()
-				// Words 0 and 8 sit in distinct 64-byte blocks: X and Y.
-				aX, aY := mem.WordAddr(0), mem.WordAddr(8)
-				aHolds := make(chan struct{}, 1)
-				bHoldsY := make(chan struct{}, 1)
-				cArrived := make(chan struct{}, 1)
-				releaseA := make(chan struct{})
-				errs := make([]error, 3)
-				var wg sync.WaitGroup
-				wg.Add(3)
-				go func() { // A: holds X until released
-					defer wg.Done()
-					th := rt.NewThread()
-					att := 0
-					errs[0] = th.Atomic(func(tx *Tx) error {
-						att++
-						tx.Write(aX, tx.Read(aX)+1)
-						if att == 1 {
-							aHolds <- struct{}{}
-							<-releaseA
-						}
-						return nil
-					})
-				}()
-				go func() { // B: holds Y, then needs X
-					defer wg.Done()
-					<-aHolds
-					th := rt.NewThread()
-					att := 0
-					errs[1] = th.Atomic(func(tx *Tx) error {
-						att++
-						tx.Write(aY, tx.Read(aY)+1)
-						if att == 1 {
-							bHoldsY <- struct{}{}
-							<-cArrived
-							// Give C's collision on Y a window while we still
-							// hold it, so the B ← C edge materializes.
-							for i := 0; i < 100; i++ {
-								runtime.Gosched()
-							}
-						}
-						tx.Write(aX, tx.Read(aX)+1) // denied while A holds X
-						return nil
-					})
-				}()
-				go func() { // C: needs Y, which B holds
-					defer wg.Done()
-					<-bHoldsY
-					th := rt.NewThread()
-					att := 0
-					errs[2] = th.Atomic(func(tx *Tx) error {
-						att++
-						if att == 1 {
-							cArrived <- struct{}{}
-						}
-						tx.Write(aY, tx.Read(aY)+1)
-						return nil
-					})
-				}()
-				// B re-collides with A's hold on every retry, so aborts keep
-				// accumulating until A is released; two is proof the chain
-				// head actually blocked.
-				for i := 0; rt.Stats().Aborts < 2; i++ {
-					if i > 1_000_000 {
-						t.Fatal("the chain never blocked on A")
+	for _, policy := range cmPolicies() {
+		t.Run("tagged/"+policy, func(t *testing.T) {
+			t.Parallel()
+			rt := newCMRuntime(t, "tagged", policy)
+			mem := rt.Memory()
+			// Words 0 and 8 sit in distinct 64-byte blocks: X and Y.
+			aX, aY := mem.WordAddr(0), mem.WordAddr(8)
+			aHolds := make(chan struct{}, 1)
+			bHoldsY := make(chan struct{}, 1)
+			cArrived := make(chan struct{}, 1)
+			releaseA := make(chan struct{})
+			errs := make([]error, 3)
+			var wg sync.WaitGroup
+			wg.Add(3)
+			go func() { // A: holds X until released
+				defer wg.Done()
+				th := rt.NewThread()
+				att := 0
+				errs[0] = th.Atomic(func(tx *Tx) error {
+					att++
+					tx.Write(aX, tx.Read(aX)+1)
+					if att == 1 {
+						aHolds <- struct{}{}
+						<-releaseA
 					}
-					runtime.Gosched()
+					return nil
+				})
+			}()
+			go func() { // B: holds Y, then needs X
+				defer wg.Done()
+				<-aHolds
+				th := rt.NewThread()
+				att := 0
+				errs[1] = th.Atomic(func(tx *Tx) error {
+					att++
+					tx.Write(aY, tx.Read(aY)+1)
+					if att == 1 {
+						bHoldsY <- struct{}{}
+						<-cArrived
+						// Give C's collision on Y a window while we still
+						// hold it, so the B ← C edge materializes.
+						for i := 0; i < 100; i++ {
+							runtime.Gosched()
+						}
+					}
+					tx.Write(aX, tx.Read(aX)+1) // denied while A holds X
+					return nil
+				})
+			}()
+			go func() { // C: needs Y, which B holds
+				defer wg.Done()
+				<-bHoldsY
+				th := rt.NewThread()
+				att := 0
+				errs[2] = th.Atomic(func(tx *Tx) error {
+					att++
+					if att == 1 {
+						cArrived <- struct{}{}
+					}
+					tx.Write(aY, tx.Read(aY)+1)
+					return nil
+				})
+			}()
+			// B re-collides with A's hold on every retry, so aborts keep
+			// accumulating until A is released; two is proof the chain
+			// head actually blocked.
+			for i := 0; rt.Stats().Aborts < 2; i++ {
+				if i > 1_000_000 {
+					t.Fatal("the chain never blocked on A")
 				}
-				close(releaseA)
-				wg.Wait()
-				// X: incremented by A and B. Y: incremented by B and C.
-				checkScenario(t, rt, errs, map[int]uint64{0: 2, 8: 2})
-			})
-		}
+				runtime.Gosched()
+			}
+			close(releaseA)
+			wg.Wait()
+			// X: incremented by A and B. Y: incremented by B and C.
+			checkScenario(t, rt, errs, map[int]uint64{0: 2, 8: 2})
+		})
 	}
 }
 
@@ -438,7 +436,7 @@ func TestCMChainedConflict(t *testing.T) {
 // visible escape: an invisible first read that samples the writer aborts
 // with no table opponent to name.
 func TestCMOpponentDelivered(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			tab, err := otable.New(kind, hash.NewMask(256))
@@ -610,7 +608,7 @@ func TestCMPoliciesUnderHammer(t *testing.T) {
 	for _, policy := range cmPolicies() {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
-			tab, err := otable.New("sharded", hash.NewMask(128))
+			tab, err := otable.New("tagged", hash.NewMask(128))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -674,7 +672,7 @@ func TestCMPoliciesUnderHammer(t *testing.T) {
 // state is visible. Run across every table kind and policy: the guarantee
 // belongs to the retry loop, not to any one policy's waiting discipline.
 func TestCMCancelRacingCommitStillCommits(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()

@@ -190,7 +190,7 @@ func TestAtomicCtxCancelDuringCMWait(t *testing.T) {
 // deadline instead of an explicit cancel: the contender must give up and
 // surface context.DeadlineExceeded on its own.
 func TestAtomicCtxDeadline(t *testing.T) {
-	tab, err := otable.New("sharded", hash.NewMask(256))
+	tab, err := otable.New("tagged", hash.NewMask(256))
 	if err != nil {
 		t.Fatal(err)
 	}

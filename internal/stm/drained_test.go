@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tmbp/internal/addr"
-	"tmbp/internal/otable"
 )
 
 // Tests of drained reads: an attempt that loads rv and then finds done == rv
@@ -22,7 +21,7 @@ import (
 // that never moves again, the unwritten one: a torn pair. Beginning
 // undrained, the first read samples and finds the writer.
 func TestDrainedBeginComparesDone(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, r := range stillClockReaders {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
 				parked := func(env *stillClockEnv) {
@@ -46,7 +45,7 @@ func TestDrainedBeginComparesDone(t *testing.T) {
 // half a commit; the read must then go back for the sample, which finds the
 // writer. Returning from the read fails the test.
 func TestDrainedReadAsksTheClock(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, r := range stillClockReaders {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
 				runStillClockSchedule(t, kind, r.writes, nil, func(tx *Tx, env *stillClockEnv) {
@@ -70,7 +69,7 @@ func TestDrainedReadAsksTheClock(t *testing.T) {
 // at the new rv would accept both words of block 2, one of them half a
 // commit.
 func TestDrainedEndsAtExtension(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			st := runStillClockSchedule(t, kind, false, nil, func(tx *Tx, env *stillClockEnv) {
 				z0, z1 := env.rt.cfg.Memory.WordAddr(88), env.rt.cfg.Memory.WordAddr(89) // block 11
@@ -100,7 +99,7 @@ func TestDrainedEndsAtExtension(t *testing.T) {
 // validation samples after the draw, done must be behind epoch. Once the
 // path has returned the two must be level again.
 func TestDrainedCountAfterRelease(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			onOneP(t)
 			rt, tab, mem := newSampledRuntime(t, kind, Config{Isolation: StrongIsolation})
@@ -191,7 +190,7 @@ func TestDrainedCountAfterRelease(t *testing.T) {
 // of an extension, the revalidation of a read-only commit and the stamp check
 // after a write acquire must all pass, with no abort.
 func TestDrainedVerIsUpperBound(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, site := range []string{"further-read", "extension", "read-only-commit", "write-acquire"} {
 			t.Run(kind+"/"+site, func(t *testing.T) {
 				onOneP(t)
@@ -241,7 +240,7 @@ func TestDrainedVerIsUpperBound(t *testing.T) {
 // commit validation — and since the clock has moved it must sample, whether
 // the read recorded a drained Ver or a sampled one.
 func TestDrainedPinSamplesOnMovedClock(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, drained := range []bool{true, false} {
 			name := kind + "/drained"
 			if !drained {

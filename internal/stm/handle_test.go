@@ -15,53 +15,48 @@ import (
 // ChainFollows both staying at zero is exactly "no chain re-walk on the
 // serial commit path".
 func TestSerialCommitReleasesByHandle(t *testing.T) {
-	for _, kind := range []string{"tagged", "sharded"} {
-		t.Run(kind, func(t *testing.T) {
-			tab, err := otable.New(kind, hash.NewMask(256))
-			if err != nil {
+	t.Run("tagged", func(t *testing.T) {
+		tab := otable.NewTagged(hash.NewMask(256))
+		mem := NewMemory(1 << 10)
+		rt, err := New(Config{Table: tab, Memory: mem, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := rt.NewThread()
+		const (
+			txns       = 200
+			workingSet = 8 // blocks, recurring every transaction
+		)
+		for i := 0; i < txns; i++ {
+			if err := th.Atomic(func(tx *Tx) error {
+				for k := 0; k < workingSet; k++ {
+					a := mem.WordAddr(k * 8) // one word per block
+					tx.Write(a, tx.Read(a)+1)
+				}
+				return nil
+			}); err != nil {
 				t.Fatal(err)
 			}
-			mem := NewMemory(1 << 10)
-			rt, err := New(Config{Table: tab, Memory: mem, Seed: 2})
-			if err != nil {
-				t.Fatal(err)
+		}
+		st := tab.Stats()
+		if st.ReleaseWalks != 0 {
+			t.Fatalf("ReleaseWalks = %d, want 0: the serial commit path re-walked chains", st.ReleaseWalks)
+		}
+		if st.ChainFollows != 0 {
+			t.Fatalf("ChainFollows = %d, want 0 for a recurring one-record-per-bucket working set", st.ChainFollows)
+		}
+		if want := uint64(txns * workingSet); st.Releases != want {
+			t.Fatalf("Releases = %d, want %d", st.Releases, want)
+		}
+		for k := 0; k < workingSet; k++ {
+			if got := mem.LoadDirect(mem.WordAddr(k * 8)); got != txns {
+				t.Fatalf("word %d = %d, want %d", k*8, got, txns)
 			}
-			th := rt.NewThread()
-			const (
-				txns       = 200
-				workingSet = 8 // blocks, recurring every transaction
-			)
-			for i := 0; i < txns; i++ {
-				if err := th.Atomic(func(tx *Tx) error {
-					for k := 0; k < workingSet; k++ {
-						a := mem.WordAddr(k * 8) // one word per block
-						tx.Write(a, tx.Read(a)+1)
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := tab.Stats()
-			if st.ReleaseWalks != 0 {
-				t.Fatalf("ReleaseWalks = %d, want 0: the serial commit path re-walked chains", st.ReleaseWalks)
-			}
-			if st.ChainFollows != 0 {
-				t.Fatalf("ChainFollows = %d, want 0 for a recurring one-record-per-bucket working set", st.ChainFollows)
-			}
-			if want := uint64(txns * workingSet); st.Releases != want {
-				t.Fatalf("Releases = %d, want %d", st.Releases, want)
-			}
-			for k := 0; k < workingSet; k++ {
-				if got := mem.LoadDirect(mem.WordAddr(k * 8)); got != txns {
-					t.Fatalf("word %d = %d, want %d", k*8, got, txns)
-				}
-			}
-			if occ := tab.Occupied(); occ != 0 {
-				t.Fatalf("occupancy after drain = %d", occ)
-			}
-		})
-	}
+		}
+		if occ := tab.Occupied(); occ != 0 {
+			t.Fatalf("occupancy after drain = %d", occ)
+		}
+	})
 }
 
 // TestNTProbesReleaseByHandle covers the strong-isolation one-slot probes:

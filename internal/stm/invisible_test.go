@@ -70,7 +70,7 @@ func newInvisibleRuntimeOn(t *testing.T, tab otable.Table, words int, cfg Config
 // ownership table zero times — no read acquires, no write acquires, no
 // releases — and is counted as an invisible commit.
 func TestInvisibleReadOnlyNoAcquires(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			for i := 0; i < 16; i++ {
@@ -108,7 +108,7 @@ func TestInvisibleReadOnlyNoAcquires(t *testing.T) {
 // there is one read protocol, so either setting runs a read-only
 // transaction with zero table traffic and counts it as an invisible commit.
 func TestInvisibleReadersIgnored(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, invisible := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/%v", kind, invisible), func(t *testing.T) {
 				rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{InvisibleReaders: invisible})
@@ -160,7 +160,7 @@ func TestInvisibleReadBlockFootprint(t *testing.T) {
 // cached word and the read of an unwritten word of the written chunk are all
 // correct; and it counts neither as a read-only commit nor as a pin.
 func TestInvisiblePromotionOnWrite(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			const k = 4
@@ -216,7 +216,7 @@ func TestInvisiblePromotionOnWrite(t *testing.T) {
 // reader's cached snapshot is still self-consistent, so the attempt must be
 // killed by commit-time validation and the retry must observe the new value.
 func TestInvisibleValidationAbortOnConcurrentWrite(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, _, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			reader, writer := rt.NewThread(), rt.NewThread()
@@ -292,7 +292,7 @@ func TestInvisibleSnapshotExtension(t *testing.T) {
 // roLimit validation aborts the reader must stop betting on invisibility,
 // read under a read share, and commit.
 func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
-	rt, tab, mem := newInvisibleRuntime(t, "sharded", 64, 256, Config{})
+	rt, tab, mem := newInvisibleRuntime(t, "tagged", 64, 256, Config{})
 	reader, writer := rt.NewThread(), rt.NewThread()
 	x := mem.WordAddr(0)
 	attempt := 0
@@ -335,7 +335,7 @@ func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
 // invisible reader that read the chunk before it is killed by validation
 // instead of committing the overwritten value.
 func TestInvisibleReaderSeesVisibleEscapeWriter(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, _, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			reader, writer := rt.NewThread(), rt.NewThread()
@@ -398,7 +398,7 @@ func TestInvisibleSeesStoreNT(t *testing.T) {
 // torn read — half of one writer's commit — would break the equality check;
 // the recorded history (CI replays it through tmbp check) must be opaque.
 func TestAtomicHammerInvisibleReadMostly(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			tab, err := otable.New(kind, hash.NewMask(64))

@@ -37,7 +37,7 @@ func atLeastTwoPs(t *testing.T) {
 // once the clock has moved, and at commit validation — with no abort, and
 // every pin released. The runtime starts undrained, so first reads sample.
 func TestInvisibleWriterOwnHoldSameCell(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 2, 256, Config{})
 			undrain(rt)
@@ -171,7 +171,7 @@ func TestInvisibleWriterTaglessAliasTrap(t *testing.T) {
 // the same protocol as Read/Write — the same transaction expressed either
 // way leaves identical table and runtime counters.
 func TestInvisibleBlockParity(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			run := func(blocks bool) (otable.Stats, Stats) {
 				rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
@@ -224,7 +224,7 @@ func TestInvisibleBlockParity(t *testing.T) {
 // sides' skew in leaving the barrier.
 func TestWriteSkewSchedule(t *testing.T) {
 	atLeastTwoPs(t)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			// One table entry per block: the private runs alias nothing.
 			rt, tab, mem := newInvisibleRuntime(t, kind, 512, 4096, Config{})
@@ -318,7 +318,7 @@ func TestWriteSkewSchedule(t *testing.T) {
 // writer's read and its write.
 func TestWriteSkewHammer(t *testing.T) {
 	atLeastTwoPs(t)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			x, y := mem.WordAddr(0), mem.WordAddr(64)
@@ -390,7 +390,7 @@ func TestWriteSkewHammer(t *testing.T) {
 // final value equals the number of commits.
 func TestLostUpdateHammerInvisible(t *testing.T) {
 	atLeastTwoPs(t)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
 			ctr := mem.WordAddr(24)
@@ -440,7 +440,7 @@ func TestLostUpdateHammerInvisible(t *testing.T) {
 // retry then builds on the stored value), and a store arriving once the
 // write is acquired must be denied.
 func TestInvisibleWriterVsStoreNT(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{Isolation: StrongIsolation})
 			w := mem.WordAddr(40)
@@ -481,7 +481,7 @@ func TestInvisibleWriterVsStoreNT(t *testing.T) {
 // observer asserts from invisible snapshots that it never decreases.
 func TestInvisibleWriterVsStoreNTRace(t *testing.T) {
 	atLeastTwoPs(t)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{Isolation: StrongIsolation})
 			w := mem.WordAddr(40)
@@ -560,7 +560,7 @@ func TestInvisibleWriterVsStoreNTRace(t *testing.T) {
 // the rest assert the conserved total from read-only snapshots. The
 // recorded history (CI replays it through tmbp check) must be opaque.
 func TestAtomicHammerInvisibleUpdate(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			tab, err := otable.New(kind, hash.NewMask(64))
@@ -675,7 +675,7 @@ func TestAtomicHammerInvisibleUpdate(t *testing.T) {
 // Z.w1 must never be returned (the attempt aborts: extension finds X moved);
 // with X untouched the snapshot extends and the attempt commits.
 func TestInvisibleBlindWriteThenReadSnapshot(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, alsoX := range []bool{true, false} {
 			name := kind + "/foreign-writes-Z"
 			if alsoX {
@@ -734,7 +734,7 @@ func TestInvisibleBlindWriteThenReadSnapshot(t *testing.T) {
 // inside the transaction, so a zombie's torn view counts. CI replays the
 // recorded history through tmbp check.
 func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			tab, err := otable.New(kind, hash.NewMask(64))
@@ -823,7 +823,7 @@ func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
 // foreign commit raises cell 0's stamp past rv; T then writes A and first-
 // reads B, both in cell 0: one pin, one extension, no abort.
 func TestInvisiblePinnedFirstReadCoversStamp(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, block := range []bool{false, true} {
 			name := kind + "/Read"
 			if block {

@@ -16,7 +16,7 @@ import (
 // transaction's holdings. Non-transactional accesses must touch only the
 // probed slot, leaving the transaction's ownership intact.
 func TestNTInsideAtomicKeepsHoldings(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			tab, err := otable.New(kind, hash.NewMask(64))
 			if err != nil {
@@ -109,7 +109,7 @@ func TestNTStoreDeniedOnOwnReadShare(t *testing.T) {
 // a chunk its own transaction has read. Stored and stamped, the write would
 // kill the attempt in validation, and every retry would store it again.
 func TestNTStoreDeniedOnOwnInvisibleRead(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 64, Config{Isolation: StrongIsolation})
 			th := rt.NewThread()
@@ -142,11 +142,11 @@ func TestNTStoreDeniedOnOwnInvisibleRead(t *testing.T) {
 
 // TestMixedOpsHammerAllKinds race-hammers the unified-log fast path with
 // every operation shape at once — word Read/Write, block footprint ops, and
-// strong-isolation NT accesses between and inside transactions — under all
-// three table kinds. Invariant: transactional increments are exact, and the
+// strong-isolation NT accesses between and inside transactions — under every
+// kind of sweepKinds. Invariant: transactional increments are exact, and the
 // table drains.
 func TestMixedOpsHammerAllKinds(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			tab, err := otable.New(kind, hash.NewMask(128))
@@ -228,7 +228,7 @@ func TestMixedOpsHammerAllKinds(t *testing.T) {
 // Memory.index validated the address: an out-of-range or unaligned address
 // panicked with the share still held, leaving the slot blocked forever.
 func TestNTBadAddressPanicsHoldingNothing(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			tab, err := otable.New(kind, hash.NewMask(64))
 			if err != nil {

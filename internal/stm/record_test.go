@@ -59,7 +59,7 @@ func attachRecorder(t testing.TB, cfg *Config) *opacity.Log {
 // make — not only is no increment lost, every transaction (including each
 // aborted attempt) observed a consistent snapshot.
 func TestRecordedHammerHistoriesOpaque(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()

@@ -15,11 +15,10 @@ import (
 // abort, the policy's between-retry wait — with real goroutine contention
 // on a deliberately small table. Run under -race this exercises the CAS
 // entries (tagless), the lock-free record chains and release-by-handle
-// (tagged), the shard routing plus per-thread runtime counters (sharded),
-// and the karma seam policy's shared seniority board (seamcm_test.go); the
+// (tagged), the per-thread runtime counters, and the karma seam policy's shared seniority board (seamcm_test.go); the
 // exact-sum assertion proves serializability is identical across policies.
 func TestAtomicHammerAllKinds(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, policy := range cmPolicies() {
 			t.Run(kind+"/"+policy, func(t *testing.T) {
 				t.Parallel()
@@ -107,7 +106,7 @@ func TestAtomicHammerSerialFallback(t *testing.T) {
 		blockWords = int(addr.BlockBytes / addr.WordBytes)
 	)
 	var fallbackCommits uint64
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			tab, err := otable.New(kind, hash.NewMask(1024))
 			if err != nil {
@@ -170,7 +169,7 @@ func TestAtomicHammerSerialFallback(t *testing.T) {
 // blocks sum correctly into the runtime-wide snapshot, including threads
 // that never ran a transaction.
 func TestStatsAggregatesPerThreadCounters(t *testing.T) {
-	rt := newRuntime(t, "sharded", 64, 16)
+	rt := newRuntime(t, "tagged", 64, 16)
 	a := rt.Memory().WordAddr(0)
 	threads := []*Thread{rt.NewThread(), rt.NewThread(), rt.NewThread()}
 	_ = rt.NewThread() // idle thread: contributes zeroes

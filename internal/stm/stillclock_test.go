@@ -123,7 +123,7 @@ func (w *stepWriter) leave() {
 // read-only commit, none. An attempt that begins with a stamp unfinished
 // reads in that regime from the start.
 func TestInvisibleSamplesPerRead(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, block := range []bool{false, true} {
 			name := kind + "/word"
 			if block {
@@ -297,7 +297,7 @@ func runStillClockSchedule(t *testing.T, kind string, writes bool, before func(e
 // without asking the clock, or the clock asked before the sample was taken.
 // The runtime starts undrained, so the first read takes its sample.
 func TestStillClockScheduleWriterAfterSample(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, r := range stillClockReaders {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
 				undrained := func(env *stillClockEnv) { undrain(env.rt) }
@@ -322,7 +322,7 @@ func TestStillClockScheduleWriterAfterSample(t *testing.T) {
 // begins drained; the foreign commit ends that at the read of block 2, which
 // then takes its sample.
 func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, block := range []bool{false, true} {
 			name := kind + "/Read"
 			if block {
@@ -360,7 +360,7 @@ func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
 // that stands between it and half a commit. (TestDrainedBeginComparesDone
 // makes the same read on a Ver the drained first read recorded.)
 func TestStillClockScheduleSecondWord(t *testing.T) {
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, r := range stillClockReaders {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
 				undrained := func(env *stillClockEnv) { undrain(env.rt) }
@@ -387,7 +387,7 @@ func TestStillClockScheduleSecondWord(t *testing.T) {
 // this length to see it.
 func TestStillClockHammer(t *testing.T) {
 	atLeastTwoPs(t)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 512, Config{})
 			z, x0, x1 := mem.WordAddr(80), mem.WordAddr(16), mem.WordAddr(17)

@@ -26,6 +26,12 @@ func newRuntime(t *testing.T, kind string, entries uint64, words int) *Runtime {
 	return rt
 }
 
+// sweepKinds is what the kind sweeps run over: the table organizations plus
+// "sharded", the deprecated alias otable.New still accepts for a tagged
+// table. The frozen benchmark builds hot-mix's table through that alias, so
+// the runtime sweeps keep it as a subtest until the alias goes.
+func sweepKinds() []string { return append(otable.Kinds(), "sharded") }
+
 // TestThreadCountersPadding pins threadCounters to two cache lines: its
 // trailing pad is hand-computed from the field count, and a field added or
 // removed without redoing that arithmetic would let two threads' blocks

@@ -25,7 +25,7 @@ import (
 //   - the same footprint sizes after every operation, and
 //   - the same final memory contents,
 //
-// across all three table kinds and both granularities, with aborted
+// across every kind of sweepKinds and both granularities, with aborted
 // transactions leaving no trace. The old triple acquired every read, so the
 // real runtime runs each transaction on the visible escape (atomicVisible).
 
@@ -362,7 +362,7 @@ func TestUnifiedLogMatchesOldTripleOracle(t *testing.T) {
 		txns    = 60
 		seeds   = 8
 	)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
 			name := fmt.Sprintf("%s/%s", kind, gran)
 			t.Run(name, func(t *testing.T) {
@@ -386,7 +386,7 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 		txns    = 40
 		seeds   = 3
 	)
-	for _, kind := range otable.Kinds() {
+	for _, kind := range sweepKinds() {
 		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
 			for _, policy := range cmPolicies() {
 				name := fmt.Sprintf("%s/%s/%s", kind, gran, policy)

@@ -6,13 +6,11 @@
 //
 // The package is a facade over the implementation packages under internal/:
 //
-//   - ownership tables and the address hash family. Three lock-free
+//   - ownership tables and the address hash family. Two lock-free
 //     organizations are provided: "tagless" (Section 2.1: one packed atomic
-//     word per entry, subject to the false conflicts the paper quantifies),
-//     "tagged" (Section 5: CAS-managed chains of records that carry the
-//     address tag, immune to false conflicts), and "sharded" (beyond the
-//     paper: power-of-two independent tagged sub-tables selected by the
-//     high hash bits, for multi-core isolation);
+//     word per entry, subject to the false conflicts the paper quantifies)
+//     and "tagged" (Section 5: CAS-managed chains of records that carry the
+//     address tag, immune to false conflicts);
 //   - a complete STM runtime (begin/read/write/commit/abort, redo logging,
 //     pluggable contention management, and weak/strong isolation). Writes
 //     acquire ownership of their blocks; reads acquire nothing and are
@@ -159,10 +157,8 @@ func NewHash(name string, entries uint64) (HashFunc, error) {
 	return hash.New(name, entries)
 }
 
-// NewTable constructs an ownership table of the given kind ("tagless",
-// "tagged", or "sharded") with the named hash over a power-of-two entry
-// count. Sharded tables get a shard count derived from GOMAXPROCS; use
-// NewShardedTable to pick it explicitly.
+// NewTable constructs an ownership table of the given kind ("tagless" or
+// "tagged") with the named hash over a power-of-two entry count.
 func NewTable(kind string, entries uint64, hashName string) (Table, error) {
 	h, err := hash.New(hashName, entries)
 	if err != nil {
@@ -171,25 +167,8 @@ func NewTable(kind string, entries uint64, hashName string) (Table, error) {
 	return otable.New(kind, h)
 }
 
-// ShardedTable is the scalability-oriented ownership table: independently
-// synchronized tagged sub-tables selected by the high bits of the hashed
-// index. It adds per-shard statistics (ShardStats, ShardOccupancy) on top
-// of the Table interface.
-type ShardedTable = otable.Sharded
-
 // TableKinds lists the available ownership-table organizations.
 func TableKinds() []string { return otable.Kinds() }
-
-// NewShardedTable constructs a sharded ownership table with an explicit
-// shard count (a power of two in [1, entries]); the aggregate first-level
-// entry count across shards is `entries`.
-func NewShardedTable(entries, shards uint64, hashName string) (*ShardedTable, error) {
-	h, err := hash.New(hashName, entries)
-	if err != nil {
-		return nil, err
-	}
-	return otable.NewSharded(h, shards)
-}
 
 // NewMemory allocates a zeroed word-addressable memory.
 func NewMemory(words int) *Memory { return stm.NewMemory(words) }

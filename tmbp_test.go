@@ -70,25 +70,6 @@ func TestFacadeSTMEndToEnd(t *testing.T) {
 	}
 }
 
-func TestNewShardedTableFacade(t *testing.T) {
-	tab, err := NewShardedTable(4096, 8, "fibonacci")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Kind() != "sharded" || tab.Shards() != 8 || tab.N() != 4096 {
-		t.Fatalf("sharded metadata: kind=%s shards=%d n=%d", tab.Kind(), tab.Shards(), tab.N())
-	}
-	if len(tab.ShardStats()) != 8 {
-		t.Fatalf("ShardStats length = %d", len(tab.ShardStats()))
-	}
-	if _, err := NewShardedTable(4096, 3, "mask"); err == nil {
-		t.Error("non-power-of-two shard count accepted")
-	}
-	if _, err := NewShardedTable(1000, 4, "mask"); err == nil {
-		t.Error("non-power-of-two entry count accepted")
-	}
-}
-
 func TestConflictLikelihoodFacade(t *testing.T) {
 	// The Figure 4(a) anchor through the public API.
 	got := ConflictLikelihood(2, 8, 2, 512)

@@ -55,9 +55,6 @@ func BenchmarkIntsetTagless(b *testing.B) { benchIntset(b, "tagless") }
 // BenchmarkIntsetTagged measures list-set ops over the tagged table.
 func BenchmarkIntsetTagged(b *testing.B) { benchIntset(b, "tagged") }
 
-// BenchmarkIntsetSharded measures list-set ops over the sharded table.
-func BenchmarkIntsetSharded(b *testing.B) { benchIntset(b, "sharded") }
-
 // BenchmarkMapPutGet measures the transactional hash map.
 func BenchmarkMapPutGet(b *testing.B) {
 	b.ReportAllocs()
@@ -167,9 +164,6 @@ func BenchmarkSkiplistTagless(b *testing.B) { benchSkiplist(b, "tagless", skipli
 // BenchmarkSkiplistTagged measures skiplist point ops over the tagged table.
 func BenchmarkSkiplistTagged(b *testing.B) { benchSkiplist(b, "tagged", skiplistPointOp) }
 
-// BenchmarkSkiplistSharded measures skiplist point ops over the sharded table.
-func BenchmarkSkiplistSharded(b *testing.B) { benchSkiplist(b, "sharded", skiplistPointOp) }
-
 // BenchmarkSkiplistScan measures the spilling whole-structure scan.
 func BenchmarkSkiplistScan(b *testing.B) { benchSkiplist(b, "tagged", skiplistScanOp) }
 
@@ -185,7 +179,7 @@ func TestSkiplistSteadyStateAllocationFree(t *testing.T) {
 		newOp func(*tmbp.Thread, *Skiplist) func() error
 	}{{"point", skiplistPointOp}, {"scan", skiplistScanOp}}
 	for _, o := range ops {
-		for _, kind := range tmbp.TableKinds() {
+		for _, kind := range sweepKinds() {
 			t.Run(o.name+"/"+kind, func(t *testing.T) {
 				op := o.newOp(skiplistBenchWorld(t, kind))
 				run := func() {

@@ -14,7 +14,7 @@ import (
 // opaque at the cost of no table read acquire at all. A pure scan in the same
 // runtime stays read-only end to end.
 func TestSkiplistInvisibleScanPromotion(t *testing.T) {
-	for _, kind := range tmbp.TableKinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, s, verify := phantomWorld(t, kind)
 			th := rt.NewThread()

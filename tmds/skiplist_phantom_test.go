@@ -48,7 +48,7 @@ func phantomWorld(t *testing.T, kind string) (*tmbp.STM, *Skiplist, func()) {
 // on the post-insert snapshot. A torn prefix (15 missing but later nodes
 // re-read inconsistently) is not legal, and the recorded history proves it.
 func TestSkiplistPhantomInvisibleScan(t *testing.T) {
-	for _, kind := range tmbp.TableKinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, s, verify := phantomWorld(t, kind)
 			reader := rt.NewThread()
@@ -219,7 +219,7 @@ func scanHammer(t *testing.T, kind string, fallbackAfter int) tmbp.STMStats {
 // carry visible reads beside invisible ones.
 func TestSkiplistScanHammer(t *testing.T) {
 	var fallbacks uint64
-	for _, kind := range tmbp.TableKinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) { fallbacks += scanHammer(t, kind, 1).FallbackCommits })
 	}
 	if fallbacks == 0 {
@@ -231,7 +231,7 @@ func TestSkiplistScanHammer(t *testing.T) {
 // whole-range scans are read-only, so they commit by version validation
 // racing the writers' splices.
 func TestSkiplistScanHammerInvisible(t *testing.T) {
-	for _, kind := range tmbp.TableKinds() {
+	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			if st := scanHammer(t, kind, 0); st.ROCommits == 0 {
 				t.Fatalf("invisible hammer committed no read-only transactions: %+v", st)

@@ -252,7 +252,7 @@ func TestSkiplistOracleSweep(t *testing.T) {
 		{"word", tmbp.STMConfig{Granularity: tmbp.WordGranularity}},
 	}
 	combo := 0
-	for _, kind := range tmbp.TableKinds() {
+	for _, kind := range sweepKinds() {
 		for _, gr := range grans {
 			combo++
 			seed := uint64(combo)

@@ -260,7 +260,7 @@ func keyedTraceSweep(t *testing.T, readFrac float64, fallbackAfter int) (fallbac
 		t.Skip("12 recorded concurrent runs")
 	}
 	for _, kind := range Kinds() {
-		for _, table := range tmbp.TableKinds() {
+		for _, table := range sweepKinds() {
 			t.Run(kind+"/"+table, func(t *testing.T) {
 				fallbacks += keyedTraceRun(t, kind, table, readFrac, fallbackAfter).FallbackCommits
 			})
