@@ -44,32 +44,100 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 	th := tx.th
 	th.fuzz()
 	word, chunk, widx := th.locate(a)
-	var v uint64
-	if e := th.desc.Set.Lookup(chunk); e != nil {
-		// Read-own-writes: the inline redo value wins over memory (and over
-		// a snapshot of the same word cached before it was written). Any
-		// existing entry holds at least read permission, so memory is
-		// directly readable otherwise — except on the invisible path, where
-		// the entry may hold nothing and a load must be version-validated
-		// (or served from the entry's snapshot cache).
-		if e.WMask&(1<<widx) != 0 {
-			v = e.Vals[widx]
-		} else if th.invisible {
-			v = th.readInvisibleHit(e, word, widx)
+	e := th.desc.Set.Lookup(chunk)
+	if e == nil {
+		if th.invisible {
+			e = th.readInvisibleMiss(chunk)
 		} else {
-			v = th.mem.words[word].Load()
+			e = th.acquireReadChunk(chunk, nil)
 		}
-	} else if th.invisible {
-		v = th.readInvisibleMiss(word, chunk, widx)
-	} else {
-		th.acquireReadChunk(chunk, nil)
-		v = th.mem.words[word].Load()
 	}
-	if r := th.rec; r != nil {
-		r.RecordEvent(opacity.Event{Kind: opacity.KindRead,
-			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts), Word: word, Value: v})
+	// A redo value wins over memory, and a snapshot word is served from the
+	// entry; both sit in Vals (a word read and then written holds its redo
+	// value there).
+	v := e.Vals[widx]
+	if (e.WMask|e.RMask)&(1<<widx) == 0 {
+		var out [1]uint64
+		th.readUncovered(e, word, widx, out[:])
+		v = out[0]
+	}
+	if th.rec != nil {
+		th.recordRead(word, v)
 	}
 	return v
+}
+
+// ReadWords reads the len(dst) consecutive words starting at address a into
+// dst. It behaves exactly like len(dst) calls to Read, one per word in
+// address order — the same values, footprint, table traffic and recorded
+// events — but probes the access set once per chunk it crosses rather than
+// once per word.
+func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
+	th := tx.th
+	for len(dst) > 0 {
+		word, chunk, widx := th.locate(a)
+		n := uint64(1)
+		if !th.wordGran {
+			n = chunkWords - widx
+		}
+		// The words of dst in this chunk, as far as memory reaches: a walk
+		// off its end panics at the next locate, where a Read would.
+		out := dst[:min(uint64(len(dst)), n, uint64(len(th.mem.words))-word)]
+		if th.fuzzP > 0 {
+			for range out {
+				th.fuzzYield()
+			}
+		}
+		e := th.desc.Set.Lookup(chunk)
+		if e == nil { // the chunk's first read, as in Read
+			if th.invisible {
+				e = th.readInvisibleMiss(chunk)
+			} else {
+				e = th.acquireReadChunk(chunk, nil)
+			}
+		}
+		if run := uint8(1<<len(out)-1) << widx; (e.WMask|e.RMask)&run == run {
+			vals := e.Vals[widx:][:len(out)] // as in Read
+			for j := range out {
+				out[j] = vals[j]
+			}
+		} else {
+			th.readUncovered(e, word, widx, out)
+		}
+		if th.rec != nil {
+			for j, v := range out {
+				th.recordRead(word+uint64(j), v)
+			}
+		}
+		a += addr.Addr(len(out)) * addr.WordBytes
+		dst = dst[len(out):]
+	}
+}
+
+// recordRead hands a read to the history recorder.
+func (th *Thread) recordRead(word, v uint64) {
+	th.rec.RecordEvent(opacity.Event{Kind: opacity.KindRead,
+		Thread: uint32(th.id), Attempt: int32(th.desc.Attempts), Word: word, Value: v})
+}
+
+// readUncovered reads into out the words of e's chunk from word widx (memory
+// word word) on, when the entry does not hold them all. An invisible attempt
+// has then read no word of the chunk yet, and reads them all
+// (readInvisibleFill). An entry of a serial attempt holds at least read
+// permission, so memory is directly readable where no redo value wins.
+func (th *Thread) readUncovered(e *txn.Access, word, widx uint64, out []uint64) {
+	if th.invisible {
+		th.readInvisibleFill(e)
+		copy(out, e.Vals[widx:])
+		return
+	}
+	for j := range out {
+		if w := widx + uint64(j); e.WMask&(1<<w) != 0 {
+			out[j] = e.Vals[w]
+		} else {
+			out[j] = th.mem.words[word+uint64(j)].Load()
+		}
+	}
 }
 
 // Write records v as the speculative value of the word at a, acquiring
@@ -136,11 +204,12 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 
 // acquireReadChunk acquires the read share backing chunk's slot, unless an
 // earlier entry already covers the slot, and records the resulting release
-// obligation in the chunk's access-set entry. A visible read passes
-// e == nil — the chunk has no entry yet, and one is inserted once the acquire
-// has succeeded, so a denied acquire aborts the attempt with no state
-// change; pinOrAbort passes the entry the invisible protocol already made.
-func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) {
+// obligation in the chunk's access-set entry, which it returns. A visible
+// read passes e == nil — the chunk has no entry yet, and one is inserted
+// once the acquire has succeeded, so a denied acquire aborts the attempt
+// with no state change; pinOrAbort passes the entry the invisible protocol
+// already made.
+func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access {
 	set := &th.desc.Set
 	slot := uint64(chunk)
 	covered := false
@@ -174,6 +243,7 @@ func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) {
 			set.RecordSlotOwner(e)
 		}
 	}
+	return e
 }
 
 // acquireWriteChunk acquires write permission for a chunk with no

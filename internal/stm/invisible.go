@@ -1,6 +1,8 @@
 package stm
 
 import (
+	"sync/atomic"
+
 	"tmbp/internal/addr"
 	"tmbp/internal/otable"
 	"tmbp/internal/txn"
@@ -22,39 +24,77 @@ func (th *Thread) roConflict() {
 // loaded, or rv itself on a drained attempt, whose done == rv was a
 // writer-free sample of every cell at once. Stamps only rise, so the chunk is
 // unchanged since the read while its cell shows no writer and a stamp not
-// above Ver. The invariant lets a read ask the clock instead of the cell — a
-// load followed by rt.epoch.Load() == th.rv belongs to the committed state
-// Ver bounds. A writer that drew a stamp at most rv holds its chunks
-// writer-active from before the draw to its release: the sample would have
-// seen it, so it had released and the load sees all of it. A writer arriving
-// after the sample draws above rv, and draws before it writes a word back
-// (commitStamp; StoreNT likewise), so a clock still at rv after the load
-// means it has not written. Whatever reloads rv keeps the invariant:
-// extendSnapshot samples every entry after the reload and ends drained
-// reading, and the first read whose sample caused the extension takes that
-// sample again.
+// above Ver. The invariant lets a read ask the clock instead of the cell —
+// loads of the chunk's words followed by rt.epoch.Load() == th.rv belong to
+// the committed state Ver bounds, all of them to the same one. A writer that
+// drew a stamp at most rv holds its chunks writer-active from before the draw
+// to its release: the sample would have seen it, so it had released and the
+// loads see all of it. A writer arriving after the sample draws above rv, and
+// draws before it writes a word back (commitStamp; StoreNT likewise), so a
+// clock still at rv after the last load means it has not written. Whatever
+// reloads rv keeps the invariant: extendSnapshot samples every entry after the
+// reload and ends drained reading, and the first read whose sample caused the
+// extension takes that sample again.
+//
+// A chunk is read whole: its first read snapshots every word into the entry
+// (Vals, RMask), so the loads are validated once per chunk and every later
+// read of the chunk is an array hit with no load and no clock check.
 
 // roReadRetries bounds how often an invisible first read goes back to the
 // cell — after an extension, or a changed re-sample — before it gives up.
 const roReadRetries = 4
 
+// chunkWords is the most words a chunk holds: a block's.
+const chunkWords = 1 << blockWordShift
+
+// loadChunk loads into vals every word of chunk that lies in memory and is
+// not marked in skip, and returns the mask of the words it loaded. At word
+// granularity the chunk is its one word.
+func (th *Thread) loadChunk(chunk addr.Block, vals *[chunkWords]uint64, skip uint8) uint8 {
+	words := th.mem.words
+	base, n := uint64(chunk), uint64(1)
+	if !th.wordGran {
+		base, n = base<<blockWordShift, chunkWords
+		if skip == 0 && base+chunkWords <= uint64(len(words)) {
+			// The common case, a whole block: no mask to consult, and
+			// unrolled, which the first read of every chunk pays for.
+			ws := (*[chunkWords]atomic.Uint64)(words[base : base+chunkWords])
+			vals[0], vals[1], vals[2], vals[3] = ws[0].Load(), ws[1].Load(), ws[2].Load(), ws[3].Load()
+			vals[4], vals[5], vals[6], vals[7] = ws[4].Load(), ws[5].Load(), ws[6].Load(), ws[7].Load()
+			return 1<<chunkWords - 1
+		}
+	}
+	ws := words[base:min(base+n, uint64(len(words)))]
+	var mask uint8
+	for i := range ws {
+		if skip&(1<<i) == 0 {
+			vals[i] = ws[i].Load()
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
 // readInvisibleMiss is the invisible first read of a chunk, with no table
-// traffic: sample the version cell, load, check the clock. The sample (no
+// traffic: sample the version cell, load every word of the chunk, check the
+// clock, and return the new entry holding the snapshot. The sample (no
 // writer, stamp at most rv) becomes the entry's Ver, and a clock still at rv
-// accepts the load on it (the Ver invariant). A drained attempt skips the
-// sample and records rv. On a moved clock the load is bracketed instead: an
-// unchanged, writer-free re-sample pins it to the state Ver names; a drained
-// read that finds the clock moved has no first sample to bracket with, so it
-// stops reading drained and goes back for one. A stamp above rv extends the
-// snapshot, which reloads rv, so that sample is spent and the loop takes
-// another. The value is cached in the entry (RMask) so repeat reads are pure
-// probes.
+// accepts the loads on it (the Ver invariant). A drained attempt skips the
+// sample and records rv. On a moved clock the loads are bracketed instead:
+// an unchanged, writer-free re-sample pins them to the state Ver names; a
+// drained read that finds the clock moved has no first sample to bracket
+// with, so it stops reading drained and goes back for one. A stamp above rv
+// extends the snapshot, which reloads rv, so that sample is spent and the
+// loop takes another.
 //
 // A writing attempt that samples a writer reads the chunk visibly instead
 // (pinOrAbort): the read share, or a covering own hold, pins memory, which
 // leaves nothing to validate.
-func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) uint64 {
+func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 	tab := th.tab
+	// The loads go straight into the entry. Until it is accepted it has no
+	// permission bits, so a revalidation or a release passes it over.
+	e := th.desc.Set.Insert(chunk)
 	for tries := 0; ; tries++ {
 		s1, locked := th.rv, false
 		if !th.quiet {
@@ -62,15 +102,17 @@ func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) 
 		}
 		switch {
 		case locked:
-			th.pinOrAbort(chunk, nil)
+			e.Perm = txn.PermRead
+			th.pinOrAbort(chunk, e)
 			if s1, _ = tab.SampleVersion(chunk); s1 > th.rv {
 				th.coverStamp(s1)
 			}
-			return th.mem.words[word].Load()
+			e.RMask = th.loadChunk(chunk, &e.Vals, 0)
+			return e
 		case s1 > th.rv:
 			th.coverStamp(s1)
 		default:
-			v := th.mem.words[word].Load()
+			mask := th.loadChunk(chunk, &e.Vals, 0)
 			if th.rt.epoch.Load() != th.rv {
 				if th.quiet {
 					th.quiet = false
@@ -80,12 +122,10 @@ func (th *Thread) readInvisibleMiss(word uint64, chunk addr.Block, widx uint64) 
 					break
 				}
 			}
-			e := th.desc.Set.Insert(chunk)
 			e.Perm = txn.PermRead | txn.VerRead
 			e.Ver = s1
-			e.Vals[widx] = v
-			e.RMask = 1 << widx
-			return v
+			e.RMask = mask
+			return e
 		}
 		if tries >= roReadRetries {
 			th.roConflict()
@@ -112,8 +152,8 @@ func (th *Thread) coverStamp(s uint64) {
 // arbitrate. A writing attempt may have sampled its own hold — a tagless
 // entry it owns through an aliasing chunk, a tagged record in the same
 // bucket; the sample cannot tell — and settles the question for this one
-// chunk by read-acquiring it (e is the chunk's invisible entry, nil on a
-// first read): a covering own hold on a tagless slot needs no table call,
+// chunk by read-acquiring it (e is the chunk's invisible entry, a first
+// read's not yet accepted): a covering own hold on a tagless slot needs no table call,
 // and a foreign writer of the chunk is a genuine conflict that reaches the
 // contention manager with its ConflictInfo.
 func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
@@ -124,42 +164,37 @@ func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
 	th.ctr.roPromotes.Add(1) // granted: a denied acquire never returns
 }
 
-// readInvisibleHit is the read of an unwritten word in a chunk an invisible
-// attempt already has an entry for: serve cached words from the entry's
-// snapshot, and accept a fresh load of a chunk nothing pins (VerRead) on a
-// clock still at rv with no visit to the cell — entry.Ver is the bound the
-// Ver invariant asks for. On a moved clock the cell decides: no active writer
-// and a stamp not above entry.Ver pin the load to the state entry.Ver bounds
-// — any writer that committed the chunk in between raised the stamp past it,
-// and one still in flight shows as an active writer.
+// readInvisibleFill is the first read of a chunk an invisible attempt already
+// has an entry for, with no word read yet: a chunk ReadBlock recorded, or one
+// the attempt holds because it wrote or pinned it before reading. Like a
+// first read it loads every word the entry has no redo value for, into Vals,
+// and validates the loads once; the chunk's later reads are array hits.
 //
-// A chunk the attempt holds is read straight from memory, but its first read
-// owes the snapshot-cover check of any first read if no read came before the
-// acquire: a chunk written without being read (or covered by an aliasing own
-// hold) may have been committed after rv, and its unwritten words must not be
-// seen beside older reads. While the clock stands at rv no stamp above it
-// exists, so the check needs no sample. The hold keeps the stamp still, so
-// once is enough, and any cached word proves an earlier read already
-// checked it.
-func (th *Thread) readInvisibleHit(e *txn.Access, word uint64, widx uint64) uint64 {
-	if e.RMask&(1<<widx) != 0 {
-		return e.Vals[widx]
-	}
-	v := th.mem.words[word].Load()
+// An entry nothing pins (VerRead) is accepted on a clock still at rv with no
+// visit to the cell — entry.Ver is the bound the Ver invariant asks for. On a
+// moved clock the cell decides: no active writer and a stamp not above
+// entry.Ver pin the loads to the state entry.Ver bounds — any writer that
+// committed the chunk in between raised the stamp past it, and one still in
+// flight shows as an active writer.
+//
+// A chunk the attempt holds is read straight from memory, but owes the
+// snapshot-cover check of any first read: a chunk written without being read
+// (or covered by an aliasing own hold) may have been committed after rv, and
+// its unwritten words must not be seen beside older reads. While the clock
+// stands at rv no stamp above it exists, so the check needs no sample, and
+// the hold keeps the stamp still, so once is enough.
+func (th *Thread) readInvisibleFill(e *txn.Access) {
+	mask := th.loadChunk(e.Chunk, &e.Vals, e.WMask)
 	if th.rt.epoch.Load() != th.rv {
 		if e.Perm&txn.VerRead != 0 {
 			if s, locked := th.tab.SampleVersion(e.Chunk); locked || s > e.Ver {
 				th.validationFailed(e, locked)
 			}
-		} else if e.RMask == 0 {
-			if s, _ := th.tab.SampleVersion(e.Chunk); s > th.rv {
-				th.coverStamp(s)
-			}
+		} else if s, _ := th.tab.SampleVersion(e.Chunk); s > th.rv {
+			th.coverStamp(s)
 		}
 	}
-	e.Vals[widx] = v
-	e.RMask |= 1 << widx
-	return v
+	e.RMask = mask
 }
 
 // readBlockInvisible is the invisible ReadBlock: record the chunk in the

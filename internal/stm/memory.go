@@ -34,15 +34,27 @@ func (m *Memory) Bytes() uint64 { return uint64(len(m.words)) * addr.WordBytes }
 func (m *Memory) WordAddr(i int) addr.Addr { return addr.Addr(uint64(i) * addr.WordBytes) }
 
 // index converts an address to a word index, checking bounds and alignment.
+// It is small enough to inline into every access: the panic value formats
+// its message only when printed.
 func (m *Memory) index(a addr.Addr) uint64 {
-	if uint64(a)%addr.WordBytes != 0 {
-		panic(fmt.Sprintf("stm: unaligned word access at %v", a))
-	}
-	i := uint64(a) / addr.WordBytes
-	if i >= uint64(len(m.words)) {
-		panic(fmt.Sprintf("stm: access at %v beyond memory of %d words", a, len(m.words)))
+	i := uint64(a) >> addr.WordShift
+	if i >= uint64(len(m.words)) || a&(addr.WordBytes-1) != 0 {
+		panic(badAddr{a, len(m.words)})
 	}
 	return i
+}
+
+// badAddr is the panic value of an address index rejects.
+type badAddr struct {
+	a     addr.Addr
+	words int
+}
+
+func (b badAddr) Error() string {
+	if b.a&(addr.WordBytes-1) != 0 {
+		return fmt.Sprintf("stm: unaligned word access at %v", b.a)
+	}
+	return fmt.Sprintf("stm: access at %v beyond memory of %d words", b.a, b.words)
 }
 
 // load reads the word at address a.

@@ -115,13 +115,15 @@ func (w *stepWriter) leave() {
 // TestInvisibleSamplesPerRead counts version samples per read, the
 // host-independent form of the shortcut's gain. An attempt that begins
 // drained reads without a single sample while the clock stands at rv. Once a
-// foreign writing commit has moved the clock the reads are bracketed and
-// validated as before the shortcut existed (2 / 1 / 0), and one snapshot
-// extension — here forced by reading the chunk that commit wrote — restores
-// the still-clock regime, though not the drained one: the first read of a
-// chunk takes exactly one sample and every later read of the chunk, and the
-// read-only commit, none. An attempt that begins with a stamp unfinished
-// reads in that regime from the start.
+// foreign writing commit has moved the clock, a chunk's first read is
+// bracketed (2 samples, or 1 for ReadBlock, which loads nothing, and then 1
+// for the chunk's first Read), and every later read of the chunk is served
+// from its snapshot with none. One snapshot extension — here forced by
+// reading the chunk that commit wrote — restores the still-clock regime,
+// though not the drained one: the first read of a chunk takes exactly one
+// sample and every later read of the chunk, and the read-only commit, none.
+// An attempt that begins with a stamp unfinished reads in that regime from
+// the start.
 func TestInvisibleSamplesPerRead(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		for _, block := range []bool{false, true} {
@@ -152,15 +154,6 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 						t.Fatalf("%s took %d version samples, want %d", what, got, want)
 					}
 				}
-				// rereadWord0 reads word 0 of block 1 twice. After ReadBlock no
-				// word is cached yet, so there the first of the two is still a
-				// fresh load of a known chunk, costing fresh samples.
-				rereadWord0 := func(tx *Tx, fresh int) {
-					if block {
-						expect("word 0 after ReadBlock", fresh, func() { tx.Read(word(1, 0)) })
-					}
-					expect("repeat read", 0, func() { tx.Read(word(1, 0)) })
-				}
 				// commitFree runs fn as a transaction whose commit must not
 				// sample at all.
 				commitFree := func(what string, fn func(tx *Tx)) {
@@ -177,20 +170,23 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 				commitFree("drained read-only commit", func(tx *Tx) {
 					expect("drained: first read of a chunk", 0, func() { first(tx, 1) })
 					expect("drained: another word of it", 0, func() { tx.Read(word(1, 1)) })
-					rereadWord0(tx, 0)
+					expect("drained: repeat read", 0, func() { tx.Read(word(1, 0)) })
 				})
 
 				commitFree("read-only commit after an extension", func(tx *Tx) {
 					if err := other.Atomic(func(otx *Tx) error { otx.Write(word(5, 0), 1); return nil }); err != nil {
 						t.Fatal(err)
 					}
-					firstWant := 2
+					// After ReadBlock no word is loaded yet, so the chunk's first
+					// Read is still a fresh load of a known chunk, costing a
+					// fresh sample; it loads word 0 with word 1.
+					firstWant, anotherWant := 2, 0
 					if block {
-						firstWant = 1
+						firstWant, anotherWant = 1, 1
 					}
 					expect("moved clock: first read of a chunk", firstWant, func() { first(tx, 1) })
-					expect("moved clock: another word of it", 1, func() { tx.Read(word(1, 1)) })
-					rereadWord0(tx, 1)
+					expect("moved clock: another word of it", anotherWant, func() { tx.Read(word(1, 1)) })
+					expect("moved clock: repeat read", 0, func() { tx.Read(word(1, 0)) })
 					// Block 5 carries the foreign stamp: its sample, one
 					// revalidation of the one entry so far, and the sample
 					// taken again after the extension.
@@ -354,22 +350,23 @@ func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
 	}
 }
 
-// TestStillClockScheduleSecondWord: the reader knows the chunk — word 0 is
-// cached, a sampled Ver recorded — when a writer enters and writes back word
-// 1. The read of word 1 takes no sample on a still clock, so the clock is all
-// that stands between it and half a commit. (TestDrainedBeginComparesDone
-// makes the same read on a Ver the drained first read recorded.)
+// TestStillClockScheduleSecondWord: the reader knows the chunk — ReadBlock
+// recorded a sampled Ver, no word is loaded yet — when a writer enters and
+// writes back word 1. The chunk's first Read loads both words and takes no
+// sample on a still clock, so the clock is all that stands between it and
+// half a commit. (TestDrainedBeginComparesDone makes the same read on a Ver
+// the drained first read recorded.)
 func TestStillClockScheduleSecondWord(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		for _, r := range stillClockReaders {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
 				undrained := func(env *stillClockEnv) { undrain(env.rt) }
 				runStillClockSchedule(t, kind, r.writes, undrained, func(tx *Tx, env *stillClockEnv) {
-					a := tx.Read(env.x0)
+					tx.ReadBlock(env.w.chunk)
 					env.w.enter()
 					env.w.store(env.x1, 1)
 					defer env.w.store(env.x0, 1)
-					b := tx.Read(env.x1)
+					a, b := tx.Read(env.x0), tx.Read(env.x1)
 					t.Fatalf("read x0/x1 = %d/%d: the second word was accepted without asking the clock", a, b)
 				})
 			})
@@ -379,7 +376,7 @@ func TestStillClockScheduleSecondWord(t *testing.T) {
 
 // TestStillClockHammer is the free-running companion of the schedules: the
 // one ordering they cannot reach is the clock asked after the sample but
-// before the data load (and its analogue in readInvisibleHit), because nothing
+// before the data load (and its analogue in readInvisibleFill), because nothing
 // is called between the two loads for a script to hang on. A writer commits
 // z, x0 and x1 in lockstep as fast as it can while a reader compares them from
 // inside invisible attempts; with two processors a writer's draw and

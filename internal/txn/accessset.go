@@ -77,13 +77,14 @@ const (
 // Ver and RMask serve the invisible-reader fast path (internal/stm): while
 // a transaction reads without acquiring, Ver records the version stamp its
 // first read of the chunk validated against, and Vals doubles as a snapshot
-// cache — RMask marks the words whose validated values are cached there, so
-// a repeat read of the same word is a pure array probe and a read of a new
-// word in a known chunk revalidates against Ver (while the entry carries
-// VerRead) before being cached. An invisible attempt stays invisible when it
-// writes, so one entry may carry both masks: a word read and then written
-// has its bit in each, and WMask wins on read — Vals then holds the redo
-// value, which is also all commit ever writes back.
+// of the chunk. That first read loads every word of the chunk, so RMask is
+// either empty — no word read yet: the entry came from a footprint-only
+// read, or from a write or pin that no read preceded — or covers every word
+// of the chunk that lies in memory and has no redo value, and any later read
+// of the chunk is a pure array probe. An invisible attempt stays invisible
+// when it writes, so one entry may carry both masks: a word read and then
+// written has its bit in each, and Vals then holds the redo value, which is
+// also all commit ever writes back.
 type Access struct {
 	Chunk addr.Block                               // the accessed chunk: the set key
 	Slot  uint64                                   // the ownership-table slot key for Chunk
@@ -94,7 +95,7 @@ type Access struct {
 	Vals  [addr.BlockBytes / addr.WordBytes]uint64 // redo values (WMask) or invisible-read snapshot cache (RMask)
 	Idx   int32                                    // this entry's position in the dense array
 	WMask uint8                                    // which Vals are live speculative writes
-	RMask uint8                                    // which Vals are validated invisible-read snapshots
+	RMask uint8                                    // which Vals hold the chunk's validated invisible-read snapshot
 	Perm  uint8                                    // Perm*/Slot* bits above
 }
 
@@ -146,7 +147,9 @@ func (s *AccessSet) Lookup(chunk addr.Block) *Access {
 
 // Insert adds a fresh entry for chunk — which must not be present — and
 // returns it zeroed except for Chunk, Rel, and Slot (set to the identity;
-// callers override Slot for non-identity tables). Pointers returned by
+// callers override Slot for non-identity tables) and Vals, which keeps
+// whatever the reused storage held: with both masks empty no word of it is
+// live, and the caller fills the words it marks. Pointers returned by
 // earlier Lookup/At calls are invalidated if the set grows.
 func (s *AccessSet) Insert(chunk addr.Block) *Access {
 	if s.dense == nil {
@@ -160,7 +163,8 @@ func (s *AccessSet) Insert(chunk addr.Block) *Access {
 	}
 	s.link(chunk, int32(s.n))
 	e := &s.dense[s.n]
-	*e = Access{Chunk: chunk, Slot: uint64(chunk), Rel: chunk, Idx: int32(s.n)}
+	e.Chunk, e.Slot, e.Rel, e.Hnd, e.Word, e.Ver = chunk, uint64(chunk), chunk, 0, 0, 0
+	e.Idx, e.WMask, e.RMask, e.Perm = int32(s.n), 0, 0, 0
 	s.n++
 	return e
 }

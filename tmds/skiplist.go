@@ -39,9 +39,14 @@ import (
 //	    +1 value
 //	    +2+l next pointer at level l (l < height of slot i)
 //
-// Key, value, and the level-0 link share the node's first cache block, so
-// a level-0 scan touches one block per visited node. Free nodes chain
-// through their level-0 link.
+// The stride is whole blocks, so every node starts at the same offset in a
+// block. From a block-aligned baseWord, key, value and the links of levels
+// 0-5 share the node's first cache block, so a level-0 scan touches one block
+// per visited node. GetTx, RangeScanTx and their descent read a node they
+// reach with one Tx.ReadWords of its first-block words (a visit, see
+// nodeView) — one access-set probe — and take the links they follow from
+// it; links in a later block, and the header's, are read with one ReadWords
+// per block as well. Free nodes chain through their level-0 link.
 type Skiplist struct {
 	mem       *tmbp.Memory
 	size      tmbp.Addr
@@ -51,6 +56,7 @@ type Skiplist struct {
 	stride    int
 	levels    int
 	capacity  int
+	head      int     // words of a node in its first block
 	heights   []uint8 // fixed per-slot tower heights, drawn at construction
 }
 
@@ -121,6 +127,7 @@ func NewSkiplist(mem *tmbp.Memory, baseWord, capacity int, seed uint64) (*Skipli
 		stride:    stride,
 		levels:    levels,
 		capacity:  capacity,
+		head:      spreadStride - nodes%spreadStride,
 		heights:   make([]uint8, capacity),
 	}
 	rng := xrand.NewWithStream(seed, skipStream)
@@ -192,29 +199,99 @@ func (s *Skiplist) findPreds(tx *tmbp.Tx, k uint64) (preds [skipMaxLevel]uint64,
 	return preds, cur
 }
 
+// nodeView holds words of one node that one ReadWords read, all from one
+// block: buf[:n] are the node's words from offset off on, where the key
+// lies at offset 0, the value at 1 and the level-l link at 2+l.
+type nodeView struct {
+	buf    [spreadStride]uint64
+	off, n int
+}
+
+// base returns the index of node i's word 0; node 0 is the header.
+func (s *Skiplist) base(i uint64) int {
+	if i == 0 {
+		return s.hdrBase
+	}
+	return s.nodesBase + int(i-1)*s.stride
+}
+
+// visit reads into v node i's key, value and links of the levels below
+// links, as far as the slot's height and the node's first block reach.
+func (s *Skiplist) visit(tx *tmbp.Tx, i uint64, links int, v *nodeView) {
+	v.off, v.n = 0, min(s.head, 2+min(links, int(s.heights[i-1])))
+	tx.ReadWords(wordAddr(s.mem, s.base(i)), v.buf[:v.n])
+}
+
+// word returns the node's word at offset w if v holds it.
+func (v *nodeView) word(w int) (uint64, bool) {
+	if w < v.off || w >= v.off+v.n {
+		return 0, false
+	}
+	return v.buf[w-v.off], true
+}
+
+// reload fills v with the links of node x that share a block with its
+// level-l link, from the lowest of them up to level l — the levels below
+// are the ones a descent reads next — and returns the level-l link.
+func (s *Skiplist) reload(tx *tmbp.Tx, x uint64, l int, v *nodeView) uint64 {
+	base, w := s.base(x), 2+l
+	v.off = max(2, (base+w)&^(spreadStride-1)-base)
+	v.n = w - v.off + 1
+	tx.ReadWords(wordAddr(s.mem, base+v.off), v.buf[:v.n])
+	return v.buf[v.n-1]
+}
+
+// value returns node i's value, from v, i's view, when it holds it.
+func (s *Skiplist) value(tx *tmbp.Tx, i uint64, v *nodeView) uint64 {
+	if val, ok := v.word(1); ok {
+		return val
+	}
+	return tx.Read(s.valAddr(i))
+}
+
+// seekViews is the storage of one seek: the views of the node the walk
+// stands on, of the node after it, and of the node that stopped it. Callers
+// keep a zero one on their stack: the header's view is empty.
+type seekViews [3]nodeView
+
 // seek returns the first node with key >= k, walking the towers without
-// recording predecessors (the read-only descent of GetTx and RangeScanTx).
-func (s *Skiplist) seek(tx *tmbp.Tx, k uint64) uint64 {
-	x := uint64(0)
+// recording predecessors (the read-only descent of GetTx and RangeScanTx),
+// and that node's view, which lives in vs. Every node on the way is visited
+// once, reading the links of the levels left to descend: the walk descends
+// through the links of the node it stands on from that node's view, and the
+// node that stopped one level stops the levels below it reaches again
+// without another read.
+func (s *Skiplist) seek(tx *tmbp.Tx, k uint64, vs *seekViews) (uint64, *nodeView) {
+	at, next, found := &vs[0], &vs[1], &vs[2] // the views of x, of the node after it, and of stop
+	x, stop, n := uint64(0), uint64(0), uint64(0)
 	for l := s.levels - 1; l >= 0; l-- {
 		for {
-			n := tx.Read(s.nextAddr(x, l))
-			if n == 0 || tx.Read(s.keyAddr(n)) >= k {
+			var ok bool
+			if n, ok = at.word(2 + l); !ok { // x's level-l link
+				n = s.reload(tx, x, l, at)
+			}
+			if n == 0 || n == stop {
 				break
 			}
-			x = n
+			s.visit(tx, n, l+1, next)
+			if next.buf[0] >= k {
+				stop, found, next = n, next, found
+				break
+			}
+			x, at, next = n, next, at
 		}
 	}
-	return tx.Read(s.nextAddr(x, 0))
+	return n, found
 }
 
 // GetTx looks up k inside an already-running transaction.
 func (s *Skiplist) GetTx(tx *tmbp.Tx, k uint64) (v uint64, ok bool) {
-	cur := s.seek(tx, k)
-	if cur == 0 || tx.Read(s.keyAddr(cur)) != k {
+	var vs seekViews
+	cur, cv := s.seek(tx, k, &vs)
+	if cur == 0 || cv.buf[0] != k {
 		return 0, false
 	}
-	return tx.Read(s.valAddr(cur)), true
+	return s.value(tx, cur, cv), true
 }
 
 // Get looks up k.
@@ -355,18 +432,27 @@ func (s *Skiplist) Max(th *tmbp.Thread) (k, v uint64, ok bool, err error) {
 // order inside an already-running transaction, calling fn per entry. A
 // non-nil error from fn stops the scan and is returned (propagating it from
 // the Atomic body aborts the transaction). The whole traversal is one read
-// footprint: one block per visited node plus the O(log n) descent to lo.
+// footprint: one block per visited node plus the O(log n) descent to lo,
+// each node read with one visit.
 func (s *Skiplist) RangeScanTx(tx *tmbp.Tx, lo, hi uint64, fn func(k, v uint64) error) error {
 	if hi < lo {
 		return nil
 	}
-	for cur := s.seek(tx, lo); cur != 0; cur = tx.Read(s.nextAddr(cur, 0)) {
-		k := tx.Read(s.keyAddr(cur))
+	var vs seekViews
+	for cur, cv := s.seek(tx, lo, &vs); cur != 0; {
+		k := cv.buf[0]
 		if k > hi {
 			return nil
 		}
-		if err := fn(k, tx.Read(s.valAddr(cur))); err != nil {
+		if err := fn(k, s.value(tx, cur, cv)); err != nil {
 			return err
+		}
+		next, ok := cv.word(2)
+		if !ok {
+			next = s.reload(tx, cur, 0, cv)
+		}
+		if cur = next; cur != 0 {
+			s.visit(tx, cur, 1, cv)
 		}
 	}
 	return nil

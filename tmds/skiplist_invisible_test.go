@@ -16,7 +16,7 @@ import (
 func TestSkiplistInvisibleScanPromotion(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
-			rt, s, verify := phantomWorld(t, kind)
+			rt, s, _, verify := phantomWorld(t, kind)
 			th := rt.NewThread()
 
 			// Pure scan first: commits on the read-only path.

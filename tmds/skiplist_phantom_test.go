@@ -10,9 +10,9 @@ import (
 )
 
 // phantomWorld builds a recorded skiplist world for the phantom schedules:
-// a small aliasing-prone table, block granularity, and the keys
-// 10/20/30/40/50 pre-inserted.
-func phantomWorld(t *testing.T, kind string) (*tmbp.STM, *Skiplist, func()) {
+// a small aliasing-prone table behind a sample counter, block granularity,
+// and the keys 10/20/30/40/50 pre-inserted.
+func phantomWorld(t *testing.T, kind string) (*tmbp.STM, *Skiplist, *sampleCounter, func()) {
 	t.Helper()
 	const capacity = 64
 	tab, err := tmbp.NewTable(kind, 256, "mask")
@@ -21,6 +21,7 @@ func phantomWorld(t *testing.T, kind string) (*tmbp.STM, *Skiplist, func()) {
 	}
 	mem := tmbp.NewMemory(SkiplistWords(capacity))
 	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 21}
+	samples := countSamples(&cfg)
 	log := attachLog(t, &cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {
@@ -37,7 +38,7 @@ func phantomWorld(t *testing.T, kind string) (*tmbp.STM, *Skiplist, func()) {
 			t.Fatal(err)
 		}
 	}
-	return rt, s, func() { checkOpaque(t, log) }
+	return rt, s, samples, func() { checkOpaque(t, log) }
 }
 
 // TestSkiplistPhantomInvisibleScan is the deterministic phantom schedule:
@@ -47,29 +48,47 @@ func phantomWorld(t *testing.T, kind string) (*tmbp.STM, *Skiplist, func()) {
 // version validation must catch it, abort the attempt, and re-run the scan
 // on the post-insert snapshot. A torn prefix (15 missing but later nodes
 // re-read inconsistently) is not legal, and the recorded history proves it.
+// The schedule also pins which read path each visit takes, so the recorded
+// history holds both: the first attempt begins drained and reads node 10
+// without a sample, and after the writer's commit has moved the clock its
+// visits sample; the retry begins drained again and samples nothing.
 func TestSkiplistPhantomInvisibleScan(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
-			rt, s, verify := phantomWorld(t, kind)
+			rt, s, samples, verify := phantomWorld(t, kind)
 			reader := rt.NewThread()
 
 			scanStarted := make(chan struct{})
 			resume := make(chan struct{})
 			first := true
 			var got []uint64
+			var resumed, afterResume, retry uint64
+			attempt := 0
 			readerDone := make(chan error, 1)
 			go func() {
 				readerDone <- reader.Atomic(func(tx *tmbp.Tx) error {
+					attempt++
+					begin := samples.n.Load()
 					got = got[:0]
-					return s.RangeScanTx(tx, 10, 50, func(k, _ uint64) error {
+					err := s.RangeScanTx(tx, 10, 50, func(k, _ uint64) error {
 						got = append(got, k)
 						if first && k == 10 {
 							first = false
+							if n := samples.n.Load() - begin; n != 0 {
+								t.Errorf("drained scan took %d version samples before the pause", n)
+							}
 							close(scanStarted)
 							<-resume
 						}
 						return nil
 					})
+					switch attempt {
+					case 1:
+						afterResume = samples.n.Load() - resumed
+					case 2:
+						retry = samples.n.Load() - begin
+					}
+					return err
 				})
 			}()
 			<-scanStarted
@@ -80,6 +99,7 @@ func TestSkiplistPhantomInvisibleScan(t *testing.T) {
 			if _, err := s.Put(wth, 15, 150); err != nil {
 				t.Fatalf("writer: %v", err)
 			}
+			resumed = samples.n.Load()
 			close(resume)
 			if err := <-readerDone; err != nil {
 				t.Fatalf("reader: %v", err)
@@ -93,6 +113,10 @@ func TestSkiplistPhantomInvisibleScan(t *testing.T) {
 			}
 			if st := rt.Stats(); st.ROValidationAborts == 0 {
 				t.Fatalf("no validation abort recorded: %+v", st)
+			}
+			if attempt != 2 || afterResume == 0 || retry != 0 {
+				t.Fatalf("%d attempts; %d version samples after the writer's commit, %d in the retry: want 2 attempts, sampled visits, then a drained retry",
+					attempt, afterResume, retry)
 			}
 			verify()
 		})

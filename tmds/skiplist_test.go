@@ -244,160 +244,272 @@ func TestSkiplistRejectsBadConfig(t *testing.T) {
 // identical final contents. The sweep is the ordered-map analogue of the
 // kinds × granularities unified-log oracle.
 func TestSkiplistOracleSweep(t *testing.T) {
-	grans := []struct {
-		name string
-		g    tmbp.STMConfig
-	}{
-		{"block", tmbp.STMConfig{Granularity: tmbp.BlockGranularity}},
-		{"word", tmbp.STMConfig{Granularity: tmbp.WordGranularity}},
-	}
 	combo := 0
 	for _, kind := range sweepKinds() {
-		for _, gr := range grans {
+		for _, gr := range oracleGrans {
 			combo++
 			seed := uint64(combo)
 			t.Run(fmt.Sprintf("%s/%s/backoff", kind, gr.name), func(t *testing.T) {
 				t.Parallel()
-				const capacity = 96
-				tab, err := tmbp.NewTable(kind, 512, "mask")
-				if err != nil {
-					t.Fatal(err)
-				}
-				mem := tmbp.NewMemory(SkiplistWords(capacity))
-				cfg := gr.g
-				cfg.Table = tab
-				cfg.Memory = mem
-				cfg.Seed = seed
-				rt, err := tmbp.NewSTM(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s, err := NewSkiplist(mem, 0, capacity, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				th := rt.NewThread()
-				ref := map[uint64]uint64{}
-				refScan := func(lo, hi uint64) []uint64 {
-					var ks []uint64
-					for k := range ref {
-						if k >= lo && k <= hi {
-							ks = append(ks, k)
-						}
-					}
-					sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-					return ks
-				}
-				rng := xrand.NewWithStream(seed, 12345)
-				var scanned []uint64
-				for i := 0; i < 600; i++ {
-					k := rng.Uint64n(capacity) // keys < capacity: ErrFull unreachable
-					switch rng.Intn(8) {
-					case 0, 1, 2:
-						v := rng.Uint64()
-						added, err := s.Put(th, k, v)
-						if err != nil {
-							t.Fatal(err)
-						}
-						_, present := ref[k]
-						if added == present {
-							t.Fatalf("op %d: Put(%d) added=%v, oracle present=%v", i, k, added, present)
-						}
-						ref[k] = v
-					case 3:
-						v, ok, err := s.Get(th, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, wantOK := ref[k]
-						if ok != wantOK || (ok && v != want) {
-							t.Fatalf("op %d: Get(%d) = (%d, %v), oracle (%d, %v)", i, k, v, ok, want, wantOK)
-						}
-					case 4:
-						removed, err := s.Delete(th, k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						_, present := ref[k]
-						if removed != present {
-							t.Fatalf("op %d: Delete(%d) removed=%v, oracle present=%v", i, k, removed, present)
-						}
-						delete(ref, k)
-					case 5:
-						lo, hi := rng.Uint64n(capacity+10), rng.Uint64n(capacity+10)
-						err := th.Atomic(func(tx *tmbp.Tx) error {
-							scanned = scanned[:0]
-							return s.RangeScanTx(tx, lo, hi, func(k, v uint64) error {
-								if ref[k] != v {
-									t.Fatalf("op %d: scan saw (%d, %d), oracle value %d", i, k, v, ref[k])
-								}
-								scanned = append(scanned, k)
-								return nil
-							})
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := refScan(lo, hi)
-						if len(scanned) != len(want) {
-							t.Fatalf("op %d: scan [%d, %d] = %v, oracle %v", i, lo, hi, scanned, want)
-						}
-						for j := range want {
-							if scanned[j] != want[j] {
-								t.Fatalf("op %d: scan [%d, %d] = %v, oracle %v", i, lo, hi, scanned, want)
-							}
-						}
-					case 6:
-						mink, _, ok, err := s.Min(th)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := refScan(0, ^uint64(0))
-						if ok != (len(want) > 0) || (ok && mink != want[0]) {
-							t.Fatalf("op %d: Min = (%d, %v), oracle %v", i, mink, ok, want)
-						}
-					case 7:
-						maxk, _, ok, err := s.Max(th)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := refScan(0, ^uint64(0))
-						if ok != (len(want) > 0) || (ok && maxk != want[len(want)-1]) {
-							t.Fatalf("op %d: Max = (%d, %v), oracle %v", i, maxk, ok, want)
-						}
-					}
-				}
-				// Final contents: one full scan equals the sorted oracle.
-				var finalKeys []uint64
-				err = th.Atomic(func(tx *tmbp.Tx) error {
-					finalKeys = finalKeys[:0]
-					return s.RangeScanTx(tx, 0, ^uint64(0), func(k, v uint64) error {
-						if ref[k] != v {
-							t.Fatalf("final scan saw (%d, %d), oracle value %d", k, v, ref[k])
-						}
-						finalKeys = append(finalKeys, k)
-						return nil
-					})
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := refScan(0, ^uint64(0))
-				if len(finalKeys) != len(want) {
-					t.Fatalf("final contents %v, oracle %v", finalKeys, want)
-				}
-				for j := range want {
-					if finalKeys[j] != want[j] {
-						t.Fatalf("final contents %v, oracle %v", finalKeys, want)
-					}
-				}
-				if n, _ := s.Len(th); n != len(ref) {
-					t.Fatalf("final Len = %d, oracle %d", n, len(ref))
-				}
-				if occ := tab.Occupied(); occ != 0 {
-					t.Fatalf("ownership table still holds %d entries after quiescence", occ)
-				}
+				runSkiplistOracle(t, kind, gr.g, 0, seed)
 			})
 		}
+	}
+}
+
+// TestSkiplistOracleUnaligned runs the oracle on skiplists whose nodes do not
+// start a block: then a node's first block holds fewer than its key, value
+// and six links, and the reads of a visit stop at the block's end. From
+// baseWord 6 the links start in the next block, and from 7 the value too.
+func TestSkiplistOracleUnaligned(t *testing.T) {
+	for _, kind := range tmbp.TableKinds() {
+		for _, gr := range oracleGrans {
+			for _, base := range []int{3, 6, 7} {
+				t.Run(fmt.Sprintf("%s/%s/base%d", kind, gr.name, base), func(t *testing.T) {
+					t.Parallel()
+					runSkiplistOracle(t, kind, gr.g, base, uint64(base))
+				})
+			}
+		}
+	}
+}
+
+// oracleGrans are the granularities the skiplist oracles sweep.
+var oracleGrans = []struct {
+	name string
+	g    tmbp.STMConfig
+}{
+	{"block", tmbp.STMConfig{Granularity: tmbp.BlockGranularity}},
+	{"word", tmbp.STMConfig{Granularity: tmbp.WordGranularity}},
+}
+
+// runSkiplistOracle drives one oracle run over a skiplist carved out of
+// memory at baseWord.
+func runSkiplistOracle(t *testing.T, kind string, cfg tmbp.STMConfig, baseWord int, seed uint64) {
+	const capacity = 96
+	tab, err := tmbp.NewTable(kind, 512, "mask")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := tmbp.NewMemory(baseWord + SkiplistWords(capacity))
+	cfg.Table = tab
+	cfg.Memory = mem
+	cfg.Seed = seed
+	rt, err := tmbp.NewSTM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSkiplist(mem, baseWord, capacity, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := rt.NewThread()
+	ref := map[uint64]uint64{}
+	refScan := func(lo, hi uint64) []uint64 {
+		var ks []uint64
+		for k := range ref {
+			if k >= lo && k <= hi {
+				ks = append(ks, k)
+			}
+		}
+		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+		return ks
+	}
+	rng := xrand.NewWithStream(seed, 12345)
+	var scanned []uint64
+	for i := 0; i < 600; i++ {
+		k := rng.Uint64n(capacity) // keys < capacity: ErrFull unreachable
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			v := rng.Uint64()
+			added, err := s.Put(th, k, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, present := ref[k]
+			if added == present {
+				t.Fatalf("op %d: Put(%d) added=%v, oracle present=%v", i, k, added, present)
+			}
+			ref[k] = v
+		case 3:
+			v, ok, err := s.Get(th, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantOK := ref[k]
+			if ok != wantOK || (ok && v != want) {
+				t.Fatalf("op %d: Get(%d) = (%d, %v), oracle (%d, %v)", i, k, v, ok, want, wantOK)
+			}
+		case 4:
+			removed, err := s.Delete(th, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, present := ref[k]
+			if removed != present {
+				t.Fatalf("op %d: Delete(%d) removed=%v, oracle present=%v", i, k, removed, present)
+			}
+			delete(ref, k)
+		case 5:
+			lo, hi := rng.Uint64n(capacity+10), rng.Uint64n(capacity+10)
+			err := th.Atomic(func(tx *tmbp.Tx) error {
+				scanned = scanned[:0]
+				return s.RangeScanTx(tx, lo, hi, func(k, v uint64) error {
+					if ref[k] != v {
+						t.Fatalf("op %d: scan saw (%d, %d), oracle value %d", i, k, v, ref[k])
+					}
+					scanned = append(scanned, k)
+					return nil
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refScan(lo, hi)
+			if len(scanned) != len(want) {
+				t.Fatalf("op %d: scan [%d, %d] = %v, oracle %v", i, lo, hi, scanned, want)
+			}
+			for j := range want {
+				if scanned[j] != want[j] {
+					t.Fatalf("op %d: scan [%d, %d] = %v, oracle %v", i, lo, hi, scanned, want)
+				}
+			}
+		case 6:
+			mink, _, ok, err := s.Min(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refScan(0, ^uint64(0))
+			if ok != (len(want) > 0) || (ok && mink != want[0]) {
+				t.Fatalf("op %d: Min = (%d, %v), oracle %v", i, mink, ok, want)
+			}
+		case 7:
+			maxk, _, ok, err := s.Max(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refScan(0, ^uint64(0))
+			if ok != (len(want) > 0) || (ok && maxk != want[len(want)-1]) {
+				t.Fatalf("op %d: Max = (%d, %v), oracle %v", i, maxk, ok, want)
+			}
+		}
+	}
+	// Final contents: one full scan equals the sorted oracle.
+	var finalKeys []uint64
+	err = th.Atomic(func(tx *tmbp.Tx) error {
+		finalKeys = finalKeys[:0]
+		return s.RangeScanTx(tx, 0, ^uint64(0), func(k, v uint64) error {
+			if ref[k] != v {
+				t.Fatalf("final scan saw (%d, %d), oracle value %d", k, v, ref[k])
+			}
+			finalKeys = append(finalKeys, k)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refScan(0, ^uint64(0))
+	if len(finalKeys) != len(want) {
+		t.Fatalf("final contents %v, oracle %v", finalKeys, want)
+	}
+	for j := range want {
+		if finalKeys[j] != want[j] {
+			t.Fatalf("final contents %v, oracle %v", finalKeys, want)
+		}
+	}
+	if n, _ := s.Len(th); n != len(ref) {
+		t.Fatalf("final Len = %d, oracle %d", n, len(ref))
+	}
+	if occ := tab.Occupied(); occ != 0 {
+		t.Fatalf("ownership table still holds %d entries after quiescence", occ)
+	}
+}
+
+// refSeek is the descent as it read before visits: one Read per key and per
+// link, straight from the layout.
+func refSeek(s *Skiplist, tx *tmbp.Tx, k uint64) uint64 {
+	x := uint64(0)
+	for l := s.levels - 1; l >= 0; l-- {
+		for {
+			n := tx.Read(s.nextAddr(x, l))
+			if n == 0 || tx.Read(s.keyAddr(n)) >= k {
+				break
+			}
+			x = n
+		}
+	}
+	return tx.Read(s.nextAddr(x, 0))
+}
+
+// TestSkiplistVisitFootprint pins what visits may change: nothing but the
+// number of access-set probes. GetTx and RangeScanTx must return what the
+// per-word descent and walk (refSeek) find, over exactly the same blocks —
+// the footprint at block granularity is the conflict footprint — whether or
+// not the nodes start a block.
+func TestSkiplistVisitFootprint(t *testing.T) {
+	for _, base := range []int{0, 3, 6, 7} {
+		t.Run(fmt.Sprintf("base%d", base), func(t *testing.T) {
+			const capacity = 512
+			rt, mem := newWorld(t, "tagged", 1024, base+SkiplistWords(capacity))
+			s, err := NewSkiplist(mem, base, capacity, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := rt.NewThread()
+			rng := xrand.NewWithStream(5, 1)
+			for i := 0; i < capacity/2; i++ {
+				if _, err := s.Put(th, rng.Uint64n(2*capacity), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			footprint := func(fn func(tx *tmbp.Tx) uint64) (r uint64, blocks int) {
+				if err := th.Atomic(func(tx *tmbp.Tx) error {
+					r, blocks = fn(tx), tx.FootprintBlocks()
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return r, blocks
+			}
+			for i := 0; i < 200; i++ {
+				k := rng.Uint64n(2*capacity + 2)
+				v, fp := footprint(func(tx *tmbp.Tx) uint64 {
+					v, ok := s.GetTx(tx, k)
+					if !ok {
+						return ^uint64(0)
+					}
+					return v
+				})
+				refV, refFP := footprint(func(tx *tmbp.Tx) uint64 {
+					cur := refSeek(s, tx, k)
+					if cur == 0 || tx.Read(s.keyAddr(cur)) != k {
+						return ^uint64(0)
+					}
+					return tx.Read(s.valAddr(cur))
+				})
+				if v != refV || fp != refFP {
+					t.Fatalf("GetTx(%d) = %#x over %d blocks, per-word descent %#x over %d", k, v, fp, refV, refFP)
+				}
+				hi := k + rng.Uint64n(64)
+				sum, fp := footprint(func(tx *tmbp.Tx) (sum uint64) {
+					_ = s.RangeScanTx(tx, k, hi, func(k, v uint64) error { sum = sum*31 + k ^ v; return nil })
+					return sum
+				})
+				refSum, refFP := footprint(func(tx *tmbp.Tx) (sum uint64) {
+					for cur := refSeek(s, tx, k); cur != 0; cur = tx.Read(s.nextAddr(cur, 0)) {
+						ck := tx.Read(s.keyAddr(cur))
+						if ck > hi {
+							break
+						}
+						sum = sum*31 + ck ^ tx.Read(s.valAddr(cur))
+					}
+					return sum
+				})
+				if sum != refSum || fp != refFP {
+					t.Fatalf("RangeScanTx(%d, %d) = %#x over %d blocks, per-word walk %#x over %d", k, hi, sum, fp, refSum, refFP)
+				}
+			}
+		})
 	}
 }
