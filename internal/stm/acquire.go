@@ -33,34 +33,27 @@ func (th *Thread) locate(a addr.Addr) (word uint64, chunk addr.Block, widx uint6
 }
 
 // Read returns the word at address a as of the transaction's serialization
-// point, validating it against the version cell of a's chunk — or, on a
-// visible attempt (see the package documentation), acquiring read
-// ownership of the chunk. On conflict the attempt is rolled back and
-// retried; user code simply never continues past the Read.
+// point, validating it against the version cell of a's chunk (see
+// invisible.go). On conflict the attempt is rolled back and retried; user
+// code simply never continues past the Read.
 //
 // The hit path is a single access-set probe: one entry answers membership,
-// permission coverage, and read-own-writes at once.
+// snapshot coverage, and read-own-writes at once.
 func (tx *Tx) Read(a addr.Addr) uint64 {
 	th := tx.th
 	th.fuzz()
 	word, chunk, widx := th.locate(a)
 	e := th.desc.Set.Lookup(chunk)
 	if e == nil {
-		if th.invisible {
-			e = th.readInvisibleMiss(chunk)
-		} else {
-			e = th.acquireReadChunk(chunk, nil)
-		}
+		e = th.readInvisibleMiss(chunk)
 	}
 	// A redo value wins over memory, and a snapshot word is served from the
 	// entry; both sit in Vals (a word read and then written holds its redo
 	// value there).
-	v := e.Vals[widx]
 	if (e.WMask|e.RMask)&(1<<widx) == 0 {
-		var out [1]uint64
-		th.readUncovered(e, word, widx, out[:])
-		v = out[0]
+		th.readInvisibleFill(e)
 	}
+	v := e.Vals[widx]
 	if th.rec != nil {
 		th.recordRead(word, v)
 	}
@@ -90,19 +83,14 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 		}
 		e := th.desc.Set.Lookup(chunk)
 		if e == nil { // the chunk's first read, as in Read
-			if th.invisible {
-				e = th.readInvisibleMiss(chunk)
-			} else {
-				e = th.acquireReadChunk(chunk, nil)
-			}
+			e = th.readInvisibleMiss(chunk)
 		}
-		if run := uint8(1<<len(out)-1) << widx; (e.WMask|e.RMask)&run == run {
-			vals := e.Vals[widx:][:len(out)] // as in Read
-			for j := range out {
-				out[j] = vals[j]
-			}
-		} else {
-			th.readUncovered(e, word, widx, out)
+		if run := uint8(1<<len(out)-1) << widx; (e.WMask|e.RMask)&run != run {
+			th.readInvisibleFill(e)
+		}
+		vals := e.Vals[widx:][:len(out)] // as in Read
+		for j := range out {
+			out[j] = vals[j]
 		}
 		if th.rec != nil {
 			for j, v := range out {
@@ -120,29 +108,9 @@ func (th *Thread) recordRead(word, v uint64) {
 		Thread: uint32(th.id), Attempt: int32(th.desc.Attempts), Word: word, Value: v})
 }
 
-// readUncovered reads into out the words of e's chunk from word widx (memory
-// word word) on, when the entry does not hold them all. An invisible attempt
-// has then read no word of the chunk yet, and reads them all
-// (readInvisibleFill). An entry of a serial attempt holds at least read
-// permission, so memory is directly readable where no redo value wins.
-func (th *Thread) readUncovered(e *txn.Access, word, widx uint64, out []uint64) {
-	if th.invisible {
-		th.readInvisibleFill(e)
-		copy(out, e.Vals[widx:])
-		return
-	}
-	for j := range out {
-		if w := widx + uint64(j); e.WMask&(1<<w) != 0 {
-			out[j] = e.Vals[w]
-		} else {
-			out[j] = th.mem.words[word+uint64(j)].Load()
-		}
-	}
-}
-
 // Write records v as the speculative value of the word at a, acquiring
-// write ownership of a's chunk — and of that chunk only: an invisible
-// attempt's reads stay invisible and are validated at commit. Memory is
+// write ownership of a's chunk — and of that chunk only: the attempt's
+// reads stay invisible and are validated at commit. Memory is
 // unmodified until commit.
 func (tx *Tx) Write(a addr.Addr, v uint64) {
 	th := tx.th
@@ -170,18 +138,13 @@ func (tx *Tx) Write(a addr.Addr, v uint64) {
 
 // ReadBlock adds an entire block to the read footprint without loading a
 // word — used by trace replay where only footprints matter. It records the
-// block's version stamp, or on a visible attempt acquires read ownership.
+// block's version stamp.
 func (tx *Tx) ReadBlock(b addr.Block) {
 	th := tx.th
 	th.fuzz()
-	if th.desc.Set.Lookup(b) != nil {
-		return
-	}
-	if th.invisible {
+	if th.desc.Set.Lookup(b) == nil {
 		th.readBlockInvisible(b)
-		return
 	}
-	th.acquireReadChunk(b, nil)
 }
 
 // WriteBlock acquires write ownership of a block without logging a word
@@ -202,14 +165,10 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 	}
 }
 
-// acquireReadChunk acquires the read share backing chunk's slot, unless an
-// earlier entry already covers the slot, and records the resulting release
-// obligation in the chunk's access-set entry, which it returns. A visible
-// read passes e == nil — the chunk has no entry yet, and one is inserted
-// once the acquire has succeeded, so a denied acquire aborts the attempt
-// with no state change; pinOrAbort passes the entry the invisible protocol
-// already made.
-func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access {
+// acquireReadChunk pins chunk for pinOrAbort: it acquires the read share
+// backing chunk's slot, unless an earlier entry already covers the slot, and
+// records the resulting release obligation in e, the chunk's entry.
+func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) {
 	set := &th.desc.Set
 	slot := uint64(chunk)
 	covered := false
@@ -229,10 +188,6 @@ func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access 
 			th.conflict(ci)
 		}
 	}
-	if e == nil {
-		e = set.Insert(chunk)
-		e.Perm = txn.PermRead
-	}
 	e.Slot = slot
 	if !covered && out == otable.Granted {
 		// Granted created a release obligation; AlreadyHeld (covering
@@ -243,7 +198,6 @@ func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) *txn.Access 
 			set.RecordSlotOwner(e)
 		}
 	}
-	return e
 }
 
 // acquireWriteChunk acquires write permission for a chunk with no

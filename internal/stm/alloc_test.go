@@ -33,16 +33,15 @@ func blockWord(mem *Memory, i, k, w int) addr.Addr {
 	return mem.WordAddr((i+k)%allocBlocks*8 + w)
 }
 
-// txnOp measures one committed transaction running body, started by run
-// ((*Thread).Atomic, or atomicVisible for the visible escape). Transaction
+// txnOp measures one committed transaction running body. Transaction
 // function and op are built once: the measured loop creates no closure.
-func txnOp(run func(*Thread, func(*Tx) error) error, body func(tx *Tx, mem *Memory, i int) error) func(*testing.T, *Runtime) func() {
+func txnOp(body func(tx *Tx, mem *Memory, i int) error) func(*testing.T, *Runtime) func() {
 	return func(t *testing.T, rt *Runtime) func() {
 		th, mem, i := rt.NewThread(), rt.Memory(), 0
 		fn := func(tx *Tx) error { return body(tx, mem, i) }
 		return func() {
 			i++
-			if err := run(th, fn); err != nil {
+			if err := th.Atomic(fn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,9 +128,8 @@ func conflictAbortOp(t *testing.T, rt *Runtime) func() {
 
 // TestSteadyStateAllocationFree is the allocation gate of the transaction
 // paths, identical on every host: once a thread's access set and the
-// table's record pools are warm, a transaction — committing, read-only on
-// the invisible path or the visible escape, or aborting on a conflict —
-// never touches the heap,
+// table's record pools are warm, a transaction — committing, read-only, or
+// aborting on a conflict — never touches the heap,
 // with Config.Recorder nil (rmw/tagged is the recorder-disabled contract),
 // under every table organization, and the backoff policy's decision path
 // (cm-decision/backoff) allocates nothing either.
@@ -140,10 +138,9 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	var rows []allocRow
 	for _, kind := range sweepKinds() {
 		rows = append(rows,
-			allocRow{"rmw/" + kind, kind, Config{}, txnOp((*Thread).Atomic, rmw8), 0},
-			allocRow{"ro-acquire/" + kind, kind, Config{}, txnOp(atomicVisible, read8), 0},
-			allocRow{"ro-invisible/" + kind, kind, Config{}, txnOp((*Thread).Atomic, read8), 0},
-			allocRow{"read-write-invisible/" + kind, kind, Config{}, txnOp((*Thread).Atomic, read8Write1), 0},
+			allocRow{"rmw/" + kind, kind, Config{}, txnOp(rmw8), 0},
+			allocRow{"ro-invisible/" + kind, kind, Config{}, txnOp(read8), 0},
+			allocRow{"read-write-invisible/" + kind, kind, Config{}, txnOp(read8Write1), 0},
 			allocRow{"conflict-abort/" + kind, kind,
 				Config{MaxAttempts: allocAttempts, BackoffBase: -1}, conflictAbortOp, 1},
 		)

@@ -86,7 +86,6 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 			th.rt.serialRelease()
 		}
 		th.streak = 0
-		th.roStreak = 0
 		th.active = false
 		th.ctx = nil
 	}()
@@ -130,15 +129,12 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		th.desc.Begin()
 		th.wrote = false
 		th.stamped = false
-		// Serial attempts run with the runtime drained — acquiring is
-		// uncontended and validation could only lose to the very writers the
-		// fallback gate parked, so they skip the fast path.
-		th.invisible = !serial && th.roStreak < roLimit
 		th.rv = th.rt.epoch.Load()
 		// Loaded after rv: done == rv says every stamp up to rv is finished
 		// unless a later one was drawn in between — and then the clock has
-		// already moved past rv, which the first drained read finds.
-		th.quiet = th.invisible && th.rt.done.Load() == th.rv
+		// already moved past rv, which the first drained read finds. A
+		// serial attempt's drain leaves done == epoch, so it reads drained.
+		th.quiet = th.rt.done.Load() == th.rv
 		if r := th.rec; r != nil {
 			// Recorded before the attempt's first acquire: the Begin index
 			// precedes every memory effect of the attempt.
@@ -159,7 +155,6 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		th.ctr.aborts.Add(1)
 		if th.roAbort {
 			th.roAbort = false
-			th.roStreak++
 			th.ctr.roValAborts.Add(1)
 		}
 		th.streak++
@@ -229,7 +224,7 @@ func (th *Thread) commit() {
 	var stamp uint64
 	if th.wrote {
 		stamp = th.commitStamp()
-	} else if th.invisible && th.rt.epoch.Load() != th.rv {
+	} else if th.rt.epoch.Load() != th.rv {
 		th.revalidateReadSet()
 	}
 	th.desc.Status = txn.Committed
@@ -251,9 +246,9 @@ func (th *Thread) commit() {
 		th.ctr.finished.Add(1)
 	}
 	th.ctr.commits.Add(1)
-	if th.invisible && !th.wrote {
-		// Read-only and still on the fast path at commit: the transaction
-		// read its whole footprint without a single table acquire.
+	if !th.wrote {
+		// Read-only: the transaction read its whole footprint without a
+		// single table acquire.
 		th.ctr.roCommits.Add(1)
 	}
 	if r := th.rec; r != nil {
@@ -302,8 +297,8 @@ func (th *Thread) releaseAll(stamp uint64) {
 	set := &th.desc.Set
 	n := set.Len()
 	th.lastFP = n
-	if th.invisible && !th.wrote {
-		n = 0 // only a writing invisible attempt ever acquires (Write, pinOrAbort)
+	if !th.wrote {
+		n = 0 // only a writing attempt ever acquires (Write, pinOrAbort)
 	}
 	for i := 0; i < n; i++ {
 		e := set.At(i)

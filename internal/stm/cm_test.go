@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"tmbp/internal/addr"
 	"tmbp/internal/hash"
 	"tmbp/internal/otable"
 )
@@ -165,75 +166,59 @@ func TestCMSymmetricLivelock(t *testing.T) {
 	}
 }
 
-// TestCMReaderStarvesWriter pins a block under two readers' shares and
-// lets a writer bang against it: every write acquire is denied until the
-// readers drain. The readers are released only after the writer has
-// provably aborted at least once, so the scenario always exercises the
-// policy's wait; the writer must then commit promptly. An invisible read
-// holds no share, so every transaction runs on the visible escape.
+// TestCMReaderStarvesWriter pins a block under two read shares and lets a
+// writer bang against it: every write acquire is denied (ConflictReaders)
+// until the shares drain. A transactional read holds no share, so the
+// shares are taken directly on the runtime's table, under the identities of
+// two threads that run no transaction. They are released only after the
+// writer has provably aborted at least once, so the scenario always
+// exercises the policy's wait; the writer must then commit promptly.
 func TestCMReaderStarvesWriter(t *testing.T) {
 	onOneP(t)
 	for _, policy := range cmPolicies() {
 		t.Run(policy, func(t *testing.T) {
 			t.Parallel()
 			rt := newCMRuntime(t, "tagged", policy)
-			mem := rt.Memory()
-			a := mem.WordAddr(0)
-			const readers = 2
-			ready := make(chan struct{}, readers)
-			release := make(chan struct{})
-			errs := make([]error, readers+1)
-			var wg sync.WaitGroup
-			for i := 0; i < readers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					th := rt.NewThread()
-					att := 0
-					errs[i] = atomicVisible(th, func(tx *Tx) error {
-						att++
-						_ = tx.Read(a)
-						if att == 1 {
-							ready <- struct{}{}
-							<-release
-						}
-						return nil
-					})
-				}(i)
+			tab, a := rt.Table(), rt.Memory().WordAddr(0)
+			chunk := rt.cfg.Granularity.chunkOf(a)
+			readers := []otable.TxID{rt.NewThread().ID(), rt.NewThread().ID()}
+			for _, id := range readers {
+				if out, _ := otable.AcquireRead(tab, id, chunk); out != otable.Granted {
+					t.Fatalf("read share for tx %d: %v", id, out)
+				}
 			}
-			for i := 0; i < readers; i++ {
-				<-ready // both shares are now held
-			}
-			wg.Add(1)
+			errs := make([]error, 1)
+			done := make(chan struct{})
 			go func() {
-				defer wg.Done()
-				th := rt.NewThread()
-				errs[readers] = atomicVisible(th, func(tx *Tx) error {
+				defer close(done)
+				errs[0] = rt.NewThread().Atomic(func(tx *Tx) error {
 					tx.Write(a, tx.Read(a)+1)
 					return nil
 				})
 			}()
-			// Hold the readers until the writer has hit the denial at least
-			// once, then let everything drain.
+			// Hold the shares until the writer has hit the denial at least
+			// once, then let it drain.
 			for i := 0; rt.Stats().Aborts == 0; i++ {
 				if i > 1_000_000 {
 					t.Fatal("writer never conflicted with the held read shares")
 				}
 				runtime.Gosched()
 			}
-			close(release)
-			wg.Wait()
+			for _, id := range readers {
+				otable.ReleaseRead(tab, id, chunk)
+			}
+			<-done
 			checkScenario(t, rt, errs, map[int]uint64{0: 1})
 		})
 	}
 }
 
 // TestCMUpgradeDeadlock makes two transactions read the same block — the
-// rendezvous guarantees both shares are in place — and then upgrade to a
-// write. Under encounter-time 2PL this is the deadlock-prone lock-upgrade
-// pattern; with self-abort it becomes a forced ConflictReaders for
-// whichever thread upgrades first. The loser must release its share (so
-// the winner's upgrade succeeds), retry, and commit within the budget.
+// rendezvous guarantees both have read it — and then write it. Under
+// encounter-time 2PL with visible readers this is the deadlock-prone
+// lock-upgrade pattern. Here the reads hold nothing, so whichever thread
+// writes second is denied by the first's write or fails the stamp check
+// behind its own acquire; it must retry and commit within the budget.
 func TestCMUpgradeDeadlock(t *testing.T) {
 	onOneP(t)
 	for _, kind := range []string{"tagless", "tagged"} {
@@ -253,7 +238,7 @@ func TestCMUpgradeDeadlock(t *testing.T) {
 							v := tx.Read(a)
 							if att == 1 {
 								mine <- struct{}{}
-								<-theirs // both read shares held: upgrades must collide
+								<-theirs // both have read a: the writes must collide
 							}
 							tx.Write(a, v+1)
 							return nil
@@ -432,9 +417,10 @@ func TestCMChainedConflict(t *testing.T) {
 // acquire's ConflictInfo — extracted at the table's denying CAS — must
 // arrive at the CM's Aborted callback naming the exact opponent. A custom
 // recording policy observes every abort of a thread hammering a block the
-// other thread verifiably holds with write ownership. Both run on the
-// visible escape: an invisible first read that samples the writer aborts
-// with no table opponent to name.
+// other thread verifiably holds with write ownership. The contender
+// acquires the block (WriteBlock) before it reads it: a read holds nothing
+// a writer could deny, and one that straddled the holder's commit would die
+// in validation, with no table opponent to name.
 func TestCMOpponentDelivered(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
@@ -470,7 +456,7 @@ func TestCMOpponentDelivered(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				att := 0
-				errs[0] = atomicVisible(holder, func(tx *Tx) error {
+				errs[0] = holder.Atomic(func(tx *Tx) error {
 					att++
 					tx.Write(a, tx.Read(a)+1)
 					if att == 1 {
@@ -483,7 +469,8 @@ func TestCMOpponentDelivered(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-held
-				errs[1] = atomicVisible(contender, func(tx *Tx) error {
+				errs[1] = contender.Atomic(func(tx *Tx) error {
+					tx.WriteBlock(addr.BlockOf(a))
 					tx.Write(a, tx.Read(a)+1)
 					return nil
 				})

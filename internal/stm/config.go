@@ -128,10 +128,15 @@ type Config struct {
 	// escalates to the runtime-wide serial token — a FIFO ticket that
 	// stops new optimistic attempts, waits for in-flight ones to drain,
 	// and then runs the starved transaction with no optimistic opponents
-	// at all (the HTM-style global-lock fallback). Serial attempts read
-	// under read ownership. Commits made while holding the token are
-	// counted in Stats.FallbackCommits. Zero (the default) disables
-	// escalation and its per-attempt gate check.
+	// at all (the HTM-style global-lock fallback). Every abort counts
+	// toward the bound, version-validation kills included: it is the one
+	// escape a reader starved by committing writers has. Serial attempts
+	// read by version validation like all others, so a non-transactional
+	// store can still kill one; it retries under the token. Commits made
+	// while holding the token are counted in Stats.FallbackCommits. Zero
+	// (the default) disables escalation and its per-attempt gate check:
+	// then only MaxAttempts bounds a starved transaction, reader or
+	// writer.
 	FallbackAfter int
 	// Recorder, when non-nil, receives the runtime's transactional history
 	// for offline opacity checking (see the Recorder interface and

@@ -8,11 +8,10 @@ import (
 	"tmbp/internal/txn"
 )
 
-// roConflict aborts an invisible attempt on a failed version validation.
-// There is no table opponent to report — the conflicting writer already
-// committed and left — so the CM sees NoConflict; the retry loop instead
-// counts the kill against roLimit, bounding how long the attempt keeps
-// betting on invisibility.
+// roConflict aborts the attempt on a failed version validation. There is no
+// table opponent to report — the conflicting writer already committed and
+// left — so the CM sees NoConflict. The kill counts as an attempt like any
+// other: Config.FallbackAfter bounds it, or else Config.MaxAttempts.
 func (th *Thread) roConflict() {
 	th.roAbort = true
 	th.conflict(otable.NoConflict)
@@ -152,19 +151,22 @@ func (th *Thread) coverStamp(s uint64) {
 // arbitrate. A writing attempt may have sampled its own hold — a tagless
 // entry it owns through an aliasing chunk, a tagged record in the same
 // bucket; the sample cannot tell — and settles the question for this one
-// chunk by read-acquiring it (e is the chunk's invisible entry, a first
-// read's not yet accepted): a covering own hold on a tagless slot needs no table call,
+// chunk by read-acquiring it (e is the chunk's entry; a first read's is not
+// yet accepted): a covering own hold on a tagless slot needs no table call,
 // and a foreign writer of the chunk is a genuine conflict that reaches the
-// contention manager with its ConflictInfo.
+// contention manager with its ConflictInfo. This pin is the one place a
+// transactional read takes read ownership.
 func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
 	if !th.wrote {
 		th.roConflict()
 	}
+	// Counted before the acquire, so a denied pin counts too: every read
+	// acquire a transaction makes is one of these.
+	th.ctr.roPromotes.Add(1)
 	th.acquireReadChunk(chunk, e)
-	th.ctr.roPromotes.Add(1) // granted: a denied acquire never returns
 }
 
-// readInvisibleFill is the first read of a chunk an invisible attempt already
+// readInvisibleFill is the first read of a chunk the attempt already
 // has an entry for, with no word read yet: a chunk ReadBlock recorded, or one
 // the attempt holds because it wrote or pinned it before reading. Like a
 // first read it loads every word the entry has no redo value for, into Vals,
@@ -202,8 +204,10 @@ func (th *Thread) readInvisibleFill(e *txn.Access) {
 // to bracket. A later Read of the chunk trusts the recorded stamp under the
 // Ver invariant, so a sample that extended the snapshot is taken again. A
 // drained attempt records rv instead of a sample while the clock still
-// reads rv, the rule a drained load is accepted on.
+// reads rv, the rule a drained load is accepted on. As in readInvisibleMiss,
+// the entry is inserted first and has no permission bits until accepted.
 func (th *Thread) readBlockInvisible(b addr.Block) {
+	e := th.desc.Set.Insert(b)
 	for tries := 0; ; tries++ {
 		if th.quiet && th.rt.epoch.Load() != th.rv {
 			th.quiet = false
@@ -213,14 +217,14 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 			s1, locked = th.tab.SampleVersion(b)
 		}
 		if locked {
-			th.pinOrAbort(b, nil)
+			e.Perm = txn.PermRead
+			th.pinOrAbort(b, e)
 			if s1, _ = th.tab.SampleVersion(b); s1 > th.rv {
 				th.coverStamp(s1)
 			}
 			return
 		}
 		if s1 <= th.rv {
-			e := th.desc.Set.Insert(b)
 			e.Perm = txn.PermRead | txn.VerRead
 			e.Ver = s1
 			return
@@ -232,7 +236,7 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 	}
 }
 
-// extendSnapshot tries to slide an invisible attempt's epoch snapshot
+// extendSnapshot tries to slide the attempt's epoch snapshot
 // forward after a read observed a post-snapshot stamp: if every chunk read
 // so far still carries exactly the stamp it was validated at, the reads all
 // remain atomic at the *current* epoch and rv may advance to it (the LSA
@@ -252,22 +256,22 @@ func (th *Thread) extendSnapshot() {
 
 // commitStamp is the serialization step of a writing commit, run with every
 // write of the attempt held and before the first word is written back. The
-// attempt — invisible, visible escape or serial — draws its stamp from the
-// epoch clock here: were the clock advanced only after write-back (at
-// release), two attempts with crossing read and write sets could both find
-// it unmoved, both skip validation and commit a write skew. An invisible attempt then revalidates the reads nothing pins;
-// if it drew exactly rv+1 no other writing commit serialized since its
-// snapshot and the read set is vacuously intact.
+// attempt — optimistic or serial — draws its stamp from the epoch clock
+// here: were the clock advanced only after write-back (at release), two
+// attempts with crossing read and write sets could both find it unmoved,
+// both skip validation and commit a write skew. It then revalidates the
+// reads nothing pins; if it drew exactly rv+1 no other writing commit
+// serialized since its snapshot and the read set is vacuously intact.
 func (th *Thread) commitStamp() uint64 {
 	stamp := th.rt.epoch.Add(1)
 	th.stamped = true // releaseAll counts it finished, on commit or rollback
-	if th.invisible && stamp != th.rv+1 {
+	if stamp != th.rv+1 {
 		th.revalidateReadSet()
 	}
 	return stamp
 }
 
-// revalidateReadSet aborts the invisible attempt unless no chunk whose reads
+// revalidateReadSet aborts the attempt unless no chunk whose reads
 // nothing pins has a writer or a stamp above the Ver they were validated at.
 func (th *Thread) revalidateReadSet() {
 	set := &th.desc.Set

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,15 +11,6 @@ import (
 	"tmbp/internal/hash"
 	"tmbp/internal/otable"
 )
-
-// atomicVisible runs fn as one transaction on the visible escape: with
-// roStreak already at roLimit, every attempt reads under read shares, as
-// the attempts of a transaction that validation killed roLimit times do.
-// It is the test seam for whatever needs an optimistic read share.
-func atomicVisible(th *Thread, fn func(tx *Tx) error) error {
-	th.roStreak = roLimit
-	return th.Atomic(fn)
-}
 
 // undrain leaves one drawn stamp unfinished for good, as a writer parked
 // between its draw and its release would: no later attempt of rt begins
@@ -287,54 +279,78 @@ func TestInvisibleSnapshotExtension(t *testing.T) {
 	}
 }
 
-// TestInvisibleFallbackAfterValidationAborts starves an invisible reader
-// with a writer that clobbers its read set on every invisible attempt: after
-// roLimit validation aborts the reader must stop betting on invisibility,
-// read under a read share, and commit.
+// TestInvisibleFallbackAfterValidationAborts starves a reader with a writer
+// that clobbers its read set on every optimistic attempt. Validation kills
+// count toward the one bound the runtime keeps: with FallbackAfter k the
+// reader escalates to the serial token and commits on attempt k+1, reading
+// by version validation there too (no read acquire, a read-only commit);
+// with the fallback off only MaxAttempts ends it, as for a starved writer.
 func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
-	rt, tab, mem := newInvisibleRuntime(t, "tagged", 64, 256, Config{})
-	reader, writer := rt.NewThread(), rt.NewThread()
-	x := mem.WordAddr(0)
-	attempt := 0
-	if err := reader.Atomic(func(tx *Tx) error {
-		attempt++
-		_ = tx.Read(x)
-		if attempt <= roLimit {
-			// Invalidate the read set while the attempt is still invisible.
-			// Once the reader falls back it holds a real read share, which
-			// this write would conflict with — so stop interfering.
-			if err := writer.Atomic(func(wtx *Tx) error {
-				wtx.Write(x, wtx.Read(x)+1)
-				return nil
-			}); err != nil {
+	const k, m = 3, 10
+	// starve runs the reader's transaction, committing the writer's
+	// increment of x after the reader's read on each of the first clobbers
+	// attempts, and returns the attempts it took and Atomic's error.
+	starve := func(rt *Runtime, x addr.Addr, clobbers int) (int, error) {
+		reader, writer := rt.NewThread(), rt.NewThread()
+		attempt := 0
+		err := reader.Atomic(func(tx *Tx) error {
+			attempt++
+			_ = tx.Read(x)
+			if attempt <= clobbers {
+				// Never under the token: the reader holding it would park
+				// the writer's transaction for good.
+				if err := writer.Atomic(func(wtx *Tx) error {
+					wtx.Write(x, wtx.Read(x)+1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return nil
+		})
+		return attempt, err
+	}
+	for _, kind := range otable.Kinds() {
+		t.Run("fallback/"+kind, func(t *testing.T) {
+			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{FallbackAfter: k})
+			attempts, err := starve(rt, mem.WordAddr(0), k)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if attempt != roLimit+1 {
-		t.Fatalf("committed on attempt %d, want %d", attempt, roLimit+1)
-	}
-	st := rt.Stats()
-	if st.ROValidationAborts != roLimit {
-		t.Fatalf("ROValidationAborts = %d, want %d", st.ROValidationAborts, roLimit)
-	}
-	if st.ROCommits != 0 {
-		t.Fatalf("ROCommits = %d for a fallback commit, want 0", st.ROCommits)
-	}
-	// The final attempt went through the table: the reader's acquire shows.
-	if ts := tab.Stats(); ts.ReadAcquires == 0 {
-		t.Fatal("fallback attempt performed no read acquire")
+			if attempts != k+1 {
+				t.Fatalf("committed on attempt %d, want %d", attempts, k+1)
+			}
+			st := rt.Stats()
+			if st.ROValidationAborts != k || st.FallbackCommits != 1 || st.ROCommits != 1 {
+				t.Fatalf("ROValidationAborts/FallbackCommits/ROCommits = %d/%d/%d, want %d/1/1",
+					st.ROValidationAborts, st.FallbackCommits, st.ROCommits, k)
+			}
+			if ts := tab.Stats(); ts.ReadAcquires != 0 {
+				t.Fatalf("%d read acquires: the serial attempt should read by version validation", ts.ReadAcquires)
+			}
+			assertDrained(t, rt)
+		})
+		t.Run("max-attempts/"+kind, func(t *testing.T) {
+			rt, _, mem := newInvisibleRuntime(t, kind, 64, 256, Config{MaxAttempts: m})
+			attempts, err := starve(rt, mem.WordAddr(0), m)
+			if !errors.Is(err, ErrTooManyAttempts) {
+				t.Fatalf("Atomic = %v, want ErrTooManyAttempts", err)
+			}
+			if attempts != m {
+				t.Fatalf("gave up after %d attempts, want %d", attempts, m)
+			}
+			if st := rt.Stats(); st.ROValidationAborts != m || st.ROCommits != 0 {
+				t.Fatalf("ROValidationAborts/ROCommits = %d/%d, want %d/0", st.ROValidationAborts, st.ROCommits, m)
+			}
+		})
 	}
 }
 
-// TestInvisibleReaderSeesVisibleEscapeWriter: a writing commit on the
-// visible escape draws and publishes its stamp like any other, so an
-// invisible reader that read the chunk before it is killed by validation
-// instead of committing the overwritten value.
-func TestInvisibleReaderSeesVisibleEscapeWriter(t *testing.T) {
+// TestInvisibleReaderSeesReadWriteCommit: a writing commit that read its
+// chunk first draws and publishes its stamp like any other, so a reader that
+// read the chunk before it is killed by validation instead of committing the
+// overwritten value.
+func TestInvisibleReaderSeesReadWriteCommit(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			rt, _, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
@@ -346,7 +362,7 @@ func TestInvisibleReaderSeesVisibleEscapeWriter(t *testing.T) {
 				attempt++
 				got = tx.Read(x)
 				if attempt == 1 {
-					if err := atomicVisible(writer, func(wtx *Tx) error {
+					if err := writer.Atomic(func(wtx *Tx) error {
 						wtx.Write(x, wtx.Read(x)+5)
 						return nil
 					}); err != nil {

@@ -43,8 +43,10 @@ func (th *Thread) LoadNT(a addr.Addr) (uint64, error) {
 // StoreNT performs a non-transactional write; under StrongIsolation it is
 // denied while any transaction holds the chunk, and while the calling
 // thread's own active transaction has read it without writing it — by
-// version or under a read share, which a non-transactional write may not
-// silently invalidate or upgrade. If the calling thread's transaction holds
+// version or under a pin's read share, which a non-transactional write may
+// not silently invalidate or upgrade. Another thread's reads hold nothing it
+// could be denied on, serial or not: the store stamps the chunk and their
+// validation fails. If the calling thread's transaction holds
 // the chunk exclusively the store is applied immediately and may later be
 // overwritten by the transaction's own commit write-back. See LoadNT for
 // the one-slot acquire/release discipline.

@@ -7,6 +7,7 @@ import (
 
 	"tmbp/internal/addr"
 	"tmbp/internal/hash"
+	"tmbp/internal/opacity"
 	"tmbp/internal/otable"
 )
 
@@ -136,6 +137,75 @@ func TestNTStoreDeniedOnOwnInvisibleRead(t *testing.T) {
 			if got := mem.LoadDirect(a); got != 0 {
 				t.Fatalf("word = %d after a denied StoreNT, want 0", got)
 			}
+		})
+	}
+}
+
+// TestNTStoreKillsSerialReader: an attempt under the serial token reads by
+// version validation like any other and holds nothing, so a strong-isolation
+// StoreNT to a chunk it has only read succeeds. The store stamps the chunk,
+// the holder fails validation at commit, and its retry — still under the
+// token — commits the stored value. Every thread runs on one goroutine, on
+// one P. The runtime records no NT access, so the test records the store as
+// what strong isolation makes it, a one-write transaction of the storing
+// thread (which runs no other), and the history must be opaque.
+func TestNTStoreKillsSerialReader(t *testing.T) {
+	onOneP(t)
+	for _, kind := range otable.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			log := opacity.NewLog()
+			rt, tab, mem := newInvisibleRuntime(t, kind, 64, 64,
+				Config{Isolation: StrongIsolation, FallbackAfter: 1, Recorder: log})
+			holder, writer, nt := rt.NewThread(), rt.NewThread(), rt.NewThread()
+			x := mem.WordAddr(0)
+			ntEvent := func(kind opacity.Kind, v uint64) {
+				log.RecordEvent(opacity.Event{Kind: kind, Thread: uint32(nt.ID()), Attempt: 1, Value: v})
+			}
+			attempt := 0
+			var got uint64
+			if err := holder.Atomic(func(tx *Tx) error {
+				attempt++
+				got = tx.Read(x)
+				switch attempt {
+				case 1:
+					// A commit into the read set: the retry takes the token.
+					if err := writer.Atomic(func(wtx *Tx) error {
+						wtx.Write(x, 1)
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				case 2:
+					ntEvent(opacity.KindBegin, 0)
+					if err := nt.StoreNT(x, 7); err != nil {
+						t.Fatalf("StoreNT beside a serial reader: %v", err)
+					}
+					ntEvent(opacity.KindWrite, 7)
+					ntEvent(opacity.KindCommit, 0)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if attempt != 3 || got != 7 {
+				t.Fatalf("attempts/value = %d/%d, want 3/7", attempt, got)
+			}
+			st := rt.Stats()
+			if st.FallbackCommits != 1 || st.ROValidationAborts != 2 || st.ROCommits != 1 || st.NTConflicts != 0 {
+				t.Fatalf("FallbackCommits/ROValidationAborts/ROCommits/NTConflicts = %d/%d/%d/%d, want 1/2/1/0",
+					st.FallbackCommits, st.ROValidationAborts, st.ROCommits, st.NTConflicts)
+			}
+			if ts := tab.Stats(); ts.ReadAcquires != 0 {
+				t.Fatalf("%d read acquires: no attempt should take a read share", ts.ReadAcquires)
+			}
+			res, err := opacity.CheckTrace(log.Events())
+			if err != nil {
+				t.Fatalf("recorded trace malformed: %v", err)
+			}
+			if !res.Opaque || res.Committed != 3 {
+				t.Fatalf("history = %s, want opaque with 3 commits", res)
+			}
+			assertDrained(t, rt)
 		})
 	}
 }

@@ -96,7 +96,9 @@ func TestAtomicHammerAllKinds(t *testing.T) {
 // -opacity-record the histories (optimistic attempts interleaved with
 // serial ones) replay through `tmbp check` in CI. The exact sum proves no
 // increment is lost across the token hand-offs, and zero occupancy that
-// every serial attempt released what it acquired.
+// every serial attempt released what it acquired. Serial attempts read by
+// version validation like the rest, so the only table read acquires are
+// own-hold pins: no more of them than Stats.ROPromotions.
 func TestAtomicHammerSerialFallback(t *testing.T) {
 	const (
 		goroutines = 4
@@ -157,7 +159,11 @@ func TestAtomicHammerSerialFallback(t *testing.T) {
 				t.Fatalf("%s table occupancy after drain = %d", kind, occ)
 			}
 			assertDrained(t, rt)
-			fallbackCommits += rt.Stats().FallbackCommits
+			st := rt.Stats()
+			if ra := tab.Stats().ReadAcquires; ra > st.ROPromotions {
+				t.Fatalf("%d table read acquires but %d pins: something other than a pin took a read share", ra, st.ROPromotions)
+			}
+			fallbackCommits += st.FallbackCommits
 		})
 	}
 	if fallbackCommits == 0 {

@@ -19,15 +19,18 @@
 // makes every attempt opaque and read-only transactions invisible to the
 // table and to each other. An attempt that begins with no write-back in
 // flight anywhere (every drawn stamp counted finished) validates its first
-// reads by the clock alone. Read ownership is taken in three places only: a
-// writing attempt pins a chunk whose cell shows a writer that may be its
-// own hold (pinOrAbort); attempts under the serial token read under read
-// shares; and a transaction whose optimistic attempts validation killed
-// roLimit times reads under read shares from then on. Contention
-// management is self-abort with randomized exponential backoff between
-// retries; Config.NewCM replaces it with a custom policy (see the CM
-// interface in cm.go), and Config.FallbackAfter bounds how long any
-// transaction stays optimistic. Denied acquires report the denying
+// reads by the clock alone — attempts under the serial token included, since
+// its drain leaves every stamp finished. Read ownership is taken in two
+// places only: a writing attempt pins a chunk whose cell shows a writer that
+// may be its own hold (pinOrAbort), and a strong-isolation LoadNT reads
+// under a read share it drops at once. Contention management is self-abort
+// with randomized exponential backoff between retries; Config.NewCM
+// replaces it with a custom policy (see the CM interface in cm.go), and
+// Config.FallbackAfter bounds how long any transaction stays optimistic.
+// That one bound covers every kind of abort: a reader that validation kills
+// on every attempt escalates to the serial token like a writer that loses
+// every acquire, and with the fallback disabled only Config.MaxAttempts
+// bounds either. Denied acquires report the denying
 // opponent (otable.ConflictInfo), which the runtime hands to the policy's
 // Aborted callback. Policies only reschedule retries; they never change
 // what commits.
@@ -141,11 +144,11 @@ type threadCounters struct {
 	fbCommits atomic.Uint64
 	maxStreak atomic.Uint64
 	// Read-protocol counters: roCommits counts read-only transactions that
-	// committed with zero table acquires, roValAborts the invisible
-	// attempts killed by version validation, roPromotes the single entries
-	// a writing invisible attempt pinned with a visible read (a sample
-	// cannot tell its own hold from a foreign writer), roExtends the
-	// successful read-snapshot extensions.
+	// committed (all with zero table acquires), roValAborts the attempts
+	// killed by version validation, roPromotes the single entries a writing
+	// attempt tried to pin with a read share (a sample cannot tell its own
+	// hold from a foreign writer), roExtends the successful read-snapshot
+	// extensions.
 	roCommits   atomic.Uint64
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
@@ -204,19 +207,21 @@ type Stats struct {
 	// aborts any single thread suffered — the tail the mean abort rate
 	// hides. A commit, user error, or terminal abort ends a run.
 	MaxConsecutiveAborts uint64
-	// ROCommits counts read-only transactions that committed entirely on
-	// the invisible-reader fast path — version-validated reads, zero
-	// ownership-table acquires. Writing transactions with an invisible
-	// read set are not counted.
+	// ROCommits counts read-only transactions that committed — serial
+	// ones included. Every read is version-validated, so each of them
+	// committed with zero ownership-table acquires. Writing transactions
+	// are not counted.
 	ROCommits uint64
-	// ROValidationAborts counts invisible attempts, read-only or writing,
-	// aborted by version validation: a concurrent commit (true, or aliased
-	// into the same version cell) touched a chunk the attempt had read.
+	// ROValidationAborts counts attempts, read-only or writing, aborted by
+	// version validation: a concurrent commit (true, or aliased into the
+	// same version cell) touched a chunk the attempt had read.
 	ROValidationAborts uint64
-	// ROPromotions counts single read-set entries pinned with a visible
-	// read acquire: a writing invisible attempt sampled a writer in a
-	// version cell where it holds a write itself, and settled whether the
-	// writer is foreign by acquiring that one chunk.
+	// ROPromotions counts single read-set entries pinned with a read
+	// acquire: a writing attempt sampled a writer in a version cell where
+	// it holds a write itself, and settled whether the writer is foreign by
+	// acquiring that one chunk. A denied pin (the writer was foreign)
+	// counts too, so no transaction makes more table read acquires than
+	// this; a tagless pin covered by the attempt's own hold makes none.
 	ROPromotions uint64
 	// ROExtensions counts successful read-snapshot extensions: a read
 	// observed a stamp newer than the attempt's snapshot and the whole
@@ -344,31 +349,20 @@ type Thread struct {
 	// commit must draw a stamp, and a writer it samples in a version cell
 	// may be itself.
 	wrote bool
-	// Read-protocol attempt state: invisible marks an attempt whose reads
-	// are version-validated instead of acquired (it stays set when the
-	// attempt writes), rv is its epoch snapshot, quiet marks an invisible
-	// attempt still reading drained (first reads take no version sample),
-	// stamped an attempt that has drawn its commit stamp, roAbort flags that the in-flight abort is a version-validation kill,
-	// and roStreak counts such kills within the current transaction — at
-	// roLimit the attempts give up on invisibility and start acquiring.
-	invisible bool
-	quiet     bool
-	stamped   bool
-	roAbort   bool
-	rv        uint64
-	roStreak  int
-	streak    int                 // consecutive conflict aborts of the running transaction
-	lastFP    int                 // access-set size of the last finished attempt
-	opp       otable.ConflictInfo // opponent of the conflict that killed the last attempt
-	tx        Tx
+	// Read-protocol attempt state: rv is the attempt's epoch snapshot,
+	// quiet marks an attempt still reading drained (first reads take no
+	// version sample), stamped an attempt that has drawn its commit stamp,
+	// and roAbort flags that the in-flight abort is a version-validation
+	// kill.
+	quiet   bool
+	stamped bool
+	roAbort bool
+	rv      uint64
+	streak  int                 // consecutive conflict aborts of the running transaction
+	lastFP  int                 // access-set size of the last finished attempt
+	opp     otable.ConflictInfo // opponent of the conflict that killed the last attempt
+	tx      Tx
 }
-
-// roLimit bounds the validation aborts a transaction tolerates on the
-// invisible path before its attempts read under read shares. Validation has
-// no contention manager protecting it — an unlucky read-only transaction
-// overlapping a steady stream of writers could otherwise starve. A
-// Config.FallbackAfter of at most roLimit reaches the serial token first.
-const roLimit = 8
 
 // ID returns the thread's transaction identity.
 func (th *Thread) ID() otable.TxID { return th.id }

@@ -2,6 +2,7 @@ package stm
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -13,21 +14,27 @@ import (
 
 // This file oracle-tests the unified access set against the structures it
 // replaced: the map-backed blockSet read/write footprints, the writeLog
-// redo map, and the slot-keyed otable.Footprint. A model STM built from the
-// old triple (replicating the pre-unification Tx logic operation for
-// operation) and the real runtime are driven through identical random
-// transaction sequences over recording tables, and must produce
+// redo map, and slot-keyed holdings. A model STM built from the old triple
+// (replicating the pre-unification Tx logic operation for operation) and
+// the real runtime are driven through identical random transaction
+// sequences over recording tables, and must produce
 //
 //   - the identical sequence of ownership-table operations and outcomes
 //     (same acquires in the same order with the same heldReads, same
-//     releases in the same first-acquire order),
+//     releases in the same order: first access of the chunk whose acquire
+//     created the holding),
 //   - the same read values (read-own-writes included),
 //   - the same footprint sizes after every operation, and
 //   - the same final memory contents,
 //
-// across every kind of sweepKinds and both granularities, with aborted
-// transactions leaving no trace. The old triple acquired every read, so the
-// real runtime runs each transaction on the visible escape (atomicVisible).
+// across every kind of sweepKinds and both granularities, drained and
+// sampled, with aborted transactions leaving no trace. A read is no table
+// op, with one exception: a first read that samples a writer in its chunk's
+// version cell pins the chunk (pinOrAbort). Single-threaded that writer is
+// the transaction itself, so pins happen only on sampled attempts: a
+// tagless read is covered by the model's own write on the same entry (no
+// op), and a tagged read of an unheld block gets AR when the model holds a
+// write in the same bucket.
 
 // recTable wraps a Table and logs every ownership operation with its
 // outcome. Handles pass through unlogged: the runtime (which carries them)
@@ -263,27 +270,46 @@ func TestBlockSet(t *testing.T) {
 }
 
 // oldModel is the pre-unification per-thread log: the exact Tx.Read/Write/
-// ReadBlock/WriteBlock/commit/rollback logic over blockSet+writeLog+
-// Footprint, kept as the executable specification.
+// ReadBlock/WriteBlock/commit/rollback logic over blockSet+writeLog and
+// slot-keyed holdings, kept as the executable specification.
 type oldModel struct {
 	tab      *recTable
-	fp       *otable.Footprint
+	id       otable.TxID
+	held     map[uint64]*holding // slot -> this transaction's permission
+	first    map[addr.Block]int  // chunk -> first-access order
 	reads    *blockSet
 	writes   *blockSet
 	redo     *writeLog
 	mem      []uint64
 	wordGran bool
+	// sampled: first reads take a version sample (the runtime is
+	// undrained), so a read can find a writer in its chunk's cell and pin.
+	sampled bool
 }
 
-func newOldModel(tab *recTable, id otable.TxID, words int, wordGran bool) *oldModel {
+// holding is the model's permission on one table slot: the representative
+// block releases go through (the upgrading block after an upgrade), the
+// read share or write held, and the first-access order of the chunk whose
+// acquire created it — the runtime releases from that chunk's entry, in
+// access-set order.
+type holding struct {
+	block       addr.Block
+	read, write bool
+	first       int
+}
+
+func newOldModel(tab *recTable, id otable.TxID, words int, wordGran, sampled bool) *oldModel {
 	return &oldModel{
 		tab:      tab,
-		fp:       otable.NewFootprint(tab, id),
+		id:       id,
+		held:     make(map[uint64]*holding),
+		first:    make(map[addr.Block]int),
 		reads:    newBlockSet(),
 		writes:   newBlockSet(),
 		redo:     newWriteLog(),
 		mem:      make([]uint64, words),
 		wordGran: wordGran,
+		sampled:  sampled,
 	}
 }
 
@@ -294,15 +320,67 @@ func (m *oldModel) chunkOf(word uint64) addr.Block {
 	return addr.Block(word >> (addr.BlockShift - addr.WordShift))
 }
 
+// touch records chunk's first access.
+func (m *oldModel) touch(chunk addr.Block) {
+	if _, ok := m.first[chunk]; !ok {
+		m.first[chunk] = len(m.first)
+	}
+}
+
+// readChunk is a chunk's first read: it takes the pin when the cell shows a
+// writer. The model's table holds exactly the model's acquires, so its
+// sample answers "does this transaction hold a write in the cell".
+func (m *oldModel) readChunk(chunk addr.Block) {
+	m.touch(chunk)
+	if !m.sampled {
+		return
+	}
+	if _, writer := m.tab.SampleVersion(chunk); !writer {
+		return
+	}
+	slot := m.tab.SlotOf(chunk)
+	if m.held[slot] != nil {
+		return // covered: any holding on the slot covers a read
+	}
+	out, _ := otable.AcquireRead(m.tab, m.id, chunk)
+	if out.Conflict() {
+		panic("oracle model conflicted single-threaded")
+	}
+	if out == otable.Granted {
+		m.held[slot] = &holding{block: chunk, read: true, first: m.first[chunk]}
+	}
+}
+
+// writeChunk acquires (or upgrades to) exclusive permission on chunk.
+func (m *oldModel) writeChunk(chunk addr.Block) {
+	m.touch(chunk)
+	slot := m.tab.SlotOf(chunk)
+	h := m.held[slot]
+	if h != nil && h.write {
+		return
+	}
+	var heldReads uint32
+	if h != nil && h.read {
+		heldReads = 1
+	}
+	out, _ := otable.AcquireWrite(m.tab, m.id, chunk, heldReads)
+	switch {
+	case out.Conflict():
+		panic("oracle model conflicted single-threaded")
+	case out == otable.Granted:
+		m.held[slot] = &holding{block: chunk, write: true, first: m.first[chunk]}
+	case out == otable.Upgraded:
+		h.block, h.read, h.write = chunk, false, true
+	}
+}
+
 func (m *oldModel) read(word uint64) uint64 {
 	if v, ok := m.redo.Get(word); ok {
 		return v
 	}
 	chunk := m.chunkOf(word)
 	if !m.writes.Has(chunk) && m.reads.Add(chunk) {
-		if out := m.fp.Read(chunk); out.Conflict() {
-			panic("oracle model conflicted single-threaded")
-		}
+		m.readChunk(chunk)
 	}
 	return m.mem[word]
 }
@@ -310,9 +388,7 @@ func (m *oldModel) read(word uint64) uint64 {
 func (m *oldModel) write(word uint64, v uint64) {
 	chunk := m.chunkOf(word)
 	if m.writes.Add(chunk) {
-		if out := m.fp.Write(chunk); out.Conflict() {
-			panic("oracle model conflicted single-threaded")
-		}
+		m.writeChunk(chunk)
 		m.reads.Remove(chunk)
 	}
 	m.redo.Set(word, v)
@@ -320,17 +396,13 @@ func (m *oldModel) write(word uint64, v uint64) {
 
 func (m *oldModel) readBlock(b addr.Block) {
 	if !m.writes.Has(b) && m.reads.Add(b) {
-		if out := m.fp.Read(b); out.Conflict() {
-			panic("oracle model conflicted single-threaded")
-		}
+		m.readChunk(b)
 	}
 }
 
 func (m *oldModel) writeBlock(b addr.Block) {
 	if m.writes.Add(b) {
-		if out := m.fp.Write(b); out.Conflict() {
-			panic("oracle model conflicted single-threaded")
-		}
+		m.writeChunk(b)
 		m.reads.Remove(b)
 	}
 }
@@ -341,7 +413,20 @@ func (m *oldModel) finish(commit bool) {
 	if commit {
 		m.redo.Range(func(word, val uint64) { m.mem[word] = val })
 	}
-	m.fp.ReleaseAll()
+	hs := make([]*holding, 0, len(m.held))
+	for _, h := range m.held {
+		hs = append(hs, h)
+	}
+	sort.Slice(hs, func(i, j int) bool { return hs[i].first < hs[j].first })
+	for _, h := range hs {
+		if h.write {
+			otable.ReleaseWrite(m.tab, m.id, h.block)
+		} else {
+			otable.ReleaseRead(m.tab, m.id, h.block)
+		}
+	}
+	clear(m.held)
+	clear(m.first)
 	m.reads.Reset()
 	m.writes.Reset()
 	m.redo.Reset()
@@ -366,8 +451,16 @@ func TestUnifiedLogMatchesOldTripleOracle(t *testing.T) {
 		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
 			name := fmt.Sprintf("%s/%s", kind, gran)
 			t.Run(name, func(t *testing.T) {
+				var pins [2]uint64 // drained, sampled
 				for seed := uint64(1); seed <= seeds; seed++ {
-					runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, "backoff")
+					pins[0] += runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, "backoff", false)
+					pins[1] += runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, "backoff", true)
+				}
+				// A drained read takes no sample, so it never pins. Chunks
+				// alias only at word granularity (8 blocks, 16 entries):
+				// there the sampled runs must reach the pin.
+				if pins[0] != 0 || gran == WordGranularity && pins[1] == 0 {
+					t.Fatalf("pins drained/sampled = %d/%d", pins[0], pins[1])
 				}
 			})
 		}
@@ -392,7 +485,9 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/%s", kind, gran, policy)
 				t.Run(name, func(t *testing.T) {
 					for seed := uint64(1); seed <= seeds; seed++ {
-						runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, policy)
+						for _, sampled := range []bool{false, true} {
+							runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, policy, sampled)
+						}
 					}
 				})
 			}
@@ -400,7 +495,10 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 	}
 }
 
-func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int, entries uint64, txns int, seed uint64, policy string) {
+// runUnifiedLogOracle drives the model and the runtime through one random
+// script and returns the runtime's pin count. sampled leaves the runtime
+// undrained, so every first read takes its version sample.
+func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int, entries uint64, txns int, seed uint64, policy string, sampled bool) uint64 {
 	t.Helper()
 	newRec := func() *recTable {
 		tab, err := otable.New(kind, hash.NewMask(entries))
@@ -417,8 +515,11 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sampled {
+		undrain(rt)
+	}
 	th := rt.NewThread()
-	model := newOldModel(modelTab, th.ID(), words, gran == WordGranularity)
+	model := newOldModel(modelTab, th.ID(), words, gran == WordGranularity, sampled)
 
 	r := xrand.New(seed)
 	for tn := 0; tn < txns; tn++ {
@@ -454,7 +555,7 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 
 		// Real pass over the same script.
 		sentinel := fmt.Errorf("scripted abort")
-		err := atomicVisible(th, func(tx *Tx) error {
+		err := th.Atomic(func(tx *Tx) error {
 			for i, op := range ops {
 				switch op.kind {
 				case 0:
@@ -509,4 +610,5 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 	if occ := modelTab.Occupied(); occ != 0 {
 		t.Fatalf("%s seed=%d: model table occupancy = %d", kind, seed, occ)
 	}
+	return rt.Stats().ROPromotions
 }

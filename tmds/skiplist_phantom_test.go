@@ -239,15 +239,15 @@ func scanHammer(t *testing.T, kind string, fallbackAfter int) tmbp.STMStats {
 
 // TestSkiplistScanHammer runs the invariant hammer on every table kind with
 // FallbackAfter 1: a transaction that aborts once retries under the serial
-// token, whose attempts read under read shares, so the recorded histories
-// carry visible reads beside invisible ones.
+// token, so the recorded histories carry serial attempts — drained reads
+// with every optimistic writer parked — beside optimistic ones.
 func TestSkiplistScanHammer(t *testing.T) {
 	var fallbacks uint64
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) { fallbacks += scanHammer(t, kind, 1).FallbackCommits })
 	}
 	if fallbacks == 0 {
-		t.Fatal("no serial commit in the sweep: it recorded no visible reads")
+		t.Fatal("no serial commit in the sweep: it recorded no serial attempt")
 	}
 }
 

@@ -235,13 +235,13 @@ func TestKeyedMultiOpTransactionAtomic(t *testing.T) {
 // Zipf-skewed keys over a 256-entry table, half the operations writes, a
 // 5 % fuzz yield — so the traces contain genuine conflicts and aborts, not
 // just a serial history. FallbackAfter 1 sends every transaction that
-// aborts once to the serial token, whose attempts read under read shares,
-// so the sweep records visible reads too. Sweeping the structures matters:
+// aborts once to the serial token, so the sweep records serial attempts
+// beside optimistic ones. Sweeping the structures matters:
 // their constructors initialize memory with direct stores, and a missing
 // Init event shows up here as a phantom inconsistent read.
 func TestKeyedTracesOpaque(t *testing.T) {
 	if fallbacks := keyedTraceSweep(t, 0.5, 1); fallbacks == 0 {
-		t.Fatal("no serial commit in the sweep: it recorded no visible reads")
+		t.Fatal("no serial commit in the sweep: it recorded no serial attempt")
 	}
 }
 
