@@ -87,6 +87,29 @@ func TestRunSTMSubcommand(t *testing.T) {
 	}
 }
 
+// TestRunSTMTaggedNoFalseConflicts runs the stm experiment where the
+// tagless table aliases hardest — eight threads on a 256-entry table — and
+// holds the tagged row to its "model prediction 0.0%": every abort there
+// would be a false conflict, and a tagged table has none.
+func TestRunSTMTaggedNoFalseConflicts(t *testing.T) {
+	out := capture(t, func() error {
+		return run("stm", []string{"-csv", "-threads", "8", "-entries", "256", "-txns", "50"})
+	})
+	rows := map[string][]string{}
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Split(line, ","); len(f) == 5 {
+			rows[f[0]] = f
+		}
+	}
+	tagged, ok := rows["tagged"]
+	if !ok || rows["tagless"] == nil {
+		t.Fatalf("stm output has no tagless and tagged rows:\n%s", out)
+	}
+	if tagged[1] != "400" || tagged[2] != "0" {
+		t.Fatalf("tagged row = %v, want 400 commits and 0 aborts:\n%s", tagged, out)
+	}
+}
+
 func TestHelp(t *testing.T) {
 	if err := run("help", nil); err != nil {
 		t.Fatalf("help returned error: %v", err)

@@ -9,10 +9,16 @@
 // on the identical workload — α = 2 read-only blocks per written block —
 // for the tagless table and for the tagged table, which stores address
 // tags and chains aliases so that no two blocks share an ownership slot.
-// The tagged rows are not zero: reads are validated against version cells,
-// and a tagged table keeps one cell per bucket, so a commit to any record
-// in a bucket still fails readers of the other blocks there. Removing that
-// is the open item "Tagged means no false conflicts — again" in ROADMAP.md.
+// Reads are validated against version stamps, and the tagged table keeps
+// its stamps per record, so a commit to one block never fails a reader of
+// another, and the tagged rows read 0.00% — but for one case this workload
+// can reach. It streams unique blocks, and when a bucket's chain grows too
+// deep the oldest free record is reaped and its stamp folded into a
+// per-bucket floor, which blocks with no record answer with. A reader that
+// began before that record's commit — one stalled for hundreds of commits
+// — then fails validation. It is rare (a few aborts in 1600 at 512
+// entries, in some runs); internal/otable's version.go says why a bounded
+// table cannot rule it out.
 //
 // The sweep over table sizes shows the paper's second finding: growing the
 // tagless table only buys a sublinear reduction in false aborts (conflict

@@ -26,10 +26,11 @@ func TestCounterBlockPadding(t *testing.T) {
 // snapshot, Occupied and the cell's version sample after each step. The
 // expectations are the tagged ones; the tagless table differs only in never
 // reporting the tagged-only fields (the aliasing block shares b's entry
-// there, so the "second record" is a second sharer — the same counts). The
-// sample shows a writer from a write grant or upgrade until the write
-// release, and a new stamp only after ReleaseWriteV: AlreadyHeld grants,
-// denied acquires and read traffic leave it alone.
+// there, so the "second record" is a second sharer — the same counts, one
+// occupied entry where the tagged table has two held records: its Occupied
+// is Records). The sample shows a writer from a write grant or upgrade until
+// the write release, and a new stamp only after ReleaseWriteV: AlreadyHeld
+// grants, denied acquires and read traffic leave it alone.
 func TestAccountingStepByStep(t *testing.T) {
 	const (
 		b     = addr.Block(3)
@@ -101,11 +102,13 @@ func TestAccountingStepByStep(t *testing.T) {
 			for _, s := range steps {
 				s.do()
 				want := s.want
+				wantOcc := want.Records
 				if kind == "tagless" {
 					want.ReleaseWalks, want.ChainFollows, want.Records, want.MaxChain = 0, 0, 0, 0
+					wantOcc = s.occ
 				}
-				if got, occ := tab.Stats(), tab.Occupied(); got != want || occ != s.occ {
-					t.Fatalf("after %q:\n got %+v, occupied %d\nwant %+v, occupied %d", s.name, got, occ, want, s.occ)
+				if got, occ := tab.Stats(), tab.Occupied(); got != want || occ != wantOcc {
+					t.Fatalf("after %q:\n got %+v, occupied %d\nwant %+v, occupied %d", s.name, got, occ, want, wantOcc)
 				}
 				if ver, wr := tab.SampleVersion(b); ver != s.ver || wr != s.wr {
 					t.Fatalf("after %q: version = stamp %d, writerActive %v; want %d, %v", s.name, ver, wr, s.ver, s.wr)
@@ -114,8 +117,9 @@ func TestAccountingStepByStep(t *testing.T) {
 			if kind == "tagless" {
 				return // one entry, one writer: nothing below can be granted
 			}
-			// Two writers in one bucket: the cell shows a writer while either
-			// remains, whichever leaves first and however it releases.
+			// Two writers in one bucket: each block's sample shows its own
+			// record's writer and stamp, never its neighbour's, whichever
+			// leaves first and however it releases.
 			for first := 0; first < 2; first++ {
 				blk := [2]addr.Block{b, alias}
 				var h [2]Handle
@@ -126,14 +130,18 @@ func TestAccountingStepByStep(t *testing.T) {
 					}
 					h[i] = hi
 				}
+				before, _ := tab.SampleVersion(blk[1-first])
 				stamp := uint64(8 + first)
 				tab.ReleaseWriteV(TxID(first+1), blk[first], h[first], stamp)
-				if ver, wr := tab.SampleVersion(b); ver != stamp || !wr {
-					t.Fatalf("one of two writers left: version = stamp %d, writerActive %v; want %d, true", ver, wr, stamp)
+				if ver, wr := tab.SampleVersion(blk[first]); ver != stamp || wr {
+					t.Fatalf("the writer that left: version = stamp %d, writerActive %v; want %d, false", ver, wr, stamp)
+				}
+				if ver, wr := tab.SampleVersion(blk[1-first]); ver != before || !wr {
+					t.Fatalf("the writer that stayed: version = stamp %d, writerActive %v; want %d, true", ver, wr, before)
 				}
 				tab.ReleaseWriteH(TxID(2-first), blk[1-first], h[1-first])
-				if ver, wr := tab.SampleVersion(alias); ver != stamp || wr {
-					t.Fatalf("both writers left: version = stamp %d, writerActive %v; want %d, false", ver, wr, stamp)
+				if ver, wr := tab.SampleVersion(blk[1-first]); ver != before || wr {
+					t.Fatalf("both writers left: version = stamp %d, writerActive %v; want %d, false", ver, wr, before)
 				}
 			}
 		})
@@ -244,7 +252,8 @@ func TestAccountingHammer(t *testing.T) {
 }
 
 // TestForeignReleaseKeepsVersion: a write release by a transaction that does
-// not own the block must panic before it touches the cell's version word.
+// not own the block — or by its owner, a second time — must panic before it
+// touches the cell's version word.
 // It used to publish (or uncount) first, so the cell lost its active-writer
 // mark while the real owner still held it, and the owner's own release then
 // underflowed the writer count into the stamp.
@@ -284,8 +293,23 @@ func TestForeignReleaseKeepsVersion(t *testing.T) {
 					}
 				}
 				release(tab, 1, h)
-				if stamp, active := tab.SampleVersion(b); stamp < 7 || active {
+				stamp, active := tab.SampleVersion(b)
+				if stamp < 7 || active {
 					t.Fatalf("after the owner's %s: version = stamp %d, writerActive %v; want >= 7, false", name, stamp, active)
+				}
+				// A second release of the same grant finds a state word that no
+				// longer names the caller: it panics and leaves the version as
+				// the first release left it.
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("a double %s did not panic", name)
+						}
+					}()
+					release(tab, 1, h)
+				}()
+				if again, active := tab.SampleVersion(b); again != stamp || active {
+					t.Fatalf("after a double %s: version = stamp %d, writerActive %v; want %d, false", name, again, active, stamp)
 				}
 				if err := AuditQuiesced(tab); err != nil {
 					t.Fatal(err)

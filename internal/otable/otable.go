@@ -16,8 +16,10 @@
 //     chain traversal. Chains are lock-free: heads and links are CAS-able
 //     words and every acquire/release is one CAS on a record's packed state
 //     word — see the Tagged type for the record lifecycle and its
-//     invariants. Its record free lists and event counters are striped, so
-//     threads working on different buckets rarely share a cache line.
+//     invariants. Each record also carries its block's version stamp, so
+//     invisible readers are validated per block as well (version.go). Its
+//     record free lists and event counters are striped, so threads working
+//     on different buckets rarely share a cache line.
 //
 // Both implementations are lock-free and safe for concurrent use, keep the
 // statistics the experiments report, and implement the one Table interface.
@@ -25,9 +27,10 @@
 // Accounting costs every successful operation exactly one atomic add, on a
 // cache-line-padded counter block picked by the low bits of the cell index
 // (see counters): the counters record events split by whether they opened
-// or closed a first-level cell, and both Stats and Occupied are sums over
-// them. docs/ARCHITECTURE.md ("Synchronisation budget") lists every
-// lock-prefixed instruction each operation executes and what it is for.
+// or closed a slot (a tagless entry, a tagged record), and both Stats and
+// Occupied are sums over them. docs/ARCHITECTURE.md ("Synchronisation
+// budget") lists every lock-prefixed instruction each operation executes
+// and what it is for.
 package otable
 
 import (
@@ -176,10 +179,11 @@ type Table interface {
 	ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64)
 
 	// SampleVersion returns the cell's current commit stamp and whether any
-	// writer holds exclusive ownership anywhere in b's cell. One hash, then
-	// loads only: writer activity first (the tagless entry word; a bucket's
-	// hold word, on the stamp's cache line, and once more after it), then
-	// the stamp — the order version.go's argument rests on.
+	// writer holds exclusive ownership of b's cell — the tagless entry b
+	// hashes to, or b's own tagged record. One hash, then loads only: writer
+	// activity first (the entry or record state word), then the stamp — the
+	// order version.go's argument rests on. A tagged block with no record
+	// answers with its bucket's floor and no writer.
 	SampleVersion(b addr.Block) (stamp uint64, writerActive bool)
 	// StampVersion raises b's cell stamp without touching ownership. It is
 	// for mutations applied under an existing exclusive hold that survive
@@ -189,8 +193,9 @@ type Table interface {
 	// abort-path release will not publish one.
 	StampVersion(b addr.Block, stamp uint64)
 
-	// Occupied returns the number of non-free first-level entries (the
-	// occupancy measure used for the paper's Figure 6(b) compensation).
+	// Occupied returns the number of held slots: non-free tagless entries,
+	// or held tagged records (the occupancy measure used for the paper's
+	// Figure 6(b) compensation).
 	Occupied() uint64
 	// Stats returns a snapshot of the operation counters.
 	Stats() Stats
@@ -270,10 +275,10 @@ const counterStripes = 8
 // Occupied, padded to two cache lines so neighboring stripes never
 // false-share. Every successful operation bumps exactly one of its words:
 // acquires and releases are split by whether they opened (respectively
-// closed) the first-level cell — took it from no holder to one, or back — so
-// occupancy is opens minus closes and needs no word of its own. (Records is
-// not a counter: the tagged table derives it from its per-bucket held
-// counts, see Tagged.Records.)
+// closed) the slot — a tagless entry or a tagged record — taking it from no
+// holder to one, or back, so occupancy is opens minus closes and needs no
+// word of its own. (Records is not a counter either: for the tagged table
+// it is that occupancy, see Tagged.Records.)
 type counterBlock struct {
 	readOpens, reads         atomic.Uint64 // successful read acquires that did / did not open the cell
 	writeOpens, writes       atomic.Uint64 // write grants (Granted or AlreadyHeld) that did / did not open it
@@ -315,10 +320,10 @@ func (c *counters) snapshot() Stats {
 	return s
 }
 
-// occupied returns opens minus closes: the number of first-level cells with
-// at least one holder. A cell's close is counted after its open, in the same
-// block, so loading each block's closes first keeps a concurrent reading
-// from going negative; it is exact whenever the table is quiescent.
+// occupied returns opens minus closes: the number of slots with at least
+// one holder. A slot's close is counted after its open, in the same block,
+// so loading each block's closes first keeps a concurrent reading from
+// going negative; it is exact whenever the table is quiescent.
 func (c *counters) occupied() uint64 {
 	var closes, opens uint64
 	for i := range c {

@@ -15,6 +15,14 @@ import (
 // majority of buckets hold 0 or 1 records at sane load factors, so the
 // expected cost over tagless is one tag compare.
 //
+// The version state of the invisible-read protocol is per block too: each
+// record carries its block's commit stamp, published by the record's writer
+// with one store, and each bucket a floor that blocks with no record answer
+// with (version.go). A version sample walks to the block's own record with
+// loads only, so a commit to one block never moves the stamp another block
+// answers with — only a reaped record's stamp, folded into the floor, is
+// shared.
+//
 // Concurrency is lock-free, in the style of the tagless table's entries:
 // bucket heads and chain links are CAS-able words, and every
 // acquire/release/upgrade linearizes at one CAS on the target record's
@@ -47,7 +55,8 @@ import (
 //	  └─ condemn       a reaping walk CASes {Free,g,0}→{Dead,g,0}; Dead is
 //	                   terminal, so condemning and claiming arbitrate on the
 //	                   same word and a record being removed can never be
-//	                   revived
+//	                   revived. The condemner then folds the record's stamp,
+//	                   final from here on, into the bucket floor
 //	  └─ mark          mark bit set on the record's own next link, freezing
 //	                   it: no unlink-CAS uses a marked expected value, so a
 //	                   marked record can never act as the predecessor of
@@ -107,17 +116,9 @@ import (
 //     is a transient publish artifact — walkers decide deadness by the
 //     state word and treat such marks as traversal noise.
 type Tagged struct {
-	stats counters // first field, see counters; also yields Occupied
-	h     hash.Func
-	heads []atomic.Uint64 // per-bucket chain head link {0, gen, idx}; 0 = empty
-	// cells holds each bucket's commit stamp and hold word {writers | held
-	// (Read/Write) records}, see version.go. The hold word serves the
-	// open/close decision, the reap allowance, Records and the writer-active
-	// half of a version sample. The version lives on the bucket, not the
-	// record: records are reaped and recycled, and a stamp that vanished
-	// with its record could let a stale recorded version validate against a
-	// fresh record's zero.
-	cells []cell
+	stats   counters // first field, see counters; also yields Occupied
+	h       hash.Func
+	buckets []bucket
 	// stripes hold the per-stripe free lists of retired records. Retiring
 	// and allocating through the stripe of the operated-on bucket keeps
 	// pool traffic spread out the same way striped locks would spread lock
@@ -154,28 +155,56 @@ const (
 // before reaping, so a deep working set keeps its parked records (each
 // held record legitimately accounts for one future parked record) while a
 // bucket streaming unique tags has live ≈ 0 and keeps its chain bounded
-// near the base depth, preserving the tag-streaming bound.
+// near the base depth, preserving the tag-streaming bound. The walk counts n
+// itself, with loads: the held records it has passed, and — once it is deep
+// enough to reap — the rest of the chain (heldFrom).
 const reapDepth = 3
 
-// reapAllowance returns the extra physical-chain depth bucket idx is
-// allowed beyond reapDepth before free records get condemned: its current
-// held-record count. Loaded lazily — only on walks already deep enough to
-// consider reaping — so shallow hot-path walks never touch the hold word.
-func (t *Tagged) reapAllowance(idx uint64) uint64 { return t.cells[idx].held() }
+// heldFrom counts, with loads only, the held records chained from link cur
+// on: the part of a bucket's reap allowance a walk has not passed yet. A
+// record recycled under the count ends it early — the allowance only paces
+// reaping, and condemning any free record is safe.
+func (t *Tagged) heldFrom(cur uint64) (n uint64) {
+	for linkIdx(cur) != 0 {
+		r := t.rec(linkIdx(cur))
+		next := r.next.Load()
+		st := r.state.Load()
+		if recGen(st) != linkGen(cur) {
+			return n
+		}
+		if m := recMode(st); m == Read || m == Write {
+			n++
+		}
+		cur = next &^ linkMark
+	}
+	return n
+}
+
+// bucket is one first-level slot: its chain head and its version floor
+// (version.go), side by side so that a sample of a block with no record
+// reads one cache line.
+type bucket struct {
+	head  atomic.Uint64 // chain head link {0, gen, idx}; 0 = empty
+	floor atomic.Uint64 // stamp bound for the bucket's blocks with no record
+}
 
 // recSeg is one slab segment.
 type recSeg [segSize]record
 
-// record is one ownership record: the tagged equivalent of a tagless entry,
-// plus the tag and chain link. Every field is atomic because stale link
-// holders may read a recycled record's fields before generation validation
-// rejects them. Padded to a cache line so neighboring records never
-// false-share.
+// record is one ownership record: the tagged equivalent of a tagless entry
+// and its stamp, plus the tag and chain link. Every field is atomic because
+// stale link holders may read a recycled record's fields before generation
+// validation rejects them. Padded to a cache line so neighboring records
+// never false-share.
 type record struct {
 	state atomic.Uint64 // {mode, gen, payload}; the linearization word
 	next  atomic.Uint64 // chain link to successor, or marked free-list link while pooled
 	tag   atomic.Uint64 // block tag; written only while private (invariant 1)
-	_     [40]byte
+	// vers is the block's commit stamp (version.go): set from the bucket
+	// floor while the record is private, then written only by its
+	// exclusive writer, and folded into the floor when it is condemned.
+	vers atomic.Uint64
+	_    [32]byte
 }
 
 // stripe is one free list of retired records, padded to its own cache line.
@@ -226,8 +255,7 @@ func NewTagged(h hash.Func) *Tagged {
 	}
 	t := &Tagged{
 		h:       h,
-		heads:   make([]atomic.Uint64, n),
-		cells:   make([]cell, n),
+		buckets: make([]bucket, n),
 		stripes: make([]stripe, stripes),
 		mask:    stripes - 1,
 		segs:    make([]atomic.Pointer[recSeg], maxSegs),
@@ -362,11 +390,14 @@ func (t *Tagged) unlink(idx uint64, r *record, rlink uint64, prev *atomic.Uint64
 // are condemned and removed, bounding chains under tag-streaming workloads.
 func (t *Tagged) walk(idx uint64, b addr.Block) (r *record, rst uint64, rlink uint64, headSeen uint64, depth uint64, found bool) {
 restart:
-	head := t.heads[idx].Load()
-	prevField := &t.heads[idx]
+	head := t.buckets[idx].head.Load()
+	prevField := &t.buckets[idx].head
 	cur := head
-	depth = 0         // held records passed, for the chain-length statistics
+	depth = 0         // held records passed: chain-length statistics, reap allowance
 	phys := uint64(0) // records passed in any state: traversal cost and reaping
+	// allow is the bucket's held-record count, taken once the walk is deep
+	// enough to reap (unset: all ones).
+	allow := ^uint64(0)
 	for linkIdx(cur) != 0 {
 		rec := t.rec(linkIdx(cur))
 		tag := rec.tag.Load()
@@ -397,6 +428,11 @@ restart:
 			// state CAS and its mark. The record is logically absent and
 			// its next is still a true incarnation link, so just walk
 			// past; the condemner (or a later walk) finishes the removal.
+			// Its stamp may not be in the floor yet, and an insert for b
+			// must start above it: fold it here too.
+			if tag == uint64(b) {
+				t.fold(idx, rec)
+			}
 			phys++
 			prevField = &rec.next
 			cur = next
@@ -409,14 +445,18 @@ restart:
 				}
 				return rec, st, cur, head, depth, true
 			}
-			if phys >= reapDepth && phys >= reapDepth+t.reapAllowance(idx) {
+			if phys >= reapDepth && allow == ^uint64(0) {
+				allow = depth + t.heldFrom(next)
+			}
+			if phys >= reapDepth && phys >= reapDepth+allow {
 				// Deep free record (past the occupancy-adaptive threshold):
 				// condemn it (arbitrating against a concurrent claim on the
-				// state word) and splice it out with the predecessor we
-				// already hold.
+				// state word), fold its now final stamp into the floor, and
+				// splice it out with the predecessor we already hold.
 				if !rec.state.CompareAndSwap(st, packRec(deadMode, linkGen(cur), 0)) {
 					goto restart
 				}
+				t.fold(idx, rec)
 				if clean, ok := t.unlink(idx, rec, cur, prevField); ok {
 					cur = clean
 					continue
@@ -458,6 +498,9 @@ func (t *Tagged) insertAt(idx uint64, b addr.Block, m Mode, payload uint32, head
 	if r.tag.Load() != uint64(b) {
 		r.tag.Store(uint64(b))
 	}
+	// The walk that found no record for b ran after any earlier record for
+	// b was condemned and folded, so the floor bounds b's stamps.
+	r.vers.Store(t.buckets[idx].floor.Load())
 	r.state.Store(packRec(m, g, payload))
 	// The private next is stored marked (invariant 7): until the head CAS
 	// publishes this record, no location outside the chain may expose an
@@ -466,7 +509,7 @@ func (t *Tagged) insertAt(idx uint64, b addr.Block, m Mode, payload uint32, head
 	// predecessor could land its splice CAS here while the true
 	// predecessor's splice also succeeds, retiring the successor twice.
 	r.next.Store(headSeen | linkMark)
-	if !t.heads[idx].CompareAndSwap(headSeen, mkLink(g, ridx)) {
+	if !t.buckets[idx].head.CompareAndSwap(headSeen, mkLink(g, ridx)) {
 		// Never published — but the generation was consumed by the state
 		// store, so repool under it; the next cycle bumps it again.
 		t.retire(st, ridx, r)
@@ -480,36 +523,20 @@ func (t *Tagged) insertAt(idx uint64, b addr.Block, m Mode, payload uint32, head
 	r.next.Store(headSeen)
 	c := t.stats.at(idx)
 	if m == Write {
-		// The writer is counted into the hold word before the grant is
-		// returned: the caller cannot write data before this, so a sample
-		// that misses the count precedes any mutation.
-		t.grant(idx, holdWriter+1, &c.writeOpens, &c.writes)
+		c.writeOpens.Add(1)
 	} else {
-		t.grant(idx, 1, &c.readOpens, &c.reads)
+		c.readOpens.Add(1)
 	}
 	c.observeChain(liveLen + 1)
 	return mkLink(g, ridx)
 }
 
-// grant counts a Free→held claim into bucket idx's hold word (1 for a read
-// claim, holdWriter+1 for a write claim) and bumps the acquire's one event
-// counter: opens if the bucket got its first held record, joins otherwise.
-func (t *Tagged) grant(idx uint64, hold uint64, opens, joins *atomic.Uint64) {
-	if t.cells[idx].bump(hold) == 1 {
-		opens.Add(1)
-	} else {
-		joins.Add(1)
-	}
-}
-
-// ungrant is grant's inverse for a held→Free release: closes if the bucket
-// is left with no held record, stays otherwise.
-func (t *Tagged) ungrant(idx uint64, hold uint64, closes, stays *atomic.Uint64) {
-	if t.cells[idx].bump(-hold) == 0 {
-		closes.Add(1)
-	} else {
-		stays.Add(1)
-	}
+// fold raises bucket idx's floor to the stamp of rec, a record condemned
+// under it, so that the bucket still answers for rec's block once the
+// record is gone. A condemned record's stamp is final: only a holder writes
+// it, and Dead records have none.
+func (t *Tagged) fold(idx uint64, rec *record) {
+	verRaise(&t.buckets[idx].floor, rec.vers.Load())
 }
 
 // AcquireReadH implements Table. The outcome linearizes at a single CAS:
@@ -533,7 +560,7 @@ func (t *Tagged) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Han
 			switch recMode(st) {
 			case Free: // claim the parked record in place
 				if r.state.CompareAndSwap(st, packRec(Read, g, 1)) {
-					t.grant(idx, 1, &c.readOpens, &c.reads)
+					c.readOpens.Add(1)
 					return Granted, NoConflict, Handle(rlink)
 				}
 			case Read:
@@ -560,8 +587,8 @@ func (t *Tagged) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Han
 // here is always a *true* conflict: the same block is held by another
 // transaction. With a valid handle for a held read share, the read→write
 // upgrade is a single generation-validated state CAS with no chain walk;
-// the bucket hash is computed up front either way, because a successful
-// upgrade must count the new writer into the bucket's hold word.
+// the bucket hash is computed up front either way, because it picks the
+// counter block the upgrade is counted in.
 func (t *Tagged) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle) {
 	idx := t.h.Index(b)
 	if h != NoHandle && heldReads > 0 {
@@ -598,7 +625,6 @@ func (t *Tagged) upgradeByHandle(idx uint64, tx TxID, heldReads uint32, h uint64
 			return ConflictReaders, ReadersConflict(payload - heldReads), true
 		}
 		if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
-			t.cells[idx].bump(holdWriter)
 			t.stats.at(idx).upgrades.Add(1)
 			return Upgraded, NoConflict, true
 		}
@@ -626,7 +652,7 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 			switch recMode(st) {
 			case Free: // claim the parked record in place
 				if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
-					t.grant(idx, holdWriter+1, &c.writeOpens, &c.writes)
+					c.writeOpens.Add(1)
 					return Granted, NoConflict, rlink
 				}
 			case Read:
@@ -637,7 +663,6 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 				}
 				if heldReads == payload {
 					if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
-						t.cells[idx].bump(holdWriter)
 						c.upgrades.Add(1)
 						return Upgraded, NoConflict, rlink
 					}
@@ -685,7 +710,7 @@ func (t *Tagged) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
 				return
 			}
 		} else if r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			t.ungrant(idx, 1, &c.closes, &c.releases)
+			c.closes.Add(1)
 			return
 		}
 	}
@@ -714,7 +739,7 @@ func (t *Tagged) releaseReadAt(idx uint64, tx TxID, b addr.Block) {
 				return
 			}
 		} else if r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			t.ungrant(idx, 1, &c.walkCloses, &c.walkReleases)
+			c.walkCloses.Add(1)
 			return
 		}
 		st = r.state.Load()
@@ -730,15 +755,15 @@ func (t *Tagged) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 // releaseWriteAt releases tx's write ownership of b in bucket idx: through
 // the handle with no chain walk, or — with a stale or useless handle — by
 // walking. Either way owner and mode are validated from the record's state
-// word before the bucket's cell is touched, so a release by anyone but the
-// owner panics without side effects. The owner then raises the bucket stamp,
-// frees the record, and only then uncounts itself (ungrant's one Add), so an
-// acquire that finds the slot free, or a sample that finds no writer, also
-// finds the stamp. A write record has exactly one legitimate releaser, so the
-// state CAS can only be contended by bugs.
+// word before the record's stamp is touched, so a release by anyone but the
+// owner panics without side effects. The owner then publishes the stamp —
+// one store: it is the record's only writer, and it drew the stamp while
+// holding the record, above any stamp the record carries — and only then
+// frees the record, so an acquire that finds it free, or a sample that finds
+// no writer, also finds the stamp. A write record has exactly one
+// legitimate releaser, so the state CAS can only be contended by bugs.
 func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block, h Handle, stamp uint64) {
-	c := t.stats.at(idx)
-	closes, stays := &c.closes, &c.releases
+	closes := &t.stats.at(idx).closes
 	var r *record
 	var st, g uint64
 	if h != NoHandle {
@@ -752,18 +777,65 @@ func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block, h Handle, sta
 		if !found || recMode(st) != Write || TxID(recPayload(st)) != tx {
 			panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
 		}
-		g, closes, stays = linkGen(rlink), &c.walkCloses, &c.walkReleases
+		g, closes = linkGen(rlink), &t.stats.at(idx).walkCloses
 	}
-	verRaise(&t.cells[idx].vers, stamp)
+	if stamp > r.vers.Load() {
+		r.vers.Store(stamp)
+	}
 	if !r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
 		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
 	}
-	t.ungrant(idx, holdWriter+1, closes, stays)
+	closes.Add(1)
 }
 
-// SampleVersion implements Table: one hash, one cache line (see cell.sample).
+// SampleVersion implements Table with loads only (version.go): one hash,
+// then a walk to b's record, answered from its mode and stamp, or — when
+// the chain holds no record for b — from the bucket floor.
 func (t *Tagged) SampleVersion(b addr.Block) (uint64, bool) {
-	return t.cells[t.h.Index(b)].sample()
+	bk := &t.buckets[t.h.Index(b)]
+	for {
+		r, st, link, head := t.find(bk, b)
+		if r == nil {
+			// The floor is loaded before the head is checked again, so a
+			// record inserted since the walk began is caught instead of
+			// answered for.
+			floor := bk.floor.Load()
+			if bk.head.Load() == head {
+				return floor, false
+			}
+			continue
+		}
+		// The state was loaded first, as a tagless entry's mode is; the
+		// generation, reloaded, says the stamp is the same incarnation's.
+		v := r.vers.Load()
+		if recGen(r.state.Load()) == linkGen(link) {
+			return v, recMode(st) == Write
+		}
+	}
+}
+
+// find walks bucket bk with loads only to the first record tagged b and
+// returns it with the state word and link it was validated under, or nil
+// and the head the walk began from. That record is b's only live or free
+// one, or a Dead one whose stamp is final: a fresh record for b would sit
+// nearer the head.
+func (t *Tagged) find(bk *bucket, b addr.Block) (r *record, st, link, head uint64) {
+restart:
+	head = bk.head.Load()
+	for cur := head; linkIdx(cur) != 0; {
+		rec := t.rec(linkIdx(cur))
+		tag := rec.tag.Load()
+		next := rec.next.Load()
+		state := rec.state.Load()
+		if recGen(state) != linkGen(cur) {
+			goto restart // recycled under us, as in walk
+		}
+		if tag == uint64(b) {
+			return rec, state, cur, head
+		}
+		cur = next &^ linkMark
+	}
+	return nil, 0, 0, head
 }
 
 // ReleaseWriteV implements Table.
@@ -771,27 +843,29 @@ func (t *Tagged) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
 	t.releaseWriteAt(t.h.Index(b), tx, b, h, stamp)
 }
 
-// StampVersion implements Table.
+// StampVersion implements Table: it raises the stamp of b's record, which
+// the caller holds for writing — or, with no record for b, the bucket
+// floor. It raises by CAS, so a caller without the hold (a test's foreign
+// commit) cannot lower a stamp either.
 func (t *Tagged) StampVersion(b addr.Block, stamp uint64) {
-	verRaise(&t.cells[t.h.Index(b)].vers, stamp)
+	bk := &t.buckets[t.h.Index(b)]
+	if r, st, _, _ := t.find(bk, b); r != nil && recMode(st) != deadMode {
+		verRaise(&r.vers, stamp)
+		return
+	}
+	verRaise(&bk.floor, stamp)
 }
 
-// Occupied implements Table: the number of buckets holding at least one
-// held record, derived from the open/close event counters the grant and
-// release transitions bump (see counters.occupied), so concurrent readers
-// see a momentarily lagging value — exact whenever the table is quiescent.
+// Occupied implements Table: the number of held records, derived from the
+// open/close event counters the grant and release transitions bump (see
+// counters.occupied), so concurrent readers see a momentarily lagging
+// value — exact whenever the table is quiescent. Every block has its own
+// record, so this is also the number of blocks held.
 func (t *Tagged) Occupied() uint64 { return t.stats.occupied() }
 
-// Records returns the number of held ownership records (≥ Occupied when
-// chains exist), summed from the per-bucket hold words; free parked records
-// are not counted. Concurrent mutations make the sum approximate — exact
-// whenever the table is quiescent.
-func (t *Tagged) Records() (n uint64) {
-	for i := range t.cells {
-		n += t.cells[i].held()
-	}
-	return n
-}
+// Records returns the number of held ownership records: Occupied. Free
+// parked records are not counted.
+func (t *Tagged) Records() uint64 { return t.stats.occupied() }
 
 // ChainLengths returns a histogram of bucket chain lengths: result[k] is
 // the number of buckets with exactly k held records (free parked records
@@ -800,9 +874,9 @@ func (t *Tagged) Records() (n uint64) {
 func (t *Tagged) ChainLengths() []uint64 {
 	var maxLen int
 	lengths := make(map[int]uint64)
-	for i := range t.heads {
+	for i := range t.buckets {
 		n := 0
-		for cur := t.heads[i].Load(); linkIdx(cur) != 0; {
+		for cur := t.buckets[i].head.Load(); linkIdx(cur) != 0; {
 			r := t.rec(linkIdx(cur))
 			if st := r.state.Load(); recGen(st) == linkGen(cur) {
 				if m := recMode(st); m == Read || m == Write {
@@ -823,8 +897,8 @@ func (t *Tagged) ChainLengths() []uint64 {
 	return out
 }
 
-// Stats implements Table. Records is derived from the per-bucket held
-// counters rather than a hot-path counter.
+// Stats implements Table. Records is derived from the open/close counters
+// rather than a hot-path counter of its own.
 func (t *Tagged) Stats() Stats {
 	s := t.stats.snapshot()
 	s.Records = t.Records()
@@ -835,12 +909,9 @@ func (t *Tagged) Stats() Stats {
 // allocator rewinds; slab segments are kept for reuse, and recycled slots
 // keep their generations (monotonicity per slot is all correctness needs).
 func (t *Tagged) Reset() {
-	for i := range t.heads {
-		t.heads[i].Store(0)
-	}
-	for i := range t.cells {
-		t.cells[i].vers.Store(0)
-		t.cells[i].hold.Store(0)
+	for i := range t.buckets {
+		t.buckets[i].head.Store(0)
+		t.buckets[i].floor.Store(0)
 	}
 	for i := range t.stripes {
 		t.stripes[i].free.Store(0)

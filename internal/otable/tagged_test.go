@@ -24,8 +24,8 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 	if tab.Records() != 2 {
 		t.Fatalf("Records = %d, want 2", tab.Records())
 	}
-	if tab.Occupied() != 1 {
-		t.Fatalf("Occupied (buckets) = %d, want 1 (both records chain in one bucket)", tab.Occupied())
+	if tab.Occupied() != 2 {
+		t.Fatalf("Occupied = %d, want 2 (two held records, chained in one bucket)", tab.Occupied())
 	}
 }
 
@@ -265,7 +265,7 @@ func TestNewByKind(t *testing.T) {
 // quiescent.
 func physChainLen(t *Tagged, idx uint64) int {
 	n := 0
-	for cur := t.heads[idx].Load(); linkIdx(cur) != 0; {
+	for cur := t.buckets[idx].head.Load(); linkIdx(cur) != 0; {
 		r := t.rec(linkIdx(cur))
 		n++
 		cur = r.next.Load() &^ linkMark

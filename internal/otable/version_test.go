@@ -10,61 +10,23 @@ import (
 	"tmbp/internal/hash"
 )
 
-// bucketCell returns the version cell of b's bucket.
-func bucketCell(t *Tagged, b addr.Block) *cell { return &t.cells[t.h.Index(b)] }
-
-// TestHoldWordOverflowPanics drives a bucket's hold word to the edge of each
-// field from inside the package: the grant that would fill the held-records
-// field, and the release that would take the writers field below zero, must
-// panic on the result of the Add they already perform, and a version sample
-// must never report a writer the records field carried into existence.
-func TestHoldWordOverflowPanics(t *testing.T) {
-	const b = addr.Block(3)
-	mustPanic := func(t *testing.T, what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", what)
-			}
-		}()
-		f()
-	}
-	noWriter := func(t *testing.T, tab Table, when string) {
-		t.Helper()
-		if _, active := tab.SampleVersion(b); active {
-			t.Fatalf("%s: SampleVersion reports a writer nobody is", when)
-		}
-	}
-	t.Run("tagged/records-overflow", func(t *testing.T) {
-		tab := NewTagged(hash.NewMask(64))
-		bucketCell(tab, b).hold.Store(holdGuard&(holdWriter-1) - 1) // one below the records limit
-		noWriter(t, tab, "at the limit")
-		mustPanic(t, "the grant past the records limit", func() { tab.AcquireReadH(1, b) })
-		noWriter(t, tab, "after the refused grant")
-	})
-	t.Run("tagged/writer-underflow", func(t *testing.T) {
-		tab := NewTagged(hash.NewMask(64))
-		_, _, h := tab.AcquireWriteH(1, b, 0, NoHandle)
-		tab.ReleaseWriteH(1, b, h)
-		// A second release of the same grant never reaches the hold word:
-		// the state word no longer names the caller.
-		mustPanic(t, "a double release", func() { tab.ReleaseWriteH(1, b, h) })
-		noWriter(t, tab, "after the double release")
-		// Had one slipped through and uncounted the writer twice, the
-		// next release would borrow from an empty field.
-		_, _, h = tab.AcquireWriteH(1, b, 0, NoHandle)
-		bucketCell(tab, b).hold.Add(^holdWriter + 1) // minus one writer
-		mustPanic(t, "the release below zero writers", func() { tab.ReleaseWriteH(1, b, h) })
-	})
-}
-
 // TestVersionSampleBracketsWriter checks the one promise SampleVersion makes
 // to an invisible reader, against a writer doing what a committing
 // transaction does: whenever two samples around a load both show no writer
-// and the same stamp, the load saw exactly the state that stamp's commit
-// left. The writer's "memory" is a shadow word holding the stamp of its last
-// commit, written under the hold and before the publishing release; every
-// fifth hold is released the abort way, shadow and stamp untouched.
+// and the same stamp s, the load saw the state left by the last commit of
+// the block with a stamp at most s, and no commit of the block since. The
+// writer's "memory" is a shadow word holding the stamp of its last commit
+// of the block, written under the hold and before the publishing release;
+// every fifth hold is released the abort way, shadow and stamp untouched.
+//
+// On the tagged table the sample answers from the block's record. In the
+// "reaped" run the writer also streams a fresh block through the same
+// bucket after every hold, committed under the same stamp, so the block's
+// free record is pushed past the reap depth, condemned and recycled, and
+// the block answers in turn from a record and from the bucket floor, which
+// carries the other blocks' stamps too. An answer above the block's own
+// last stamp is then allowed, as long as no commit of the block lies
+// between the shadow and the answer.
 func TestVersionSampleBracketsWriter(t *testing.T) {
 	const b = addr.Block(3)
 	iters := 200000
@@ -76,18 +38,29 @@ func TestVersionSampleBracketsWriter(t *testing.T) {
 	if readers < 1 {
 		readers = 1
 	}
-	for _, kind := range Kinds() {
-		t.Run(kind, func(t *testing.T) {
-			tab, err := New(kind, hash.NewMask(64))
+	type run struct {
+		kind   string
+		reaped bool
+	}
+	for _, r := range []run{{"tagless", false}, {"tagged", false}, {"tagged", true}} {
+		name := r.kind
+		if r.reaped {
+			name += "/reaped"
+		}
+		t.Run(name, func(t *testing.T) {
+			tab, err := New(r.kind, hash.NewMask(64))
 			if err != nil {
 				t.Fatal(err)
 			}
+			// committed reports whether the writer committed the block
+			// under stamp i: every hold but each fifth.
+			committed := func(i uint64) bool { return i%5 != 0 }
 			var shadow atomic.Uint64
 			var done atomic.Bool
 			defer done.Store(true) // a failing writer must not leave the readers spinning
 			var validated atomic.Uint64
 			var wg sync.WaitGroup
-			for r := 0; r < readers; r++ {
+			for range readers {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -99,7 +72,12 @@ func TestVersionSampleBracketsWriter(t *testing.T) {
 						if w1 || w2 || s1 != s2 {
 							continue
 						}
-						if n++; v != s1 {
+						n++
+						missed := v > s1
+						for i := v + 1; i <= s1 && !missed; i++ {
+							missed = committed(i)
+						}
+						if missed || !r.reaped && v != s1 {
 							t.Errorf("samples agree on stamp %d with no writer, but the load between them saw %d", s1, v)
 							break
 						}
@@ -112,11 +90,16 @@ func TestVersionSampleBracketsWriter(t *testing.T) {
 				if out != Granted {
 					t.Fatalf("AcquireWriteH = %v", out)
 				}
-				if i%5 == 0 {
+				if !committed(uint64(i)) {
 					tab.ReleaseWriteH(1, b, h)
 				} else {
 					shadow.Store(uint64(i))
 					tab.ReleaseWriteV(1, b, h, uint64(i))
+				}
+				if r.reaped {
+					other := b + addr.Block(64*(i+1)) // a fresh block in b's bucket
+					_, _, h := tab.AcquireWriteH(2, other, 0, NoHandle)
+					tab.ReleaseWriteV(2, other, h, uint64(i))
 				}
 				if i%1024 == 0 {
 					runtime.Gosched() // let the readers validate on a 1-P host too

@@ -19,13 +19,18 @@ func (th *Thread) roConflict() {
 
 // The Ver invariant: every VerRead entry's Ver bounds the chunk's cell stamp
 // from above at a moment after the current th.rv was loaded when no writer of
-// the chunk was in flight. Ver is a writer-free sample taken after rv was
-// loaded, or rv itself on a drained attempt, whose done == rv was a
-// writer-free sample of every cell at once. Stamps only rise, so the chunk is
-// unchanged since the read while its cell shows no writer and a stamp not
-// above Ver. The invariant lets a read ask the clock instead of the cell —
-// loads of the chunk's words followed by rt.epoch.Load() == th.rv belong to
-// the committed state Ver bounds, all of them to the same one. A writer that
+// the chunk was in flight. Ver is the rv the read was taken at: a writer-free
+// sample at most rv, taken after rv was loaded, says rv bounds the cell then,
+// and on a drained attempt done == rv was a writer-free sample of every cell
+// at once. A writer of the chunk arriving after that moment draws above rv,
+// so the chunk is unchanged since the read while its cell shows no writer
+// and a stamp not above Ver. Recording rv rather than the sample lets a
+// chunk's answer rise without failing the read as long as no commit of the
+// chunk caused it: a tagged chunk with no record answers with its bucket's
+// floor, which rises, up to stamps below rv, when other records are reaped.
+// The invariant lets a read ask the clock instead of the cell — loads of the
+// chunk's words followed by rt.epoch.Load() == th.rv belong to the
+// committed state Ver bounds, all of them to the same one. A writer that
 // drew a stamp at most rv holds its chunks writer-active from before the draw
 // to its release: the sample would have seen it, so it had released and the
 // loads see all of it. A writer arriving after the sample draws above rv, and
@@ -77,7 +82,7 @@ func (th *Thread) loadChunk(chunk addr.Block, vals *[chunkWords]uint64, skip uin
 // readInvisibleMiss is the invisible first read of a chunk, with no table
 // traffic: sample the version cell, load every word of the chunk, check the
 // clock, and return the new entry holding the snapshot. The sample (no
-// writer, stamp at most rv) becomes the entry's Ver, and a clock still at rv
+// writer, stamp at most rv) makes rv the entry's Ver, and a clock still at rv
 // accepts the loads on it (the Ver invariant). A drained attempt skips the
 // sample and records rv. On a moved clock the loads are bracketed instead:
 // an unchanged, writer-free re-sample pins them to the state Ver names; a
@@ -88,7 +93,8 @@ func (th *Thread) loadChunk(chunk addr.Block, vals *[chunkWords]uint64, skip uin
 //
 // A writing attempt that samples a writer reads the chunk visibly instead
 // (pinOrAbort): the read share, or a covering own hold, pins memory, which
-// leaves nothing to validate.
+// leaves nothing to validate. The bracket compares the two samples; only
+// the entry's Ver is rv.
 func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 	tab := th.tab
 	// The loads go straight into the entry. Until it is accepted it has no
@@ -122,7 +128,7 @@ func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 				}
 			}
 			e.Perm = txn.PermRead | txn.VerRead
-			e.Ver = s1
+			e.Ver = th.rv
 			e.RMask = mask
 			return e
 		}
@@ -149,13 +155,15 @@ func (th *Thread) coverStamp(s uint64) {
 // A read-only attempt holds nothing, so the writer is foreign and mid-flight:
 // waiting here would bypass the contention manager, so abort and let it
 // arbitrate. A writing attempt may have sampled its own hold — a tagless
-// entry it owns through an aliasing chunk, a tagged record in the same
-// bucket; the sample cannot tell — and settles the question for this one
-// chunk by read-acquiring it (e is the chunk's entry; a first read's is not
-// yet accepted): a covering own hold on a tagless slot needs no table call,
-// and a foreign writer of the chunk is a genuine conflict that reaches the
-// contention manager with its ConflictInfo. This pin is the one place a
-// transactional read takes read ownership.
+// entry it owns through an aliasing chunk; the sample cannot tell — and
+// settles the question for this one chunk by read-acquiring it (e is the
+// chunk's entry; a first read's is not yet accepted): a covering own hold on
+// a tagless slot needs no table call, and a foreign writer of the chunk is a
+// genuine conflict that reaches the contention manager with its
+// ConflictInfo. A tagged sample answers for the chunk's own record, which
+// the attempt never holds where it samples, so there the writer is always
+// foreign. This pin is the one place a transactional read takes read
+// ownership.
 func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
 	if !th.wrote {
 		th.roConflict()
@@ -200,12 +208,13 @@ func (th *Thread) readInvisibleFill(e *txn.Access) {
 }
 
 // readBlockInvisible is the invisible ReadBlock: record the chunk in the
-// read set at its current stamp without loading a word, so there is no load
-// to bracket. A later Read of the chunk trusts the recorded stamp under the
-// Ver invariant, so a sample that extended the snapshot is taken again. A
-// drained attempt records rv instead of a sample while the clock still
-// reads rv, the rule a drained load is accepted on. As in readInvisibleMiss,
-// the entry is inserted first and has no permission bits until accepted.
+// read set at rv, once a sample shows no writer and a stamp at most rv,
+// without loading a word, so there is no load to bracket. A later Read of
+// the chunk trusts the recorded Ver under the Ver invariant, so a sample
+// that extended the snapshot is taken again. A drained attempt records rv
+// with no sample while the clock still reads rv, the rule a drained load is
+// accepted on. As in readInvisibleMiss, the entry is inserted first and has
+// no permission bits until accepted.
 func (th *Thread) readBlockInvisible(b addr.Block) {
 	e := th.desc.Set.Insert(b)
 	for tries := 0; ; tries++ {
@@ -226,7 +235,7 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 		}
 		if s1 <= th.rv {
 			e.Perm = txn.PermRead | txn.VerRead
-			e.Ver = s1
+			e.Ver = th.rv
 			return
 		}
 		if tries >= roReadRetries {

@@ -13,18 +13,20 @@
 // Concurrency control differs for writes and reads. A write acquires
 // exclusive ownership of its chunk before the redo log records it, and
 // holds it until commit or abort. A read acquires nothing: it is validated
-// against the table's per-cell version stamps and the runtime's epoch clock
-// (see invisible.go), and a writing commit draws its stamp and revalidates
-// its reads with every write held, before it writes anything back. That
+// against the table's version stamps — one per tagless entry, one per
+// tagged record — and the runtime's epoch clock (see invisible.go), and a
+// writing commit draws its stamp and revalidates its reads with every write
+// held, before it writes anything back. That
 // makes every attempt opaque and read-only transactions invisible to the
 // table and to each other. An attempt that begins with no write-back in
 // flight anywhere (every drawn stamp counted finished) validates its first
 // reads by the clock alone — attempts under the serial token included, since
 // its drain leaves every stamp finished. Read ownership is taken in two
 // places only: a writing attempt pins a chunk whose cell shows a writer that
-// may be its own hold (pinOrAbort), and a strong-isolation LoadNT reads
-// under a read share it drops at once. Contention management is self-abort
-// with randomized exponential backoff between retries; Config.NewCM
+// may be its own hold — a tagless entry it holds through an aliasing chunk
+// (pinOrAbort) — and a strong-isolation LoadNT reads under a read share it
+// drops at once. Contention management is self-abort with randomized
+// exponential backoff between retries; Config.NewCM
 // replaces it with a custom policy (see the CM interface in cm.go), and
 // Config.FallbackAfter bounds how long any transaction stays optimistic.
 // That one bound covers every kind of abort: a reader that validation kills
@@ -213,15 +215,19 @@ type Stats struct {
 	// are not counted.
 	ROCommits uint64
 	// ROValidationAborts counts attempts, read-only or writing, aborted by
-	// version validation: a concurrent commit (true, or aliased into the
-	// same version cell) touched a chunk the attempt had read.
+	// version validation: a concurrent commit touched a chunk the attempt
+	// had read — truly, or through an aliasing chunk of the same tagless
+	// entry, or (tagged) through a reaped record's stamp folded into the
+	// bucket floor that a chunk with no record answers with.
 	ROValidationAborts uint64
 	// ROPromotions counts single read-set entries pinned with a read
 	// acquire: a writing attempt sampled a writer in a version cell where
-	// it holds a write itself, and settled whether the writer is foreign by
-	// acquiring that one chunk. A denied pin (the writer was foreign)
+	// it may hold a write itself, and settled whether the writer is foreign
+	// by acquiring that one chunk. A denied pin (the writer was foreign)
 	// counts too, so no transaction makes more table read acquires than
-	// this; a tagless pin covered by the attempt's own hold makes none.
+	// this; a tagless pin covered by the attempt's own hold makes none. A
+	// tagged sample answers for the chunk's own record, which an attempt
+	// never holds where it samples, so there every pin is a denied one.
 	ROPromotions uint64
 	// ROExtensions counts successful read-snapshot extensions: a read
 	// observed a stamp newer than the attempt's snapshot and the whole
@@ -346,8 +352,8 @@ type Thread struct {
 	active bool // a transaction is executing: nesting guard
 	// wrote marks an attempt that has called Write/WriteBlock (set with one
 	// unconditional store per call): it holds at least one write, so its
-	// commit must draw a stamp, and a writer it samples in a version cell
-	// may be itself.
+	// commit must draw a stamp, and a writer it samples in a tagless
+	// version cell may be itself.
 	wrote bool
 	// Read-protocol attempt state: rv is the attempt's epoch snapshot,
 	// quiet marks an attempt still reading drained (first reads take no
