@@ -118,14 +118,11 @@ func (tx *Tx) Write(a addr.Addr, v uint64) {
 	word, chunk, widx := th.locate(a)
 	th.wrote = true
 	e := th.desc.Set.Lookup(chunk)
-	switch {
-	case e == nil:
-		e = th.acquireWriteChunk(chunk)
-	case e.Perm&txn.PermWrite != 0:
-	case e.Perm&txn.VerRead != 0:
-		th.writeInvisiblyRead(e)
-	default:
-		th.upgradeWriteChunk(e)
+	if e == nil {
+		e = th.desc.Set.Insert(chunk)
+	}
+	if e.Perm&txn.PermWrite == 0 {
+		th.acquireWriteChunk(e)
 	}
 	e.Word = word - widx
 	e.Vals[widx] = v
@@ -154,147 +151,59 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 	th.fuzz()
 	th.wrote = true
 	e := th.desc.Set.Lookup(b)
-	switch {
-	case e == nil:
-		th.acquireWriteChunk(b)
-	case e.Perm&txn.PermWrite != 0:
-	case e.Perm&txn.VerRead != 0:
-		th.writeInvisiblyRead(e)
-	default:
-		th.upgradeWriteChunk(e)
+	if e == nil {
+		e = th.desc.Set.Insert(b)
+	}
+	if e.Perm&txn.PermWrite == 0 {
+		th.acquireWriteChunk(e)
 	}
 }
 
-// acquireReadChunk pins chunk for pinOrAbort: it acquires the read share
-// backing chunk's slot, unless an earlier entry already covers the slot, and
-// records the resulting release obligation in e, the chunk's entry.
-func (th *Thread) acquireReadChunk(chunk addr.Block, e *txn.Access) {
+// acquireWriteChunk gives e, the entry of a chunk the attempt has not yet
+// written, write permission: one write acquire, or none when an earlier
+// entry already write-holds the chunk's tagless slot. The runtime holds no
+// read share, so there is never one to upgrade. The entry is new, or a
+// chunk read under an own hold, or one read by version: the acquire then
+// pins what was read, and checkPinned retires the validation it owed. On
+// conflict the attempt aborts with e holding nothing.
+func (th *Thread) acquireWriteChunk(e *txn.Access) {
 	set := &th.desc.Set
-	slot := uint64(chunk)
 	covered := false
 	if !th.slotID {
-		// Non-identity slots (tagless): an earlier entry for an aliasing
-		// chunk may already hold covering permission on the slot — read or
-		// write both cover a read, and no table traffic is needed.
-		slot = th.tab.SlotOf(chunk)
-		covered = set.FindSlotOwner(slot) >= 0
+		// An entry's Slot starts at the identity; the tagless slot may be
+		// held through an aliasing chunk.
+		e.Slot = th.tab.SlotOf(e.Chunk)
+		covered = set.FindSlotOwner(e.Slot) >= 0
 	}
-	var out otable.Outcome
-	var hnd otable.Handle
 	if !covered {
-		var ci otable.ConflictInfo
-		out, ci, hnd = th.tab.AcquireReadH(th.id, chunk)
+		out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
 		if out.Conflict() {
 			th.conflict(ci)
 		}
-	}
-	e.Slot = slot
-	if !covered && out == otable.Granted {
-		// Granted created a release obligation; AlreadyHeld (covering
-		// exclusive permission the table attributes to us) did not.
-		e.Perm |= txn.SlotRead
-		e.Hnd = uint64(hnd)
-		if !th.slotID {
-			set.RecordSlotOwner(e)
-		}
-	}
-}
-
-// acquireWriteChunk acquires write permission for a chunk with no
-// access-set entry yet, inserts the entry, and returns it.
-func (th *Thread) acquireWriteChunk(chunk addr.Block) *txn.Access {
-	set := &th.desc.Set
-	slot := uint64(chunk)
-	if !th.slotID {
-		slot = th.tab.SlotOf(chunk)
-		if oi := set.FindSlotOwner(slot); oi >= 0 {
-			if owner := set.At(oi); owner.Perm&txn.SlotWrite == 0 {
-				// The slot is held with our read share: a private upgrade.
-				// The owner entry's handle names the same slot, so it
-				// survives the upgrade unchanged.
-				out, ci, _ := th.tab.AcquireWriteH(th.id, chunk, 1, otable.Handle(owner.Hnd))
-				if out.Conflict() {
-					th.conflict(ci)
-				}
-				owner.Perm = owner.Perm&^txn.SlotRead | txn.SlotWrite
-				owner.Rel = chunk
-			}
-			e := set.Insert(chunk)
-			e.Slot = slot
-			e.Perm = txn.PermWrite
-			return e
-		}
-	}
-	out, ci, hnd := th.tab.AcquireWriteH(th.id, chunk, 0, otable.NoHandle)
-	if out.Conflict() {
-		th.conflict(ci)
-	}
-	e := set.Insert(chunk)
-	e.Slot = slot
-	e.Perm = txn.PermWrite
-	if out == otable.Granted {
-		e.Perm |= txn.SlotWrite
-		e.Hnd = uint64(hnd)
-		if !th.slotID {
-			set.RecordSlotOwner(e)
-		}
-	}
-	return e
-}
-
-// upgradeWriteChunk promotes an existing read-only entry to write
-// permission, upgrading the slot's ownership when this transaction holds
-// its read share. On conflict (foreign readers or writer) the attempt
-// aborts with the entry unchanged, so rollback still releases the held
-// share.
-func (th *Thread) upgradeWriteChunk(e *txn.Access) {
-	if th.slotID {
-		held := uint32(0)
-		h := otable.NoHandle
-		if e.Perm&txn.SlotRead != 0 {
-			held = 1
-			h = otable.Handle(e.Hnd)
-		}
-		out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, held, h)
-		if out.Conflict() {
-			th.conflict(ci)
-		}
-		e.Perm = e.Perm&^txn.SlotRead | txn.PermWrite
-		if out != otable.AlreadyHeld {
+		if out == otable.Granted {
 			e.Perm |= txn.SlotWrite
 			e.Hnd = uint64(hnd)
-		}
-		return
-	}
-	set := &th.desc.Set
-	if oi := set.FindSlotOwner(e.Slot); oi >= 0 {
-		owner := set.At(oi)
-		if owner.Perm&txn.SlotWrite == 0 {
-			out, ci, _ := th.tab.AcquireWriteH(th.id, e.Chunk, 1, otable.Handle(owner.Hnd))
-			if out.Conflict() {
-				th.conflict(ci)
+			if !th.slotID {
+				set.RecordSlotOwner(e)
 			}
-			// The obligation stays with the first-touch owner entry so
-			// release order matches first-acquire order; the representative
-			// block follows the upgrade as in the footprint design.
-			owner.Perm = owner.Perm&^txn.SlotRead | txn.SlotWrite
-			owner.Rel = e.Chunk
 		}
-		e.Perm |= txn.PermWrite
-		return
-	}
-	// No owner on record: covering permission was attributed to us by the
-	// table without an obligation; acquire directly.
-	out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
-	if out.Conflict() {
-		th.conflict(ci)
 	}
 	e.Perm |= txn.PermWrite
-	if out == otable.Granted {
-		e.Perm |= txn.SlotWrite
-		e.Hnd = uint64(hnd)
-		set.RecordSlotOwner(e)
+	if e.Perm&txn.VerRead != 0 {
+		th.checkPinned(e)
 	}
+}
+
+// holdsCell reports whether the attempt write-holds the version cell chunk
+// samples: chunk's own record on a tagged table, the chunk's slot — through
+// any chunk aliasing it — on a tagless one. A sample that shows a writer in
+// a cell the attempt holds shows the attempt itself.
+func (th *Thread) holdsCell(chunk addr.Block) bool {
+	if th.slotID {
+		e := th.desc.Set.Lookup(chunk)
+		return e != nil && e.Perm&txn.SlotWrite != 0
+	}
+	return th.desc.Set.FindSlotOwner(th.tab.SlotOf(chunk)) >= 0
 }
 
 // FootprintBlocks returns the number of distinct chunks the transaction has

@@ -278,7 +278,7 @@ func (th *Thread) rollback() {
 }
 
 // releaseAll returns every held slot to the table in first-access order —
-// the obligation-carrying entries of the access set — and retires the set.
+// the write-holding entries of the access set — and retires the set.
 // Each release is one generation-validated state CAS on the record the
 // entry's handle names: the table is never re-walked on the commit or abort
 // path.
@@ -298,18 +298,17 @@ func (th *Thread) releaseAll(stamp uint64) {
 	n := set.Len()
 	th.lastFP = n
 	if !th.wrote {
-		n = 0 // only a writing attempt ever acquires (Write, pinOrAbort)
+		n = 0 // only a writing attempt ever acquires (Write, WriteBlock)
 	}
 	for i := 0; i < n; i++ {
 		e := set.At(i)
-		if e.Perm&txn.SlotWrite != 0 {
-			if stamp != 0 {
-				th.tab.ReleaseWriteV(th.id, e.Rel, otable.Handle(e.Hnd), stamp)
-			} else {
-				th.tab.ReleaseWriteH(th.id, e.Rel, otable.Handle(e.Hnd))
-			}
-		} else if e.Perm&txn.SlotRead != 0 {
-			th.tab.ReleaseReadH(th.id, e.Rel, otable.Handle(e.Hnd))
+		if e.Perm&txn.SlotWrite == 0 {
+			continue
+		}
+		if stamp != 0 {
+			th.tab.ReleaseWriteV(th.id, e.Chunk, otable.Handle(e.Hnd), stamp)
+		} else {
+			th.tab.ReleaseWriteH(th.id, e.Chunk, otable.Handle(e.Hnd))
 		}
 	}
 	set.Reset()

@@ -91,10 +91,10 @@ func (th *Thread) loadChunk(chunk addr.Block, vals *[chunkWords]uint64, skip uin
 // extends the snapshot, which reloads rv, so that sample is spent and the
 // loop takes another.
 //
-// A writing attempt that samples a writer reads the chunk visibly instead
-// (pinOrAbort): the read share, or a covering own hold, pins memory, which
-// leaves nothing to validate. The bracket compares the two samples; only
-// the entry's Ver is rv.
+// A sample that shows a writer aborts the attempt unless the writer is the
+// attempt itself, holding the chunk's tagless slot through an aliasing chunk
+// (pinOrAbort): that hold pins memory, which leaves nothing to validate. The
+// bracket compares the two samples; only the entry's Ver is rv.
 func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 	tab := th.tab
 	// The loads go straight into the entry. Until it is accepted it has no
@@ -107,8 +107,8 @@ func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 		}
 		switch {
 		case locked:
+			th.pinOrAbort(chunk)
 			e.Perm = txn.PermRead
-			th.pinOrAbort(chunk, e)
 			if s1, _ = tab.SampleVersion(chunk); s1 > th.rv {
 				th.coverStamp(s1)
 			}
@@ -152,33 +152,25 @@ func (th *Thread) coverStamp(s uint64) {
 }
 
 // pinOrAbort handles a version sample that showed a writer in chunk's cell.
-// A read-only attempt holds nothing, so the writer is foreign and mid-flight:
-// waiting here would bypass the contention manager, so abort and let it
-// arbitrate. A writing attempt may have sampled its own hold — a tagless
-// entry it owns through an aliasing chunk; the sample cannot tell — and
-// settles the question for this one chunk by read-acquiring it (e is the
-// chunk's entry; a first read's is not yet accepted): a covering own hold on
-// a tagless slot needs no table call, and a foreign writer of the chunk is a
-// genuine conflict that reaches the contention manager with its
-// ConflictInfo. A tagged sample answers for the chunk's own record, which
-// the attempt never holds where it samples, so there the writer is always
-// foreign. This pin is the one place a transactional read takes read
-// ownership.
-func (th *Thread) pinOrAbort(chunk addr.Block, e *txn.Access) {
-	if !th.wrote {
+// The attempt's own hold pins the chunk and the read proceeds with no table
+// call: a tagless cell is an entry, which a writing attempt may hold through
+// an aliasing chunk (a tagged sample answers for the chunk's own record,
+// which the attempt never holds where it samples). Any other writer is
+// foreign and mid-flight; waiting here would bypass the contention manager,
+// so the attempt aborts and lets it arbitrate.
+func (th *Thread) pinOrAbort(chunk addr.Block) {
+	if !th.wrote || !th.holdsCell(chunk) {
 		th.roConflict()
 	}
-	// Counted before the acquire, so a denied pin counts too: every read
-	// acquire a transaction makes is one of these.
 	th.ctr.roPromotes.Add(1)
-	th.acquireReadChunk(chunk, e)
 }
 
 // readInvisibleFill is the first read of a chunk the attempt already
 // has an entry for, with no word read yet: a chunk ReadBlock recorded, or one
-// the attempt holds because it wrote or pinned it before reading. Like a
-// first read it loads every word the entry has no redo value for, into Vals,
-// and validates the loads once; the chunk's later reads are array hits.
+// the attempt holds because it wrote it, or pinned it under an own hold,
+// before reading. Like a first read it loads every word the entry has no
+// redo value for, into Vals, and validates the loads once; the chunk's later
+// reads are array hits.
 //
 // An entry nothing pins (VerRead) is accepted on a clock still at rv with no
 // visit to the cell — entry.Ver is the bound the Ver invariant asks for. On a
@@ -226,8 +218,8 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 			s1, locked = th.tab.SampleVersion(b)
 		}
 		if locked {
+			th.pinOrAbort(b)
 			e.Perm = txn.PermRead
-			th.pinOrAbort(b, e)
 			if s1, _ = th.tab.SampleVersion(b); s1 > th.rv {
 				th.coverStamp(s1)
 			}
@@ -297,27 +289,14 @@ func (th *Thread) revalidateReadSet() {
 
 // validationFailed handles a sample of e's cell that did not show "no
 // writer, stamp not above e.Ver" (the passing test stays inline at both callers:
-// it runs once per validated read). A moved stamp aborts; a counted writer
-// aborts too unless the attempt may be looking at its own hold, in which
-// case the entry is pinned on the spot and its stamp rechecked.
+// it runs once per validated read). A moved stamp aborts; a writer aborts
+// too unless it is the attempt's own hold, which pins the entry on the spot,
+// and its stamp is rechecked.
 func (th *Thread) validationFailed(e *txn.Access, locked bool) {
 	if !locked {
 		th.roConflict()
 	}
-	th.pinOrAbort(e.Chunk, e)
-	th.checkPinned(e)
-}
-
-// writeInvisiblyRead is Write's miss path for a chunk the attempt has so far
-// only read invisibly: one plain write acquire — nothing is held, so there
-// is no read share to upgrade — then the same stamp check as a pin.
-func (th *Thread) writeInvisiblyRead(e *txn.Access) {
-	if !th.slotID {
-		// The invisible insert left Slot at the identity; an aliasing chunk
-		// of this attempt may already own the real slot.
-		e.Slot = th.tab.SlotOf(e.Chunk)
-	}
-	th.upgradeWriteChunk(e)
+	th.pinOrAbort(e.Chunk)
 	th.checkPinned(e)
 }
 

@@ -72,8 +72,9 @@ func TestNTInsideAtomicKeepsHoldings(t *testing.T) {
 }
 
 // TestNTStoreDeniedOnOwnReadShare: a non-transactional write may not
-// silently upgrade a read share held by the calling thread's own active
-// transaction — it is denied like any other reader conflict.
+// silently invalidate a read of the calling thread's own active transaction
+// (a version-validated read: the runtime takes no read share), while a
+// non-transactional read beside it is fine.
 func TestNTStoreDeniedOnOwnReadShare(t *testing.T) {
 	tab := otable.NewTagged(hash.NewMask(64))
 	mem := NewMemory(64)
@@ -86,11 +87,11 @@ func TestNTStoreDeniedOnOwnReadShare(t *testing.T) {
 	err = th.Atomic(func(tx *Tx) error {
 		_ = tx.Read(a)
 		if serr := th.StoreNT(a, 9); serr == nil {
-			t.Error("StoreNT upgraded the transaction's own read share")
+			t.Error("StoreNT wrote a chunk the transaction read")
 		}
-		// A NT read alongside our own share is fine (share in, share out).
+		// A NT read alongside our own read is fine.
 		if _, lerr := th.LoadNT(a); lerr != nil {
-			t.Errorf("LoadNT alongside own read share: %v", lerr)
+			t.Errorf("LoadNT alongside own read: %v", lerr)
 		}
 		return nil
 	})
@@ -102,6 +103,94 @@ func TestNTStoreDeniedOnOwnReadShare(t *testing.T) {
 	}
 	if mem.LoadDirect(a) != 0 {
 		t.Fatal("denied StoreNT modified memory")
+	}
+}
+
+// TestLoadNTBracketSchedule steps a writer through strong-isolation LoadNTs
+// (Sec. 6), which take no ownership and answer from two version samples
+// around their one load. The writer's steps run on the reader's goroutine,
+// from hooks on the table's SampleVersion, on one P. A writer that enters
+// between the samples and writes the word back leaves the load holding a
+// value of an unfinished commit: the second sample shows it and the read is
+// denied. A writer parked mid-write-back is foreign wherever a sample meets
+// it, and denies the read too. A writer that commits wholly between the
+// load and the second sample left no writer to see, only a moved stamp: the
+// read is taken again and returns the committed value, not the one loaded
+// before the commit. A stamp that moves around every load is denied after
+// roReadRetries retries, and the calling thread's own write hold returns
+// memory.
+func TestLoadNTBracketSchedule(t *testing.T) {
+	onOneP(t)
+	for _, kind := range sweepKinds() {
+		t.Run(kind, func(t *testing.T) {
+			rt, tab, mem := newSampledRuntime(t, kind, Config{Isolation: StrongIsolation})
+			x := mem.WordAddr(16)
+			w := newStepWriter(t, rt, addr.BlockOf(x))
+			th := rt.NewThread()
+			// load runs one LoadNT of x, disarms the hooks, and checks its
+			// answer (denied, or want) and the samples it took.
+			load := func(step string, denied bool, want uint64, samples int) {
+				t.Helper()
+				tab.samples = 0
+				v, err := th.LoadNT(x)
+				tab.before, tab.after = nil, nil
+				switch {
+				case denied && err == nil:
+					t.Fatalf("%s: LoadNT = %d, want it denied", step, v)
+				case !denied && (err != nil || v != want):
+					t.Fatalf("%s: LoadNT = %d, %v; want %d", step, v, err, want)
+				case tab.samples != samples:
+					t.Fatalf("%s: LoadNT took %d samples, want %d", step, tab.samples, samples)
+				}
+			}
+
+			tab.after = func(addr.Block) {
+				tab.after = nil
+				w.enter()
+				w.store(x, 1)
+			}
+			load("writer entered between the samples", true, 0, 2)
+			load("writer mid-write-back", true, 0, 1)
+			w.leave()
+			load("writer left", false, 1, 2)
+
+			tab.before = func(_ addr.Block, n int) {
+				if n == 1 { // the first read's second sample
+					w.enter()
+					w.store(x, 2)
+					w.leave()
+				}
+			}
+			load("writer committed between the load and the second sample", false, 2, 4)
+
+			tab.before = func(_ addr.Block, n int) {
+				if n%2 == 1 {
+					w.enter()
+					w.store(x, uint64(10+n))
+					w.leave()
+				}
+			}
+			load("a commit around every load", true, 0, 2*(roReadRetries+1))
+
+			want := mem.LoadDirect(x)
+			if err := th.Atomic(func(tx *Tx) error {
+				tx.Write(x, 99)
+				load("own write hold", false, want, 1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if st := rt.Stats(); st.NTProbes != 6 || st.NTConflicts != 3 {
+				t.Fatalf("NTProbes/NTConflicts = %d/%d, want 6/3", st.NTProbes, st.NTConflicts)
+			}
+			if ts := tab.Stats(); ts.ReadAcquires != 0 || ts.Upgrades != 0 {
+				t.Fatalf("table traffic = %+v, want no read acquire and no upgrade", ts)
+			}
+			if occ := tab.Occupied(); occ != 0 {
+				t.Fatalf("occupancy = %d", occ)
+			}
+			assertDrained(t, rt)
+		})
 	}
 }
 

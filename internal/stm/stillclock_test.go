@@ -24,12 +24,15 @@ import (
 // from a runtime with a stamp left unfinished (undrain); drained_test.go
 // schedules the drained reads themselves.
 
-// sampleTable counts SampleVersion calls and can run a script between one
-// sample and whatever its caller does with it, or just before a stamp is
-// published.
+// sampleTable counts SampleVersion calls and can run a script just before a
+// sample is taken, between one sample and whatever its caller does with it,
+// or just before a stamp is published.
 type sampleTable struct {
 	otable.Table
 	samples int
+	// before runs ahead of every sample of any block, with the number of
+	// samples taken so far.
+	before func(b addr.Block, n int)
 	// after runs once a sample of any block has been taken, before the caller
 	// sees the result; a script disarms itself by clearing the field.
 	after func(b addr.Block)
@@ -39,6 +42,9 @@ type sampleTable struct {
 }
 
 func (st *sampleTable) SampleVersion(b addr.Block) (uint64, bool) {
+	if f := st.before; f != nil {
+		f(b, st.samples)
+	}
 	s, locked := st.Table.SampleVersion(b)
 	st.samples++
 	if f := st.after; f != nil {

@@ -21,11 +21,12 @@
 // table and to each other. An attempt that begins with no write-back in
 // flight anywhere (every drawn stamp counted finished) validates its first
 // reads by the clock alone — attempts under the serial token included, since
-// its drain leaves every stamp finished. Read ownership is taken in two
-// places only: a writing attempt pins a chunk whose cell shows a writer that
-// may be its own hold — a tagless entry it holds through an aliasing chunk
-// (pinOrAbort) — and a strong-isolation LoadNT reads under a read share it
-// drops at once. Contention management is self-abort with randomized
+// its drain leaves every stamp finished. Read ownership is taken nowhere:
+// a sample that shows a writer is answered from the attempt's own access set
+// — its own hold of a tagless entry, through an aliasing chunk, pins the
+// chunk (pinOrAbort); any other writer aborts the attempt — and a
+// strong-isolation LoadNT brackets its load between two samples the same
+// way. Contention management is self-abort with randomized
 // exponential backoff between retries; Config.NewCM
 // replaces it with a custom policy (see the CM interface in cm.go), and
 // Config.FallbackAfter bounds how long any transaction stays optimistic.
@@ -147,10 +148,9 @@ type threadCounters struct {
 	maxStreak atomic.Uint64
 	// Read-protocol counters: roCommits counts read-only transactions that
 	// committed (all with zero table acquires), roValAborts the attempts
-	// killed by version validation, roPromotes the single entries a writing
-	// attempt tried to pin with a read share (a sample cannot tell its own
-	// hold from a foreign writer), roExtends the successful read-snapshot
-	// extensions.
+	// killed by version validation, roPromotes the reads a writing attempt
+	// served under its own tagless write hold after a sample showed it as a
+	// writer, roExtends the successful read-snapshot extensions.
 	roCommits   atomic.Uint64
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
@@ -220,14 +220,13 @@ type Stats struct {
 	// entry, or (tagged) through a reaped record's stamp folded into the
 	// bucket floor that a chunk with no record answers with.
 	ROValidationAborts uint64
-	// ROPromotions counts single read-set entries pinned with a read
-	// acquire: a writing attempt sampled a writer in a version cell where
-	// it may hold a write itself, and settled whether the writer is foreign
-	// by acquiring that one chunk. A denied pin (the writer was foreign)
-	// counts too, so no transaction makes more table read acquires than
-	// this; a tagless pin covered by the attempt's own hold makes none. A
-	// tagged sample answers for the chunk's own record, which an attempt
-	// never holds where it samples, so there every pin is a denied one.
+	// ROPromotions counts reads served under the attempt's own write hold,
+	// with no table call: a writing attempt sampled a writer in a tagless
+	// entry it holds through an aliasing chunk, and the hold pins the read
+	// chunk (a sample showing any other writer aborts the attempt instead).
+	// A tagged sample answers for the chunk's own record, which an attempt
+	// never holds where it samples, so on tagged it always reads 0. The
+	// name is historical: no read is promoted to a share any more.
 	ROPromotions uint64
 	// ROExtensions counts successful read-snapshot extensions: a read
 	// observed a stamp newer than the attempt's snapshot and the whole
@@ -352,8 +351,9 @@ type Thread struct {
 	active bool // a transaction is executing: nesting guard
 	// wrote marks an attempt that has called Write/WriteBlock (set with one
 	// unconditional store per call): it holds at least one write, so its
-	// commit must draw a stamp, and a writer it samples in a tagless
-	// version cell may be itself.
+	// commit must draw a stamp and release, and a writer it samples may be
+	// its own hold (pinOrAbort). An attempt that has not written holds
+	// nothing, so any writer it samples is foreign.
 	wrote bool
 	// Read-protocol attempt state: rv is the attempt's epoch snapshot,
 	// quiet marks an attempt still reading drained (first reads take no

@@ -28,13 +28,13 @@ import (
 //   - the same final memory contents,
 //
 // across every kind of sweepKinds and both granularities, drained and
-// sampled, with aborted transactions leaving no trace. A read is no table
-// op, with one exception: a first read that samples a writer in its chunk's
-// version cell pins the chunk (pinOrAbort). Single-threaded that writer is
-// the transaction itself, so pins happen only on sampled attempts: a
-// tagless read is covered by the model's own write on the same entry (no
-// op), and a tagged read of an unheld block gets AR when the model holds a
-// write in the same bucket.
+// sampled, with aborted transactions leaving no trace. A read is never a
+// table op. A first read that samples a writer in its chunk's version cell
+// is answered from the access set (pinOrAbort); single-threaded that writer
+// is the transaction itself, so it happens only on sampled attempts, to a
+// tagless read whose entry the transaction holds through an aliasing write.
+// The recording table still logs read acquires and releases, so a runtime
+// that took a read share would diverge from the model, which takes none.
 
 // recTable wraps a Table and logs every ownership operation with its
 // outcome. Handles pass through unlogged: the runtime (which carries them)
@@ -287,15 +287,12 @@ type oldModel struct {
 	sampled bool
 }
 
-// holding is the model's permission on one table slot: the representative
-// block releases go through (the upgrading block after an upgrade), the
-// read share or write held, and the first-access order of the chunk whose
-// acquire created it — the runtime releases from that chunk's entry, in
-// access-set order.
+// holding is the model's write hold on one table slot: the block that
+// acquired it, which releases go through, and that chunk's first-access
+// order — the runtime releases from its entry, in access-set order.
 type holding struct {
-	block       addr.Block
-	read, write bool
-	first       int
+	block addr.Block
+	first int
 }
 
 func newOldModel(tab *recTable, id otable.TxID, words int, wordGran, sampled bool) *oldModel {
@@ -327,51 +324,31 @@ func (m *oldModel) touch(chunk addr.Block) {
 	}
 }
 
-// readChunk is a chunk's first read: it takes the pin when the cell shows a
-// writer. The model's table holds exactly the model's acquires, so its
-// sample answers "does this transaction hold a write in the cell".
+// readChunk is a chunk's first read. The model's table holds exactly the
+// model's acquires, so a writer its sample shows is the model's own write
+// hold on the slot — the pin, which takes no table op.
 func (m *oldModel) readChunk(chunk addr.Block) {
 	m.touch(chunk)
 	if !m.sampled {
 		return
 	}
-	if _, writer := m.tab.SampleVersion(chunk); !writer {
-		return
-	}
-	slot := m.tab.SlotOf(chunk)
-	if m.held[slot] != nil {
-		return // covered: any holding on the slot covers a read
-	}
-	out, _ := otable.AcquireRead(m.tab, m.id, chunk)
-	if out.Conflict() {
-		panic("oracle model conflicted single-threaded")
-	}
-	if out == otable.Granted {
-		m.held[slot] = &holding{block: chunk, read: true, first: m.first[chunk]}
+	if _, writer := m.tab.SampleVersion(chunk); writer && m.held[m.tab.SlotOf(chunk)] == nil {
+		panic("oracle model sampled a writer it does not hold single-threaded")
 	}
 }
 
-// writeChunk acquires (or upgrades to) exclusive permission on chunk.
+// writeChunk acquires exclusive permission on chunk unless the model
+// already write-holds its slot.
 func (m *oldModel) writeChunk(chunk addr.Block) {
 	m.touch(chunk)
 	slot := m.tab.SlotOf(chunk)
-	h := m.held[slot]
-	if h != nil && h.write {
+	if m.held[slot] != nil {
 		return
 	}
-	var heldReads uint32
-	if h != nil && h.read {
-		heldReads = 1
+	if out, _ := otable.AcquireWrite(m.tab, m.id, chunk, 0); out != otable.Granted {
+		panic(fmt.Sprintf("oracle model's write acquire single-threaded: %v", out))
 	}
-	out, _ := otable.AcquireWrite(m.tab, m.id, chunk, heldReads)
-	switch {
-	case out.Conflict():
-		panic("oracle model conflicted single-threaded")
-	case out == otable.Granted:
-		m.held[slot] = &holding{block: chunk, write: true, first: m.first[chunk]}
-	case out == otable.Upgraded:
-		h.block, h.read, h.write = chunk, false, true
-	}
+	m.held[slot] = &holding{block: chunk, first: m.first[chunk]}
 }
 
 func (m *oldModel) read(word uint64) uint64 {
@@ -419,11 +396,7 @@ func (m *oldModel) finish(commit bool) {
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i].first < hs[j].first })
 	for _, h := range hs {
-		if h.write {
-			otable.ReleaseWrite(m.tab, m.id, h.block)
-		} else {
-			otable.ReleaseRead(m.tab, m.id, h.block)
-		}
+		otable.ReleaseWrite(m.tab, m.id, h.block)
 	}
 	clear(m.held)
 	clear(m.first)

@@ -57,19 +57,18 @@ const InlineEntries = 16
 
 // Permission and obligation bits of one access entry. PermRead/PermWrite
 // describe what the transaction did to the chunk (the old Reads/Writes
-// membership); SlotRead/SlotWrite mark the entry that carries the release
+// membership); SlotWrite marks the entry that carries the release
 // obligation for the chunk's table slot (the old Footprint holding). Under
 // tagless tables several aliasing chunks share one slot, so only the first
-// entry to touch a slot carries a Slot* bit. VerRead marks a chunk read on
-// the invisible path whose reads nothing pins yet: they stand on Ver alone
-// and must be revalidated; acquiring the chunk (write upgrade or read pin)
-// clears it.
+// entry to write-acquire a slot carries SlotWrite. VerRead marks a chunk
+// read on the invisible path whose reads nothing pins yet: they stand on Ver
+// alone and must be revalidated; write-acquiring the chunk, or finding its
+// slot already write-held by the transaction, clears it.
 const (
 	PermRead  uint8 = 1 << 0 // chunk was read by the transaction
 	PermWrite uint8 = 1 << 1 // chunk was written by the transaction
-	SlotRead  uint8 = 1 << 2 // entry holds one read share on its slot
-	SlotWrite uint8 = 1 << 3 // entry holds exclusive ownership of its slot
-	VerRead   uint8 = 1 << 4 // reads validated by version only, nothing held
+	SlotWrite uint8 = 1 << 2 // entry holds exclusive ownership of its slot
+	VerRead   uint8 = 1 << 3 // reads validated by version only, nothing held
 )
 
 // Access is one chunk-granular entry of the unified log.
@@ -88,7 +87,6 @@ const (
 type Access struct {
 	Chunk addr.Block                               // the accessed chunk: the set key
 	Slot  uint64                                   // the ownership-table slot key for Chunk
-	Rel   addr.Block                               // representative block for releasing the slot (updated on upgrade)
 	Hnd   uint64                                   // table record handle (otable.Handle) backing the slot obligation; 0 = none
 	Word  uint64                                   // memory word index of the chunk's word 0 (valid when WMask != 0)
 	Ver   uint64                                   // version stamp the invisible read path validated against
@@ -96,7 +94,7 @@ type Access struct {
 	Idx   int32                                    // this entry's position in the dense array
 	WMask uint8                                    // which Vals are live speculative writes
 	RMask uint8                                    // which Vals hold the chunk's validated invisible-read snapshot
-	Perm  uint8                                    // Perm*/Slot* bits above
+	Perm  uint8                                    // the permission bits above
 }
 
 // idxSlot is one probe-table slot: the dense index of an entry, valid only
@@ -146,7 +144,7 @@ func (s *AccessSet) Lookup(chunk addr.Block) *Access {
 }
 
 // Insert adds a fresh entry for chunk — which must not be present — and
-// returns it zeroed except for Chunk, Rel, and Slot (set to the identity;
+// returns it zeroed except for Chunk and Slot (set to the identity;
 // callers override Slot for non-identity tables) and Vals, which keeps
 // whatever the reused storage held: with both masks empty no word of it is
 // live, and the caller fills the words it marks. Pointers returned by
@@ -163,13 +161,13 @@ func (s *AccessSet) Insert(chunk addr.Block) *Access {
 	}
 	s.link(chunk, int32(s.n))
 	e := &s.dense[s.n]
-	e.Chunk, e.Slot, e.Rel, e.Hnd, e.Word, e.Ver = chunk, uint64(chunk), chunk, 0, 0, 0
+	e.Chunk, e.Slot, e.Hnd, e.Word, e.Ver = chunk, uint64(chunk), 0, 0, 0
 	e.Idx, e.WMask, e.RMask, e.Perm = int32(s.n), 0, 0, 0
 	s.n++
 	return e
 }
 
-// RecordSlotOwner registers e — which must carry a Slot* obligation bit and
+// RecordSlotOwner registers e — which must carry the SlotWrite obligation and
 // have its final Slot value — as its slot's owner, making it findable by
 // FindSlotOwner in one probe. Clients of identity-slot tables never call
 // this (nor FindSlotOwner), so the slot index stays untouched for them.
@@ -256,7 +254,7 @@ func (s *AccessSet) growIndex() {
 	for i := 0; i < s.n; i++ {
 		e := &s.dense[i]
 		s.link(e.Chunk, int32(i))
-		if s.slotUsed && e.Perm&(SlotRead|SlotWrite) != 0 {
+		if s.slotUsed && e.Perm&SlotWrite != 0 {
 			s.RecordSlotOwner(e)
 		}
 	}

@@ -13,11 +13,11 @@ func TestAccessSetBasics(t *testing.T) {
 		t.Fatal("zero set not empty")
 	}
 	e := s.Insert(7)
-	if e.Chunk != 7 || e.Slot != 7 || e.Rel != 7 || e.Perm != 0 || e.WMask != 0 {
+	if e.Chunk != 7 || e.Slot != 7 || e.Perm != 0 || e.WMask != 0 {
 		t.Fatalf("fresh entry = %+v", *e)
 	}
-	e.Perm = PermRead | SlotRead
-	if got := s.Lookup(7); got == nil || got.Perm != PermRead|SlotRead {
+	e.Perm = PermWrite | SlotWrite
+	if got := s.Lookup(7); got == nil || got.Perm != PermWrite|SlotWrite {
 		t.Fatal("lookup after insert failed")
 	}
 	if s.Lookup(8) != nil {
@@ -143,7 +143,7 @@ func TestAccessSetFindSlotOwner(t *testing.T) {
 	var s AccessSet
 	a := s.Insert(100)
 	a.Slot = 5
-	a.Perm = PermRead | SlotRead
+	a.Perm = PermWrite | SlotWrite
 	s.RecordSlotOwner(a)
 	b := s.Insert(200) // aliases to the same slot, no obligation
 	b.Slot = 5
@@ -165,7 +165,7 @@ func TestAccessSetFindSlotOwner(t *testing.T) {
 	for i := 0; i < 4*InlineEntries; i++ {
 		e := s.Insert(addr.Block(1000 + i*977))
 		e.Slot = uint64(100 + i)
-		e.Perm = PermRead | SlotRead
+		e.Perm = PermWrite | SlotWrite
 		s.RecordSlotOwner(e)
 	}
 	if got := s.FindSlotOwner(5); got != 0 {

@@ -28,7 +28,7 @@ func TestAccessSetSpillFootprintGrowth(t *testing.T) {
 		base := addr.Block(1 << 20)
 		for i := 0; i < n; i++ {
 			e := s.Insert(base + addr.Block(i))
-			e.Perm = PermRead | SlotRead
+			e.Perm = PermWrite | SlotWrite
 		}
 		if s.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, s.Len())
@@ -94,7 +94,7 @@ func TestAccessSetSpillGenerationReset(t *testing.T) {
 	var s AccessSet
 	for i := 0; i < n; i++ {
 		e := s.Insert(addr.Block(i))
-		e.Perm = PermRead | SlotRead
+		e.Perm = PermWrite | SlotWrite
 		e.Slot = uint64(i / 4) // aliasing slots, as under a tagless table
 		s.RecordSlotOwner(e)
 	}
@@ -178,7 +178,7 @@ func TestAccessSetGrowSkipsSlotIndexWhenUnused(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		// Slot* bits are set on identity-slot clients too; only the
 		// explicit RecordSlotOwner call marks the index as consulted.
-		s.Insert(addr.Block(i)).Perm = PermRead | SlotRead
+		s.Insert(addr.Block(i)).Perm = PermWrite | SlotWrite
 	}
 	for i, sl := range s.slotIndex {
 		if sl.gen == s.gen {
@@ -189,7 +189,7 @@ func TestAccessSetGrowSkipsSlotIndexWhenUnused(t *testing.T) {
 	e := s.Lookup(addr.Block(0))
 	s.RecordSlotOwner(e)
 	for i := 1024; i < 3000; i++ { // force at least one more doubling
-		s.Insert(addr.Block(i)).Perm = PermRead | SlotRead
+		s.Insert(addr.Block(i)).Perm = PermWrite | SlotWrite
 	}
 	if oi := s.FindSlotOwner(uint64(addr.Block(0))); oi < 0 || s.At(oi).Chunk != 0 {
 		t.Fatalf("registered owner lost across post-latch growth (got %d)", oi)

@@ -12,7 +12,7 @@ func TestDescLifecycle(t *testing.T) {
 	if d.Status != Active || d.Attempts != 1 {
 		t.Fatalf("after Begin: %v attempts=%d", d.Status, d.Attempts)
 	}
-	d.Set.Insert(1).Perm = PermRead | SlotRead
+	d.Set.Insert(1).Perm = PermRead | VerRead
 	e := d.Set.Insert(2)
 	e.Perm = PermWrite | SlotWrite
 	e.Vals[0], e.WMask, e.Word = 99, 1, 16

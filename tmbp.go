@@ -15,8 +15,8 @@
 //     pluggable contention management, and weak/strong isolation). Writes
 //     acquire ownership of their blocks; reads acquire nothing and are
 //     validated against the table's per-cell version stamps and an epoch
-//     clock, so a read-only transaction never touches the table — read
-//     shares are taken only on the runtime's bounded fallback paths. Its
+//     clock, so a read-only transaction never touches the table and the
+//     runtime takes no read share anywhere. Its
 //     per-thread bookkeeping is a single open-addressed access set: one
 //     probe per transactional access, zero heap allocations in steady
 //     state, and commit-time release by record handle with no table
