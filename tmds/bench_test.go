@@ -2,6 +2,8 @@ package tmds
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"tmbp"
@@ -82,6 +84,54 @@ func BenchmarkMapPutGet(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMapParallel runs a size-changing map mix (40 % put, 40 % delete,
+// 20 % get) from RunParallel's goroutines, each on its own thread and its
+// own key range, and reports attempts/op: transaction attempts per
+// committed operation. The keys are disjoint and each has a home bucket of
+// its own, so every abort comes from state the goroutines share without
+// sharing keys: the stripe counters and the ownership table.
+func BenchmarkMapParallel(b *testing.B) {
+	const keys = 64 // per goroutine
+	buckets := uint64(1)
+	for buckets < uint64(4*keys*runtime.GOMAXPROCS(0)) {
+		buckets <<= 1
+	}
+	rt, mem := newWorld(b, "tagged", 4096, spreadStride*(1+int(buckets)))
+	m, err := NewMap(mem, 0, buckets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ids atomic.Uint64
+	before := rt.Stats()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := ids.Add(1) - 1
+		th := rt.NewThread()
+		rng := id + 7
+		next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
+		for pb.Next() {
+			k := id*keys + next()%keys
+			var err error
+			switch next() % 10 {
+			case 0, 1, 2, 3:
+				_, err = m.Put(th, k, k)
+			case 4, 5, 6, 7:
+				_, err = m.Delete(th, k)
+			default:
+				_, _, err = m.Get(th, k)
+			}
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	st := rt.Stats()
+	commits := st.Commits - before.Commits
+	b.ReportMetric(float64(commits+st.Aborts-before.Aborts)/float64(commits), "attempts/op")
 }
 
 // skiplistBenchWorld builds a half-full skiplist (even keys of [0, 256))

@@ -2,6 +2,7 @@ package tmds
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tmbp"
 )
@@ -12,16 +13,36 @@ import (
 // operations model the small transactions a hybrid TM would keep in
 // hardware.
 //
-// Bucket representation (bucket i occupies one cache block):
+// Region layout: one reserved block, then the buckets, bucket i on its own
+// cache block. The reserved block holds nothing, so no transaction touches
+// it; it keeps the region at 8·(1+buckets) words and the buckets where
+// KeyedWords and callers that size a region that way expect them.
 //
 //	+0 tag: 0 = empty, 1 = tombstone, otherwise key+2
 //	+1 value
+//	+2 stripe counter, on each group's first bucket only (see below)
+//
+// The size is striped. The buckets split into S = min(buckets, 64) groups
+// of buckets/S consecutive buckets, and word +2 of a group's first bucket
+// counts the live tags in that group. A put of a new key increments the
+// stripe of the bucket the key lands in, a delete decrements the stripe of
+// the bucket it tombstones, and an overwrite touches none. So two
+// size-changing transactions conflict only when their buckets share a
+// group, rather than always, as they would over one size word. LenTx sums
+// the S stripes: still exact and linearizable, at S transactional reads.
+// One false-by-granularity conflict remains: a size change also writes its
+// group's first bucket block, so it conflicts with any transaction that
+// touches that bucket, whatever key the bucket holds.
 type Map struct {
 	mem         *tmbp.Memory
-	size        tmbp.Addr
 	bucketsBase int
 	buckets     uint64
+	groupShift  uint // log2 of the buckets per stripe group
 }
+
+// mapStripes caps the number of stripe counters: a Map with more buckets
+// than this groups them.
+const mapStripes = 64
 
 const (
 	mapEmpty     = 0
@@ -40,19 +61,19 @@ func NewMap(mem *tmbp.Memory, baseWord int, buckets uint64) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr, err := r.take(spreadStride)
-	if err != nil {
+	if _, err := r.take(spreadStride); err != nil { // the reserved block
 		return nil, err
 	}
 	base, err := r.take(int(buckets) * spreadStride)
 	if err != nil {
 		return nil, err
 	}
-	m := &Map{mem: mem, size: wordAddr(mem, hdr), bucketsBase: base, buckets: buckets}
+	m := &Map{mem: mem, bucketsBase: base, buckets: buckets,
+		groupShift: uint(bits.TrailingZeros64(buckets / min(buckets, mapStripes)))}
 	for i := uint64(0); i < buckets; i++ {
 		mem.StoreDirect(m.tagAddr(i), mapEmpty)
+		mem.StoreDirect(m.stripeAddr(i), 0)
 	}
-	mem.StoreDirect(m.size, 0)
 	return m, nil
 }
 
@@ -65,6 +86,27 @@ func (m *Map) tagAddr(i uint64) tmbp.Addr {
 
 func (m *Map) valAddr(i uint64) tmbp.Addr {
 	return wordAddr(m.mem, m.bucketsBase+int(i)*spreadStride+1)
+}
+
+// stripeAddr is the address of the stripe counter covering bucket i: word
+// +2 of the first bucket of i's group.
+func (m *Map) stripeAddr(i uint64) tmbp.Addr {
+	first := i >> m.groupShift << m.groupShift
+	return wordAddr(m.mem, m.bucketsBase+int(first)*spreadStride+2)
+}
+
+// addStripe adds d to the stripe counter covering bucket i.
+func (m *Map) addStripe(tx *tmbp.Tx, i, d uint64) {
+	s := m.stripeAddr(i)
+	tx.Write(s, tx.Read(s)+d)
+}
+
+// land stores a new key's tag and value in bucket i and counts it in i's
+// stripe.
+func (m *Map) land(tx *tmbp.Tx, i, tag, v uint64) {
+	tx.Write(m.tagAddr(i), tag)
+	tx.Write(m.valAddr(i), v)
+	m.addStripe(tx, i, 1)
 }
 
 // slot hashes k to its initial probe position (Fibonacci multiplicative).
@@ -96,16 +138,12 @@ func (m *Map) PutTx(tx *tmbp.Tx, k, v uint64) (added bool, err error) {
 			}
 			// An empty bucket terminates the probe chain: the key is
 			// definitively absent.
-			tx.Write(m.tagAddr(firstFree), tag)
-			tx.Write(m.valAddr(firstFree), v)
-			tx.Write(m.size, tx.Read(m.size)+1)
+			m.land(tx, firstFree, tag, v)
 			return true, nil
 		}
 	}
 	if firstFree != m.buckets {
-		tx.Write(m.tagAddr(firstFree), tag)
-		tx.Write(m.valAddr(firstFree), v)
-		tx.Write(m.size, tx.Read(m.size)+1)
+		m.land(tx, firstFree, tag, v)
 		return true, nil
 	}
 	return false, ErrFull
@@ -155,7 +193,7 @@ func (m *Map) DeleteTx(tx *tmbp.Tx, k uint64) (removed bool) {
 		switch got := tx.Read(m.tagAddr(i)); got {
 		case tag:
 			tx.Write(m.tagAddr(i), mapTombstone)
-			tx.Write(m.size, tx.Read(m.size)-1)
+			m.addStripe(tx, i, ^uint64(0)) // -1
 			return true
 		case mapEmpty:
 			return false
@@ -174,8 +212,15 @@ func (m *Map) Delete(th *tmbp.Thread, k uint64) (removed bool, err error) {
 }
 
 // LenTx returns the number of live entries inside an already-running
-// transaction.
-func (m *Map) LenTx(tx *tmbp.Tx) int { return int(tx.Read(m.size)) }
+// transaction. It reads every stripe counter: min(buckets, 64) words on as
+// many blocks.
+func (m *Map) LenTx(tx *tmbp.Tx) int {
+	var n uint64
+	for i := uint64(0); i < m.buckets; i += 1 << m.groupShift {
+		n += tx.Read(m.stripeAddr(i))
+	}
+	return int(n)
+}
 
 // Len returns the number of live entries.
 func (m *Map) Len(th *tmbp.Thread) (n int, err error) {

@@ -278,40 +278,9 @@ func TestMapInvalidBuckets(t *testing.T) {
 
 func TestMapMatchesOracle(t *testing.T) {
 	check := func(seed uint64) bool {
-		rt, mem := newWorld(t, "tagged", 4096, 1<<14)
-		m, err := NewMap(mem, 0, 128)
-		if err != nil {
+		m, th, oracle, ok := mapOracleStream(t, seed, 0)
+		if !ok {
 			return false
-		}
-		th := rt.NewThread()
-		oracle := map[uint64]uint64{}
-		rng := seed | 1
-		next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
-		for i := 0; i < 300; i++ {
-			k := next() % 96
-			switch next() % 3 {
-			case 0:
-				v := next()
-				_, wasIn := oracle[k]
-				added, err := m.Put(th, k, v)
-				if err != nil || added == wasIn {
-					return false
-				}
-				oracle[k] = v
-			case 1:
-				_, wasIn := oracle[k]
-				removed, err := m.Delete(th, k)
-				if err != nil || removed != wasIn {
-					return false
-				}
-				delete(oracle, k)
-			case 2:
-				want, wasIn := oracle[k]
-				v, ok, err := m.Get(th, k)
-				if err != nil || ok != wasIn || (ok && v != want) {
-					return false
-				}
-			}
 		}
 		n, err := m.Len(th)
 		return err == nil && n == len(oracle)
@@ -319,6 +288,52 @@ func TestMapMatchesOracle(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mapOracleStream drives 300 random Put/Delete/Get operations over 96 keys
+// into a fresh 128-bucket Map, checking each result against a map oracle.
+// The keys are [0, 96) shifted left by spread: the multiplicative hash keeps
+// a key's low bits, so at spread 0 every key has a home bucket of its own,
+// and at spread s only one bucket in 2^s is a home and keys probe past it.
+// It returns the Map, its thread and the oracle, with ok false at the first
+// mismatch.
+func mapOracleStream(t *testing.T, seed uint64, spread uint) (m *Map, th *tmbp.Thread, oracle map[uint64]uint64, ok bool) {
+	rt, mem := newWorld(t, "tagged", 4096, 1<<14)
+	m, err := NewMap(mem, 0, 128)
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	th = rt.NewThread()
+	oracle = map[uint64]uint64{}
+	rng := seed | 1
+	next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
+	for i := 0; i < 300; i++ {
+		k := next() % 96 << spread
+		switch next() % 3 {
+		case 0:
+			v := next()
+			_, wasIn := oracle[k]
+			added, err := m.Put(th, k, v)
+			if err != nil || added == wasIn {
+				return m, th, oracle, false
+			}
+			oracle[k] = v
+		case 1:
+			_, wasIn := oracle[k]
+			removed, err := m.Delete(th, k)
+			if err != nil || removed != wasIn {
+				return m, th, oracle, false
+			}
+			delete(oracle, k)
+		case 2:
+			want, wasIn := oracle[k]
+			v, ok, err := m.Get(th, k)
+			if err != nil || ok != wasIn || (ok && v != want) {
+				return m, th, oracle, false
+			}
+		}
+	}
+	return m, th, oracle, true
 }
 
 func TestQueueFIFO(t *testing.T) {
