@@ -38,13 +38,22 @@ func (th *Thread) locate(a addr.Addr) (word uint64, chunk addr.Block, widx uint6
 // code simply never continues past the Read.
 //
 // The hit path is a single access-set probe: one entry answers membership,
-// snapshot coverage, and read-own-writes at once.
+// snapshot coverage, and read-own-writes at once. A chunk with no entry,
+// read drained, is one load, one clock check and a log append.
 func (tx *Tx) Read(a addr.Addr) uint64 {
 	th := tx.th
 	th.fuzz()
 	word, chunk, widx := th.locate(a)
 	e := th.desc.Set.Lookup(chunk)
 	if e == nil {
+		if th.quiet {
+			if v := th.mem.words[word].Load(); th.acceptDrained(chunk) {
+				if th.rec != nil {
+					th.recordRead(word, v)
+				}
+				return v
+			}
+		}
 		e = th.readInvisibleMiss(chunk)
 	}
 	// A redo value wins over memory, and a snapshot word is served from the
@@ -64,7 +73,8 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 // dst. It behaves exactly like len(dst) calls to Read, one per word in
 // address order — the same values, footprint, table traffic and recorded
 // events — but probes the access set once per chunk it crosses rather than
-// once per word.
+// once per word, and a drained read of a chunk with no entry checks the
+// clock once for all the words it loads there.
 func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 	th := tx.th
 	for len(dst) > 0 {
@@ -82,15 +92,22 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 			}
 		}
 		e := th.desc.Set.Lookup(chunk)
-		if e == nil { // the chunk's first read, as in Read
+		if e == nil && th.quiet { // as in Read
+			ws := th.mem.words[word:][:len(out)]
+			for j := range out {
+				out[j] = ws[j].Load()
+			}
+			if !th.acceptDrained(chunk) {
+				e = th.readInvisibleMiss(chunk)
+			}
+		} else if e == nil { // the chunk's first read, as in Read
 			e = th.readInvisibleMiss(chunk)
 		}
-		if run := uint8(1<<len(out)-1) << widx; (e.WMask|e.RMask)&run != run {
-			th.readInvisibleFill(e)
-		}
-		vals := e.Vals[widx:][:len(out)] // as in Read
-		for j := range out {
-			out[j] = vals[j]
+		if e != nil {
+			if run := uint8(1<<len(out)-1) << widx; (e.WMask|e.RMask)&run != run {
+				th.readInvisibleFill(e)
+			}
+			copy(out, e.Vals[widx:][:len(out)]) // as in Read
 		}
 		if th.rec != nil {
 			for j, v := range out {
@@ -119,7 +136,7 @@ func (tx *Tx) Write(a addr.Addr, v uint64) {
 	th.wrote = true
 	e := th.desc.Set.Lookup(chunk)
 	if e == nil {
-		e = th.desc.Set.Insert(chunk)
+		e = th.insert(chunk)
 	}
 	if e.Perm&txn.PermWrite == 0 {
 		th.acquireWriteChunk(e)
@@ -152,7 +169,7 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 	th.wrote = true
 	e := th.desc.Set.Lookup(b)
 	if e == nil {
-		e = th.desc.Set.Insert(b)
+		e = th.insert(b)
 	}
 	if e.Perm&txn.PermWrite == 0 {
 		th.acquireWriteChunk(e)
@@ -164,8 +181,10 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 // entry already write-holds the chunk's tagless slot. The runtime holds no
 // read share, so there is never one to upgrade. The entry is new, or a
 // chunk read under an own hold, or one read by version: the acquire then
-// pins what was read, and checkPinned retires the validation it owed. On
-// conflict the attempt aborts with e holding nothing.
+// pins what was read, and checkPinned retires the validation it owed. A
+// chunk of the drained log owes it too, at rv0 — no Ver the entry holds is
+// below it — and leaves the log. On conflict the attempt aborts with e
+// holding nothing.
 func (th *Thread) acquireWriteChunk(e *txn.Access) {
 	set := &th.desc.Set
 	covered := false
@@ -189,6 +208,11 @@ func (th *Thread) acquireWriteChunk(e *txn.Access) {
 		}
 	}
 	e.Perm |= txn.PermWrite
+	if len(th.dlog) != 0 && th.logged(e.Chunk) {
+		th.dbits[e.Chunk>>6] &^= 1 << (e.Chunk & 63)
+		e.Perm |= txn.VerRead
+		e.Ver = th.rv0
+	}
 	if e.Perm&txn.VerRead != 0 {
 		th.checkPinned(e)
 	}
@@ -207,5 +231,10 @@ func (th *Thread) holdsCell(chunk addr.Block) bool {
 }
 
 // FootprintBlocks returns the number of distinct chunks the transaction has
-// accessed so far.
-func (tx *Tx) FootprintBlocks() int { return tx.th.desc.FootprintBlocks() }
+// accessed so far: the access-set entries (chunks written, or read other than
+// drained) and the drained log, less the chunks in both, so a chunk read and
+// then written counts once.
+func (tx *Tx) FootprintBlocks() int { return tx.th.footprint() }
+
+// footprint is FootprintBlocks.
+func (th *Thread) footprint() int { return th.desc.Set.Len() + len(th.dlog) - th.dboth }

@@ -130,6 +130,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		th.wrote = false
 		th.stamped = false
 		th.rv = th.rt.epoch.Load()
+		th.rv0 = th.rv
 		// Loaded after rv: done == rv says every stamp up to rv is finished
 		// unless a later one was drawn in between — and then the clock has
 		// already moved past rv, which the first drained read finds. A
@@ -278,7 +279,8 @@ func (th *Thread) rollback() {
 }
 
 // releaseAll returns every held slot to the table in first-access order —
-// the write-holding entries of the access set — and retires the set.
+// the write-holding entries of the access set — and retires the set and the
+// drained log.
 // Each release is one generation-validated state CAS on the record the
 // entry's handle names: the table is never re-walked on the commit or abort
 // path.
@@ -296,7 +298,7 @@ func (th *Thread) rollback() {
 func (th *Thread) releaseAll(stamp uint64) {
 	set := &th.desc.Set
 	n := set.Len()
-	th.lastFP = n
+	th.lastFP = th.footprint()
 	if !th.wrote {
 		n = 0 // only a writing attempt ever acquires (Write, WriteBlock)
 	}
@@ -312,6 +314,7 @@ func (th *Thread) releaseAll(stamp uint64) {
 		}
 	}
 	set.Reset()
+	th.clearLog()
 	if th.stamped {
 		th.rt.done.Add(1)
 	}

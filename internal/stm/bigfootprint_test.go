@@ -91,39 +91,54 @@ func TestBigFootprintZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestBigFootprintInvisibleReadOnly: a read-only transaction over 1024
-// blocks touches the ownership table zero
-// times, commits on the read-only path, and is allocation-free once the
-// read-set has grown.
+// blocks touches the ownership table zero times, commits on the read-only
+// path, and is allocation-free once its read set has grown — drained, where
+// the blocks go to the drained log and the access set stays empty, and
+// sampled (undrain), where every block is an entry and the set spills.
 func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 	const blocks = 1024
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
-			rt, tab, mem := newBigFootprintRuntime(t, kind, blocks, Config{})
-			for b := 0; b < blocks; b++ {
-				mem.StoreDirect(mem.WordAddr(b*8), uint64(b))
-			}
-			th := rt.NewThread()
-			run := func() {
-				if err := th.Atomic(func(tx *Tx) error {
-					for b := 0; b < blocks; b++ {
-						if v := tx.Read(mem.WordAddr(b * 8)); v != uint64(b) {
-							t.Fatalf("word %d = %d, want %d", b*8, v, b)
-						}
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
+			for _, drained := range []bool{true, false} {
+				rt, tab, mem := newBigFootprintRuntime(t, kind, blocks, Config{})
+				if !drained {
+					undrain(rt)
 				}
-			}
-			run()
-			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-				t.Fatalf("steady-state invisible scan allocates %.1f/op, want 0", allocs)
-			}
-			if ts := tab.Stats(); ts.ReadAcquires != 0 || ts.WriteAcquires != 0 {
-				t.Fatalf("invisible scans touched the table: %+v", ts)
-			}
-			if st := rt.Stats(); st.ROCommits != 12 {
-				t.Fatalf("ROCommits = %d, want 12", st.ROCommits)
+				for b := 0; b < blocks; b++ {
+					mem.StoreDirect(mem.WordAddr(b*8), uint64(b))
+				}
+				th := rt.NewThread()
+				var set int
+				run := func() {
+					if err := th.Atomic(func(tx *Tx) error {
+						for b := 0; b < blocks; b++ {
+							if v := tx.Read(mem.WordAddr(b * 8)); v != uint64(b) {
+								t.Fatalf("word %d = %d, want %d", b*8, v, b)
+							}
+						}
+						set = th.desc.Set.Len()
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				run()
+				if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+					t.Fatalf("drained %v: steady-state invisible scan allocates %.1f/op, want 0", drained, allocs)
+				}
+				want := 0
+				if !drained {
+					want = blocks
+				}
+				if set != want {
+					t.Fatalf("drained %v: access set of %d entries, want %d", drained, set, want)
+				}
+				if ts := tab.Stats(); ts.ReadAcquires != 0 || ts.WriteAcquires != 0 {
+					t.Fatalf("drained %v: invisible scans touched the table: %+v", drained, ts)
+				}
+				if st := rt.Stats(); st.ROCommits != 12 {
+					t.Fatalf("drained %v: ROCommits = %d, want 12", drained, st.ROCommits)
+				}
 			}
 		})
 	}

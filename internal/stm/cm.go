@@ -39,14 +39,15 @@ type CM interface {
 	Kind() string
 	// Aborted is called after a conflict-aborted attempt, before the retry.
 	// attempt is the 1-based attempt number that just failed; footprint is
-	// the access-set size the attempt had reached when it died; opp names
+	// the number of distinct chunks the attempt had accessed when it died
+	// (Tx.FootprintBlocks); opp names
 	// the opponent whose holding denied the fatal acquire (the owning
 	// writer's TxID, or the foreign reader count — see otable.ConflictInfo).
 	// The policy waits here as it sees fit.
 	Aborted(attempt, footprint int, opp otable.ConflictInfo)
 	// Committed is called when a transaction completes — commit or
 	// terminal non-conflict abort (user error, attempt budget) — with the
-	// final access-set size. Policies reset per-transaction state here.
+	// final footprint. Policies reset per-transaction state here.
 	Committed(footprint int)
 }
 

@@ -17,32 +17,49 @@ func (th *Thread) roConflict() {
 	th.conflict(otable.NoConflict)
 }
 
-// The Ver invariant: every VerRead entry's Ver bounds the chunk's cell stamp
-// from above at a moment after the current th.rv was loaded when no writer of
-// the chunk was in flight. Ver is the rv the read was taken at: a writer-free
-// sample at most rv, taken after rv was loaded, says rv bounds the cell then,
-// and on a drained attempt done == rv was a writer-free sample of every cell
-// at once. A writer of the chunk arriving after that moment draws above rv,
-// so the chunk is unchanged since the read while its cell shows no writer
-// and a stamp not above Ver. Recording rv rather than the sample lets a
-// chunk's answer rise without failing the read as long as no commit of the
-// chunk caused it: a tagged chunk with no record answers with its bucket's
-// floor, which rises, up to stamps below rv, when other records are reaped.
-// The invariant lets a read ask the clock instead of the cell — loads of the
-// chunk's words followed by rt.epoch.Load() == th.rv belong to the
-// committed state Ver bounds, all of them to the same one. A writer that
-// drew a stamp at most rv holds its chunks writer-active from before the draw
-// to its release: the sample would have seen it, so it had released and the
-// loads see all of it. A writer arriving after the sample draws above rv, and
-// draws before it writes a word back (commitStamp; StoreNT likewise), so a
-// clock still at rv after the last load means it has not written. Whatever
-// reloads rv keeps the invariant: extendSnapshot samples every entry after the
-// reload and ends drained reading, and the first read whose sample caused the
-// extension takes that sample again.
+// The Ver invariant: every VerRead entry's Ver, and rv0 for every chunk of
+// the drained log, bounds the chunk's cell stamp from above at a moment after
+// the current th.rv was loaded when no writer of the chunk was in flight. Ver
+// is the rv the read was taken at: a writer-free sample at most rv, taken
+// after rv was loaded, says rv bounds the cell then, and on a drained attempt
+// done == rv was a writer-free sample of every cell at once. A writer of the
+// chunk arriving after that moment draws above rv, so the chunk is unchanged
+// since the read while its cell shows no writer and a stamp not above Ver.
+// Recording rv rather than the sample lets a chunk's answer rise without
+// failing the read as long as no commit of the chunk caused it: a tagged
+// chunk with no record answers with its bucket's floor, which rises, up to
+// stamps below rv, when other records are reaped. The invariant lets a read
+// ask the clock instead of the cell — loads of the chunk's words followed by
+// rt.epoch.Load() == th.rv belong to the committed state Ver bounds, all of
+// them to the same one. A writer that drew a stamp at most rv holds its
+// chunks writer-active from before the draw to its release: the sample would
+// have seen it, so it had released and the loads see all of it. A writer
+// arriving after the sample draws above rv, and draws before it writes a word
+// back (commitStamp; StoreNT likewise), so a clock still at rv after the last
+// load means it has not written. Whatever reloads rv keeps the invariant:
+// extendSnapshot samples every logged chunk and entry after the reload and
+// ends drained reading, and the first read whose sample caused the extension
+// takes that sample again.
 //
-// A chunk is read whole: its first read snapshots every word into the entry
-// (Vals, RMask), so the loads are validated once per chunk and every later
-// read of the chunk is an array hit with no load and no clock check.
+// Drained reads keep no entry. While the attempt reads drained (quiet), a
+// first read of a chunk with no entry loads only the words asked for, straight
+// from memory, accepts them on a clock still at rv, and appends the chunk to
+// the drained log (acceptDrained) — a plain list, deduplicated by a bitmap
+// with one bit per chunk of memory: nothing can invalidate the read until the
+// clock moves, so it owes no validation until then. The log is checked
+// wherever the read set is, against rv0, the rv every drained read was taken
+// at: revalidateReadSet samples each logged chunk as it samples a VerRead
+// entry, and a write acquire of a logged chunk gives its entry Ver = rv0 and
+// checkPinned's stamp check, and retires it from the log. A re-read of a
+// logged chunk goes to memory again: while still drained it is accepted the
+// same way, and once the clock has moved it is an ordinary first read
+// (readInvisibleMiss) that takes a sample and an entry, beside the log's
+// claim on the chunk, which stays.
+//
+// A chunk read after the clock moved is read whole: its first read snapshots
+// every word into the entry (Vals, RMask), so the loads are validated once per
+// chunk and every later read of the chunk is an array hit with no load and no
+// clock check.
 
 // roReadRetries bounds how often an invisible first read goes back to the
 // cell — after an extension, or a changed re-sample — before it gives up.
@@ -79,15 +96,13 @@ func (th *Thread) loadChunk(chunk addr.Block, vals *[chunkWords]uint64, skip uin
 	return mask
 }
 
-// readInvisibleMiss is the invisible first read of a chunk, with no table
-// traffic: sample the version cell, load every word of the chunk, check the
-// clock, and return the new entry holding the snapshot. The sample (no
-// writer, stamp at most rv) makes rv the entry's Ver, and a clock still at rv
-// accepts the loads on it (the Ver invariant). A drained attempt skips the
-// sample and records rv. On a moved clock the loads are bracketed instead:
-// an unchanged, writer-free re-sample pins them to the state Ver names; a
-// drained read that finds the clock moved has no first sample to bracket
-// with, so it stops reading drained and goes back for one. A stamp above rv
+// readInvisibleMiss is the invisible first read of a chunk that is not read
+// drained, with no table traffic: sample the version cell, load every word
+// of the chunk, check the clock, and return the new entry holding the
+// snapshot. The sample (no writer, stamp at most rv) makes rv the entry's
+// Ver, and a clock still at rv accepts the loads on it (the Ver invariant).
+// On a moved clock the loads are bracketed instead: an unchanged,
+// writer-free re-sample pins them to the state Ver names. A stamp above rv
 // extends the snapshot, which reloads rv, so that sample is spent and the
 // loop takes another.
 //
@@ -99,12 +114,9 @@ func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 	tab := th.tab
 	// The loads go straight into the entry. Until it is accepted it has no
 	// permission bits, so a revalidation or a release passes it over.
-	e := th.desc.Set.Insert(chunk)
+	e := th.insert(chunk)
 	for tries := 0; ; tries++ {
-		s1, locked := th.rv, false
-		if !th.quiet {
-			s1, locked = tab.SampleVersion(chunk)
-		}
+		s1, locked := tab.SampleVersion(chunk)
 		switch {
 		case locked:
 			th.pinOrAbort(chunk)
@@ -119,10 +131,6 @@ func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 		default:
 			mask := th.loadChunk(chunk, &e.Vals, 0)
 			if th.rt.epoch.Load() != th.rv {
-				if th.quiet {
-					th.quiet = false
-					break
-				}
 				if s2, locked2 := tab.SampleVersion(chunk); locked2 || s2 != s1 {
 					break
 				}
@@ -136,6 +144,52 @@ func (th *Thread) readInvisibleMiss(chunk addr.Block) *txn.Access {
 			th.roConflict()
 		}
 	}
+}
+
+// acceptDrained ends a drained first read of chunk, one with no access-set
+// entry, whose words the caller has just loaded from memory. A clock still at
+// rv accepts them, as it accepts any drained load (the Ver invariant), and the
+// chunk joins the drained log unless it is there already: no entry, no
+// snapshot, no hash probe. A moved clock ends drained reading and reports
+// false; the caller then reads the chunk through readInvisibleMiss.
+func (th *Thread) acceptDrained(chunk addr.Block) bool {
+	if th.rt.epoch.Load() != th.rv {
+		th.quiet = false
+		return false
+	}
+	if w, bit := &th.dbits[chunk>>6], uint64(1)<<(chunk&63); *w&bit == 0 {
+		*w |= bit
+		th.dlog = append(th.dlog, chunk)
+	}
+	return true
+}
+
+// logged reports whether chunk is in the drained log and not yet written.
+// ReadBlock and WriteBlock take blocks memory need not hold, so a chunk past
+// the bitmap is simply not logged.
+func (th *Thread) logged(chunk addr.Block) bool {
+	i := uint64(chunk) >> 6
+	return i < uint64(len(th.dbits)) && th.dbits[i]&(1<<(chunk&63)) != 0
+}
+
+// insert adds chunk's access-set entry. A logged chunk is then in both, which
+// FootprintBlocks counts once.
+func (th *Thread) insert(chunk addr.Block) *txn.Access {
+	if len(th.dlog) != 0 && th.logged(chunk) {
+		th.dboth++
+	}
+	return th.desc.Set.Insert(chunk)
+}
+
+// clearLog empties the drained log as the attempt ends, beside the access
+// set's Reset, clearing the bits of the chunks it lists: an attempt touches
+// only the bits its own reads set, and none is left set between attempts.
+func (th *Thread) clearLog() {
+	for _, c := range th.dlog {
+		th.dbits[c>>6] &^= 1 << (c & 63)
+	}
+	th.dlog = th.dlog[:0]
+	th.dboth = 0
 }
 
 // coverStamp is called with a sampled stamp above rv: the chunk committed
@@ -208,7 +262,7 @@ func (th *Thread) readInvisibleFill(e *txn.Access) {
 // accepted on. As in readInvisibleMiss, the entry is inserted first and has
 // no permission bits until accepted.
 func (th *Thread) readBlockInvisible(b addr.Block) {
-	e := th.desc.Set.Insert(b)
+	e := th.insert(b)
 	for tries := 0; ; tries++ {
 		if th.quiet && th.rt.epoch.Load() != th.rv {
 			th.quiet = false
@@ -246,7 +300,7 @@ func (th *Thread) readBlockInvisible(b addr.Block) {
 // each passing sample re-establishes the Ver invariant for the new rv.
 //
 // Drained reads end here for the rest of the attempt: write-backs below the
-// new rv may still be in flight.
+// new rv may still be in flight. The drained log stays, checked against rv0.
 func (th *Thread) extendSnapshot() {
 	newRv := th.rt.epoch.Load()
 	th.revalidateReadSet()
@@ -273,8 +327,17 @@ func (th *Thread) commitStamp() uint64 {
 }
 
 // revalidateReadSet aborts the attempt unless no chunk whose reads
-// nothing pins has a writer or a stamp above the Ver they were validated at.
+// nothing pins has a writer or a stamp above the Ver they were validated at:
+// the drained log's chunks, read at rv0, and the VerRead entries.
 func (th *Thread) revalidateReadSet() {
+	for _, c := range th.dlog {
+		if !th.logged(c) {
+			continue // written since: the write acquire checked it (acquireWriteChunk)
+		}
+		if s, locked := th.tab.SampleVersion(c); locked || s > th.rv0 {
+			th.loggedFailed(c, s, locked)
+		}
+	}
 	set := &th.desc.Set
 	for i, n := 0, set.Len(); i < n; i++ {
 		e := set.At(i)
@@ -284,6 +347,18 @@ func (th *Thread) revalidateReadSet() {
 		if s, locked := th.tab.SampleVersion(e.Chunk); locked || s > e.Ver {
 			th.validationFailed(e, locked)
 		}
+	}
+}
+
+// loggedFailed is validationFailed for a logged chunk, whose sample s is the
+// one to check: the attempt's own hold, through an aliasing chunk, keeps the
+// stamp still, so no second sample can tell more.
+func (th *Thread) loggedFailed(c addr.Block, s uint64, locked bool) {
+	if locked {
+		th.pinOrAbort(c)
+	}
+	if s > th.rv0 {
+		th.roConflict()
 	}
 }
 

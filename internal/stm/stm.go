@@ -42,13 +42,21 @@
 //
 // The per-thread bookkeeping the paper calls "the private per-thread log"
 // is one open-addressed, insertion-ordered access set (txn.AccessSet)
-// keyed by chunk. Each entry carries the chunk's permission bits, its
-// ownership-table slot key and release obligation, and the redo values of
-// the chunk's words inline, so the hot path does exactly one probe per
-// transactional Read or Write — where the earlier design did up to four
-// map operations across a redo log, two footprint sets, and the slot map —
-// and commit/abort walk the dense entry array once, writing back
-// speculative values and releasing slots in first-access order. Small
+// keyed by chunk, beside a plain list of the chunks read drained. Each entry
+// carries the chunk's permission bits, its ownership-table slot key and
+// release obligation, and the redo values of the chunk's words inline, so the
+// hot path does at most one probe per transactional Read or Write — where
+// the earlier design did up to four map operations across a redo log, two
+// footprint sets, and the slot map — and commit/abort walk the dense entry
+// array once, writing back speculative values and releasing slots in
+// first-access order. An entry means the chunk was written, or read after
+// the clock moved: a first read on a drained attempt, which nothing can
+// invalidate until the clock moves, only appends its chunk to the drained
+// log (a reused slice, deduplicated by a per-thread bitmap with one bit per
+// chunk of memory), so a read-only attempt that stays drained makes no hash
+// probe and keeps an empty access set. The log is validated wherever the
+// access set's reads are, and a chunk in both counts once in the
+// footprint. Small
 // transactions live entirely in an inline array inside the Thread; larger
 // footprints spill to a growable probe table whose capacity is retained
 // across attempts and transactions, and retirement is a generation-counter
@@ -78,6 +86,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tmbp/internal/addr"
 	"tmbp/internal/otable"
 	"tmbp/internal/txn"
 	"tmbp/internal/xrand"
@@ -300,6 +309,10 @@ func (rt *Runtime) NewThread() *Thread {
 	board[id-1] = ctr
 	rt.board.Store(&board)
 	rt.mu.Unlock()
+	chunks := rt.cfg.Memory.Words()
+	if rt.cfg.Granularity != WordGranularity {
+		chunks = (chunks + chunkWords - 1) / chunkWords
+	}
 	th := &Thread{
 		rt:       rt,
 		id:       id,
@@ -312,6 +325,7 @@ func (rt *Runtime) NewThread() *Thread {
 		fb:       rt.cfg.FallbackAfter,
 		rec:      rt.cfg.Recorder,
 		rng:      xrand.NewWithStream(rt.cfg.Seed, uint64(id)),
+		dbits:    make([]uint64, (chunks+63)/64),
 	}
 	th.tx.th = th
 	th.w = waiter{rng: th.rng, th: th}
@@ -364,10 +378,22 @@ type Thread struct {
 	stamped bool
 	roAbort bool
 	rv      uint64
-	streak  int                 // consecutive conflict aborts of the running transaction
-	lastFP  int                 // access-set size of the last finished attempt
-	opp     otable.ConflictInfo // opponent of the conflict that killed the last attempt
-	tx      Tx
+	// The drained log, the read set of drained reads (invisible.go): dlog
+	// lists, in first-read order, every chunk the attempt first read drained
+	// while it had no access-set entry for it, each once. dbits has one bit
+	// per chunk of memory, allocated by NewThread and cleared through dlog as
+	// the attempt ends: set while the chunk is logged and not yet written —
+	// the write acquire retires it from the log. rv0 is the rv the attempt
+	// began with, the one every drained read was accepted at; dboth counts
+	// the logged chunks that also have an access-set entry.
+	dlog   []addr.Block
+	dbits  []uint64
+	rv0    uint64
+	dboth  int
+	streak int                 // consecutive conflict aborts of the running transaction
+	lastFP int                 // footprint of the last finished attempt (FootprintBlocks)
+	opp    otable.ConflictInfo // opponent of the conflict that killed the last attempt
+	tx     Tx
 }
 
 // ID returns the thread's transaction identity.

@@ -345,12 +345,19 @@ func TestFalseConflictsTaglessVsTagged(t *testing.T) {
 // the same size aborts on aliases. Each goroutine owns a stripe of blocks a
 // table's width apart from the next (plus a small skew), so every stripe
 // aliases the others bucket for bucket; a transaction reads α = 2 blocks
-// per block it writes, word loads validated by version samples, and yields
-// between accesses so transactions overlap even on one CPU. The stripe
-// cycles through four windows, so written blocks keep their records —
-// at most three per bucket here, which no walk reaps — and the readers of
-// the other blocks in a bucket meet its writers' commits at every
-// validation.
+// per block it writes and yields between accesses so transactions overlap
+// even on one CPU. The stripe cycles through four windows, so written blocks
+// keep their records — at most three per bucket here, which no walk reaps —
+// and the readers of the other blocks in a bucket meet its writers' commits
+// at every validation.
+//
+// The tagless control is a nested pair, so it does not hang on goroutines
+// that happen to overlap: thread A runs its stripe's first transaction, and
+// inside A's body, holding A's writes, thread B runs the first transaction
+// of the next stripe with one attempt allowed. The runtime is left undrained,
+// so B's reads sample their cells: on tagless B's second read, of block
+// N+8, samples the entry of block 8, which A has written, and B fails; on
+// tagged every block has a cell of its own and both commit on the first try.
 func TestTaggedNoFalseConflicts(t *testing.T) {
 	const (
 		writes  = 10
@@ -358,31 +365,34 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 		perTxn  = writes * (1 + alpha)
 		windows = 4
 		txns    = 40
+		stripe  = perTxn * windows
 	)
+	// body is goroutine g's transaction i over a table of the given width.
+	body := func(mem *Memory, g, entries, i uint64, between func()) func(tx *Tx) error {
+		base := g*entries + 7*g // aliases the other stripes under NewMask(entries)
+		return func(tx *Tx) error {
+			for k := uint64(0); k < perTxn; k++ {
+				a := mem.WordAddr(int(base+(i*perTxn+k)%stripe) * 8)
+				if k%(alpha+1) == alpha {
+					tx.Write(a, i)
+				} else {
+					tx.Read(a)
+				}
+				between()
+			}
+			return nil
+		}
+	}
 	run := func(t *testing.T, kind string, goroutines int, entries uint64) Stats {
-		stripe := uint64(perTxn * windows)
 		rt := newRuntime(t, kind, entries, int(uint64(goroutines)*(entries+8)*8))
-		mem := rt.Memory()
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(g uint64) {
 				defer wg.Done()
 				th := rt.NewThread()
-				base := g*entries + 7*g // aliases the other stripes under NewMask(entries)
 				for i := uint64(0); i < txns; i++ {
-					if err := th.Atomic(func(tx *Tx) error {
-						for k := uint64(0); k < perTxn; k++ {
-							a := mem.WordAddr(int(base+(i*perTxn+k)%stripe) * 8)
-							if k%(alpha+1) == alpha {
-								tx.Write(a, i)
-							} else {
-								tx.Read(a)
-							}
-							runtime.Gosched()
-						}
-						return nil
-					}); err != nil {
+					if err := th.Atomic(body(rt.Memory(), g, entries, i, runtime.Gosched)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -392,14 +402,42 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 		wg.Wait()
 		return rt.Stats()
 	}
+	pair := func(t *testing.T, kind string, entries uint64) (errB error, attemptsA, attemptsB int) {
+		tab, err := otable.New(kind, hash.NewMask(entries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := NewMemory(int(2 * (entries + 8) * 8))
+		rt, err := New(Config{Table: tab, Memory: mem, Seed: 1, MaxAttempts: 1, FallbackAfter: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		undrain(rt)
+		thA, thB := rt.NewThread(), rt.NewThread()
+		a := body(mem, 0, entries, 0, func() {})
+		if err := thA.Atomic(func(tx *Tx) error {
+			if err := a(tx); err != nil {
+				return err
+			}
+			errB = thB.Atomic(body(mem, 1, entries, 0, func() {}))
+			attemptsB = thB.Attempts()
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: A: %v", kind, err)
+		}
+		return errB, thA.Attempts(), attemptsB
+	}
 	for _, goroutines := range []int{4, 8} {
 		for _, entries := range []uint64{256, 512, 4096} {
 			t.Run(fmt.Sprintf("g%d/N%d", goroutines, entries), func(t *testing.T) {
 				if st := run(t, "tagged", goroutines, entries); st.Aborts != 0 || st.ROValidationAborts != 0 || st.ROPromotions != 0 {
 					t.Errorf("tagged on disjoint data: %+v, want no abort, no failed validation, no pin", st)
 				}
-				if st := run(t, "tagless", goroutines, entries); st.Aborts == 0 {
-					t.Errorf("tagless on aliasing stripes never aborted: %+v", st)
+				if errB, a, b := pair(t, "tagged", entries); errB != nil || a != 1 || b != 1 {
+					t.Errorf("tagged nested pair: B err %v, A/B attempts %d/%d, want both committed on attempt 1", errB, a, b)
+				}
+				if errB, _, _ := pair(t, "tagless", entries); !errors.Is(errB, ErrTooManyAttempts) {
+					t.Errorf("tagless nested pair on aliasing stripes: B err %v, want ErrTooManyAttempts", errB)
 				}
 			})
 		}

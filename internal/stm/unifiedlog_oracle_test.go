@@ -28,7 +28,11 @@ import (
 //   - the same final memory contents,
 //
 // across every kind of sweepKinds and both granularities, drained and
-// sampled, with aborted transactions leaving no trace. A read is never a
+// sampled, with aborted transactions leaving no trace. A drained read of a
+// chunk with no entry goes to the drained log, not the access set, so when
+// such a chunk is later written its release follows its first write, not
+// its first read: the model's first-access order counts a drained read as no
+// access (oldModel.read). A read is never a
 // table op. A first read that samples a writer in its chunk's version cell
 // is answered from the access set (pinOrAbort); single-threaded that writer
 // is the transaction itself, so it happens only on sampled attempts, to a
@@ -351,12 +355,16 @@ func (m *oldModel) writeChunk(chunk addr.Block) {
 	m.held[slot] = &holding{block: chunk, first: m.first[chunk]}
 }
 
+// read is a transactional Read. A drained read of a chunk with no access-set
+// entry goes to the drained log and leaves the access set alone, so such a
+// chunk takes its place in first-access order — the order releases follow —
+// at its first ReadBlock or write, not at its read.
 func (m *oldModel) read(word uint64) uint64 {
 	if v, ok := m.redo.Get(word); ok {
 		return v
 	}
 	chunk := m.chunkOf(word)
-	if !m.writes.Has(chunk) && m.reads.Add(chunk) {
+	if !m.writes.Has(chunk) && m.reads.Add(chunk) && m.sampled {
 		m.readChunk(chunk)
 	}
 	return m.mem[word]
@@ -371,9 +379,14 @@ func (m *oldModel) write(word uint64, v uint64) {
 	m.redo.Set(word, v)
 }
 
+// readBlock is a ReadBlock. A chunk read drained enters the access set here
+// (a sampled read took its place, and its sample, at the read).
 func (m *oldModel) readBlock(b addr.Block) {
-	if !m.writes.Has(b) && m.reads.Add(b) {
-		m.readChunk(b)
+	if !m.writes.Has(b) {
+		if m.reads.Add(b) {
+			m.readChunk(b)
+		}
+		m.touch(b)
 	}
 }
 
