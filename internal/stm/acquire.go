@@ -37,32 +37,30 @@ func (th *Thread) locate(a addr.Addr) (word uint64, chunk addr.Block, widx uint6
 // invisible.go). On conflict the attempt is rolled back and retried; user
 // code simply never continues past the Read.
 //
-// The hit path is a single access-set probe: one entry answers membership,
-// snapshot coverage, and read-own-writes at once. A chunk with no entry,
-// read drained, is one load, one clock check and a log append.
+// The hit path is a single access-set probe, which finds only chunks the
+// attempt wrote; any other chunk is one load, one clock check and, at its
+// first read, a log append.
 func (tx *Tx) Read(a addr.Addr) uint64 {
 	th := tx.th
 	th.fuzz()
 	word, chunk, widx := th.locate(a)
-	e := th.desc.Set.Lookup(chunk)
-	if e == nil {
-		if th.quiet {
-			if v := th.mem.words[word].Load(); th.acceptDrained(chunk) {
-				if th.rec != nil {
-					th.recordRead(word, v)
-				}
-				return v
+	w := &th.mem.words[word]
+	var v uint64
+	if e := th.desc.Set.Lookup(chunk); e != nil {
+		// Written: a redo value wins; any other word comes from memory.
+		if e.WMask&(1<<widx) != 0 {
+			v = e.Vals[widx]
+		} else {
+			if e.Perm&txn.PermRead == 0 {
+				th.coverWritten(e)
 			}
+			v = w.Load()
 		}
-		e = th.readInvisibleMiss(chunk)
+	} else if v = w.Load(); !th.accept(chunk) {
+		var out [1]uint64
+		th.readSampled(chunk, th.mem.words[word:word+1], out[:])
+		v = out[0]
 	}
-	// A redo value wins over memory, and a snapshot word is served from the
-	// entry; both sit in Vals (a word read and then written holds its redo
-	// value there).
-	if (e.WMask|e.RMask)&(1<<widx) == 0 {
-		th.readInvisibleFill(e)
-	}
-	v := e.Vals[widx]
 	if th.rec != nil {
 		th.recordRead(word, v)
 	}
@@ -73,8 +71,9 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 // dst. It behaves exactly like len(dst) calls to Read, one per word in
 // address order — the same values, footprint, table traffic and recorded
 // events — but probes the access set once per chunk it crosses rather than
-// once per word, and a drained read of a chunk with no entry checks the
-// clock once for all the words it loads there.
+// once per word, and checks the clock, or takes the sample bracket, once
+// for all the words of a chunk: the bracket's clock value then accepts a
+// Read of each further word with no sample, as Read's own bracket would.
 func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 	th := tx.th
 	for len(dst) > 0 {
@@ -86,28 +85,25 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 		// The words of dst in this chunk, as far as memory reaches: a walk
 		// off its end panics at the next locate, where a Read would.
 		out := dst[:min(uint64(len(dst)), n, uint64(len(th.mem.words))-word)]
+		ws := th.mem.words[word:][:len(out)]
 		if th.fuzzP > 0 {
 			for range out {
 				th.fuzzYield()
 			}
 		}
-		e := th.desc.Set.Lookup(chunk)
-		if e == nil && th.quiet { // as in Read
-			ws := th.mem.words[word:][:len(out)]
+		if e := th.desc.Set.Lookup(chunk); e != nil { // as in Read
+			if run := uint8(1<<len(out)-1) << widx; e.WMask&run != run && e.Perm&txn.PermRead == 0 {
+				th.coverWritten(e)
+			}
 			for j := range out {
-				out[j] = ws[j].Load()
+				if e.WMask&(1<<(widx+uint64(j))) != 0 {
+					out[j] = e.Vals[widx+uint64(j)]
+				} else {
+					out[j] = ws[j].Load()
+				}
 			}
-			if !th.acceptDrained(chunk) {
-				e = th.readInvisibleMiss(chunk)
-			}
-		} else if e == nil { // the chunk's first read, as in Read
-			e = th.readInvisibleMiss(chunk)
-		}
-		if e != nil {
-			if run := uint8(1<<len(out)-1) << widx; (e.WMask|e.RMask)&run != run {
-				th.readInvisibleFill(e)
-			}
-			copy(out, e.Vals[widx:][:len(out)]) // as in Read
+		} else if loadWords(ws, out); !th.accept(chunk) {
+			th.readSampled(chunk, ws, out)
 		}
 		if th.rec != nil {
 			for j, v := range out {
@@ -151,13 +147,20 @@ func (tx *Tx) Write(a addr.Addr, v uint64) {
 }
 
 // ReadBlock adds an entire block to the read footprint without loading a
-// word — used by trace replay where only footprints matter. It records the
-// block's version stamp.
+// word — used by trace replay where only footprints matter. It validates the
+// block's version stamp as a first read does, and the block joins the read
+// set; a block past the per-thread bitmap takes a footprint-only entry
+// (see log).
 func (tx *Tx) ReadBlock(b addr.Block) {
 	th := tx.th
 	th.fuzz()
-	if th.desc.Set.Lookup(b) == nil {
-		th.readBlockInvisible(b)
+	if th.desc.Set.Lookup(b) != nil || th.reading(b) {
+		return
+	}
+	if th.quiet && th.rt.epoch.Load() == th.rv {
+		th.log(b)
+	} else {
+		th.readSampled(b, nil, nil)
 	}
 }
 
@@ -179,12 +182,10 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 // acquireWriteChunk gives e, the entry of a chunk the attempt has not yet
 // written, write permission: one write acquire, or none when an earlier
 // entry already write-holds the chunk's tagless slot. The runtime holds no
-// read share, so there is never one to upgrade. The entry is new, or a
-// chunk read under an own hold, or one read by version: the acquire then
-// pins what was read, and checkPinned retires the validation it owed. A
-// chunk of the drained log owes it too, at rv0 — no Ver the entry holds is
-// below it — and leaves the log. On conflict the attempt aborts with e
-// holding nothing.
+// read share, so there is never one to upgrade. A chunk of the read set
+// leaves it here — the acquire pins what was read, and checkPinned runs the
+// validation it owed — and its entry takes PermRead: its words are covered
+// at rv. On conflict the attempt aborts with e holding nothing.
 func (th *Thread) acquireWriteChunk(e *txn.Access) {
 	set := &th.desc.Set
 	covered := false
@@ -207,15 +208,14 @@ func (th *Thread) acquireWriteChunk(e *txn.Access) {
 			}
 		}
 	}
+	if w, bit := th.bitOf(e.Chunk); w != nil && *w&bit != 0 {
+		*w &^= bit
+		e.Perm |= txn.PermRead
+	}
+	if e.Perm&txn.PermRead != 0 { // read before this write (past the bitmap: by ReadBlock)
+		th.checkPinned(e.Chunk)
+	}
 	e.Perm |= txn.PermWrite
-	if len(th.dlog) != 0 && th.logged(e.Chunk) {
-		th.dbits[e.Chunk>>6] &^= 1 << (e.Chunk & 63)
-		e.Perm |= txn.VerRead
-		e.Ver = th.rv0
-	}
-	if e.Perm&txn.VerRead != 0 {
-		th.checkPinned(e)
-	}
 }
 
 // holdsCell reports whether the attempt write-holds the version cell chunk
@@ -231,10 +231,6 @@ func (th *Thread) holdsCell(chunk addr.Block) bool {
 }
 
 // FootprintBlocks returns the number of distinct chunks the transaction has
-// accessed so far: the access-set entries (chunks written, or read other than
-// drained) and the drained log, less the chunks in both, so a chunk read and
-// then written counts once.
-func (tx *Tx) FootprintBlocks() int { return tx.th.footprint() }
-
-// footprint is FootprintBlocks.
-func (th *Thread) footprint() int { return th.desc.Set.Len() + len(th.dlog) - th.dboth }
+// accessed so far: the length of its log, which lists each chunk read or
+// written once.
+func (tx *Tx) FootprintBlocks() int { return len(tx.th.dlog) }

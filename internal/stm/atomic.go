@@ -130,7 +130,6 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		th.wrote = false
 		th.stamped = false
 		th.rv = th.rt.epoch.Load()
-		th.rv0 = th.rv
 		// Loaded after rv: done == rv says every stamp up to rv is finished
 		// unless a later one was drawn in between — and then the clock has
 		// already moved past rv, which the first drained read finds. A
@@ -278,9 +277,9 @@ func (th *Thread) rollback() {
 	}
 }
 
-// releaseAll returns every held slot to the table in first-access order —
+// releaseAll returns every held slot to the table in first-write order —
 // the write-holding entries of the access set — and retires the set and the
-// drained log.
+// log.
 // Each release is one generation-validated state CAS on the record the
 // entry's handle names: the table is never re-walked on the commit or abort
 // path.
@@ -298,7 +297,7 @@ func (th *Thread) rollback() {
 func (th *Thread) releaseAll(stamp uint64) {
 	set := &th.desc.Set
 	n := set.Len()
-	th.lastFP = th.footprint()
+	th.lastFP = len(th.dlog)
 	if !th.wrote {
 		n = 0 // only a writing attempt ever acquires (Write, WriteBlock)
 	}

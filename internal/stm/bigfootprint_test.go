@@ -92,9 +92,9 @@ func TestBigFootprintZeroAllocSteadyState(t *testing.T) {
 
 // TestBigFootprintInvisibleReadOnly: a read-only transaction over 1024
 // blocks touches the ownership table zero times, commits on the read-only
-// path, and is allocation-free once its read set has grown — drained, where
-// the blocks go to the drained log and the access set stays empty, and
-// sampled (undrain), where every block is an entry and the set spills.
+// path, and is allocation-free once its read set has grown — drained and
+// sampled (undrain) alike, the blocks go to the log and the access set,
+// which holds writes only, stays empty.
 func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 	const blocks = 1024
 	for _, kind := range sweepKinds() {
@@ -108,7 +108,7 @@ func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 					mem.StoreDirect(mem.WordAddr(b*8), uint64(b))
 				}
 				th := rt.NewThread()
-				var set int
+				var set, fp int
 				run := func() {
 					if err := th.Atomic(func(tx *Tx) error {
 						for b := 0; b < blocks; b++ {
@@ -116,7 +116,7 @@ func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 								t.Fatalf("word %d = %d, want %d", b*8, v, b)
 							}
 						}
-						set = th.desc.Set.Len()
+						set, fp = th.desc.Set.Len(), tx.FootprintBlocks()
 						return nil
 					}); err != nil {
 						t.Fatal(err)
@@ -126,12 +126,8 @@ func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 				if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 					t.Fatalf("drained %v: steady-state invisible scan allocates %.1f/op, want 0", drained, allocs)
 				}
-				want := 0
-				if !drained {
-					want = blocks
-				}
-				if set != want {
-					t.Fatalf("drained %v: access set of %d entries, want %d", drained, set, want)
+				if set != 0 || fp != blocks {
+					t.Fatalf("drained %v: access set of %d entries and footprint %d, want 0 and %d", drained, set, fp, blocks)
 				}
 				if ts := tab.Stats(); ts.ReadAcquires != 0 || ts.WriteAcquires != 0 {
 					t.Fatalf("drained %v: invisible scans touched the table: %+v", drained, ts)

@@ -7,8 +7,8 @@ import (
 )
 
 // Tests of drained reads: an attempt that loads rv and then finds done == rv
-// began with no write-back in flight, so its first reads record Ver = rv
-// with no version sample, accepting each load while the clock still reads rv.
+// began with no write-back in flight, so rv bounds its first reads with no
+// version sample, accepting each load while the clock still reads rv.
 // Each test kills one mutant of that path deterministically on one P: the
 // schedules run the writer's steps (stepWriter) from the reader's own
 // goroutine, and sampleTable's hooks watch the count of finished stamps from
@@ -182,10 +182,10 @@ func TestDrainedCountAfterRelease(t *testing.T) {
 	}
 }
 
-// TestDrainedVerIsUpperBound: a drained read records rv as its Ver, which may
-// lie above the cell's stamp — here rv is 1 from a commit to another cell
-// while the read chunk's own cell still reads 0. So every check of a Ver asks
-// "stamp above Ver", never "stamp other than Ver": after an unrelated foreign
+// TestDrainedVerIsUpperBound: rv bounds a drained read, and may lie above the
+// cell's stamp — here rv is 1 from a commit to another cell while the read
+// chunk's own cell still reads 0. So every check of the bound asks "stamp
+// above rv", never "stamp other than rv": after an unrelated foreign
 // commit has moved the clock, a further read of the chunk, the revalidation
 // of an extension, the revalidation of a read-only commit and the stamp check
 // after a write acquire must all pass, with no abort.
@@ -222,7 +222,7 @@ func TestDrainedVerIsUpperBound(t *testing.T) {
 				}
 				st := rt.Stats()
 				if attempt != 1 || st.Aborts != 0 {
-					t.Fatalf("%d attempts, stats %+v: a stamp below the drained Ver failed validation", attempt, st)
+					t.Fatalf("%d attempts, stats %+v: a stamp below the drained bound failed validation", attempt, st)
 				}
 				if site == "extension" && st.ROExtensions != 1 {
 					t.Fatalf("stats = %+v, want one extension", st)
@@ -236,9 +236,9 @@ func TestDrainedVerIsUpperBound(t *testing.T) {
 // TestDrainedPinSamplesOnMovedClock is the lost-update schedule: T reads a
 // counter, a foreign increment commits, and T writes the counter back
 // incremented. The write acquire's stamp check (checkPinned) is all that
-// stands between T and a lost update — the write retires the entry from
-// commit validation — and since the clock has moved it must sample, whether
-// the read recorded a drained Ver or a sampled one.
+// stands between T and a lost update — the write takes the chunk out of the
+// read set that commit validates — and since the clock has moved it must
+// sample, whether the read was drained or sampled.
 func TestDrainedPinSamplesOnMovedClock(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		for _, drained := range []bool{true, false} {

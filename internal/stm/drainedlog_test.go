@@ -11,9 +11,10 @@ import (
 	"tmbp/internal/xrand"
 )
 
-// Tests of the drained log: a drained first read of a chunk with no
-// access-set entry leaves no entry, only the chunk in the log, and the log
-// must be checked wherever the read set is. Each schedule runs on one P with
+// Tests of the read log on drained attempts: a drained first read leaves no
+// access-set entry, only the chunk in the log, and the log must be checked
+// wherever the read set is (readlog_test.go has the sampled reads' side).
+// Each schedule runs on one P with
 // the other thread's commits made from inside the reader's body, records
 // the history and requires it to be opaque, and kills one mutant of the log:
 // under it a stale read commits — beside a newer one, so the recorded
@@ -150,12 +151,14 @@ func TestDrainedLogClearedEachAttempt(t *testing.T) {
 // TestDrainedLogFootprintOracle runs random mixes of reads, re-reads,
 // ReadWords runs, ReadBlocks and writes, with commits of another thread that
 // move the clock in between, and compares FootprintBlocks after every
-// operation with a map of the distinct chunks touched. A chunk can be in the
-// drained log, the access set or both — read drained, then re-read after the
-// clock moved, or written — and must count once. Attempts begin drained or
-// sampled (undrain), for both table kinds at both granularities. The other
-// thread writes only word 200, whose chunk aliases none of the reader's, so
-// every transaction commits on its first attempt.
+// operation with a map of the distinct chunks touched. A chunk read and
+// then written, drained or sampled, re-read after the clock moved, or named
+// by ReadBlock must count once. Attempts begin drained or sampled
+// (undrain), or, "moved", sampled with the clock moved before their first
+// read, where every read takes the bracket and ReadBlock also names blocks
+// past the bitmap, which take an entry; for both table kinds at both
+// granularities. The other thread writes only word 200, whose chunk aliases
+// none of the reader's, so every transaction commits on its first attempt.
 func TestDrainedLogFootprintOracle(t *testing.T) {
 	const (
 		words = 128 // the reader's words; memory has 256
@@ -164,17 +167,22 @@ func TestDrainedLogFootprintOracle(t *testing.T) {
 	)
 	for _, kind := range otable.Kinds() {
 		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
-			for _, mode := range []string{"drained", "sampled"} {
+			for _, mode := range []string{"drained", "sampled", "moved"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", kind, gran, mode), func(t *testing.T) {
 					tab, err := otable.New(kind, hash.NewMask(256))
 					if err != nil {
 						t.Fatal(err)
 					}
 					rt, mem := newInvisibleRuntimeOn(t, tab, 256, Config{Granularity: gran})
-					if mode == "sampled" {
+					if mode != "drained" {
 						undrain(rt)
 					}
 					th, other := rt.NewThread(), rt.NewThread()
+					otherCommit := func(v uint64) {
+						if err := other.Atomic(func(u *Tx) error { u.Write(mem.WordAddr(200), v); return nil }); err != nil {
+							t.Fatal(err)
+						}
+					}
 					chunkOf := func(w uint64) addr.Block {
 						if gran == WordGranularity {
 							return addr.Block(w)
@@ -185,6 +193,9 @@ func TestDrainedLogFootprintOracle(t *testing.T) {
 					for tn := 0; tn < txns; tn++ {
 						if err := th.Atomic(func(tx *Tx) error {
 							seen := map[addr.Block]bool{}
+							if mode == "moved" {
+								otherCommit(0)
+							}
 							for i := 0; i < ops; i++ {
 								w := r.Uint64n(words)
 								var what string
@@ -201,15 +212,16 @@ func TestDrainedLogFootprintOracle(t *testing.T) {
 									what = fmt.Sprintf("read %d words", n)
 								case op < 7:
 									b := chunkOf(w)
+									if mode == "moved" && w%2 == 0 {
+										b += 1 << 20 // past the bitmap
+									}
 									tx.ReadBlock(b)
 									seen[b], what = true, "read block"
 								case op < 9:
 									tx.Write(mem.WordAddr(int(w)), uint64(tn))
 									seen[chunkOf(w)], what = true, "write"
 								default:
-									if err := other.Atomic(func(u *Tx) error { u.Write(mem.WordAddr(200), uint64(i)); return nil }); err != nil {
-										t.Fatal(err)
-									}
+									otherCommit(uint64(i))
 									what = "other thread's commit"
 								}
 								if got := tx.FootprintBlocks(); got != len(seen) {

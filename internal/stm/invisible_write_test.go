@@ -33,9 +33,10 @@ func atLeastTwoPs(t *testing.T) {
 // two-entry table, where every even block shares one tagless version cell:
 // the cell's writer then includes the attempt's own hold, which no sample
 // can tell from a foreign writer. Each such sample must be settled from the
-// attempt's own access set, which pins that one entry under the hold — at a
+// attempt's own access set, which pins that one chunk under the hold — at a
 // first read, at the read of a second word once the clock has moved, and at
-// commit validation — with no abort and no table call. A tagged block
+// commit validation, which on a moved clock meets the hold again — with no
+// abort and no table call. A tagged block
 // samples its own record, which the attempt does not hold, so the same
 // schedule pins nothing there. Neither kind sees a table read acquire. The
 // runtime starts undrained, so first reads sample.
@@ -77,7 +78,8 @@ func TestInvisibleWriterOwnHoldSameCell(t *testing.T) {
 			// Read B invisibly, write A, then read a second word of B. On a
 			// still clock the read never visits the cell, so the own hold goes
 			// unnoticed; after a foreign commit (other cell) has moved the
-			// clock the read validates against the cell and meets it.
+			// clock the read brackets against the cell and meets it, and so
+			// does commit validation.
 			for _, moved := range []bool{false, true} {
 				if err := th.Atomic(func(tx *Tx) error {
 					vb := tx.Read(b)
@@ -96,7 +98,7 @@ func TestInvisibleWriterOwnHoldSameCell(t *testing.T) {
 				}
 				want := wantPins(2)
 				if moved {
-					want = wantPins(3)
+					want = wantPins(4)
 				}
 				if got := pins(); got != want {
 					t.Fatalf("read B, write A, read B' (clock moved: %v) pinned %d entries in all, want %d", moved, got, want)
@@ -115,8 +117,8 @@ func TestInvisibleWriterOwnHoldSameCell(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if got := pins(); got != wantPins(4) {
-				t.Fatalf("commit validation beside an own hold pinned %d entries in all, want %d", got, wantPins(4))
+			if got := pins(); got != wantPins(5) {
+				t.Fatalf("commit validation beside an own hold pinned %d entries in all, want %d", got, wantPins(5))
 			}
 
 			if got := mem.LoadDirect(a); got != 15 {

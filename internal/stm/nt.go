@@ -5,7 +5,6 @@ import (
 
 	"tmbp/internal/addr"
 	"tmbp/internal/otable"
-	"tmbp/internal/txn"
 )
 
 // LoadNT performs a non-transactional read of address a according to the
@@ -72,11 +71,10 @@ func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
 	}
 	th.ctr.ntReads.Add(1)
 	chunk := th.rt.cfg.Granularity.chunkOf(a)
-	if e := th.desc.Set.Lookup(chunk); th.logged(chunk) || e != nil && e.Perm&txn.PermWrite == 0 {
-		// An invisible read holds nothing the table could deny on: stored
-		// and stamped, the write would kill the caller's own attempt in
-		// validation, and its retry would store again. A drained read leaves
-		// no entry, only its bit, which its write would have cleared.
+	if th.reading(chunk) {
+		// A read holds nothing the table could deny on: stored and stamped,
+		// the write would kill the caller's own attempt in validation, and
+		// its retry would store again.
 		th.ctr.ntConfl.Add(1)
 		return fmt.Errorf("stm: non-transactional write of %v denied: the calling thread's transaction has read it", a)
 	}

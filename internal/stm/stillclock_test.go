@@ -11,11 +11,12 @@ import (
 )
 
 // Tests of the still-clock read shortcut: an invisible load followed by
-// epoch == rv is accepted on the entry's Ver without visiting the version
-// cell. The counting test pins the gain in samples per read on any host; the
-// schedule tests park a writer at the exact points where the shortcut's
-// obligations matter — the clock is asked at all, it is not asked before the
-// sample, and a sample that made the snapshot extend never becomes a Ver. They
+// epoch == rv is accepted on rv, which bounds every chunk of the read set,
+// without visiting the version cell. The counting test pins the gain in
+// samples per read on any host; the schedule tests park a writer at the exact
+// points where the shortcut's obligations matter — the clock is asked at all,
+// it is not asked before the sample, and a sample that made the snapshot
+// extend never admits a read. They
 // run on the reader's own goroutine: the writer's steps are made from a hook
 // on the reader's SampleVersion call or from the transaction body, so there is
 // no scheduling to get lucky with. The hammer at the end covers the one
@@ -122,9 +123,10 @@ func (w *stepWriter) leave() {
 // host-independent form of the shortcut's gain. An attempt that begins
 // drained reads without a single sample while the clock stands at rv. Once a
 // foreign writing commit has moved the clock, a chunk's first read is
-// bracketed (2 samples, or 1 for ReadBlock, which loads nothing, and then 1
-// for the chunk's first Read), and every later read of the chunk is served
-// from its snapshot with none. One snapshot extension — here forced by
+// bracketed (2 samples, or 1 for ReadBlock, which loads nothing), and so is a
+// re-read (2), unless it follows the chunk's own bracket on a clock that has
+// not moved since, which the bracket's clock value accepts with none; no read
+// is served from a snapshot. One snapshot extension — here forced by
 // reading the chunk that commit wrote — restores the still-clock regime,
 // though not the drained one: the first read of a chunk takes exactly one
 // sample and every later read of the chunk, and the read-only commit, none.
@@ -183,12 +185,12 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 					if err := other.Atomic(func(otx *Tx) error { otx.Write(word(5, 0), 1); return nil }); err != nil {
 						t.Fatal(err)
 					}
-					// After ReadBlock no word is loaded yet, so the chunk's first
-					// Read is still a fresh load of a known chunk, costing a
-					// fresh sample; it loads word 0 with word 1.
+					// ReadBlock's one sample reads no clock, so the chunk's first
+					// Read after it takes the bracket; the repeat read follows
+					// that bracket.
 					firstWant, anotherWant := 2, 0
 					if block {
-						firstWant, anotherWant = 1, 1
+						firstWant, anotherWant = 1, 2
 					}
 					expect("moved clock: first read of a chunk", firstWant, func() { first(tx, 1) })
 					expect("moved clock: another word of it", anotherWant, func() { tx.Read(word(1, 1)) })
@@ -320,7 +322,7 @@ func TestStillClockScheduleWriterAfterSample(t *testing.T) {
 // new rv covers the writer's stamp, the clock then stands still, and nothing
 // else in the read set is touched — only taking the sample again shows the
 // writer. Keeping the pre-extension sample returns the half-written word
-// (Read), or records a Ver the next two reads trust (ReadBlock). The attempt
+// (Read), or admits a block the next two reads trust (ReadBlock). The attempt
 // begins drained; the foreign commit ends that at the read of block 2, which
 // then takes its sample.
 func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
@@ -357,11 +359,11 @@ func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
 }
 
 // TestStillClockScheduleSecondWord: the reader knows the chunk — ReadBlock
-// recorded a sampled Ver, no word is loaded yet — when a writer enters and
+// admitted it on a sample, no word is loaded yet — when a writer enters and
 // writes back word 1. The chunk's first Read loads both words and takes no
 // sample on a still clock, so the clock is all that stands between it and
-// half a commit. (TestDrainedBeginComparesDone makes the same read on a Ver
-// the drained first read recorded.)
+// half a commit. (TestDrainedBeginComparesDone makes the same read of a chunk
+// the drained first read admitted.)
 func TestStillClockScheduleSecondWord(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		for _, r := range stillClockReaders {
@@ -382,7 +384,7 @@ func TestStillClockScheduleSecondWord(t *testing.T) {
 
 // TestStillClockHammer is the free-running companion of the schedules: the
 // one ordering they cannot reach is the clock asked after the sample but
-// before the data load (and its analogue in readInvisibleFill), because nothing
+// before the data load (and its analogue in a re-read), because nothing
 // is called between the two loads for a script to hang on. A writer commits
 // z, x0 and x1 in lockstep as fast as it can while a reader compares them from
 // inside invisible attempts; with two processors a writer's draw and

@@ -41,22 +41,21 @@
 // # The unified per-thread log
 //
 // The per-thread bookkeeping the paper calls "the private per-thread log"
-// is one open-addressed, insertion-ordered access set (txn.AccessSet)
-// keyed by chunk, beside a plain list of the chunks read drained. Each entry
-// carries the chunk's permission bits, its ownership-table slot key and
-// release obligation, and the redo values of the chunk's words inline, so the
-// hot path does at most one probe per transactional Read or Write — where
-// the earlier design did up to four map operations across a redo log, two
-// footprint sets, and the slot map — and commit/abort walk the dense entry
-// array once, writing back speculative values and releasing slots in
-// first-access order. An entry means the chunk was written, or read after
-// the clock moved: a first read on a drained attempt, which nothing can
-// invalidate until the clock moves, only appends its chunk to the drained
-// log (a reused slice, deduplicated by a per-thread bitmap with one bit per
-// chunk of memory), so a read-only attempt that stays drained makes no hash
-// probe and keeps an empty access set. The log is validated wherever the
-// access set's reads are, and a chunk in both counts once in the
-// footprint. Small
+// is a plain list of the chunks the attempt has touched, each once, with a
+// per-thread bitmap (one bit per chunk of memory) that marks the chunks read
+// and not written — the one read set — beside one open-addressed,
+// insertion-ordered access set (txn.AccessSet) keyed by chunk that holds the
+// chunks written. An entry carries the chunk's permission bits, its
+// ownership-table slot key and release obligation, and the redo values of
+// the chunk's words inline, so a Write does one probe — where the earlier
+// design did up to four map operations across a redo log, two footprint
+// sets, and the slot map — and commit/abort walk the dense entry array once,
+// writing back speculative values and releasing slots in first-write order.
+// A read makes one probe, which finds only written chunks; any other read
+// is a load and a clock check, and a chunk's first read appends it to the
+// list and sets its bit, so a read-only attempt keeps an empty access set.
+// Every validation walks the list once against the attempt's current epoch
+// snapshot, and the list's length is the footprint. Small
 // transactions live entirely in an inline array inside the Thread; larger
 // footprints spill to a growable probe table whose capacity is retained
 // across attempts and transactions, and retirement is a generation-counter
@@ -378,22 +377,23 @@ type Thread struct {
 	stamped bool
 	roAbort bool
 	rv      uint64
-	// The drained log, the read set of drained reads (invisible.go): dlog
-	// lists, in first-read order, every chunk the attempt first read drained
-	// while it had no access-set entry for it, each once. dbits has one bit
-	// per chunk of memory, allocated by NewThread and cleared through dlog as
-	// the attempt ends: set while the chunk is logged and not yet written —
-	// the write acquire retires it from the log. rv0 is the rv the attempt
-	// began with, the one every drained read was accepted at; dboth counts
-	// the logged chunks that also have an access-set entry.
-	dlog   []addr.Block
-	dbits  []uint64
-	rv0    uint64
-	dboth  int
-	streak int                 // consecutive conflict aborts of the running transaction
-	lastFP int                 // footprint of the last finished attempt (FootprintBlocks)
-	opp    otable.ConflictInfo // opponent of the conflict that killed the last attempt
-	tx     Tx
+	// The log (invisible.go): dlog lists every chunk the attempt has read or
+	// written, once, so its length is the footprint. dbits has one bit per
+	// chunk of memory, allocated by NewThread and cleared through dlog as the
+	// attempt ends, set while the chunk is read and not written: the read
+	// set.
+	dlog  []addr.Block
+	dbits []uint64
+	// brChunk is the chunk the last sample bracket (or pin) read, brClock
+	// the clock value it read there: a re-read of brChunk is accepted on a
+	// clock still at brClock (accept). A memo from an earlier rv has
+	// brClock <= rv, so it accepts nothing the rv rule does not.
+	brChunk addr.Block
+	brClock uint64
+	streak  int                 // consecutive conflict aborts of the running transaction
+	lastFP  int                 // footprint of the last finished attempt (FootprintBlocks)
+	opp     otable.ConflictInfo // opponent of the conflict that killed the last attempt
+	tx      Tx
 }
 
 // ID returns the thread's transaction identity.

@@ -28,11 +28,10 @@ import (
 //   - the same final memory contents,
 //
 // across every kind of sweepKinds and both granularities, drained and
-// sampled, with aborted transactions leaving no trace. A drained read of a
-// chunk with no entry goes to the drained log, not the access set, so when
-// such a chunk is later written its release follows its first write, not
-// its first read: the model's first-access order counts a drained read as no
-// access (oldModel.read). A read is never a
+// sampled, with aborted transactions leaving no trace. A read goes to the
+// runtime's log, never to the access set, so a chunk read and later written
+// releases after its first write, not its first read: the model's order of
+// holdings counts writes only (oldModel.touch). A read is never a
 // table op. A first read that samples a writer in its chunk's version cell
 // is answered from the access set (pinOrAbort); single-threaded that writer
 // is the transaction itself, so it happens only on sampled attempts, to a
@@ -280,7 +279,7 @@ type oldModel struct {
 	tab      *recTable
 	id       otable.TxID
 	held     map[uint64]*holding // slot -> this transaction's permission
-	first    map[addr.Block]int  // chunk -> first-access order
+	first    map[addr.Block]int  // chunk -> first-write order
 	reads    *blockSet
 	writes   *blockSet
 	redo     *writeLog
@@ -292,7 +291,7 @@ type oldModel struct {
 }
 
 // holding is the model's write hold on one table slot: the block that
-// acquired it, which releases go through, and that chunk's first-access
+// acquired it, which releases go through, and that chunk's first-write
 // order — the runtime releases from its entry, in access-set order.
 type holding struct {
 	block addr.Block
@@ -321,7 +320,7 @@ func (m *oldModel) chunkOf(word uint64) addr.Block {
 	return addr.Block(word >> (addr.BlockShift - addr.WordShift))
 }
 
-// touch records chunk's first access.
+// touch records chunk's first write.
 func (m *oldModel) touch(chunk addr.Block) {
 	if _, ok := m.first[chunk]; !ok {
 		m.first[chunk] = len(m.first)
@@ -332,7 +331,6 @@ func (m *oldModel) touch(chunk addr.Block) {
 // model's acquires, so a writer its sample shows is the model's own write
 // hold on the slot — the pin, which takes no table op.
 func (m *oldModel) readChunk(chunk addr.Block) {
-	m.touch(chunk)
 	if !m.sampled {
 		return
 	}
@@ -355,10 +353,9 @@ func (m *oldModel) writeChunk(chunk addr.Block) {
 	m.held[slot] = &holding{block: chunk, first: m.first[chunk]}
 }
 
-// read is a transactional Read. A drained read of a chunk with no access-set
-// entry goes to the drained log and leaves the access set alone, so such a
-// chunk takes its place in first-access order — the order releases follow —
-// at its first ReadBlock or write, not at its read.
+// read is a transactional Read: the chunk joins the runtime's log and
+// leaves the access set alone, so it takes its place in the order releases
+// follow at its first write, not at its read.
 func (m *oldModel) read(word uint64) uint64 {
 	if v, ok := m.redo.Get(word); ok {
 		return v
@@ -379,14 +376,12 @@ func (m *oldModel) write(word uint64, v uint64) {
 	m.redo.Set(word, v)
 }
 
-// readBlock is a ReadBlock. A chunk read drained enters the access set here
-// (a sampled read took its place, and its sample, at the read).
+// readBlock is a ReadBlock, which logs the block as a read does: every block
+// of the script lies within the runtime's bitmap (a block past it would take
+// an entry, and its place in release order, here).
 func (m *oldModel) readBlock(b addr.Block) {
-	if !m.writes.Has(b) {
-		if m.reads.Add(b) {
-			m.readChunk(b)
-		}
-		m.touch(b)
+	if !m.writes.Has(b) && m.reads.Add(b) {
+		m.readChunk(b)
 	}
 }
 

@@ -6,15 +6,16 @@ import (
 	"tmbp/internal/addr"
 )
 
-// AccessSet is the unified per-thread transaction log: one open-addressed,
-// insertion-ordered set of chunk-granular accesses that replaces the
-// Reads/Writes BlockSets, the WriteLog redo map, and the ownership-table
-// footprint's slot map on the STM hot path. Each entry carries everything
-// the runtime previously scattered over four structures — membership,
-// permission bits, the table slot key, the release obligation, and the redo
-// values for the chunk's words — so a transactional Read or Write resolves
-// with exactly one probe, and commit/release walk the dense entry array
-// once in first-access order.
+// AccessSet is the write half of the per-thread transaction log: one
+// open-addressed, insertion-ordered set of chunk-granular accesses that
+// replaces the Writes BlockSet, the WriteLog redo map, and the
+// ownership-table footprint's slot map on the STM hot path. Each entry
+// carries membership, permission bits, the table slot key, the release
+// obligation, and the redo values for the chunk's words, so a transactional
+// Write resolves with exactly one probe, and commit/release walk the dense
+// entry array once in first-write order. The STM (internal/stm) keeps its
+// reads in a log of its own: an entry is a chunk the transaction wrote, or a
+// footprint-only read of a block past memory.
 //
 // The set is built for zero steady-state allocation: the first
 // InlineEntries accesses live in an inline array inside the AccessSet value
@@ -55,45 +56,32 @@ type AccessSet struct {
 // microbenchmarks' 1-2 blocks) fit inline.
 const InlineEntries = 16
 
-// Permission and obligation bits of one access entry. PermRead/PermWrite
-// describe what the transaction did to the chunk (the old Reads/Writes
-// membership); SlotWrite marks the entry that carries the release
+// Permission and obligation bits of one access entry. PermWrite marks a
+// chunk the transaction wrote, PermRead one it read: the runtime keeps its
+// reads in a log of its own, so an entry carries PermRead only beside
+// PermWrite — the written chunk's memory words have been checked against the
+// transaction's snapshot — or, alone, for a footprint-only read of a block
+// the log cannot hold. SlotWrite marks the entry that carries the release
 // obligation for the chunk's table slot (the old Footprint holding). Under
 // tagless tables several aliasing chunks share one slot, so only the first
-// entry to write-acquire a slot carries SlotWrite. VerRead marks a chunk
-// read on the invisible path whose reads nothing pins yet: they stand on Ver
-// alone and must be revalidated; write-acquiring the chunk, or finding its
-// slot already write-held by the transaction, clears it.
+// entry to write-acquire a slot carries SlotWrite.
 const (
 	PermRead  uint8 = 1 << 0 // chunk was read by the transaction
 	PermWrite uint8 = 1 << 1 // chunk was written by the transaction
 	SlotWrite uint8 = 1 << 2 // entry holds exclusive ownership of its slot
-	VerRead   uint8 = 1 << 3 // reads validated by version only, nothing held
 )
 
-// Access is one chunk-granular entry of the unified log.
-//
-// Ver and RMask serve the invisible-reader fast path (internal/stm): while
-// a transaction reads without acquiring, Ver records the version stamp its
-// first read of the chunk validated against, and Vals doubles as a snapshot
-// of the chunk. That first read loads every word of the chunk, so RMask is
-// either empty — no word read yet: the entry came from a footprint-only
-// read, or from a write or pin that no read preceded — or covers every word
-// of the chunk that lies in memory and has no redo value, and any later read
-// of the chunk is a pure array probe. An invisible attempt stays invisible
-// when it writes, so one entry may carry both masks: a word read and then
-// written has its bit in each, and Vals then holds the redo value, which is
-// also all commit ever writes back.
+// Access is one chunk-granular entry of the unified log: a chunk the
+// transaction wrote, with its redo values, its table slot and release
+// obligation.
 type Access struct {
 	Chunk addr.Block                               // the accessed chunk: the set key
 	Slot  uint64                                   // the ownership-table slot key for Chunk
 	Hnd   uint64                                   // table record handle (otable.Handle) backing the slot obligation; 0 = none
 	Word  uint64                                   // memory word index of the chunk's word 0 (valid when WMask != 0)
-	Ver   uint64                                   // version stamp the invisible read path validated against
-	Vals  [addr.BlockBytes / addr.WordBytes]uint64 // redo values (WMask) or invisible-read snapshot cache (RMask)
+	Vals  [addr.BlockBytes / addr.WordBytes]uint64 // redo values of the words in WMask
 	Idx   int32                                    // this entry's position in the dense array
 	WMask uint8                                    // which Vals are live speculative writes
-	RMask uint8                                    // which Vals hold the chunk's validated invisible-read snapshot
 	Perm  uint8                                    // the permission bits above
 }
 
@@ -146,8 +134,8 @@ func (s *AccessSet) Lookup(chunk addr.Block) *Access {
 // Insert adds a fresh entry for chunk — which must not be present — and
 // returns it zeroed except for Chunk and Slot (set to the identity;
 // callers override Slot for non-identity tables) and Vals, which keeps
-// whatever the reused storage held: with both masks empty no word of it is
-// live, and the caller fills the words it marks. Pointers returned by
+// whatever the reused storage held: with WMask empty no word of it is live,
+// and the caller fills the words it marks. Pointers returned by
 // earlier Lookup/At calls are invalidated if the set grows.
 func (s *AccessSet) Insert(chunk addr.Block) *Access {
 	if s.dense == nil {
@@ -161,8 +149,8 @@ func (s *AccessSet) Insert(chunk addr.Block) *Access {
 	}
 	s.link(chunk, int32(s.n))
 	e := &s.dense[s.n]
-	e.Chunk, e.Slot, e.Hnd, e.Word, e.Ver = chunk, uint64(chunk), 0, 0, 0
-	e.Idx, e.WMask, e.RMask, e.Perm = int32(s.n), 0, 0, 0
+	e.Chunk, e.Slot, e.Hnd, e.Word = chunk, uint64(chunk), 0, 0
+	e.Idx, e.WMask, e.Perm = int32(s.n), 0, 0
 	s.n++
 	return e
 }

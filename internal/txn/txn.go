@@ -38,10 +38,10 @@ func (s Status) String() string {
 	}
 }
 
-// Desc is the complete per-transaction log: status, attempt counter, and
-// the unified access set carrying footprint membership, slot holdings, and
-// redo values. It is embedded by value in each STM thread and reused across
-// attempts and transactions, so steady-state execution allocates nothing.
+// Desc is the per-transaction descriptor: status, attempt counter, and the
+// access set carrying the written chunks' slot holdings and redo values. It
+// is embedded by value in each STM thread and reused across attempts and
+// transactions, so steady-state execution allocates nothing.
 type Desc struct {
 	Status   Status
 	Attempts int // attempts of the current transaction, including the active one
@@ -63,7 +63,3 @@ func (d *Desc) StartTransaction() {
 	d.Attempts = 0
 	d.Status = Idle
 }
-
-// FootprintBlocks returns the total number of distinct chunks accessed
-// (reads ∪ writes: every access, read or written, is exactly one entry).
-func (d *Desc) FootprintBlocks() int { return d.Set.Len() }

@@ -12,12 +12,12 @@ func TestDescLifecycle(t *testing.T) {
 	if d.Status != Active || d.Attempts != 1 {
 		t.Fatalf("after Begin: %v attempts=%d", d.Status, d.Attempts)
 	}
-	d.Set.Insert(1).Perm = PermRead | VerRead
+	d.Set.Insert(1).Perm = PermRead
 	e := d.Set.Insert(2)
 	e.Perm = PermWrite | SlotWrite
 	e.Vals[0], e.WMask, e.Word = 99, 1, 16
-	if d.FootprintBlocks() != 2 {
-		t.Fatalf("footprint = %d", d.FootprintBlocks())
+	if d.Set.Len() != 2 {
+		t.Fatalf("entries = %d", d.Set.Len())
 	}
 	d.Status = Aborted
 	d.Begin() // retry clears per-attempt state

@@ -214,18 +214,17 @@ func BenchmarkSkiplistTagless(b *testing.B) { benchSkiplist(b, "tagless", skipli
 // BenchmarkSkiplistTagged measures skiplist point ops over the tagged table.
 func BenchmarkSkiplistTagged(b *testing.B) { benchSkiplist(b, "tagged", skiplistPointOp) }
 
-// BenchmarkSkiplistScan measures the whole-structure scan. A lone thread
-// scans drained, so its ~130 blocks go to the drained log, not the access
-// set.
+// BenchmarkSkiplistScan measures the whole-structure scan. Its ~130 blocks
+// go to the read log, not the access set.
 func BenchmarkSkiplistScan(b *testing.B) { benchSkiplist(b, "tagged", skiplistScanOp) }
 
 // TestSkiplistSteadyStateAllocationFree is the structure-level allocation
 // gate, identical on every host: on every table organization the point mix
 // (node allocation and reuse included) and the whole-structure scan
 // allocate nothing once the thread's logs have grown to the footprint (the
-// lone thread scans drained, so the scan's blocks grow the drained log;
-// internal/stm's TestBigFootprintInvisibleReadOnly covers a spilled access
-// set). internal/stm's TestSteadyStateAllocationFree covers the raw
+// scan's blocks grow the read log; internal/stm's
+// TestBigFootprintZeroAllocSteadyState covers a spilled access set).
+// internal/stm's TestSteadyStateAllocationFree covers the raw
 // transaction paths.
 func TestSkiplistSteadyStateAllocationFree(t *testing.T) {
 	ops := []struct {
