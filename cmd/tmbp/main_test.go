@@ -97,7 +97,7 @@ func TestRunSTMTaggedNoFalseConflicts(t *testing.T) {
 	})
 	rows := map[string][]string{}
 	for _, line := range strings.Split(out, "\n") {
-		if f := strings.Split(line, ","); len(f) == 5 {
+		if f := strings.Split(line, ","); len(f) == 6 {
 			rows[f[0]] = f
 		}
 	}

@@ -56,10 +56,15 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 			}
 			v = w.Load()
 		}
-	} else if v = w.Load(); !th.accept(chunk) {
-		var out [1]uint64
-		th.readSampled(chunk, th.mem.words[word:word+1], out[:])
-		v = out[0]
+	} else {
+		if v = w.Load(); !th.accept(chunk) {
+			var out [1]uint64
+			th.readSampled(chunk, th.mem.words[word:word+1], out[:])
+			v = out[0]
+		}
+		if !th.slotID {
+			th.vlog = append(th.vlog, loggedWord{word, v})
+		}
 	}
 	if th.rec != nil {
 		th.recordRead(word, v)
@@ -102,8 +107,13 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 					out[j] = ws[j].Load()
 				}
 			}
-		} else if loadWords(ws, out); !th.accept(chunk) {
-			th.readSampled(chunk, ws, out)
+		} else {
+			if loadWords(ws, out); !th.accept(chunk) {
+				th.readSampled(chunk, ws, out)
+			}
+			if !th.slotID {
+				th.logValues(word, out)
+			}
 		}
 		if th.rec != nil {
 			for j, v := range out {
@@ -185,7 +195,11 @@ func (tx *Tx) WriteBlock(b addr.Block) {
 // read share, so there is never one to upgrade. A chunk of the read set
 // leaves it here — the acquire pins what was read, and checkPinned runs the
 // validation it owed — and its entry takes PermRead: its words are covered
-// at rv. On conflict the attempt aborts with e holding nothing.
+// at rv. A tagless denial may come from a holder of an aliasing chunk, so it
+// waits, at most waitPolls yields, while the cell shows a writer, and
+// retries when it clears; a tagged denial, whose holder writes this very
+// block, aborts at once. On conflict the attempt aborts with e holding
+// nothing.
 func (th *Thread) acquireWriteChunk(e *txn.Access) {
 	set := &th.desc.Set
 	covered := false
@@ -197,8 +211,13 @@ func (th *Thread) acquireWriteChunk(e *txn.Access) {
 	}
 	if !covered {
 		out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
-		if out.Conflict() {
-			th.conflict(ci)
+		for polls := 0; out.Conflict(); polls++ {
+			if th.slotID || polls == waitPolls || !th.w.yield() {
+				th.conflict(ci)
+			}
+			if _, held := th.tab.SampleVersion(e.Chunk); !held {
+				out, ci, hnd = th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
+			}
 		}
 		if out == otable.Granted {
 			e.Perm |= txn.SlotWrite
@@ -213,7 +232,7 @@ func (th *Thread) acquireWriteChunk(e *txn.Access) {
 		e.Perm |= txn.PermRead
 	}
 	if e.Perm&txn.PermRead != 0 { // read before this write (past the bitmap: by ReadBlock)
-		th.checkPinned(e.Chunk)
+		th.checkPinned(e)
 	}
 	e.Perm |= txn.PermWrite
 }

@@ -128,7 +128,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		}
 		th.desc.Begin()
 		th.wrote = false
-		th.stamped = false
+		th.stamp = 0
 		th.rv = th.rt.epoch.Load()
 		// Loaded after rv: done == rv says every stamp up to rv is finished
 		// unless a later one was drawn in between — and then the clock has
@@ -225,7 +225,7 @@ func (th *Thread) commit() {
 	if th.wrote {
 		stamp = th.commitStamp()
 	} else if th.rt.epoch.Load() != th.rv {
-		th.revalidateReadSet()
+		th.revalidateReadSet(0)
 	}
 	th.desc.Status = txn.Committed
 	if th.wrote {
@@ -314,7 +314,7 @@ func (th *Thread) releaseAll(stamp uint64) {
 	}
 	set.Reset()
 	th.clearLog()
-	if th.stamped {
+	if th.stamp != 0 {
 		th.rt.done.Add(1)
 	}
 }

@@ -94,11 +94,21 @@ func (w *waiter) backoff(base, maxYields, attempt int) {
 	}
 	yields := w.rng.Intn(limit) + 1
 	for i := 0; i < yields; i++ {
-		if w.th.cancelled() {
+		if !w.yield() {
 			return
 		}
-		runtime.Gosched()
 	}
+}
+
+// yield gives up the processor once, unless the thread's context has ended;
+// it reports whether the wait may go on. Every wait inside an attempt is a
+// bounded loop of yields (invisible.go).
+func (w *waiter) yield() bool {
+	if w.th.cancelled() {
+		return false
+	}
+	runtime.Gosched()
+	return true
 }
 
 // backoffCM is the built-in policy: randomized exponential backoff between

@@ -50,10 +50,37 @@ func (th *Thread) roConflict() {
 // brClock), which keeps a Read per word equal to ReadWords. A read of a
 // written chunk takes its redo words from the entry and the rest from
 // memory, which the attempt's hold pins (coverWritten).
+//
+// A conflict that no data item caused costs a wait, not an abort. Three
+// rules, each wait bounded by waitPolls yields through the thread's waiter
+// (so a cancelled AtomicCtx ends the wait and the attempt at once):
+//
+//   - A writer that has drawn no stamp is harmless. A sample that shows a
+//     foreign writer waits for a moment when every drawn stamp is finished
+//     (drainedClock); that writer has written nothing back, so memory is the
+//     committed state at that clock, and the read extends to it and reads
+//     drained from there. A read-set cell held at validation passes the same
+//     way, after a re-sample of the cell shows its stamp still at most rv
+//     (revalidateReadSet).
+//   - A denied write acquire on a tagless table waits while the cell shows a
+//     writer and retries when it clears (acquireWriteChunk): the holder may
+//     write an aliasing block.
+//   - A tagless pin is checked by value: where the entry's stamp moved past
+//     rv, the words the attempt read of the chunk are compared with memory,
+//     which its own hold keeps still (checkPinned); the reads of a tagless
+//     attempt log their words and values (Thread.vlog) for it.
+//
+// A tagged denial still aborts at once: a record's holder writes that very
+// block.
 
 // roReadRetries bounds how often a read goes back to the cell — after an
 // extension, or a changed re-sample — before it gives up.
 const roReadRetries = 4
+
+// waitPolls bounds every wait inside an attempt, in yields: a holder that has
+// not cleared, or write-backs still in flight, after that many abort the
+// attempt, and the contention manager schedules the retry.
+const waitPolls = 16
 
 // chunkWords is the most words a chunk holds: a block's.
 const chunkWords = 1 << blockWordShift
@@ -85,23 +112,30 @@ func (th *Thread) accept(chunk addr.Block) bool {
 // re-sample brackets them (with no words, for ReadBlock, there is nothing
 // to bracket). A stamp above rv extends the snapshot, which spends the
 // sample; a chunk already in the read set then fails the extension. A
-// writer aborts the attempt unless it is the attempt's own hold of the
-// chunk's tagless slot through an aliasing chunk (pinOrAbort), which pins
-// memory.
+// writer that is the attempt's own hold of the chunk's tagless slot, through
+// an aliasing chunk, pins memory; a foreign one is waited out until no
+// write-back is in flight, and the read extends to that clock and loads
+// drained (pinOrWait).
 func (th *Thread) readSampled(chunk addr.Block, ws []atomic.Uint64, out []uint64) {
 	tab := th.tab
 	for tries := 0; ; tries++ {
 		s1, locked := tab.SampleVersion(chunk)
 		if locked {
-			th.pinOrAbort(chunk)
-			if s1, _ = tab.SampleVersion(chunk); s1 > th.rv {
-				th.coverStamp(s1)
+			pinned, e := th.pinOrWait(chunk)
+			if pinned {
+				if s1, _ = tab.SampleVersion(chunk); s1 > th.rv {
+					th.coverStamp(s1)
+				}
+				loadWords(ws, out)
+				th.brChunk, th.brClock = chunk, th.rt.epoch.Load()
+				break
 			}
-			loadWords(ws, out)
-			th.brChunk, th.brClock = chunk, th.rt.epoch.Load()
-			break
-		}
-		if s1 > th.rv {
+			// No write-back was in flight at e: read drained from there.
+			th.extendTo(e, true)
+			if loadWords(ws, out); th.rt.epoch.Load() == th.rv {
+				break
+			}
+		} else if s1 > th.rv {
 			th.coverStamp(s1)
 		} else if loadWords(ws, out); len(ws) == 0 {
 			break
@@ -179,6 +213,39 @@ func (th *Thread) clearLog() {
 		}
 	}
 	th.dlog = th.dlog[:0]
+	th.vlog = th.vlog[:0]
+}
+
+// loggedWord is one word a tagless attempt read, and the value it read: an
+// entry of the value log a tagless pin compares (sameValues).
+type loggedWord struct{ word, val uint64 }
+
+// logValues adds the words vals, read from memory word on, to the value log.
+// Read appends its one word in place.
+func (th *Thread) logValues(word uint64, vals []uint64) {
+	for j, v := range vals {
+		th.vlog = append(th.vlog, loggedWord{word + uint64(j), v})
+	}
+}
+
+// sameValues reports whether the attempt logged a read of chunk and every
+// word it read of chunk still holds the value it read.
+func (th *Thread) sameValues(chunk addr.Block) bool {
+	found := false
+	for _, r := range th.vlog {
+		c := addr.Block(r.word)
+		if !th.wordGran {
+			c = addr.Block(r.word >> blockWordShift)
+		}
+		if c != chunk {
+			continue
+		}
+		if th.mem.words[r.word].Load() != r.val {
+			return false
+		}
+		found = true
+	}
+	return found
 }
 
 // coverStamp is called with a sampled stamp above rv: the chunk committed
@@ -194,18 +261,50 @@ func (th *Thread) coverStamp(s uint64) {
 	}
 }
 
-// pinOrAbort handles a version sample that showed a writer in chunk's cell.
+// pinOrWait handles a version sample that showed a writer in chunk's cell.
 // The attempt's own hold pins the chunk and the read proceeds with no table
-// call: a tagless cell is an entry, which a writing attempt may hold through
-// an aliasing chunk (a tagged sample answers for the chunk's own record,
-// which the attempt never holds where it samples). Any other writer is
-// foreign and mid-flight; waiting here would bypass the contention manager,
-// so the attempt aborts and lets it arbitrate.
-func (th *Thread) pinOrAbort(chunk addr.Block) {
-	if !th.wrote || !th.holdsCell(chunk) {
+// call (pinned): a tagless cell is an entry, which a writing attempt may
+// hold through an aliasing chunk (a tagged sample answers for the chunk's
+// own record, which the attempt never holds where it samples). Any other
+// writer is foreign. It is harmless until it draws its stamp, so pinOrWait
+// waits out the write-backs in flight (drainedClock) and returns the clock
+// at which none was: the caller goes on from there. A wait that runs out
+// aborts the attempt, and the contention manager arbitrates the retry.
+func (th *Thread) pinOrWait(chunk addr.Block) (pinned bool, e uint64) {
+	if th.wrote && th.holdsCell(chunk) {
+		th.ctr.roPromotes.Add(1)
+		return true, 0
+	}
+	e, ok := th.drainedClock()
+	if !ok {
 		th.roConflict()
 	}
-	th.ctr.roPromotes.Add(1)
+	return false, e
+}
+
+// drainedClock yields through the waiter, at most waitPolls times, until it
+// reads a moment at which every drawn stamp but the attempt's own is
+// finished, and returns the clock there: done loaded between two equal loads
+// of the clock, with done == epoch, or, once the attempt has drawn stamp S,
+// done == S−1 and epoch == S. A writer that holds a cell at that moment has
+// drawn no stamp, so it has written nothing back: memory is the committed
+// state at the clock returned, and the writer will draw above it. ok is false
+// if the wait ran out, the context ended, or a stamp drawn after the
+// attempt's own makes the moment unreachable.
+func (th *Thread) drainedClock() (e uint64, ok bool) {
+	rt := th.rt
+	for polls := 0; ; polls++ {
+		e = rt.epoch.Load()
+		d := rt.done.Load()
+		if rt.epoch.Load() == e {
+			if s := th.stamp; s == 0 && d == e || s != 0 && d == s-1 && e == s {
+				return e, true
+			}
+		}
+		if th.stamp != 0 && e != th.stamp || polls == waitPolls || !th.w.yield() {
+			return e, false
+		}
+	}
 }
 
 // coverWritten is the first read of a chunk the attempt wrote without
@@ -230,14 +329,23 @@ func (th *Thread) coverWritten(e *txn.Access) {
 // extension). Any mismatch aborts. The clock is read before the cells: each
 // passing sample re-establishes the Ver invariant for the new rv.
 //
-// Drained reads end here for the rest of the attempt: write-backs below the
-// new rv may still be in flight.
+// The attempt reads drained again from the new rv if done, loaded after it,
+// equals it — the test an attempt makes as it begins.
 func (th *Thread) extendSnapshot() {
 	newRv := th.rt.epoch.Load()
-	th.revalidateReadSet()
-	th.rv = newRv
-	th.quiet = false
-	th.ctr.roExtends.Add(1)
+	th.extendTo(newRv, th.rt.done.Load() == newRv)
+}
+
+// extendTo moves rv to newRv, a clock loaded before the call, once the read
+// set validates there, and sets whether the attempt reads drained from it.
+// An unmoved rv has nothing to validate.
+func (th *Thread) extendTo(newRv uint64, drained bool) {
+	if newRv != th.rv {
+		th.revalidateReadSet(newRv)
+		th.rv = newRv
+		th.ctr.roExtends.Add(1)
+	}
+	th.quiet = drained
 }
 
 // commitStamp is the serialization step of a writing commit, run with every
@@ -249,26 +357,36 @@ func (th *Thread) extendSnapshot() {
 // read set; if it drew exactly rv+1 no other writing commit serialized since
 // its snapshot and the read set is vacuously intact.
 func (th *Thread) commitStamp() uint64 {
-	stamp := th.rt.epoch.Add(1)
-	th.stamped = true // releaseAll counts it finished, on commit or rollback
-	if stamp != th.rv+1 {
-		th.revalidateReadSet()
+	th.stamp = th.rt.epoch.Add(1) // releaseAll counts it finished, on commit or rollback
+	if th.stamp != th.rv+1 {
+		th.revalidateReadSet(0)
 	}
-	return stamp
+	return th.stamp
 }
 
 // revalidateReadSet aborts the attempt unless every chunk of the read set
-// shows no writer and a stamp at most rv. A writer that is the attempt's own
-// hold, through an aliasing chunk, passes: it keeps the stamp still, so the
-// sample's stamp is all there is to check.
-func (th *Thread) revalidateReadSet() {
+// shows no writer and a stamp at most rv. newRv is the clock an extension
+// moves rv to, 0 at a commit. A writer that is the attempt's own hold,
+// through an aliasing chunk, passes: it keeps the stamp still, so the
+// sample's stamp is all there is to check. A foreign writer passes at a
+// moment when no write-back is in flight (drainedClock) — at newRv itself
+// for an extension, and at the attempt's own stamp for a writing commit — if
+// a sample of the cell taken after that moment still shows a stamp at most
+// rv: a writer of the chunk since the read would have published above rv
+// before the moment, and one still holding it will draw above it.
+func (th *Thread) revalidateReadSet(newRv uint64) {
 	for _, c := range th.dlog {
 		if !th.reading(c) {
 			continue // written: the write acquire checked it (checkPinned)
 		}
 		s, locked := th.tab.SampleVersion(c)
 		if locked {
-			th.pinOrAbort(c)
+			if pinned, e := th.pinOrWait(c); !pinned {
+				if newRv != 0 && e != newRv {
+					th.roConflict()
+				}
+				s, _ = th.tab.SampleVersion(c)
+			}
 		}
 		if s > th.rv {
 			th.roConflict()
@@ -277,17 +395,30 @@ func (th *Thread) revalidateReadSet() {
 }
 
 // checkPinned is the validation a chunk of the read set owes once the
-// attempt's write acquire pins it: the stamp must still be at most rv. The
-// writer flag is deliberately ignored — it is the attempt's own hold, or a
-// writer on another chunk of the cell — and a committed writer of *this*
-// chunk would have raised the stamp before the acquire could succeed. A
-// clock still at rv after the acquire needs no sample: by the Ver invariant
-// a writer of the chunk since the read would have drawn above rv.
-func (th *Thread) checkPinned(chunk addr.Block) {
+// attempt's write acquire pins it (e is its entry): the stamp must still be
+// at most rv. The writer flag is deliberately ignored — it is the attempt's
+// own hold, or a writer on another chunk of the cell — and a committed
+// writer of *this* chunk would have raised the stamp before the acquire
+// could succeed. A clock still at rv after the acquire needs no sample: by
+// the Ver invariant a writer of the chunk since the read would have drawn
+// above rv.
+//
+// A tagless stamp above rv may be an aliasing chunk's commit. The attempt's
+// own hold now keeps the chunk's memory still, so the pin compares the words
+// the attempt read of it with memory (sameValues) and passes if they all
+// match. The chunk's words not read may still have changed, so the entry
+// loses PermRead: they owe the snapshot-cover check before they are read
+// (coverWritten). A chunk read only by ReadBlock logged no word and has
+// nothing to compare.
+func (th *Thread) checkPinned(e *txn.Access) {
 	if th.rt.epoch.Load() == th.rv {
 		return
 	}
-	if s, _ := th.tab.SampleVersion(chunk); s > th.rv {
+	if s, _ := th.tab.SampleVersion(e.Chunk); s <= th.rv {
+		return
+	}
+	if th.slotID || !th.sameValues(e.Chunk) {
 		th.roConflict()
 	}
+	e.Perm &^= txn.PermRead
 }

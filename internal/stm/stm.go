@@ -3,12 +3,15 @@
 // analysis applies to: transactions execute optimistically, acquire
 // ownership of the cache blocks they write at encounter time through a
 // central ownership table, buffer writes in a redo log, and roll back when
-// a conflict — true or false — is detected.
+// a conflict is detected.
 //
 // The metadata organization is pluggable: running the same program against
 // a tagless table and a tagged table exposes exactly the false-conflict
-// behavior the paper quantifies (tagless aborts on aliasing accesses the
-// tagged table runs conflict-free).
+// behavior the paper quantifies (tagless denies acquires on aliasing
+// accesses the tagged table runs conflict-free). A false conflict costs a
+// wait, not an abort, where the runtime can tell no data item caused it
+// (invisible.go): a tagless denial waits for its holder and checks the
+// chunk it pins by value.
 //
 // Concurrency control differs for writes and reads. A write acquires
 // exclusive ownership of its chunk before the redo log records it, and
@@ -24,10 +27,12 @@
 // its drain leaves every stamp finished. Read ownership is taken nowhere:
 // a sample that shows a writer is answered from the attempt's own access set
 // — its own hold of a tagless entry, through an aliasing chunk, pins the
-// chunk (pinOrAbort); any other writer aborts the attempt — and a
-// strong-isolation LoadNT brackets its load between two samples the same
-// way. Contention management is self-abort with randomized
-// exponential backoff between retries; Config.NewCM
+// chunk (pinOrWait); any other writer is waited out, at most a few yields,
+// until no write-back is in flight, since a writer that has not drawn its
+// stamp has written nothing — and a strong-isolation LoadNT brackets its
+// load between two samples. Contention management is self-abort with
+// randomized exponential backoff between retries; a wait inside an attempt
+// never consults it, and one that runs out aborts; Config.NewCM
 // replaces it with a custom policy (see the CM interface in cm.go), and
 // Config.FallbackAfter bounds how long any transaction stays optimistic.
 // That one bound covers every kind of abort: a reader that validation kills
@@ -231,7 +236,7 @@ type Stats struct {
 	// ROPromotions counts reads served under the attempt's own write hold,
 	// with no table call: a writing attempt sampled a writer in a tagless
 	// entry it holds through an aliasing chunk, and the hold pins the read
-	// chunk (a sample showing any other writer aborts the attempt instead).
+	// chunk (a sample showing any other writer is waited out instead).
 	// A tagged sample answers for the chunk's own record, which an attempt
 	// never holds where it samples, so on tagged it always reads 0. The
 	// name is historical: no read is promoted to a share any more.
@@ -365,18 +370,18 @@ type Thread struct {
 	// wrote marks an attempt that has called Write/WriteBlock (set with one
 	// unconditional store per call): it holds at least one write, so its
 	// commit must draw a stamp and release, and a writer it samples may be
-	// its own hold (pinOrAbort). An attempt that has not written holds
+	// its own hold (pinOrWait). An attempt that has not written holds
 	// nothing, so any writer it samples is foreign.
 	wrote bool
 	// Read-protocol attempt state: rv is the attempt's epoch snapshot,
 	// quiet marks an attempt still reading drained (first reads take no
-	// version sample), stamped an attempt that has drawn its commit stamp,
-	// and roAbort flags that the in-flight abort is a version-validation
-	// kill.
+	// version sample), stamp is the commit stamp the attempt has drawn (0
+	// before its draw), and roAbort flags that the in-flight abort is a
+	// version-validation kill.
 	quiet   bool
-	stamped bool
 	roAbort bool
 	rv      uint64
+	stamp   uint64
 	// The log (invisible.go): dlog lists every chunk the attempt has read or
 	// written, once, so its length is the footprint. dbits has one bit per
 	// chunk of memory, allocated by NewThread and cleared through dlog as the
@@ -384,6 +389,10 @@ type Thread struct {
 	// set.
 	dlog  []addr.Block
 	dbits []uint64
+	// vlog lists the words a tagless attempt has read, with the values read,
+	// emptied with dlog; a tagless pin compares them with memory
+	// (checkPinned). A tagged attempt logs none.
+	vlog []loggedWord
 	// brChunk is the chunk the last sample bracket (or pin) read, brClock
 	// the clock value it read there: a re-read of brChunk is accepted on a
 	// clock still at brClock (accept). A memo from an earlier rv has

@@ -33,7 +33,7 @@ import (
 // releases after its first write, not its first read: the model's order of
 // holdings counts writes only (oldModel.touch). A read is never a
 // table op. A first read that samples a writer in its chunk's version cell
-// is answered from the access set (pinOrAbort); single-threaded that writer
+// is answered from the access set (pinOrWait); single-threaded that writer
 // is the transaction itself, so it happens only on sampled attempts, to a
 // tagless read whose entry the transaction holds through an aliasing write.
 // The recording table still logs read acquires and releases, so a runtime
