@@ -19,6 +19,7 @@ package tmbp
 // The full-fidelity figures are regenerated by `go run ./cmd/tmbp all`.
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -387,30 +388,35 @@ func BenchmarkInvisibleScan(b *testing.B) {
 // the same question asked of the raw table, without the runtime around it.
 func benchSTMParallel(b *testing.B, kind string) {
 	b.ReportAllocs()
-	tab, err := NewTable(kind, 4096, "mask")
+	const entries = 4096
+	tab, err := NewTable(kind, entries, "mask")
 	if err != nil {
 		b.Fatal(err)
 	}
-	mem := NewMemory(64)
+	// A region of a table's worth of blocks per goroutine, indexed by its
+	// thread ID (IDs count from 1; RunParallel starts GOMAXPROCS goroutines).
+	mem := NewMemory((runtime.GOMAXPROCS(0) + 1) * entries * 8)
 	rt, err := NewSTM(STMConfig{Table: tab, Memory: mem, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer() // the memory is setup, not per-transaction cost
 	b.RunParallel(func(pb *testing.PB) {
 		th := rt.NewThread()
 		// Disjoint stripe per goroutine, aliasing across stripes in the
 		// hashed index space (the `tmbp stm` disjoint-stripe layout).
-		base := uint64(th.ID())*(1<<20) + uint64(th.ID())*379
+		id := uint64(th.ID())
+		region, skew := id*entries, id*379
 		i := 0
 		for pb.Next() {
 			i++
 			_ = th.Atomic(func(tx *stm.Tx) error {
 				for k := 0; k < 8; k++ {
-					blk := addr.Block(base + uint64((i*8+k)%256))
-					if k%3 == 2 {
-						tx.WriteBlock(blk)
+					blk := addr.Block(region + (skew+uint64((i*8+k)%256))%entries)
+					if a := addr.BlockAddr(blk); k%3 == 2 {
+						tx.Write(a, uint64(i))
 					} else {
-						tx.ReadBlock(blk)
+						tx.Read(a)
 					}
 				}
 				return nil

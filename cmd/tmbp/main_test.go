@@ -89,8 +89,9 @@ func TestRunSTMSubcommand(t *testing.T) {
 
 // TestRunSTMTaggedNoFalseConflicts runs the stm experiment where the
 // tagless table aliases hardest — eight threads on a 256-entry table — and
-// holds the tagged row to its "model prediction 0.0%": every abort there
-// would be a false conflict, and a tagged table has none.
+// holds the tagged row to its "model prediction 0.0%": every abort and every
+// denied acquire there would be a false conflict, and a tagged table has no
+// alias that could deny one.
 func TestRunSTMTaggedNoFalseConflicts(t *testing.T) {
 	out := capture(t, func() error {
 		return run("stm", []string{"-csv", "-threads", "8", "-entries", "256", "-txns", "50"})
@@ -105,8 +106,8 @@ func TestRunSTMTaggedNoFalseConflicts(t *testing.T) {
 	if !ok || rows["tagless"] == nil {
 		t.Fatalf("stm output has no tagless and tagged rows:\n%s", out)
 	}
-	if tagged[1] != "400" || tagged[2] != "0" {
-		t.Fatalf("tagged row = %v, want 400 commits and 0 aborts:\n%s", tagged, out)
+	if tagged[1] != "400" || tagged[2] != "0" || tagged[4] != "0.0%" {
+		t.Fatalf("tagged row = %v, want 400 commits, 0 aborts and 0.0%% denials per attempt:\n%s", tagged, out)
 	}
 }
 

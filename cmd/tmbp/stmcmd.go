@@ -20,12 +20,12 @@ import (
 // organizations, demonstrating the paper's core claim in a live runtime —
 // the tagless table meets false conflicts that the tagged table never sees.
 // A tagless alias costs a denied acquire and a wait for its holder, not an
-// abort; it still aborts the attempt when the wait times out, when a chunk
-// read by ReadBlock (as here) finds its shared stamp moved at the write
-// acquire, and when a chunk only read finds it moved at validation. So the
-// table shows denials per attempt beside aborts per attempt, and compares
-// the denials with the analytical model's prediction for the same (C, W, α,
-// N).
+// abort, and a read block whose shared stamp moved by the time the attempt
+// writes an aliasing block passes by value; the alias still aborts the
+// attempt when the wait times out, and when a block only read finds its
+// shared stamp moved at validation. So the table shows denials per attempt
+// beside aborts per attempt, and compares the denials with the analytical
+// model's prediction for the same (C, W, α, N).
 func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 	threads := fs.Int("threads", 4, "concurrent transaction threads")
 	writes := fs.Int("writes", 10, "blocks written per transaction")
@@ -58,7 +58,7 @@ func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 	}
 	t.Note("threads=%d writes=%d alpha=%d entries=%d txns/thread=%d; all data physically disjoint, so every denial and abort is a false conflict",
 		*threads, *writes, *alphaF, *entries, *txns)
-	t.Note("a tagless denial waits for its holder; it aborts only when the wait times out, or when a ReadBlock chunk's shared stamp moved at the write acquire or at validation")
+	t.Note("a tagless denial waits for its holder; it aborts only when the wait times out, or when a block only read finds its shared stamp moved at validation")
 	t.Note("model bound is the group conflict likelihood (Eq. 8, saturating), compared with denials per attempt; per-attempt rates sit below it")
 	if *csv {
 		return t.RenderCSV(os.Stdout)
@@ -69,12 +69,13 @@ func runSTM(fs *flag.FlagSet, args []string, csv *bool) error {
 // runWorkload executes the disjoint-stripe workload against one table kind
 // and returns the runtime's stats and the table's.
 //
-// Each thread owns a stripe of blocks placed a megablock apart (plus an odd
-// skew) from its neighbors: the stripes are physically disjoint, but under
-// a masked ownership table of a few thousand entries their blocks alias
-// heavily — the Berkeley-DB-style pathology Damron et al. observed. A
-// scheduler yield between block accesses stands in for real computation so
-// transactions overlap even on a single CPU.
+// Each thread reads and writes word 0 of the blocks of its own stripe, in a
+// region of memory of its own, one table's worth of blocks: the stripes are
+// physically disjoint, but thread g's stripe starts at an odd skew of g·379
+// blocks into its region, so under the masked ownership table the stripes'
+// blocks alias heavily — the Berkeley-DB-style pathology Damron et al.
+// observed. A scheduler yield between block accesses stands in for real
+// computation so transactions overlap even on a single CPU.
 func runWorkload(kind string, threads, writes, alpha int, entries uint64, txns int, seed uint64) (stm.Stats, otable.Stats, error) {
 	h, err := hash.New("mask", entries)
 	if err != nil {
@@ -86,7 +87,8 @@ func runWorkload(kind string, threads, writes, alpha int, entries uint64, txns i
 	}
 	blocksPerTxn := writes * (1 + alpha)
 	stripeBlocks := blocksPerTxn * 8
-	mem := stm.NewMemory(stripeBlocks * 8) // one stripe's worth of backing words, shared cyclically
+	const blockWords = addr.BlockBytes / addr.WordBytes
+	mem := stm.NewMemory(threads * int(entries) * blockWords) // one region of entries blocks per thread
 	rt, err := stm.New(stm.Config{Table: tab, Memory: mem, Seed: seed})
 	if err != nil {
 		return stm.Stats{}, otable.Stats{}, err
@@ -99,22 +101,18 @@ func runWorkload(kind string, threads, writes, alpha int, entries uint64, txns i
 		go func(gid int) {
 			defer wg.Done()
 			th := rt.NewThread()
-			// Stripe base in *block* space: disjoint addresses that alias
-			// mod any table of <= 2^20 entries, with an odd per-thread
-			// skew so overlap is partial rather than total.
-			baseBlock := uint64(gid)*(1<<20) + uint64(gid)*379
+			// The region's first block has table index 0; the odd skew makes
+			// the stripes overlap in the table partially rather than totally.
+			region, skew := uint64(gid)*entries, uint64(gid)*379
 			for i := 0; i < txns; i++ {
 				if err := th.Atomic(func(tx *stm.Tx) error {
 					for k := 0; k < blocksPerTxn; k++ {
-						blk := (i*blocksPerTxn + k) % stripeBlocks
-						// Ownership is tracked on the striped block; the
-						// backing word cycles within one stripe's worth of
-						// memory (value storage is irrelevant here).
-						b := addr.Block(baseBlock + uint64(blk))
+						blk := uint64((i*blocksPerTxn + k) % stripeBlocks)
+						a := addr.BlockAddr(addr.Block(region + (skew+blk)%entries))
 						if k%(alpha+1) == alpha {
-							tx.WriteBlock(b)
+							tx.Write(a, uint64(i))
 						} else {
-							tx.ReadBlock(b)
+							tx.Read(a)
 						}
 						runtime.Gosched() // interleave transactions even on one CPU
 					}

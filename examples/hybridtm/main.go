@@ -89,11 +89,14 @@ func pick(name string) tmbp.TraceProfile {
 // replay runs 100 pairs of disjoint transactions of the overflow footprint
 // through the STM and counts aborts.
 func replay(kind string, w, alpha int) (uint64, error) {
-	table, err := tmbp.NewTable(kind, 65536, "mask")
+	const entries = 65536
+	table, err := tmbp.NewTable(kind, entries, "mask")
 	if err != nil {
 		return 0, err
 	}
-	mem := tmbp.NewMemory(64)
+	// Each thread touches word 0 of blocks in a region of its own, one
+	// table's worth of blocks: disjoint data that aliases in the table.
+	mem := tmbp.NewMemory(2 * entries * 8)
 	rt, err := tmbp.NewSTM(tmbp.STMConfig{Table: table, Memory: mem, Seed: 5})
 	if err != nil {
 		return 0, err
@@ -104,17 +107,18 @@ func replay(kind string, w, alpha int) (uint64, error) {
 		go func(gid int) {
 			th := rt.NewThread()
 			rng := rand.New(rand.NewPCG(uint64(gid), 7))
-			base := uint64(gid) * (1 << 22)
+			region := gid * entries
 			const span = 1 << 18
 			for i := 0; i < 100; i++ {
 				start := rng.Uint64N(span)
 				err := th.Atomic(func(tx *tmbp.Tx) error {
 					for k := 0; k < blocks; k++ {
-						b := tmbp.Block(base + (start+uint64(k))%span)
+						b := region + int((start+uint64(k))%span%entries)
+						a := mem.WordAddr(8 * b)
 						if k%(alpha+1) == alpha {
-							tx.WriteBlock(b)
+							tx.Write(a, uint64(i))
 						} else {
-							tx.ReadBlock(b)
+							tx.Read(a)
 						}
 						runtime.Gosched() // interleave the two threads
 					}

@@ -2,10 +2,11 @@
 // cache simulator, ownership tables, and STM runtime.
 //
 // Following the paper, ownership and conflicts are tracked at the
-// granularity of fixed-size chunks of memory — either individual words or
-// whole cache blocks. An Addr is a 64-bit virtual byte address; a Block is
-// that address shifted down by the block-size exponent, i.e. the cache-block
-// number. All of the paper's experiments operate on 64-byte blocks.
+// granularity of fixed-size chunks of memory: the paper allows individual
+// words or whole cache blocks, and every experiment here, the STM runtime
+// included, uses 64-byte blocks. An Addr is a 64-bit virtual byte address; a
+// Block is that address shifted down by the block-size exponent, i.e. the
+// cache-block number.
 package addr
 
 import "fmt"
@@ -33,15 +34,6 @@ func BlockOf(a Addr) Block { return Block(a >> BlockShift) }
 
 // BlockAddr returns the first byte address of block b.
 func BlockAddr(b Block) Addr { return Addr(b) << BlockShift }
-
-// WordOf returns the word number containing a.
-func WordOf(a Addr) uint64 { return uint64(a) >> WordShift }
-
-// Offset returns the byte offset of a within its cache block.
-func Offset(a Addr) uint64 { return uint64(a) & (BlockBytes - 1) }
-
-// AlignBlock rounds a down to its cache-block boundary.
-func AlignBlock(a Addr) Addr { return a &^ (BlockBytes - 1) }
 
 // AlignUp rounds a up to the next multiple of align, which must be a power
 // of two. It panics otherwise.
@@ -85,21 +77,4 @@ func (r Region) Blocks() uint64 {
 	first := uint64(BlockOf(r.Base))
 	last := uint64(BlockOf(r.End() - 1))
 	return last - first + 1
-}
-
-// Nth returns the address at byte offset off within the region. It panics
-// if off is outside the region.
-func (r Region) Nth(off uint64) Addr {
-	if off >= r.Size {
-		panic(fmt.Sprintf("addr: offset %d outside region of size %d", off, r.Size))
-	}
-	return r.Base + Addr(off)
-}
-
-// Overlaps reports whether two regions share any byte.
-func (r Region) Overlaps(o Region) bool {
-	if r.Size == 0 || o.Size == 0 {
-		return false
-	}
-	return r.Base < o.End() && o.Base < r.End()
 }

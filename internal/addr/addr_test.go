@@ -38,17 +38,6 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAlignBlock(t *testing.T) {
-	check := func(raw uint64) bool {
-		a := Addr(raw)
-		al := AlignBlock(a)
-		return uint64(al)%BlockBytes == 0 && al <= a && a-al < BlockBytes
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlignUp(t *testing.T) {
 	if got := AlignUp(0x41, 64); got != 0x80 {
 		t.Errorf("AlignUp(0x41, 64) = %v, want 0x80", got)
@@ -68,18 +57,6 @@ func TestAlignUpPanicsOnNonPowerOfTwo(t *testing.T) {
 		}
 	}()
 	AlignUp(1, 3)
-}
-
-func TestOffset(t *testing.T) {
-	if got := Offset(0x123); got != 0x23 {
-		t.Errorf("Offset(0x123) = %#x, want 0x23", got)
-	}
-}
-
-func TestWordOf(t *testing.T) {
-	if got := WordOf(0x18); got != 3 {
-		t.Errorf("WordOf(0x18) = %d, want 3", got)
-	}
 }
 
 func TestAddrString(t *testing.T) {
@@ -113,38 +90,6 @@ func TestRegionBlocks(t *testing.T) {
 	for _, c := range cases {
 		if got := c.r.Blocks(); got != c.want {
 			t.Errorf("%+v.Blocks() = %d, want %d", c.r, got, c.want)
-		}
-	}
-}
-
-func TestRegionNthPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Nth past region did not panic")
-		}
-	}()
-	NewRegion(0, 16).Nth(16)
-}
-
-func TestRegionOverlaps(t *testing.T) {
-	a := NewRegion(0x100, 0x100)
-	cases := []struct {
-		b    Region
-		want bool
-	}{
-		{NewRegion(0x100, 0x100), true},
-		{NewRegion(0x1FF, 1), true},
-		{NewRegion(0x200, 0x100), false},
-		{NewRegion(0x0, 0x100), false},
-		{NewRegion(0x0, 0x101), true},
-		{NewRegion(0x150, 0), false}, // empty region overlaps nothing
-	}
-	for _, c := range cases {
-		if got := a.Overlaps(c.b); got != c.want {
-			t.Errorf("Overlaps(%+v) = %v, want %v", c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(a); got != c.want {
-			t.Errorf("symmetric Overlaps(%+v) = %v, want %v", c.b, got, c.want)
 		}
 	}
 }

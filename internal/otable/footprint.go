@@ -17,8 +17,7 @@ type Footprint struct {
 	tab   Table
 	tx    TxID
 	slots map[uint64]*holding
-	order []uint64     // slot keys in first-acquire order, for deterministic release
-	last  ConflictInfo // opponent of the most recent denied acquire
+	order []uint64 // slot keys in first-acquire order, for deterministic release
 }
 
 // holding is the transaction's permission state on one slot.
@@ -59,11 +58,9 @@ func (f *Footprint) Read(b addr.Block) Outcome {
 		// under our existing share — no table traffic needed. (Acquiring an
 		// extra share would also be correct; holding one is cheaper and
 		// matches how the paper's STMs consult their logs first.)
-		f.last = NoConflict
 		return AlreadyHeld
 	}
-	out, ci := AcquireRead(f.tab, f.tx, b)
-	f.last = ci
+	out, _ := AcquireRead(f.tab, f.tx, b)
 	switch out {
 	case Granted:
 		f.add(slot, b).reads++
@@ -82,15 +79,13 @@ func (f *Footprint) Write(b addr.Block) Outcome {
 	slot := f.tab.SlotOf(b)
 	h := f.slots[slot]
 	if h != nil && h.write {
-		f.last = NoConflict
 		return AlreadyHeld
 	}
 	var heldReads uint32
 	if h != nil {
 		heldReads = h.reads
 	}
-	out, ci := AcquireWrite(f.tab, f.tx, b, heldReads)
-	f.last = ci
+	out, _ := AcquireWrite(f.tab, f.tx, b, heldReads)
 	switch out {
 	case Granted:
 		f.add(slot, b).write = true
@@ -103,11 +98,6 @@ func (f *Footprint) Write(b addr.Block) Outcome {
 	}
 	return out
 }
-
-// LastConflict returns the opponent reported by the most recent Read or
-// Write that was denied (NoConflict when the last acquire succeeded, or
-// was satisfied from the footprint without table traffic).
-func (f *Footprint) LastConflict() ConflictInfo { return f.last }
 
 // add returns the holding for slot, creating it with representative block b.
 func (f *Footprint) add(slot uint64, b addr.Block) *holding {

@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sample accumulates scalar observations with O(1) state (Welford's
@@ -135,97 +134,4 @@ func (p *Proportion) Wilson95() (lo, hi float64) {
 		hi = 1
 	}
 	return lo, hi
-}
-
-// Histogram counts observations in fixed-width bins over [lo, hi); values
-// outside the range land in saturating edge bins.
-type Histogram struct {
-	lo, width float64
-	bins      []int
-	under     int
-	over      int
-	total     int
-}
-
-// NewHistogram builds a histogram with the given bin count over [lo, hi).
-// It panics on a non-positive bin count or an empty range.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v, %v) with %d bins", lo, hi, bins))
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(bins), bins: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.lo+h.width*float64(len(h.bins)):
-		h.over++
-	default:
-		h.bins[int((x-h.lo)/h.width)]++
-	}
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int { return h.bins[i] }
-
-// NumBins returns the number of interior bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// Underflow returns the count of observations below the range.
-func (h *Histogram) Underflow() int { return h.under }
-
-// Overflow returns the count of observations at or above the range.
-func (h *Histogram) Overflow() int { return h.over }
-
-// Quantile returns an approximate q-quantile (0 ≤ q ≤ 1) from bin midpoints.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	target := int(math.Ceil(q * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	cum := h.under
-	if cum >= target {
-		return h.lo
-	}
-	for i, c := range h.bins {
-		cum += c
-		if cum >= target {
-			return h.lo + h.width*(float64(i)+0.5)
-		}
-	}
-	return h.lo + h.width*float64(len(h.bins))
-}
-
-// Quantiles computes the q-quantile of a data slice exactly (type-7 /
-// linear interpolation, as in most statistics packages). The input need not
-// be sorted; it is not modified.
-func Quantiles(data []float64, q float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(sorted) {
-		return sorted[i]
-	}
-	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }

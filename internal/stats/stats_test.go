@@ -116,54 +116,6 @@ func TestProportionEdge(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 1 {
-		t.Fatalf("under/over = %d/%d", h.Underflow(), h.Overflow())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Bin(i) != 1 {
-			t.Fatalf("bin %d = %d, want 1", i, h.Bin(i))
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 3 || med > 7 {
-		t.Fatalf("median = %v", med)
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for hi <= lo")
-		}
-	}()
-	NewHistogram(5, 5, 4)
-}
-
-func TestQuantilesExact(t *testing.T) {
-	data := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantiles(data, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantiles(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if !math.IsNaN(Quantiles(nil, 0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-}
-
 func TestFitLinearExact(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{3, 5, 7, 9} // y = 1 + 2x

@@ -21,14 +21,11 @@ const (
 	blockWordMask  = 1<<blockWordShift - 1
 )
 
-// locate maps address a to its memory word, ownership chunk, and
-// word-in-chunk offset under the runtime's granularity. At word granularity
-// the chunk is the word itself and the offset is always zero.
+// locate maps address a to its memory word, its chunk (the block holding
+// it), and its offset in the chunk. It panics on an address past the end of
+// memory, so every chunk the runtime sees has its bit in dbits.
 func (th *Thread) locate(a addr.Addr) (word uint64, chunk addr.Block, widx uint64) {
 	word = th.mem.index(a)
-	if th.wordGran {
-		return word, addr.Block(word), 0
-	}
 	return word, addr.Block(word >> blockWordShift), word & blockWordMask
 }
 
@@ -83,13 +80,9 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 	th := tx.th
 	for len(dst) > 0 {
 		word, chunk, widx := th.locate(a)
-		n := uint64(1)
-		if !th.wordGran {
-			n = chunkWords - widx
-		}
 		// The words of dst in this chunk, as far as memory reaches: a walk
 		// off its end panics at the next locate, where a Read would.
-		out := dst[:min(uint64(len(dst)), n, uint64(len(th.mem.words))-word)]
+		out := dst[:min(uint64(len(dst)), chunkWords-widx, uint64(len(th.mem.words))-word)]
 		ws := th.mem.words[word:][:len(out)]
 		if th.fuzzP > 0 {
 			for range out {
@@ -156,39 +149,6 @@ func (tx *Tx) Write(a addr.Addr, v uint64) {
 	}
 }
 
-// ReadBlock adds an entire block to the read footprint without loading a
-// word — used by trace replay where only footprints matter. It validates the
-// block's version stamp as a first read does, and the block joins the read
-// set; a block past the per-thread bitmap takes a footprint-only entry
-// (see log).
-func (tx *Tx) ReadBlock(b addr.Block) {
-	th := tx.th
-	th.fuzz()
-	if th.desc.Set.Lookup(b) != nil || th.reading(b) {
-		return
-	}
-	if th.quiet && th.rt.epoch.Load() == th.rv {
-		th.log(b)
-	} else {
-		th.readSampled(b, nil, nil)
-	}
-}
-
-// WriteBlock acquires write ownership of a block without logging a word
-// value; the footprint analogue of Write.
-func (tx *Tx) WriteBlock(b addr.Block) {
-	th := tx.th
-	th.fuzz()
-	th.wrote = true
-	e := th.desc.Set.Lookup(b)
-	if e == nil {
-		e = th.insert(b)
-	}
-	if e.Perm&txn.PermWrite == 0 {
-		th.acquireWriteChunk(e)
-	}
-}
-
 // acquireWriteChunk gives e, the entry of a chunk the attempt has not yet
 // written, write permission: one write acquire, or none when an earlier
 // entry already write-holds the chunk's tagless slot. The runtime holds no
@@ -227,11 +187,9 @@ func (th *Thread) acquireWriteChunk(e *txn.Access) {
 			}
 		}
 	}
-	if w, bit := th.bitOf(e.Chunk); w != nil && *w&bit != 0 {
+	if w, bit := th.bitOf(e.Chunk); *w&bit != 0 {
 		*w &^= bit
 		e.Perm |= txn.PermRead
-	}
-	if e.Perm&txn.PermRead != 0 { // read before this write (past the bitmap: by ReadBlock)
 		th.checkPinned(e)
 	}
 	e.Perm |= txn.PermWrite

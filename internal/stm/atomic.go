@@ -299,7 +299,7 @@ func (th *Thread) releaseAll(stamp uint64) {
 	n := set.Len()
 	th.lastFP = len(th.dlog)
 	if !th.wrote {
-		n = 0 // only a writing attempt ever acquires (Write, WriteBlock)
+		n = 0 // only a writing attempt ever acquires (Write)
 	}
 	for i := 0; i < n; i++ {
 		e := set.At(i)

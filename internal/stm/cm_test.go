@@ -180,7 +180,7 @@ func TestCMReaderStarvesWriter(t *testing.T) {
 			t.Parallel()
 			rt := newCMRuntime(t, "tagged", policy)
 			tab, a := rt.Table(), rt.Memory().WordAddr(0)
-			chunk := rt.cfg.Granularity.chunkOf(a)
+			chunk := addr.BlockOf(a)
 			readers := []otable.TxID{rt.NewThread().ID(), rt.NewThread().ID()}
 			for _, id := range readers {
 				if out, _ := otable.AcquireRead(tab, id, chunk); out != otable.Granted {
@@ -418,7 +418,7 @@ func TestCMChainedConflict(t *testing.T) {
 // arrive at the CM's Aborted callback naming the exact opponent. A custom
 // recording policy observes every abort of a thread hammering a block the
 // other thread verifiably holds with write ownership. The contender
-// acquires the block (WriteBlock) before it reads it: a read holds nothing
+// acquires the block (a write of its word 1) before it reads it: a read holds nothing
 // a writer could deny, and one that straddled the holder's commit would die
 // in validation, with no table opponent to name.
 func TestCMOpponentDelivered(t *testing.T) {
@@ -470,7 +470,7 @@ func TestCMOpponentDelivered(t *testing.T) {
 				defer wg.Done()
 				<-held
 				errs[1] = contender.Atomic(func(tx *Tx) error {
-					tx.WriteBlock(addr.BlockOf(a))
+					tx.Write(a+addr.WordBytes, 0)
 					tx.Write(a, tx.Read(a)+1)
 					return nil
 				})

@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"tmbp/internal/addr"
 	"tmbp/internal/opacity"
 	"tmbp/internal/otable"
 )
@@ -17,43 +16,15 @@ import (
 // Commit/Abort after write-back and release — which is exactly the
 // real-time contract the offline opacity checker relies on.
 //
-// Footprint-only accesses (Tx.ReadBlock/Tx.WriteBlock) and
-// non-transactional probes (LoadNT/StoreNT) are not recorded: they carry
-// no values, so they have no place in a value-based opacity history.
+// Every transactional access is recorded. Non-transactional probes
+// (LoadNT/StoreNT) are not: they belong to no attempt, so they have no
+// place in a transactional history.
 //
 // A nil Recorder (the default, and the only configuration benchmarks and
 // production runs should use) costs one predictable branch per operation
 // and zero allocations.
 type Recorder interface {
 	RecordEvent(opacity.Event)
-}
-
-// Granularity selects the chunk size at which ownership is tracked
-// (Section 1: "typically either individual words ... or whole cache lines").
-type Granularity int
-
-// Supported ownership granularities.
-const (
-	// BlockGranularity tracks ownership per 64-byte cache block.
-	BlockGranularity Granularity = iota
-	// WordGranularity tracks ownership per 8-byte word.
-	WordGranularity
-)
-
-// chunkOf maps a byte address to its ownership chunk under g.
-func (g Granularity) chunkOf(a addr.Addr) addr.Block {
-	if g == WordGranularity {
-		return addr.Block(uint64(a) >> addr.WordShift)
-	}
-	return addr.BlockOf(a)
-}
-
-// String names the granularity.
-func (g Granularity) String() string {
-	if g == WordGranularity {
-		return "word"
-	}
-	return "block"
 }
 
 // Isolation selects how non-transactional accesses interact with
@@ -79,8 +50,6 @@ type Config struct {
 	Table otable.Table
 	// Memory is the word store transactions operate on. Required.
 	Memory *Memory
-	// Granularity of ownership tracking; defaults to BlockGranularity.
-	Granularity Granularity
 	// Isolation for non-transactional accesses; defaults to WeakIsolation.
 	Isolation Isolation
 	// InvisibleReaders is ignored. Every optimistic attempt reads by
@@ -138,9 +107,10 @@ type Config struct {
 	// then only MaxAttempts bounds a starved transaction, reader or
 	// writer.
 	FallbackAfter int
-	// Recorder, when non-nil, receives the runtime's transactional history
-	// for offline opacity checking (see the Recorder interface and
-	// `tmbp check`). Nil disables recording at zero cost.
+	// Recorder, when non-nil, receives the runtime's transactional history,
+	// every transactional access included, for offline opacity checking (see
+	// the Recorder interface and `tmbp check`). Nil disables recording at
+	// zero cost.
 	Recorder Recorder
 	// Seed makes thread-local randomized backoff reproducible.
 	Seed uint64

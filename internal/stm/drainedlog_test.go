@@ -21,9 +21,9 @@ import (
 // history is not opaque, except where a read-only commit is concerned (see
 // TestDrainedLogReadOnlyCommit).
 
-// drainedLogEnv is the stage of one schedule: x, y and z lie in blocks 1, 2
-// and 3 of a 64-entry table under the mask hash — three chunks with cells of
-// their own at either granularity.
+// drainedLogEnv is the stage of one schedule: x, y and z are data words 8,
+// 16 and 24 on a 64-entry table under the mask hash — three chunks with
+// cells of their own in either layout.
 type drainedLogEnv struct {
 	t       *testing.T
 	rt      *Runtime
@@ -41,27 +41,27 @@ func (env *drainedLogEnv) commit(fn func(u *Tx)) {
 }
 
 // runDrainedLogSchedule runs body as the reader's transaction on a fresh
-// runtime, so its first attempt begins drained, for every table kind at both
-// granularities. The reader must commit on attempt wantAttempts after exactly
+// runtime, so its first attempt begins drained, for every table kind in both
+// layouts. The reader must commit on attempt wantAttempts after exactly
 // one validation abort, and the recorded history must be opaque.
 func runDrainedLogSchedule(t *testing.T, wantAttempts int, body func(env *drainedLogEnv, tx *Tx, attempt int)) {
 	for _, kind := range otable.Kinds() {
-		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
-			t.Run(fmt.Sprintf("%s/%s", kind, gran), func(t *testing.T) {
+		for _, l := range layouts {
+			t.Run(fmt.Sprintf("%s/%s", kind, l), func(t *testing.T) {
 				onOneP(t)
 				tab, err := otable.New(kind, hash.NewMask(64))
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := Config{Granularity: gran}
+				var cfg Config
 				log := attachRecorder(t, &cfg)
 				if log == nil {
 					log = opacity.NewLog()
 					cfg.Recorder = log
 				}
-				rt, mem := newInvisibleRuntimeOn(t, tab, 512, cfg)
+				rt, mem := newInvisibleRuntimeOn(t, tab, 512*l.spread(), cfg)
 				env := &drainedLogEnv{t: t, rt: rt, th: rt.NewThread(), other: rt.NewThread(),
-					x: mem.WordAddr(8), y: mem.WordAddr(16), z: mem.WordAddr(24)}
+					x: l.at(mem, 8), y: l.at(mem, 16), z: l.at(mem, 24)}
 				attempt := 0
 				if err := env.th.Atomic(func(tx *Tx) error {
 					attempt++
@@ -149,16 +149,16 @@ func TestDrainedLogClearedEachAttempt(t *testing.T) {
 }
 
 // TestDrainedLogFootprintOracle runs random mixes of reads, re-reads,
-// ReadWords runs, ReadBlocks and writes, with commits of another thread that
-// move the clock in between, and compares FootprintBlocks after every
-// operation with a map of the distinct chunks touched. A chunk read and
-// then written, drained or sampled, re-read after the clock moved, or named
-// by ReadBlock must count once. Attempts begin drained or sampled
-// (undrain), or, "moved", sampled with the clock moved before their first
-// read, where every read takes the bracket and ReadBlock also names blocks
-// past the bitmap, which take an entry; for both table kinds at both
-// granularities. The other thread writes only word 200, whose chunk aliases
-// none of the reader's, so every transaction commits on its first attempt.
+// ReadWords runs and writes, with commits of another thread that move the
+// clock in between, and compares FootprintBlocks after every operation with
+// a map of the distinct chunks touched. A chunk read and then written,
+// drained or sampled, or re-read after the clock moved must count once.
+// Attempts begin drained or sampled (undrain), or, "moved", sampled with the
+// clock moved before their first read, where every read takes the bracket;
+// for both table kinds in both layouts (a ReadWords run reads consecutive
+// memory words from its data word). The other thread writes only data word
+// 200, whose chunk aliases none of the reader's, so every transaction
+// commits on its first attempt.
 func TestDrainedLogFootprintOracle(t *testing.T) {
 	const (
 		words = 128 // the reader's words; memory has 256
@@ -166,30 +166,24 @@ func TestDrainedLogFootprintOracle(t *testing.T) {
 		ops   = 24
 	)
 	for _, kind := range otable.Kinds() {
-		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
+		for li, l := range layouts {
 			for _, mode := range []string{"drained", "sampled", "moved"} {
-				t.Run(fmt.Sprintf("%s/%s/%s", kind, gran, mode), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%s", kind, l, mode), func(t *testing.T) {
 					tab, err := otable.New(kind, hash.NewMask(256))
 					if err != nil {
 						t.Fatal(err)
 					}
-					rt, mem := newInvisibleRuntimeOn(t, tab, 256, Config{Granularity: gran})
+					rt, mem := newInvisibleRuntimeOn(t, tab, 256*l.spread(), Config{})
 					if mode != "drained" {
 						undrain(rt)
 					}
 					th, other := rt.NewThread(), rt.NewThread()
 					otherCommit := func(v uint64) {
-						if err := other.Atomic(func(u *Tx) error { u.Write(mem.WordAddr(200), v); return nil }); err != nil {
+						if err := other.Atomic(func(u *Tx) error { u.Write(l.at(mem, 200), v); return nil }); err != nil {
 							t.Fatal(err)
 						}
 					}
-					chunkOf := func(w uint64) addr.Block {
-						if gran == WordGranularity {
-							return addr.Block(w)
-						}
-						return addr.Block(w >> blockWordShift)
-					}
-					r := xrand.New(uint64(len(kind)) + uint64(gran)*7 + uint64(len(mode))*31)
+					r := xrand.New(uint64(len(kind)) + uint64(li)*7 + uint64(len(mode))*31)
 					for tn := 0; tn < txns; tn++ {
 						if err := th.Atomic(func(tx *Tx) error {
 							seen := map[addr.Block]bool{}
@@ -199,27 +193,25 @@ func TestDrainedLogFootprintOracle(t *testing.T) {
 							for i := 0; i < ops; i++ {
 								w := r.Uint64n(words)
 								var what string
+								a := l.at(mem, int(w))
 								switch op := r.Intn(10); {
 								case op < 4:
-									tx.Read(mem.WordAddr(int(w)))
-									seen[chunkOf(w)], what = true, "read"
+									tx.Read(a)
+									seen[addr.BlockOf(a)], what = true, "read"
 								case op < 6:
 									n := 1 + r.Uint64n(min(12, words-w))
-									tx.ReadWords(mem.WordAddr(int(w)), make([]uint64, n))
-									for j := w; j < w+n; j++ {
-										seen[chunkOf(j)] = true
+									tx.ReadWords(a, make([]uint64, n))
+									for j := uint64(0); j < n; j++ {
+										seen[addr.BlockOf(a+addr.Addr(j)*addr.WordBytes)] = true
 									}
 									what = fmt.Sprintf("read %d words", n)
 								case op < 7:
-									b := chunkOf(w)
-									if mode == "moved" && w%2 == 0 {
-										b += 1 << 20 // past the bitmap
-									}
-									tx.ReadBlock(b)
-									seen[b], what = true, "read block"
+									b := a | (addr.BlockBytes - addr.WordBytes) // the last word of a's chunk
+									tx.Read(b)
+									seen[addr.BlockOf(b)], what = true, "read of the chunk's last word"
 								case op < 9:
-									tx.Write(mem.WordAddr(int(w)), uint64(tn))
-									seen[chunkOf(w)], what = true, "write"
+									tx.Write(a, uint64(tn))
+									seen[addr.BlockOf(a)], what = true, "write"
 								default:
 									otherCommit(uint64(i))
 									what = "other thread's commit"

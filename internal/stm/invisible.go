@@ -20,8 +20,7 @@ func (th *Thread) roConflict() {
 // The read set is one log. Thread.dlog lists every chunk the attempt has
 // touched, once, and Thread.dbits has one bit per chunk of memory, set while
 // the chunk is read and not written: those chunks are the read set
-// (reading). The access set holds only the chunks written, and the
-// footprint-only reads of blocks past the bitmap (see log).
+// (reading). The access set holds only the chunks written.
 //
 // The Ver invariant: the attempt's rv bounds the cell stamp of every chunk
 // of the read set from above, at a moment after the current rv was loaded
@@ -92,7 +91,7 @@ const chunkWords = 1 << blockWordShift
 // it accepts a chunk of the read set too. Otherwise the caller reads it
 // through readSampled.
 func (th *Thread) accept(chunk addr.Block) bool {
-	w, bit := &th.dbits[chunk>>6], uint64(1)<<(chunk&63)
+	w, bit := th.bitOf(chunk)
 	e := th.rt.epoch.Load()
 	if *w&bit != 0 {
 		return e == th.rv || chunk == th.brChunk && e == th.brClock
@@ -109,13 +108,12 @@ func (th *Thread) accept(chunk addr.Block) bool {
 // cannot accept them, and adds the chunk to the read set. A writer-free
 // sample at most rv bounds the chunk by rv, and a clock still at rv after
 // the loads accepts them; on a moved clock an unchanged, writer-free
-// re-sample brackets them (with no words, for ReadBlock, there is nothing
-// to bracket). A stamp above rv extends the snapshot, which spends the
-// sample; a chunk already in the read set then fails the extension. A
-// writer that is the attempt's own hold of the chunk's tagless slot, through
-// an aliasing chunk, pins memory; a foreign one is waited out until no
-// write-back is in flight, and the read extends to that clock and loads
-// drained (pinOrWait).
+// re-sample brackets them. A stamp above rv extends the snapshot, which
+// spends the sample; a chunk already in the read set then fails the
+// extension. A writer that is the attempt's own hold of the chunk's tagless
+// slot, through an aliasing chunk, pins memory; a foreign one is waited out
+// until no write-back is in flight, and the read extends to that clock and
+// loads drained (pinOrWait).
 func (th *Thread) readSampled(chunk addr.Block, ws []atomic.Uint64, out []uint64) {
 	tab := th.tab
 	for tries := 0; ; tries++ {
@@ -137,13 +135,16 @@ func (th *Thread) readSampled(chunk addr.Block, ws []atomic.Uint64, out []uint64
 			}
 		} else if s1 > th.rv {
 			th.coverStamp(s1)
-		} else if loadWords(ws, out); len(ws) == 0 {
-			break
-		} else if e := th.rt.epoch.Load(); e == th.rv {
-			break
-		} else if s2, locked := tab.SampleVersion(chunk); !locked && s2 == s1 {
-			th.brChunk, th.brClock = chunk, e
-			break
+		} else {
+			loadWords(ws, out)
+			e := th.rt.epoch.Load()
+			if e == th.rv {
+				break
+			}
+			if s2, locked := tab.SampleVersion(chunk); !locked && s2 == s1 {
+				th.brChunk, th.brClock = chunk, e
+				break
+			}
 		}
 		if tries >= roReadRetries {
 			th.roConflict()
@@ -158,46 +159,32 @@ func loadWords(ws []atomic.Uint64, out []uint64) {
 	}
 }
 
-// bitOf returns the word of dbits that holds chunk's bit, and the bit. The
-// word is nil for a block past the bitmap: ReadBlock and WriteBlock take
-// blocks memory need not hold.
+// bitOf returns the word of dbits that holds chunk's bit, and the bit.
 func (th *Thread) bitOf(chunk addr.Block) (*uint64, uint64) {
-	if i := uint64(chunk) >> 6; i < uint64(len(th.dbits)) {
-		return &th.dbits[i], 1 << (chunk & 63)
-	}
-	return nil, 0
+	return &th.dbits[chunk>>6], 1 << (chunk & 63)
 }
 
 // log adds chunk, just read, to the read set unless it is there: its bit
-// and its place in the log. A block past the bitmap — only ReadBlock reads
-// those, and only when it has no entry — takes a footprint-only access-set
-// entry instead, marked PermRead.
+// and its place in the log.
 func (th *Thread) log(chunk addr.Block) {
-	w, bit := th.bitOf(chunk)
-	if w == nil {
-		th.insert(chunk).Perm = txn.PermRead
-	} else if *w&bit == 0 {
+	if w, bit := th.bitOf(chunk); *w&bit == 0 {
 		*w |= bit
 		th.dlog = append(th.dlog, chunk)
 	}
 }
 
 // reading reports whether chunk is in the read set: read by the attempt and
-// not written since. Its bit says so, or, for a block past the bitmap, its
-// entry: PermRead without PermWrite.
+// not written since.
 func (th *Thread) reading(chunk addr.Block) bool {
-	if w, bit := th.bitOf(chunk); w != nil {
-		return *w&bit != 0
-	}
-	e := th.desc.Set.Lookup(chunk)
-	return e != nil && e.Perm&(txn.PermRead|txn.PermWrite) == txn.PermRead
+	w, bit := th.bitOf(chunk)
+	return *w&bit != 0
 }
 
 // insert adds chunk's access-set entry, which it must not have, and puts the
 // chunk in the log unless a read put it there: a chunk with no entry is in
 // the log only if its bit is set.
 func (th *Thread) insert(chunk addr.Block) *txn.Access {
-	if w, bit := th.bitOf(chunk); w == nil || *w&bit == 0 {
+	if w, bit := th.bitOf(chunk); *w&bit == 0 {
 		th.dlog = append(th.dlog, chunk)
 	}
 	return th.desc.Set.Insert(chunk)
@@ -208,9 +195,8 @@ func (th *Thread) insert(chunk addr.Block) *txn.Access {
 // the bits its own reads set, and none is left set between attempts.
 func (th *Thread) clearLog() {
 	for _, c := range th.dlog {
-		if w, bit := th.bitOf(c); w != nil {
-			*w &^= bit
-		}
+		w, bit := th.bitOf(c)
+		*w &^= bit
 	}
 	th.dlog = th.dlog[:0]
 	th.vlog = th.vlog[:0]
@@ -228,16 +214,13 @@ func (th *Thread) logValues(word uint64, vals []uint64) {
 	}
 }
 
-// sameValues reports whether the attempt logged a read of chunk and every
-// word it read of chunk still holds the value it read.
+// sameValues reports whether the attempt logged a read of chunk (every read
+// of a tagless attempt does) and every word it read of chunk still holds the
+// value it read.
 func (th *Thread) sameValues(chunk addr.Block) bool {
 	found := false
 	for _, r := range th.vlog {
-		c := addr.Block(r.word)
-		if !th.wordGran {
-			c = addr.Block(r.word >> blockWordShift)
-		}
-		if c != chunk {
+		if addr.Block(r.word>>blockWordShift) != chunk {
 			continue
 		}
 		if th.mem.words[r.word].Load() != r.val {
@@ -408,8 +391,7 @@ func (th *Thread) revalidateReadSet(newRv uint64) {
 // the attempt read of it with memory (sameValues) and passes if they all
 // match. The chunk's words not read may still have changed, so the entry
 // loses PermRead: they owe the snapshot-cover check before they are read
-// (coverWritten). A chunk read only by ReadBlock logged no word and has
-// nothing to compare.
+// (coverWritten).
 func (th *Thread) checkPinned(e *txn.Access) {
 	if th.rt.epoch.Load() == th.rv {
 		return

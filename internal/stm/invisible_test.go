@@ -122,29 +122,6 @@ func TestInvisibleReadersIgnored(t *testing.T) {
 	}
 }
 
-// TestInvisibleReadBlockFootprint drives the footprint-only ReadBlock path
-// (trace replay's read) through the invisible fast path.
-func TestInvisibleReadBlockFootprint(t *testing.T) {
-	rt, tab, mem := newInvisibleRuntime(t, "tagged", 64, 256, Config{})
-	th := rt.NewThread()
-	for n := 0; n < 5; n++ {
-		if err := th.Atomic(func(tx *Tx) error {
-			for b := 0; b < 8; b++ {
-				tx.ReadBlock(addr.BlockOf(mem.WordAddr(b * 8)))
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ts := tab.Stats(); ts.ReadAcquires != 0 {
-		t.Fatalf("footprint reads acquired: %+v", ts)
-	}
-	if st := rt.Stats(); st.ROCommits != 5 {
-		t.Fatalf("ROCommits = %d, want 5", st.ROCommits)
-	}
-}
-
 // TestInvisiblePromotionOnWrite: nothing is promoted — a transaction that
 // reads k chunks invisibly and then writes one of them stays invisible. On
 // every table organization it commits with zero read acquires, exactly one

@@ -175,51 +175,6 @@ func TestInvisibleWriterTaglessAliasTrap(t *testing.T) {
 	}
 }
 
-// TestInvisibleBlockParity: the footprint-only ReadBlock/WriteBlock follow
-// the same protocol as Read/Write — the same transaction expressed either
-// way leaves identical table and runtime counters.
-func TestInvisibleBlockParity(t *testing.T) {
-	for _, kind := range sweepKinds() {
-		t.Run(kind, func(t *testing.T) {
-			run := func(blocks bool) (otable.Stats, Stats) {
-				rt, tab, mem := newInvisibleRuntime(t, kind, 64, 256, Config{})
-				th := rt.NewThread()
-				if err := th.Atomic(func(tx *Tx) error {
-					for i := 0; i < 4; i++ {
-						if blocks {
-							tx.ReadBlock(addr.BlockOf(mem.WordAddr(8 * i)))
-						} else {
-							tx.Read(mem.WordAddr(8 * i))
-						}
-					}
-					for _, i := range []int{2, 9} { // one read chunk, one fresh
-						if blocks {
-							tx.WriteBlock(addr.BlockOf(mem.WordAddr(8 * i)))
-						} else {
-							tx.Write(mem.WordAddr(8*i), 1)
-						}
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if occ := tab.Occupied(); occ != 0 {
-					t.Fatalf("occupancy after commit = %d", occ)
-				}
-				return tab.Stats(), rt.Stats()
-			}
-			wt, ws := run(false)
-			bt, bs := run(true)
-			if wt != bt || ws != bs {
-				t.Fatalf("word and block forms differ:\n words  %+v %+v\n blocks %+v %+v", wt, ws, bt, bs)
-			}
-			if wt.ReadAcquires != 0 || wt.WriteAcquires != 2 || wt.Releases != 2 {
-				t.Fatalf("table traffic = %+v, want two write acquires and two releases", wt)
-			}
-		})
-	}
-}
-
 // TestWriteSkewSchedule steps two invisible attempts through the crossing
 // schedule — T1 reads y, T2 reads x, T1 writes x, T2 writes y — and lets
 // both into commit off one spin barrier. Each guards its write by the
@@ -827,47 +782,37 @@ func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
 
 // TestInvisiblePinnedFirstReadCoversStamp: a first read that is pinned
 // because it sampled the attempt's own hold still owes the snapshot-cover
-// check, in the Read and in the ReadBlock form alike. On a two-entry
+// check. On a two-entry
 // tagless table a foreign commit raises cell 0's stamp past rv; T then
 // writes A and first-reads B, both in cell 0: one pin, one extension, no
 // abort. On a tagged table B's sample answers for B alone, which neither
 // commit touched: no pin, no extension, no abort.
 func TestInvisiblePinnedFirstReadCoversStamp(t *testing.T) {
 	for _, kind := range sweepKinds() {
-		for _, block := range []bool{false, true} {
-			name := kind + "/Read"
-			if block {
-				name = kind + "/ReadBlock"
-			}
-			t.Run(name, func(t *testing.T) {
-				rt, tab, mem := newInvisibleRuntime(t, kind, 2, 256, Config{})
-				a, b, c := mem.WordAddr(0), mem.WordAddr(16), mem.WordAddr(32) // blocks 0, 2, 4: cell 0
-				th, other := rt.NewThread(), rt.NewThread()
-				if err := th.Atomic(func(tx *Tx) error {
-					if err := other.Atomic(func(otx *Tx) error { otx.Write(c, 1); return nil }); err != nil {
-						t.Fatal(err)
-					}
-					tx.Write(a, 1)
-					if block {
-						tx.ReadBlock(addr.BlockOf(b))
-					} else {
-						tx.Read(b)
-					}
-					return nil
-				}); err != nil {
+		t.Run(kind+"/Read", func(t *testing.T) {
+			rt, tab, mem := newInvisibleRuntime(t, kind, 2, 256, Config{})
+			a, b, c := mem.WordAddr(0), mem.WordAddr(16), mem.WordAddr(32) // blocks 0, 2, 4: cell 0
+			th, other := rt.NewThread(), rt.NewThread()
+			if err := th.Atomic(func(tx *Tx) error {
+				if err := other.Atomic(func(otx *Tx) error { otx.Write(c, 1); return nil }); err != nil {
 					t.Fatal(err)
 				}
-				want := uint64(1)
-				if kind != "tagless" {
-					want = 0
-				}
-				if st := rt.Stats(); st.Aborts != 0 || st.ROPromotions != want || st.ROExtensions != want {
-					t.Fatalf("stats = %+v, want %d pins, %d extensions, no abort", st, want, want)
-				}
-				if occ := tab.Occupied(); occ != 0 {
-					t.Fatalf("occupancy after commit = %d", occ)
-				}
-			})
-		}
+				tx.Write(a, 1)
+				tx.Read(b)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(1)
+			if kind != "tagless" {
+				want = 0
+			}
+			if st := rt.Stats(); st.Aborts != 0 || st.ROPromotions != want || st.ROExtensions != want {
+				t.Fatalf("stats = %+v, want %d pins, %d extensions, no abort", st, want, want)
+			}
+			if occ := tab.Occupied(); occ != 0 {
+				t.Fatalf("occupancy after commit = %d", occ)
+			}
+		})
 	}
 }

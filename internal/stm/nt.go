@@ -26,7 +26,7 @@ func (th *Thread) LoadNT(a addr.Addr) (uint64, error) {
 		return w.Load(), nil
 	}
 	th.ctr.ntReads.Add(1)
-	chunk := th.rt.cfg.Granularity.chunkOf(a)
+	chunk := addr.BlockOf(a)
 	for tries := 0; tries <= roReadRetries; tries++ {
 		s1, locked := th.tab.SampleVersion(chunk)
 		if !locked {
@@ -70,7 +70,7 @@ func (th *Thread) StoreNT(a addr.Addr, v uint64) error {
 		return nil
 	}
 	th.ctr.ntReads.Add(1)
-	chunk := th.rt.cfg.Granularity.chunkOf(a)
+	chunk := addr.BlockOf(a)
 	if th.reading(chunk) {
 		// A read holds nothing the table could deny on: stored and stamped,
 		// the write would kill the caller's own attempt in validation, and

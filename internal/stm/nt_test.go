@@ -300,8 +300,8 @@ func TestNTStoreKillsSerialReader(t *testing.T) {
 }
 
 // TestMixedOpsHammerAllKinds race-hammers the unified-log fast path with
-// every operation shape at once — word Read/Write, block footprint ops, and
-// strong-isolation NT accesses between and inside transactions — under every
+// every operation shape at once — read-modify-writes, reads and blind
+// writes, and strong-isolation NT accesses between and inside transactions — under every
 // kind of sweepKinds. Invariant: transactional increments are exact, and the
 // table drains.
 func TestMixedOpsHammerAllKinds(t *testing.T) {
@@ -336,11 +336,11 @@ func TestMixedOpsHammerAllKinds(t *testing.T) {
 								a := mem.WordAddr((gid*37 + i*11 + k*17) % txWords)
 								tx.Write(a, tx.Read(a)+1)
 							}
-							// Footprint-only traffic in a disjoint block range.
-							blk := addr.Block(1000 + (gid*13+i)%64)
-							tx.ReadBlock(blk)
+							// A read, and a blind write, in a disjoint block range.
+							a := mem.WordAddr(txWords + 8*((gid*13+i)%64))
+							tx.Read(a)
 							if i%3 == 0 {
-								tx.WriteBlock(blk)
+								tx.Write(a, uint64(i))
 							}
 							return nil
 						}); err != nil {

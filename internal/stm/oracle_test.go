@@ -102,39 +102,3 @@ func TestSTMMatchesMapOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestSTMWordGranularityOracle repeats the oracle check at word
-// granularity, where every word is its own conflict unit.
-func TestSTMWordGranularityOracle(t *testing.T) {
-	h := hash.NewMask(32)
-	tab := otable.NewTagless(h)
-	mem := NewMemory(64)
-	cfg := Config{Table: tab, Memory: mem, Granularity: WordGranularity, Seed: 3}
-	attachRecorder(t, &cfg)
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.NewThread()
-	oracle := make(map[int]uint64)
-	r := xrand.New(9)
-	for txn := 0; txn < 200; txn++ {
-		w := r.Intn(64)
-		v := r.Uint64()
-		if err := th.Atomic(func(tx *Tx) error {
-			tx.Write(mem.WordAddr(w), v)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		oracle[w] = v
-	}
-	for w, v := range oracle {
-		if got := mem.LoadDirect(mem.WordAddr(w)); got != v {
-			t.Fatalf("word %d = %d, want %d", w, got, v)
-		}
-	}
-	if tab.Occupied() != 0 {
-		t.Fatalf("occupancy = %d", tab.Occupied())
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"tmbp/internal/addr"
 	"tmbp/internal/opacity"
 	"tmbp/internal/otable"
 )
@@ -51,7 +52,7 @@ func TestReadLogBracketMemoClearedEachAttempt(t *testing.T) {
 	runDrainedLogSchedule(t, 3, func(env *drainedLogEnv, tx *Tx, attempt int) {
 		switch attempt {
 		case 1:
-			w = newStepWriter(env.t, env.rt, env.rt.cfg.Granularity.chunkOf(env.z))
+			w = newStepWriter(env.t, env.rt, addr.BlockOf(env.z))
 			w.enter()
 			tx.Read(env.x)
 			env.th.conflict(otable.NoConflict)
@@ -93,11 +94,11 @@ func TestReadLogWriteSkewSampled(t *testing.T) {
 // chunks. The reads are in the log alone.
 func TestReadLogSetHoldsWritesOnly(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
-			t.Run(fmt.Sprintf("%s/%s", kind, gran), func(t *testing.T) {
-				rt, _, mem := newInvisibleRuntime(t, kind, 64, 512, Config{Granularity: gran})
+		for _, l := range layouts {
+			t.Run(fmt.Sprintf("%s/%s", kind, l), func(t *testing.T) {
+				rt, _, mem := newInvisibleRuntime(t, kind, 64, 512*l.spread(), Config{})
 				th, other := rt.NewThread(), rt.NewThread()
-				x, y, z, w := mem.WordAddr(8), mem.WordAddr(16), mem.WordAddr(24), mem.WordAddr(32)
+				x, y, z, w := l.at(mem, 8), l.at(mem, 16), l.at(mem, 24), l.at(mem, 32)
 				if err := th.Atomic(func(tx *Tx) error {
 					if err := other.Atomic(func(u *Tx) error { u.Write(w, 1); return nil }); err != nil {
 						t.Fatal(err)
@@ -127,21 +128,18 @@ func TestReadLogSetHoldsWritesOnly(t *testing.T) {
 // clock. Validation samples B, meets the reader's own hold and must still
 // check B's stamp: a hold that excused the stamp would commit the write skew.
 func TestReadLogOwnHoldKeepsStampCheck(t *testing.T) {
-	for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
-		t.Run(gran.String(), func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(string(l), func(t *testing.T) {
 			onOneP(t)
-			cfg := Config{Granularity: gran}
+			var cfg Config
 			log := attachRecorder(t, &cfg)
 			if log == nil {
 				log = opacity.NewLog()
 				cfg.Recorder = log
 			}
-			rt, _, mem := newInvisibleRuntime(t, "tagless", 2, 512, cfg)
-			// Chunks 0 and 2 share entry 0 at either granularity.
-			a, b := mem.WordAddr(0), mem.WordAddr(16)
-			if gran == WordGranularity {
-				b = mem.WordAddr(2)
-			}
+			rt, _, mem := newInvisibleRuntime(t, "tagless", 2, 512*l.spread(), cfg)
+			// Chunks 0 and 2 (block) or 0 and 16 (word) share entry 0.
+			a, b := l.at(mem, 0), l.at(mem, 16)
 			th, other := rt.NewThread(), rt.NewThread()
 			attempt := 0
 			if err := th.Atomic(func(tx *Tx) error {

@@ -35,10 +35,9 @@ func (r *sampleRecTable) StampVersion(b addr.Block, stamp uint64) {
 
 // readWordsOp is one scripted operation of the ReadWords oracle.
 type readWordsOp struct {
-	kind  int // 0 read n words from word, 1 write, 2 ReadBlock, 3 WriteBlock, 4 foreign commit
+	kind  int // 0 read n words from word, 1 write, 2 read, 3 read and write, 4 foreign commit
 	word  uint64
 	n     int
-	blk   addr.Block
 	val   uint64
 	abort bool // on the last op: end the transaction with a user error
 }
@@ -47,14 +46,15 @@ type readWordsOp struct {
 var readWordsModes = []string{"drained", "sampled", "serial"}
 
 // TestReadWordsMatchesReadOracle runs one random script twice per table
-// kind × granularity × attempt kind, reading with ReadWords on one runtime
+// kind × layout × attempt kind, reading with ReadWords on one runtime
 // and with one Read per word on another, and requires the two runs to be
 // identical op by op: the values read (checked against a plain model too),
 // the footprint after every op, the sequence of table operations — version
 // samples included — and the recorded opacity events, then final memory and
 // statistics. Reads start anywhere, cross chunks, run into the partial last
 // chunk of a memory that is not a whole number of blocks, and follow the
-// attempt's own writes. A drained attempt begins with every stamp finished,
+// attempt's own writes. A run reads consecutive memory words from its data
+// word, so in the word layout it stays in one or two chunks. A drained attempt begins with every stamp finished,
 // a sampled one with one left unfinished, and a serial one holds the serial
 // token after a forced abort. A foreign commit — a stamp drawn, published to
 // one chunk and finished, memory untouched — moves the clock under the first
@@ -62,13 +62,13 @@ var readWordsModes = []string{"drained", "sampled", "serial"}
 // known chunk validate, extensions revalidate and stale snapshots abort.
 func TestReadWordsMatchesReadOracle(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
+		for _, l := range layouts {
 			for _, mode := range readWordsModes {
-				t.Run(fmt.Sprintf("%s/%s/%s", kind, gran, mode), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%s", kind, l, mode), func(t *testing.T) {
 					for seed := uint64(1); seed <= 6; seed++ {
 						script := readWordsScript(seed)
-						a := runReadWordsScript(t, kind, gran, mode, seed, script, true)
-						b := runReadWordsScript(t, kind, gran, mode, seed, script, false)
+						a := runReadWordsScript(t, kind, l, mode, seed, script, true)
+						b := runReadWordsScript(t, kind, l, mode, seed, script, false)
 						if len(a) != len(b) {
 							t.Fatalf("seed %d: ReadWords run logged %d lines, Read run %d", seed, len(a), len(b))
 						}
@@ -85,8 +85,8 @@ func TestReadWordsMatchesReadOracle(t *testing.T) {
 }
 
 const (
-	readWordsMemWords = 100 // not a whole number of blocks: the last chunk is partial
-	readWordsEntries  = 8   // small: chunks alias under tagless at both granularities
+	readWordsMemWords = 100 // data words; memory ends in a partial chunk in either layout
+	readWordsEntries  = 8   // small: chunks alias under tagless in either layout
 )
 
 // readWordsScript draws 30 transactions of up to 10 ops.
@@ -96,14 +96,11 @@ func readWordsScript(seed uint64) [][]readWordsOp {
 	for i := range script {
 		ops := make([]readWordsOp, r.Intn(10)+1)
 		for j := range ops {
-			op := readWordsOp{kind: r.Intn(5), blk: addr.Block(r.Uint64n(readWordsMemWords / 8)), val: r.Uint64()}
-			switch op.kind {
-			case 0:
+			op := readWordsOp{kind: r.Intn(5), val: r.Uint64()}
+			if op.kind == 0 {
 				op.n = r.Intn(20) + 1
 				op.word = r.Uint64n(uint64(readWordsMemWords - op.n + 1))
-			case 1:
-				op.word = r.Uint64n(readWordsMemWords)
-			case 4:
+			} else {
 				op.word = r.Uint64n(readWordsMemWords)
 			}
 			ops[j] = op
@@ -117,15 +114,16 @@ func readWordsScript(seed uint64) [][]readWordsOp {
 // runReadWordsScript runs script on a fresh runtime and returns its log: one
 // line per op of every attempt, then the table traffic and recorded events
 // of every transaction, then final memory and statistics.
-func runReadWordsScript(t *testing.T, kind string, gran Granularity, mode string, seed uint64, script [][]readWordsOp, words bool) []string {
+func runReadWordsScript(t *testing.T, kind string, l layout, mode string, seed uint64, script [][]readWordsOp, words bool) []string {
 	t.Helper()
 	inner, err := otable.New(kind, hash.NewMask(readWordsEntries))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab := &sampleRecTable{recTable{Table: inner}}
-	mem := NewMemory(readWordsMemWords)
-	cfg := Config{Table: tab, Memory: mem, Granularity: gran, Seed: seed}
+	// The last data word is the first of its chunk in the word layout.
+	mem := NewMemory((readWordsMemWords-1)*l.spread() + 1)
+	cfg := Config{Table: tab, Memory: mem, Seed: seed}
 	if mode == "serial" {
 		cfg.FallbackAfter = 1
 	}
@@ -142,7 +140,7 @@ func runReadWordsScript(t *testing.T, kind string, gran Granularity, mode string
 		undrain(rt)
 	}
 	th := rt.NewThread()
-	model := make([]uint64, readWordsMemWords)
+	model := make([]uint64, mem.Words())
 	var out []string
 	sentinel := errors.New("scripted abort")
 	for tn, ops := range script {
@@ -155,10 +153,20 @@ func runReadWordsScript(t *testing.T, kind string, gran Granularity, mode string
 			pending = map[uint64]uint64{}
 			for i, op := range ops {
 				line := fmt.Sprintf("txn %d attempt %d op %d:", tn, attempt, i)
+				a := l.at(mem, int(op.word))
+				m := uint64(a / addr.WordBytes) // memory word of a
+				read := func(w, v uint64) {
+					want, ok := pending[w]
+					if !ok {
+						want = model[w]
+					}
+					if v != want {
+						t.Fatalf("%s %s: word %d = %d, want %d", kind, line, w, v, want)
+					}
+				}
 				switch op.kind {
 				case 0:
 					got := make([]uint64, op.n)
-					a := mem.WordAddr(int(op.word))
 					if words {
 						tx.ReadWords(a, got)
 					} else {
@@ -167,34 +175,28 @@ func runReadWordsScript(t *testing.T, kind string, gran Granularity, mode string
 						}
 					}
 					for j, v := range got {
-						w := op.word + uint64(j)
-						want, ok := pending[w]
-						if !ok {
-							want = model[w]
-						}
-						if v != want {
-							t.Fatalf("%s %s: word %d = %d, want %d", kind, line, w, v, want)
-						}
+						read(m+uint64(j), v)
 					}
-					line += fmt.Sprintf(" read %d+%d = %v", op.word, op.n, got)
+					line += fmt.Sprintf(" read %d+%d = %v", m, op.n, got)
 				case 1:
-					tx.Write(mem.WordAddr(int(op.word)), op.val)
-					pending[op.word] = op.val
-					line += fmt.Sprintf(" write %d", op.word)
+					tx.Write(a, op.val)
+					pending[m] = op.val
+					line += fmt.Sprintf(" write %d", m)
 				case 2:
-					tx.ReadBlock(op.blk)
-					line += fmt.Sprintf(" read block %d", op.blk)
+					v := tx.Read(a)
+					read(m, v)
+					line += fmt.Sprintf(" read %d = %d", m, v)
 				case 3:
-					tx.WriteBlock(op.blk)
-					line += fmt.Sprintf(" write block %d", op.blk)
+					v := tx.Read(a)
+					read(m, v)
+					tx.Write(a, v+op.val)
+					pending[m] = v + op.val
+					line += fmt.Sprintf(" read %d = %d and write", m, v)
 				case 4:
 					if attempt != 1 {
 						continue
 					}
-					chunk := addr.Block(op.word)
-					if gran == BlockGranularity {
-						chunk = addr.BlockOf(mem.WordAddr(int(op.word)))
-					}
+					chunk := addr.BlockOf(a)
 					stamp := rt.epoch.Add(1)
 					tab.StampVersion(chunk, stamp)
 					rt.done.Add(1)
@@ -235,19 +237,21 @@ func runReadWordsScript(t *testing.T, kind string, gran Granularity, mode string
 }
 
 // TestReadWordsReadsOwnWrites: a word the attempt wrote reads as its redo
-// value, whether the chunk was snapshotted before the write, written before
-// any read, or is held by a serial attempt, and whether the run of words
-// starts in the chunk or crosses into it.
+// value, whether the chunk was read before the write, written before any
+// read, or is held by a serial attempt, and whether the run of words starts
+// in the chunk or crosses into it: in the block layout the run crosses from
+// a chunk not accessed into both, in the word layout it starts in the chunk
+// written before any read and crosses into the one read first.
 func TestReadWordsReadsOwnWrites(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
+		for _, l := range layouts {
 			for _, serial := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/invisible", kind, gran)
+				name := fmt.Sprintf("%s/%s/invisible", kind, l)
 				if serial {
-					name = fmt.Sprintf("%s/%s/serial", kind, gran)
+					name = fmt.Sprintf("%s/%s/serial", kind, l)
 				}
 				t.Run(name, func(t *testing.T) {
-					cfg := Config{Granularity: gran}
+					var cfg Config
 					if serial {
 						cfg.FallbackAfter = 1
 					}
@@ -255,30 +259,37 @@ func TestReadWordsReadsOwnWrites(t *testing.T) {
 					for w := 0; w < 32; w++ {
 						mem.StoreDirect(mem.WordAddr(w), uint64(100+w))
 					}
+					// Memory words: a run of 12 from start; r is read, then
+					// w2 is written in r's chunk, and w1 is written before
+					// any read of its chunk.
+					start, r, w1, w2 := 6, 9, 17, 10
+					if l == "word" {
+						start, r, w1, w2 = 3, 8, 4, 9
+					}
 					th := rt.NewThread()
 					var got [12]uint64
 					if err := th.Atomic(func(tx *Tx) error {
 						if serial && th.desc.Attempts == 1 {
 							th.conflict(otable.NoConflict)
 						}
-						tx.Read(mem.WordAddr(9))      // block 1 snapshotted, then written
-						tx.Write(mem.WordAddr(10), 7) // ...
-						tx.Write(mem.WordAddr(17), 8) // block 2 written before any read
-						tx.ReadWords(mem.WordAddr(6), got[:])
+						tx.Read(mem.WordAddr(r))
+						tx.Write(mem.WordAddr(w2), 7)
+						tx.Write(mem.WordAddr(w1), 8)
+						tx.ReadWords(mem.WordAddr(start), got[:])
 						return nil
 					}); err != nil {
 						t.Fatal(err)
 					}
 					for j, v := range got {
-						want := uint64(106 + j)
-						switch 6 + j {
-						case 10:
+						want := uint64(100 + start + j)
+						switch start + j {
+						case w2:
 							want = 7
-						case 17:
+						case w1:
 							want = 8
 						}
 						if v != want {
-							t.Fatalf("ReadWords word %d = %d, want %d: %v", 6+j, v, want, got)
+							t.Fatalf("ReadWords word %d = %d, want %d: %v", start+j, v, want, got)
 						}
 					}
 					if st := rt.Stats(); serial != (st.FallbackCommits == 1) {

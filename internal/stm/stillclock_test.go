@@ -146,8 +146,8 @@ func (w *stepWriter) leave() {
 // host-independent form of the shortcut's gain. An attempt that begins
 // drained reads without a single sample while the clock stands at rv. Once a
 // foreign writing commit has moved the clock, a chunk's first read is
-// bracketed (2 samples, or 1 for ReadBlock, which loads nothing), and so is a
-// re-read (2), unless it follows the chunk's own bracket on a clock that has
+// bracketed (2 samples, whether it reads one word or, by ReadWords, the whole
+// block), and so is a re-read (2), unless it follows the chunk's own bracket on a clock that has
 // not moved since, which the bracket's clock value accepts with none; no read
 // is served from a snapshot. One snapshot extension — here forced by
 // reading the chunk that commit wrote — restores the drained regime, since
@@ -167,11 +167,11 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 				th, other := rt.NewThread(), rt.NewThread()
 				word := func(blk, w int) addr.Addr { return mem.WordAddr(8*blk + w) }
 				// first is the first access of block blk: a Read of its word 0,
-				// or the footprint-only ReadBlock, which loads nothing and so
-				// never needs its sample bracketed.
+				// or a ReadWords of all its words.
 				first := func(tx *Tx, blk int) {
 					if block {
-						tx.ReadBlock(addr.BlockOf(word(blk, 0)))
+						var all [chunkWords]uint64
+						tx.ReadWords(word(blk, 0), all[:])
 					} else {
 						tx.Read(word(blk, 0))
 					}
@@ -208,15 +208,9 @@ func TestInvisibleSamplesPerRead(t *testing.T) {
 					if err := other.Atomic(func(otx *Tx) error { otx.Write(word(5, 0), 1); return nil }); err != nil {
 						t.Fatal(err)
 					}
-					// ReadBlock's one sample reads no clock, so the chunk's first
-					// Read after it takes the bracket; the repeat read follows
-					// that bracket.
-					firstWant, anotherWant := 2, 0
-					if block {
-						firstWant, anotherWant = 1, 2
-					}
-					expect("moved clock: first read of a chunk", firstWant, func() { first(tx, 1) })
-					expect("moved clock: another word of it", anotherWant, func() { tx.Read(word(1, 1)) })
+					// The reads after the first follow its bracket.
+					expect("moved clock: first read of a chunk", 2, func() { first(tx, 1) })
+					expect("moved clock: another word of it", 0, func() { tx.Read(word(1, 1)) })
 					expect("moved clock: repeat read", 0, func() { tx.Read(word(1, 0)) })
 					// Block 5 carries the foreign stamp: its sample, one
 					// revalidation of the one entry so far, and the sample
@@ -344,48 +338,38 @@ func TestStillClockScheduleWriterAfterSample(t *testing.T) {
 // and half-writes between that sample and the extension's reload of rv. The
 // new rv covers the writer's stamp, the clock then stands still, and nothing
 // else in the read set is touched — only taking the sample again shows the
-// writer. Keeping the pre-extension sample returns the half-written word
-// (Read), or admits a block the next two reads trust (ReadBlock). The attempt
+// writer. Keeping the pre-extension sample returns the half-written word. The attempt
 // begins drained; the foreign commit ends that at the read of block 2, which
 // then takes its sample.
 func TestStillClockScheduleWriterBeforeExtension(t *testing.T) {
 	for _, kind := range sweepKinds() {
-		for _, block := range []bool{false, true} {
-			name := kind + "/Read"
-			if block {
-				name = kind + "/ReadBlock"
-			}
-			t.Run(name, func(t *testing.T) {
-				st := runStillClockSchedule(t, kind, false, nil, func(tx *Tx, env *stillClockEnv) {
-					tx.Read(env.y) // something for the extension to revalidate
-					if err := env.rt.NewThread().Atomic(func(otx *Tx) error {
-						otx.Write(env.x0, 1)
-						otx.Write(env.x1, 1)
-						return nil
-					}); err != nil {
-						t.Fatal(err)
-					}
-					env.enterAfterSample(2)
-					defer env.w.store(env.x1, 2)
-					if block {
-						tx.ReadBlock(env.w.chunk)
-					}
-					a, b := tx.Read(env.x0), tx.Read(env.x1)
-					t.Fatalf("read x0/x1 = %d/%d on a sample taken before the extension reloaded rv", a, b)
-				})
-				if st.ROExtensions != 1 || st.ROValidationAborts != 1 {
-					t.Fatalf("stats = %+v, want the extension to succeed and the sample after it to abort", st)
+		t.Run(kind+"/Read", func(t *testing.T) {
+			st := runStillClockSchedule(t, kind, false, nil, func(tx *Tx, env *stillClockEnv) {
+				tx.Read(env.y) // something for the extension to revalidate
+				if err := env.rt.NewThread().Atomic(func(otx *Tx) error {
+					otx.Write(env.x0, 1)
+					otx.Write(env.x1, 1)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
+				env.enterAfterSample(2)
+				defer env.w.store(env.x1, 2)
+				a, b := tx.Read(env.x0), tx.Read(env.x1)
+				t.Fatalf("read x0/x1 = %d/%d on a sample taken before the extension reloaded rv", a, b)
 			})
-		}
+			if st.ROExtensions != 1 || st.ROValidationAborts != 1 {
+				t.Fatalf("stats = %+v, want the extension to succeed and the sample after it to abort", st)
+			}
+		})
 	}
 }
 
-// TestStillClockScheduleSecondWord: the reader knows the chunk — ReadBlock
-// admitted it on a sample, no word is loaded yet — when a writer enters and
-// writes back word 1. The chunk's first Read loads both words and takes no
-// sample on a still clock, so the clock is all that stands between it and
-// half a commit. (TestDrainedBeginComparesDone makes the same read of a chunk
+// TestStillClockScheduleSecondWord: the reader knows the chunk — a read of
+// its word 2 admitted it on a sample, neither x0 nor x1 is loaded yet — when
+// a writer enters and writes back x1. The reads of x0 and x1 take no sample
+// on a still clock, so the clock is all that stands between them and half a
+// commit. (TestDrainedBeginComparesDone makes the same read of a chunk
 // the drained first read admitted.)
 func TestStillClockScheduleSecondWord(t *testing.T) {
 	for _, kind := range sweepKinds() {
@@ -393,7 +377,7 @@ func TestStillClockScheduleSecondWord(t *testing.T) {
 			t.Run(kind+"/"+r.name, func(t *testing.T) {
 				undrained := func(env *stillClockEnv) { undrain(env.rt) }
 				runStillClockSchedule(t, kind, r.writes, undrained, func(tx *Tx, env *stillClockEnv) {
-					tx.ReadBlock(env.w.chunk)
+					tx.Read(env.x1 + addr.WordBytes)
 					env.w.enter()
 					env.w.store(env.x1, 1)
 					defer env.w.store(env.x0, 1)

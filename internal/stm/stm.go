@@ -3,7 +3,10 @@
 // analysis applies to: transactions execute optimistically, acquire
 // ownership of the cache blocks they write at encounter time through a
 // central ownership table, buffer writes in a redo log, and roll back when
-// a conflict is detected.
+// a conflict is detected. A chunk — the unit the runtime tracks ownership,
+// versions and footprints in — is one 64-byte cache block, the unit the
+// paper's conflict model counts. Every access names a word of Memory, and an
+// address past its end panics before the runtime sees its chunk.
 //
 // The metadata organization is pluggable: running the same program against
 // a tagless table and a tagged table exposes exactly the false-conflict
@@ -179,6 +182,9 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Memory == nil {
 		return nil, errors.New("stm: Config.Memory is required")
 	}
+	if cfg.Isolation != WeakIsolation && cfg.Isolation != StrongIsolation {
+		return nil, fmt.Errorf("stm: Isolation = %d is neither WeakIsolation nor StrongIsolation", cfg.Isolation)
+	}
 	if cfg.MaxAttempts < 0 {
 		return nil, fmt.Errorf("stm: MaxAttempts = %d must be >= 0", cfg.MaxAttempts)
 	}
@@ -190,6 +196,12 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.CM != "" && cfg.CM != "backoff" {
 		return nil, fmt.Errorf("stm: CM policy %q does not exist (backoff is the only built-in; install others with Config.NewCM)", cfg.CM)
+	}
+	if cfg.BackoffBase < -1 {
+		return nil, fmt.Errorf("stm: BackoffBase = %d must be >= -1 (-1 disables backoff)", cfg.BackoffBase)
+	}
+	if cfg.BackoffMax < 0 {
+		return nil, fmt.Errorf("stm: BackoffMax = %d must be >= 0", cfg.BackoffMax)
 	}
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 4
@@ -313,23 +325,19 @@ func (rt *Runtime) NewThread() *Thread {
 	board[id-1] = ctr
 	rt.board.Store(&board)
 	rt.mu.Unlock()
-	chunks := rt.cfg.Memory.Words()
-	if rt.cfg.Granularity != WordGranularity {
-		chunks = (chunks + chunkWords - 1) / chunkWords
-	}
+	chunks := (rt.cfg.Memory.Words() + chunkWords - 1) / chunkWords
 	th := &Thread{
-		rt:       rt,
-		id:       id,
-		ctr:      ctr,
-		tab:      rt.cfg.Table,
-		mem:      rt.cfg.Memory,
-		wordGran: rt.cfg.Granularity == WordGranularity,
-		slotID:   rt.cfg.Table.SlotsAreBlocks(),
-		fuzzP:    rt.cfg.FuzzYield,
-		fb:       rt.cfg.FallbackAfter,
-		rec:      rt.cfg.Recorder,
-		rng:      xrand.NewWithStream(rt.cfg.Seed, uint64(id)),
-		dbits:    make([]uint64, (chunks+63)/64),
+		rt:     rt,
+		id:     id,
+		ctr:    ctr,
+		tab:    rt.cfg.Table,
+		mem:    rt.cfg.Memory,
+		slotID: rt.cfg.Table.SlotsAreBlocks(),
+		fuzzP:  rt.cfg.FuzzYield,
+		fb:     rt.cfg.FallbackAfter,
+		rec:    rt.cfg.Recorder,
+		rng:    xrand.NewWithStream(rt.cfg.Seed, uint64(id)),
+		dbits:  make([]uint64, (chunks+63)/64),
 	}
 	th.tx.th = th
 	th.w = waiter{rng: th.rng, th: th}
@@ -345,16 +353,15 @@ type Thread struct {
 	rt  *Runtime
 	id  otable.TxID
 	ctr *threadCounters
-	// tab/mem/wordGran/slotID cache the config the hot path consults on
+	// tab/mem/slotID cache the config the hot path consults on
 	// every access. Acquires record the granted record's handle in the
 	// access-set entry and commit/abort release by handle — no table re-walk
 	// on the serial commit path.
-	tab      otable.Table
-	mem      *Memory
-	wordGran bool    // ownership tracked per word rather than per block
-	slotID   bool    // table slots are blocks: no cross-chunk slot aliasing
-	fuzzP    float64 // Config.FuzzYield; 0 (the default) costs fuzz one local branch
-	fb       int     // Config.FallbackAfter (0 = serial fallback disabled)
+	tab    otable.Table
+	mem    *Memory
+	slotID bool    // table slots are blocks: no cross-chunk slot aliasing
+	fuzzP  float64 // Config.FuzzYield; 0 (the default) costs fuzz one local branch
+	fb     int     // Config.FallbackAfter (0 = serial fallback disabled)
 	// rec is the runtime's history recorder, nil when disabled; cached
 	// here so the hot path pays one nil check, not a config dereference.
 	rec  Recorder
@@ -367,7 +374,7 @@ type Thread struct {
 	// promptly on cancellation. Only the owning goroutine touches it.
 	ctx    context.Context
 	active bool // a transaction is executing: nesting guard
-	// wrote marks an attempt that has called Write/WriteBlock (set with one
+	// wrote marks an attempt that has called Write (set with one
 	// unconditional store per call): it holds at least one write, so its
 	// commit must draw a stamp and release, and a writer it samples may be
 	// its own hold (pinOrWait). An attempt that has not written holds

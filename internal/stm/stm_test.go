@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -33,6 +34,26 @@ func newRuntime(t *testing.T, kind string, entries uint64, words int) *Runtime {
 // the runtime sweeps keep it as a subtest until the alias goes.
 func sweepKinds() []string { return append(otable.Kinds(), "sharded") }
 
+// layout is how a test places its data words in memory: the axis of the
+// …/block and …/word subtests. A "block" test puts data word i at memory
+// word i, eight to a chunk; a "word" test gives each data word a block of
+// its own, data word i at memory word 8i, so data word i is chunk i and
+// every word is its own chunk.
+type layout string
+
+var layouts = []layout{"block", "word"}
+
+// spread is how many memory words l gives each data word.
+func (l layout) spread() int {
+	if l == "word" {
+		return chunkWords
+	}
+	return 1
+}
+
+// at returns the address of data word i under l.
+func (l layout) at(mem *Memory, i int) addr.Addr { return mem.WordAddr(i * l.spread()) }
+
 // TestThreadCountersPadding pins threadCounters to two cache lines: its
 // trailing pad is hand-computed from the field count, and a field added or
 // removed without redoing that arithmetic would let two threads' blocks
@@ -53,6 +74,82 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Table: tab, Memory: NewMemory(8), MaxAttempts: -1}); err == nil {
 		t.Error("negative MaxAttempts accepted")
+	}
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Isolation", Config{Isolation: 2}},
+		{"BackoffBase", Config{BackoffBase: -2}},
+		{"BackoffMax", Config{BackoffMax: -1}},
+	} {
+		c.cfg.Table, c.cfg.Memory = tab, NewMemory(8)
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("out-of-range %s: New = %v, want an error naming the field", c.field, err)
+		}
+	}
+	for _, cfg := range []Config{{BackoffBase: -1}, {Isolation: StrongIsolation}} {
+		cfg.Table, cfg.Memory = tab, NewMemory(8)
+		if _, err := New(cfg); err != nil {
+			t.Errorf("New(%+v) = %v, want it accepted", cfg, err)
+		}
+	}
+}
+
+// TestTxAccessPastMemoryPanics: inside an attempt that has written a word,
+// Read, Write and ReadWords of an address past the end of memory panic with
+// the bad-address message before the runtime sees the address's chunk, so
+// every chunk it tracks has its bit in the per-thread bitmap. The panic
+// rolls the attempt back: the table is left empty and the thread's next
+// transaction commits.
+func TestTxAccessPastMemoryPanics(t *testing.T) {
+	for _, kind := range otable.Kinds() {
+		t.Run(kind, func(t *testing.T) {
+			tab, err := otable.New(kind, hash.NewMask(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMemory(64)
+			rt, err := New(Config{Table: tab, Memory: mem, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := rt.NewThread()
+			past := mem.WordAddr(mem.Words())
+			for _, op := range []struct {
+				name string
+				fn   func(tx *Tx)
+			}{
+				{"Read", func(tx *Tx) { tx.Read(past) }},
+				{"Write", func(tx *Tx) { tx.Write(past, 1) }},
+				{"ReadWords", func(tx *Tx) { tx.ReadWords(mem.WordAddr(mem.Words()-2), make([]uint64, 4)) }},
+			} {
+				func() {
+					defer func() {
+						r := recover()
+						err, ok := r.(error)
+						if !ok || !strings.Contains(err.Error(), "beyond memory of 64 words") {
+							t.Errorf("%s past memory panicked with %v, want the bad-address message", op.name, r)
+						}
+					}()
+					_ = th.Atomic(func(tx *Tx) error {
+						tx.Write(mem.WordAddr(0), 1)
+						op.fn(tx)
+						return nil
+					})
+				}()
+				if err := otable.AuditQuiesced(tab); err != nil {
+					t.Fatalf("after %s: %v", op.name, err)
+				}
+				if err := th.Atomic(func(tx *Tx) error { tx.Write(mem.WordAddr(0), tx.Read(mem.WordAddr(0))+1); return nil }); err != nil || th.Attempts() != 1 {
+					t.Fatalf("after %s: next transaction = %v on attempt %d, want a commit on attempt 1", op.name, err, th.Attempts())
+				}
+			}
+			if got := mem.LoadDirect(mem.WordAddr(0)); got != 3 {
+				t.Fatalf("word 0 = %d, want the 3 increments of the committed transactions", got)
+			}
+			assertDrained(t, rt)
+		})
 	}
 }
 
@@ -444,28 +541,6 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 	}
 }
 
-func TestWordGranularity(t *testing.T) {
-	tab := otable.NewTagged(hash.NewMask(64))
-	mem := NewMemory(64)
-	rt, err := New(Config{Table: tab, Memory: mem, Granularity: WordGranularity, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two words in the same cache block: block granularity would conflict,
-	// word granularity must not.
-	thA, thB := rt.NewThread(), rt.NewThread()
-	errA := thA.Atomic(func(txA *Tx) error {
-		txA.Write(mem.WordAddr(0), 1)
-		return thB.Atomic(func(txB *Tx) error {
-			txB.Write(mem.WordAddr(1), 2) // same 64B block, different word
-			return nil
-		})
-	})
-	if errA != nil {
-		t.Fatalf("word-granularity neighbors conflicted: %v", errA)
-	}
-}
-
 func TestBlockGranularityNeighborsConflict(t *testing.T) {
 	tab := otable.NewTagless(hash.NewMask(64))
 	mem := NewMemory(64)
@@ -557,12 +632,6 @@ func TestThreadIDsDistinct(t *testing.T) {
 			t.Fatalf("duplicate thread ID %d", id)
 		}
 		seen[id] = true
-	}
-}
-
-func TestGranularityString(t *testing.T) {
-	if BlockGranularity.String() != "block" || WordGranularity.String() != "word" {
-		t.Fatal("granularity names wrong")
 	}
 }
 

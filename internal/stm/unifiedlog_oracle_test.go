@@ -273,18 +273,17 @@ func TestBlockSet(t *testing.T) {
 }
 
 // oldModel is the pre-unification per-thread log: the exact Tx.Read/Write/
-// ReadBlock/WriteBlock/commit/rollback logic over blockSet+writeLog and
-// slot-keyed holdings, kept as the executable specification.
+// commit/rollback logic over blockSet+writeLog and slot-keyed holdings, kept
+// as the executable specification.
 type oldModel struct {
-	tab      *recTable
-	id       otable.TxID
-	held     map[uint64]*holding // slot -> this transaction's permission
-	first    map[addr.Block]int  // chunk -> first-write order
-	reads    *blockSet
-	writes   *blockSet
-	redo     *writeLog
-	mem      []uint64
-	wordGran bool
+	tab    *recTable
+	id     otable.TxID
+	held   map[uint64]*holding // slot -> this transaction's permission
+	first  map[addr.Block]int  // chunk -> first-write order
+	reads  *blockSet
+	writes *blockSet
+	redo   *writeLog
+	mem    []uint64
 	// sampled: first reads take a version sample (the runtime is
 	// undrained), so a read can find a writer in its chunk's cell and pin.
 	sampled bool
@@ -298,25 +297,21 @@ type holding struct {
 	first int
 }
 
-func newOldModel(tab *recTable, id otable.TxID, words int, wordGran, sampled bool) *oldModel {
+func newOldModel(tab *recTable, id otable.TxID, words int, sampled bool) *oldModel {
 	return &oldModel{
-		tab:      tab,
-		id:       id,
-		held:     make(map[uint64]*holding),
-		first:    make(map[addr.Block]int),
-		reads:    newBlockSet(),
-		writes:   newBlockSet(),
-		redo:     newWriteLog(),
-		mem:      make([]uint64, words),
-		wordGran: wordGran,
-		sampled:  sampled,
+		tab:     tab,
+		id:      id,
+		held:    make(map[uint64]*holding),
+		first:   make(map[addr.Block]int),
+		reads:   newBlockSet(),
+		writes:  newBlockSet(),
+		redo:    newWriteLog(),
+		mem:     make([]uint64, words),
+		sampled: sampled,
 	}
 }
 
-func (m *oldModel) chunkOf(word uint64) addr.Block {
-	if m.wordGran {
-		return addr.Block(word)
-	}
+func wordChunk(word uint64) addr.Block {
 	return addr.Block(word >> (addr.BlockShift - addr.WordShift))
 }
 
@@ -360,7 +355,7 @@ func (m *oldModel) read(word uint64) uint64 {
 	if v, ok := m.redo.Get(word); ok {
 		return v
 	}
-	chunk := m.chunkOf(word)
+	chunk := wordChunk(word)
 	if !m.writes.Has(chunk) && m.reads.Add(chunk) && m.sampled {
 		m.readChunk(chunk)
 	}
@@ -368,28 +363,12 @@ func (m *oldModel) read(word uint64) uint64 {
 }
 
 func (m *oldModel) write(word uint64, v uint64) {
-	chunk := m.chunkOf(word)
+	chunk := wordChunk(word)
 	if m.writes.Add(chunk) {
 		m.writeChunk(chunk)
 		m.reads.Remove(chunk)
 	}
 	m.redo.Set(word, v)
-}
-
-// readBlock is a ReadBlock, which logs the block as a read does: every block
-// of the script lies within the runtime's bitmap (a block past it would take
-// an entry, and its place in release order, here).
-func (m *oldModel) readBlock(b addr.Block) {
-	if !m.writes.Has(b) && m.reads.Add(b) {
-		m.readChunk(b)
-	}
-}
-
-func (m *oldModel) writeBlock(b addr.Block) {
-	if m.writes.Add(b) {
-		m.writeChunk(b)
-		m.reads.Remove(b)
-	}
 }
 
 func (m *oldModel) footprint() int { return m.reads.Len() + m.writes.Len() }
@@ -415,36 +394,36 @@ func (m *oldModel) finish(commit bool) {
 
 // oracleOp is one scripted transactional operation.
 type oracleOp struct {
-	kind int // 0 read, 1 write, 2 readBlock, 3 writeBlock
-	word uint64
-	blk  addr.Block
+	kind int    // 0 read, 1 write
+	word uint64 // memory word
+	blk  uint64
 	val  uint64
 }
 
 func TestUnifiedLogMatchesOldTripleOracle(t *testing.T) {
 	const (
 		words   = 64
-		entries = 16 // small: heavy aliasing under tagless
+		entries = 4 // small: chunks alias under tagless in either layout
 		txns    = 60
 		seeds   = 8
 	)
 	for _, kind := range sweepKinds() {
-		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
-			name := fmt.Sprintf("%s/%s", kind, gran)
+		for _, l := range layouts {
+			name := fmt.Sprintf("%s/%s", kind, l)
 			t.Run(name, func(t *testing.T) {
 				var pins [2]uint64 // drained, sampled
 				for seed := uint64(1); seed <= seeds; seed++ {
-					pins[0] += runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, "backoff", false)
-					pins[1] += runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, "backoff", true)
+					pins[0] += runUnifiedLogOracle(t, kind, l, words, entries, txns, seed, "backoff", false)
+					pins[1] += runUnifiedLogOracle(t, kind, l, words, entries, txns, seed, "backoff", true)
 				}
 				// A drained read takes no sample, so it never pins. Tagless
-				// chunks alias only at word granularity (8 blocks, 16
-				// entries): there the sampled runs must reach the pin. A
-				// tagged sample answers for its own chunk, which a lone
-				// attempt samples only before it holds it: no pin ever.
+				// chunks alias (8 or 64 chunks, 4 entries): the sampled runs
+				// must reach the pin. A tagged sample answers for its own
+				// chunk, which a lone attempt samples only before it holds
+				// it: no pin ever.
 				switch {
 				case pins[0] != 0,
-					kind == "tagless" && gran == WordGranularity && pins[1] == 0,
+					kind == "tagless" && pins[1] == 0,
 					kind != "tagless" && pins[1] != 0:
 					t.Fatalf("pins drained/sampled = %d/%d", pins[0], pins[1])
 				}
@@ -466,13 +445,13 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 		seeds   = 3
 	)
 	for _, kind := range sweepKinds() {
-		for _, gran := range []Granularity{BlockGranularity, WordGranularity} {
+		for _, l := range layouts {
 			for _, policy := range cmPolicies() {
-				name := fmt.Sprintf("%s/%s/%s", kind, gran, policy)
+				name := fmt.Sprintf("%s/%s/%s", kind, l, policy)
 				t.Run(name, func(t *testing.T) {
 					for seed := uint64(1); seed <= seeds; seed++ {
 						for _, sampled := range []bool{false, true} {
-							runUnifiedLogOracle(t, kind, gran, words, entries, txns, seed, policy, sampled)
+							runUnifiedLogOracle(t, kind, l, words, entries, txns, seed, policy, sampled)
 						}
 					}
 				})
@@ -482,9 +461,10 @@ func TestUnifiedLogOracleAcrossCMPolicies(t *testing.T) {
 }
 
 // runUnifiedLogOracle drives the model and the runtime through one random
-// script and returns the runtime's pin count. sampled leaves the runtime
-// undrained, so every first read takes its version sample.
-func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int, entries uint64, txns int, seed uint64, policy string, sampled bool) uint64 {
+// script over words data words laid out by l and returns the runtime's pin
+// count. sampled leaves the runtime undrained, so every first read takes its
+// version sample.
+func runUnifiedLogOracle(t *testing.T, kind string, l layout, words int, entries uint64, txns int, seed uint64, policy string, sampled bool) uint64 {
 	t.Helper()
 	newRec := func() *recTable {
 		tab, err := otable.New(kind, hash.NewMask(entries))
@@ -494,8 +474,8 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 		return &recTable{Table: tab}
 	}
 	realTab, modelTab := newRec(), newRec()
-	mem := NewMemory(words)
-	cfg := Config{Table: realTab, Memory: mem, Granularity: gran, Seed: seed}
+	mem := NewMemory(words * l.spread())
+	cfg := Config{Table: realTab, Memory: mem, Seed: seed}
 	withPolicy(&cfg, policy)
 	rt, err := New(cfg)
 	if err != nil {
@@ -505,7 +485,7 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 		undrain(rt)
 	}
 	th := rt.NewThread()
-	model := newOldModel(modelTab, th.ID(), words, gran == WordGranularity, sampled)
+	model := newOldModel(modelTab, th.ID(), mem.Words(), sampled)
 
 	r := xrand.New(seed)
 	for tn := 0; tn < txns; tn++ {
@@ -514,9 +494,13 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 		for i := range ops {
 			ops[i] = oracleOp{
 				kind: r.Intn(4),
-				word: r.Uint64n(uint64(words)),
-				blk:  addr.Block(r.Uint64n(10)),
+				word: uint64(l.spread()) * r.Uint64n(uint64(words)),
+				blk:  r.Uint64n(uint64(mem.Words() / chunkWords)),
 				val:  r.Uint64(),
+			}
+			if ops[i].kind >= 2 { // half the ops name the first word of a chunk
+				ops[i].kind -= 2
+				ops[i].word = chunkWords * ops[i].blk
 			}
 		}
 		abort := r.Intn(5) == 0
@@ -530,10 +514,6 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 				expReads[i] = model.read(op.word)
 			case 1:
 				model.write(op.word, op.val)
-			case 2:
-				model.readBlock(op.blk)
-			case 3:
-				model.writeBlock(op.blk)
 			}
 			expFeet[i] = model.footprint()
 		}
@@ -551,10 +531,6 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 					}
 				case 1:
 					tx.Write(mem.WordAddr(int(op.word)), op.val)
-				case 2:
-					tx.ReadBlock(op.blk)
-				case 3:
-					tx.WriteBlock(op.blk)
 				}
 				if got := tx.FootprintBlocks(); got != expFeet[i] {
 					t.Fatalf("%s seed=%d txn=%d op=%d: footprint = %d, model %d",
@@ -585,7 +561,7 @@ func runUnifiedLogOracle(t *testing.T, kind string, gran Granularity, words int,
 	}
 
 	// Final memory identical; both tables drained.
-	for w := 0; w < words; w++ {
+	for w := range model.mem {
 		if got := mem.LoadDirect(mem.WordAddr(w)); got != model.mem[w] {
 			t.Fatalf("%s seed=%d: final word %d = %d, model %d", kind, seed, w, got, model.mem[w])
 		}

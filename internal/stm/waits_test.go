@@ -26,27 +26,19 @@ import (
 
 // waitEnv is the stage of one schedule: the reader th and the other thread
 // on a runtime over an 8-entry table under the mask hash, wrapped in a
-// sampleTable, so chunks c and c+8 share a tagless entry at either
-// granularity.
+// sampleTable, so chunks c and c+8 share a tagless entry.
 type waitEnv struct {
 	t         *testing.T
 	rt        *Runtime
 	st        *sampleTable
 	mem       *Memory
 	th, other *Thread
-	gran      Granularity
 	wg        sync.WaitGroup // goroutines the schedule started
 	releases  []func()
 }
 
-// at returns the address of word w of chunk c; at word granularity w must
-// be 0.
-func (env *waitEnv) at(c, w int) addr.Addr {
-	if env.gran == WordGranularity {
-		return env.mem.WordAddr(c + w)
-	}
-	return env.mem.WordAddr(8*c + w)
-}
+// at returns the address of word w of chunk c.
+func (env *waitEnv) at(c, w int) addr.Addr { return env.mem.WordAddr(8*c + w) }
 
 // commit runs one transaction of the other thread, which must commit.
 func (env *waitEnv) commit(fn func(u *Tx)) {
@@ -86,21 +78,22 @@ func (env *waitEnv) during(fn func(u *Tx)) (release func()) {
 	return release
 }
 
-var bothGrans = []Granularity{BlockGranularity, WordGranularity}
-
 // runWaitSchedule runs body as the reader's transaction on a fresh runtime of
-// every kind and granularity given. The reader must commit on attempt
-// wantAttempts, and the recorded history must be opaque.
-func runWaitSchedule(t *testing.T, kinds []string, grans []Granularity, wantAttempts int, body func(env *waitEnv, tx *Tx, attempt int)) {
+// every kind and layout given. The reader must commit on attempt
+// wantAttempts, and the recorded history must be opaque. A schedule names
+// word 0 of its chunks, where data word c of the word layout lies too, so
+// both layouts run the same accesses; only TestWaitsUnreadWordsOweCover
+// names another word, and runs the block layout alone.
+func runWaitSchedule(t *testing.T, kinds []string, ls []layout, wantAttempts int, body func(env *waitEnv, tx *Tx, attempt int)) {
 	for _, kind := range kinds {
-		for _, gran := range grans {
-			t.Run(fmt.Sprintf("%s/%s", kind, gran), func(t *testing.T) {
+		for _, l := range ls {
+			t.Run(fmt.Sprintf("%s/%s", kind, l), func(t *testing.T) {
 				onOneP(t)
 				tab, err := otable.New(kind, hash.NewMask(8))
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := Config{Granularity: gran}
+				var cfg Config
 				log := attachRecorder(t, &cfg)
 				if log == nil {
 					log = opacity.NewLog()
@@ -108,7 +101,7 @@ func runWaitSchedule(t *testing.T, kinds []string, grans []Granularity, wantAtte
 				}
 				st := &sampleTable{Table: tab}
 				rt, mem := newInvisibleRuntimeOn(t, st, 512, cfg)
-				env := &waitEnv{t: t, rt: rt, st: st, mem: mem, th: rt.NewThread(), other: rt.NewThread(), gran: gran}
+				env := &waitEnv{t: t, rt: rt, st: st, mem: mem, th: rt.NewThread(), other: rt.NewThread()}
 				attempt := 0
 				err = env.th.Atomic(func(tx *Tx) error {
 					attempt++
@@ -149,7 +142,7 @@ func runWaitSchedule(t *testing.T, kinds []string, grans []Granularity, wantAtte
 // the pin passes by value. One attempt; without the waits the denial aborts
 // and the reader commits on attempt 2.
 func TestWaitsAliasDenial(t *testing.T) {
-	runWaitSchedule(t, []string{"tagless"}, bothGrans, 1, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, []string{"tagless"}, layouts, 1, func(env *waitEnv, tx *Tx, attempt int) {
 		v := tx.Read(env.at(1, 0))
 		if attempt == 1 {
 			env.during(func(u *Tx) { u.Write(env.at(9, 0), 7) })()
@@ -166,7 +159,7 @@ func TestWaitsAliasDenial(t *testing.T) {
 // retry reads the other thread's value. A pin that passed without the value
 // check would commit a lost update: a history that is not opaque.
 func TestWaitsTrueWriterFailsPin(t *testing.T) {
-	runWaitSchedule(t, []string{"tagless"}, bothGrans, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, []string{"tagless"}, layouts, 2, func(env *waitEnv, tx *Tx, attempt int) {
 		a := env.at(1, 0)
 		v := tx.Read(a)
 		if attempt == 1 {
@@ -183,10 +176,10 @@ func TestWaitsTrueWriterFailsPin(t *testing.T) {
 // it: word 0 is unchanged, so the pin passes by value, but word 3 was not
 // read and the entry's stamp is past rv, so its read owes the snapshot-cover
 // check, whose extension fails on d. A pin that kept PermRead would return
-// the new word 3 beside the old d: not opaque. Block granularity only: a
-// word chunk has no word left unread.
+// the new word 3 beside the old d: not opaque. Block layout only: a's words
+// are one chunk.
 func TestWaitsUnreadWordsOweCover(t *testing.T) {
-	runWaitSchedule(t, []string{"tagless"}, []Granularity{BlockGranularity}, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, []string{"tagless"}, []layout{"block"}, 2, func(env *waitEnv, tx *Tx, attempt int) {
 		a0, a3, d := env.at(1, 0), env.at(1, 3), env.at(2, 0)
 		v0, vd := tx.Read(a0), tx.Read(d)
 		if attempt == 1 {
@@ -205,7 +198,7 @@ func TestWaitsUnreadWordsOweCover(t *testing.T) {
 // and returns the value from before the holder's; the holder commits after
 // the reader. Without the wait the sample aborts the reader.
 func TestWaitsReadBesideHolder(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), bothGrans, 1, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), layouts, 1, func(env *waitEnv, tx *Tx, attempt int) {
 		x := env.at(1, 0)
 		if attempt == 1 {
 			env.commit(func(u *Tx) { u.Write(env.at(3, 0), 1) })
@@ -226,10 +219,10 @@ func TestWaitsReadBesideHolder(t *testing.T) {
 // ended without done == epoch would read the new x beside the old z: a
 // wrong value and a history that is not opaque.
 func TestWaitsReadAfterWriteBack(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), bothGrans, 1, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), layouts, 1, func(env *waitEnv, tx *Tx, attempt int) {
 		x, z := env.at(1, 0), env.at(3, 0)
 		if attempt == 1 {
-			w := newStepWriter(env.t, env.rt, env.rt.cfg.Granularity.chunkOf(x), env.rt.cfg.Granularity.chunkOf(z))
+			w := newStepWriter(env.t, env.rt, addr.BlockOf(x), addr.BlockOf(z))
 			w.enter()
 			w.store(x, 5)
 			env.wg.Add(1)
@@ -252,11 +245,11 @@ func TestWaitsReadAfterWriteBack(t *testing.T) {
 // x. An excuse that kept the first sample (taken before the writer
 // published) would commit the old x on attempt 1.
 func TestWaitsValidationResamples(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), bothGrans, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), layouts, 2, func(env *waitEnv, tx *Tx, attempt int) {
 		x := env.at(1, 0)
 		v := tx.Read(x)
 		if attempt == 1 {
-			w := newStepWriter(env.t, env.rt, env.rt.cfg.Granularity.chunkOf(x))
+			w := newStepWriter(env.t, env.rt, addr.BlockOf(x))
 			w.enter()
 			w.store(x, 5)
 			env.wg.Add(1)
@@ -275,9 +268,9 @@ func TestWaitsValidationResamples(t *testing.T) {
 // not, and the reader aborts without waiting; its retry reads writer 1's x.
 // An excuse that asked only done == S−1 would commit the old x on attempt 1.
 func TestWaitsWritingCommitExcuse(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), bothGrans, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), layouts, 2, func(env *waitEnv, tx *Tx, attempt int) {
 		x := env.at(1, 0)
-		chunk := env.rt.cfg.Granularity.chunkOf
+		chunk := addr.BlockOf
 		if attempt == 2 {
 			env.releases[0]() // writer 1 finishes
 		}
@@ -314,22 +307,8 @@ func TestWaitsTaggedDenialAborts(t *testing.T) {
 		}
 		tx.Write(env.at(1, 0), 8)
 	}
-	runWaitSchedule(t, []string{"tagged"}, bothGrans, 2, body)
-	runWaitSchedule(t, []string{"tagless"}, bothGrans, 1, body)
-}
-
-// TestWaitsReadBlockPinAborts is TestWaitsAliasDenial with the reader naming
-// a by ReadBlock: no word was logged, so the pin has nothing to compare and
-// the moved stamp aborts it.
-func TestWaitsReadBlockPinAborts(t *testing.T) {
-	runWaitSchedule(t, []string{"tagless"}, bothGrans, 2, func(env *waitEnv, tx *Tx, attempt int) {
-		a := env.at(1, 0)
-		tx.ReadBlock(env.rt.cfg.Granularity.chunkOf(a))
-		if attempt == 1 {
-			env.during(func(u *Tx) { u.Write(env.at(9, 0), 7) })()
-		}
-		tx.Write(a, 1)
-	})
+	runWaitSchedule(t, []string{"tagged"}, layouts, 2, body)
+	runWaitSchedule(t, []string{"tagless"}, layouts, 1, body)
 }
 
 // TestWaitsCtxCancel: an AtomicCtx cancelled while its attempt waits — on a
@@ -373,27 +352,28 @@ func TestWaitsCtxCancel(t *testing.T) {
 }
 
 // TestWaitsHammer runs the waits under real interleaving: four threads
-// each read one word and increment two others of a 256-word memory through
-// an 8-entry table, so on tagless nearly every two chunks alias — denials
+// each read one data word and increment two others of 256 through an
+// 8-entry table, so on tagless nearly every two chunks alias — denials
 // wait out holders and pins are checked by value — and a fuzz yield between
 // accesses stretches attempts across each other's write-backs. The history
 // must be opaque, no increment lost, the table empty and every stamp
 // finished.
 func TestWaitsHammer(t *testing.T) {
 	for _, kind := range otable.Kinds() {
-		for _, gran := range bothGrans {
-			t.Run(fmt.Sprintf("%s/%s", kind, gran), func(t *testing.T) {
+		for _, l := range layouts {
+			t.Run(fmt.Sprintf("%s/%s", kind, l), func(t *testing.T) {
 				tab, err := otable.New(kind, hash.NewMask(8))
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := Config{Granularity: gran, Seed: 5, FuzzYield: 0.2}
+				cfg := Config{Seed: 5, FuzzYield: 0.2}
 				log := attachRecorder(t, &cfg)
 				if log == nil {
 					log = opacity.NewLog()
 					cfg.Recorder = log
 				}
-				rt, mem := newInvisibleRuntimeOn(t, tab, 256, cfg)
+				const words = 256
+				rt, mem := newInvisibleRuntimeOn(t, tab, words*l.spread(), cfg)
 				const goroutines, txnsEach = 4, 60
 				var wg sync.WaitGroup
 				for g := 0; g < goroutines; g++ {
@@ -403,9 +383,9 @@ func TestWaitsHammer(t *testing.T) {
 						th := rt.NewThread()
 						for i := 0; i < txnsEach; i++ {
 							if err := th.Atomic(func(tx *Tx) error {
-								tx.Read(mem.WordAddr((gid*37 + i*13) % mem.Words()))
+								tx.Read(l.at(mem, (gid*37+i*13)%words))
 								for k := 0; k < 2; k++ {
-									a := mem.WordAddr((gid*29 + i*5 + k*11) % mem.Words())
+									a := l.at(mem, (gid*29+i*5+k*11)%words)
 									tx.Write(a, tx.Read(a)+1)
 								}
 								return nil

@@ -85,7 +85,7 @@ func TestWarehouseArenasDisjoint(t *testing.T) {
 	}
 	for i, a := range threads {
 		for j, b := range threads {
-			if i != j && a.Arena().Overlaps(b.Arena()) {
+			if ra, rb := a.Arena(), b.Arena(); i != j && ra.Base < rb.End() && rb.Base < ra.End() {
 				t.Fatalf("arenas %d and %d overlap", i, j)
 			}
 		}

@@ -282,9 +282,4 @@ func (th *WarehouseThread) Next() Access {
 	}
 }
 
-// InArena reports whether block b belongs to this thread's private arena.
-func (th *WarehouseThread) InArena(b addr.Block) bool {
-	return th.arena.Contains(addr.BlockAddr(b))
-}
-
 var _ Stream = (*WarehouseThread)(nil)

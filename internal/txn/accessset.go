@@ -14,8 +14,7 @@ import (
 // obligation, and the redo values for the chunk's words, so a transactional
 // Write resolves with exactly one probe, and commit/release walk the dense
 // entry array once in first-write order. The STM (internal/stm) keeps its
-// reads in a log of its own: an entry is a chunk the transaction wrote, or a
-// footprint-only read of a block past memory.
+// reads in a log of its own: an entry is a chunk the transaction wrote.
 //
 // The set is built for zero steady-state allocation: the first
 // InlineEntries accesses live in an inline array inside the AccessSet value
@@ -59,9 +58,8 @@ const InlineEntries = 16
 // Permission and obligation bits of one access entry. PermWrite marks a
 // chunk the transaction wrote, PermRead one it read: the runtime keeps its
 // reads in a log of its own, so an entry carries PermRead only beside
-// PermWrite — the written chunk's memory words have been checked against the
-// transaction's snapshot — or, alone, for a footprint-only read of a block
-// the log cannot hold. SlotWrite marks the entry that carries the release
+// PermWrite: the written chunk's memory words have been checked against the
+// transaction's snapshot. SlotWrite marks the entry that carries the release
 // obligation for the chunk's table slot (the old Footprint holding). Under
 // tagless tables several aliasing chunks share one slot, so only the first
 // entry to write-acquire a slot carries SlotWrite.

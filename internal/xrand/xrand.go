@@ -157,14 +157,6 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomly permutes the first n elements using the provided swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Geometric returns a sample from a geometric distribution with success
 // probability p: the number of failures before the first success (support
 // {0, 1, 2, ...}, mean (1-p)/p). It panics unless 0 < p <= 1.

@@ -102,12 +102,10 @@ type (
 	STMStats = stm.Stats
 )
 
-// Isolation and granularity choices, re-exported for STMConfig.
+// Isolation choices, re-exported for STMConfig.
 const (
-	WeakIsolation    = stm.WeakIsolation
-	StrongIsolation  = stm.StrongIsolation
-	BlockGranularity = stm.BlockGranularity
-	WordGranularity  = stm.WordGranularity
+	WeakIsolation   = stm.WeakIsolation
+	StrongIsolation = stm.StrongIsolation
 )
 
 // CM is the per-thread contention-management policy consulted between

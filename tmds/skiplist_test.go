@@ -240,18 +240,18 @@ func TestSkiplistRejectsBadConfig(t *testing.T) {
 // TestSkiplistOracleSweep is the differential oracle: the skiplist and a Go
 // map reference driven through identical seeded op sequences — Put, Get,
 // Delete, Min, Max, Len, and RangeScan with random bounds — across every
-// table kind × granularity, asserting identical results op by op and
+// table kind × table size, asserting identical results op by op and
 // identical final contents. The sweep is the ordered-map analogue of the
-// kinds × granularities unified-log oracle.
+// kinds × layouts unified-log oracle.
 func TestSkiplistOracleSweep(t *testing.T) {
 	combo := 0
 	for _, kind := range sweepKinds() {
-		for _, gr := range oracleGrans {
+		for _, gr := range oracleTables {
 			combo++
 			seed := uint64(combo)
 			t.Run(fmt.Sprintf("%s/%s/backoff", kind, gr.name), func(t *testing.T) {
 				t.Parallel()
-				runSkiplistOracle(t, kind, gr.g, 0, seed)
+				runSkiplistOracle(t, kind, gr.entries, 0, seed)
 			})
 		}
 	}
@@ -263,39 +263,39 @@ func TestSkiplistOracleSweep(t *testing.T) {
 // baseWord 6 the links start in the next block, and from 7 the value too.
 func TestSkiplistOracleUnaligned(t *testing.T) {
 	for _, kind := range tmbp.TableKinds() {
-		for _, gr := range oracleGrans {
+		for _, gr := range oracleTables {
 			for _, base := range []int{3, 6, 7} {
 				t.Run(fmt.Sprintf("%s/%s/base%d", kind, gr.name, base), func(t *testing.T) {
 					t.Parallel()
-					runSkiplistOracle(t, kind, gr.g, base, uint64(base))
+					runSkiplistOracle(t, kind, gr.entries, base, uint64(base))
 				})
 			}
 		}
 	}
 }
 
-// oracleGrans are the granularities the skiplist oracles sweep.
-var oracleGrans = []struct {
-	name string
-	g    tmbp.STMConfig
+// oracleTables are the table sizes the skiplist oracles sweep. The skiplist
+// spans about 200 blocks: the "block" table gives each its own entry, and
+// the "word" one makes about three share each tagless entry, so writes
+// cover aliasing blocks through one hold and reads pin under it.
+var oracleTables = []struct {
+	name    string
+	entries uint64
 }{
-	{"block", tmbp.STMConfig{Granularity: tmbp.BlockGranularity}},
-	{"word", tmbp.STMConfig{Granularity: tmbp.WordGranularity}},
+	{"block", 512},
+	{"word", 64},
 }
 
 // runSkiplistOracle drives one oracle run over a skiplist carved out of
 // memory at baseWord.
-func runSkiplistOracle(t *testing.T, kind string, cfg tmbp.STMConfig, baseWord int, seed uint64) {
+func runSkiplistOracle(t *testing.T, kind string, entries uint64, baseWord int, seed uint64) {
 	const capacity = 96
-	tab, err := tmbp.NewTable(kind, 512, "mask")
+	tab, err := tmbp.NewTable(kind, entries, "mask")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mem := tmbp.NewMemory(baseWord + SkiplistWords(capacity))
-	cfg.Table = tab
-	cfg.Memory = mem
-	cfg.Seed = seed
-	rt, err := tmbp.NewSTM(cfg)
+	rt, err := tmbp.NewSTM(tmbp.STMConfig{Table: tab, Memory: mem, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
