@@ -32,9 +32,6 @@ func NewFootprint(tab Table, tx TxID) *Footprint {
 	return &Footprint{tab: tab, tx: tx, slots: make(map[uint64]*holding)}
 }
 
-// Tx returns the owning transaction ID.
-func (f *Footprint) Tx() TxID { return f.tx }
-
 // Slots returns the number of distinct slots held.
 func (f *Footprint) Slots() int { return len(f.slots) }
 

@@ -270,9 +270,6 @@ func (t *Tagged) Kind() string { return "tagged" }
 // N implements Table.
 func (t *Tagged) N() uint64 { return t.h.N() }
 
-// Hash returns the address-to-bucket hash function.
-func (t *Tagged) Hash() hash.Func { return t.h }
-
 // SlotOf implements Table: every block is its own slot, because records are
 // per-block.
 func (t *Tagged) SlotOf(b addr.Block) uint64 { return uint64(b) }

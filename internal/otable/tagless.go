@@ -61,9 +61,6 @@ func (t *Tagless) Kind() string { return "tagless" }
 // N implements Table.
 func (t *Tagless) N() uint64 { return t.h.N() }
 
-// Hash returns the address-to-entry hash function.
-func (t *Tagless) Hash() hash.Func { return t.h }
-
 // SlotOf implements Table: the slot is the hashed entry index, so aliasing
 // blocks share a slot.
 func (t *Tagless) SlotOf(b addr.Block) uint64 { return t.h.Index(b) }

@@ -43,7 +43,7 @@ func (tx *Tx) Read(a addr.Addr) uint64 {
 	word, chunk, widx := th.locate(a)
 	w := &th.mem.words[word]
 	var v uint64
-	if e := th.desc.Set.Lookup(chunk); e != nil {
+	if e := th.set.Lookup(chunk); e != nil {
 		// Written: a redo value wins; any other word comes from memory.
 		if e.WMask&(1<<widx) != 0 {
 			v = e.Vals[widx]
@@ -89,7 +89,7 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 				th.fuzzYield()
 			}
 		}
-		if e := th.desc.Set.Lookup(chunk); e != nil { // as in Read
+		if e := th.set.Lookup(chunk); e != nil { // as in Read
 			if run := uint8(1<<len(out)-1) << widx; e.WMask&run != run && e.Perm&txn.PermRead == 0 {
 				th.coverWritten(e)
 			}
@@ -121,7 +121,7 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 // recordRead hands a read to the history recorder.
 func (th *Thread) recordRead(word, v uint64) {
 	th.rec.RecordEvent(opacity.Event{Kind: opacity.KindRead,
-		Thread: uint32(th.id), Attempt: int32(th.desc.Attempts), Word: word, Value: v})
+		Thread: uint32(th.id), Attempt: int32(th.attempts), Word: word, Value: v})
 }
 
 // Write records v as the speculative value of the word at a, acquiring
@@ -133,78 +133,69 @@ func (tx *Tx) Write(a addr.Addr, v uint64) {
 	th.fuzz()
 	word, chunk, widx := th.locate(a)
 	th.wrote = true
-	e := th.desc.Set.Lookup(chunk)
+	e := th.set.Lookup(chunk)
 	if e == nil {
 		e = th.insert(chunk)
-	}
-	if e.Perm&txn.PermWrite == 0 {
 		th.acquireWriteChunk(e)
 	}
-	e.Word = word - widx
 	e.Vals[widx] = v
 	e.WMask |= 1 << widx
 	if r := th.rec; r != nil {
 		r.RecordEvent(opacity.Event{Kind: opacity.KindWrite,
-			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts), Word: word, Value: v})
+			Thread: uint32(th.id), Attempt: int32(th.attempts), Word: word, Value: v})
 	}
 }
 
-// acquireWriteChunk gives e, the entry of a chunk the attempt has not yet
-// written, write permission: one write acquire, or none when an earlier
-// entry already write-holds the chunk's tagless slot. The runtime holds no
-// read share, so there is never one to upgrade. A chunk of the read set
-// leaves it here — the acquire pins what was read, and checkPinned runs the
-// validation it owed — and its entry takes PermRead: its words are covered
-// at rv. A tagless denial may come from a holder of an aliasing chunk, so it
-// waits, at most waitPolls yields, while the cell shows a writer, and
-// retries when it clears; a tagged denial, whose holder writes this very
-// block, aborts at once. On conflict the attempt aborts with e holding
-// nothing.
+// acquireWriteChunk write-acquires e's chunk at its first write, e being the
+// entry just inserted for it, and the table decides: Granted hands e the
+// handle it releases by, and AlreadyHeld — a tagless entry the attempt holds
+// through an aliasing chunk — leaves e with nothing to release. The runtime
+// holds no read share, so there is never one to upgrade. A chunk of the read
+// set leaves it here — the acquire pins what was read, and checkPinned runs
+// the validation it owed — and its entry takes PermRead: its words are
+// covered at rv. A tagless denial may come from a holder of an aliasing
+// chunk, so it waits, at most waitPolls yields, while the cell shows a
+// writer, and retries when it clears; a tagged denial, whose holder writes
+// this very block, aborts at once. On conflict the attempt aborts with e
+// holding nothing.
 func (th *Thread) acquireWriteChunk(e *txn.Access) {
-	set := &th.desc.Set
-	covered := false
-	if !th.slotID {
-		// An entry's Slot starts at the identity; the tagless slot may be
-		// held through an aliasing chunk.
-		e.Slot = th.tab.SlotOf(e.Chunk)
-		covered = set.FindSlotOwner(e.Slot) >= 0
+	out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
+	for polls := 0; out.Conflict(); polls++ {
+		if th.slotID || polls == waitPolls || !th.w.yield() {
+			th.conflict(ci)
+		}
+		if _, held := th.tab.SampleVersion(e.Chunk); !held {
+			out, ci, hnd = th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
+		}
 	}
-	if !covered {
-		out, ci, hnd := th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
-		for polls := 0; out.Conflict(); polls++ {
-			if th.slotID || polls == waitPolls || !th.w.yield() {
-				th.conflict(ci)
-			}
-			if _, held := th.tab.SampleVersion(e.Chunk); !held {
-				out, ci, hnd = th.tab.AcquireWriteH(th.id, e.Chunk, 0, otable.NoHandle)
-			}
-		}
-		if out == otable.Granted {
-			e.Perm |= txn.SlotWrite
-			e.Hnd = uint64(hnd)
-			if !th.slotID {
-				set.RecordSlotOwner(e)
-			}
-		}
+	if out == otable.Granted {
+		e.Hnd = uint64(hnd)
 	}
 	if w, bit := th.bitOf(e.Chunk); *w&bit != 0 {
 		*w &^= bit
 		e.Perm |= txn.PermRead
 		th.checkPinned(e)
 	}
-	e.Perm |= txn.PermWrite
 }
 
 // holdsCell reports whether the attempt write-holds the version cell chunk
 // samples: chunk's own record on a tagged table, the chunk's slot — through
 // any chunk aliasing it — on a tagless one. A sample that shows a writer in
-// a cell the attempt holds shows the attempt itself.
+// a cell the attempt holds shows the attempt itself. The tagless answer
+// scans the entries that hold a slot (carry a handle) for one in chunk's:
+// only a sample that met a writer, and LoadNT, ask.
 func (th *Thread) holdsCell(chunk addr.Block) bool {
 	if th.slotID {
-		e := th.desc.Set.Lookup(chunk)
-		return e != nil && e.Perm&txn.SlotWrite != 0
+		e := th.set.Lookup(chunk)
+		return e != nil && e.Hnd != 0
 	}
-	return th.desc.Set.FindSlotOwner(th.tab.SlotOf(chunk)) >= 0
+	slot := th.tab.SlotOf(chunk)
+	for i, n := 0, th.set.Len(); i < n; i++ {
+		if e := th.set.At(i); e.Hnd != 0 && th.tab.SlotOf(e.Chunk) == slot {
+			return true
+		}
+	}
+	return false
 }
 
 // FootprintBlocks returns the number of distinct chunks the transaction has

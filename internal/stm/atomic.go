@@ -7,7 +7,6 @@ import (
 
 	"tmbp/internal/opacity"
 	"tmbp/internal/otable"
-	"tmbp/internal/txn"
 )
 
 // conflictSignal is panicked internally on ownership conflicts and caught
@@ -89,21 +88,21 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		th.active = false
 		th.ctx = nil
 	}()
-	th.desc.StartTransaction()
+	th.attempts = 0
 	th.opp = otable.NoConflict
 	for {
 		if ctx != nil && ctx.Err() != nil {
 			// Between attempts: the previous attempt (if any) has rolled
 			// back and released its records. Give the CM its completion
 			// callback so per-transaction policy state resets.
-			if th.desc.Attempts > 0 {
+			if th.attempts > 0 {
 				th.cm.Committed(th.lastFP)
 			}
 			return th.abortError(ctx.Err())
 		}
 		if th.fb > 0 {
 			if !serial {
-				if th.desc.Attempts >= th.fb {
+				if th.attempts >= th.fb {
 					// FallbackAfter consecutive aborts: stop being
 					// optimistic. Take the serial token and run with the
 					// runtime drained.
@@ -115,7 +114,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 				} else if err := th.rt.serialWait(th); err != nil {
 					// Another thread holds (or is queued for) the token:
 					// park this optimistic attempt until the gate is free.
-					if th.desc.Attempts > 0 {
+					if th.attempts > 0 {
 						th.cm.Committed(th.lastFP)
 					}
 					return th.abortError(err)
@@ -126,7 +125,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 			// condition every future drain waits for.
 			th.ctr.started.Add(1)
 		}
-		th.desc.Begin()
+		th.attempts++
 		th.wrote = false
 		th.stamp = 0
 		th.rv = th.rt.epoch.Load()
@@ -139,7 +138,7 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 			// Recorded before the attempt's first acquire: the Begin index
 			// precedes every memory effect of the attempt.
 			r.RecordEvent(opacity.Event{Kind: opacity.KindBegin,
-				Thread: uint32(th.id), Attempt: int32(th.desc.Attempts)})
+				Thread: uint32(th.id), Attempt: int32(th.attempts)})
 		}
 		err, conflicted := th.attempt(fn)
 		if !conflicted {
@@ -161,12 +160,11 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 		if uint64(th.streak) > th.ctr.maxStreak.Load() {
 			th.ctr.maxStreak.Store(uint64(th.streak))
 		}
-		if th.rt.cfg.MaxAttempts > 0 && th.desc.Attempts >= th.rt.cfg.MaxAttempts {
-			th.desc.Status = txn.Aborted
+		if th.rt.cfg.MaxAttempts > 0 && th.attempts >= th.rt.cfg.MaxAttempts {
 			th.cm.Committed(th.lastFP)
 			return th.abortError(ErrTooManyAttempts)
 		}
-		th.cm.Aborted(th.desc.Attempts, th.lastFP, th.opp)
+		th.cm.Aborted(th.attempts, th.lastFP, th.opp)
 	}
 }
 
@@ -224,20 +222,18 @@ func (th *Thread) commit() {
 	var stamp uint64
 	if th.wrote {
 		stamp = th.commitStamp()
-	} else if th.rt.epoch.Load() != th.rv {
-		th.revalidateReadSet(0)
-	}
-	th.desc.Status = txn.Committed
-	if th.wrote {
-		set := &th.desc.Set
+		set := &th.set
 		words := th.mem.words
 		for i, n := 0, set.Len(); i < n; i++ {
 			e := set.At(i)
+			base := uint64(e.Chunk) << blockWordShift
 			for m := e.WMask; m != 0; m &= m - 1 {
 				w := uint64(bits.TrailingZeros8(m))
-				words[e.Word+w].Store(e.Vals[w])
+				words[base+w].Store(e.Vals[w])
 			}
 		}
+	} else if th.rt.epoch.Load() != th.rv {
+		th.revalidateReadSet(0)
 	}
 	th.releaseAll(stamp)
 	if th.fb > 0 {
@@ -256,13 +252,12 @@ func (th *Thread) commit() {
 		// follows every memory effect of the attempt, so the recorded
 		// [Begin, Commit] interval brackets the linearization point.
 		r.RecordEvent(opacity.Event{Kind: opacity.KindCommit,
-			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts)})
+			Thread: uint32(th.id), Attempt: int32(th.attempts)})
 	}
 }
 
 // rollback discards speculative state and releases ownership.
 func (th *Thread) rollback() {
-	th.desc.Status = txn.Aborted
 	th.releaseAll(0)
 	if th.fb > 0 {
 		// Counted on every attempt-ending path — conflict, user error,
@@ -273,13 +268,13 @@ func (th *Thread) rollback() {
 		// Every rollback — conflict, user error, or user panic — closes
 		// the recorded attempt, so traces stay quiescent.
 		r.RecordEvent(opacity.Event{Kind: opacity.KindAbort,
-			Thread: uint32(th.id), Attempt: int32(th.desc.Attempts)})
+			Thread: uint32(th.id), Attempt: int32(th.attempts)})
 	}
 }
 
 // releaseAll returns every held slot to the table in first-write order —
-// the write-holding entries of the access set — and retires the set and the
-// log.
+// the access-set entries whose acquire was granted, each carrying its
+// handle — and retires the set and the log.
 // Each release is one generation-validated state CAS on the record the
 // entry's handle names: the table is never re-walked on the commit or abort
 // path.
@@ -295,16 +290,12 @@ func (th *Thread) rollback() {
 // validation after its draw — counts it finished in Runtime.done after the
 // last release.
 func (th *Thread) releaseAll(stamp uint64) {
-	set := &th.desc.Set
-	n := set.Len()
+	set := &th.set
 	th.lastFP = len(th.dlog)
-	if !th.wrote {
-		n = 0 // only a writing attempt ever acquires (Write)
-	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, set.Len(); i < n; i++ {
 		e := set.At(i)
-		if e.Perm&txn.SlotWrite == 0 {
-			continue
+		if e.Hnd == 0 {
+			continue // holds nothing: the slot was AlreadyHeld, or the acquire was denied
 		}
 		if stamp != 0 {
 			th.tab.ReleaseWriteV(th.id, e.Chunk, otable.Handle(e.Hnd), stamp)

@@ -116,7 +116,7 @@ func TestBigFootprintInvisibleReadOnly(t *testing.T) {
 								t.Fatalf("word %d = %d, want %d", b*8, v, b)
 							}
 						}
-						set, fp = th.desc.Set.Len(), tx.FootprintBlocks()
+						set, fp = th.set.Len(), tx.FootprintBlocks()
 						return nil
 					}); err != nil {
 						t.Fatal(err)

@@ -15,7 +15,7 @@ var ErrTooManyAttempts = errors.New("stm: transaction exceeded maximum attempts"
 // ErrNestedAtomic is returned by Atomic and AtomicCtx when called on a
 // Thread whose transaction is still executing — from inside the running
 // transaction's own function. The runtime does not support nesting: a
-// Thread owns exactly one reusable descriptor and access set, so a nested
+// Thread owns exactly one reusable access set and read log, so a nested
 // transaction would silently corrupt the enclosing one's log. The nested
 // call fails without touching the enclosing transaction, which remains
 // active and can still commit. Compose transactional work into one Atomic
@@ -59,5 +59,5 @@ func (e *AbortError) Unwrap() error { return e.err }
 
 // abortError builds the terminal error for the current transaction.
 func (th *Thread) abortError(cause error) *AbortError {
-	return &AbortError{Attempts: th.desc.Attempts, Conflict: th.opp, err: cause}
+	return &AbortError{Attempts: th.attempts, Conflict: th.opp, err: cause}
 }

@@ -14,6 +14,11 @@ import (
 // goes through the access-set entry's handle. ReleaseWalks and
 // ChainFollows both staying at zero is exactly "no chain re-walk on the
 // serial commit path".
+//
+// The tagless case writes a working set that aliases in pairs: each chunk's
+// first write acquires, the second of a pair finds the entry AlreadyHeld,
+// and only the granted entry releases — one release per slot, one write
+// acquire per block, and nothing left held.
 func TestSerialCommitReleasesByHandle(t *testing.T) {
 	t.Run("tagged", func(t *testing.T) {
 		tab := otable.NewTagged(hash.NewMask(256))
@@ -51,6 +56,46 @@ func TestSerialCommitReleasesByHandle(t *testing.T) {
 		for k := 0; k < workingSet; k++ {
 			if got := mem.LoadDirect(mem.WordAddr(k * 8)); got != txns {
 				t.Fatalf("word %d = %d, want %d", k*8, got, txns)
+			}
+		}
+		if occ := tab.Occupied(); occ != 0 {
+			t.Fatalf("occupancy after drain = %d", occ)
+		}
+	})
+	t.Run("tagless", func(t *testing.T) {
+		const (
+			entries = 64
+			txns    = 200
+			slots   = 4
+			blocks  = 2 * slots // block k and block k+entries share entry k
+		)
+		tab := otable.NewTagless(hash.NewMask(entries))
+		mem := NewMemory(2 * entries * 8)
+		rt, err := New(Config{Table: tab, Memory: mem, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th := rt.NewThread()
+		word := func(k int) int { return (k/2 + k%2*entries) * 8 }
+		for i := 0; i < txns; i++ {
+			if err := th.Atomic(func(tx *Tx) error {
+				for k := 0; k < blocks; k++ {
+					a := mem.WordAddr(word(k))
+					tx.Write(a, tx.Read(a)+1)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := tab.Stats()
+		if st.Releases != txns*slots || st.WriteAcquires != txns*blocks || st.ReleaseWalks != 0 {
+			t.Fatalf("Releases/WriteAcquires/ReleaseWalks = %d/%d/%d, want %d/%d/0",
+				st.Releases, st.WriteAcquires, st.ReleaseWalks, txns*slots, txns*blocks)
+		}
+		for k := 0; k < blocks; k++ {
+			if got := mem.LoadDirect(mem.WordAddr(word(k))); got != txns {
+				t.Fatalf("word %d = %d, want %d", word(k), got, txns)
 			}
 		}
 		if occ := tab.Occupied(); occ != 0 {

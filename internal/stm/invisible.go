@@ -187,7 +187,7 @@ func (th *Thread) insert(chunk addr.Block) *txn.Access {
 	if w, bit := th.bitOf(chunk); *w&bit == 0 {
 		th.dlog = append(th.dlog, chunk)
 	}
-	return th.desc.Set.Insert(chunk)
+	return th.set.Insert(chunk)
 }
 
 // clearLog empties the log as the attempt ends, beside the access set's

@@ -138,10 +138,10 @@ func TestInvisibleWriterOwnHoldSameCell(t *testing.T) {
 	}
 }
 
-// TestInvisibleWriterTaglessAliasTrap: an invisibly inserted entry carries the
-// identity slot key, not its tagless slot. Read A invisibly, write B that
-// aliases A's table entry, then write A: the upgrade must find B's entry as
-// the slot owner — no second table call, one release.
+// TestInvisibleWriterTaglessAliasTrap: read A invisibly, write B that
+// aliases A's table entry, then write A. A's acquire finds the entry held by
+// the attempt itself (AlreadyHeld): two write acquires, one release — B's —
+// and A's entry holds nothing.
 func TestInvisibleWriterTaglessAliasTrap(t *testing.T) {
 	rt, tab, mem := newInvisibleRuntime(t, "tagless", 64, 1024, Config{})
 	a, b := mem.WordAddr(65*8), mem.WordAddr(8) // blocks 65 and 1: one entry
@@ -164,8 +164,8 @@ func TestInvisibleWriterTaglessAliasTrap(t *testing.T) {
 	if ga, gb := mem.LoadDirect(a), mem.LoadDirect(b); ga != 5 || gb != 4 {
 		t.Fatalf("A/B = %d/%d, want 5/4", ga, gb)
 	}
-	if ts := tab.Stats(); ts.WriteAcquires != 1 || ts.ReadAcquires != 0 || ts.Releases != 1 {
-		t.Fatalf("table traffic = %+v, want one write acquire and one release", ts)
+	if ts := tab.Stats(); ts.WriteAcquires != 2 || ts.ReadAcquires != 0 || ts.Releases != 1 {
+		t.Fatalf("table traffic = %+v, want two write acquires (Granted, AlreadyHeld) and one release", ts)
 	}
 	if st := rt.Stats(); st.Aborts != 0 || st.ROPromotions != 0 {
 		t.Fatalf("stats = %+v, want no abort and no pin", st)

@@ -23,7 +23,7 @@ func TestNTInsideAtomicKeepsHoldings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mem := NewMemory(64)
+			mem := NewMemory(65 * 8)
 			rt, err := New(Config{Table: tab, Memory: mem, Isolation: StrongIsolation, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -32,6 +32,11 @@ func TestNTInsideAtomicKeepsHoldings(t *testing.T) {
 			held := mem.WordAddr(0)     // block 0: written by the transaction
 			ntRead := mem.WordAddr(8)   // block 1: NT-read mid-transaction
 			ntWrite := mem.WordAddr(16) // block 2: NT-written mid-transaction
+			alias := mem.WordAddr(64 * 8)
+			if kind == "tagless" && tab.SlotOf(addr.BlockOf(alias)) != tab.SlotOf(addr.BlockOf(held)) {
+				t.Fatal("blocks 64 and 0 do not share a tagless entry")
+			}
+			mem.StoreDirect(alias, 11)
 			probe := otable.NewFootprint(tab, 999)
 			err = th.Atomic(func(tx *Tx) error {
 				tx.Write(held, 5)
@@ -52,6 +57,13 @@ func TestNTInsideAtomicKeepsHoldings(t *testing.T) {
 				// sees memory, not the redo log.
 				if v, lerr := th.LoadNT(held); lerr != nil || v != 0 {
 					t.Errorf("self-held LoadNT = %d, %v; want pre-commit 0, nil", v, lerr)
+				}
+				// On tagless, block 64 shares the held block's entry: its
+				// sample shows the transaction's own hold, which holdsCell
+				// finds by scanning the slot-holding entries, so the read
+				// returns memory. On tagged, block 64 is simply free.
+				if v, lerr := th.LoadNT(alias); lerr != nil || v != 11 {
+					t.Errorf("LoadNT of a block aliasing the held one = %d, %v; want 11, nil", v, lerr)
 				}
 				return nil
 			})

@@ -146,7 +146,7 @@ func runReadWordsScript(t *testing.T, kind string, l layout, mode string, seed u
 	for tn, ops := range script {
 		var pending map[uint64]uint64
 		err := th.Atomic(func(tx *Tx) error {
-			attempt := th.desc.Attempts
+			attempt := th.attempts
 			if mode == "serial" && attempt == 1 {
 				th.conflict(otable.NoConflict) // the retry holds the serial token
 			}
@@ -269,7 +269,7 @@ func TestReadWordsReadsOwnWrites(t *testing.T) {
 					th := rt.NewThread()
 					var got [12]uint64
 					if err := th.Atomic(func(tx *Tx) error {
-						if serial && th.desc.Attempts == 1 {
+						if serial && th.attempts == 1 {
 							th.conflict(otable.NoConflict)
 						}
 						tx.Read(mem.WordAddr(r))

@@ -53,12 +53,14 @@
 // per-thread bitmap (one bit per chunk of memory) that marks the chunks read
 // and not written — the one read set — beside one open-addressed,
 // insertion-ordered access set (txn.AccessSet) keyed by chunk that holds the
-// chunks written. An entry carries the chunk's permission bits, its
-// ownership-table slot key and release obligation, and the redo values of
-// the chunk's words inline, so a Write does one probe — where the earlier
-// design did up to four map operations across a redo log, two footprint
-// sets, and the slot map — and commit/abort walk the dense entry array once,
-// writing back speculative values and releasing slots in first-write order.
+// chunks written. An entry carries the chunk's release handle and the redo
+// values of the chunk's words inline, so a Write does one probe, and
+// commit/abort walk the dense entry array once, writing back speculative
+// values and releasing slots in first-write order. Who holds a slot is
+// recorded in the table alone: a chunk's first write always acquires, and a
+// tagless entry the attempt already holds through an aliasing chunk answers
+// AlreadyHeld, which leaves the new entry with no handle and nothing to
+// release.
 // A read makes one probe, which finds only written chunks; any other read
 // is a load and a clock check, and a chunk's first read appends it to the
 // list and sets its bit, so a read-only attempt keeps an empty access set.
@@ -346,9 +348,9 @@ func (rt *Runtime) NewThread() *Thread {
 }
 
 // Thread is one transaction-executing thread: its identity, unified
-// per-thread log, and backoff state. The descriptor (including the inline
-// access-set storage) and the Tx handle are embedded and reused across
-// attempts and transactions, so steady-state execution never allocates.
+// per-thread log, and backoff state. The access set (with its inline
+// storage) and the Tx handle are embedded and reused across attempts and
+// transactions, so steady-state execution never allocates.
 type Thread struct {
 	rt  *Runtime
 	id  otable.TxID
@@ -364,11 +366,15 @@ type Thread struct {
 	fb     int     // Config.FallbackAfter (0 = serial fallback disabled)
 	// rec is the runtime's history recorder, nil when disabled; cached
 	// here so the hot path pays one nil check, not a config dereference.
-	rec  Recorder
-	desc txn.Desc
-	rng  *xrand.Rand
-	w    waiter // the cancellable yield loop all built-in waits go through
-	cm   CM     // contention manager consulted between attempts
+	rec Recorder
+	// attempts counts the attempts of the running transaction, the active
+	// one included; set holds the chunks the attempt wrote, with their redo
+	// values and release handles.
+	attempts int
+	set      txn.AccessSet
+	rng      *xrand.Rand
+	w        waiter // the cancellable yield loop all built-in waits go through
+	cm       CM     // contention manager consulted between attempts
 	// ctx is the context of the in-flight AtomicCtx call, nil during plain
 	// Atomic; the waiter polls it so CM waits and fallback-gate waits end
 	// promptly on cancellation. Only the owning goroutine touches it.
@@ -416,4 +422,4 @@ type Thread struct {
 func (th *Thread) ID() otable.TxID { return th.id }
 
 // Attempts returns the attempt count of the last transaction.
-func (th *Thread) Attempts() int { return th.desc.Attempts }
+func (th *Thread) Attempts() int { return th.attempts }

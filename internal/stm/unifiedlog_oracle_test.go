@@ -27,7 +27,7 @@ import (
 //   - the same footprint sizes after every operation, and
 //   - the same final memory contents,
 //
-// across every kind of sweepKinds and both granularities, drained and
+// across every kind of sweepKinds and both data layouts, drained and
 // sampled, with aborted transactions leaving no trace. A read goes to the
 // runtime's log, never to the access set, so a chunk read and later written
 // releases after its first write, not its first read: the model's order of
@@ -334,18 +334,22 @@ func (m *oldModel) readChunk(chunk addr.Block) {
 	}
 }
 
-// writeChunk acquires exclusive permission on chunk unless the model
-// already write-holds its slot.
+// writeChunk acquires exclusive permission on chunk. The table must answer
+// AlreadyHeld when the model already write-holds chunk's slot, through an
+// aliasing chunk, and Granted otherwise; only a grant is a holding.
 func (m *oldModel) writeChunk(chunk addr.Block) {
 	m.touch(chunk)
 	slot := m.tab.SlotOf(chunk)
+	want := otable.Granted
 	if m.held[slot] != nil {
-		return
+		want = otable.AlreadyHeld
 	}
-	if out, _ := otable.AcquireWrite(m.tab, m.id, chunk, 0); out != otable.Granted {
-		panic(fmt.Sprintf("oracle model's write acquire single-threaded: %v", out))
+	if out, _ := otable.AcquireWrite(m.tab, m.id, chunk, 0); out != want {
+		panic(fmt.Sprintf("oracle model's write acquire single-threaded: %v, want %v", out, want))
 	}
-	m.held[slot] = &holding{block: chunk, first: m.first[chunk]}
+	if want == otable.Granted {
+		m.held[slot] = &holding{block: chunk, first: m.first[chunk]}
+	}
 }
 
 // read is a transactional Read: the chunk joins the runtime's log and

@@ -79,58 +79,56 @@ func (env *waitEnv) during(fn func(u *Tx)) (release func()) {
 }
 
 // runWaitSchedule runs body as the reader's transaction on a fresh runtime of
-// every kind and layout given. The reader must commit on attempt
-// wantAttempts, and the recorded history must be opaque. A schedule names
-// word 0 of its chunks, where data word c of the word layout lies too, so
-// both layouts run the same accesses; only TestWaitsUnreadWordsOweCover
-// names another word, and runs the block layout alone.
-func runWaitSchedule(t *testing.T, kinds []string, ls []layout, wantAttempts int, body func(env *waitEnv, tx *Tx, attempt int)) {
+// every kind given. The reader must commit on attempt wantAttempts, and the
+// recorded history must be opaque. A schedule names word 0 of its chunks,
+// where data word c of stm_test.go's word layout lies too, so the two
+// layouts run the same accesses: each schedule runs the block layout alone,
+// as subtest <kind>/block. TestWaitsHammer runs both.
+func runWaitSchedule(t *testing.T, kinds []string, wantAttempts int, body func(env *waitEnv, tx *Tx, attempt int)) {
 	for _, kind := range kinds {
-		for _, l := range ls {
-			t.Run(fmt.Sprintf("%s/%s", kind, l), func(t *testing.T) {
-				onOneP(t)
-				tab, err := otable.New(kind, hash.NewMask(8))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var cfg Config
-				log := attachRecorder(t, &cfg)
-				if log == nil {
-					log = opacity.NewLog()
-					cfg.Recorder = log
-				}
-				st := &sampleTable{Table: tab}
-				rt, mem := newInvisibleRuntimeOn(t, st, 512, cfg)
-				env := &waitEnv{t: t, rt: rt, st: st, mem: mem, th: rt.NewThread(), other: rt.NewThread()}
-				attempt := 0
-				err = env.th.Atomic(func(tx *Tx) error {
-					attempt++
-					body(env, tx, attempt)
-					return nil
-				})
-				for _, release := range env.releases {
-					release()
-				}
-				env.wg.Wait()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := opacity.CheckTrace(log.Events())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !res.Opaque {
-					t.Fatalf("history %s is not opaque: the reader committed on attempt %d", res, attempt)
-				}
-				if attempt != wantAttempts {
-					t.Fatalf("reader committed on attempt %d (%+v), want attempt %d", attempt, rt.Stats(), wantAttempts)
-				}
-				if occ := tab.Occupied(); occ != 0 {
-					t.Fatalf("occupancy after the schedule = %d", occ)
-				}
-				assertDrained(t, rt)
+		t.Run(kind+"/block", func(t *testing.T) {
+			onOneP(t)
+			tab, err := otable.New(kind, hash.NewMask(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cfg Config
+			log := attachRecorder(t, &cfg)
+			if log == nil {
+				log = opacity.NewLog()
+				cfg.Recorder = log
+			}
+			st := &sampleTable{Table: tab}
+			rt, mem := newInvisibleRuntimeOn(t, st, 512, cfg)
+			env := &waitEnv{t: t, rt: rt, st: st, mem: mem, th: rt.NewThread(), other: rt.NewThread()}
+			attempt := 0
+			err = env.th.Atomic(func(tx *Tx) error {
+				attempt++
+				body(env, tx, attempt)
+				return nil
 			})
-		}
+			for _, release := range env.releases {
+				release()
+			}
+			env.wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := opacity.CheckTrace(log.Events())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Opaque {
+				t.Fatalf("history %s is not opaque: the reader committed on attempt %d", res, attempt)
+			}
+			if attempt != wantAttempts {
+				t.Fatalf("reader committed on attempt %d (%+v), want attempt %d", attempt, rt.Stats(), wantAttempts)
+			}
+			if occ := tab.Occupied(); occ != 0 {
+				t.Fatalf("occupancy after the schedule = %d", occ)
+			}
+			assertDrained(t, rt)
+		})
 	}
 }
 
@@ -142,7 +140,7 @@ func runWaitSchedule(t *testing.T, kinds []string, ls []layout, wantAttempts int
 // the pin passes by value. One attempt; without the waits the denial aborts
 // and the reader commits on attempt 2.
 func TestWaitsAliasDenial(t *testing.T) {
-	runWaitSchedule(t, []string{"tagless"}, layouts, 1, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, []string{"tagless"}, 1, func(env *waitEnv, tx *Tx, attempt int) {
 		v := tx.Read(env.at(1, 0))
 		if attempt == 1 {
 			env.during(func(u *Tx) { u.Write(env.at(9, 0), 7) })()
@@ -159,7 +157,7 @@ func TestWaitsAliasDenial(t *testing.T) {
 // retry reads the other thread's value. A pin that passed without the value
 // check would commit a lost update: a history that is not opaque.
 func TestWaitsTrueWriterFailsPin(t *testing.T) {
-	runWaitSchedule(t, []string{"tagless"}, layouts, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, []string{"tagless"}, 2, func(env *waitEnv, tx *Tx, attempt int) {
 		a := env.at(1, 0)
 		v := tx.Read(a)
 		if attempt == 1 {
@@ -176,10 +174,9 @@ func TestWaitsTrueWriterFailsPin(t *testing.T) {
 // it: word 0 is unchanged, so the pin passes by value, but word 3 was not
 // read and the entry's stamp is past rv, so its read owes the snapshot-cover
 // check, whose extension fails on d. A pin that kept PermRead would return
-// the new word 3 beside the old d: not opaque. Block layout only: a's words
-// are one chunk.
+// the new word 3 beside the old d: not opaque.
 func TestWaitsUnreadWordsOweCover(t *testing.T) {
-	runWaitSchedule(t, []string{"tagless"}, []layout{"block"}, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, []string{"tagless"}, 2, func(env *waitEnv, tx *Tx, attempt int) {
 		a0, a3, d := env.at(1, 0), env.at(1, 3), env.at(2, 0)
 		v0, vd := tx.Read(a0), tx.Read(d)
 		if attempt == 1 {
@@ -198,7 +195,7 @@ func TestWaitsUnreadWordsOweCover(t *testing.T) {
 // and returns the value from before the holder's; the holder commits after
 // the reader. Without the wait the sample aborts the reader.
 func TestWaitsReadBesideHolder(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), layouts, 1, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), 1, func(env *waitEnv, tx *Tx, attempt int) {
 		x := env.at(1, 0)
 		if attempt == 1 {
 			env.commit(func(u *Tx) { u.Write(env.at(3, 0), 1) })
@@ -219,7 +216,7 @@ func TestWaitsReadBesideHolder(t *testing.T) {
 // ended without done == epoch would read the new x beside the old z: a
 // wrong value and a history that is not opaque.
 func TestWaitsReadAfterWriteBack(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), layouts, 1, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), 1, func(env *waitEnv, tx *Tx, attempt int) {
 		x, z := env.at(1, 0), env.at(3, 0)
 		if attempt == 1 {
 			w := newStepWriter(env.t, env.rt, addr.BlockOf(x), addr.BlockOf(z))
@@ -245,7 +242,7 @@ func TestWaitsReadAfterWriteBack(t *testing.T) {
 // x. An excuse that kept the first sample (taken before the writer
 // published) would commit the old x on attempt 1.
 func TestWaitsValidationResamples(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), layouts, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), 2, func(env *waitEnv, tx *Tx, attempt int) {
 		x := env.at(1, 0)
 		v := tx.Read(x)
 		if attempt == 1 {
@@ -268,7 +265,7 @@ func TestWaitsValidationResamples(t *testing.T) {
 // not, and the reader aborts without waiting; its retry reads writer 1's x.
 // An excuse that asked only done == S−1 would commit the old x on attempt 1.
 func TestWaitsWritingCommitExcuse(t *testing.T) {
-	runWaitSchedule(t, otable.Kinds(), layouts, 2, func(env *waitEnv, tx *Tx, attempt int) {
+	runWaitSchedule(t, otable.Kinds(), 2, func(env *waitEnv, tx *Tx, attempt int) {
 		x := env.at(1, 0)
 		chunk := addr.BlockOf
 		if attempt == 2 {
@@ -307,8 +304,8 @@ func TestWaitsTaggedDenialAborts(t *testing.T) {
 		}
 		tx.Write(env.at(1, 0), 8)
 	}
-	runWaitSchedule(t, []string{"tagged"}, layouts, 2, body)
-	runWaitSchedule(t, []string{"tagless"}, layouts, 1, body)
+	runWaitSchedule(t, []string{"tagged"}, 2, body)
+	runWaitSchedule(t, []string{"tagless"}, 1, body)
 }
 
 // TestWaitsCtxCancel: an AtomicCtx cancelled while its attempt waits — on a

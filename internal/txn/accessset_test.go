@@ -13,17 +13,17 @@ func TestAccessSetBasics(t *testing.T) {
 		t.Fatal("zero set not empty")
 	}
 	e := s.Insert(7)
-	if e.Chunk != 7 || e.Slot != 7 || e.Perm != 0 || e.WMask != 0 {
+	if e.Chunk != 7 || e.Hnd != 0 || e.Perm != 0 || e.WMask != 0 {
 		t.Fatalf("fresh entry = %+v", *e)
 	}
-	e.Perm = PermWrite | SlotWrite
-	if got := s.Lookup(7); got == nil || got.Perm != PermWrite|SlotWrite {
+	e.Hnd = 3
+	if got := s.Lookup(7); got == nil || got.Hnd != 3 {
 		t.Fatal("lookup after insert failed")
 	}
 	if s.Lookup(8) != nil {
 		t.Fatal("phantom entry")
 	}
-	s.Insert(8).Perm = PermWrite | SlotWrite
+	s.Insert(8).Hnd = 4
 	if s.Len() != 2 || s.At(0).Chunk != 7 || s.At(1).Chunk != 8 {
 		t.Fatal("insertion order lost")
 	}
@@ -136,50 +136,6 @@ func TestAccessSetMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestAccessSetFindSlotOwner covers the tagless aliasing slot index:
-// several chunks share a slot, only the registered obligation-carrying
-// entry is the owner.
-func TestAccessSetFindSlotOwner(t *testing.T) {
-	var s AccessSet
-	a := s.Insert(100)
-	a.Slot = 5
-	a.Perm = PermWrite | SlotWrite
-	s.RecordSlotOwner(a)
-	b := s.Insert(200) // aliases to the same slot, no obligation
-	b.Slot = 5
-	b.Perm = PermRead
-	c := s.Insert(300)
-	c.Slot = 9
-	c.Perm = PermWrite | SlotWrite
-	s.RecordSlotOwner(c)
-	if got := s.FindSlotOwner(5); got != 0 {
-		t.Fatalf("owner(5) = %d, want 0", got)
-	}
-	if got := s.FindSlotOwner(9); got != 2 {
-		t.Fatalf("owner(9) = %d, want 2", got)
-	}
-	if got := s.FindSlotOwner(77); got != -1 {
-		t.Fatalf("owner(77) = %d, want -1", got)
-	}
-	// Owners survive an index grow (spill past the inline capacity).
-	for i := 0; i < 4*InlineEntries; i++ {
-		e := s.Insert(addr.Block(1000 + i*977))
-		e.Slot = uint64(100 + i)
-		e.Perm = PermWrite | SlotWrite
-		s.RecordSlotOwner(e)
-	}
-	if got := s.FindSlotOwner(5); got != 0 {
-		t.Fatalf("owner(5) after grow = %d, want 0", got)
-	}
-	if got := s.FindSlotOwner(uint64(100 + 3)); got != 3+3 {
-		t.Fatalf("owner(103) after grow = %d, want 6", got)
-	}
-	s.Reset()
-	if got := s.FindSlotOwner(5); got != -1 {
-		t.Fatalf("owner(5) after reset = %d, want -1", got)
-	}
-}
-
 // BenchmarkAccessSetProbe measures the single-probe hit path.
 func BenchmarkAccessSetProbe(b *testing.B) {
 	b.ReportAllocs()
@@ -206,7 +162,7 @@ func BenchmarkAccessSetTxnCycle(b *testing.B) {
 			c := addr.Block(k * 64)
 			if s.Lookup(c) == nil {
 				e := s.Insert(c)
-				e.Perm = PermWrite | SlotWrite
+				e.Hnd = uint64(k + 1)
 				e.Vals[0] = uint64(i)
 				e.WMask = 1
 			}

@@ -21,22 +21,20 @@ func expectedIndexLen(n int) int {
 // footprints the skiplist introduces: 256/1024/4096 adjacent chunks (a
 // scan's footprint is exactly a run of adjacent blocks). For each size it
 // checks the growth count, that insertion order and membership survive
-// every doubling, and that both probe tables stay in lockstep.
+// every doubling, and that the hash shift follows the probe table's length.
 func TestAccessSetSpillFootprintGrowth(t *testing.T) {
 	for _, n := range []int{256, 1024, 4096} {
 		var s AccessSet
 		base := addr.Block(1 << 20)
 		for i := 0; i < n; i++ {
-			e := s.Insert(base + addr.Block(i))
-			e.Perm = PermWrite | SlotWrite
+			s.Insert(base + addr.Block(i)).Hnd = uint64(i + 1)
 		}
 		if s.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, s.Len())
 		}
 		want := expectedIndexLen(n)
-		if len(s.index) != want || len(s.slotIndex) != want {
-			t.Fatalf("n=%d: index/slotIndex lengths %d/%d, want %d (lockstep)",
-				n, len(s.index), len(s.slotIndex), want)
+		if len(s.index) != want {
+			t.Fatalf("n=%d: index length %d, want %d", n, len(s.index), want)
 		}
 		if got := uint(64 - log2(want)); s.shift != got {
 			t.Fatalf("n=%d: shift %d inconsistent with index length %d", n, s.shift, want)
@@ -86,17 +84,13 @@ func TestAccessSetSpillZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestAccessSetSpillGenerationReset checks Reset semantics after a deep
-// spill: every retired entry is invisible (primary and slot index), the
-// grown capacity is retained rather than regrown, and reuse behaves like a
-// fresh set.
+// spill: every retired entry is invisible, the grown capacity is retained
+// rather than regrown, and reuse behaves like a fresh set.
 func TestAccessSetSpillGenerationReset(t *testing.T) {
 	const n = 1024
 	var s AccessSet
 	for i := 0; i < n; i++ {
-		e := s.Insert(addr.Block(i))
-		e.Perm = PermWrite | SlotWrite
-		e.Slot = uint64(i / 4) // aliasing slots, as under a tagless table
-		s.RecordSlotOwner(e)
+		s.Insert(addr.Block(i)).Hnd = uint64(i + 1)
 	}
 	capBefore := len(s.index)
 	s.Reset()
@@ -108,28 +102,17 @@ func TestAccessSetSpillGenerationReset(t *testing.T) {
 			t.Fatalf("stale chunk %d visible after reset", i)
 		}
 	}
-	for slot := 0; slot < n/4; slot++ {
-		if got := s.FindSlotOwner(uint64(slot)); got != -1 {
-			t.Fatalf("stale slot owner %d -> %d after reset", slot, got)
-		}
-	}
 	// Refill: same footprint must fit in the retained capacity with no
 	// further growth, and the new generation's entries resolve correctly.
 	for i := 0; i < n; i++ {
-		e := s.Insert(addr.Block(i))
-		e.Perm = PermWrite | SlotWrite
-		e.Slot = uint64(i / 4)
-		if i%4 == 0 {
-			s.RecordSlotOwner(e)
-		}
+		s.Insert(addr.Block(i)).Hnd = uint64(n + i)
 	}
 	if len(s.index) != capBefore {
 		t.Fatalf("index regrew across reset: %d -> %d", capBefore, len(s.index))
 	}
-	for slot := 0; slot < n/4; slot++ {
-		oi := s.FindSlotOwner(uint64(slot))
-		if oi < 0 || s.At(oi).Slot != uint64(slot) {
-			t.Fatalf("slot %d owner lost after reset+refill (got %d)", slot, oi)
+	for i := 0; i < n; i++ {
+		if e := s.Lookup(addr.Block(i)); e == nil || e.Hnd != uint64(n+i) || s.At(i) != e {
+			t.Fatalf("chunk %d lost after reset+refill", i)
 		}
 	}
 }
@@ -166,32 +149,5 @@ func TestAccessSetAdjacentProbeDistribution(t *testing.T) {
 	}
 	if worst > 16 {
 		t.Errorf("worst probe length %d over %d adjacent chunks, want <= 16", worst, n)
-	}
-}
-
-// TestAccessSetGrowSkipsSlotIndexWhenUnused pins the growth tuning: a set
-// whose client never registered a slot owner (every identity-slot table)
-// leaves the slot index completely empty across arbitrarily many doublings,
-// while one RecordSlotOwner call flips the set into re-recording mode.
-func TestAccessSetGrowSkipsSlotIndexWhenUnused(t *testing.T) {
-	var s AccessSet
-	for i := 0; i < 1024; i++ {
-		// Slot* bits are set on identity-slot clients too; only the
-		// explicit RecordSlotOwner call marks the index as consulted.
-		s.Insert(addr.Block(i)).Perm = PermWrite | SlotWrite
-	}
-	for i, sl := range s.slotIndex {
-		if sl.gen == s.gen {
-			t.Fatalf("slot index populated at %d despite no RecordSlotOwner call", i)
-		}
-	}
-	// First registration flips the latch; the next growth re-records.
-	e := s.Lookup(addr.Block(0))
-	s.RecordSlotOwner(e)
-	for i := 1024; i < 3000; i++ { // force at least one more doubling
-		s.Insert(addr.Block(i)).Perm = PermWrite | SlotWrite
-	}
-	if oi := s.FindSlotOwner(uint64(addr.Block(0))); oi < 0 || s.At(oi).Chunk != 0 {
-		t.Fatalf("registered owner lost across post-latch growth (got %d)", oi)
 	}
 }
