@@ -35,15 +35,6 @@ func BlockOf(a Addr) Block { return Block(a >> BlockShift) }
 // BlockAddr returns the first byte address of block b.
 func BlockAddr(b Block) Addr { return Addr(b) << BlockShift }
 
-// AlignUp rounds a up to the next multiple of align, which must be a power
-// of two. It panics otherwise.
-func AlignUp(a Addr, align uint64) Addr {
-	if align == 0 || align&(align-1) != 0 {
-		panic(fmt.Sprintf("addr: AlignUp alignment %d is not a power of two", align))
-	}
-	return Addr((uint64(a) + align - 1) &^ (align - 1))
-}
-
 // String renders the address in the 0x-prefixed hex style used by the
 // paper's figures.
 func (a Addr) String() string { return fmt.Sprintf("0x%X", uint64(a)) }

@@ -38,27 +38,6 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAlignUp(t *testing.T) {
-	if got := AlignUp(0x41, 64); got != 0x80 {
-		t.Errorf("AlignUp(0x41, 64) = %v, want 0x80", got)
-	}
-	if got := AlignUp(0x40, 64); got != 0x40 {
-		t.Errorf("AlignUp(0x40, 64) = %v, want 0x40", got)
-	}
-	if got := AlignUp(0, 4096); got != 0 {
-		t.Errorf("AlignUp(0, 4096) = %v, want 0", got)
-	}
-}
-
-func TestAlignUpPanicsOnNonPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AlignUp with align=3 did not panic")
-		}
-	}()
-	AlignUp(1, 3)
-}
-
 func TestAddrString(t *testing.T) {
 	if got := Addr(0x120).String(); got != "0x120" {
 		t.Errorf("Addr(0x120).String() = %q", got)

@@ -198,8 +198,9 @@ func TestFaultFallbackEngagesAndCommits(t *testing.T) {
 // TestFaultAtomicCtxDeadline drives a transaction that can never commit —
 // every acquire is denied — and asserts AtomicCtx honors its deadline
 // promptly, reports the deadline through the typed *AbortError, and leaks
-// nothing. Fallback is off: the transaction must stay in the optimistic
-// retry loop, where only the waiter-level cancellation checks can save it.
+// nothing. The serial token does not help: after 8 denials the
+// transaction escalates and keeps being denied under the token, so only
+// the waiter-level cancellation checks can end it.
 func TestFaultAtomicCtxDeadline(t *testing.T) {
 	t.Run("backoff", func(t *testing.T) {
 		t.Parallel()

@@ -74,25 +74,3 @@ func LogLogSlope(x, y []float64) (LinearFit, error) {
 	}
 	return FitLinear(lx, ly)
 }
-
-// GeoMean returns the geometric mean of positive values; non-positive values
-// are an error since the figures it summarizes are strictly positive rates.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: GeoMean of empty slice")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: GeoMean requires positive values, got %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
-// RelErr returns |got-want| / |want|, the relative error used when comparing
-// measured conflict rates to the analytical model. want must be non-zero.
-func RelErr(got, want float64) float64 {
-	return math.Abs(got-want) / math.Abs(want)
-}

@@ -37,13 +37,6 @@ func (s *Sample) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// AddN incorporates x as n identical observations.
-func (s *Sample) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return s.n }
 

@@ -73,17 +73,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestAddN(t *testing.T) {
-	var a, b Sample
-	a.AddN(2, 3)
-	for i := 0; i < 3; i++ {
-		b.Add(2)
-	}
-	if a.Mean() != b.Mean() || a.N() != b.N() {
-		t.Error("AddN disagrees with repeated Add")
-	}
-}
-
 func TestProportion(t *testing.T) {
 	var p Proportion
 	for i := 0; i < 100; i++ {
@@ -171,27 +160,5 @@ func TestLogLogSlopeSkipsNonPositive(t *testing.T) {
 	}
 	if fit.N != 4 {
 		t.Fatalf("N = %d, want 4 (zero-x point skipped)", fit.N)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-4) > 1e-12 {
-		t.Fatalf("GeoMean = %v, want 4", got)
-	}
-	if _, err := GeoMean([]float64{1, 0, 2}); err == nil {
-		t.Error("GeoMean with zero should error")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("GeoMean of empty should error")
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if got := RelErr(110, 100); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("RelErr = %v", got)
 	}
 }

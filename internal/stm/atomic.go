@@ -100,30 +100,18 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 			}
 			return th.abortError(ctx.Err())
 		}
-		if th.fb > 0 {
-			if !serial {
-				if th.attempts >= th.fb {
-					// FallbackAfter consecutive aborts: stop being
-					// optimistic. Take the serial token and run with the
-					// runtime drained.
-					if err := th.rt.serialAcquire(th); err != nil {
-						th.cm.Committed(th.lastFP)
-						return th.abortError(err)
-					}
-					serial = true
-				} else if err := th.rt.serialWait(th); err != nil {
-					// Another thread holds (or is queued for) the token:
-					// park this optimistic attempt until the gate is free.
-					if th.attempts > 0 {
-						th.cm.Committed(th.lastFP)
-					}
-					return th.abortError(err)
-				}
+		if !serial && th.attempts >= th.rt.cfg.FallbackAfter {
+			// FallbackAfter consecutive aborts: stop being optimistic. Take
+			// the serial token and run with the runtime drained.
+			if th.rt.serialAcquire(th) != nil {
+				continue // cancelled: the context check above returns
 			}
-			// Counted on serial attempts too (their commit/rollback bumps
-			// finished), keeping started == finished at quiescence — the
-			// condition every future drain waits for.
+			serial = true
+		}
+		if serial {
 			th.ctr.started.Add(1)
+		} else if th.rt.serialEnter(th) != nil {
+			continue // cancelled while parked at the gate
 		}
 		th.attempts++
 		th.wrote = false
@@ -236,11 +224,8 @@ func (th *Thread) commit() {
 		th.revalidateReadSet(0)
 	}
 	th.releaseAll(stamp)
-	if th.fb > 0 {
-		// Release precedes finished: when the serial drain observes
-		// started == finished, every record this attempt held is free.
-		th.ctr.finished.Add(1)
-	}
+	// Counted after the releases: when the serial drain finds the attempt
+	// ended, every record it held is free.
 	th.ctr.commits.Add(1)
 	if !th.wrote {
 		// Read-only: the transaction read its whole footprint without a
@@ -259,11 +244,7 @@ func (th *Thread) commit() {
 // rollback discards speculative state and releases ownership.
 func (th *Thread) rollback() {
 	th.releaseAll(0)
-	if th.fb > 0 {
-		// Counted on every attempt-ending path — conflict, user error,
-		// user panic — so the serial drain never waits on a dead attempt.
-		th.ctr.finished.Add(1)
-	}
+	th.ctr.rollbacks.Add(1) // after the releases, as commit counts commits
 	if r := th.rec; r != nil {
 		// Every rollback — conflict, user error, or user panic — closes
 		// the recorded attempt, so traces stay quiescent.

@@ -92,20 +92,20 @@ type Config struct {
 	// custom per-thread policy constructor, called once from NewThread for
 	// each thread.
 	NewCM func(th *Thread) CM
-	// FallbackAfter, when positive, bounds how long a transaction stays
-	// optimistic: after that many consecutive conflict aborts the thread
-	// escalates to the runtime-wide serial token — a FIFO ticket that
-	// stops new optimistic attempts, waits for in-flight ones to drain,
-	// and then runs the starved transaction with no optimistic opponents
-	// at all (the HTM-style global-lock fallback). Every abort counts
-	// toward the bound, version-validation kills included: it is the one
-	// escape a reader starved by committing writers has. Serial attempts
-	// read by version validation like all others, so a non-transactional
-	// store can still kill one; it retries under the token. Commits made
-	// while holding the token are counted in Stats.FallbackCommits. Zero
-	// (the default) disables escalation and its per-attempt gate check:
-	// then only MaxAttempts bounds a starved transaction, reader or
-	// writer.
+	// FallbackAfter bounds how long a transaction stays optimistic: after
+	// that many consecutive conflict aborts the thread escalates to the
+	// runtime-wide serial token — a FIFO ticket that stops new optimistic
+	// attempts, waits for in-flight ones to drain, and then runs the
+	// starved transaction with no optimistic opponents at all (the
+	// HTM-style global-lock fallback). Every abort counts toward the bound,
+	// version-validation kills included: it is the one escape a reader
+	// starved by committing writers has. Serial attempts read by version
+	// validation like all others, so a non-transactional store can still
+	// kill one; it retries under the token. Commits made while holding the
+	// token are counted in Stats.FallbackCommits. Zero (the default) means
+	// 8: the token is always armed. A transaction run inside another
+	// thread's attempt must stop (MaxAttempts) before it would escalate, as
+	// its drain would wait for the enclosing attempt.
 	FallbackAfter int
 	// Recorder, when non-nil, receives the runtime's transactional history,
 	// every transactional access included, for offline opacity checking (see

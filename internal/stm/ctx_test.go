@@ -3,6 +3,7 @@ package stm
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -305,48 +306,72 @@ func TestAbortErrorTooManyAttempts(t *testing.T) {
 }
 
 // TestFallbackDeterministicEscalation walks the serial-fallback escalation
-// on a single thread with an exactly scripted table: the first five write
-// acquires are denied, so attempts 1-5 abort (attempts 3-5 already under
-// the serial token, FallbackAfter=2) and attempt 6 commits while holding
-// it. Every counter the feature exposes is pinned.
+// on a single thread with an exactly scripted table: the first deny write
+// acquires are denied, so attempts 1-deny abort, those after the first
+// FallbackAfter already under the serial token, and attempt deny+1 commits
+// while holding it. The Config{} case runs the default bound, 8: attempts
+// 1-8 optimistic, 9 and 10 serial. Every counter the feature exposes is
+// pinned.
 func TestFallbackDeterministicEscalation(t *testing.T) {
-	d := newDenyTable(t, 5)
-	rt, err := New(Config{Table: d, Memory: NewMemory(64), Seed: 3,
-		FallbackAfter: 2, BackoffBase: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := rt.Memory()
-	th := rt.NewThread()
-	if err := th.Atomic(func(tx *Tx) error {
-		tx.Write(mem.WordAddr(4), 9)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st := rt.Stats()
-	if st.Commits != 1 || st.Aborts != 5 {
-		t.Fatalf("commits/aborts = %d/%d, want 1/5", st.Commits, st.Aborts)
-	}
-	if st.FallbackCommits != 1 {
-		t.Errorf("FallbackCommits = %d, want 1 (commit happened under the token)", st.FallbackCommits)
-	}
-	if st.MaxConsecutiveAborts != 5 {
-		t.Errorf("MaxConsecutiveAborts = %d, want 5", st.MaxConsecutiveAborts)
-	}
-	if got := mem.LoadDirect(mem.WordAddr(4)); got != 9 {
-		t.Fatalf("word 4 = %d, want 9", got)
-	}
-	// The token must have been released: a second transaction needs no
-	// drain and commits optimistically.
-	if err := th.Atomic(func(tx *Tx) error {
-		tx.Write(mem.WordAddr(5), 1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if st := rt.Stats(); st.FallbackCommits != 1 {
-		t.Errorf("FallbackCommits after optimistic commit = %d, want still 1", st.FallbackCommits)
+	for _, c := range []struct {
+		name          string
+		fallbackAfter int
+		deny          int
+		bound         int // FallbackAfter as the runtime applies it
+	}{
+		{"after-2", 2, 5, 2},
+		{"default", 0, 9, 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := newDenyTable(t, int64(c.deny))
+			rt, err := New(Config{Table: d, Memory: NewMemory(64), Seed: 3,
+				FallbackAfter: c.fallbackAfter, BackoffBase: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := rt.Memory()
+			th := rt.NewThread()
+			var serial []bool // per attempt: did it run under the token?
+			if err := th.Atomic(func(tx *Tx) error {
+				serial = append(serial, rt.serialBusy())
+				tx.Write(mem.WordAddr(4), 9)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(serial) != c.deny+1 {
+				t.Fatalf("committed on attempt %d, want %d", len(serial), c.deny+1)
+			}
+			for i, got := range serial {
+				if want := i >= c.bound; got != want {
+					t.Errorf("attempt %d ran serial = %v, want %v", i+1, got, want)
+				}
+			}
+			st := rt.Stats()
+			if st.Commits != 1 || st.Aborts != uint64(c.deny) {
+				t.Fatalf("commits/aborts = %d/%d, want 1/%d", st.Commits, st.Aborts, c.deny)
+			}
+			if st.FallbackCommits != 1 {
+				t.Errorf("FallbackCommits = %d, want 1 (commit happened under the token)", st.FallbackCommits)
+			}
+			if st.MaxConsecutiveAborts != uint64(c.deny) {
+				t.Errorf("MaxConsecutiveAborts = %d, want %d", st.MaxConsecutiveAborts, c.deny)
+			}
+			if got := mem.LoadDirect(mem.WordAddr(4)); got != 9 {
+				t.Fatalf("word 4 = %d, want 9", got)
+			}
+			// The token must have been released: a second transaction needs no
+			// drain and commits optimistically.
+			if err := th.Atomic(func(tx *Tx) error {
+				tx.Write(mem.WordAddr(5), 1)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if st := rt.Stats(); st.FallbackCommits != 1 {
+				t.Errorf("FallbackCommits after optimistic commit = %d, want still 1", st.FallbackCommits)
+			}
+		})
 	}
 }
 
@@ -404,6 +429,49 @@ func TestFallbackCancelWhileQueued(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("transaction after abandoned ticket: %v", err)
+	}
+}
+
+// TestFallbackGateCountsBeforeReading pins the order that makes the token
+// exclusive: an optimistic attempt counts itself started before it reads
+// the gate, and takes itself back (rollbacks) when it finds the gate busy.
+// An attempt that read the gate first could find it free just before a
+// ticket is issued and run beside the serial holder, unseen by its drain.
+func TestFallbackGateCountsBeforeReading(t *testing.T) {
+	rt, err := New(Config{Table: newDenyTable(t, 0).Table, Memory: NewMemory(64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder, th := rt.NewThread(), rt.NewThread()
+	if err := rt.serialAcquire(holder); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- th.Atomic(func(tx *Tx) error {
+			tx.Write(rt.Memory().WordAddr(0), 1)
+			return nil
+		})
+	}()
+	deadline := time.After(10 * time.Second)
+	for th.ctr.rollbacks.Load() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("Atomic returned (%v) while the token was held", err)
+		case <-deadline:
+			t.Fatal("the attempt parked at the busy gate without being counted and taken back")
+		default:
+			runtime.Gosched()
+		}
+	}
+	rt.serialRelease()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	c := th.ctr
+	if s, ends := c.started.Load(), c.commits.Load()+c.rollbacks.Load(); s != ends || c.commits.Load() != 1 {
+		t.Fatalf("started/commits/rollbacks = %d/%d/%d: want one commit and every start ended",
+			s, c.commits.Load(), c.rollbacks.Load())
 	}
 }
 

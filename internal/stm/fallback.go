@@ -2,11 +2,11 @@ package stm
 
 import "runtime"
 
-// Serial-fallback gate: the HTM-style global-lock escape hatch. A thread
-// whose transaction has aborted Config.FallbackAfter consecutive times
-// stops being optimistic, takes a runtime-wide FIFO ticket, drains every
-// in-flight optimistic attempt, and then runs its attempts with the
-// guarantee that no optimistic opponent starts until it commits. "Why
+// Serial-fallback gate: the HTM-style global-lock escape hatch, always
+// armed. A thread whose transaction has aborted Config.FallbackAfter
+// consecutive times stops being optimistic, takes a runtime-wide FIFO
+// ticket, drains every in-flight optimistic attempt, and then runs its
+// attempts with no optimistic attempt running until it commits. "Why
 // Transactional Memory Should Not Be Obstruction-Free" argues exactly this
 // blocking fallback is the right escape hatch for a progressive TM.
 //
@@ -14,17 +14,18 @@ import "runtime"
 // fbServing the ticket currently admitted. The gate is free exactly when
 // they are equal. Protocol:
 //
-//   - Optimistic threads call serialWait before each attempt: while the
-//     gate is busy they park in a cancellable yield loop, and only then
-//     increment their started counter. The check-then-increment order
-//     admits one benign race — an attempt that read "free" just before a
-//     ticket was issued slips through — but such an attempt runs to
-//     completion and bumps finished, so the holder's drain still
-//     terminates; it never waits on a thread that is parked at the gate.
+//   - Every attempt bumps its thread's started counter as it begins and ends
+//     in exactly one of commits and rollbacks, bumped after its releases.
+//   - An optimistic attempt bumps started before it reads the gate
+//     (serialEnter). If the gate is busy it takes the attempt back, counting
+//     it in rollbacks, and parks until the gate is free. Either a ticket
+//     precedes the bump, and the attempt sees the gate busy, or the bump
+//     precedes the ticket, and the drain waits for the attempt.
 //   - The escalating thread takes a ticket (fbTicket.Add), waits its FIFO
 //     turn, then drains: for every other registered thread it spins until
-//     started == finished. From that point no optimistic attempt is in
-//     flight and none can start.
+//     started == commits + rollbacks. From then on no optimistic attempt
+//     runs, so without fault injection or StoreNT the serial attempt
+//     commits: no transaction aborts more than FallbackAfter times in a row.
 //   - Release is fbServing.Add(1), in the Atomic-loop's deferred cleanup,
 //     so the token survives retries (a faulty table can still abort the
 //     serial holder) and is returned even on user panic.
@@ -34,21 +35,31 @@ import "runtime"
 // Cancellation is therefore prompt everywhere except the (short) window
 // where earlier ticket holders are themselves committing serially.
 
+// defaultFallbackAfter is the bound New gives Config.FallbackAfter = 0.
+const defaultFallbackAfter = 8
+
 // serialBusy reports whether a serial token is issued and unreleased.
 func (rt *Runtime) serialBusy() bool {
 	return rt.fbServing.Load() != rt.fbTicket.Load()
 }
 
-// serialWait parks an optimistic thread while the serial gate is busy. It
-// returns the context's error if th is cancelled while parked.
-func (rt *Runtime) serialWait(th *Thread) error {
-	for rt.serialBusy() {
-		if th.cancelled() {
-			return th.ctx.Err()
+// serialEnter counts an optimistic attempt of th started once the gate is
+// free. If th is cancelled while parked it returns the context's error,
+// with the attempt counted back.
+func (rt *Runtime) serialEnter(th *Thread) error {
+	for {
+		th.ctr.started.Add(1)
+		if !rt.serialBusy() {
+			return nil
 		}
-		runtime.Gosched()
+		th.ctr.rollbacks.Add(1)
+		for rt.serialBusy() {
+			if th.cancelled() {
+				return th.ctx.Err()
+			}
+			runtime.Gosched()
+		}
 	}
-	return nil
 }
 
 // serialAcquire takes the next FIFO ticket, waits for its turn, and drains
@@ -66,9 +77,6 @@ func (rt *Runtime) serialAcquire(th *Thread) error {
 		rt.serialRelease()
 		return th.ctx.Err()
 	}
-	// Token held: no new optimistic attempt will start. Wait for the ones
-	// already past the gate to finish (commit or roll back — either way
-	// their records are released before finished is bumped).
 	board := rt.board.Load()
 	for _, c := range *board {
 		if c == nil || c == th.ctr {
@@ -76,7 +84,10 @@ func (rt *Runtime) serialAcquire(th *Thread) error {
 			// no attempt yet, and its first will park at the gate.
 			continue
 		}
-		for c.started.Load() != c.finished.Load() {
+		// started is loaded first: a thread runs one attempt at a time and
+		// its counters only grow, so ends that reach it cover every attempt
+		// the thread had begun.
+		for c.started.Load() != c.commits.Load()+c.rollbacks.Load() {
 			if th.cancelled() {
 				rt.serialRelease()
 				return th.ctx.Err()

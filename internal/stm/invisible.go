@@ -11,7 +11,7 @@ import (
 // roConflict aborts the attempt on a failed version validation. There is no
 // table opponent to report — the conflicting writer already committed and
 // left — so the CM sees NoConflict. The kill counts as an attempt like any
-// other: Config.FallbackAfter bounds it, or else Config.MaxAttempts.
+// other: Config.FallbackAfter bounds it.
 func (th *Thread) roConflict() {
 	th.roAbort = true
 	th.conflict(otable.NoConflict)

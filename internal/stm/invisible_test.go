@@ -261,9 +261,11 @@ func TestInvisibleSnapshotExtension(t *testing.T) {
 // count toward the one bound the runtime keeps: with FallbackAfter k the
 // reader escalates to the serial token and commits on attempt k+1, reading
 // by version validation there too (no read acquire, a read-only commit);
-// with the fallback off only MaxAttempts ends it, as for a starved writer.
+// under the default bound a MaxAttempts m below it ends the transaction
+// first, as for a starved writer. m must stay below the bound: a reader
+// holding the token would park the writer nested in its attempt for good.
 func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
-	const k, m = 3, 10
+	const k, m = 3, defaultFallbackAfter - 1
 	// starve runs the reader's transaction, committing the writer's
 	// increment of x after the reader's read on each of the first clobbers
 	// attempts, and returns the attempts it took and Atomic's error.
@@ -316,8 +318,9 @@ func TestInvisibleFallbackAfterValidationAborts(t *testing.T) {
 			if attempts != m {
 				t.Fatalf("gave up after %d attempts, want %d", attempts, m)
 			}
-			if st := rt.Stats(); st.ROValidationAborts != m || st.ROCommits != 0 {
-				t.Fatalf("ROValidationAborts/ROCommits = %d/%d, want %d/0", st.ROValidationAborts, st.ROCommits, m)
+			if st := rt.Stats(); st.ROValidationAborts != m || st.ROCommits != 0 || st.FallbackCommits != 0 {
+				t.Fatalf("ROValidationAborts/ROCommits/FallbackCommits = %d/%d/%d, want %d/0/0",
+					st.ROValidationAborts, st.ROCommits, st.FallbackCommits, m)
 			}
 		})
 	}

@@ -160,6 +160,10 @@ func TestAtomicHammerSerialFallback(t *testing.T) {
 			}
 			assertDrained(t, rt)
 			st := rt.Stats()
+			// No faults and no StoreNT: a serial attempt meets no opponent.
+			if st.MaxConsecutiveAborts > uint64(cfg.FallbackAfter) {
+				t.Fatalf("MaxConsecutiveAborts = %d, want <= %d (FallbackAfter)", st.MaxConsecutiveAborts, cfg.FallbackAfter)
+			}
 			if ts := tab.Stats(); ts.ReadAcquires != 0 || ts.Upgrades != 0 {
 				t.Fatalf("%d table read acquires, %d upgrades: the runtime took a read share", ts.ReadAcquires, ts.Upgrades)
 			}

@@ -37,11 +37,11 @@
 // randomized exponential backoff between retries; a wait inside an attempt
 // never consults it, and one that runs out aborts; Config.NewCM
 // replaces it with a custom policy (see the CM interface in cm.go), and
-// Config.FallbackAfter bounds how long any transaction stays optimistic.
-// That one bound covers every kind of abort: a reader that validation kills
-// on every attempt escalates to the serial token like a writer that loses
-// every acquire, and with the fallback disabled only Config.MaxAttempts
-// bounds either. Denied acquires report the denying
+// Config.FallbackAfter (8 unless set) bounds how long any transaction stays
+// optimistic. That one bound covers every kind of abort: a reader that
+// validation kills on every attempt escalates to the serial token like a
+// writer that loses every acquire, and a serial attempt meets no optimistic
+// opponent. Denied acquires report the denying
 // opponent (otable.ConflictInfo), which the runtime hands to the policy's
 // Aborted callback. Policies only reschedule retries; they never change
 // what commits.
@@ -152,13 +152,11 @@ type threadCounters struct {
 	aborts  atomic.Uint64
 	ntReads atomic.Uint64 // strong-isolation non-transactional probes
 	ntConfl atomic.Uint64 // strong-isolation probes denied by a transaction
-	// started/finished bracket attempts (incremented at Begin and after
-	// the releasing commit/rollback respectively), so started == finished
-	// means "no attempt of this thread holds any table slot". The serial
-	// fallback's drain watches the pair; they are maintained only when
-	// Config.FallbackAfter enables the fallback.
-	started  atomic.Uint64
-	finished atomic.Uint64
+	// started counts the attempts begun, rollbacks those that ended
+	// without committing or were taken back at a busy gate (fallback.go):
+	// started == commits + rollbacks means "no attempt holds a table slot".
+	started   atomic.Uint64
+	rollbacks atomic.Uint64
 	// fbCommits counts commits made while holding the serial token;
 	// maxStreak publishes the longest run of consecutive conflict aborts
 	// the thread has suffered (tail-behavior signal, see Stats).
@@ -194,7 +192,7 @@ func New(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("stm: FuzzYield = %v must be in [0, 1)", cfg.FuzzYield)
 	}
 	if cfg.FallbackAfter < 0 {
-		return nil, fmt.Errorf("stm: FallbackAfter = %d must be >= 0", cfg.FallbackAfter)
+		return nil, fmt.Errorf("stm: FallbackAfter = %d must be >= 0 (0 means %d)", cfg.FallbackAfter, defaultFallbackAfter)
 	}
 	if cfg.CM != "" && cfg.CM != "backoff" {
 		return nil, fmt.Errorf("stm: CM policy %q does not exist (backoff is the only built-in; install others with Config.NewCM)", cfg.CM)
@@ -210,6 +208,9 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.BackoffMax == 0 {
 		cfg.BackoffMax = 256
+	}
+	if cfg.FallbackAfter == 0 {
+		cfg.FallbackAfter = defaultFallbackAfter
 	}
 	return &Runtime{cfg: cfg}, nil
 }
@@ -234,7 +235,9 @@ type Stats struct {
 	FallbackCommits uint64
 	// MaxConsecutiveAborts is the longest run of consecutive conflict
 	// aborts any single thread suffered — the tail the mean abort rate
-	// hides. A commit, user error, or terminal abort ends a run.
+	// hides. A commit, user error, or terminal abort ends a run. It is at
+	// most Config.FallbackAfter unless a StoreNT or a faulty table aborts a
+	// serial attempt, which meets no optimistic opponent.
 	MaxConsecutiveAborts uint64
 	// ROCommits counts read-only transactions that committed — serial
 	// ones included. Every read is version-validated, so each of them
@@ -336,7 +339,6 @@ func (rt *Runtime) NewThread() *Thread {
 		mem:    rt.cfg.Memory,
 		slotID: rt.cfg.Table.SlotsAreBlocks(),
 		fuzzP:  rt.cfg.FuzzYield,
-		fb:     rt.cfg.FallbackAfter,
 		rec:    rt.cfg.Recorder,
 		rng:    xrand.NewWithStream(rt.cfg.Seed, uint64(id)),
 		dbits:  make([]uint64, (chunks+63)/64),
@@ -363,7 +365,6 @@ type Thread struct {
 	mem    *Memory
 	slotID bool    // table slots are blocks: no cross-chunk slot aliasing
 	fuzzP  float64 // Config.FuzzYield; 0 (the default) costs fuzz one local branch
-	fb     int     // Config.FallbackAfter (0 = serial fallback disabled)
 	// rec is the runtime's history recorder, nil when disabled; cached
 	// here so the hot path pays one nil check, not a config dereference.
 	rec Recorder

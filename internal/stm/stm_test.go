@@ -505,7 +505,7 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		mem := NewMemory(int(2 * (entries + 8) * 8))
-		rt, err := New(Config{Table: tab, Memory: mem, Seed: 1, MaxAttempts: 1, FallbackAfter: 0})
+		rt, err := New(Config{Table: tab, Memory: mem, Seed: 1, MaxAttempts: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

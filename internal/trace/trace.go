@@ -47,27 +47,6 @@ func Take(s Stream, n int) []Access {
 	return out
 }
 
-// UniqueBlocks returns the number of distinct blocks in accesses, split by
-// whether the block was ever written.
-func UniqueBlocks(accesses []Access) (readOnly, written int) {
-	wrote := make(map[addr.Block]bool, len(accesses))
-	for _, a := range accesses {
-		if a.Write {
-			wrote[a.Block] = true
-		} else if _, ok := wrote[a.Block]; !ok {
-			wrote[a.Block] = false
-		}
-	}
-	for _, w := range wrote {
-		if w {
-			written++
-		} else {
-			readOnly++
-		}
-	}
-	return readOnly, written
-}
-
 // WriteFraction returns the fraction of accesses that are writes.
 func WriteFraction(accesses []Access) float64 {
 	if len(accesses) == 0 {

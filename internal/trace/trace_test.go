@@ -26,21 +26,6 @@ func TestTake(t *testing.T) {
 	}
 }
 
-func TestUniqueBlocks(t *testing.T) {
-	accs := []Access{
-		{Block: 1, Write: false},
-		{Block: 1, Write: true}, // promoted to written
-		{Block: 2, Write: false},
-		{Block: 3, Write: true},
-		{Block: 3, Write: false}, // stays written
-		{Block: 2, Write: false},
-	}
-	ro, w := UniqueBlocks(accs)
-	if ro != 1 || w != 2 {
-		t.Fatalf("UniqueBlocks = %d read-only, %d written; want 1, 2", ro, w)
-	}
-}
-
 func TestWriteFraction(t *testing.T) {
 	accs := []Access{{Write: true}, {Write: false}, {Write: false}, {Write: true}}
 	if got := WriteFraction(accs); got != 0.5 {

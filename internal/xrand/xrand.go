@@ -171,50 +171,3 @@ func (r *Rand) Geometric(p float64) int {
 	// Inverse CDF: floor(ln(1-u) / ln(1-p)).
 	return int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
 }
-
-// ExpFloat64 returns an exponentially distributed sample with mean 1/rate.
-// It panics if rate <= 0.
-func (r *Rand) ExpFloat64(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: ExpFloat64 called with rate <= 0")
-	}
-	u := r.Float64()
-	return -math.Log1p(-u) / rate
-}
-
-// Poisson returns a Poisson-distributed sample with the given mean, using
-// Knuth's method for small means and normal approximation above 64 (where
-// the experiments never need exact tails).
-func (r *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		n := int(math.Round(mean + math.Sqrt(mean)*r.NormFloat64()))
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// NormFloat64 returns a standard normal sample (Marsaglia polar method).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}

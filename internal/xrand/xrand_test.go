@@ -157,53 +157,6 @@ func TestGeometricEdge(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(19)
-	for _, mean := range []float64{0.5, 4, 32, 100} {
-		sum := 0
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(mean)
-		}
-		got := float64(sum) / n
-		if math.Abs(got-mean) > 0.05*mean+0.05 {
-			t.Fatalf("Poisson(%v) mean = %.3f", mean, got)
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(23)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %.4f, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %.4f, want ~1", variance)
-	}
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(29)
-	const rate = 2.0
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64(rate)
-	}
-	if mean := sum / n; math.Abs(mean-1/rate) > 0.01 {
-		t.Fatalf("Exp(%v) mean = %.4f, want ~%.4f", rate, mean, 1/rate)
-	}
-}
-
 func TestSplitProducesDistinctStreams(t *testing.T) {
 	parent := New(31)
 	a := parent.Split()

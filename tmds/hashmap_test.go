@@ -65,7 +65,8 @@ func TestMapStripeInvariant(t *testing.T) {
 // conflict. Thread A puts a new key and, still holding its writes, runs
 // thread B's transaction nested in its body on the same goroutine. B puts a
 // new key and deletes a present one, both in another group, on blocks A's
-// probe never touched. With MaxAttempts 2 and no serial fallback, B must
+// probe never touched. With MaxAttempts 2, below the serial fallback's
+// bound (B escalating would drain A, which cannot end first), B must
 // commit on its first attempt and A after it. Over one size word, B's
 // write of that word is denied by A's hold and B fails with
 // ErrTooManyAttempts.
@@ -96,7 +97,7 @@ func mapNestedUpdates(t *testing.T, kind string, sameGroup bool) {
 	}
 	mem := tmbp.NewMemory(spreadStride * (1 + buckets))
 	rt, err := tmbp.NewSTM(tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1,
-		MaxAttempts: 2, FallbackAfter: 0, BackoffBase: -1})
+		MaxAttempts: 2, BackoffBase: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

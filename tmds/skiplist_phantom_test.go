@@ -2,7 +2,9 @@ package tmds
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tmbp"
@@ -234,7 +236,17 @@ func scanHammer(t *testing.T, kind string, fallbackAfter int) tmbp.STMStats {
 		t.Fatal(err)
 	}
 	checkOpaque(t, log)
-	return rt.Stats()
+	st := rt.Stats()
+	// No faults and no StoreNT: a serial attempt meets no opponent, so no
+	// transaction aborts more often in a row than the bound it escalates at.
+	bound := uint64(fallbackAfter)
+	if bound == 0 {
+		bound = 8 // the default FallbackAfter
+	}
+	if st.MaxConsecutiveAborts > bound {
+		t.Fatalf("MaxConsecutiveAborts = %d, want <= %d (FallbackAfter)", st.MaxConsecutiveAborts, bound)
+	}
+	return st
 }
 
 // TestSkiplistScanHammer runs the invariant hammer on every table kind with
@@ -251,14 +263,102 @@ func TestSkiplistScanHammer(t *testing.T) {
 	}
 }
 
-// TestSkiplistScanHammerInvisible runs it with no serial fallback:
-// whole-range scans are read-only, so they commit by version validation
-// racing the writers' splices.
+// TestSkiplistScanHammerInvisible runs it with the default FallbackAfter
+// (8): most whole-range scans commit optimistically, read-only, by version
+// validation racing the writers' splices.
 func TestSkiplistScanHammerInvisible(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			if st := scanHammer(t, kind, 0); st.ROCommits == 0 {
 				t.Fatalf("invisible hammer committed no read-only transactions: %+v", st)
+			}
+		})
+	}
+}
+
+// TestSkiplistScanUnderWriterFallbackBound is the shape of a scan that
+// committing writers starve. On one P, with the default Config, a writer
+// commits an update of one of the keys a RangeScan reads each time the
+// scan's visitor yields, so nearly every optimistic scan attempt is
+// invalidated. The always-armed serial token bounds the scan: after 8
+// aborts it runs with the writer parked at the gate, so every scan commits
+// within 9 attempts. The writer gives up after a fixed number of updates,
+// so an unbounded scan fails the test instead of hanging it.
+func TestSkiplistScanUnderWriterFallbackBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		keys    = 128
+		scans   = 20
+		updates = 100_000 // the writer's budget: ends a run whose scans starve
+		bound   = 9       // the default FallbackAfter aborts, then the serial attempt
+	)
+	for _, kind := range tmbp.TableKinds() {
+		t.Run(kind, func(t *testing.T) {
+			tab, err := tmbp.NewTable(kind, 1024, "mask")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := tmbp.NewMemory(SkiplistWords(keys))
+			rt, err := tmbp.NewSTM(tmbp.STMConfig{Table: tab, Memory: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSkiplist(mem, 0, keys, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writer, scanner := rt.NewThread(), rt.NewThread()
+			for k := uint64(0); k < keys; k++ {
+				if _, err := s.Put(writer, k, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stop atomic.Bool
+			werr := make(chan error, 1)
+			go func() {
+				rng := xrand.NewWithStream(7, 1)
+				for i := uint64(1); i <= updates && !stop.Load(); i++ {
+					k := rng.Uint64n(keys)
+					if err := writer.Atomic(func(tx *tmbp.Tx) error {
+						_, err := s.PutTx(tx, k, i)
+						return err
+					}); err != nil {
+						werr <- err
+						return
+					}
+					runtime.Gosched() // back to the scan
+				}
+				werr <- nil
+			}()
+			for i := 0; i < scans; i++ {
+				n := 0
+				if err := scanner.Atomic(func(tx *tmbp.Tx) error {
+					n = 0
+					return s.RangeScanTx(tx, 0, keys, func(_, _ uint64) error {
+						n++
+						runtime.Gosched() // the writer commits an update here
+						return nil
+					})
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if n != keys {
+					t.Fatalf("scan %d saw %d keys, want %d", i, n, keys)
+				}
+				if a := scanner.Attempts(); a > bound {
+					t.Errorf("scan %d committed on attempt %d, want <= %d", i, a, bound)
+				}
+			}
+			stop.Store(true)
+			if err := <-werr; err != nil {
+				t.Fatal(err)
+			}
+			st := rt.Stats()
+			if st.FallbackCommits == 0 {
+				t.Fatalf("no scan escalated to the serial token: the writer starved none, so the bound went untested (%+v)", st)
+			}
+			if st.MaxConsecutiveAborts > bound-1 {
+				t.Fatalf("MaxConsecutiveAborts = %d, want <= %d", st.MaxConsecutiveAborts, bound-1)
 			}
 		})
 	}

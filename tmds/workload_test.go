@@ -246,7 +246,7 @@ func TestKeyedTracesOpaque(t *testing.T) {
 }
 
 // TestKeyedTracesOpaqueInvisible is TestKeyedTracesOpaque read-mostly and
-// with no serial fallback, where the version-validated read path carries
+// with the default FallbackAfter (8), where the version-validated read path carries
 // the runs while the writing minority keeps conflicts (and validation
 // aborts) in the trace.
 func TestKeyedTracesOpaqueInvisible(t *testing.T) {
