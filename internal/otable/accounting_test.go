@@ -27,8 +27,7 @@ func TestCounterBlockPadding(t *testing.T) {
 // expectations are the tagged ones; the tagless table differs only in never
 // reporting the tagged-only fields (the aliasing block shares b's entry
 // there, so the "second record" is a second sharer — the same counts, one
-// occupied entry where the tagged table has two held records: its Occupied
-// is Records). The sample shows a writer from a write grant or upgrade until
+// occupied entry where the tagged table has two held records). The sample shows a writer from a write grant or upgrade until
 // the write release, and a new stamp only after ReleaseWriteV: AlreadyHeld
 // grants, denied acquires and read traffic leave it alone.
 func TestAccountingStepByStep(t *testing.T) {
@@ -61,50 +60,50 @@ func TestAccountingStepByStep(t *testing.T) {
 				name string
 				do   func()
 				want Stats
-				occ  uint64
+				occ  uint64 // Occupied after the step: tagless entries
+				recs uint64 // tagged held records
 				ver  uint64 // SampleVersion(b) after the step
 				wr   bool
 			}{
 				{"read from free", func() { h1 = read(1, b, Granted) },
-					Stats{ReadAcquires: 1, Records: 1, MaxChain: 1}, 1, 0, false},
+					Stats{ReadAcquires: 1, MaxChain: 1}, 1, 1, 0, false},
 				{"second sharer", func() { h2 = read(2, b, Granted) },
-					Stats{ReadAcquires: 2, Records: 1, MaxChain: 1}, 1, 0, false},
+					Stats{ReadAcquires: 2, MaxChain: 1}, 1, 1, 0, false},
 				{"denied upgrade", func() { write(1, 1, h1, ConflictReaders) },
-					Stats{ReadAcquires: 2, Conflicts: 1, Records: 1, MaxChain: 1}, 1, 0, false},
+					Stats{ReadAcquires: 2, Conflicts: 1, MaxChain: 1}, 1, 1, 0, false},
 				{"release one share", func() { tab.ReleaseReadH(1, b, h1) },
-					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 1, Records: 1, MaxChain: 1}, 1, 0, false},
+					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 1, MaxChain: 1}, 1, 1, 0, false},
 				{"release last share", func() { tab.ReleaseReadH(2, b, h2) },
-					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 2, MaxChain: 1}, 0, 0, false},
+					Stats{ReadAcquires: 2, Conflicts: 1, Releases: 2, MaxChain: 1}, 0, 0, 0, false},
 				{"write from free", func() { h1 = write(1, 0, NoHandle, Granted) },
-					Stats{ReadAcquires: 2, WriteAcquires: 1, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
+					Stats{ReadAcquires: 2, WriteAcquires: 1, Conflicts: 1, Releases: 2, MaxChain: 1}, 1, 1, 0, true},
 				{"write already held", func() { write(1, 0, NoHandle, AlreadyHeld) },
-					Stats{ReadAcquires: 2, WriteAcquires: 2, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
+					Stats{ReadAcquires: 2, WriteAcquires: 2, Conflicts: 1, Releases: 2, MaxChain: 1}, 1, 1, 0, true},
 				{"read already held", func() { read(1, b, AlreadyHeld) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 1, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 1, Releases: 2, MaxChain: 1}, 1, 1, 0, true},
 				{"denied read", func() { read(2, b, ConflictWriter) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 2, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 2, Releases: 2, MaxChain: 1}, 1, 1, 0, true},
 				{"denied write", func() { write(2, 0, NoHandle, ConflictWriter) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 2, Records: 1, MaxChain: 1}, 1, 0, true},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 2, MaxChain: 1}, 1, 1, 0, true},
 				{"publishing write release", func() { tab.ReleaseWriteV(1, b, h1, 5) },
-					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 3, MaxChain: 1}, 0, 5, false},
+					Stats{ReadAcquires: 3, WriteAcquires: 2, Conflicts: 3, Releases: 3, MaxChain: 1}, 0, 0, 5, false},
 				{"read from free again", func() { h1 = read(1, b, Granted) },
-					Stats{ReadAcquires: 4, WriteAcquires: 2, Conflicts: 3, Releases: 3, Records: 1, MaxChain: 1}, 1, 5, false},
+					Stats{ReadAcquires: 4, WriteAcquires: 2, Conflicts: 3, Releases: 3, MaxChain: 1}, 1, 1, 5, false},
 				{"second record in the cell", func() { ha = read(2, alias, Granted) },
-					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 3, Records: 2, MaxChain: 2}, 1, 5, false},
+					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 3, MaxChain: 2}, 1, 2, 5, false},
 				{"release the second record", func() { tab.ReleaseReadH(2, alias, ha) },
-					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 4, Records: 1, MaxChain: 2}, 1, 5, false},
+					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 4, MaxChain: 2}, 1, 1, 5, false},
 				{"upgrade", func() { write(1, 1, h1, Upgraded) },
-					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 4, Records: 1, MaxChain: 2}, 1, 5, true},
+					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 4, MaxChain: 2}, 1, 1, 5, true},
 				{"walking release past the parked record", func() { tab.ReleaseWriteH(1, b, NoHandle) },
 					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 5,
-						ReleaseWalks: 1, ChainFollows: 1, MaxChain: 2}, 0, 5, false},
+						ReleaseWalks: 1, ChainFollows: 1, MaxChain: 2}, 0, 0, 5, false},
 			}
 			for _, s := range steps {
 				s.do()
-				want := s.want
-				wantOcc := want.Records
+				want, wantOcc := s.want, s.recs
 				if kind == "tagless" {
-					want.ReleaseWalks, want.ChainFollows, want.Records, want.MaxChain = 0, 0, 0, 0
+					want.ReleaseWalks, want.ChainFollows, want.MaxChain = 0, 0, 0
 					wantOcc = s.occ
 				}
 				if got, occ := tab.Stats(), tab.Occupied(); got != want || occ != wantOcc {
@@ -238,7 +237,7 @@ func TestAccountingHammer(t *testing.T) {
 					want.ReleaseWalks += n.ReleaseWalks
 				}
 				if got != want {
-					t.Fatalf("Stats at quiescence:\n got %+v\nwant %+v (summed tallies, Records 0)", got, want)
+					t.Fatalf("Stats at quiescence:\n got %+v\nwant %+v (summed tallies)", got, want)
 				}
 				if occ := tab.Occupied(); occ != 0 {
 					t.Fatalf("Occupied at quiescence = %d, want 0", occ)

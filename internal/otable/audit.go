@@ -8,9 +8,8 @@ import "fmt"
 // behind after quiescence is a leak: it blocks every future acquire on its
 // slot forever, the STM equivalent of a lock leaked on an error path.
 //
-// Occupied counts held slots (tagless state words, tagged records) and
-// Stats().Records the held records of a record-allocating table (a tagged
-// table's Occupied); both must be zero.
+// Occupied counts held slots (tagless state words, tagged records); it must
+// be zero.
 //
 // AuditQuiesced takes the same snapshot reads a Stats call does; it is not
 // safe to interpret while transactions are still running, since in-flight
@@ -19,9 +18,6 @@ import "fmt"
 func AuditQuiesced(t Table) error {
 	if occ := t.Occupied(); occ != 0 {
 		return fmt.Errorf("otable: %s table not quiescent: %d slots still occupied", t.Kind(), occ)
-	}
-	if rec := t.Stats().Records; rec != 0 {
-		return fmt.Errorf("otable: %s table leaked %d ownership records", t.Kind(), rec)
 	}
 	return nil
 }

@@ -55,8 +55,8 @@ func TestTaglessConcurrentHammer(t *testing.T) {
 func TestTaggedConcurrentHammer(t *testing.T) {
 	tab := NewTagged(hash.NewMask(256))
 	hammer(t, tab)
-	if tab.Records() != 0 {
-		t.Fatalf("records after drain = %d", tab.Records())
+	if tab.Occupied() != 0 {
+		t.Fatalf("records after drain = %d", tab.Occupied())
 	}
 }
 
@@ -157,7 +157,7 @@ func TestTaggedDisjointConcurrent(t *testing.T) {
 		t.Fatalf("tagged table produced conflict %v on disjoint data", out)
 	default:
 	}
-	if tab.Records() != 0 {
-		t.Fatalf("records = %d", tab.Records())
+	if tab.Occupied() != 0 {
+		t.Fatalf("records = %d", tab.Occupied())
 	}
 }

@@ -112,8 +112,8 @@ func TestFootprintTaggedPerBlock(t *testing.T) {
 		t.Fatalf("slots = %d, want 2", fp.Slots())
 	}
 	fp.ReleaseAll()
-	if tab.Records() != 0 {
-		t.Fatalf("records = %d", tab.Records())
+	if tab.Occupied() != 0 {
+		t.Fatalf("records = %d", tab.Occupied())
 	}
 }
 

@@ -134,11 +134,6 @@ func TestHotBucketHammer(t *testing.T) {
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d, want 0 (lost release)", occ)
 			}
-			if rt, ok := tab.(interface{ Records() uint64 }); ok {
-				if n := rt.Records(); n != 0 {
-					t.Fatalf("records after drain = %d, want 0 (lost release)", n)
-				}
-			}
 			if reads.Load() == 0 || writes.Load() == 0 || upgrades.Load() == 0 {
 				t.Fatalf("hammer did not exercise all paths: reads=%d writes=%d upgrades=%d",
 					reads.Load(), writes.Load(), upgrades.Load())
@@ -253,9 +248,6 @@ func TestHotBucketConflictTargets(t *testing.T) {
 		}
 		if occ := tab.Occupied(); occ != 0 {
 			t.Fatalf("occupancy after drain = %d, want 0", occ)
-		}
-		if n := tab.Records(); n != 0 {
-			t.Fatalf("records after drain = %d, want 0", n)
 		}
 	})
 }
@@ -385,9 +377,6 @@ func TestHotBucketHandleHammer(t *testing.T) {
 		}
 		if occ := tab.Occupied(); occ != 0 {
 			t.Fatalf("occupancy after drain = %d, want 0 (lost release)", occ)
-		}
-		if n := tab.Records(); n != 0 {
-			t.Fatalf("records after drain = %d, want 0 (lost release)", n)
 		}
 		if reads.Load() == 0 || writes.Load() == 0 || upgrades.Load() == 0 {
 			t.Fatalf("hammer did not exercise all paths: reads=%d writes=%d upgrades=%d",

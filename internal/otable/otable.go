@@ -176,6 +176,8 @@ type Table interface {
 	// b's cell stamp to at least stamp, then releases the ownership exactly
 	// as ReleaseWriteH would. Commit paths of a runtime with invisible
 	// readers must use it (after write-back) in place of ReleaseWriteH.
+	// Stamp 0 publishes nothing, so ReleaseWriteV(tx, b, h, 0) is
+	// ReleaseWriteH(tx, b, h): the STM releases both ways through it.
 	ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64)
 
 	// SampleVersion returns the cell's current commit stamp and whether any
@@ -261,7 +263,6 @@ type Stats struct {
 	Releases      uint64 // release operations
 	ReleaseWalks  uint64 // tagged only: releases that had to walk a chain (no usable handle)
 	ChainFollows  uint64 // tagged only: records traversed past a bucket head, in any state (physical walk cost)
-	Records       uint64 // tagged only: held ownership records
 	MaxChain      uint64 // tagged only: maximum bucket chain length observed
 }
 
@@ -277,8 +278,7 @@ const counterStripes = 8
 // acquires and releases are split by whether they opened (respectively
 // closed) the slot — a tagless entry or a tagged record — taking it from no
 // holder to one, or back, so occupancy is opens minus closes and needs no
-// word of its own. (Records is not a counter either: for the tagged table
-// it is that occupancy, see Tagged.Records.)
+// word of its own.
 type counterBlock struct {
 	readOpens, reads         atomic.Uint64 // successful read acquires that did / did not open the cell
 	writeOpens, writes       atomic.Uint64 // write grants (Granted or AlreadyHeld) that did / did not open it

@@ -860,10 +860,6 @@ func (t *Tagged) StampVersion(b addr.Block, stamp uint64) {
 // record, so this is also the number of blocks held.
 func (t *Tagged) Occupied() uint64 { return t.stats.occupied() }
 
-// Records returns the number of held ownership records: Occupied. Free
-// parked records are not counted.
-func (t *Tagged) Records() uint64 { return t.stats.occupied() }
-
 // ChainLengths returns a histogram of bucket chain lengths: result[k] is
 // the number of buckets with exactly k held records (free parked records
 // are not counted), for k up to the longest chain. Not safe to call
@@ -894,13 +890,8 @@ func (t *Tagged) ChainLengths() []uint64 {
 	return out
 }
 
-// Stats implements Table. Records is derived from the open/close counters
-// rather than a hot-path counter of its own.
-func (t *Tagged) Stats() Stats {
-	s := t.stats.snapshot()
-	s.Records = t.Records()
-	return s
-}
+// Stats implements Table.
+func (t *Tagged) Stats() Stats { return t.stats.snapshot() }
 
 // Reset implements Table. Chains and pools are dropped and the slab bump
 // allocator rewinds; slab segments are kept for reuse, and recycled slots

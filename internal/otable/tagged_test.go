@@ -21,9 +21,6 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 	if got, _ := AcquireWrite(tab, 2, 67, 0); got != Granted {
 		t.Fatalf("aliasing write should be granted in tagged table: %v", got)
 	}
-	if tab.Records() != 2 {
-		t.Fatalf("Records = %d, want 2", tab.Records())
-	}
 	if tab.Occupied() != 2 {
 		t.Fatalf("Occupied = %d, want 2 (two held records, chained in one bucket)", tab.Occupied())
 	}
@@ -62,8 +59,8 @@ func TestTaggedUpgrade(t *testing.T) {
 		t.Fatalf("upgrade: %v", got)
 	}
 	ReleaseWrite(tab, 1, 9)
-	if tab.Records() != 0 {
-		t.Fatalf("Records after release = %d", tab.Records())
+	if tab.Occupied() != 0 {
+		t.Fatalf("Occupied after release = %d", tab.Occupied())
 	}
 }
 
@@ -143,8 +140,8 @@ func TestTaggedReset(t *testing.T) {
 	AcquireWrite(tab, 1, 2, 0)
 	AcquireRead(tab, 2, 3)
 	tab.Reset()
-	if tab.Occupied() != 0 || tab.Records() != 0 {
-		t.Fatalf("after reset: occ=%d records=%d", tab.Occupied(), tab.Records())
+	if tab.Occupied() != 0 {
+		t.Fatalf("after reset: occ=%d", tab.Occupied())
 	}
 	if got, _ := AcquireWrite(tab, 3, 2, 0); got != Granted {
 		t.Fatalf("write after reset: %v", got)
@@ -181,7 +178,7 @@ func TestTaggedNeverFalseConflictProperty(t *testing.T) {
 		for _, fp := range fps {
 			fp.ReleaseAll()
 		}
-		return tab.Records() == 0 && tab.Occupied() == 0
+		return tab.Occupied() == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -214,7 +211,7 @@ func TestTaggedDrainProperty(t *testing.T) {
 		for _, fp := range fps {
 			fp.ReleaseAll()
 		}
-		return tab.Records() == 0 && tab.Occupied() == 0
+		return tab.Occupied() == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -229,8 +226,8 @@ func TestTaggedSmallTableStripes(t *testing.T) {
 			t.Fatalf("read %d: %v", b, got)
 		}
 	}
-	if tab.Records() != 20 {
-		t.Fatalf("Records = %d", tab.Records())
+	if tab.Occupied() != 20 {
+		t.Fatalf("Occupied = %d", tab.Occupied())
 	}
 }
 
@@ -349,7 +346,7 @@ func TestTaggedReapProtectsOccupiedBuckets(t *testing.T) {
 		t.Fatalf("hot chain still %d records after its live set released, want <= %d",
 			n, reapDepth+2)
 	}
-	if n := tab.Records(); n != 0 {
+	if n := tab.Occupied(); n != 0 {
 		t.Fatalf("held records = %d, want 0", n)
 	}
 }
@@ -396,7 +393,7 @@ func TestTagStreamingBoundsChainDepth(t *testing.T) {
 	if delta := tab.Stats().ChainFollows - pre; delta > uint64(reapDepth)+2 {
 		t.Fatalf("post-stream walk traversed %d records, want <= %d", delta, reapDepth+2)
 	}
-	if n := tab.Records(); n != 0 {
+	if n := tab.Occupied(); n != 0 {
 		t.Fatalf("held records after stream = %d, want 0", n)
 	}
 }

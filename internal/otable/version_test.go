@@ -64,7 +64,6 @@ func TestVersionSampleBracketsWriter(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					n := uint64(0)
 					for !done.Load() {
 						s1, w1 := tab.SampleVersion(b)
 						v := shadow.Load()
@@ -72,7 +71,7 @@ func TestVersionSampleBracketsWriter(t *testing.T) {
 						if w1 || w2 || s1 != s2 {
 							continue
 						}
-						n++
+						validated.Add(1)
 						missed := v > s1
 						for i := v + 1; i <= s1 && !missed; i++ {
 							missed = committed(i)
@@ -82,7 +81,6 @@ func TestVersionSampleBracketsWriter(t *testing.T) {
 							break
 						}
 					}
-					validated.Add(n)
 				}()
 			}
 			for i := 1; i <= iters; i++ {
@@ -104,6 +102,11 @@ func TestVersionSampleBracketsWriter(t *testing.T) {
 				if i%1024 == 0 {
 					runtime.Gosched() // let the readers validate on a 1-P host too
 				}
+			}
+			// The cell is quiet now: wait for a validated pair, so a writer
+			// that finished before any reader ran cannot end the test unchecked.
+			for validated.Load() == 0 && !t.Failed() {
+				runtime.Gosched()
 			}
 			done.Store(true)
 			wg.Wait()

@@ -183,7 +183,7 @@ func (th *Thread) acquireWriteChunk(e *txn.Access) {
 // any chunk aliasing it — on a tagless one. A sample that shows a writer in
 // a cell the attempt holds shows the attempt itself. The tagless answer
 // scans the entries that hold a slot (carry a handle) for one in chunk's:
-// only a sample that met a writer, and LoadNT, ask.
+// only a sample that met a writer asks.
 func (th *Thread) holdsCell(chunk addr.Block) bool {
 	if th.slotID {
 		e := th.set.Lookup(chunk)

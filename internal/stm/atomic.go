@@ -264,8 +264,8 @@ func (th *Thread) rollback() {
 // publishes it to its slot's version cell (strictly before ownership drops,
 // see otable.Table.ReleaseWriteV). Read-only commits hold no write slots and
 // draw no stamp, keeping the epoch==rv commit shortcut of concurrent
-// invisible readers valid. Aborting walks pass 0 and publish nothing: memory
-// was never mutated, so the old stamps still describe it.
+// invisible readers valid. Aborting walks pass 0, which publishes nothing:
+// memory was never mutated, so the old stamps still describe it.
 //
 // An attempt that drew a stamp — committing, or rolled back by the
 // validation after its draw — counts it finished in Runtime.done after the
@@ -278,11 +278,7 @@ func (th *Thread) releaseAll(stamp uint64) {
 		if e.Hnd == 0 {
 			continue // holds nothing: the slot was AlreadyHeld, or the acquire was denied
 		}
-		if stamp != 0 {
-			th.tab.ReleaseWriteV(th.id, e.Chunk, otable.Handle(e.Hnd), stamp)
-		} else {
-			th.tab.ReleaseWriteH(th.id, e.Chunk, otable.Handle(e.Hnd))
-		}
+		th.tab.ReleaseWriteV(th.id, e.Chunk, otable.Handle(e.Hnd), stamp)
 	}
 	set.Reset()
 	th.clearLog()

@@ -56,7 +56,7 @@ func newCM(rt *Runtime, th *Thread) CM {
 	if rt.cfg.NewCM != nil {
 		return rt.cfg.NewCM(th)
 	}
-	return &backoffCM{w: &th.w, base: rt.cfg.BackoffBase, max: rt.cfg.BackoffMax}
+	return &backoffCM{w: &th.w, base: rt.cfg.BackoffBase}
 }
 
 // waiter is the one waiting primitive of the runtime: the backoff policy
@@ -79,16 +79,14 @@ type waiter struct {
 // conflicting transaction finish and — critically — reshuffles the
 // goroutine schedule, which breaks the phase-locked retry cycles that
 // deterministic workloads otherwise fall into on machines with few cores.
-// base < 0 disables waiting entirely. The wait ends early when the thread's
-// context is cancelled.
-func (w *waiter) backoff(base, maxYields, attempt int) {
+// The limit starts at base and stops at backoffMax; base < 0 disables
+// waiting entirely. The wait ends early when the thread's context is
+// cancelled.
+func (w *waiter) backoff(base, attempt int) {
 	if base < 0 {
 		return
 	}
-	limit := base << uint(min(attempt-1, 20))
-	if limit > maxYields {
-		limit = maxYields
-	}
+	limit := min(base<<uint(min(attempt-1, 20)), backoffMax)
 	if limit <= 0 {
 		return
 	}
@@ -111,17 +109,20 @@ func (w *waiter) yield() bool {
 	return true
 }
 
+// backoffMax caps the backoff yield budget of every retry.
+const backoffMax = 256
+
 // backoffCM is the built-in policy: randomized exponential backoff between
-// BackoffBase and BackoffMax scheduler yields.
+// Config.BackoffBase and backoffMax scheduler yields.
 type backoffCM struct {
-	w         *waiter
-	base, max int
+	w    *waiter
+	base int
 }
 
 func (c *backoffCM) Kind() string { return "backoff" }
 
 func (c *backoffCM) Aborted(attempt, _ int, _ otable.ConflictInfo) {
-	c.w.backoff(c.base, c.max, attempt)
+	c.w.backoff(c.base, attempt)
 }
 
 func (c *backoffCM) Committed(int) {}

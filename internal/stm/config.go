@@ -16,9 +16,9 @@ import (
 // Commit/Abort after write-back and release — which is exactly the
 // real-time contract the offline opacity checker relies on.
 //
-// Every transactional access is recorded. Non-transactional probes
-// (LoadNT/StoreNT) are not: they belong to no attempt, so they have no
-// place in a transactional history.
+// Every transactional access is recorded. Non-transactional accesses
+// (Memory.LoadDirect/StoreDirect) are not: they belong to no attempt, so
+// they have no place in a transactional history.
 //
 // A nil Recorder (the default, and the only configuration benchmarks and
 // production runs should use) costs one predictable branch per operation
@@ -27,31 +27,12 @@ type Recorder interface {
 	RecordEvent(opacity.Event)
 }
 
-// Isolation selects how non-transactional accesses interact with
-// transactions (Section 6).
-type Isolation int
-
-// Isolation levels.
-const (
-	// WeakIsolation: non-transactional accesses bypass the ownership
-	// table entirely. Cheap, but unprotected against racing transactions.
-	WeakIsolation Isolation = iota
-	// StrongIsolation: non-transactional accesses perform ownership-table
-	// lookups too, aborting none but waiting for no one: they acquire and
-	// immediately release a one-block footprint, failing with a conflict
-	// if a transaction holds the block. The paper notes this extra
-	// concurrency makes tagless tables "even more untenable".
-	StrongIsolation
-)
-
 // Config assembles an STM runtime.
 type Config struct {
 	// Table is the shared ownership table. Required.
 	Table otable.Table
 	// Memory is the word store transactions operate on. Required.
 	Memory *Memory
-	// Isolation for non-transactional accesses; defaults to WeakIsolation.
-	Isolation Isolation
 	// InvisibleReaders is ignored. Every optimistic attempt reads by
 	// version validation, and the runtime alone decides when a read takes
 	// read ownership (see the package documentation). The frozen
@@ -63,17 +44,15 @@ type Config struct {
 	// MaxAttempts bounds the retries of one transaction (0 = unlimited).
 	MaxAttempts int
 	// BackoffBase is the initial backoff budget after an abort, measured
-	// in scheduler yields; it doubles per consecutive abort up to
-	// BackoffMax. Defaults 4 and 256. Set BackoffBase = -1 to disable
-	// backoff entirely (immediate retry).
+	// in scheduler yields; it doubles per consecutive abort up to 256
+	// yields. Defaults to 4. Set BackoffBase = -1 to disable backoff
+	// entirely (immediate retry).
 	//
 	// Backoff yields the processor rather than spinning: on machines with
 	// few cores, spinning preserves the exact interleaving that caused the
 	// conflict and deterministic workloads can phase-lock into livelock;
 	// a randomized number of yields reshuffles the schedule.
 	BackoffBase int
-	// BackoffMax caps the backoff yield budget.
-	BackoffMax int
 	// FuzzYield, when positive, makes each transactional operation yield
 	// the processor with the given probability. It perturbs goroutine
 	// scheduling so transactions genuinely interleave — a lightweight
@@ -100,12 +79,13 @@ type Config struct {
 	// HTM-style global-lock fallback). Every abort counts toward the bound,
 	// version-validation kills included: it is the one escape a reader
 	// starved by committing writers has. Serial attempts read by version
-	// validation like all others, so a non-transactional store can still
-	// kill one; it retries under the token. Commits made while holding the
-	// token are counted in Stats.FallbackCommits. Zero (the default) means
-	// 8: the token is always armed. A transaction run inside another
-	// thread's attempt must stop (MaxAttempts) before it would escalate, as
-	// its drain would wait for the enclosing attempt.
+	// validation like all others; with no optimistic attempt running nothing
+	// commits into their read sets, so only a faulty table aborts one.
+	// Commits made while holding the token are counted in
+	// Stats.FallbackCommits. Zero (the default) means 8: the token is always
+	// armed. A transaction run inside another thread's attempt must stop
+	// (MaxAttempts) before it would escalate, as its drain would wait for the
+	// enclosing attempt.
 	FallbackAfter int
 	// Recorder, when non-nil, receives the runtime's transactional history,
 	// every transactional access included, for offline opacity checking (see

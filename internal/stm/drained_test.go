@@ -93,16 +93,15 @@ func TestDrainedEndsAtExtension(t *testing.T) {
 
 // TestDrainedCountAfterRelease: a stamp counts as finished only once its
 // drawer is done with it. Every path that draws one — a writing commit, one
-// that must revalidate, one whose validation fails after the draw, a StoreNT
-// under its own hold and under the caller's transaction's hold — is watched
-// from the table: while a stamp is being published, and while commit
+// that must revalidate, one whose validation fails after the draw — is
+// watched from the table: while a stamp is being published, and while commit
 // validation samples after the draw, done must be behind epoch. Once the
 // path has returned the two must be level again.
 func TestDrainedCountAfterRelease(t *testing.T) {
 	for _, kind := range sweepKinds() {
 		t.Run(kind, func(t *testing.T) {
 			onOneP(t)
-			rt, tab, mem := newSampledRuntime(t, kind, Config{Isolation: StrongIsolation})
+			rt, tab, mem := newSampledRuntime(t, kind, Config{})
 			th, other := rt.NewThread(), rt.NewThread()
 			x, y, z := mem.WordAddr(8), mem.WordAddr(40), mem.WordAddr(80)
 			watched := 0
@@ -161,19 +160,6 @@ func TestDrainedCountAfterRelease(t *testing.T) {
 				if attempt != 2 {
 					t.Fatalf("committed on attempt %d, want 2", attempt)
 				}
-			})
-			step("StoreNT", func() {
-				if err := th.StoreNT(y, 3); err != nil {
-					t.Fatal(err)
-				}
-			})
-			step("StoreNT under the caller's own write hold", func() {
-				commit(func(tx *Tx) {
-					tx.Write(y, 4)
-					if err := th.StoreNT(y, 5); err != nil {
-						t.Fatal(err)
-					}
-				})
 			})
 			if st := rt.Stats(); st.ROValidationAborts != 1 {
 				t.Fatalf("stats = %+v, want exactly the one failed commit validation", st)

@@ -24,8 +24,8 @@ import "runtime"
 //   - The escalating thread takes a ticket (fbTicket.Add), waits its FIFO
 //     turn, then drains: for every other registered thread it spins until
 //     started == commits + rollbacks. From then on no optimistic attempt
-//     runs, so without fault injection or StoreNT the serial attempt
-//     commits: no transaction aborts more than FallbackAfter times in a row.
+//     runs, so without fault injection the serial attempt commits: no
+//     transaction aborts more than FallbackAfter times in a row.
 //   - Release is fbServing.Add(1), in the Atomic-loop's deferred cleanup,
 //     so the token survives retries (a faulty table can still abort the
 //     serial holder) and is returned even on user panic.

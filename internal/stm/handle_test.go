@@ -103,36 +103,3 @@ func TestSerialCommitReleasesByHandle(t *testing.T) {
 		}
 	})
 }
-
-// TestNTProbesReleaseByHandle covers the strong-isolation one-slot probes:
-// a StoreNT releases what it acquired through the issued handle, so it never
-// walks, and a LoadNT takes no ownership at all — every table release is a
-// store's, and there is no read acquire.
-func TestNTProbesReleaseByHandle(t *testing.T) {
-	tab := otable.NewTagged(hash.NewMask(64))
-	mem := NewMemory(64)
-	rt, err := New(Config{Table: tab, Memory: mem, Isolation: StrongIsolation, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.NewThread()
-	const stores = 100
-	for i := 0; i < stores; i++ {
-		if err := th.StoreNT(mem.WordAddr(0), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if v, err := th.LoadNT(mem.WordAddr(0)); err != nil || v != uint64(i) {
-			t.Fatalf("LoadNT = %d, %v", v, err)
-		}
-	}
-	st := tab.Stats()
-	if st.ReleaseWalks != 0 {
-		t.Fatalf("ReleaseWalks = %d, want 0 for NT probes", st.ReleaseWalks)
-	}
-	if st.ReadAcquires != 0 || st.Releases != stores {
-		t.Fatalf("ReadAcquires/Releases = %d/%d, want 0/%d: LoadNT takes no ownership", st.ReadAcquires, st.Releases, stores)
-	}
-	if occ := tab.Occupied(); occ != 0 {
-		t.Fatalf("occupancy = %d", occ)
-	}
-}

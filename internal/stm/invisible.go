@@ -35,8 +35,8 @@ func (th *Thread) roConflict() {
 // th.rv belong to the committed state rv bounds. A writer that drew a stamp
 // at most rv held its chunks writer-active from before the draw to its
 // release, so the sample saw it or the loads see all of it; a writer
-// arriving later draws above rv before it writes a word back (commitStamp;
-// StoreNT likewise). extendSnapshot keeps the invariant across a new rv: it
+// arriving later draws above rv before it writes a word back
+// (commitStamp). extendSnapshot keeps the invariant across a new rv: it
 // loads the clock, then samples every chunk of the read set against the rv
 // it replaces.
 //

@@ -360,33 +360,6 @@ func TestInvisibleReaderSeesReadWriteCommit(t *testing.T) {
 	}
 }
 
-// TestInvisibleSeesStoreNT checks that a strongly isolated non-transactional
-// store is visible to the validation protocol: it advances the version cell
-// it wrote, so an invisible reader spanning it aborts and rereads rather
-// than committing against silently changed memory.
-func TestInvisibleSeesStoreNT(t *testing.T) {
-	rt, _, mem := newInvisibleRuntime(t, "tagless", 64, 256, Config{Isolation: StrongIsolation})
-	reader, nt := rt.NewThread(), rt.NewThread()
-	x := mem.WordAddr(0)
-	attempt := 0
-	var got uint64
-	if err := reader.Atomic(func(tx *Tx) error {
-		attempt++
-		got = tx.Read(x)
-		if attempt == 1 {
-			if err := nt.StoreNT(x, 9); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if attempt != 2 || got != 9 {
-		t.Fatalf("attempts/value = %d/%d, want 2/9", attempt, got)
-	}
-}
-
 // TestAtomicHammerInvisibleReadMostly is the contended acceptance hammer of
 // the invisible-reader path: on every table organization, writer goroutines
 // keep two words of one chunk and one word of another in lockstep while

@@ -63,12 +63,19 @@ func (m *Memory) load(a addr.Addr) uint64 { return m.words[m.index(a)].Load() }
 // store writes the word at address a.
 func (m *Memory) store(a addr.Addr, v uint64) { m.words[m.index(a)].Store(v) }
 
-// LoadDirect reads a word without transactional protection. Under weak
-// isolation (the paper's default assumption, Section 6) this is what
-// non-transactional code does: it performs no ownership-table lookups and
-// may observe speculative-free but non-serializable intermediate states.
+// LoadDirect is the runtime's non-transactional read: one atomic load of
+// the word at a, outside any transaction. Isolation is weak (the paper's
+// assumption, Section 6): it performs no ownership-table lookup, is never
+// denied, and beside running transactions may observe a committing
+// transaction's write-back half done — never a speculative value, since
+// writes reach memory only at commit. A bad address panics.
 func (m *Memory) LoadDirect(a addr.Addr) uint64 { return m.load(a) }
 
-// StoreDirect writes a word without transactional protection; see
-// LoadDirect.
+// StoreDirect is the runtime's non-transactional write: one atomic store to
+// the word at a, with no table lookup and no stamp. A transaction that has
+// read the word does not learn of it, and a committing transaction that
+// wrote the word may write its own value back over it: keep the words
+// transactions use and the words StoreDirect writes apart while
+// transactions run, or write them before any transaction starts. A bad
+// address panics.
 func (m *Memory) StoreDirect(a addr.Addr, v uint64) { m.store(a, v) }

@@ -160,7 +160,7 @@ func TestAtomicHammerSerialFallback(t *testing.T) {
 			}
 			assertDrained(t, rt)
 			st := rt.Stats()
-			// No faults and no StoreNT: a serial attempt meets no opponent.
+			// No faults: a serial attempt meets no opponent.
 			if st.MaxConsecutiveAborts > uint64(cfg.FallbackAfter) {
 				t.Fatalf("MaxConsecutiveAborts = %d, want <= %d (FallbackAfter)", st.MaxConsecutiveAborts, cfg.FallbackAfter)
 			}

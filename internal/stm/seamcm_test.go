@@ -35,12 +35,9 @@ func withPolicy(cfg *Config, policy string) {
 	if policy == "backoff" {
 		return
 	}
-	base, max := cfg.BackoffBase, cfg.BackoffMax
+	base := cfg.BackoffBase
 	if base == 0 {
-		base = 4 // New's defaults
-	}
-	if max == 0 {
-		max = 256
+		base = 4 // New's default
 	}
 	board := &seamBoard{slots: map[otable.TxID]*seamSlot{}}
 	seed := cfg.Seed
@@ -52,7 +49,6 @@ func withPolicy(cfg *Config, policy string) {
 			board: board,
 			me:    board.register(th.ID()),
 			base:  base,
-			max:   max,
 		}
 	}
 }
@@ -90,16 +86,16 @@ func (b *seamBoard) lookup(id otable.TxID) *seamSlot {
 
 // seamCM is one thread's seam policy; kind selects the decision rule.
 type seamCM struct {
-	kind      string
-	th        *Thread
-	rng       *xrand.Rand
-	board     *seamBoard
-	me        *seamSlot
-	base, max int
-	rate      float64 // adaptive/switching: EWMA of conflict outcomes
-	karma     uint64
-	stamp     uint64
-	opponent  bool // switching: running the timestamp rule
+	kind     string
+	th       *Thread
+	rng      *xrand.Rand
+	board    *seamBoard
+	me       *seamSlot
+	base     int
+	rate     float64 // adaptive/switching: EWMA of conflict outcomes
+	karma    uint64
+	stamp    uint64
+	opponent bool // switching: running the timestamp rule
 }
 
 func (c *seamCM) Kind() string { return c.kind }
@@ -109,14 +105,14 @@ func (c *seamCM) Aborted(attempt, footprint int, opp otable.ConflictInfo) {
 	switch c.kind {
 	case "adaptive":
 		c.rate += (1 - c.rate) / 8
-		c.backoff(attempt, c.base+int(c.rate*float64(c.max-c.base)))
+		c.backoff(attempt, c.base+int(c.rate*float64(backoffMax-c.base)))
 	case "karma":
 		c.karma += uint64(footprint) + 1
 		c.me.karma.Store(c.karma)
 		if c.senior(opp) {
 			c.backoff(attempt, c.seniorCap())
 		} else {
-			c.backoff(attempt, c.max)
+			c.backoff(attempt, backoffMax)
 		}
 	case "timestamp":
 		c.byAge(attempt, opp)
@@ -128,7 +124,7 @@ func (c *seamCM) Aborted(attempt, footprint int, opp otable.ConflictInfo) {
 		if c.opponent {
 			c.byAge(attempt, opp)
 		} else {
-			c.backoff(attempt, c.max)
+			c.backoff(attempt, backoffMax)
 		}
 	}
 }
@@ -160,7 +156,7 @@ func (c *seamCM) backoff(attempt, max int) {
 }
 
 // seniorCap is the senior side's short leash: an eighth of the budget.
-func (c *seamCM) seniorCap() int { return max(c.max/8, 1) }
+func (c *seamCM) seniorCap() int { return max(backoffMax/8, 1) }
 
 // senior ranks this thread by (karma, ID) against the named writer, or
 // against every registered thread when the denial is anonymous.
@@ -198,12 +194,12 @@ func (c *seamCM) byAge(attempt int, opp otable.ConflictInfo) {
 	}
 	w, ok := opp.Writer()
 	if !ok {
-		c.backoff(attempt, c.max)
+		c.backoff(attempt, backoffMax)
 		return
 	}
 	o := c.board.lookup(w)
 	if o == nil || o == c.me {
-		c.backoff(attempt, c.max)
+		c.backoff(attempt, backoffMax)
 		return
 	}
 	s := o.stamp.Load()
@@ -212,7 +208,7 @@ func (c *seamCM) byAge(attempt int, opp otable.ConflictInfo) {
 		return
 	}
 	done := o.done.Load()
-	for i := 0; i < c.max && !c.th.Cancelled(); i++ {
+	for i := 0; i < backoffMax && !c.th.Cancelled(); i++ {
 		runtime.Gosched()
 		if o.done.Load() != done || o.stamp.Load() != s {
 			return

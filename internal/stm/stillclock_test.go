@@ -38,8 +38,8 @@ type sampleTable struct {
 	// after runs once a sample of any block has been taken, before the caller
 	// sees the result; a script disarms itself by clearing the field.
 	after func(b addr.Block)
-	// publishing runs at the start of every ReleaseWriteV and StampVersion,
-	// before the stamp reaches the cell.
+	// publishing runs at the start of every ReleaseWriteV that publishes a
+	// stamp, before the stamp reaches the cell.
 	publishing func()
 }
 
@@ -56,17 +56,10 @@ func (st *sampleTable) SampleVersion(b addr.Block) (uint64, bool) {
 }
 
 func (st *sampleTable) ReleaseWriteV(tx otable.TxID, b addr.Block, h otable.Handle, stamp uint64) {
-	if f := st.publishing; f != nil {
+	if f := st.publishing; f != nil && stamp != 0 {
 		f()
 	}
 	st.Table.ReleaseWriteV(tx, b, h, stamp)
-}
-
-func (st *sampleTable) StampVersion(b addr.Block, stamp uint64) {
-	if f := st.publishing; f != nil {
-		f()
-	}
-	st.Table.StampVersion(b, stamp)
 }
 
 // newSampledRuntime builds an invisible-reader runtime from cfg over a

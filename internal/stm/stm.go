@@ -32,8 +32,7 @@
 // — its own hold of a tagless entry, through an aliasing chunk, pins the
 // chunk (pinOrWait); any other writer is waited out, at most a few yields,
 // until no write-back is in flight, since a writer that has not drawn its
-// stamp has written nothing — and a strong-isolation LoadNT brackets its
-// load between two samples. Contention management is self-abort with
+// stamp has written nothing. Contention management is self-abort with
 // randomized exponential backoff between retries; a wait inside an attempt
 // never consults it, and one that runs out aborts; Config.NewCM
 // replaces it with a custom policy (see the CM interface in cm.go), and
@@ -45,6 +44,14 @@
 // opponent (otable.ConflictInfo), which the runtime hands to the policy's
 // Aborted callback. Policies only reschedule retries; they never change
 // what commits.
+//
+// Isolation is weak, the paper's assumption (Section 6): non-transactional
+// code reads and writes Memory with LoadDirect and StoreDirect, plain atomic
+// word accesses that consult no ownership table and that no transaction
+// sees coming. Only a writing commit draws a stamp. The cost of strong
+// isolation — a table lookup per non-transactional access, which makes
+// tagless tables "even more untenable" — is measured by the lockstep
+// simulator (`tmbp isolation`), not by this runtime.
 //
 // # The unified per-thread log
 //
@@ -119,8 +126,8 @@ type Runtime struct {
 	// attempt that dies earlier) never advance it, so an unmoved clock
 	// still means "no writing commit has serialized since my snapshot".
 	epoch atomic.Uint64
-	// done counts the stamps their drawers have finished with, each once,
-	// after the stamped releases (releaseAll, StoreNT): done == epoch means no
+	// done counts the stamps commitStamp drew that are finished, each once,
+	// after the stamped releases (releaseAll): done == epoch means no
 	// write-back is in flight, and an attempt that finds done == rv right
 	// after loading rv begins drained (Thread.quiet). epoch and done lead the
 	// struct to share one cache line, which the committer's draw has taken.
@@ -150,8 +157,6 @@ type Runtime struct {
 type threadCounters struct {
 	commits atomic.Uint64
 	aborts  atomic.Uint64
-	ntReads atomic.Uint64 // strong-isolation non-transactional probes
-	ntConfl atomic.Uint64 // strong-isolation probes denied by a transaction
 	// started counts the attempts begun, rollbacks those that ended
 	// without committing or were taken back at a busy gate (fallback.go):
 	// started == commits + rollbacks means "no attempt holds a table slot".
@@ -171,7 +176,7 @@ type threadCounters struct {
 	roValAborts atomic.Uint64
 	roPromotes  atomic.Uint64
 	roExtends   atomic.Uint64
-	_           [128 - 12*8]byte
+	_           [128 - 10*8]byte
 }
 
 // New validates cfg and returns a Runtime.
@@ -181,9 +186,6 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Memory == nil {
 		return nil, errors.New("stm: Config.Memory is required")
-	}
-	if cfg.Isolation != WeakIsolation && cfg.Isolation != StrongIsolation {
-		return nil, fmt.Errorf("stm: Isolation = %d is neither WeakIsolation nor StrongIsolation", cfg.Isolation)
 	}
 	if cfg.MaxAttempts < 0 {
 		return nil, fmt.Errorf("stm: MaxAttempts = %d must be >= 0", cfg.MaxAttempts)
@@ -200,14 +202,8 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.BackoffBase < -1 {
 		return nil, fmt.Errorf("stm: BackoffBase = %d must be >= -1 (-1 disables backoff)", cfg.BackoffBase)
 	}
-	if cfg.BackoffMax < 0 {
-		return nil, fmt.Errorf("stm: BackoffMax = %d must be >= 0", cfg.BackoffMax)
-	}
 	if cfg.BackoffBase == 0 {
 		cfg.BackoffBase = 4
-	}
-	if cfg.BackoffMax == 0 {
-		cfg.BackoffMax = 256
 	}
 	if cfg.FallbackAfter == 0 {
 		cfg.FallbackAfter = defaultFallbackAfter
@@ -225,10 +221,6 @@ func (rt *Runtime) Memory() *Memory { return rt.cfg.Memory }
 type Stats struct {
 	Commits uint64
 	Aborts  uint64
-	// NTProbes counts strong-isolation non-transactional accesses.
-	NTProbes uint64
-	// NTConflicts counts those denied by an active transaction.
-	NTConflicts uint64
 	// FallbackCommits counts commits made while holding the serial token
 	// (Config.FallbackAfter): how often the runtime had to give up on
 	// optimism to guarantee progress.
@@ -236,8 +228,8 @@ type Stats struct {
 	// MaxConsecutiveAborts is the longest run of consecutive conflict
 	// aborts any single thread suffered — the tail the mean abort rate
 	// hides. A commit, user error, or terminal abort ends a run. It is at
-	// most Config.FallbackAfter unless a StoreNT or a faulty table aborts a
-	// serial attempt, which meets no optimistic opponent.
+	// most Config.FallbackAfter unless a faulty table aborts a serial
+	// attempt, which meets no optimistic opponent.
 	MaxConsecutiveAborts uint64
 	// ROCommits counts read-only transactions that committed — serial
 	// ones included. Every read is version-validated, so each of them
@@ -278,8 +270,6 @@ func (rt *Runtime) Stats() Stats {
 		}
 		s.Commits += c.commits.Load()
 		s.Aborts += c.aborts.Load()
-		s.NTProbes += c.ntReads.Load()
-		s.NTConflicts += c.ntConfl.Load()
 		s.FallbackCommits += c.fbCommits.Load()
 		s.ROCommits += c.roCommits.Load()
 		s.ROValidationAborts += c.roValAborts.Load()

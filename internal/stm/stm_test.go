@@ -79,16 +79,14 @@ func TestConfigValidation(t *testing.T) {
 		field string
 		cfg   Config
 	}{
-		{"Isolation", Config{Isolation: 2}},
 		{"BackoffBase", Config{BackoffBase: -2}},
-		{"BackoffMax", Config{BackoffMax: -1}},
 	} {
 		c.cfg.Table, c.cfg.Memory = tab, NewMemory(8)
 		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("out-of-range %s: New = %v, want an error naming the field", c.field, err)
 		}
 	}
-	for _, cfg := range []Config{{BackoffBase: -1}, {Isolation: StrongIsolation}} {
+	for _, cfg := range []Config{{BackoffBase: -1}} {
 		cfg.Table, cfg.Memory = tab, NewMemory(8)
 		if _, err := New(cfg); err != nil {
 			t.Errorf("New(%+v) = %v, want it accepted", cfg, err)
@@ -565,51 +563,20 @@ func TestBlockGranularityNeighborsConflict(t *testing.T) {
 	}
 }
 
-func TestStrongIsolationDeniesRacingAccess(t *testing.T) {
-	tab := otable.NewTagless(hash.NewMask(64))
-	mem := NewMemory(16)
-	rt, err := New(Config{Table: tab, Memory: mem, Isolation: StrongIsolation, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.NewThread()
-	nt := rt.NewThread()
-	err = th.Atomic(func(tx *Tx) error {
-		tx.Write(mem.WordAddr(0), 9)
-		if _, lerr := nt.LoadNT(mem.WordAddr(0)); lerr == nil {
-			t.Error("strong isolation allowed a read of a write-held block")
-		}
-		if serr := nt.StoreNT(mem.WordAddr(0), 1); serr == nil {
-			t.Error("strong isolation allowed a write of a write-held block")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// After commit the non-transactional access succeeds.
-	v, lerr := nt.LoadNT(mem.WordAddr(0))
-	if lerr != nil || v != 9 {
-		t.Fatalf("post-commit LoadNT = %d, %v", v, lerr)
-	}
-	s := rt.Stats()
-	if s.NTProbes == 0 || s.NTConflicts == 0 {
-		t.Fatalf("NT stats not recorded: %+v", s)
-	}
-}
-
+// TestWeakIsolationBypassesTable: non-transactional access is
+// Memory.LoadDirect/StoreDirect, which consult no table and draw no stamp.
 func TestWeakIsolationBypassesTable(t *testing.T) {
 	rt := newRuntime(t, "tagless", 64, 16)
-	nt := rt.NewThread()
-	if err := nt.StoreNT(rt.Memory().WordAddr(0), 5); err != nil {
-		t.Fatal(err)
+	mem := rt.Memory()
+	mem.StoreDirect(mem.WordAddr(0), 5)
+	if v := mem.LoadDirect(mem.WordAddr(0)); v != 5 {
+		t.Fatalf("LoadDirect = %d, want 5", v)
 	}
-	v, err := nt.LoadNT(rt.Memory().WordAddr(0))
-	if err != nil || v != 5 {
-		t.Fatalf("LoadNT = %d, %v", v, err)
+	if st := rt.Table().Stats(); st != (otable.Stats{}) {
+		t.Fatalf("weak isolation touched the table: %+v", st)
 	}
-	if s := rt.Stats(); s.NTProbes != 0 {
-		t.Fatalf("weak isolation probed the table %d times", s.NTProbes)
+	if e := rt.epoch.Load(); e != 0 {
+		t.Fatalf("epoch = %d after direct accesses, want 0", e)
 	}
 }
 
@@ -694,5 +661,74 @@ func TestFuzzYieldPreservesCorrectness(t *testing.T) {
 	}
 	if rt.Stats().Aborts == 0 {
 		t.Log("no aborts despite fuzzing (possible but unusual); correctness still verified")
+	}
+}
+
+// TestMixedOpsHammerAllKinds race-hammers the unified-log fast path with
+// every transactional operation shape at once — read-modify-writes, reads
+// and blind writes — under every kind of sweepKinds. Invariant:
+// transactional increments are exact, and the table drains.
+func TestMixedOpsHammerAllKinds(t *testing.T) {
+	for _, kind := range sweepKinds() {
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			tab, err := otable.New(kind, hash.NewMask(128))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMemory(1 << 10)
+			rt, err := New(Config{Table: tab, Memory: mem, Seed: 7, FuzzYield: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const (
+				goroutines = 8
+				txnsEach   = 120
+				txWords    = 512 // words [0, txWords): transactional counters
+			)
+			var wg sync.WaitGroup
+			errs := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(gid int) {
+					defer wg.Done()
+					th := rt.NewThread()
+					for i := 0; i < txnsEach; i++ {
+						if err := th.Atomic(func(tx *Tx) error {
+							for k := 0; k < 3; k++ {
+								a := mem.WordAddr((gid*37 + i*11 + k*17) % txWords)
+								tx.Write(a, tx.Read(a)+1)
+							}
+							// A read, and a blind write, in a disjoint block range.
+							a := mem.WordAddr(txWords + 8*((gid*13+i)%64))
+							tx.Read(a)
+							if i%3 == 0 {
+								tx.Write(a, uint64(i))
+							}
+							return nil
+						}); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			var sum uint64
+			for i := 0; i < txWords; i++ {
+				sum += mem.LoadDirect(mem.WordAddr(i))
+			}
+			if want := uint64(goroutines * txnsEach * 3); sum != want {
+				t.Fatalf("lost updates: sum = %d, want %d", sum, want)
+			}
+			if occ := tab.Occupied(); occ != 0 {
+				t.Fatalf("occupancy after drain = %d", occ)
+			}
+			assertDrained(t, rt)
+		})
 	}
 }

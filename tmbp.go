@@ -12,7 +12,8 @@
 //     and "tagged" (Section 5: CAS-managed chains of records that carry the
 //     address tag, immune to false conflicts);
 //   - a complete STM runtime (begin/read/write/commit/abort, redo logging,
-//     pluggable contention management, and weak/strong isolation). Writes
+//     pluggable contention management; non-transactional code uses
+//     Memory.LoadDirect/StoreDirect under the paper's weak isolation). Writes
 //     acquire ownership of their blocks; reads acquire nothing and are
 //     validated against the table's per-cell version stamps and an epoch
 //     clock, so a read-only transaction never touches the table and the
@@ -100,12 +101,6 @@ type (
 	Memory = stm.Memory
 	// STMStats are runtime-wide commit/abort counters.
 	STMStats = stm.Stats
-)
-
-// Isolation choices, re-exported for STMConfig.
-const (
-	WeakIsolation   = stm.WeakIsolation
-	StrongIsolation = stm.StrongIsolation
 )
 
 // CM is the per-thread contention-management policy consulted between

@@ -237,8 +237,8 @@ func scanHammer(t *testing.T, kind string, fallbackAfter int) tmbp.STMStats {
 	}
 	checkOpaque(t, log)
 	st := rt.Stats()
-	// No faults and no StoreNT: a serial attempt meets no opponent, so no
-	// transaction aborts more often in a row than the bound it escalates at.
+	// No faults: a serial attempt meets no opponent, so no transaction
+	// aborts more often in a row than the bound it escalates at.
 	bound := uint64(fallbackAfter)
 	if bound == 0 {
 		bound = 8 // the default FallbackAfter
