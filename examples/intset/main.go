@@ -11,11 +11,15 @@
 // DB's per-region lock metadata was disjoint, but hash collisions in the
 // tagless ownership table made performance collapse with processor count.
 //
-// Expect: tagged = zero aborts at every size; tagless = a stubborn abort
-// rate that growing the table does NOT fix — the lists sit at correlated
-// block offsets (47-block skew, 257-block footprints), so some of their
-// blocks collide in a masked table of any size up to the region spacing.
-// This is the Figure 2(b) asymptote in miniature: when address layouts are
+// Expect: tagged = zero aborts at every size. Tagless aborts only where two
+// threads' transactions overlap in time, and a denied acquire first waits
+// out its holder, so it aborts only when that wait runs out. The threads
+// overlap for real only on two or more Ps, and each op holds its blocks
+// briefly, so a run may show few tagless aborts. Growing the table does not
+// remove the collisions behind them: the lists sit at correlated block
+// offsets (47-block skew, 257-block footprints), so some of their blocks
+// collide in a masked table of any size up to the region spacing. This is
+// the Figure 2(b) asymptote in miniature: when address layouts are
 // correlated, "just make the table bigger" stops working long before the
 // table is big.
 //
@@ -54,8 +58,8 @@ func main() {
 	}
 	fmt.Println("\nevery abort above is a false conflict: the lists are disjoint")
 	fmt.Println("(the paper's Section 2.1 / Damron et al. pathology, reproduced live);")
-	fmt.Println("note the rate does not fall with table size — correlated layouts are")
-	fmt.Println("the Figure 2(b) asymptote, and only tags actually fix them")
+	fmt.Println("growing the table does not remove the collisions behind them —")
+	fmt.Println("correlated layouts are the Figure 2(b) asymptote, and only tags fix them")
 }
 
 func run(kind string, entries uint64) (tmbp.STMStats, error) {
@@ -68,10 +72,9 @@ func run(kind string, entries uint64) (tmbp.STMStats, error) {
 	// regions are physically disjoint yet alias within small tables.
 	const regionWords = 1 << 18
 	mem := tmbp.NewMemory(threads * regionWords)
-	// FuzzYield perturbs scheduling so transactions interleave even on a
-	// single-CPU machine; without it each op completes within a scheduler
-	// slice and no conflicts can form.
-	rt, err := tmbp.NewSTM(tmbp.STMConfig{Table: table, Memory: mem, Seed: 11, FuzzYield: 0.3})
+	// The four threads interleave for real only on two or more Ps: on one,
+	// each op completes within a scheduler slice and no conflicts can form.
+	rt, err := tmbp.NewSTM(tmbp.STMConfig{Table: table, Memory: mem, Seed: 11})
 	if err != nil {
 		return tmbp.STMStats{}, err
 	}

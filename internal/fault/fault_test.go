@@ -66,9 +66,9 @@ func TestFaultGridAllPoliciesAllTables(t *testing.T) {
 			}
 			inj := fault.New(tab, gridConfig(23))
 			mem := stm.NewMemory(256)
-			cfg := stm.Config{Table: inj, Memory: mem, Seed: 23,
-				FuzzYield: 0.2, FallbackAfter: 6}
+			cfg := stm.Config{Table: inj, Memory: mem, Seed: 23, FallbackAfter: 6}
 			log := recordTrace(t, &cfg)
+			fuzzSchedule(&cfg, log, 0.2)
 			samples := countSamples(&cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {

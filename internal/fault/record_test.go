@@ -3,6 +3,8 @@ package fault_test
 import (
 	"flag"
 	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -45,4 +47,25 @@ func recordTrace(t testing.TB, cfg *stm.Config) *opacity.Log {
 		}
 	})
 	return log
+}
+
+// yieldRecorder perturbs schedules from the Recorder hook, as the one in
+// internal/stm's tests does: it passes each event on to log and then, after
+// a Begin, Read or Write, yields the processor with probability p.
+type yieldRecorder struct {
+	log *opacity.Log
+	p   float64
+}
+
+func (y yieldRecorder) RecordEvent(ev opacity.Event) {
+	y.log.RecordEvent(ev)
+	if ev.Kind != opacity.KindCommit && ev.Kind != opacity.KindAbort && rand.Float64() < y.p {
+		runtime.Gosched()
+	}
+}
+
+// fuzzSchedule installs a yieldRecorder with probability p in front of log,
+// the test's recorded history.
+func fuzzSchedule(cfg *stm.Config, log *opacity.Log, p float64) {
+	cfg.Recorder = yieldRecorder{log, p}
 }

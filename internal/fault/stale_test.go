@@ -159,9 +159,9 @@ func TestFaultStaleVersionReadMostlyGrid(t *testing.T) {
 			}
 			inj := fault.New(tab, fault.Config{Seed: 31, StaleVersionRate: 0.25})
 			mem := stm.NewMemory(256)
-			cfg := stm.Config{Table: inj, Memory: mem, Seed: 31, FuzzYield: 0.2,
-				FallbackAfter: 6}
+			cfg := stm.Config{Table: inj, Memory: mem, Seed: 31, FallbackAfter: 6}
 			log := recordTrace(t, &cfg)
+			fuzzSchedule(&cfg, log, 0.2)
 			samples := countSamples(&cfg)
 			rt, err := stm.New(cfg)
 			if err != nil {

@@ -39,7 +39,6 @@ func (th *Thread) locate(a addr.Addr) (word uint64, chunk addr.Block, widx uint6
 // first read, a log append.
 func (tx *Tx) Read(a addr.Addr) uint64 {
 	th := tx.th
-	th.fuzz()
 	word, chunk, widx := th.locate(a)
 	w := &th.mem.words[word]
 	var v uint64
@@ -84,11 +83,6 @@ func (tx *Tx) ReadWords(a addr.Addr, dst []uint64) {
 		// off its end panics at the next locate, where a Read would.
 		out := dst[:min(uint64(len(dst)), chunkWords-widx, uint64(len(th.mem.words))-word)]
 		ws := th.mem.words[word:][:len(out)]
-		if th.fuzzP > 0 {
-			for range out {
-				th.fuzzYield()
-			}
-		}
 		if e := th.set.Lookup(chunk); e != nil { // as in Read
 			if run := uint8(1<<len(out)-1) << widx; e.WMask&run != run && e.Perm&txn.PermRead == 0 {
 				th.coverWritten(e)
@@ -130,7 +124,6 @@ func (th *Thread) recordRead(word, v uint64) {
 // unmodified until commit.
 func (tx *Tx) Write(a addr.Addr, v uint64) {
 	th := tx.th
-	th.fuzz()
 	word, chunk, widx := th.locate(a)
 	th.wrote = true
 	e := th.set.Lookup(chunk)

@@ -3,7 +3,6 @@ package stm
 import (
 	"context"
 	"math/bits"
-	"runtime"
 
 	"tmbp/internal/opacity"
 	"tmbp/internal/otable"
@@ -21,21 +20,6 @@ var conflictSentinel = &conflictSignal{}
 func (th *Thread) conflict(ci otable.ConflictInfo) {
 	th.opp = ci
 	panic(conflictSentinel)
-}
-
-// fuzz yields the processor with the configured probability; see
-// Config.FuzzYield. It is only the guard, small enough to inline into every
-// access, so a disabled fuzzer costs one local branch and no call.
-func (th *Thread) fuzz() {
-	if th.fuzzP > 0 {
-		th.fuzzYield()
-	}
-}
-
-func (th *Thread) fuzzYield() {
-	if th.rng.Float64() < th.fuzzP {
-		runtime.Gosched()
-	}
 }
 
 // Atomic runs fn as a transaction, retrying on conflicts until it commits,

@@ -600,9 +600,10 @@ func TestCMPoliciesUnderHammer(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(1 << 10)
-			cfg := Config{Table: tab, Memory: mem, Seed: 3, FuzzYield: 0.2}
+			cfg := Config{Table: tab, Memory: mem, Seed: 3}
 			withPolicy(&cfg, policy)
 			attachRecorder(t, &cfg)
+			fuzzSchedule(&cfg, 0.2)
 			rt, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -9,12 +9,15 @@ import (
 // for every attempt, a Read/Write (with the memory word index and the
 // observed/speculative value) for every Tx.Read/Tx.Write, and a
 // Commit/Abort when the attempt completes. Implementations must be safe
-// for concurrent use by all threads and are expected to assign the global
-// event index (see opacity.Log, the standard implementation). The runtime
-// orders the calls so the recorded history brackets the real memory
-// effects: Begin is recorded before the attempt's first acquire, and
-// Commit/Abort after write-back and release — which is exactly the
-// real-time contract the offline opacity checker relies on.
+// for concurrent use by all threads. The runtime orders the calls so the
+// recorded history brackets the real memory effects: Begin is recorded
+// before the attempt's first acquire, and Commit/Abort after write-back and
+// release — which is exactly the real-time contract the offline opacity
+// checker relies on. Only a recorder that keeps a history for that checker
+// must assign the global event index, as opacity.Log, the standard
+// implementation, does. The hook runs on the calling thread at every
+// operation boundary, so tests also use it to perturb schedules: one that
+// yields the processor there makes transactions interleave on few cores.
 //
 // Every transactional access is recorded. Non-transactional accesses
 // (Memory.LoadDirect/StoreDirect) are not: they belong to no attempt, so
@@ -53,14 +56,6 @@ type Config struct {
 	// conflict and deterministic workloads can phase-lock into livelock;
 	// a randomized number of yields reshuffles the schedule.
 	BackoffBase int
-	// FuzzYield, when positive, makes each transactional operation yield
-	// the processor with the given probability. It perturbs goroutine
-	// scheduling so transactions genuinely interleave — a lightweight
-	// schedule fuzzer for tests and demonstrations on machines with few
-	// cores, where transactions otherwise run to completion within one
-	// scheduler slice and conflicts never materialize. Zero disables it;
-	// it must be < 1.
-	FuzzYield float64
 	// CM names a built-in policy. Backoff is the only one: New accepts ""
 	// and "backoff" and rejects any other name. The frozen benchmark/
 	// module still sets it; it goes when that module next changes.

@@ -375,8 +375,9 @@ func TestAtomicHammerInvisibleReadMostly(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(256)
-			cfg := Config{Table: tab, Memory: mem, Seed: 3, FuzzYield: 0.2}
+			cfg := Config{Table: tab, Memory: mem, Seed: 3}
 			attachRecorder(t, &cfg)
+			fuzzSchedule(&cfg, 0.2)
 			rt, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -415,8 +415,9 @@ func TestAtomicHammerInvisibleUpdate(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(256)
-			cfg := Config{Table: tab, Memory: mem, Seed: 5, FuzzYield: 0.2}
+			cfg := Config{Table: tab, Memory: mem, Seed: 5}
 			attachRecorder(t, &cfg)
+			fuzzSchedule(&cfg, 0.2)
 			rt, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -589,8 +590,9 @@ func TestAtomicHammerInvisibleBlindWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(256)
-			cfg := Config{Table: tab, Memory: mem, Seed: 7, FuzzYield: 0.3}
+			cfg := Config{Table: tab, Memory: mem, Seed: 7}
 			attachRecorder(t, &cfg)
+			fuzzSchedule(&cfg, 0.3)
 			rt, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

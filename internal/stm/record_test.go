@@ -3,8 +3,11 @@ package stm
 import (
 	"flag"
 	"fmt"
+	"math/rand/v2"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tmbp/internal/hash"
@@ -51,6 +54,36 @@ func attachRecorder(t testing.TB, cfg *Config) *opacity.Log {
 	return log
 }
 
+// yieldRecorder perturbs schedules from the Recorder hook: it passes each
+// event on to next (the test's opacity.Log, or nil) and then, after a Begin,
+// Read or Write, yields the processor with probability p. A yield after
+// operation N falls where the next operation begins, in the same hold
+// state; the one after an attempt's last access comes before its commit.
+// On few cores this is what makes a hammer's transactions interleave.
+type yieldRecorder struct {
+	next   Recorder
+	p      float64
+	yields atomic.Int64 // yields made, so a test can check the perturbation ran
+}
+
+func (y *yieldRecorder) RecordEvent(ev opacity.Event) {
+	if y.next != nil {
+		y.next.RecordEvent(ev)
+	}
+	if ev.Kind != opacity.KindCommit && ev.Kind != opacity.KindAbort && rand.Float64() < y.p {
+		y.yields.Add(1)
+		runtime.Gosched()
+	}
+}
+
+// fuzzSchedule installs a yieldRecorder with probability p in front of
+// cfg's recorder; call it after attachRecorder.
+func fuzzSchedule(cfg *Config, p float64) *yieldRecorder {
+	y := &yieldRecorder{next: cfg.Recorder, p: p}
+	cfg.Recorder = y
+	return y
+}
+
 // TestRecordedHammerHistoriesOpaque is the end-to-end acceptance test for
 // the trace layer: every table organization × CM policy runs the
 // contended increment hammer with recording enabled, and the recorded
@@ -69,9 +102,9 @@ func TestRecordedHammerHistoriesOpaque(t *testing.T) {
 				}
 				mem := NewMemory(256)
 				log := opacity.NewLog()
-				cfg := Config{Table: tab, Memory: mem, Seed: 11,
-					FuzzYield: 0.2, Recorder: log}
+				cfg := Config{Table: tab, Memory: mem, Seed: 11, Recorder: log}
 				withPolicy(&cfg, policy)
+				fuzzSchedule(&cfg, 0.2)
 				rt, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)

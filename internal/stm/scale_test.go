@@ -27,9 +27,10 @@ func TestAtomicHammerAllKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				mem := NewMemory(1 << 10)
-				cfg := Config{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.2}
+				cfg := Config{Table: tab, Memory: mem, Seed: 1}
 				withPolicy(&cfg, policy)
 				attachRecorder(t, &cfg)
+				fuzzSchedule(&cfg, 0.2)
 				rt, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -115,8 +116,9 @@ func TestAtomicHammerSerialFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 			mem := NewMemory(hotBlocks * blockWords)
-			cfg := Config{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.2, FallbackAfter: 2}
+			cfg := Config{Table: tab, Memory: mem, Seed: 1, FallbackAfter: 2}
 			attachRecorder(t, &cfg)
+			fuzzSchedule(&cfg, 0.2)
 			rt, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

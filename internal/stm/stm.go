@@ -190,9 +190,6 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.MaxAttempts < 0 {
 		return nil, fmt.Errorf("stm: MaxAttempts = %d must be >= 0", cfg.MaxAttempts)
 	}
-	if cfg.FuzzYield < 0 || cfg.FuzzYield >= 1 {
-		return nil, fmt.Errorf("stm: FuzzYield = %v must be in [0, 1)", cfg.FuzzYield)
-	}
 	if cfg.FallbackAfter < 0 {
 		return nil, fmt.Errorf("stm: FallbackAfter = %d must be >= 0 (0 means %d)", cfg.FallbackAfter, defaultFallbackAfter)
 	}
@@ -328,7 +325,6 @@ func (rt *Runtime) NewThread() *Thread {
 		tab:    rt.cfg.Table,
 		mem:    rt.cfg.Memory,
 		slotID: rt.cfg.Table.SlotsAreBlocks(),
-		fuzzP:  rt.cfg.FuzzYield,
 		rec:    rt.cfg.Recorder,
 		rng:    xrand.NewWithStream(rt.cfg.Seed, uint64(id)),
 		dbits:  make([]uint64, (chunks+63)/64),
@@ -353,8 +349,7 @@ type Thread struct {
 	// on the serial commit path.
 	tab    otable.Table
 	mem    *Memory
-	slotID bool    // table slots are blocks: no cross-chunk slot aliasing
-	fuzzP  float64 // Config.FuzzYield; 0 (the default) costs fuzz one local branch
+	slotID bool // table slots are blocks: no cross-chunk slot aliasing
 	// rec is the runtime's history recorder, nil when disabled; cached
 	// here so the hot path pays one nil check, not a config dereference.
 	rec Recorder

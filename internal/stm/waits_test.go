@@ -363,12 +363,13 @@ func TestWaitsHammer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg := Config{Seed: 5, FuzzYield: 0.2}
+				cfg := Config{Seed: 5}
 				log := attachRecorder(t, &cfg)
 				if log == nil {
 					log = opacity.NewLog()
 					cfg.Recorder = log
 				}
+				fuzzSchedule(&cfg, 0.2)
 				const words = 256
 				rt, mem := newInvisibleRuntimeOn(t, tab, words*l.spread(), cfg)
 				const goroutines, txnsEach = 4, 60

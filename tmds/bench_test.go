@@ -92,23 +92,55 @@ func BenchmarkMapPutGet(b *testing.B) {
 // committed operation. The keys are disjoint and each has a home bucket of
 // its own, so every abort comes from state the goroutines share without
 // sharing keys: the stripe counters and the ownership table.
-func BenchmarkMapParallel(b *testing.B) {
+func BenchmarkMapParallel(b *testing.B) { benchMapParallel(b, false) }
+
+// BenchmarkMapParallelSeparate runs BenchmarkMapParallel's loop with one
+// runtime, table, memory and map per goroutine, so the goroutines share
+// nothing. Its ns/op against BenchmarkMapParallel's at the same -cpu is the
+// price of sharing one runtime on disjoint data.
+func BenchmarkMapParallelSeparate(b *testing.B) { benchMapParallel(b, true) }
+
+func benchMapParallel(b *testing.B, separate bool) {
 	const keys = 64 // per goroutine
+	procs := runtime.GOMAXPROCS(0)
 	buckets := uint64(1)
-	for buckets < uint64(4*keys*runtime.GOMAXPROCS(0)) {
+	for buckets < uint64(4*keys*procs) {
 		buckets <<= 1
 	}
-	rt, mem := newWorld(b, "tagged", 4096, spreadStride*(1+int(buckets)))
-	m, err := NewMap(mem, 0, buckets)
-	if err != nil {
-		b.Fatal(err)
+	// worlds[i] serves goroutine i; all of them share worlds[0] unless
+	// separate. Each map has the shared one's size, and each goroutine keeps
+	// its key range, so a goroutine's buckets are the same either way.
+	n := 1
+	if separate {
+		n = procs // RunParallel starts GOMAXPROCS goroutines
+	}
+	type world struct {
+		rt *tmbp.STM
+		m  *Map
+	}
+	worlds := make([]world, n)
+	for i := range worlds {
+		rt, mem := newWorld(b, "tagged", 4096, spreadStride*(1+int(buckets)))
+		m, err := NewMap(mem, 0, buckets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		worlds[i] = world{rt, m}
+	}
+	stats := func() (commits, aborts uint64) {
+		for _, w := range worlds {
+			st := w.rt.Stats()
+			commits, aborts = commits+st.Commits, aborts+st.Aborts
+		}
+		return
 	}
 	var ids atomic.Uint64
-	before := rt.Stats()
+	commits0, aborts0 := stats()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		id := ids.Add(1) - 1
-		th := rt.NewThread()
+		w := worlds[id%uint64(n)]
+		th := w.rt.NewThread()
 		rng := id + 7
 		next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
 		for pb.Next() {
@@ -116,11 +148,11 @@ func BenchmarkMapParallel(b *testing.B) {
 			var err error
 			switch next() % 10 {
 			case 0, 1, 2, 3:
-				_, err = m.Put(th, k, k)
+				_, err = w.m.Put(th, k, k)
 			case 4, 5, 6, 7:
-				_, err = m.Delete(th, k)
+				_, err = w.m.Delete(th, k)
 			default:
-				_, _, err = m.Get(th, k)
+				_, _, err = w.m.Get(th, k)
 			}
 			if err != nil {
 				b.Error(err)
@@ -129,9 +161,9 @@ func BenchmarkMapParallel(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	st := rt.Stats()
-	commits := st.Commits - before.Commits
-	b.ReportMetric(float64(commits+st.Aborts-before.Aborts)/float64(commits), "attempts/op")
+	commits, aborts := stats()
+	commits -= commits0
+	b.ReportMetric(float64(commits+aborts-aborts0)/float64(commits), "attempts/op")
 }
 
 // skiplistBenchWorld builds a half-full skiplist (even keys of [0, 256))

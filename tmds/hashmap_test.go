@@ -232,8 +232,9 @@ func mapStripeHammer(t *testing.T, kind string) {
 		t.Fatal(err)
 	}
 	mem := tmbp.NewMemory(spreadStride * (1 + buckets))
-	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.05}
+	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1}
 	log := attachLog(t, &cfg)
+	fuzzSchedule(&cfg, log, 0.05)
 	samples := countSamples(&cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {

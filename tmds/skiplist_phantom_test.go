@@ -147,9 +147,9 @@ func scanHammer(t *testing.T, kind string, fallbackAfter int) tmbp.STMStats {
 		t.Fatal(err)
 	}
 	mem := tmbp.NewMemory(SkiplistWords(capacity))
-	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 31,
-		FuzzYield: 0.2, FallbackAfter: fallbackAfter}
+	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 31, FallbackAfter: fallbackAfter}
 	log := attachLog(t, &cfg)
+	fuzzSchedule(&cfg, log, 0.2)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {
 		t.Fatal(err)

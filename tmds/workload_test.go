@@ -289,8 +289,9 @@ func keyedTraceRun(t *testing.T, kind, table string, readFrac float64, fallbackA
 		t.Fatal(err)
 	}
 	mem := tmbp.NewMemory(words)
-	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1, FuzzYield: 0.05, FallbackAfter: fallbackAfter}
+	cfg := tmbp.STMConfig{Table: tab, Memory: mem, Seed: 1, FallbackAfter: fallbackAfter}
 	log := attachLog(t, &cfg)
+	fuzzSchedule(&cfg, log, 0.05)
 	samples := countSamples(&cfg)
 	rt, err := tmbp.NewSTM(cfg)
 	if err != nil {
