@@ -3,25 +3,29 @@
 // ownership table.
 //
 // A sorted linked-list set is the standard STM stress test: every operation
-// traverses the list, read-sharing each node on the path, so transactions
-// have the large read footprints the paper's model is about. Here each of
-// four threads owns a PRIVATE list — there is no true sharing at all, so a
-// perfect conflict detector would never abort. The paper's Section 2.1
-// recounts exactly this pathology in Damron et al.'s hybrid TM: Berkeley
-// DB's per-region lock metadata was disjoint, but hash collisions in the
-// tagless ownership table made performance collapse with processor count.
+// traverses the list, reading each node on the path (reads take no share:
+// they are validated against the nodes' version stamps), so transactions
+// have the large read footprints the paper's model is about, and an insert
+// or remove writes the few nodes it relinks. Here each of four threads owns
+// a PRIVATE list — there is no true sharing at all, so a perfect conflict
+// detector would never abort. The paper's Section 2.1 recounts exactly this
+// pathology in Damron et al.'s hybrid TM: Berkeley DB's per-region lock
+// metadata was disjoint, but hash collisions in the tagless ownership table
+// made performance collapse with processor count.
 //
 // Expect: tagged = zero aborts at every size. Tagless aborts only where two
 // threads' transactions overlap in time, and a denied acquire first waits
-// out its holder, so it aborts only when that wait runs out. The threads
-// overlap for real only on two or more Ps, and each op holds its blocks
-// briefly, so a run may show few tagless aborts. Growing the table does not
-// remove the collisions behind them: the lists sit at correlated block
-// offsets (47-block skew, 257-block footprints), so some of their blocks
-// collide in a masked table of any size up to the region spacing. This is
-// the Figure 2(b) asymptote in miniature: when address layouts are
-// correlated, "just make the table bigger" stops working long before the
-// table is big.
+// out its holder, so it aborts only when that wait runs out. Each op yields
+// the processor once before it commits, holding its written blocks across
+// the yield as a real op's further work would (`tmbp stm` yields after every
+// access for the same reason); without it an op holds its blocks too
+// briefly for two threads' holds to meet. The threads still overlap for real
+// only on two or more Ps. Growing the table does not remove the collisions
+// behind them: the lists sit at correlated block offsets (47-block skew,
+// 257-block footprints), so some of their blocks collide in a masked table
+// of any size up to the region spacing. This is the Figure 2(b) asymptote
+// in miniature: when address layouts are correlated, "just make the table
+// bigger" stops working long before the table is big.
 //
 // Run with: go run ./examples/intset
 package main
@@ -29,6 +33,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"sync"
 
 	"tmbp"
@@ -105,16 +110,20 @@ func run(kind string, entries uint64) (tmbp.STMStats, error) {
 			rng := uint64(gid)*0x9e3779b97f4a7c15 + 12345
 			next := func() uint64 { rng = rng*6364136223846793005 + 1442695040888963407; return rng >> 33 }
 			for i := 0; i < opsEach; i++ {
-				k := next() % keyRange
-				var err error
-				switch next() % 10 {
-				case 0, 1: // 20% insert
-					_, err = list.Insert(th, k)
-				case 2, 3: // 20% remove
-					_, err = list.Remove(th, k)
-				default: // 60% lookup
-					_, err = list.Contains(th, k)
-				}
+				k, op := next()%keyRange, next()%10
+				err := th.Atomic(func(tx *tmbp.Tx) error {
+					var err error
+					switch op {
+					case 0, 1: // 20% insert
+						_, err = list.InsertTx(tx, k)
+					case 2, 3: // 20% remove
+						list.RemoveTx(tx, k)
+					default: // 60% lookup
+						list.ContainsTx(tx, k)
+					}
+					runtime.Gosched() // the rest of the op's work, holding its blocks
+					return err
+				})
 				if err != nil {
 					errs <- err
 					return

@@ -300,10 +300,10 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 		outs := make([]otable.Outcome, 0, 200)
 		for i := 0; i < 100; i++ {
 			b := addr.Block(i)
-			out, _ := otable.AcquireRead(inj, 1, b)
+			out, _, h := inj.AcquireReadH(1, b)
 			outs = append(outs, out)
 			if !out.Conflict() {
-				otable.ReleaseRead(inj, 1, b)
+				inj.ReleaseReadH(1, b, h)
 			}
 		}
 		return outs

@@ -95,15 +95,14 @@ func TestAccountingStepByStep(t *testing.T) {
 					Stats{ReadAcquires: 5, WriteAcquires: 2, Conflicts: 3, Releases: 4, MaxChain: 2}, 1, 1, 5, false},
 				{"upgrade", func() { write(1, 1, h1, Upgraded) },
 					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 4, MaxChain: 2}, 1, 1, 5, true},
-				{"walking release past the parked record", func() { tab.ReleaseWriteH(1, b, NoHandle) },
-					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 5,
-						ReleaseWalks: 1, ChainFollows: 1, MaxChain: 2}, 0, 0, 5, false},
+				{"release through the upgraded handle", func() { tab.ReleaseWriteH(1, b, h1) },
+					Stats{ReadAcquires: 5, WriteAcquires: 3, Upgrades: 1, Conflicts: 3, Releases: 5, MaxChain: 2}, 0, 0, 5, false},
 			}
 			for _, s := range steps {
 				s.do()
 				want, wantOcc := s.want, s.recs
 				if kind == "tagless" {
-					want.ReleaseWalks, want.ChainFollows, want.MaxChain = 0, 0, 0
+					want.ChainFollows, want.MaxChain = 0, 0
 					wantOcc = s.occ
 				}
 				if got, occ := tab.Stats(), tab.Occupied(); got != want || occ != wantOcc {
@@ -162,10 +161,6 @@ func TestAccountingHammer(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				walks := uint64(0)
-				if kind != "tagless" {
-					walks = 1 // only chained tables have a walking release to count
-				}
 				tallies := make([]Stats, goroutines)
 				var wg sync.WaitGroup
 				for g := 0; g < goroutines; g++ {
@@ -192,9 +187,8 @@ func TestAccountingHammer(t *testing.T) {
 								}
 								if out, _, _ := tab.AcquireWriteH(tx, b, 1, h); out != Upgraded {
 									n.Conflicts++
-									ReleaseRead(tab, tx, b)
+									tab.ReleaseReadH(tx, b, h)
 									n.Releases++
-									n.ReleaseWalks += walks
 									continue
 								}
 								n.WriteAcquires++
@@ -218,8 +212,7 @@ func TestAccountingHammer(t *testing.T) {
 							if r.Bool() {
 								tab.ReleaseWriteH(tx, b, h)
 							} else {
-								ReleaseWrite(tab, tx, b)
-								n.ReleaseWalks += walks
+								tab.ReleaseWriteV(tx, b, h, 0)
 							}
 							n.Releases++
 						}
@@ -234,7 +227,6 @@ func TestAccountingHammer(t *testing.T) {
 					want.Upgrades += n.Upgrades
 					want.Conflicts += n.Conflicts
 					want.Releases += n.Releases
-					want.ReleaseWalks += n.ReleaseWalks
 				}
 				if got != want {
 					t.Fatalf("Stats at quiescence:\n got %+v\nwant %+v (summed tallies)", got, want)
@@ -275,7 +267,7 @@ func TestForeignReleaseKeepsVersion(t *testing.T) {
 				}
 				tab.StampVersion(b, 7)
 				stats := tab.Stats()
-				for _, foreign := range []Handle{NoHandle, h} { // locating, and with the owner's handle
+				for _, foreign := range []Handle{NoHandle, h} { // no handle, and the owner's handle
 					func() {
 						defer func() {
 							if recover() == nil {

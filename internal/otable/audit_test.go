@@ -25,27 +25,29 @@ func TestAuditQuiesced(t *testing.T) {
 			}
 
 			blocks := []addr.Block{3, 7, 200}
-			if out, _ := AcquireWrite(tab, 1, blocks[0], 0); out != Granted {
-				t.Fatalf("AcquireWrite: outcome %v", out)
+			var h [3]Handle
+			var out Outcome
+			if out, _, h[0] = tab.AcquireWriteH(1, blocks[0], 0, NoHandle); out != Granted {
+				t.Fatalf("AcquireWriteH: outcome %v", out)
 			}
-			if out, _ := AcquireRead(tab, 1, blocks[1]); out != Granted {
-				t.Fatalf("AcquireRead: outcome %v", out)
+			if out, _, h[1] = tab.AcquireReadH(1, blocks[1]); out != Granted {
+				t.Fatalf("AcquireReadH: outcome %v", out)
 			}
-			if out, _ := AcquireRead(tab, 2, blocks[2]); out != Granted {
-				t.Fatalf("AcquireRead (second tx): outcome %v", out)
+			if out, _, h[2] = tab.AcquireReadH(2, blocks[2]); out != Granted {
+				t.Fatalf("AcquireReadH (second tx): outcome %v", out)
 			}
 			if err := AuditQuiesced(tab); err == nil {
 				t.Fatal("table with held ownership reported quiescent")
 			}
 
 			// Releasing only part of the footprint must still fail.
-			ReleaseWrite(tab, 1, blocks[0])
+			tab.ReleaseWriteH(1, blocks[0], h[0])
 			if err := AuditQuiesced(tab); err == nil {
 				t.Fatal("table with remaining read shares reported quiescent")
 			}
 
-			ReleaseRead(tab, 1, blocks[1])
-			ReleaseRead(tab, 2, blocks[2])
+			tab.ReleaseReadH(1, blocks[1], h[1])
+			tab.ReleaseReadH(2, blocks[2], h[2])
 			if err := AuditQuiesced(tab); err != nil {
 				t.Fatalf("fully released table not quiescent: %v", err)
 			}

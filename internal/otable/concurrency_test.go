@@ -78,7 +78,7 @@ func writeExclusivity(t *testing.T, tab Table) {
 			tx := TxID(id + 1)
 			for i := 0; i < 2000; i++ {
 				b := addr.Block(r.Intn(16))
-				if out, _ := AcquireWrite(tab, tx, b, 0); out == Granted {
+				if out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle); out == Granted {
 					slot := tab.SlotOf(b)
 					mu.Lock()
 					holders[slot]++
@@ -93,7 +93,7 @@ func writeExclusivity(t *testing.T, tab Table) {
 					mu.Lock()
 					holders[slot]--
 					mu.Unlock()
-					ReleaseWrite(tab, tx, b)
+					tab.ReleaseWriteH(tx, b, h)
 				}
 			}
 		}(g)

@@ -99,9 +99,9 @@ func FuzzConflictInfoRoundTrip(f *testing.F) {
 // TestAcquireReportsOpponent drives every table organization through the
 // four denial shapes single-threaded and checks the reported opponent each
 // time: the owning writer's identity for writer conflicts (on both the
-// read and write acquire paths, free helpers and handle-taking), and the foreign
-// sharer count — the caller's own shares subtracted — for reader conflicts,
-// including the upgrade-by-handle path.
+// read and write acquire paths), and the foreign sharer count — the
+// caller's own shares subtracted — for reader conflicts, including the
+// upgrade-by-handle path.
 func TestAcquireReportsOpponent(t *testing.T) {
 	for _, kind := range Kinds() {
 		t.Run(kind, func(t *testing.T) {
@@ -113,51 +113,40 @@ func TestAcquireReportsOpponent(t *testing.T) {
 			const owner = TxID(7)
 
 			// Writer conflicts name the owner on every acquire path.
-			if out, ci := AcquireWrite(tab, owner, b, 0); out != Granted || ci != NoConflict {
-				t.Fatalf("setup AcquireWrite = %v, %v", out, ci)
+			out, ci, hw := tab.AcquireWriteH(owner, b, 0, NoHandle)
+			if out != Granted || ci != NoConflict {
+				t.Fatalf("setup AcquireWriteH = %v, %v", out, ci)
 			}
-			out, ci := AcquireRead(tab, 2, b)
-			if out != ConflictWriter {
-				t.Fatalf("AcquireRead vs writer = %v", out)
-			}
-			if w, ok := ci.Writer(); !ok || w != owner {
-				t.Fatalf("AcquireRead conflict names %v, want writer tx %d", ci, owner)
-			}
-			out, ci = AcquireWrite(tab, 2, b, 0)
+			out, ci, _ = tab.AcquireWriteH(2, b, 0, NoHandle)
 			if w, ok := ci.Writer(); out != ConflictWriter || !ok || w != owner {
-				t.Fatalf("AcquireWrite conflict = %v names %v, want writer tx %d", out, ci, owner)
+				t.Fatalf("AcquireWriteH conflict = %v names %v, want writer tx %d", out, ci, owner)
 			}
 			if out, ci, h := tab.AcquireReadH(2, b); out != ConflictWriter || h != NoHandle {
 				t.Fatalf("AcquireReadH vs writer = %v, %v, %v", out, ci, h)
 			} else if w, ok := ci.Writer(); !ok || w != owner {
 				t.Fatalf("AcquireReadH conflict names %v, want writer tx %d", ci, owner)
 			}
-			ReleaseWrite(tab, owner, b)
+			tab.ReleaseWriteH(owner, b, hw)
 
 			// Reader conflicts report the foreign share count.
-			if out, ci := AcquireRead(tab, 1, b); out != Granted || ci != NoConflict {
-				t.Fatalf("reader setup = %v, %v", out, ci)
+			var h [3]Handle
+			for i := range h {
+				if out, ci, h[i] = tab.AcquireReadH(TxID(i+1), b); out != Granted || ci != NoConflict {
+					t.Fatalf("reader setup = %v, %v", out, ci)
+				}
 			}
-			_, _, h2 := tab.AcquireReadH(2, b)
-			if out, ci := AcquireRead(tab, 3, b); out != Granted || ci != NoConflict {
-				t.Fatalf("reader setup = %v, %v", out, ci)
-			}
-			out, ci = AcquireWrite(tab, 4, b, 0)
+			out, ci, _ = tab.AcquireWriteH(4, b, 0, NoHandle)
 			if n, ok := ci.Readers(); out != ConflictReaders || !ok || n != 3 {
-				t.Fatalf("AcquireWrite vs 3 readers = %v, %v, want 3 foreign readers", out, ci)
+				t.Fatalf("AcquireWriteH vs 3 readers = %v, %v, want 3 foreign readers", out, ci)
 			}
 			// An upgrading reader sees only the two foreign shares.
-			out, ci, _ = tab.AcquireWriteH(2, b, 1, h2)
+			out, ci, _ = tab.AcquireWriteH(2, b, 1, h[1])
 			if n, ok := ci.Readers(); out != ConflictReaders || !ok || n != 2 {
 				t.Fatalf("upgrade vs 2 foreign readers = %v, %v, want 2", out, ci)
 			}
-			out, ci = AcquireWrite(tab, 2, b, 1)
-			if n, ok := ci.Readers(); out != ConflictReaders || !ok || n != 2 {
-				t.Fatalf("walking upgrade vs 2 foreign readers = %v, %v, want 2", out, ci)
+			for i := range h {
+				tab.ReleaseReadH(TxID(i+1), b, h[i])
 			}
-			ReleaseRead(tab, 1, b)
-			ReleaseRead(tab, 2, b)
-			ReleaseRead(tab, 3, b)
 			if occ := tab.Occupied(); occ != 0 {
 				t.Fatalf("occupancy after drain = %d", occ)
 			}
@@ -191,7 +180,8 @@ func TestConflictTargetNeverStale(t *testing.T) {
 			var wg sync.WaitGroup
 			// Hold the block as writer 1 until a prober has met it, so that
 			// every run verifies a conflict whatever the scheduler does.
-			if out, _ := AcquireWrite(tab, 1, hot, 0); out != Granted {
+			out, _, held := tab.AcquireWriteH(1, hot, 0, NoHandle)
+			if out != Granted {
 				t.Fatalf("initial hold: %v", out)
 			}
 			for w := 0; w < writers; w++ {
@@ -200,8 +190,8 @@ func TestConflictTargetNeverStale(t *testing.T) {
 					defer wg.Done()
 					tx := TxID(id + 1) // writer IDs: 1..writers
 					for i := 0; i < iters; i++ {
-						if out, _ := AcquireWrite(tab, tx, hot, 0); out == Granted {
-							ReleaseWrite(tab, tx, hot)
+						if out, _, h := tab.AcquireWriteH(tx, hot, 0, NoHandle); out == Granted {
+							tab.ReleaseWriteH(tx, hot, h)
 						}
 					}
 				}(w)
@@ -212,9 +202,9 @@ func TestConflictTargetNeverStale(t *testing.T) {
 					defer wg.Done()
 					tx := TxID(100 + id) // disjoint from the writer set
 					for i := 0; i < iters; i++ {
-						out, ci := AcquireRead(tab, tx, hot)
+						out, ci, h := tab.AcquireReadH(tx, hot)
 						if out == Granted {
-							ReleaseRead(tab, tx, hot)
+							tab.ReleaseReadH(tx, hot, h)
 							continue
 						}
 						conflictsSeen.Add(1)
@@ -228,7 +218,7 @@ func TestConflictTargetNeverStale(t *testing.T) {
 			for conflictsSeen.Load() == 0 {
 				runtime.Gosched()
 			}
-			ReleaseWrite(tab, 1, hot)
+			tab.ReleaseWriteH(1, hot, held)
 			wg.Wait()
 			if n := bogus.Load(); n != 0 {
 				t.Fatalf("%d conflicts reported an opponent outside the writer set", n)

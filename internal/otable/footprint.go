@@ -9,7 +9,9 @@ import "tmbp/internal/addr"
 //
 // The keying adapts to the table organization through Table.SlotOf: holdings
 // are per-entry for tagless tables (a transaction that touches two aliasing
-// blocks holds two read shares on one slot) and per-block for tagged tables.
+// blocks holds one read share on one slot) and per-block for tagged tables.
+// Each holding keeps the handle its acquire returned, as the STM's access
+// set does, and is upgraded and released through it.
 //
 // A Footprint is owned by a single transaction and is not safe for
 // concurrent use, matching the paper's private per-thread logs.
@@ -23,6 +25,7 @@ type Footprint struct {
 // holding is the transaction's permission state on one slot.
 type holding struct {
 	block addr.Block // representative block; any block mapping to the slot works for release
+	hnd   Handle     // the handle the slot's acquire returned
 	reads uint32     // read shares held
 	write bool       // exclusive ownership held
 }
@@ -57,10 +60,10 @@ func (f *Footprint) Read(b addr.Block) Outcome {
 		// matches how the paper's STMs consult their logs first.)
 		return AlreadyHeld
 	}
-	out, _ := AcquireRead(f.tab, f.tx, b)
+	out, _, hnd := f.tab.AcquireReadH(f.tx, b)
 	switch out {
 	case Granted:
-		f.add(slot, b).reads++
+		f.add(slot, b, hnd).reads++
 	case AlreadyHeld:
 		// The table says we already hold covering permission (an exclusive
 		// write on the slot) even though this footprint had no record — this
@@ -79,13 +82,14 @@ func (f *Footprint) Write(b addr.Block) Outcome {
 		return AlreadyHeld
 	}
 	var heldReads uint32
+	var held Handle
 	if h != nil {
-		heldReads = h.reads
+		heldReads, held = h.reads, h.hnd
 	}
-	out, _ := AcquireWrite(f.tab, f.tx, b, heldReads)
+	out, _, hnd := f.tab.AcquireWriteH(f.tx, b, heldReads, held)
 	switch out {
 	case Granted:
-		f.add(slot, b).write = true
+		f.add(slot, b, hnd).write = true
 	case Upgraded:
 		h.reads = 0
 		h.write = true
@@ -96,29 +100,31 @@ func (f *Footprint) Write(b addr.Block) Outcome {
 	return out
 }
 
-// add returns the holding for slot, creating it with representative block b.
-func (f *Footprint) add(slot uint64, b addr.Block) *holding {
+// add returns the holding for slot, creating it with representative block b
+// and handle hnd.
+func (f *Footprint) add(slot uint64, b addr.Block, hnd Handle) *holding {
 	h, ok := f.slots[slot]
 	if !ok {
-		h = &holding{block: b}
+		h = &holding{block: b, hnd: hnd}
 		f.slots[slot] = h
 		f.order = append(f.order, slot)
 	}
 	return h
 }
 
-// ReleaseAll returns every held permission to the table and empties the
-// footprint, in first-acquire order. It is used both on commit and on abort:
-// in this metadata-centric model the two differ only in what the STM does
-// with its redo log, not in ownership-table traffic.
+// ReleaseAll returns every held permission to the table through its handle
+// and empties the footprint, in first-acquire order. It is used both on
+// commit and on abort: in this metadata-centric model the two differ only in
+// what the STM does with its redo log, not in ownership-table traffic, so a
+// write publishes no stamp.
 func (f *Footprint) ReleaseAll() {
 	for _, slot := range f.order {
 		h := f.slots[slot]
 		if h.write {
-			ReleaseWrite(f.tab, f.tx, h.block)
+			f.tab.ReleaseWriteV(f.tx, h.block, h.hnd, 0)
 		}
 		for i := uint32(0); i < h.reads; i++ {
-			ReleaseRead(f.tab, f.tx, h.block)
+			f.tab.ReleaseReadH(f.tx, h.block, h.hnd)
 		}
 		delete(f.slots, slot)
 	}

@@ -1,6 +1,11 @@
 package otable
 
-import "testing"
+import (
+	"testing"
+
+	"tmbp/internal/addr"
+	"tmbp/internal/hash"
+)
 
 func TestFootprintReadOncePerSlot(t *testing.T) {
 	tab := newTagless(64)
@@ -40,20 +45,41 @@ func TestFootprintWriteThenReadNoTraffic(t *testing.T) {
 }
 
 func TestFootprintUpgradeSwapsObligation(t *testing.T) {
-	tab := newTagless(64)
-	fp := NewFootprint(tab, 1)
-	fp.Read(9)
-	if got := fp.Write(9); got != Upgraded {
-		t.Fatalf("upgrade: %v", got)
-	}
-	// ReleaseAll must perform exactly one write release and zero read
-	// releases; the entry drains and no panic fires.
-	fp.ReleaseAll()
-	if tab.Occupied() != 0 {
-		t.Fatalf("occupancy = %d", tab.Occupied())
-	}
-	if s := tab.Stats(); s.Releases != 1 {
-		t.Fatalf("releases = %d, want 1", s.Releases)
+	for _, kind := range Kinds() {
+		tab, err := New(kind, hash.NewMask(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := NewFootprint(tab, 1)
+		fp.Read(9)
+		// On the tagged table a neighbour inserted after the read sits ahead
+		// of block 9's record on its chain, where a walk would follow it.
+		neighbour, hn := addr.Block(9+64), NoHandle
+		if kind == "tagged" {
+			_, _, hn = tab.AcquireWriteH(2, neighbour, 0, NoHandle)
+		}
+		if got := fp.Write(9); got != Upgraded {
+			t.Fatalf("%s: upgrade: %v", kind, got)
+		}
+		// ReleaseAll must perform exactly one write release and zero read
+		// releases, through the footprint's handle: the entry drains, no
+		// panic fires, and no chain is walked.
+		before := tab.Stats()
+		fp.ReleaseAll()
+		s := tab.Stats()
+		if s.Releases-before.Releases != 1 {
+			t.Fatalf("%s: releases = %d, want 1", kind, s.Releases-before.Releases)
+		}
+		if s.ReleaseWalks != 0 || s.ChainFollows != before.ChainFollows {
+			t.Fatalf("%s: ReleaseAll walked: ReleaseWalks = %d, ChainFollows %d -> %d",
+				kind, s.ReleaseWalks, before.ChainFollows, s.ChainFollows)
+		}
+		if hn != NoHandle {
+			tab.ReleaseWriteH(2, neighbour, hn)
+		}
+		if tab.Occupied() != 0 {
+			t.Fatalf("%s: occupancy = %d", kind, tab.Occupied())
+		}
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 
 // These tests pin down the release-by-handle contract: steady-state
 // re-acquire + release of a recurring working set does zero chain
-// traversals (the regression the ReleaseWalks/ChainFollows counters
-// guard), upgrades through a handle are walk-free too, and a stale handle
-// — whose record was reaped and its slab slot reused — is detected by
-// generation validation and diagnosed through the walking path instead of
+// traversals (the regression the ChainFollows counter guards; ReleaseWalks
+// stays 0 because no release walks), upgrades through a handle are
+// walk-free too, and a stale handle — whose record was reaped and its slab
+// slot reused — or no handle at all is detected and panics instead of
 // corrupting the new incarnation.
 
 // TestHandleReleaseSkipsChainWalk cycles a recurring working set — one
@@ -99,8 +99,7 @@ func TestHandleUpgradeSkipsChainWalk(t *testing.T) {
 }
 
 // TestTaglessHandleRoundTrip covers the tagless handle (the entry index):
-// acquire/release and upgrade through handles behave identically to the
-// NoHandle helpers, and handle releases land on the correct entry.
+// acquire, upgrade and release through it land on the block's entry.
 func TestTaglessHandleRoundTrip(t *testing.T) {
 	h := hash.NewMask(32)
 	tab := NewTagless(h)
@@ -129,10 +128,10 @@ func TestTaglessHandleRoundTrip(t *testing.T) {
 // TestStaleHandleDetected builds the reaped-and-reused scenario the
 // generation validation exists for: a block's parked record is forced out
 // by the reaping walk, its slab slot is recycled for a different tag under
-// a new generation, and a release through the old handle must (a) fail
-// generation validation, (b) fall back to the walking release, which
-// panics on the genuine bookkeeping bug, and (c) leave the slot's new
-// owner completely untouched.
+// a new generation, and a release or upgrade through the old handle must
+// (a) fail generation validation, (b) panic on the bookkeeping bug, and
+// (c) leave the slot's new owner, the occupancy and the counters
+// untouched. A release or upgrade that names no handle panics the same way.
 func TestStaleHandleDetected(t *testing.T) {
 	h := hash.NewMask(64)
 	tab := NewTagged(h)
@@ -163,15 +162,37 @@ func TestStaleHandleDetected(t *testing.T) {
 		held = append(held, heldRec{alias(k), hk})
 	}
 
-	// The stale release must be detected and diagnosed, not absorbed.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("stale-handle release did not panic: a reused record absorbed a foreign release")
-			}
+	// The stale and handle-less calls must be detected and diagnosed, not
+	// absorbed.
+	reader := alias(100) // a block tx 3 holds a share of, to upgrade
+	_, _, shared := tab.AcquireReadH(3, reader)
+	occ, stats := tab.Occupied(), tab.Stats()
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"stale-handle release", func() { tab.ReleaseWriteH(1, hot, stale) }},
+		{"stale-handle stamped release", func() { tab.ReleaseWriteV(1, hot, stale, 9) }},
+		{"stale-handle read release", func() { tab.ReleaseReadH(1, hot, stale) }},
+		{"stale-handle upgrade", func() { tab.AcquireWriteH(1, hot, 1, stale) }},
+		{"handle-less release", func() { tab.ReleaseWriteH(2, held[0].b, NoHandle) }},
+		{"handle-less stamped release", func() { tab.ReleaseWriteV(2, held[0].b, NoHandle, 9) }},
+		{"handle-less read release", func() { tab.ReleaseReadH(3, reader, NoHandle) }},
+		{"handle-less upgrade", func() { tab.AcquireWriteH(3, reader, 1, NoHandle) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic: a record absorbed a release or upgrade no hold names", c.name)
+				}
+			}()
+			c.op()
 		}()
-		tab.ReleaseWriteH(1, hot, stale)
-	}()
+		if got, st := tab.Occupied(), tab.Stats(); got != occ || st != stats {
+			t.Fatalf("%s moved the table: occupied %d, stats %+v; want %d, %+v", c.name, got, st, occ, stats)
+		}
+	}
+	tab.ReleaseReadH(3, reader, shared)
 
 	// Every legitimate holder is unaffected: all handle releases succeed
 	// and the table drains completely.
@@ -183,9 +204,10 @@ func TestStaleHandleDetected(t *testing.T) {
 	}
 }
 
-// TestStaleReadHandleFallsBack is the read-share variant: a stale read
-// handle on a recycled record must route to the walking release (panicking
-// on the missing share) rather than decrementing the new incarnation.
+// TestStaleReadHandleFallsBack is the read-share variant: a release through
+// a stale read handle on a recycled record must panic on the missing share
+// rather than decrement the new incarnation. (The name predates the
+// walking release the stale handle used to fall back to.)
 func TestStaleReadHandleFallsBack(t *testing.T) {
 	h := hash.NewMask(64)
 	tab := NewTagged(h)
@@ -219,51 +241,5 @@ func TestStaleReadHandleFallsBack(t *testing.T) {
 	}
 	if occ := tab.Occupied(); occ != 0 {
 		t.Fatalf("occupancy after drain = %d", occ)
-	}
-}
-
-// TestHandleAcquireOutcomeParity cross-checks handle-carrying calls against
-// the NoHandle free helpers outcome-for-outcome over a scripted mixed
-// sequence, per kind.
-func TestHandleAcquireOutcomeParity(t *testing.T) {
-	for _, kind := range Kinds() {
-		t.Run(kind, func(t *testing.T) {
-			plain, err := New(kind, hash.NewMask(32))
-			if err != nil {
-				t.Fatal(err)
-			}
-			withH, err := New(kind, hash.NewMask(32))
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(step string, a, b Outcome) {
-				t.Helper()
-				if a != b {
-					t.Fatalf("%s: plain %v vs handle %v", step, a, b)
-				}
-			}
-			b1, b2 := addr.Block(1), addr.Block(33) // alias under 32 entries
-			// tx 1 writes b1; tx 2's read of the aliasing b2 conflicts only
-			// on the tagless table — both APIs must agree either way.
-			o1, _ := AcquireWrite(plain, 1, b1, 0)
-			o2, _, h1 := withH.AcquireWriteH(1, b1, 0, NoHandle)
-			check("write b1", o1, o2)
-			o1, _ = AcquireRead(plain, 2, b2)
-			o2, _, _ = withH.AcquireReadH(2, b2)
-			check("read b2", o1, o2)
-			if o1 == Granted {
-				ReleaseRead(plain, 2, b2)
-				// NoHandle exercises the locate-from-block fallback.
-				withH.ReleaseReadH(2, b2, NoHandle)
-			}
-			ReleaseWrite(plain, 1, b1)
-			withH.ReleaseWriteH(1, b1, h1)
-			if p, q := plain.Occupied(), withH.Occupied(); p != 0 || q != 0 {
-				t.Fatalf("occupancy plain=%d handle=%d after drain", p, q)
-			}
-			if s := withH.Stats(); s.Releases == 0 {
-				t.Fatal("handle API recorded no releases")
-			}
-		})
 	}
 }

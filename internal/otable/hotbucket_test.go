@@ -77,7 +77,8 @@ func TestHotBucketHammer(t *testing.T) {
 						b, guard := blocks[bi], guardOf[bi]
 						switch r.Intn(3) {
 						case 0: // read, then release
-							if out, _ := AcquireRead(tab, tx, b); out != Granted {
+							out, _, h := tab.AcquireReadH(tx, b)
+							if out != Granted {
 								continue
 							}
 							if guard.Add(1) <= 0 {
@@ -85,9 +86,9 @@ func TestHotBucketHammer(t *testing.T) {
 							}
 							reads.Add(1)
 							guard.Add(-1)
-							ReleaseRead(tab, tx, b)
+							tab.ReleaseReadH(tx, b, h)
 						case 1: // write, then release
-							out, _ := AcquireWrite(tab, tx, b, 0)
+							out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
 							if out != Granted {
 								continue
 							}
@@ -96,15 +97,16 @@ func TestHotBucketHammer(t *testing.T) {
 							}
 							writes.Add(1)
 							guard.Add(wrGuard)
-							ReleaseWrite(tab, tx, b)
+							tab.ReleaseWriteH(tx, b, h)
 						default: // read, try to upgrade, release what's held
-							if out, _ := AcquireRead(tab, tx, b); out != Granted {
+							out, _, h := tab.AcquireReadH(tx, b)
+							if out != Granted {
 								continue
 							}
 							if guard.Add(1) <= 0 {
 								violations.Add(1)
 							}
-							if out, _ := AcquireWrite(tab, tx, b, 1); out == Upgraded {
+							if out, _, _ := tab.AcquireWriteH(tx, b, 1, h); out == Upgraded {
 								// Our share became exclusivity: swap the
 								// read stamp for the write stamp and verify
 								// no one else is inside.
@@ -113,10 +115,10 @@ func TestHotBucketHammer(t *testing.T) {
 								}
 								upgrades.Add(1)
 								guard.Add(wrGuard)
-								ReleaseWrite(tab, tx, b)
+								tab.ReleaseWriteH(tx, b, h)
 							} else {
 								guard.Add(-1)
-								ReleaseRead(tab, tx, b)
+								tab.ReleaseReadH(tx, b, h)
 							}
 						}
 					}
@@ -169,7 +171,8 @@ func TestHotBucketConflictTargets(t *testing.T) {
 		var wg sync.WaitGroup
 		// Hold the block as holder 1 until a prober has been denied, so
 		// that every run verifies a denial whatever the scheduler does.
-		if out, _ := AcquireWrite(tab, 1, hot, 0); out != Granted {
+		out, _, held := tab.AcquireWriteH(1, hot, 0, NoHandle)
+		if out != Granted {
 			t.Fatalf("initial hold: %v", out)
 		}
 		for h := 0; h < holders; h++ {
@@ -180,12 +183,12 @@ func TestHotBucketConflictTargets(t *testing.T) {
 				tx := TxID(id + 1)
 				for i := 0; i < iters; i++ {
 					if r.Intn(2) == 0 {
-						if out, _ := AcquireWrite(tab, tx, hot, 0); out == Granted {
-							ReleaseWrite(tab, tx, hot)
+						if out, _, h := tab.AcquireWriteH(tx, hot, 0, NoHandle); out == Granted {
+							tab.ReleaseWriteH(tx, hot, h)
 						}
 					} else {
-						if out, _ := AcquireRead(tab, tx, hot); out == Granted {
-							ReleaseRead(tab, tx, hot)
+						if out, _, h := tab.AcquireReadH(tx, hot); out == Granted {
+							tab.ReleaseReadH(tx, hot, h)
 						}
 					}
 				}
@@ -199,8 +202,8 @@ func TestHotBucketConflictTargets(t *testing.T) {
 				base := addr.Block(1_000_000 * (id + 1))
 				for i := 0; i < iters; i++ {
 					b := base + addr.Block((i%streamLen)*buckets) + hot
-					if out, _ := AcquireWrite(tab, tx, b, 0); out == Granted {
-						ReleaseWrite(tab, tx, b)
+					if out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle); out == Granted {
+						tab.ReleaseWriteH(tx, b, h)
 					}
 				}
 			}(s)
@@ -217,10 +220,10 @@ func TestHotBucketConflictTargets(t *testing.T) {
 					return (w >= 1 && w <= holders) || (w >= 100 && w < 100+probers && w != tx)
 				}
 				for i := 0; i < iters; i++ {
-					out, ci := AcquireWrite(tab, tx, hot, 0)
+					out, ci, h := tab.AcquireWriteH(tx, hot, 0, NoHandle)
 					switch out {
 					case Granted:
-						ReleaseWrite(tab, tx, hot)
+						tab.ReleaseWriteH(tx, hot, h)
 					case ConflictWriter:
 						denials.Add(1)
 						if w, ok := ci.Writer(); !ok || !legitWriter(w) {
@@ -238,7 +241,7 @@ func TestHotBucketConflictTargets(t *testing.T) {
 		for denials.Load() == 0 {
 			runtime.Gosched()
 		}
-		ReleaseWrite(tab, 1, hot)
+		tab.ReleaseWriteH(1, hot, held)
 		wg.Wait()
 		if n := badWriter.Load(); n != 0 {
 			t.Fatalf("%d writer denials named an opponent outside the holder set (stale owner leaked)", n)
@@ -252,10 +255,11 @@ func TestHotBucketConflictTargets(t *testing.T) {
 	})
 }
 
-// TestHotBucketHandleHammer is the release-by-handle variant of the hot
-// bucket hammer: every grant's handle is carried to its release or upgrade,
-// with a random half of the releases going through the walking path so both
-// release flavors interleave on the same records. Streaming goroutines
+// TestHotBucketHandleHammer is the stamping variant of the hot bucket
+// hammer: every grant's handle is carried to its release or upgrade, with
+// a random half of the write releases publishing a stamp through
+// ReleaseWriteV so both write-release entry points interleave on the same
+// records. Streaming goroutines
 // churn unique tags through the same bucket concurrently, keeping the
 // reap/retire/recycle pipeline busy — so handles are continually issued
 // against records whose slab neighbors are being reused, and the
@@ -281,6 +285,13 @@ func TestHotBucketHandleHammer(t *testing.T) {
 		}
 		var violations atomic.Int64
 		var upgrades, writes, reads atomic.Int64
+		release := func(tx TxID, b addr.Block, h Handle, stamp bool, i int) {
+			if stamp {
+				tab.ReleaseWriteV(tx, b, h, uint64(i))
+			} else {
+				tab.ReleaseWriteH(tx, b, h)
+			}
+		}
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
@@ -302,7 +313,7 @@ func TestHotBucketHandleHammer(t *testing.T) {
 						if r.Intn(2) == 0 {
 							tab.ReleaseWriteH(tx, b, h)
 						} else {
-							tab.ReleaseWriteH(tx, b, NoHandle) // walking release
+							tab.ReleaseWriteV(tx, b, h, uint64(i))
 						}
 					}
 					return
@@ -310,7 +321,7 @@ func TestHotBucketHandleHammer(t *testing.T) {
 				for i := 0; i < iters; i++ {
 					bi := r.Intn(aliases)
 					b, guard := blocks[bi], guards[bi]
-					viaHandle := r.Intn(2) == 0
+					stamp := r.Intn(2) == 0
 					switch r.Intn(3) {
 					case 0:
 						out, _, h := tab.AcquireReadH(tx, b)
@@ -322,9 +333,6 @@ func TestHotBucketHandleHammer(t *testing.T) {
 						}
 						reads.Add(1)
 						guard.Add(-1)
-						if !viaHandle {
-							h = NoHandle
-						}
 						tab.ReleaseReadH(tx, b, h)
 					case 1:
 						out, _, h := tab.AcquireWriteH(tx, b, 0, NoHandle)
@@ -336,10 +344,7 @@ func TestHotBucketHandleHammer(t *testing.T) {
 						}
 						writes.Add(1)
 						guard.Add(wrGuard)
-						if !viaHandle {
-							h = NoHandle
-						}
-						tab.ReleaseWriteH(tx, b, h)
+						release(tx, b, h, stamp, i)
 					default:
 						out, _, h := tab.AcquireReadH(tx, b)
 						if out != Granted {
@@ -354,10 +359,7 @@ func TestHotBucketHandleHammer(t *testing.T) {
 							}
 							upgrades.Add(1)
 							guard.Add(wrGuard)
-							if !viaHandle {
-								h2 = NoHandle
-							}
-							tab.ReleaseWriteH(tx, b, h2)
+							release(tx, b, h2, stamp, i)
 						} else {
 							guard.Add(-1)
 							tab.ReleaseReadH(tx, b, h)

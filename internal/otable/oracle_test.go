@@ -116,7 +116,7 @@ func (o *oracle) occupied() uint64 {
 // runOracleComparison drives identical random operations through a real
 // table and the oracle, comparing every outcome. Footprints (the real
 // clients) are bypassed: the test talks to the Table interface directly,
-// tracking per-tx held reads the way Footprint does.
+// tracking per-tx held reads and handles the way Footprint does.
 func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 	t.Helper()
 	tab := mk()
@@ -128,9 +128,14 @@ func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 		tx   TxID
 		slot uint64
 	}
+	// hold is a held slot's block and the handle its acquire returned.
+	type hold struct {
+		b addr.Block
+		h Handle
+	}
 	heldReads := make(map[key]uint32)
-	heldWrite := make(map[key]addr.Block)
-	readBlock := make(map[key]addr.Block)
+	heldWrite := make(map[key]hold)
+	readHold := make(map[key]hold)
 
 	for step := 0; step < 500; step++ {
 		tx := TxID(r.Intn(3) + 1)
@@ -141,59 +146,63 @@ func runOracleComparison(t *testing.T, mk func() Table, seed uint64) bool {
 			if _, w := heldWrite[k]; w || heldReads[k] > 0 {
 				continue // footprint fast path would skip the table
 			}
-			got, _ := AcquireRead(tab, tx, b)
+			got, _, h := tab.AcquireReadH(tx, b)
 			want := orc.acquireRead(tx, b)
 			if got != want {
-				t.Logf("step %d: AcquireRead(%d, %v) = %v, oracle %v", step, tx, b, got, want)
+				t.Logf("step %d: AcquireReadH(%d, %v) = %v, oracle %v", step, tx, b, got, want)
 				return false
 			}
 			if got == Granted {
 				heldReads[k]++
-				readBlock[k] = b
+				readHold[k] = hold{b, h}
 			}
 		case 1: // write
 			if _, w := heldWrite[k]; w {
 				continue
 			}
-			hr := heldReads[k]
-			got, _ := AcquireWrite(tab, tx, b, hr)
+			hr, held := heldReads[k], NoHandle
+			if hr > 0 {
+				held = readHold[k].h
+			}
+			got, _, h := tab.AcquireWriteH(tx, b, hr, held)
 			want := orc.acquireWrite(tx, b, hr)
 			if got != want {
-				t.Logf("step %d: AcquireWrite(%d, %v, %d) = %v, oracle %v", step, tx, b, hr, got, want)
+				t.Logf("step %d: AcquireWriteH(%d, %v, %d) = %v, oracle %v", step, tx, b, hr, got, want)
 				return false
 			}
 			if got == Granted || got == Upgraded {
-				heldWrite[k] = b
+				heldWrite[k] = hold{b, h}
 				heldReads[k] = 0
 			}
 		case 2: // release one read
 			if heldReads[k] == 0 {
 				continue
 			}
-			rb := readBlock[k]
-			ReleaseRead(tab, tx, rb)
-			orc.releaseRead(tx, rb)
+			rh := readHold[k]
+			tab.ReleaseReadH(tx, rh.b, rh.h)
+			orc.releaseRead(tx, rh.b)
 			heldReads[k]--
 		case 3: // release write
-			wb, ok := heldWrite[k]
+			wh, ok := heldWrite[k]
 			if !ok {
 				continue
 			}
-			ReleaseWrite(tab, tx, wb)
-			orc.releaseWrite(tx, wb)
+			tab.ReleaseWriteH(tx, wh.b, wh.h)
+			orc.releaseWrite(tx, wh.b)
 			delete(heldWrite, k)
 		}
 	}
 	// Drain everything and compare occupancy.
 	for k, n := range heldReads {
+		rh := readHold[k]
 		for i := uint32(0); i < n; i++ {
-			ReleaseRead(tab, k.tx, readBlock[k])
-			orc.releaseRead(k.tx, readBlock[k])
+			tab.ReleaseReadH(k.tx, rh.b, rh.h)
+			orc.releaseRead(k.tx, rh.b)
 		}
 	}
-	for k, wb := range heldWrite {
-		ReleaseWrite(tab, k.tx, wb)
-		orc.releaseWrite(k.tx, wb)
+	for k, wh := range heldWrite {
+		tab.ReleaseWriteH(k.tx, wh.b, wh.h)
+		orc.releaseWrite(k.tx, wh.b)
 	}
 	if tab.Occupied() != orc.occupied() {
 		t.Logf("occupancy %d, oracle %d", tab.Occupied(), orc.occupied())

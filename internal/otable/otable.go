@@ -23,6 +23,8 @@
 //
 // Both implementations are lock-free and safe for concurrent use, keep the
 // statistics the experiments report, and implement the one Table interface.
+// Every acquire returns a Handle, and the holder releases and upgrades
+// through it only; a release without a handle panics.
 //
 // Accounting costs every successful operation exactly one atomic add, on a
 // cache-line-padded counter block picked by the low bits of the cell index
@@ -135,9 +137,11 @@ func (o Outcome) String() string {
 // releaser published before releasing, provided the releaser wrote before
 // calling the release (the STM's write-back-then-release commit order).
 //
-// Callers that keep no handles (Footprint, the simulators, tests) use the
-// free functions AcquireRead, AcquireWrite, ReleaseRead and ReleaseWrite,
-// which pass NoHandle.
+// Every release, and every upgrade (AcquireWriteH with heldReads > 0), goes
+// through the Handle the permission's acquire returned, and panics before
+// it touches any state if that handle does not name the caller's hold. Only
+// a write acquire from a caller holding no share locates the slot from the
+// block.
 type Table interface {
 	// Kind returns "tagless" or "tagged".
 	Kind() string
@@ -160,17 +164,20 @@ type Table interface {
 	// NoHandle; the ConflictInfo is NoConflict on success.
 	AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Handle)
 	// AcquireWriteH requests exclusive permission on b for tx. heldReads is
-	// the number of read shares tx currently holds on SlotOf(b), and h, when
-	// not NoHandle, is the caller's handle for that held slot, letting an
-	// upgrade skip the walk. On a denial the ConflictInfo names the opponent
-	// (the owning writer, or the foreign-sharer count).
+	// the number of read shares tx currently holds on SlotOf(b). With
+	// heldReads > 0 the acquire is an upgrade and h must be the handle of
+	// those shares; it panics on NoHandle. With heldReads 0 the slot is
+	// located from b and h is ignored. On a denial the ConflictInfo names
+	// the opponent (the owning writer, or the foreign-sharer count).
 	AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle)
-	// ReleaseReadH returns one read share on b's slot. It panics if the slot
-	// holds no read permission (a caller bookkeeping bug).
+	// ReleaseReadH returns one read share on the slot h names. It panics if
+	// h is NoHandle or its slot holds no read permission (a caller
+	// bookkeeping bug).
 	ReleaseReadH(tx TxID, b addr.Block, h Handle)
-	// ReleaseWriteH returns write ownership of b's slot without publishing a
-	// version stamp — the abort-path release. It panics if tx is not the
-	// writer of record.
+	// ReleaseWriteH returns write ownership of the slot h names without
+	// publishing a version stamp; it panics if h is NoHandle or tx is not
+	// the writer of record. Only fault.Injector forwards it outside tests:
+	// it is kept for the frozen benchmark/ module.
 	ReleaseWriteH(tx TxID, b addr.Block, h Handle)
 	// ReleaseWriteV is ReleaseWriteH plus version publication: it raises
 	// b's cell stamp to at least stamp, then releases the ownership exactly
@@ -187,12 +194,10 @@ type Table interface {
 	// order version.go's argument rests on. A tagged block with no record
 	// answers with its bucket's floor and no writer.
 	SampleVersion(b addr.Block) (stamp uint64, writerActive bool)
-	// StampVersion raises b's cell stamp without touching ownership. It is
-	// for mutations applied under an existing exclusive hold that survive
-	// the hold's own outcome — a strong-isolation non-transactional store
-	// into a chunk the running transaction already owns must bump the
-	// version immediately, because the owning transaction's later
-	// abort-path release will not publish one.
+	// StampVersion raises b's cell stamp without touching ownership. No
+	// runtime path calls it (commit publishes through ReleaseWriteV), and
+	// only fault.Injector forwards it outside tests: it is kept for the
+	// frozen benchmark/ module.
 	StampVersion(b addr.Block, stamp uint64)
 
 	// Occupied returns the number of held slots: non-free tagless entries,
@@ -218,41 +223,32 @@ type (
 	BlockSlotted = Table
 )
 
-// Handle names the table location backing a granted permission, so the
-// holder can release or upgrade it without re-locating it: the record link
-// {generation, slab index} for the tagged table, the entry
-// index (plus one) for the tagless table. NoHandle means "no location
-// known"; the operation then locates the slot from the block.
+// Handle names the table location backing a granted permission, and is the
+// only way to name it: the holder releases or upgrades through it, never
+// re-locating the slot. It is the record link {generation, slab index} for
+// the tagged table and the entry index (plus one) for the tagless table.
+// NoHandle names nothing; a release or upgrade given it panics.
 //
 // A handle is only meaningful to the table that issued it, only names the
 // record incarnation it was issued under, and carries no permission of its
-// own: the permission lives in the slot state, the handle merely skips the
-// lookup. Tagged-table handles are generation-validated — a stale handle
-// (the record was reaped and its slab slot reused) fails validation and
-// the operation falls back to the locating path, which panics if the
-// claimed permission truly is not there (a caller bookkeeping bug).
+// own: the permission lives in the slot state. Tagged-table handles are
+// generation-validated. A holder's shares or write pin its record under the
+// handle's generation, because reaping condemns only free records, so a
+// stale handle (the record was reaped and its slab slot reused) always
+// means a caller bookkeeping bug, and the operation panics without touching
+// the record's new incarnation.
 type Handle uint64
 
-// NoHandle is the zero Handle: no table location known.
+// NoHandle is the zero Handle: it names no table location.
 const NoHandle Handle = 0
 
-// AcquireRead is t.AcquireReadH for callers that keep no handles.
-func AcquireRead(t Table, tx TxID, b addr.Block) (Outcome, ConflictInfo) {
-	out, ci, _ := t.AcquireReadH(tx, b)
-	return out, ci
+// noHandle panics on a release or upgrade that names no handle. It is kept
+// out of line so that the tagless entryOf stays cheap enough to inline.
+//
+//go:noinline
+func noHandle(op string, tx TxID, b addr.Block) {
+	panic(fmt.Sprintf("otable: %s by tx %d on block %v names no handle", op, tx, b))
 }
-
-// AcquireWrite is t.AcquireWriteH for callers that keep no handles.
-func AcquireWrite(t Table, tx TxID, b addr.Block, heldReads uint32) (Outcome, ConflictInfo) {
-	out, ci, _ := t.AcquireWriteH(tx, b, heldReads, NoHandle)
-	return out, ci
-}
-
-// ReleaseRead is t.ReleaseReadH locating the slot from the block.
-func ReleaseRead(t Table, tx TxID, b addr.Block) { t.ReleaseReadH(tx, b, NoHandle) }
-
-// ReleaseWrite is t.ReleaseWriteH locating the slot from the block.
-func ReleaseWrite(t Table, tx TxID, b addr.Block) { t.ReleaseWriteH(tx, b, NoHandle) }
 
 // Stats is a snapshot of table operation counters.
 type Stats struct {
@@ -261,7 +257,7 @@ type Stats struct {
 	Upgrades      uint64 // read→write upgrades
 	Conflicts     uint64 // denied acquires
 	Releases      uint64 // release operations
-	ReleaseWalks  uint64 // tagged only: releases that had to walk a chain (no usable handle)
+	ReleaseWalks  uint64 // always 0: no release walks a chain; kept only for the frozen benchmark/ module
 	ChainFollows  uint64 // tagged only: records traversed past a bucket head, in any state (physical walk cost)
 	MaxChain      uint64 // tagged only: maximum bucket chain length observed
 }
@@ -280,15 +276,14 @@ const counterStripes = 8
 // holder to one, or back, so occupancy is opens minus closes and needs no
 // word of its own.
 type counterBlock struct {
-	readOpens, reads         atomic.Uint64 // successful read acquires that did / did not open the cell
-	writeOpens, writes       atomic.Uint64 // write grants (Granted or AlreadyHeld) that did / did not open it
-	upgrades                 atomic.Uint64 // read→write upgrades; also write acquires in Stats
-	conflicts                atomic.Uint64
-	closes, releases         atomic.Uint64 // releases that did / did not close the cell
-	walkCloses, walkReleases atomic.Uint64 // tagged only: the same, for releases that walked the chain
-	chainFollows             atomic.Uint64
-	maxChain                 atomic.Uint64
-	_                        [32]byte
+	readOpens, reads   atomic.Uint64 // successful read acquires that did / did not open the cell
+	writeOpens, writes atomic.Uint64 // write grants (Granted or AlreadyHeld) that did / did not open it
+	upgrades           atomic.Uint64 // read→write upgrades; also write acquires in Stats
+	conflicts          atomic.Uint64
+	closes, releases   atomic.Uint64 // releases that did / did not close the cell
+	chainFollows       atomic.Uint64
+	maxChain           atomic.Uint64
+	_                  [48]byte
 }
 
 // counters is the striped implementation behind Stats and Occupied. Tables
@@ -309,9 +304,7 @@ func (c *counters) snapshot() Stats {
 		s.WriteAcquires += b.writeOpens.Load() + b.writes.Load() + up
 		s.Upgrades += up
 		s.Conflicts += b.conflicts.Load()
-		walks := b.walkCloses.Load() + b.walkReleases.Load()
-		s.Releases += b.closes.Load() + b.releases.Load() + walks
-		s.ReleaseWalks += walks
+		s.Releases += b.closes.Load() + b.releases.Load()
 		s.ChainFollows += b.chainFollows.Load()
 		if m := b.maxChain.Load(); m > s.MaxChain {
 			s.MaxChain = m
@@ -328,7 +321,7 @@ func (c *counters) occupied() uint64 {
 	var closes, opens uint64
 	for i := range c {
 		b := &c[i]
-		closes += b.closes.Load() + b.walkCloses.Load()
+		closes += b.closes.Load()
 		opens += b.readOpens.Load() + b.writeOpens.Load()
 	}
 	return opens - closes

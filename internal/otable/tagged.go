@@ -71,13 +71,15 @@ import (
 //	                   as chain structure
 //
 // Acquires hand the record's {generation, index} link back to the caller
-// as a Handle; release and upgrade through the handle skip the chain walk
-// entirely and linearize at the same generation-validated state CAS the
-// walking paths use. Because every state CAS embeds the generation, a
-// stale handle — the record was condemned, unlinked, retired, and its
-// slab slot reused under a new generation — can never land on the new
-// incarnation; it fails validation and the operation falls back to the
-// walking path.
+// as a Handle, and release and upgrade go through it alone: no release
+// walks a chain, and no walking acquire upgrades. Each linearizes at one
+// generation-validated state CAS on the record. A holder's shares or write
+// keep its record out of the free state, and only free records are
+// condemned, so the handle of a hold is never stale. Because every state
+// CAS embeds the generation, a stale handle — the record was condemned,
+// unlinked, retired, and its slab slot reused under a new generation — can
+// never land on the new incarnation; it fails validation, and the
+// operation panics on the caller's bookkeeping bug.
 //
 // The invariants every path preserves:
 //
@@ -582,60 +584,55 @@ func (t *Tagged) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Han
 
 // AcquireWriteH implements Table. Because records are per-block, a conflict
 // here is always a *true* conflict: the same block is held by another
-// transaction. With a valid handle for a held read share, the read→write
-// upgrade is a single generation-validated state CAS with no chain walk;
+// transaction. With heldReads > 0 the read→write upgrade is a single
+// generation-validated state CAS on the record h names, with no chain walk;
 // the bucket hash is computed up front either way, because it picks the
 // counter block the upgrade is counted in.
 func (t *Tagged) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle) {
 	idx := t.h.Index(b)
-	if h != NoHandle && heldReads > 0 {
-		if out, ci, ok := t.upgradeByHandle(idx, tx, heldReads, uint64(h)); ok {
-			return out, ci, h
-		}
+	if heldReads > 0 {
+		out, ci := t.upgradeByHandle(idx, tx, b, heldReads, h)
+		return out, ci, h
 	}
-	out, ci, link := t.acquireWriteAt(idx, tx, b, heldReads)
+	out, ci, link := t.acquireWriteAt(idx, tx, b)
 	return out, ci, Handle(link)
 }
 
-// upgradeByHandle attempts the read→write upgrade directly on the record
-// named by handle link h, in bucket idx. It reports ok=false when the
-// handle is stale (generation mismatch) or the record is not in a state the
-// caller's read share could pin — the caller then falls back to the walking
-// path, whose panics diagnose genuine bookkeeping bugs.
-func (t *Tagged) upgradeByHandle(idx uint64, tx TxID, heldReads uint32, h uint64) (Outcome, ConflictInfo, bool) {
-	r := t.rec(linkIdx(h))
-	g := linkGen(h)
+// upgradeByHandle is the read→write upgrade on the record handle h names,
+// in bucket idx. It is one CAS from {Read, g, heldReads} to {Write, g, tx}:
+// it can only succeed while the caller's shares are the record's whole
+// sharer count, so a racing foreign reader either beats the CAS (and the
+// retry observes ConflictReaders) or arrives after exclusivity is sealed.
+// The caller's shares pin the record in Read mode under g, so any other
+// state is a caller bookkeeping bug and panics.
+func (t *Tagged) upgradeByHandle(idx uint64, tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo) {
+	if h == NoHandle {
+		noHandle("upgrade", tx, b)
+	}
+	r, g := t.rec(linkIdx(uint64(h))), linkGen(uint64(h))
 	for {
 		st := r.state.Load()
-		if recGen(st) != g || recMode(st) != Read {
-			// Stale handle, or a state the caller's own share cannot explain
-			// (its reads pin the record in Read mode): let the walk decide.
-			return 0, NoConflict, false
-		}
 		payload := recPayload(st)
-		if heldReads > payload {
-			panic(fmt.Sprintf("otable: tagged record has %d sharers but tx %d claims %d held reads",
-				payload, tx, heldReads))
+		if recGen(st) != g || recMode(st) != Read || heldReads > payload {
+			panic(fmt.Sprintf("otable: upgrade by tx %d on block %v claims %d held reads its handle does not name",
+				tx, b, heldReads))
 		}
 		if heldReads < payload {
 			t.stats.at(idx).conflicts.Add(1)
-			return ConflictReaders, ReadersConflict(payload - heldReads), true
+			return ConflictReaders, ReadersConflict(payload - heldReads)
 		}
 		if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
 			t.stats.at(idx).upgrades.Add(1)
-			return Upgraded, NoConflict, true
+			return Upgraded, NoConflict
 		}
 	}
 }
 
-// acquireWriteAt is the walking write acquire on bucket idx. The
-// read→write upgrade is one CAS from {Read, g, heldReads} to {Write, g,
-// tx}: it can only succeed while the caller's shares are the record's whole
-// sharer count, so a racing foreign reader either beats the CAS (and the
-// retry observes ConflictReaders) or arrives after exclusivity is sealed.
-// A denial's ConflictInfo comes from the same generation-validated state
-// word; the third result is the record's handle link, 0 on a conflict.
-func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uint32) (Outcome, ConflictInfo, uint64) {
+// acquireWriteAt is the walking write acquire on bucket idx, for a caller
+// that holds no share of b, so readers deny it. A denial's ConflictInfo
+// comes from the same generation-validated state word that decided it; the
+// third result is the record's handle link, 0 on a conflict.
+func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block) (Outcome, ConflictInfo, uint64) {
 	for {
 		r, st, rlink, headSeen, depth, found := t.walk(idx, b)
 		if !found {
@@ -653,20 +650,8 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 					return Granted, NoConflict, rlink
 				}
 			case Read:
-				payload := recPayload(st)
-				if heldReads > payload {
-					panic(fmt.Sprintf("otable: tagged record has %d sharers but tx %d claims %d held reads",
-						payload, tx, heldReads))
-				}
-				if heldReads == payload {
-					if r.state.CompareAndSwap(st, packRec(Write, g, uint32(tx))) {
-						c.upgrades.Add(1)
-						return Upgraded, NoConflict, rlink
-					}
-				} else {
-					c.conflicts.Add(1)
-					return ConflictReaders, ReadersConflict(payload - heldReads), 0
-				}
+				c.conflicts.Add(1)
+				return ConflictReaders, ReadersConflict(recPayload(st)), 0
 			case Write:
 				if TxID(recPayload(st)) == tx {
 					c.writes.Add(1)
@@ -682,24 +667,22 @@ func (t *Tagged) acquireWriteAt(idx uint64, tx TxID, b addr.Block, heldReads uin
 	}
 }
 
-// ReleaseReadH implements Table: one generation-validated state CAS
-// on the record the handle names, no chain walk. A stale or useless handle
-// falls back to the walking release.
+// ReleaseReadH implements Table: one generation-validated state CAS on the
+// record the handle names, no chain walk. Dropping the last share parks the
+// record as Free in place — no physical removal, so the common
+// release-then-reacquire cycle costs one CAS on each side. A holder's
+// shares pin its record in Read mode under the handle's generation, so a
+// stale handle or a record holding no share is a caller bookkeeping bug,
+// and panics.
 func (t *Tagged) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
-	idx := t.h.Index(b)
 	if h == NoHandle {
-		t.releaseReadAt(idx, tx, b)
-		return
+		noHandle("ReleaseRead", tx, b)
 	}
-	r, g, c := t.rec(linkIdx(uint64(h))), linkGen(uint64(h)), t.stats.at(idx)
+	r, g, c := t.rec(linkIdx(uint64(h))), linkGen(uint64(h)), t.stats.at(t.h.Index(b))
 	for {
 		st := r.state.Load()
 		if recGen(st) != g || recMode(st) != Read || recPayload(st) == 0 {
-			// Stale handle (record reaped and reused since it was issued) or
-			// a state a held share cannot explain: the walking release
-			// decides, and panics on a genuine bookkeeping bug.
-			t.releaseReadAt(idx, tx, b)
-			return
+			panic(fmt.Sprintf("otable: ReleaseRead by tx %d on block %v whose handle names no read share", tx, b))
 		}
 		if n := recPayload(st); n > 1 {
 			if r.state.CompareAndSwap(st, packRec(Read, g, n-1)) {
@@ -713,68 +696,30 @@ func (t *Tagged) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
 	}
 }
 
-// releaseReadAt is the walking read release on bucket idx. The release
-// linearizes at the state CAS; dropping the last share parks the
-// record as Free in place — no physical removal, so the common
-// release-then-reacquire cycle costs one CAS on each side. A holder's
-// record cannot die or be recycled under it — its own shares pin the sharer
-// count above zero — so the panic on a missing or non-read record is a
-// caller bookkeeping bug, exactly as under a mutex-guarded table.
-func (t *Tagged) releaseReadAt(idx uint64, tx TxID, b addr.Block) {
-	r, st, rlink, _, _, found := t.walk(idx, b)
-	if !found {
-		panic(fmt.Sprintf("otable: ReleaseRead by tx %d on block %v with no read record", tx, b))
-	}
-	g, c := linkGen(rlink), t.stats.at(idx)
-	for {
-		if recMode(st) != Read || recPayload(st) == 0 {
-			panic(fmt.Sprintf("otable: ReleaseRead by tx %d on block %v with no read record", tx, b))
-		}
-		if n := recPayload(st); n > 1 {
-			if r.state.CompareAndSwap(st, packRec(Read, g, n-1)) {
-				c.walkReleases.Add(1)
-				return
-			}
-		} else if r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
-			c.walkCloses.Add(1)
-			return
-		}
-		st = r.state.Load()
-	}
-}
-
 // ReleaseWriteH implements Table: the abort-path release, which publishes no
 // stamp (memory was never mutated, so the old stamp still describes it).
 func (t *Tagged) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
 	t.releaseWriteAt(t.h.Index(b), tx, b, h, 0)
 }
 
-// releaseWriteAt releases tx's write ownership of b in bucket idx: through
-// the handle with no chain walk, or — with a stale or useless handle — by
-// walking. Either way owner and mode are validated from the record's state
-// word before the record's stamp is touched, so a release by anyone but the
-// owner panics without side effects. The owner then publishes the stamp —
-// one store: it is the record's only writer, and it drew the stamp while
-// holding the record, above any stamp the record carries — and only then
-// frees the record, so an acquire that finds it free, or a sample that finds
-// no writer, also finds the stamp. A write record has exactly one
-// legitimate releaser, so the state CAS can only be contended by bugs.
+// releaseWriteAt releases tx's write ownership of b, in bucket idx, through
+// handle h with no chain walk. Owner and mode are validated from the
+// record's state word before the record's stamp is touched, so a release by
+// anyone but the owner, or through a stale handle, panics without side
+// effects. The owner then publishes the stamp — one store: it is the
+// record's only writer, and it drew the stamp while holding the record,
+// above any stamp the record carries — and only then frees the record, so
+// an acquire that finds it free, or a sample that finds no writer, also
+// finds the stamp. A write record has exactly one legitimate releaser, so
+// the state CAS can only be contended by bugs.
 func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block, h Handle, stamp uint64) {
-	closes := &t.stats.at(idx).closes
-	var r *record
-	var st, g uint64
-	if h != NoHandle {
-		r, g = t.rec(linkIdx(uint64(h))), linkGen(uint64(h))
-		st = r.state.Load()
+	if h == NoHandle {
+		noHandle("ReleaseWrite", tx, b)
 	}
-	if r == nil || recGen(st) != g || recMode(st) != Write || TxID(recPayload(st)) != tx {
-		var rlink uint64
-		var found bool
-		r, st, rlink, _, _, found = t.walk(idx, b)
-		if !found || recMode(st) != Write || TxID(recPayload(st)) != tx {
-			panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
-		}
-		g, closes = linkGen(rlink), &t.stats.at(idx).walkCloses
+	r, g := t.rec(linkIdx(uint64(h))), linkGen(uint64(h))
+	st := r.state.Load()
+	if recGen(st) != g || recMode(st) != Write || TxID(recPayload(st)) != tx {
+		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
 	}
 	if stamp > r.vers.Load() {
 		r.vers.Store(stamp)
@@ -782,7 +727,7 @@ func (t *Tagged) releaseWriteAt(idx uint64, tx TxID, b addr.Block, h Handle, sta
 	if !r.state.CompareAndSwap(st, packRec(Free, g, 0)) {
 		panic(fmt.Sprintf("otable: ReleaseWrite by tx %d on block %v it does not own", tx, b))
 	}
-	closes.Add(1)
+	t.stats.at(idx).closes.Add(1)
 }
 
 // SampleVersion implements Table with loads only (version.go): one hash,

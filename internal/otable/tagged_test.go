@@ -15,10 +15,10 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 	// The defining property (Section 5): aliasing blocks 3 and 67 in a
 	// 64-bucket table are held by different writers simultaneously.
 	tab := newTagged(64)
-	if got, _ := AcquireWrite(tab, 1, 3, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(1, 3, 0, NoHandle); got != Granted {
 		t.Fatalf("first write: %v", got)
 	}
-	if got, _ := AcquireWrite(tab, 2, 67, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(2, 67, 0, NoHandle); got != Granted {
 		t.Fatalf("aliasing write should be granted in tagged table: %v", got)
 	}
 	if tab.Occupied() != 2 {
@@ -28,37 +28,37 @@ func TestTaggedNoFalseConflicts(t *testing.T) {
 
 func TestTaggedTrueConflictStillDetected(t *testing.T) {
 	tab := newTagged(64)
-	AcquireWrite(tab, 1, 3, 0)
-	if got, _ := AcquireWrite(tab, 2, 3, 0); got != ConflictWriter {
+	tab.AcquireWriteH(1, 3, 0, NoHandle)
+	if got, _, _ := tab.AcquireWriteH(2, 3, 0, NoHandle); got != ConflictWriter {
 		t.Fatalf("same-block write: %v, want ConflictWriter", got)
 	}
-	if got, _ := AcquireRead(tab, 2, 3); got != ConflictWriter {
+	if got, _, _ := tab.AcquireReadH(2, 3); got != ConflictWriter {
 		t.Fatalf("same-block read: %v, want ConflictWriter", got)
 	}
 }
 
 func TestTaggedSharedReads(t *testing.T) {
 	tab := newTagged(64)
-	AcquireRead(tab, 1, 5)
-	AcquireRead(tab, 2, 5)
-	AcquireRead(tab, 3, 69) // aliases block 5's bucket
-	if got, _ := AcquireWrite(tab, 4, 5, 0); got != ConflictReaders {
+	tab.AcquireReadH(1, 5)
+	tab.AcquireReadH(2, 5)
+	tab.AcquireReadH(3, 69) // aliases block 5's bucket
+	if got, _, _ := tab.AcquireWriteH(4, 5, 0, NoHandle); got != ConflictReaders {
 		t.Fatalf("write vs readers: %v", got)
 	}
 	// But the aliasing block 69 is independently writable... no — tx 3
 	// holds a read on 69 itself, so a different tx conflicts only on 69.
-	if got, _ := AcquireWrite(tab, 4, 133, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(4, 133, 0, NoHandle); got != Granted {
 		t.Fatalf("third aliasing block should be independent: %v", got)
 	}
 }
 
 func TestTaggedUpgrade(t *testing.T) {
 	tab := newTagged(64)
-	AcquireRead(tab, 1, 9)
-	if got, _ := AcquireWrite(tab, 1, 9, 1); got != Upgraded {
+	_, _, h := tab.AcquireReadH(1, 9)
+	if got, _, _ := tab.AcquireWriteH(1, 9, 1, h); got != Upgraded {
 		t.Fatalf("upgrade: %v", got)
 	}
-	ReleaseWrite(tab, 1, 9)
+	tab.ReleaseWriteH(1, 9, h)
 	if tab.Occupied() != 0 {
 		t.Fatalf("Occupied after release = %d", tab.Occupied())
 	}
@@ -66,25 +66,25 @@ func TestTaggedUpgrade(t *testing.T) {
 
 func TestTaggedUpgradeBlockedByOtherReader(t *testing.T) {
 	tab := newTagged(64)
-	AcquireRead(tab, 1, 9)
-	AcquireRead(tab, 2, 9)
-	if got, _ := AcquireWrite(tab, 1, 9, 1); got != ConflictReaders {
+	_, _, h := tab.AcquireReadH(1, 9)
+	tab.AcquireReadH(2, 9)
+	if got, _, _ := tab.AcquireWriteH(1, 9, 1, h); got != ConflictReaders {
 		t.Fatalf("upgrade with foreign reader: %v", got)
 	}
 }
 
 func TestTaggedReacquire(t *testing.T) {
 	tab := newTagged(64)
-	AcquireWrite(tab, 1, 5, 0)
-	if got, _ := AcquireWrite(tab, 1, 5, 0); got != AlreadyHeld {
+	tab.AcquireWriteH(1, 5, 0, NoHandle)
+	if got, _, _ := tab.AcquireWriteH(1, 5, 0, NoHandle); got != AlreadyHeld {
 		t.Fatalf("re-write: %v", got)
 	}
-	if got, _ := AcquireRead(tab, 1, 5); got != AlreadyHeld {
+	if got, _, _ := tab.AcquireReadH(1, 5); got != AlreadyHeld {
 		t.Fatalf("read under own write: %v", got)
 	}
 	// Unlike tagless, an aliasing block is NOT covered by the write: it is
 	// a separate record.
-	if got, _ := AcquireWrite(tab, 1, 69, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(1, 69, 0, NoHandle); got != Granted {
 		t.Fatalf("aliasing block should need its own record: %v", got)
 	}
 }
@@ -92,8 +92,10 @@ func TestTaggedReacquire(t *testing.T) {
 func TestTaggedChainAccounting(t *testing.T) {
 	tab := newTagged(8)
 	// Blocks 0, 8, 16, 24 all land in bucket 0.
+	var h [4]Handle
 	for i, b := range []addr.Block{0, 8, 16, 24} {
-		if got, _ := AcquireWrite(tab, TxID(i+1), b, 0); got != Granted {
+		var got Outcome
+		if got, _, h[i] = tab.AcquireWriteH(TxID(i+1), b, 0, NoHandle); got != Granted {
 			t.Fatalf("write %d: %v", i, got)
 		}
 	}
@@ -105,45 +107,47 @@ func TestTaggedChainAccounting(t *testing.T) {
 		t.Fatalf("MaxChain = %d", s.MaxChain)
 	}
 	// Remove the middle record and verify the chain stays intact.
-	ReleaseWrite(tab, 2, 8)
-	if got, _ := AcquireRead(tab, 5, 16); got != ConflictWriter {
+	tab.ReleaseWriteH(2, 8, h[1])
+	if got, _, _ := tab.AcquireReadH(5, 16); got != ConflictWriter {
 		t.Fatalf("block 16 should still be write-held after unrelated removal: %v", got)
 	}
-	if got, _ := AcquireWrite(tab, 6, 8, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(6, 8, 0, NoHandle); got != Granted {
 		t.Fatalf("removed block should be reacquirable: %v", got)
 	}
 }
 
 func TestTaggedReleasePanics(t *testing.T) {
 	tab := newTagged(64)
+	_, _, hr := tab.AcquireReadH(1, 3)
+	tab.ReleaseReadH(1, 3, hr) // parks the record: no share left
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("ReleaseRead without record did not panic")
+				t.Error("ReleaseRead without a share did not panic")
 			}
 		}()
-		ReleaseRead(tab, 1, 3)
+		tab.ReleaseReadH(1, 3, hr)
 	}()
-	AcquireWrite(tab, 1, 4, 0)
+	_, _, hw := tab.AcquireWriteH(1, 4, 0, NoHandle)
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("ReleaseWrite by non-owner did not panic")
 			}
 		}()
-		ReleaseWrite(tab, 2, 4)
+		tab.ReleaseWriteH(2, 4, hw)
 	}()
 }
 
 func TestTaggedReset(t *testing.T) {
 	tab := newTagged(64)
-	AcquireWrite(tab, 1, 2, 0)
-	AcquireRead(tab, 2, 3)
+	tab.AcquireWriteH(1, 2, 0, NoHandle)
+	tab.AcquireReadH(2, 3)
 	tab.Reset()
 	if tab.Occupied() != 0 {
 		t.Fatalf("after reset: occ=%d", tab.Occupied())
 	}
-	if got, _ := AcquireWrite(tab, 3, 2, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(3, 2, 0, NoHandle); got != Granted {
 		t.Fatalf("write after reset: %v", got)
 	}
 }
@@ -222,7 +226,7 @@ func TestTaggedSmallTableStripes(t *testing.T) {
 	// Tables smaller than the stripe count must still work.
 	tab := newTagged(2)
 	for b := addr.Block(0); b < 20; b++ {
-		if got, _ := AcquireRead(tab, 1, b); got != Granted {
+		if got, _, _ := tab.AcquireReadH(1, b); got != Granted {
 			t.Fatalf("read %d: %v", b, got)
 		}
 	}
@@ -287,9 +291,11 @@ func TestTaggedReapProtectsOccupiedBuckets(t *testing.T) {
 	tab := newTagged(buckets)
 	// Occupy the hot bucket: live records deepen its chain permanently and
 	// raise its reap allowance from 0 to live.
+	var held [live]Handle
 	for i := 0; i < live; i++ {
 		b := addr.Block(hot + uint64(i)*buckets)
-		if out, _ := AcquireWrite(tab, TxID(i+1), b, 0); out != Granted {
+		var out Outcome
+		if out, _, held[i] = tab.AcquireWriteH(TxID(i+1), b, 0, NoHandle); out != Granted {
 			t.Fatalf("live acquire %d: %v", i, out)
 		}
 	}
@@ -301,10 +307,11 @@ func TestTaggedReapProtectsOccupiedBuckets(t *testing.T) {
 		hb := addr.Block(hot + uint64(100+i)*buckets)
 		cb := addr.Block(cold + uint64(i)*buckets)
 		for _, b := range []addr.Block{hb, cb} {
-			if out, _ := AcquireWrite(tab, 9, b, 0); out != Granted {
+			out, _, h := tab.AcquireWriteH(9, b, 0, NoHandle)
+			if out != Granted {
 				t.Fatalf("streamed tag %d: %v", b, out)
 			}
-			ReleaseWrite(tab, 9, b)
+			tab.ReleaseWriteH(9, b, h)
 		}
 		if n := physChainLen(tab, hot); n > maxHot {
 			maxHot = n
@@ -333,14 +340,15 @@ func TestTaggedReapProtectsOccupiedBuckets(t *testing.T) {
 	// Release the working set: the allowance drops to zero, and the next
 	// walks condemn the now-unprotected surplus back to the base bound.
 	for i := 0; i < live; i++ {
-		ReleaseWrite(tab, TxID(i+1), addr.Block(hot+uint64(i)*buckets))
+		tab.ReleaseWriteH(TxID(i+1), addr.Block(hot+uint64(i)*buckets), held[i])
 	}
 	for i := 0; i < 5; i++ {
 		b := addr.Block(hot + uint64(1000+i)*buckets)
-		if out, _ := AcquireWrite(tab, 9, b, 0); out != Granted {
+		out, _, h := tab.AcquireWriteH(9, b, 0, NoHandle)
+		if out != Granted {
 			t.Fatalf("post-release tag %d: %v", i, out)
 		}
-		ReleaseWrite(tab, 9, b)
+		tab.ReleaseWriteH(9, b, h)
 	}
 	if n := physChainLen(tab, hot); n > reapDepth+2 {
 		t.Fatalf("hot chain still %d records after its live set released, want <= %d",
@@ -370,10 +378,11 @@ func TestTagStreamingBoundsChainDepth(t *testing.T) {
 	maxPhys := 0
 	for i := 0; i < stream; i++ {
 		b := addr.Block(bucket + uint64(i)*buckets) // unique tag, always bucket 3
-		if out, _ := AcquireWrite(tab, 1, b, 0); out != Granted {
-			t.Fatalf("streamed tag %d: AcquireWrite = %v", i, out)
+		out, _, h := tab.AcquireWriteH(1, b, 0, NoHandle)
+		if out != Granted {
+			t.Fatalf("streamed tag %d: AcquireWriteH = %v", i, out)
 		}
-		ReleaseWrite(tab, 1, b)
+		tab.ReleaseWriteH(1, b, h)
 		if n := physChainLen(tab, bucket); n > maxPhys {
 			maxPhys = n
 		}
@@ -386,10 +395,11 @@ func TestTagStreamingBoundsChainDepth(t *testing.T) {
 	// delta is the physical records it passed beyond the head.
 	pre := tab.Stats().ChainFollows
 	b := addr.Block(bucket + uint64(stream)*buckets)
-	if out, _ := AcquireWrite(tab, 1, b, 0); out != Granted {
-		t.Fatalf("post-stream AcquireWrite = %v", out)
+	out, _, h := tab.AcquireWriteH(1, b, 0, NoHandle)
+	if out != Granted {
+		t.Fatalf("post-stream AcquireWriteH = %v", out)
 	}
-	ReleaseWrite(tab, 1, b)
+	tab.ReleaseWriteH(1, b, h)
 	if delta := tab.Stats().ChainFollows - pre; delta > uint64(reapDepth)+2 {
 		t.Fatalf("post-stream walk traversed %d records, want <= %d", delta, reapDepth+2)
 	}

@@ -68,10 +68,11 @@ func (t *Tagless) SlotOf(b addr.Block) uint64 { return t.h.Index(b) }
 // SlotsAreBlocks implements Table: aliasing blocks share a slot.
 func (t *Tagless) SlotsAreBlocks() bool { return false }
 
-// entryOf resolves a handle to its entry index, hashing b when there is none.
-func (t *Tagless) entryOf(b addr.Block, h Handle) uint64 {
+// entryOf resolves the handle of an entry tx claims to hold through b to
+// the entry's index. It panics on NoHandle, before any state is touched.
+func (t *Tagless) entryOf(op string, tx TxID, b addr.Block, h Handle) uint64 {
 	if h == NoHandle {
-		return t.h.Index(b)
+		noHandle(op, tx, b)
 	}
 	return uint64(h) - 1
 }
@@ -89,10 +90,16 @@ func (t *Tagless) AcquireReadH(tx TxID, b addr.Block) (Outcome, ConflictInfo, Ha
 }
 
 // AcquireWriteH implements Table. heldReads is the number of read shares tx
-// already holds on b's entry; if it equals the entry's full sharer count the
-// acquire is a private upgrade, otherwise foreign readers block it.
+// already holds on b's entry, through handle h; if it equals the entry's
+// full sharer count the acquire is a private upgrade, otherwise foreign
+// readers block it. Only an acquire with no held reads hashes b.
 func (t *Tagless) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handle) (Outcome, ConflictInfo, Handle) {
-	idx := t.entryOf(b, h)
+	var idx uint64
+	if heldReads == 0 {
+		idx = t.h.Index(b)
+	} else {
+		idx = t.entryOf("upgrade", tx, b, h)
+	}
 	out, ci := t.acquireWriteIdx(idx, tx, heldReads)
 	if out.Conflict() {
 		return out, ci, NoHandle
@@ -102,13 +109,13 @@ func (t *Tagless) AcquireWriteH(tx TxID, b addr.Block, heldReads uint32, h Handl
 
 // ReleaseReadH implements Table.
 func (t *Tagless) ReleaseReadH(tx TxID, b addr.Block, h Handle) {
-	t.releaseReadIdx(t.entryOf(b, h), tx)
+	t.releaseReadIdx(t.entryOf("ReleaseRead", tx, b, h), tx)
 }
 
 // ReleaseWriteH implements Table: the abort-path release, which publishes no
 // stamp (memory was never mutated, so the old stamp still describes it).
 func (t *Tagless) ReleaseWriteH(tx TxID, b addr.Block, h Handle) {
-	t.releaseWriteIdx(t.entryOf(b, h), tx, 0)
+	t.releaseWriteIdx(t.entryOf("ReleaseWrite", tx, b, h), tx, 0)
 }
 
 // acquireReadIdx is the read acquire on a precomputed entry index. A denial
@@ -143,12 +150,18 @@ func (t *Tagless) acquireReadIdx(idx uint64, tx TxID) (Outcome, ConflictInfo) {
 
 // acquireWriteIdx is the write acquire on a precomputed entry index. A denial
 // reports the owning writer, or the count of foreign sharers (the entry's
-// sharer count minus the caller's own shares).
+// sharer count minus the caller's own shares). The caller's heldReads > 0
+// shares pin the entry in Read mode, so any other state is a caller
+// bookkeeping bug and panics.
 func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcome, ConflictInfo) {
 	e, c := &t.entries[idx], t.stats.at(idx)
 	for {
 		old := e.Load()
 		mode, payload := unpackEntry(old)
+		if heldReads > 0 && (mode != Read || heldReads > payload) {
+			panic(fmt.Sprintf("otable: tagless entry is %s/%d but tx %d claims %d held reads",
+				mode, payload, tx, heldReads))
+		}
 		switch mode {
 		case Free:
 			if e.CompareAndSwap(old, packEntry(Write, uint32(tx))) {
@@ -156,10 +169,6 @@ func (t *Tagless) acquireWriteIdx(idx uint64, tx TxID, heldReads uint32) (Outcom
 				return Granted, NoConflict
 			}
 		case Read:
-			if heldReads > payload {
-				panic(fmt.Sprintf("otable: tagless entry has %d sharers but tx %d claims %d held reads",
-					payload, tx, heldReads))
-			}
 			if heldReads == payload {
 				// Every current sharer is the caller: upgrade in place.
 				if e.CompareAndSwap(old, packEntry(Write, uint32(tx))) {
@@ -230,7 +239,7 @@ func (t *Tagless) SampleVersion(b addr.Block) (uint64, bool) {
 
 // ReleaseWriteV implements Table.
 func (t *Tagless) ReleaseWriteV(tx TxID, b addr.Block, h Handle, stamp uint64) {
-	t.releaseWriteIdx(t.entryOf(b, h), tx, stamp)
+	t.releaseWriteIdx(t.entryOf("ReleaseWrite", tx, b, h), tx, stamp)
 }
 
 // StampVersion implements Table.

@@ -13,10 +13,10 @@ func newTagless(n uint64) *Tagless { return NewTagless(hash.NewMask(n)) }
 
 func TestTaglessReadThenRead(t *testing.T) {
 	tab := newTagless(64)
-	if got, _ := AcquireRead(tab, 1, 10); got != Granted {
+	if got, _, _ := tab.AcquireReadH(1, 10); got != Granted {
 		t.Fatalf("first read: %v", got)
 	}
-	if got, _ := AcquireRead(tab, 2, 10); got != Granted {
+	if got, _, _ := tab.AcquireReadH(2, 10); got != Granted {
 		t.Fatalf("second reader: %v", got)
 	}
 	mode, count := tab.EntryState(10)
@@ -30,13 +30,13 @@ func TestTaglessReadThenRead(t *testing.T) {
 
 func TestTaglessWriteConflictsWithWrite(t *testing.T) {
 	tab := newTagless(64)
-	if got, _ := AcquireWrite(tab, 1, 5, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(1, 5, 0, NoHandle); got != Granted {
 		t.Fatalf("first write: %v", got)
 	}
-	if got, _ := AcquireWrite(tab, 2, 5, 0); got != ConflictWriter {
+	if got, _, _ := tab.AcquireWriteH(2, 5, 0, NoHandle); got != ConflictWriter {
 		t.Fatalf("second writer: %v, want ConflictWriter", got)
 	}
-	if got, _ := AcquireRead(tab, 2, 5); got != ConflictWriter {
+	if got, _, _ := tab.AcquireReadH(2, 5); got != ConflictWriter {
 		t.Fatalf("reader vs writer: %v, want ConflictWriter", got)
 	}
 }
@@ -45,34 +45,34 @@ func TestTaglessFalseConflictByConstruction(t *testing.T) {
 	// Blocks 3 and 67 alias in a 64-entry mask table. Distinct data, same
 	// entry: the tagless table must (falsely) report a conflict.
 	tab := newTagless(64)
-	if got, _ := AcquireWrite(tab, 1, 3, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(1, 3, 0, NoHandle); got != Granted {
 		t.Fatalf("write: %v", got)
 	}
-	if got, _ := AcquireWrite(tab, 2, 67, 0); got != ConflictWriter {
+	if got, _, _ := tab.AcquireWriteH(2, 67, 0, NoHandle); got != ConflictWriter {
 		t.Fatalf("aliasing write: %v, want ConflictWriter (the false conflict)", got)
 	}
 }
 
 func TestTaglessWriterReacquires(t *testing.T) {
 	tab := newTagless(64)
-	AcquireWrite(tab, 1, 5, 0)
-	if got, _ := AcquireWrite(tab, 1, 5, 0); got != AlreadyHeld {
+	tab.AcquireWriteH(1, 5, 0, NoHandle)
+	if got, _, _ := tab.AcquireWriteH(1, 5, 0, NoHandle); got != AlreadyHeld {
 		t.Fatalf("re-write: %v", got)
 	}
-	if got, _ := AcquireRead(tab, 1, 5); got != AlreadyHeld {
+	if got, _, _ := tab.AcquireReadH(1, 5); got != AlreadyHeld {
 		t.Fatalf("read under own write: %v", got)
 	}
 	// An aliasing block of the same transaction is also covered (entry
 	// granularity: "exclusive access to both blocks", Figure 1).
-	if got, _ := AcquireWrite(tab, 1, 69, 0); got != AlreadyHeld {
+	if got, _, _ := tab.AcquireWriteH(1, 69, 0, NoHandle); got != AlreadyHeld {
 		t.Fatalf("aliasing own write: %v", got)
 	}
 }
 
 func TestTaglessUpgrade(t *testing.T) {
 	tab := newTagless(64)
-	AcquireRead(tab, 1, 9)
-	if got, _ := AcquireWrite(tab, 1, 9, 1); got != Upgraded {
+	_, _, h := tab.AcquireReadH(1, 9)
+	if got, _, _ := tab.AcquireWriteH(1, 9, 1, h); got != Upgraded {
 		t.Fatalf("upgrade: %v", got)
 	}
 	mode, owner := tab.EntryState(9)
@@ -80,7 +80,7 @@ func TestTaglessUpgrade(t *testing.T) {
 		t.Fatalf("after upgrade: %v/%d", mode, owner)
 	}
 	// After an upgrade the transaction owes exactly one write release.
-	ReleaseWrite(tab, 1, 9)
+	tab.ReleaseWriteH(1, 9, h)
 	if tab.Occupied() != 0 {
 		t.Fatalf("Occupied after release = %d", tab.Occupied())
 	}
@@ -88,23 +88,23 @@ func TestTaglessUpgrade(t *testing.T) {
 
 func TestTaglessUpgradeBlockedByOtherReader(t *testing.T) {
 	tab := newTagless(64)
-	AcquireRead(tab, 1, 9)
-	AcquireRead(tab, 2, 9)
-	if got, _ := AcquireWrite(tab, 1, 9, 1); got != ConflictReaders {
+	_, _, h := tab.AcquireReadH(1, 9)
+	tab.AcquireReadH(2, 9)
+	if got, _, _ := tab.AcquireWriteH(1, 9, 1, h); got != ConflictReaders {
 		t.Fatalf("upgrade with foreign reader: %v, want ConflictReaders", got)
 	}
 }
 
 func TestTaglessReleaseRestoresFree(t *testing.T) {
 	tab := newTagless(64)
-	AcquireRead(tab, 1, 7)
-	AcquireRead(tab, 2, 7)
-	ReleaseRead(tab, 1, 7)
+	_, _, h1 := tab.AcquireReadH(1, 7)
+	_, _, h2 := tab.AcquireReadH(2, 7)
+	tab.ReleaseReadH(1, 7, h1)
 	mode, count := tab.EntryState(7)
 	if mode != Read || count != 1 {
 		t.Fatalf("after one release: %v/%d", mode, count)
 	}
-	ReleaseRead(tab, 2, 7)
+	tab.ReleaseReadH(2, 7, h2)
 	mode, _ = tab.EntryState(7)
 	if mode != Free {
 		t.Fatalf("after all releases: %v", mode)
@@ -114,33 +114,53 @@ func TestTaglessReleaseRestoresFree(t *testing.T) {
 	}
 }
 
+// TestTaglessReleasePanicsOnBadState: a release, or an upgrade, that names
+// no handle or names an entry the caller does not hold panics, and leaves
+// occupancy and the counters as they were.
 func TestTaglessReleasePanicsOnBadState(t *testing.T) {
 	tab := newTagless(64)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ReleaseRead on free entry did not panic")
-			}
+	_, _, hr := tab.AcquireReadH(1, 2)
+	_, _, hw := tab.AcquireWriteH(1, 4, 0, NoHandle)
+	free := Handle(tab.SlotOf(3) + 1) // the handle entry 3 would be granted under
+	occ, stats := tab.Occupied(), tab.Stats()
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"ReleaseRead on free entry", func() { tab.ReleaseReadH(1, 3, free) }},
+		{"ReleaseRead with no handle", func() { tab.ReleaseReadH(1, 2, NoHandle) }},
+		{"ReleaseRead past the table", func() { tab.ReleaseReadH(1, 2, Handle(tab.N()+1)) }},
+		{"ReleaseWrite by non-owner", func() { tab.ReleaseWriteH(2, 4, hw) }},
+		{"ReleaseWrite with no handle", func() { tab.ReleaseWriteH(1, 4, NoHandle) }},
+		{"ReleaseWriteV with no handle", func() { tab.ReleaseWriteV(1, 4, NoHandle, 5) }},
+		{"upgrade with no handle", func() { tab.AcquireWriteH(1, 2, 1, NoHandle) }},
+		{"upgrade of a free entry", func() { tab.AcquireWriteH(1, 3, 1, free) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.op()
 		}()
-		ReleaseRead(tab, 1, 3)
-	}()
-	AcquireWrite(tab, 1, 4, 0)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ReleaseWrite by non-owner did not panic")
-			}
-		}()
-		ReleaseWrite(tab, 2, 4)
-	}()
+		if got, st := tab.Occupied(), tab.Stats(); got != occ || st != stats {
+			t.Errorf("%s moved the table: occupied %d, stats %+v; want %d, %+v", c.name, got, st, occ, stats)
+		}
+	}
+	tab.ReleaseReadH(1, 2, hr)
+	tab.ReleaseWriteH(1, 4, hw)
+	if err := AuditQuiesced(tab); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTaglessStats(t *testing.T) {
 	tab := newTagless(64)
-	AcquireRead(tab, 1, 1)
-	AcquireWrite(tab, 1, 2, 0)
-	AcquireWrite(tab, 2, 2, 0) // conflict
-	AcquireWrite(tab, 1, 1, 1) // upgrade
+	_, _, h := tab.AcquireReadH(1, 1)
+	tab.AcquireWriteH(1, 2, 0, NoHandle)
+	tab.AcquireWriteH(2, 2, 0, NoHandle) // conflict
+	tab.AcquireWriteH(1, 1, 1, h)        // upgrade
 	s := tab.Stats()
 	if s.ReadAcquires != 1 || s.WriteAcquires != 2 || s.Conflicts != 1 || s.Upgrades != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -149,8 +169,8 @@ func TestTaglessStats(t *testing.T) {
 
 func TestTaglessReset(t *testing.T) {
 	tab := newTagless(64)
-	AcquireWrite(tab, 1, 2, 0)
-	AcquireRead(tab, 2, 3)
+	tab.AcquireWriteH(1, 2, 0, NoHandle)
+	tab.AcquireReadH(2, 3)
 	tab.Reset()
 	if tab.Occupied() != 0 {
 		t.Fatalf("Occupied after reset = %d", tab.Occupied())
@@ -158,7 +178,7 @@ func TestTaglessReset(t *testing.T) {
 	if s := tab.Stats(); s.WriteAcquires != 0 || s.ReadAcquires != 0 {
 		t.Fatalf("stats after reset = %+v", s)
 	}
-	if got, _ := AcquireWrite(tab, 3, 2, 0); got != Granted {
+	if got, _, _ := tab.AcquireWriteH(3, 2, 0, NoHandle); got != Granted {
 		t.Fatalf("write after reset: %v", got)
 	}
 }

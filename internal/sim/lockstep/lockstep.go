@@ -220,15 +220,17 @@ func ntProbeConflicts(cfg Config, tab otable.Table, rng *xrand.Rand) bool {
 		id := otable.TxID(cfg.C + nt + 1)
 		b := addr.Block(rng.Uint64n(cfg.BlockSpace))
 		if rng.Float64() < cfg.NTWriteFraction {
-			if out, _ := otable.AcquireWrite(tab, id, b, 0); out.Conflict() {
+			out, _, h := tab.AcquireWriteH(id, b, 0, otable.NoHandle)
+			if out.Conflict() {
 				return true
 			}
-			otable.ReleaseWrite(tab, id, b)
+			tab.ReleaseWriteV(id, b, h, 0)
 		} else {
-			if out, _ := otable.AcquireRead(tab, id, b); out.Conflict() {
+			out, _, h := tab.AcquireReadH(id, b)
+			if out.Conflict() {
 				return true
 			}
-			otable.ReleaseRead(tab, id, b)
+			tab.ReleaseReadH(id, b, h)
 		}
 	}
 	return false

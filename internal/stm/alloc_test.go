@@ -108,7 +108,7 @@ func cmDecisionOp(_ *testing.T, rt *Runtime) func() {
 func conflictAbortOp(t *testing.T, rt *Runtime) func() {
 	th, mem := rt.NewThread(), rt.Memory()
 	parked := mem.WordAddr(8 * 8)
-	if out, _ := otable.AcquireWrite(rt.Table(), 1<<20, addr.BlockOf(parked), 0); out != otable.Granted {
+	if out, _, _ := rt.Table().AcquireWriteH(1<<20, addr.BlockOf(parked), 0, otable.NoHandle); out != otable.Granted {
 		t.Fatalf("parking the foreign writer: %v", out)
 	}
 	fn := func(tx *Tx) error {

@@ -182,10 +182,13 @@ func TestCMReaderStarvesWriter(t *testing.T) {
 			tab, a := rt.Table(), rt.Memory().WordAddr(0)
 			chunk := addr.BlockOf(a)
 			readers := []otable.TxID{rt.NewThread().ID(), rt.NewThread().ID()}
-			for _, id := range readers {
-				if out, _ := otable.AcquireRead(tab, id, chunk); out != otable.Granted {
+			shares := make([]otable.Handle, len(readers))
+			for i, id := range readers {
+				out, _, h := tab.AcquireReadH(id, chunk)
+				if out != otable.Granted {
 					t.Fatalf("read share for tx %d: %v", id, out)
 				}
+				shares[i] = h
 			}
 			errs := make([]error, 1)
 			done := make(chan struct{})
@@ -204,8 +207,8 @@ func TestCMReaderStarvesWriter(t *testing.T) {
 				}
 				runtime.Gosched()
 			}
-			for _, id := range readers {
-				otable.ReleaseRead(tab, id, chunk)
+			for i, id := range readers {
+				tab.ReleaseReadH(id, chunk, shares[i])
 			}
 			<-done
 			checkScenario(t, rt, errs, map[int]uint64{0: 1})

@@ -40,9 +40,9 @@ import (
 // that took a read share would diverge from the model, which takes none.
 
 // recTable wraps a Table and logs every ownership operation with its
-// outcome. Handles pass through unlogged: the runtime (which carries them)
-// and the old-triple model (which drives the table through the NoHandle
-// helpers of otable.Footprint) must log the same logical operations.
+// outcome. Handles pass through unlogged: the runtime and the old-triple
+// model each keep the handles their acquires return, and must log the same
+// logical operations.
 type recTable struct {
 	otable.Table
 	log []string
@@ -294,6 +294,7 @@ type oldModel struct {
 // order — the runtime releases from its entry, in access-set order.
 type holding struct {
 	block addr.Block
+	hnd   otable.Handle
 	first int
 }
 
@@ -344,11 +345,12 @@ func (m *oldModel) writeChunk(chunk addr.Block) {
 	if m.held[slot] != nil {
 		want = otable.AlreadyHeld
 	}
-	if out, _ := otable.AcquireWrite(m.tab, m.id, chunk, 0); out != want {
+	out, _, hnd := m.tab.AcquireWriteH(m.id, chunk, 0, otable.NoHandle)
+	if out != want {
 		panic(fmt.Sprintf("oracle model's write acquire single-threaded: %v, want %v", out, want))
 	}
 	if want == otable.Granted {
-		m.held[slot] = &holding{block: chunk, first: m.first[chunk]}
+		m.held[slot] = &holding{block: chunk, hnd: hnd, first: m.first[chunk]}
 	}
 }
 
@@ -387,7 +389,7 @@ func (m *oldModel) finish(commit bool) {
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i].first < hs[j].first })
 	for _, h := range hs {
-		otable.ReleaseWrite(m.tab, m.id, h.block)
+		m.tab.ReleaseWriteV(m.id, h.block, h.hnd, 0)
 	}
 	clear(m.held)
 	clear(m.first)

@@ -81,7 +81,8 @@ type (
 	TableStats = otable.Stats
 	// TxID identifies a transaction in the ownership table.
 	TxID = otable.TxID
-	// Footprint tracks one transaction's table holdings.
+	// Footprint tracks one transaction's table holdings, keeping each
+	// holding's handle and releasing and upgrading through it.
 	Footprint = otable.Footprint
 	// HashFunc maps blocks to table indices.
 	HashFunc = hash.Func
