@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -140,16 +142,40 @@ func TestTaggedSmoke(t *testing.T) {
 	}
 }
 
+// TestAllRuns renders every figure at tiny() for both table kinds and
+// compares the text with testdata/all-<kind>.txt. The files pin the
+// simulators' exact draws: a refactor of internal/sim must leave them
+// byte-identical.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("All is a long smoke test")
 	}
-	tables, err := All(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) < 10 {
-		t.Fatalf("All returned only %d tables", len(tables))
+	for _, kind := range []string{"tagless", "tagged"} {
+		t.Run(kind, func(t *testing.T) {
+			o := tiny()
+			o.Kind = kind
+			tables, err := All(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tables) < 10 {
+				t.Fatalf("All returned only %d tables", len(tables))
+			}
+			got := renderAll(t, tables)
+			want, err := os.ReadFile(filepath.Join("testdata", "all-"+kind+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < len(gl) && i < len(wl); i++ {
+					if gl[i] != wl[i] {
+						t.Fatalf("line %d differs from the golden file:\ngot  %s\nwant %s", i+1, gl[i], wl[i])
+					}
+				}
+				t.Fatalf("output has %d lines, golden file %d", len(gl), len(wl))
+			}
+		})
 	}
 }
 
