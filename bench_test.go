@@ -24,14 +24,12 @@ import (
 	"testing"
 
 	"tmbp/internal/addr"
-	"tmbp/internal/alias"
 	"tmbp/internal/cache"
 	"tmbp/internal/hash"
 	"tmbp/internal/model"
 	"tmbp/internal/otable"
 	"tmbp/internal/overflow"
-	"tmbp/internal/sim/closed"
-	"tmbp/internal/sim/lockstep"
+	"tmbp/internal/sim"
 	"tmbp/internal/stm"
 	"tmbp/internal/trace"
 	"tmbp/internal/xrand"
@@ -42,8 +40,8 @@ import (
 func BenchmarkFig2AliasLikelihood(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := alias.Run(alias.Config{
-			C: 2, W: 20, N: 16384, Samples: 100, Seed: uint64(i + 1),
+		res, err := sim.Alias(sim.Config{
+			C: 2, W: 20, N: 16384, Trials: 100, Seed: uint64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -78,9 +76,9 @@ func BenchmarkFig3Overflow(b *testing.B) {
 func BenchmarkFig4Lockstep(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := lockstep.Run(lockstep.Config{
+		res, err := sim.Lockstep(sim.Config{
 			C: 2, W: 8, Alpha: 2, N: 512, Trials: 300, Seed: uint64(i + 1),
-		})
+		}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +93,7 @@ func BenchmarkFig4Lockstep(b *testing.B) {
 func BenchmarkFig5Closed(b *testing.B) {
 	var conflicts float64
 	for i := 0; i < b.N; i++ {
-		res, err := closed.Run(closed.Config{
+		res, err := sim.Closed(sim.Config{
 			C: 2, W: 10, Alpha: 2, N: 4096, Trials: 1, Seed: uint64(i + 1),
 		})
 		if err != nil {
@@ -111,7 +109,7 @@ func BenchmarkFig5Closed(b *testing.B) {
 func BenchmarkFig6Concurrency(b *testing.B) {
 	var actual float64
 	for i := 0; i < b.N; i++ {
-		res, err := closed.Run(closed.Config{
+		res, err := sim.Closed(sim.Config{
 			C: 8, W: 20, Alpha: 2, N: 1024, Trials: 1, Seed: uint64(i + 1),
 		})
 		if err != nil {

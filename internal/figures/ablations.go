@@ -1,16 +1,16 @@
 package figures
 
 import (
-	"tmbp/internal/alias"
 	"tmbp/internal/cache"
 	"tmbp/internal/hash"
 	"tmbp/internal/overflow"
 	"tmbp/internal/report"
+	"tmbp/internal/sim"
 	"tmbp/internal/trace"
 )
 
-// Ablations regenerates the design-choice studies DESIGN.md calls out
-// beyond the paper's own figures:
+// Ablations regenerates the design-choice studies beyond the paper's own
+// figures (the tmbp ablation subcommand):
 //
 //   - victim-buffer depth: the paper evaluates depth 1; sweeping 0-8 shows
 //     the diminishing returns of catching conflict misses in hardware;
@@ -73,9 +73,9 @@ func hashAblation(o Options) (*report.Table, error) {
 	for _, n := range []uint64{16384, 65536, 262144} {
 		row := []string{report.SI(n)}
 		for _, h := range []string{"mask", "fibonacci", "mix"} {
-			res, err := alias.Run(alias.Config{
+			res, err := sim.Alias(sim.Config{
 				C: 2, W: 80, N: n, Hash: h, Kind: o.Kind,
-				Samples: o.Samples, Seed: o.Seed,
+				Trials: o.Samples, Seed: o.Seed,
 			})
 			if err != nil {
 				return nil, err

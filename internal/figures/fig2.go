@@ -1,8 +1,8 @@
 package figures
 
 import (
-	"tmbp/internal/alias"
 	"tmbp/internal/report"
+	"tmbp/internal/sim"
 )
 
 // Fig2 regenerates Figure 2: trace-driven alias likelihood as a function of
@@ -19,10 +19,10 @@ func Fig2(o Options) ([]*report.Table, error) {
 	for _, n := range Fig2Tables {
 		rates[n] = make(map[int]float64, len(Fig2Footprints))
 		for _, w := range Fig2Footprints {
-			res, err := alias.Run(alias.Config{
+			res, err := sim.Alias(sim.Config{
 				C: 2, W: w, N: n,
 				Kind: o.Kind, Hash: o.Hash,
-				Samples: o.Samples, Seed: o.Seed,
+				Trials: o.Samples, Seed: o.Seed,
 			})
 			if err != nil {
 				return nil, err
@@ -58,10 +58,10 @@ func Fig2(o Options) ([]*report.Table, error) {
 	for _, cc := range Fig2Concurrency {
 		row := []string{report.Int(cc)}
 		for _, w := range Fig2PanelCFootprints {
-			res, err := alias.Run(alias.Config{
+			res, err := sim.Alias(sim.Config{
 				C: cc, W: w, N: Fig2PanelCN,
 				Kind: o.Kind, Hash: o.Hash,
-				Samples: o.Samples, Seed: o.Seed,
+				Trials: o.Samples, Seed: o.Seed,
 			})
 			if err != nil {
 				return nil, err

@@ -3,7 +3,7 @@ package figures
 import (
 	"tmbp/internal/model"
 	"tmbp/internal/report"
-	"tmbp/internal/sim/lockstep"
+	"tmbp/internal/sim"
 )
 
 // Fig4 regenerates Figure 4: validation of the analytical model through
@@ -21,10 +21,10 @@ func Fig4(o Options) ([]*report.Table, error) {
 	for _, w := range Fig4Footprints {
 		row := []string{report.Int(w)}
 		for _, n := range Fig4aTables {
-			res, err := lockstep.Run(lockstep.Config{
+			res, err := sim.Lockstep(sim.Config{
 				C: 2, W: w, Alpha: o.Alpha, N: n,
 				Kind: o.Kind, Trials: o.LockstepTrials, Seed: o.Seed,
-			})
+			}, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -41,10 +41,10 @@ func Fig4(o Options) ([]*report.Table, error) {
 	for _, pair := range Fig4bPairs {
 		row := []string{report.Int(pair.C) + "-" + report.SI(pair.N)}
 		for _, w := range Fig4Footprints {
-			res, err := lockstep.Run(lockstep.Config{
+			res, err := sim.Lockstep(sim.Config{
 				C: pair.C, W: w, Alpha: o.Alpha, N: pair.N,
 				Kind: o.Kind, Trials: o.LockstepTrials, Seed: o.Seed,
-			})
+			}, 0)
 			if err != nil {
 				return nil, err
 			}

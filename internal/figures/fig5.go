@@ -2,7 +2,7 @@ package figures
 
 import (
 	"tmbp/internal/report"
-	"tmbp/internal/sim/closed"
+	"tmbp/internal/sim"
 	"tmbp/internal/stats"
 )
 
@@ -23,7 +23,7 @@ func Fig5(o Options) ([]*report.Table, error) {
 			row := []string{report.Int(c) + "-" + report.SI(n)}
 			var ws, cs []float64
 			for _, w := range Fig5aFootprints {
-				res, err := closed.Run(closed.Config{
+				res, err := sim.Closed(sim.Config{
 					C: c, W: w, Alpha: o.Alpha, N: n,
 					Kind: o.Kind, Trials: o.ClosedTrials, Seed: o.Seed,
 				})
@@ -51,7 +51,7 @@ func Fig5(o Options) ([]*report.Table, error) {
 			row := []string{report.Int(c) + "-" + report.Int(w)}
 			var ns, cs []float64
 			for _, n := range Fig5bTables {
-				res, err := closed.Run(closed.Config{
+				res, err := sim.Closed(sim.Config{
 					C: c, W: w, Alpha: o.Alpha, N: n,
 					Kind: o.Kind, Trials: o.ClosedTrials, Seed: o.Seed,
 				})

@@ -2,7 +2,7 @@ package figures
 
 import (
 	"tmbp/internal/report"
-	"tmbp/internal/sim/closed"
+	"tmbp/internal/sim"
 )
 
 // Fig6 regenerates Figure 6: closed-system conflicts against applied
@@ -26,7 +26,7 @@ func Fig6(o Options) ([]*report.Table, error) {
 			var actuals []float64
 			var occDrop float64
 			for _, c := range Fig5Concurrency {
-				res, err := closed.Run(closed.Config{
+				res, err := sim.Closed(sim.Config{
 					C: c, W: w, Alpha: o.Alpha, N: n,
 					Kind: o.Kind, Trials: o.ClosedTrials, Seed: o.Seed,
 				})

@@ -143,9 +143,10 @@ func TestTaggedSmoke(t *testing.T) {
 }
 
 // TestAllRuns renders every figure at tiny() for both table kinds and
-// compares the text with testdata/all-<kind>.txt. The files pin the
-// simulators' exact draws: a refactor of internal/sim must leave them
-// byte-identical.
+// compares the text with testdata/all-<kind>.txt, written on amd64. The
+// files pin every simulator's random draws and table outcomes: a change
+// meant to keep the figures must leave them byte-identical, and one meant
+// to move them rewrites them from the new output.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("All is a long smoke test")

@@ -2,7 +2,7 @@ package figures
 
 import (
 	"tmbp/internal/report"
-	"tmbp/internal/sim/lockstep"
+	"tmbp/internal/sim"
 )
 
 // Isolation quantifies the paper's closing observation (Section 6): under
@@ -24,11 +24,10 @@ func Isolation(o Options) ([]*report.Table, error) {
 	} {
 		row := []string{report.Int(cfg.c) + "-" + report.Int(cfg.w) + "-" + report.SI(cfg.n)}
 		for _, nt := range []int{0, 2, 4, 8, 16} {
-			res, err := lockstep.Run(lockstep.Config{
+			res, err := sim.Lockstep(sim.Config{
 				C: cfg.c, W: cfg.w, Alpha: o.Alpha, N: cfg.n,
 				Kind: o.Kind, Trials: o.LockstepTrials, Seed: o.Seed,
-				NTThreads: nt,
-			})
+			}, nt)
 			if err != nil {
 				return nil, err
 			}

@@ -9,8 +9,8 @@ import (
 // 3.2: the ownership table sizes required to sustain given commit
 // probabilities at the empirically observed STM hand-off point (W=71,
 // α=2), across concurrencies. It also contrasts the independence (sum)
-// form of the model with the saturating form — the ablation DESIGN.md
-// calls out.
+// form of the model with the saturating form, an ablation beyond the
+// paper's own tables.
 func Sizing(o Options) ([]*report.Table, error) {
 	if err := o.validate(); err != nil {
 		return nil, err

@@ -5,7 +5,7 @@ import (
 	"tmbp/internal/hash"
 	"tmbp/internal/otable"
 	"tmbp/internal/report"
-	"tmbp/internal/sim/lockstep"
+	"tmbp/internal/sim"
 	"tmbp/internal/xrand"
 )
 
@@ -27,17 +27,17 @@ func Tagged(o Options) ([]*report.Table, error) {
 	}{
 		{2, 8, 512}, {2, 20, 4096}, {4, 10, 4096}, {4, 20, 16384}, {8, 20, 65536},
 	} {
-		tl, err := lockstep.Run(lockstep.Config{
+		tl, err := sim.Lockstep(sim.Config{
 			C: cfg.c, W: cfg.w, Alpha: o.Alpha, N: cfg.n,
 			Kind: "tagless", Trials: o.LockstepTrials, Seed: o.Seed,
-		})
+		}, 0)
 		if err != nil {
 			return nil, err
 		}
-		tg, err := lockstep.Run(lockstep.Config{
+		tg, err := sim.Lockstep(sim.Config{
 			C: cfg.c, W: cfg.w, Alpha: o.Alpha, N: cfg.n,
 			Kind: "tagged", Trials: o.LockstepTrials, Seed: o.Seed,
-		})
+		}, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +55,7 @@ func Tagged(o Options) ([]*report.Table, error) {
 		rng := xrand.New(o.Seed)
 		records := int(load * n)
 		for i := 0; i < records; i++ {
-			fp.Write(addrBlock(rng))
+			fp.Write(addr.Block(rng.Uint64n(sim.BlockSpace)))
 		}
 		lengths := tab.ChainLengths()
 		var empty, one, two, more uint64
@@ -80,10 +80,4 @@ func Tagged(o Options) ([]*report.Table, error) {
 	chains.Note("at load factors below 1 the overwhelming majority of buckets hold 0 or 1 records (no chaining cost)")
 
 	return []*report.Table{cmp, chains}, nil
-}
-
-// addrBlock draws a random block over a space large enough that distinct
-// draws are effectively unique.
-func addrBlock(r *xrand.Rand) addr.Block {
-	return addr.Block(r.Uint64n(1 << 40))
 }

@@ -1,52 +1,15 @@
-package alias
+package sim
 
-import (
-	"testing"
-)
-
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{C: 1, W: 5, N: 1024},
-		{C: 2, W: 0, N: 1024},
-		{C: 2, W: 5, N: 0},
-		{C: 2, W: 5, N: 1024, Samples: -1},
-	}
-	for _, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-	if _, err := Run(Config{C: 2, W: 5, N: 1024, Kind: "bogus", Samples: 1}); err == nil {
-		t.Error("bogus kind accepted")
-	}
-	if _, err := Run(Config{C: 2, W: 5, N: 1000, Samples: 1}); err == nil {
-		t.Error("non-power-of-two table accepted")
-	}
-}
-
-func TestDeterministicBySeed(t *testing.T) {
-	cfg := Config{C: 2, W: 10, N: 4096, Samples: 300, Seed: 7}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Aliased != b.Aliased {
-		t.Fatalf("same seed diverged: %d vs %d aliased", a.Aliased, b.Aliased)
-	}
-}
+import "testing"
 
 // TestSuperlinearInFootprint: the headline Figure 2(a) trend — quadrupling
 // W should much more than quadruple... at least strongly increase the rate.
 func TestSuperlinearInFootprint(t *testing.T) {
-	r10, err := Run(Config{C: 2, W: 10, N: 1024, Samples: 1200, Seed: 3})
+	r10, err := Alias(Config{C: 2, W: 10, N: 1024, Trials: 1200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r40, err := Run(Config{C: 2, W: 40, N: 1024, Samples: 1200, Seed: 3})
+	r40, err := Alias(Config{C: 2, W: 40, N: 1024, Trials: 1200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +21,11 @@ func TestSuperlinearInFootprint(t *testing.T) {
 // TestSublinearInTableSize: Figure 2(b) — a 4-fold table increase yields
 // roughly a 3-fold alias reduction in the pre-asymptote region.
 func TestSublinearInTableSize(t *testing.T) {
-	small, err := Run(Config{C: 2, W: 40, N: 1024, Samples: 1200, Seed: 5})
+	small, err := Alias(Config{C: 2, W: 40, N: 1024, Trials: 1200, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run(Config{C: 2, W: 40, N: 4096, Samples: 1200, Seed: 5})
+	big, err := Alias(Config{C: 2, W: 40, N: 4096, Trials: 1200, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +40,11 @@ func TestSublinearInTableSize(t *testing.T) {
 // table from 64k to 256k entries barely helps, because aligned-arena
 // offsets collide at any table size (the floor survives).
 func TestAsymptoteAtLargeTables(t *testing.T) {
-	n64k, err := Run(Config{C: 2, W: 80, N: 65536, Samples: 1500, Seed: 7})
+	n64k, err := Alias(Config{C: 2, W: 80, N: 65536, Trials: 1500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n256k, err := Run(Config{C: 2, W: 80, N: 262144, Samples: 1500, Seed: 7})
+	n256k, err := Alias(Config{C: 2, W: 80, N: 262144, Trials: 1500, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +60,11 @@ func TestAsymptoteAtLargeTables(t *testing.T) {
 // TestConcurrencyFactor: Figure 2(c) — C=2→4 increases the rate by
 // roughly C(C−1) = 6.
 func TestConcurrencyFactor(t *testing.T) {
-	c2, err := Run(Config{C: 2, W: 40, N: 65536, Samples: 2500, Seed: 9})
+	c2, err := Alias(Config{C: 2, W: 40, N: 65536, Trials: 2500, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c4, err := Run(Config{C: 4, W: 40, N: 65536, Samples: 2500, Seed: 9})
+	c4, err := Alias(Config{C: 4, W: 40, N: 65536, Trials: 2500, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +82,7 @@ func TestConcurrencyFactor(t *testing.T) {
 // table never conflict (true conflicts were filtered; everything left is
 // aliasing, which tags resolve).
 func TestTaggedTableEliminatesAliases(t *testing.T) {
-	res, err := Run(Config{C: 4, W: 40, N: 1024, Kind: "tagged", Samples: 300, Seed: 11})
+	res, err := Alias(Config{C: 4, W: 40, N: 1024, Kind: "tagged", Trials: 300, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +95,11 @@ func TestTaggedTableEliminatesAliases(t *testing.T) {
 // breaks the aligned-offset structure, so the large-table floor drops well
 // below the mask hash's.
 func TestStrongHashRemovesAsymptote(t *testing.T) {
-	mask, err := Run(Config{C: 2, W: 80, N: 262144, Hash: "mask", Samples: 1500, Seed: 13})
+	mask, err := Alias(Config{C: 2, W: 80, N: 262144, Hash: "mask", Trials: 1500, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fib, err := Run(Config{C: 2, W: 80, N: 262144, Hash: "fibonacci", Samples: 1500, Seed: 13})
+	fib, err := Alias(Config{C: 2, W: 80, N: 262144, Hash: "fibonacci", Trials: 1500, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +109,7 @@ func TestStrongHashRemovesAsymptote(t *testing.T) {
 }
 
 func TestTrueConflictFilterActive(t *testing.T) {
-	res, err := Run(Config{C: 4, W: 20, N: 65536, Samples: 200, Seed: 15})
+	res, err := Alias(Config{C: 4, W: 20, N: 65536, Trials: 200, Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +119,7 @@ func TestTrueConflictFilterActive(t *testing.T) {
 }
 
 func TestMeanWriteAtAliasInRange(t *testing.T) {
-	res, err := Run(Config{C: 2, W: 20, N: 1024, Samples: 800, Seed: 17})
+	res, err := Alias(Config{C: 2, W: 20, N: 1024, Trials: 800, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package closed
+package sim
 
 import (
 	"math"
@@ -7,42 +7,11 @@ import (
 	"tmbp/internal/stats"
 )
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{C: 0, W: 5, N: 64},
-		{C: 2, W: 0, N: 64},
-		{C: 2, W: 5, Alpha: -1, N: 64},
-		{C: 2, W: 5, N: 0},
-		{C: 2, W: 5, N: 64, Trials: -1},
-		{C: 2, W: 5, N: 64, CommitsPerThread: -5},
-	}
-	for _, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-}
-
-func TestDeterministicBySeed(t *testing.T) {
-	cfg := Config{C: 2, W: 5, Alpha: 2, N: 1024, Trials: 2, CommitsPerThread: 50, Seed: 7}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Conflicts != b.Conflicts || a.Commits != b.Commits {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
-	}
-}
-
 // TestConflictFreeBaseline: a huge table produces (almost) no conflicts and
 // the full commit budget, and occupancy averages ~C·F/2.
 func TestConflictFreeBaseline(t *testing.T) {
 	cfg := Config{C: 4, W: 5, Alpha: 2, N: 1 << 22, Trials: 3, Seed: 11}
-	res, err := Run(cfg)
+	res, err := Closed(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +39,7 @@ func TestConflictFreeBaseline(t *testing.T) {
 func TestFigure5aSlope(t *testing.T) {
 	var ws, conflicts []float64
 	for _, w := range []int{5, 8, 12, 16} {
-		res, err := Run(Config{C: 2, W: w, Alpha: 2, N: 16384, Trials: 8, Seed: 13})
+		res, err := Closed(Config{C: 2, W: w, Alpha: 2, N: 16384, Trials: 8, Seed: 13})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +59,7 @@ func TestFigure5aSlope(t *testing.T) {
 func TestFigure5bSlope(t *testing.T) {
 	var ns, conflicts []float64
 	for _, n := range []uint64{1024, 2048, 4096, 8192, 16384} {
-		res, err := Run(Config{C: 2, W: 10, Alpha: 2, N: n, Trials: 8, Seed: 17})
+		res, err := Closed(Config{C: 2, W: 10, Alpha: 2, N: n, Trials: 8, Seed: 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,11 +78,11 @@ func TestFigure5bSlope(t *testing.T) {
 // TestFigure6ConcurrencyScaling: at modest conflict rates, conflicts scale
 // like C(C−1) — between C=2 and C=4 a factor of ~6.
 func TestFigure6ConcurrencyScaling(t *testing.T) {
-	r2, err := Run(Config{C: 2, W: 5, Alpha: 2, N: 16384, Trials: 10, Seed: 19})
+	r2, err := Closed(Config{C: 2, W: 5, Alpha: 2, N: 16384, Trials: 10, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Run(Config{C: 4, W: 5, Alpha: 2, N: 16384, Trials: 10, Seed: 19})
+	r4, err := Closed(Config{C: 4, W: 5, Alpha: 2, N: 16384, Trials: 10, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +100,13 @@ func TestFigure6ConcurrencyScaling(t *testing.T) {
 // observation: with a small table the high conflict rate reduces measured
 // occupancy (hence actual concurrency) noticeably below the applied value.
 func TestActualConcurrencyDepressedAtHighConflict(t *testing.T) {
-	res, err := Run(Config{C: 8, W: 20, Alpha: 2, N: 1024, Trials: 5, Seed: 23})
+	res, err := Closed(Config{C: 8, W: 20, Alpha: 2, N: 1024, Trials: 5, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ActualConcurrency >= float64(res.Config.C)*0.9 {
+	if res.ActualConcurrency >= float64(8)*0.9 {
 		t.Errorf("actual concurrency %.2f not depressed below applied %d despite abort rate %.2f",
-			res.ActualConcurrency, res.Config.C, res.AbortRate)
+			res.ActualConcurrency, 8, res.AbortRate)
 	}
 	if res.ActualConcurrency <= 0 {
 		t.Errorf("actual concurrency %.2f must stay positive", res.ActualConcurrency)
@@ -147,7 +116,7 @@ func TestActualConcurrencyDepressedAtHighConflict(t *testing.T) {
 // TestTaggedClosedSystemConflictFree: the tagged organization removes all
 // (false) conflicts from the same workload.
 func TestTaggedClosedSystemConflictFree(t *testing.T) {
-	res, err := Run(Config{C: 4, W: 10, Alpha: 2, N: 1024, Kind: "tagged", Trials: 3, Seed: 29})
+	res, err := Closed(Config{C: 4, W: 10, Alpha: 2, N: 1024, Kind: "tagged", Trials: 3, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +131,11 @@ func TestTaggedClosedSystemConflictFree(t *testing.T) {
 // TestCommitsDropWithConflicts: in the closed system, time lost to aborts
 // reduces throughput.
 func TestCommitsDropWithConflicts(t *testing.T) {
-	small, err := Run(Config{C: 4, W: 20, Alpha: 2, N: 1024, Trials: 5, Seed: 31})
+	small, err := Closed(Config{C: 4, W: 20, Alpha: 2, N: 1024, Trials: 5, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run(Config{C: 4, W: 20, Alpha: 2, N: 1 << 20, Trials: 5, Seed: 31})
+	big, err := Closed(Config{C: 4, W: 20, Alpha: 2, N: 1 << 20, Trials: 5, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}

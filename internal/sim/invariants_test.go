@@ -1,4 +1,4 @@
-package closed
+package sim
 
 import (
 	"testing"
@@ -6,7 +6,7 @@ import (
 )
 
 // TestCommitBudgetInvariant: commits can never exceed the conflict-free
-// budget of C·CommitsPerThread, and attempts (commits+conflicts) are
+// budget of C·commitsPerThread, and attempts (commits+conflicts) are
 // bounded by the number of simulated steps.
 func TestCommitBudgetInvariant(t *testing.T) {
 	check := func(seed uint64, cRaw, wRaw uint8) bool {
@@ -14,18 +14,18 @@ func TestCommitBudgetInvariant(t *testing.T) {
 		w := int(wRaw%16) + 2
 		cfg := Config{
 			C: c, W: w, Alpha: 2, N: 1024,
-			CommitsPerThread: 40, Trials: 1, Seed: seed,
+			Trials: 1, Seed: seed,
 		}
-		res, err := Run(cfg)
+		res, err := Closed(cfg)
 		if err != nil {
 			return false
 		}
-		budget := float64(cfg.CommitsPerThread * c)
+		budget := float64(commitsPerThread * c)
 		if res.Commits > budget {
 			t.Logf("commits %v exceed budget %v", res.Commits, budget)
 			return false
 		}
-		steps := float64(cfg.CommitsPerThread * cfg.Footprint() * c)
+		steps := float64(commitsPerThread * cfg.Footprint() * c)
 		if res.Commits+res.Conflicts > steps {
 			t.Logf("attempts %v exceed step budget %v", res.Commits+res.Conflicts, steps)
 			return false
@@ -41,8 +41,7 @@ func TestCommitBudgetInvariant(t *testing.T) {
 // concurrency by more than sampling noise.
 func TestActualConcurrencyBounded(t *testing.T) {
 	for _, c := range []int{2, 4, 8} {
-		res, err := Run(Config{C: c, W: 10, Alpha: 2, N: 1 << 20, Trials: 2,
-			CommitsPerThread: 100, Seed: 5})
+		res, err := Closed(Config{C: c, W: 10, Alpha: 2, N: 1 << 20, Trials: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +53,7 @@ func TestActualConcurrencyBounded(t *testing.T) {
 
 // TestAbortRateConsistent: AbortRate equals conflicts/(conflicts+commits).
 func TestAbortRateConsistent(t *testing.T) {
-	res, err := Run(Config{C: 4, W: 10, Alpha: 2, N: 1024, Trials: 2,
-		CommitsPerThread: 100, Seed: 9})
+	res, err := Closed(Config{C: 4, W: 10, Alpha: 2, N: 1024, Trials: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,10 @@
-package lockstep
+package sim
 
 import "testing"
 
 func TestNTValidation(t *testing.T) {
-	if _, err := Run(Config{C: 2, W: 5, N: 64, NTThreads: -1, Trials: 1}); err == nil {
-		t.Error("negative NTThreads accepted")
-	}
-	if _, err := Run(Config{C: 2, W: 5, N: 64, NTWriteFraction: 1.5, Trials: 1}); err == nil {
-		t.Error("NTWriteFraction > 1 accepted")
+	if _, err := Lockstep(Config{C: 2, W: 5, N: 64, Trials: 1}, -1); err == nil {
+		t.Error("negative NT thread count accepted")
 	}
 }
 
@@ -17,9 +14,7 @@ func TestNTProbesIncreaseConflicts(t *testing.T) {
 	base := Config{C: 2, W: 10, Alpha: 2, N: 4096, Trials: 3000, Seed: 7}
 	prev := -1.0
 	for _, nt := range []int{0, 4, 16} {
-		cfg := base
-		cfg.NTThreads = nt
-		res, err := Run(cfg)
+		res, err := Lockstep(base, nt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +31,7 @@ func TestNTProbesIncreaseConflicts(t *testing.T) {
 // TestNTProbesLeaveTableClean: probes must not leak permissions — the
 // table must drain to empty after the last trial.
 func TestNTProbesLeaveTableClean(t *testing.T) {
-	res, err := Run(Config{C: 2, W: 20, Alpha: 2, N: 1024, NTThreads: 8, Trials: 200, Seed: 11})
+	res, err := Lockstep(Config{C: 2, W: 20, Alpha: 2, N: 1024, Trials: 200, Seed: 11}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +43,7 @@ func TestNTProbesLeaveTableClean(t *testing.T) {
 // TestNTProbesOnTaggedTableHarmless: with tags, probes of distinct random
 // blocks never conflict.
 func TestNTProbesOnTaggedTableHarmless(t *testing.T) {
-	res, err := Run(Config{C: 4, W: 20, Alpha: 2, N: 1024, Kind: "tagged", NTThreads: 16, Trials: 300, Seed: 13})
+	res, err := Lockstep(Config{C: 4, W: 20, Alpha: 2, N: 1024, Kind: "tagged", Trials: 300, Seed: 13}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package lockstep
+package sim
 
 import (
 	"math"
@@ -7,49 +7,13 @@ import (
 	"tmbp/internal/model"
 )
 
-func TestConfigValidation(t *testing.T) {
-	bad := []Config{
-		{C: 0, W: 5, N: 64},
-		{C: 2, W: 0, N: 64},
-		{C: 2, W: 5, Alpha: -1, N: 64},
-		{C: 2, W: 5, N: 0},
-		{C: 2, W: 5, N: 64, Trials: -1},
-	}
-	for _, cfg := range bad {
-		if _, err := Run(cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-	if _, err := Run(Config{C: 2, W: 5, N: 64, Kind: "bogus", Trials: 1}); err == nil {
-		t.Error("bogus table kind accepted")
-	}
-	if _, err := Run(Config{C: 2, W: 5, N: 64, Hash: "bogus", Trials: 1}); err == nil {
-		t.Error("bogus hash accepted")
-	}
-}
-
-func TestDeterministicBySeed(t *testing.T) {
-	cfg := Config{C: 2, W: 10, Alpha: 2, N: 1024, Trials: 200, Seed: 7}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Conflicted != b.Conflicted {
-		t.Fatalf("same seed, different results: %d vs %d", a.Conflicted, b.Conflicted)
-	}
-}
-
 // TestFigure4aAnchor reproduces the paper's Figure 4(a) spot values: at
 // W=8, α=2, C=2 the conflict likelihood ladder for N=512/1024/2048/4096 is
 // 48% / 27% / 14% / 7.7%.
 func TestFigure4aAnchor(t *testing.T) {
 	want := map[uint64]float64{512: 0.48, 1024: 0.27, 2048: 0.14, 4096: 0.077}
 	for n, target := range want {
-		res, err := Run(Config{C: 2, W: 8, Alpha: 2, N: n, Trials: 3000, Seed: 42})
+		res, err := Lockstep(Config{C: 2, W: 8, Alpha: 2, N: n, Trials: 3000, Seed: 42}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +36,7 @@ func TestMatchesSaturatingModel(t *testing.T) {
 	for _, cfg := range cases {
 		cfg.Trials = 2500
 		cfg.Seed = 99
-		res, err := Run(cfg)
+		res, err := Lockstep(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,13 +54,13 @@ func TestConcurrencyFactorOfSix(t *testing.T) {
 	base := Config{W: 5, Alpha: 2, N: 65536, Trials: 20000, Seed: 11}
 	c2 := base
 	c2.C = 2
-	r2, err := Run(c2)
+	r2, err := Lockstep(c2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c4 := base
 	c4.C = 4
-	r4, err := Run(c4)
+	r4, err := Lockstep(c4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +79,13 @@ func TestQuadraticFootprintScaling(t *testing.T) {
 	base := Config{C: 2, Alpha: 2, N: 65536, Trials: 20000, Seed: 13}
 	w5 := base
 	w5.W = 5
-	r5, err := Run(w5)
+	r5, err := Lockstep(w5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w10 := base
 	w10.W = 10
-	r10, err := Run(w10)
+	r10, err := Lockstep(w10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,19 +101,19 @@ func TestQuadraticFootprintScaling(t *testing.T) {
 // TestTaggedTableNeverConflicts: same workload, tagged organization —
 // random distinct blocks produce no conflicts at all (Section 5).
 func TestTaggedTableNeverConflicts(t *testing.T) {
-	res, err := Run(Config{C: 4, W: 20, Alpha: 2, N: 1024, Kind: "tagged", Trials: 500, Seed: 17})
+	res, err := Lockstep(Config{C: 4, W: 20, Alpha: 2, N: 1024, Kind: "tagged", Trials: 500, Seed: 17}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Conflicted != 0 {
-		t.Errorf("tagged table conflicted in %d/%d trials", res.Conflicted, res.Config.Trials)
+		t.Errorf("tagged table conflicted in %d/%d trials", res.Conflicted, 500)
 	}
 }
 
 // TestIntraAliasRateSmall validates the paper's Section 4 measurement: the
 // intra-transaction aliasing rate stays below 3% while conflict rate < 50%.
 func TestIntraAliasRateSmall(t *testing.T) {
-	res, err := Run(Config{C: 2, W: 8, Alpha: 2, N: 512, Trials: 2000, Seed: 19})
+	res, err := Lockstep(Config{C: 2, W: 8, Alpha: 2, N: 512, Trials: 2000, Seed: 19}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +127,7 @@ func TestIntraAliasRateSmall(t *testing.T) {
 
 // TestWilsonIntervalCoversRate sanity-checks the reported interval.
 func TestWilsonIntervalCoversRate(t *testing.T) {
-	res, err := Run(Config{C: 2, W: 10, Alpha: 2, N: 2048, Trials: 500, Seed: 23})
+	res, err := Lockstep(Config{C: 2, W: 10, Alpha: 2, N: 2048, Trials: 500, Seed: 23}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +139,7 @@ func TestWilsonIntervalCoversRate(t *testing.T) {
 // TestMeanConflictStepWithinFootprint: first conflicts happen at a write
 // index within [1, W].
 func TestMeanConflictStepWithinFootprint(t *testing.T) {
-	res, err := Run(Config{C: 2, W: 16, Alpha: 2, N: 512, Trials: 1000, Seed: 29})
+	res, err := Lockstep(Config{C: 2, W: 16, Alpha: 2, N: 512, Trials: 1000, Seed: 29}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,6 @@ func (th *Thread) recordRead(word, v uint64) {
 func (tx *Tx) Write(a addr.Addr, v uint64) {
 	th := tx.th
 	word, chunk, widx := th.locate(a)
-	th.wrote = true
 	e := th.set.Lookup(chunk)
 	if e == nil {
 		e = th.insert(chunk)

@@ -98,7 +98,6 @@ func (th *Thread) atomic(ctx context.Context, fn func(tx *Tx) error) error {
 			continue // cancelled while parked at the gate
 		}
 		th.attempts++
-		th.wrote = false
 		th.stamp = 0
 		th.rv = th.rt.epoch.Load()
 		// Loaded after rv: done == rv says every stamp up to rv is finished
@@ -192,7 +191,8 @@ func (th *Thread) attempt(fn func(tx *Tx) error) (err error, conflicted bool) {
 // rollback with memory untouched.
 func (th *Thread) commit() {
 	var stamp uint64
-	if th.wrote {
+	wrote := th.set.Len() != 0 // read before releaseAll empties the set
+	if wrote {
 		stamp = th.commitStamp()
 		set := &th.set
 		words := th.mem.words
@@ -211,7 +211,7 @@ func (th *Thread) commit() {
 	// Counted after the releases: when the serial drain finds the attempt
 	// ended, every record it held is free.
 	th.ctr.commits.Add(1)
-	if !th.wrote {
+	if !wrote {
 		// Read-only: the transaction read its whole footprint without a
 		// single table acquire.
 		th.ctr.roCommits.Add(1)

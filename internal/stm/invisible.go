@@ -254,7 +254,7 @@ func (th *Thread) coverStamp(s uint64) {
 // at which none was: the caller goes on from there. A wait that runs out
 // aborts the attempt, and the contention manager arbitrates the retry.
 func (th *Thread) pinOrWait(chunk addr.Block) (pinned bool, e uint64) {
-	if th.wrote && th.holdsCell(chunk) {
+	if th.holdsCell(chunk) {
 		th.ctr.roPromotes.Add(1)
 		return true, 0
 	}

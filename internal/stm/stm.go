@@ -355,7 +355,8 @@ type Thread struct {
 	rec Recorder
 	// attempts counts the attempts of the running transaction, the active
 	// one included; set holds the chunks the attempt wrote, with their redo
-	// values and release handles.
+	// values and release handles. An attempt whose set is empty has not
+	// written: it holds nothing, and its commit draws no stamp.
 	attempts int
 	set      txn.AccessSet
 	rng      *xrand.Rand
@@ -366,12 +367,6 @@ type Thread struct {
 	// promptly on cancellation. Only the owning goroutine touches it.
 	ctx    context.Context
 	active bool // a transaction is executing: nesting guard
-	// wrote marks an attempt that has called Write (set with one
-	// unconditional store per call): it holds at least one write, so its
-	// commit must draw a stamp and release, and a writer it samples may be
-	// its own hold (pinOrWait). An attempt that has not written holds
-	// nothing, so any writer it samples is foreign.
-	wrote bool
 	// Read-protocol attempt state: rv is the attempt's epoch snapshot,
 	// quiet marks an attempt still reading drained (first reads take no
 	// version sample), stamp is the commit stamp the attempt has drawn (0
