@@ -30,21 +30,25 @@ func TestConfigValidation(t *testing.T) {
 		{"hash=bogus", func(c *Config) { c.Hash = "bogus" }},
 	}
 	for _, e := range engines {
-		if _, err := e.run(valid); err != nil {
-			t.Errorf("%s rejected %+v: %v", e.name, valid, err)
-		}
-		for _, b := range bad {
-			cfg := valid
-			b.edit(&cfg)
-			if _, err := e.run(cfg); err == nil {
-				t.Errorf("%s accepted %s", e.name, b.name)
+		t.Run(e.name, func(t *testing.T) {
+			if _, err := e.run(valid); err != nil {
+				t.Errorf("rejected %+v: %v", valid, err)
 			}
-		}
-	}
-	one := valid
-	one.C = 1
-	if _, err := Alias(one); err == nil {
-		t.Error("alias accepted a single stream")
+			for _, b := range bad {
+				cfg := valid
+				b.edit(&cfg)
+				if _, err := e.run(cfg); err == nil {
+					t.Errorf("accepted %s", b.name)
+				}
+			}
+			if e.name == "alias" {
+				one := valid
+				one.C = 1
+				if _, err := e.run(one); err == nil {
+					t.Error("accepted a single stream")
+				}
+			}
+		})
 	}
 }
 
@@ -55,16 +59,18 @@ func TestDeterministicBySeed(t *testing.T) {
 		"alias":    {C: 2, W: 10, N: 4096, Trials: 300, Seed: 7},
 	}
 	for _, e := range engines {
-		a, err := e.run(cfgs[e.name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := e.run(cfgs[e.name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Errorf("%s: same seed diverged: %+v vs %+v", e.name, a, b)
-		}
+		t.Run(e.name, func(t *testing.T) {
+			a, err := e.run(cfgs[e.name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := e.run(cfgs[e.name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a != b {
+				t.Errorf("same seed diverged: %+v vs %+v", a, b)
+			}
+		})
 	}
 }
